@@ -373,20 +373,34 @@ class StreamingLinker:
     def insert(self, values: Sequence[str]) -> int:
         """Insert one record; returns its internal id.
 
+        The 1-row case of :meth:`insert_rows`, embedded with the cheaper
+        per-record :meth:`RecordEncoder.encode` (same bits).
+        """
+        return self._insert_matrix(BitMatrix.from_vectors([self.encoder.encode(values)]))[0]
+
+    def insert_rows(self, rows: Sequence[Sequence[str]]) -> list[int]:
+        """Insert a batch of records (one interned encode); returns their ids."""
+        if not rows:
+            return []
+        return self._insert_matrix(self.encoder.encode_dataset(rows))
+
+    def _insert_matrix(self, matrix: BitMatrix) -> list[int]:
+        """Append embedded rows to the store and the index's delta run.
+
         The packed words land in a growable (amortised-doubling) array so
         queries can batch candidate distances through one popcount kernel.
         """
-        vector = self.encoder.encode(values)
-        record_id = self._count
-        if record_id == len(self._words):
-            capacity = max(16, 2 * len(self._words))
+        stop = self._count + matrix.n_rows
+        if stop > len(self._words):
+            capacity = max(16, stop, 2 * len(self._words))
             grown = np.empty((capacity, self._n_words), dtype=np.uint64)
             grown[: self._count] = self._words[: self._count]
             self._words = grown
-        self._words[record_id] = vector.to_packed()
-        self._count += 1
-        self._lsh.insert(vector, record_id)
-        return record_id
+        self._words[self._count : stop] = matrix.words
+        ids = np.arange(self._count, stop, dtype=np.int64)
+        self._lsh.insert_rows(matrix, ids)
+        self._count = stop
+        return ids.tolist()
 
     def query(
         self, values: Sequence[str], top_k: int | None = None
@@ -497,9 +511,8 @@ class StreamingLinker:
         return linker
 
     def insert_dataset(self, dataset: DatasetLike) -> None:
-        """Bulk insert of a dataset (convenience for warm-up)."""
-        for values in _value_rows(dataset):
-            self.insert(values)
+        """Bulk insert of a dataset (convenience for warm-up), as one batch."""
+        self.insert_rows(_value_rows(dataset))
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """Batch insert-then-query on the shared pipeline runner.

@@ -66,7 +66,6 @@ from repro.core.persist import (
     write_dir_atomic,
 )
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import BlockingGroup, HammingLSH
 from repro.wal import SegmentWriter, replay_segment, truncate_segment
 
@@ -482,24 +481,20 @@ class ShardedIndex:
         """
         if not rows:
             return []
-        vectors = [self.encoder.encode(tuple(row)) for row in rows]
-        gids = list(range(self.next_id, self.next_id + len(rows)))
+        matrix = self.encoder.encode_dataset(rows)
+        gids = np.arange(self.next_id, self.next_id + len(rows), dtype=np.int64)
+        owners = shards_of_ids(gids, self.n_shards)
         if self.path is not None:
-            touched: set[int] = set()
-            for gid, row in zip(gids, rows):
-                shard = shard_of_id(gid, self.n_shards)
-                payload = _wal_payload(gid, row)
-                self._writer(shard).append(payload, sync=False)
-                touched.add(shard)
-            for shard in sorted(touched):
+            for gid, shard, row in zip(gids.tolist(), owners.tolist(), rows):
+                self._writer(shard).append(_wal_payload(gid, row), sync=False)
+            for shard in np.unique(owners).tolist():
                 self._writers[shard].sync()
-        for gid, vector in zip(gids, vectors):
-            self._append_local(shard_of_id(gid, self.n_shards), gid, vector)
+        self._append_rows(matrix.words, gids, owners)
         self.next_id += len(rows)
         self.counters["records_appended"] = (
             self.counters.get("records_appended", 0.0) + len(rows)
         )
-        return gids
+        return gids.tolist()
 
     # -- merged view -------------------------------------------------------------
 
@@ -574,29 +569,39 @@ class ShardedIndex:
             self._writers[shard] = writer
         return writer
 
-    def _append_local(self, shard: int, gid: int, vector: BitVector) -> None:
-        """Insert one encoded record into a shard's in-memory overlay."""
-        state = self.shards[shard]
-        if state.count == len(state.words):
-            capacity = max(16, 2 * len(state.words))
-            n_words = (self.n_bits + 63) // 64
-            grown = np.empty((capacity, n_words), dtype=np.uint64)
-            grown[: state.count] = state.words[: state.count]
-            state.words = grown
-            grown_ids = np.empty(capacity, dtype=np.int64)
-            grown_ids[: state.count] = state.row_ids[: state.count]
-            state.row_ids = grown_ids
-        state.words[state.count] = vector.to_packed()
-        state.row_ids[state.count] = gid
-        state.lsh.insert(vector, state.count)
-        state.count += 1
+    def _append_rows(
+        self, words: np.ndarray, gids: np.ndarray, owners: np.ndarray
+    ) -> None:
+        """Insert encoded records into their owning shards' in-memory overlays.
+
+        Per touched shard: one slice copy into the copy-on-grow word /
+        row-id stores and one :meth:`HammingLSH.insert_rows`.
+        """
+        for shard in np.unique(owners).tolist():
+            state = self.shards[shard]
+            mine = owners == shard
+            stop = state.count + int(mine.sum())
+            state.words = _with_room(state.words, state.count, stop)
+            state.row_ids = _with_room(state.row_ids, state.count, stop)
+            state.words[state.count : stop] = words[mine]
+            state.row_ids[state.count : stop] = gids[mine]
+            state.lsh.insert_rows(
+                BitMatrix(state.words[state.count : stop], self.n_bits),
+                np.arange(state.count, stop, dtype=np.int64),
+            )
+            state.count = stop
 
     def _replay_wal(self) -> None:
-        """Fold every shard's durable WAL records into the overlay."""
+        """Fold every shard's durable WAL records into the overlay.
+
+        Every segment is parsed and checked before anything is inserted,
+        so an unreadable record fails the open with the overlay empty;
+        the surviving records are then encoded and inserted as one batch.
+        """
         assert self.path is not None
-        replayed = 0
         torn = 0
-        highest = self.next_id
+        gids: list[int] = []
+        rows: list[tuple[str, ...]] = []
         for shard in range(self.n_shards):
             segment = self.path / wal_name(shard)
             result = replay_segment(segment)
@@ -611,11 +616,14 @@ class ShardedIndex:
                         f"{gid}, which hashes to shard "
                         f"{shard_of_id(gid, self.n_shards)}"
                     )
-                self._append_local(shard, gid, self.encoder.encode(values))
-                highest = max(highest, gid + 1)
-                replayed += 1
-        self.next_id = highest
-        self.counters["wal_replayed_records"] = float(replayed)
+                gids.append(gid)
+                rows.append(values)
+        if rows:
+            ids = np.asarray(gids, dtype=np.int64)
+            words = self.encoder.encode_dataset(rows).words
+            self._append_rows(words, ids, shards_of_ids(ids, self.n_shards))
+            self.next_id = max(self.next_id, int(ids.max()) + 1)
+        self.counters["wal_replayed_records"] = float(len(rows))
         self.counters["wal_torn_bytes"] = float(torn)
 
     def _write_shard(
@@ -756,6 +764,21 @@ def _sweep_orphans(root: Path, live_dirs: set[str]) -> None:
     for child in shards_dir.iterdir():
         if child.is_dir() and f"shards/{child.name}" not in live_dirs:
             shutil.rmtree(child, ignore_errors=True)
+
+
+def _with_room(store: np.ndarray, count: int, stop: int) -> np.ndarray:
+    """``store`` if it holds ``stop`` rows, else an amortised-doubling copy.
+
+    Only the first ``count`` rows are carried over; a (read-only,
+    memory-mapped) shard payload is full, so it is copied at the first
+    append and never written to.
+    """
+    if stop <= len(store):
+        return store
+    capacity = max(16, stop, 2 * len(store))
+    grown = np.empty((capacity, *store.shape[1:]), dtype=store.dtype)
+    grown[:count] = store[:count]
+    return grown
 
 
 def _wal_payload(gid: int, values: tuple[str, ...]) -> bytes:

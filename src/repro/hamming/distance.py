@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamming.bitvector import BitVector
+from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
 
 
 def hamming(v1: BitVector, v2: BitVector) -> int:
@@ -71,15 +72,19 @@ def masked_hamming_rows(
     w_lo, o_lo = divmod(start, 64)
     w_hi, o_hi = divmod(stop, 64)
     last_word = w_hi if o_hi else w_hi - 1
-    xor = words_a[rows_a, w_lo : last_word + 1] ^ words_b[rows_b, w_lo : last_word + 1]
-    if xor.ndim == 1:
-        xor = xor[:, None]
-    xor = xor.copy()
-    if o_lo:
-        xor[:, 0] &= ~np.uint64((1 << o_lo) - 1)
-    if o_hi and last_word == w_hi:
-        xor[:, -1] &= np.uint64((1 << o_hi) - 1)
-    return np.bitwise_count(xor).sum(axis=1).astype(np.int64)
+    cols = slice(w_lo, last_word + 1)
+    out = np.empty(rows_a.size, dtype=np.int64)
+    # Cache-sized row blocks: the gathered XOR block of a million candidate
+    # pairs is tens of MB, freshly mapped and page-faulted on every call.
+    for lo in range(0, rows_a.size, DEFAULT_BLOCK_ROWS):
+        hi = lo + DEFAULT_BLOCK_ROWS
+        xor = words_a[rows_a[lo:hi], cols] ^ words_b[rows_b[lo:hi], cols]
+        if o_lo:
+            xor[:, 0] &= ~np.uint64((1 << o_lo) - 1)
+        if o_hi and last_word == w_hi:
+            xor[:, -1] &= np.uint64((1 << o_hi) - 1)
+        out[lo:hi] = np.bitwise_count(xor).sum(axis=1)
+    return out
 
 
 def normalized_hamming(v1: BitVector, v2: BitVector) -> float:

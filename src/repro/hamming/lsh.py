@@ -13,10 +13,11 @@ each unique pair to a classification rule (here: a distance threshold or a
 
 The implementation is vectorised: blocking keys for a whole
 :class:`~repro.hamming.bitmatrix.BitMatrix` are produced per group with one
-column gather, bulk-indexed groups store their ids sorted by key (no
-Python dict of buckets), matching buckets are found with a sort-merge
-join (two binary searches per distinct probe key) and expanded with
-gather arithmetic, and the candidate-pair stream is de-duplicated over
+column gather, every group stores its ids sorted by key — a bulk run
+plus a small delta run for streaming inserts, no Python dict of buckets
+— matching buckets are found with a sort-merge join (two binary
+searches per distinct probe key and run) and expanded with gather
+arithmetic, and the candidate-pair stream is de-duplicated over
 encoded pair ids — semantically identical to Algorithm 2's
 ``UniqueCollection`` but dataset-at-a-time.
 
@@ -39,13 +40,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.theory import hamming_lsh_parameters
+
+
+#: One sorted run of a blocking group: ``(sorted keys, parallel row ids)``.
+_Run = tuple[np.ndarray, np.ndarray]
 
 
 def _split_out_fresh(chunk: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -185,6 +189,25 @@ def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
     return packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
 
 
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start offsets of the distinct-key runs of a sorted key array."""
+    if not sorted_keys.size:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
+def _merge_runs(old: _Run | None, new: _Run) -> _Run:
+    """Merge sorted run ``new`` into sorted run ``old`` without re-sorting.
+
+    One binary search per new row plus an ``O(len(old))`` copy; within
+    one key, ``old``'s rows stay ahead of ``new``'s.
+    """
+    if old is None:
+        return new
+    at = np.searchsorted(old[0], new[0], side="right")
+    return np.insert(old[0], at, new[0]), np.insert(old[1], at, new[1])
+
+
 @dataclass(frozen=True)
 class CompositeHash:
     """A composite hash function ``h_l``: ``K`` sampled bit positions."""
@@ -206,120 +229,100 @@ class CompositeHash:
 class BlockingGroup:
     """One blocking group ``T_l``: a composite hash plus its bucket table.
 
-    Bulk inserts (:meth:`insert_matrix`) are stored column-oriented — the
-    row ids sorted by blocking key next to the sorted key array — which
-    is exactly what the sort-merge candidate join consumes, and avoids
-    materialising a Python dict with one entry per bucket.  Streaming
-    inserts (:meth:`insert`) go to a dict overlay; :meth:`bucket` merges
-    both representations.
+    The table is an LSM-style pair of sorted runs, each a key array next
+    to its parallel row-id array: the **bulk run** (:meth:`insert_matrix`,
+    or memory-mapped snapshot arrays) and a small **delta run** that
+    takes streaming inserts (:meth:`insert_rows`).  Both are exactly what
+    the sort-merge candidate join consumes, so :meth:`join_products`
+    probes a freshly inserted row the same way as a bulk-loaded one — no
+    Python dict of buckets, no per-bucket loop.  Within one key, ids keep
+    bulk-then-insertion order (every sort and merge here is stable).
     """
 
     def __init__(self, composite: CompositeHash):
         self.composite = composite
-        self._keys: np.ndarray | None = None  # sorted blocking keys (bulk inserts)
-        self._ids: np.ndarray | None = None  # row ids, parallel to _keys
-        self._bounds: np.ndarray | None = None  # cached run starts of _keys
-        self._buckets: dict[object, list[int]] = {}  # streaming overlay
+        self._bulk: _Run | None = None  # (sorted blocking keys, parallel row ids)
+        self._bounds: np.ndarray | None = None  # cached run starts of the bulk keys
+        self._delta: _Run | None = None  # streaming inserts, same layout
+
+    def _runs(self) -> list[_Run]:
+        """The runs held, bulk first."""
+        return [run for run in (self._bulk, self._delta) if run is not None]
+
+    @property
+    def n_rows(self) -> int:
+        """Rows held across both runs."""
+        return sum(int(ids.size) for __, ids in self._runs())
+
+    def _sorted_run(self, matrix: BitMatrix, ids: np.ndarray) -> _Run:
+        """``matrix``'s blocking keys, stably sorted, with their ids."""
+        keys = self.composite.keys_for(matrix)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.asarray(ids, dtype=np.int64)[order]
 
     def insert_matrix(self, matrix: BitMatrix) -> None:
-        """Hash every row of ``matrix`` into the group (ids are row indices)."""
-        keys = self.composite.keys_for(matrix)
-        ids = np.arange(matrix.n_rows, dtype=np.int64)
-        if self._keys is not None and self._ids is not None:
-            keys = np.concatenate([self._keys, keys])
-            ids = np.concatenate([self._ids, ids])
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._ids = ids[order]
+        """Bulk-load every row of ``matrix``; ids continue from the rows held."""
+        first = self.n_rows
+        ids = np.arange(first, first + matrix.n_rows, dtype=np.int64)
+        self._bulk = _merge_runs(self._bulk, self._sorted_run(matrix, ids))
         self._bounds = None
 
+    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
+        """Streaming insert: merge ``matrix``'s rows into the delta run.
+
+        One ``searchsorted`` plus an ``O(delta)`` copy per batch; the
+        (possibly memory-mapped) bulk run is never touched.
+        """
+        self._delta = _merge_runs(self._delta, self._sorted_run(matrix, ids))
+
     def insert(self, vector: BitVector, record_id: int) -> None:
-        """Insert a single vector (streaming API)."""
-        self._buckets.setdefault(self.composite.key_for(vector), []).append(record_id)
+        """Insert a single vector — the 1-row case of :meth:`insert_rows`."""
+        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
 
-    def _bulk_range(self, key: object) -> tuple[int, int]:
-        """Half-open slice of ``_ids`` holding ``key`` (empty when absent)."""
-        if self._keys is None or self._keys.size == 0:
-            return 0, 0
-        try:
-            probe = np.asarray(key, dtype=self._keys.dtype)
-        except (TypeError, ValueError):
-            return 0, 0
-        lo = int(np.searchsorted(self._keys, probe, side="left"))
-        hi = int(np.searchsorted(self._keys, probe, side="right"))
-        return lo, hi
+    def join_products(
+        self,
+        matrix_b: BitMatrix,
+        budget: int | None = None,
+        stats: dict[str, float] | None = None,
+    ) -> Iterator[np.ndarray]:
+        """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``.
 
-    def _bulk_boundaries(self) -> np.ndarray:
-        """Start offsets of the distinct-key runs in the bulk arrays (cached)."""
-        if self._bounds is not None:
-            return self._bounds
-        keys = self._keys
-        if keys is None or keys.size == 0:
-            self._bounds = np.empty(0, dtype=np.int64)
-        else:
-            self._bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        return self._bounds
+        The one candidate join: ``matrix_b``'s keys are sorted once and
+        merge-joined (:func:`_join_products`) against the bulk run and
+        the delta run in turn.  No materialised array exceeds ``budget``;
+        ``stats`` accumulates the :func:`_generation_stats` counters.
+        """
+        if stats is None:
+            stats = _generation_stats()
+        keys_b = self.composite.keys_for(matrix_b)
+        order = np.argsort(keys_b, kind="stable")
+        sorted_keys = keys_b[order]
+        boundaries = _run_starts(sorted_keys)
+        for keys, ids in self._runs():
+            yield from _join_products(
+                keys, ids, sorted_keys, order, boundaries, matrix_b.n_rows, budget, stats
+            )
 
     # -- snapshot state --------------------------------------------------------
 
-    def _empty_key_dtype(self) -> "np.dtype[Any]":
-        """The key dtype :func:`_pack_keys` produces for this composite."""
-        k = len(self.composite.positions)
-        if k <= 64:
-            return np.dtype(np.uint64)
-        return np.dtype([("", np.uint8)] * ((k + 7) // 8))
-
-    def _overlay_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Streaming-overlay entries as parallel (keys, ids) arrays.
-
-        Overlay keys are the low-endian packed integers of
-        :meth:`CompositeHash.key_for`; for ``K > 64`` they are re-packed
-        into the byte representation :func:`_pack_keys` uses so both
-        stores share one dtype.
-        """
-        k = len(self.composite.positions)
-        key_list = list(self._buckets)
-        counts = np.asarray([len(self._buckets[key]) for key in key_list], dtype=np.int64)
-        flat_ids = np.asarray(
-            [rid for key in key_list for rid in self._buckets[key]], dtype=np.int64
-        )
-        if k <= 64:
-            keys = np.asarray([int(key) for key in key_list], dtype=np.uint64)  # type: ignore[call-overload]
-        else:
-            bits = np.zeros((len(key_list), k), dtype=np.uint8)
-            for row, key in enumerate(key_list):
-                value = int(key)  # type: ignore[call-overload]
-                for rank in range(k):
-                    bits[row, rank] = (value >> rank) & 1
-            keys = _pack_keys(bits)
-        return np.repeat(keys, counts), flat_ids
-
     def export_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bulk state ``(sorted_keys, ids, run_starts)`` with the overlay folded in.
+        """Bulk state ``(sorted_keys, ids, run_starts)`` with the delta folded in.
 
-        Any streaming-overlay entries are merged into the sorted bulk
-        representation *here*, at export time — a snapshot loaded from
-        these arrays never needs to re-sort.  Within one key, bulk ids
-        keep preceding overlay ids (the :meth:`bucket` order).
+        The delta run is merged into the sorted bulk representation
+        *here*, at export time — a snapshot loaded from these arrays
+        never needs to re-sort.  Within one key, bulk ids keep preceding
+        delta ids (the :meth:`bucket` order).
         """
-        keys, ids = self._keys, self._ids
-        if self._buckets:
-            over_keys, over_ids = self._overlay_arrays()
-            if keys is None or ids is None:
-                keys, ids = over_keys, over_ids
-            else:
-                keys = np.concatenate([keys, over_keys])
-                ids = np.concatenate([ids, over_ids])
-            order = np.argsort(keys, kind="stable")
-            keys, ids = keys[order], ids[order]
-        if keys is None or ids is None:
-            keys = np.empty(0, dtype=self._empty_key_dtype())
-            ids = np.empty(0, dtype=np.int64)
-        if keys.size:
-            bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        else:
-            bounds = np.empty(0, dtype=np.int64)
-        return keys, ids, bounds
+        run = self._bulk if self._delta is None else _merge_runs(self._bulk, self._delta)
+        if run is None:  # nothing held: empty arrays of this composite's key dtype
+            no_bits = np.empty((0, len(self.composite.positions)), dtype=np.uint8)
+            run = (_pack_keys(no_bits), np.empty(0, dtype=np.int64))
+        keys, ids = run
+        if self._delta is not None:
+            return keys, ids, _run_starts(keys)
+        if self._bounds is None:
+            self._bounds = _run_starts(keys)
+        return keys, ids, self._bounds
 
     @classmethod
     def from_arrays(
@@ -336,18 +339,25 @@ class BlockingGroup:
         — nothing here copies or mutates them.
         """
         group = cls(composite)
-        group._keys = keys
-        group._ids = ids
+        group._bulk = (keys, ids)
         group._bounds = bounds
         return group
 
-    def bucket(self, key: object) -> list[int]:
-        """The id list stored under ``key`` (empty when absent)."""
-        lo, hi = self._bulk_range(key)
-        out = self._ids[lo:hi].tolist() if self._ids is not None and hi > lo else []
-        extra = self._buckets.get(key)
-        if extra:
-            out = out + extra
+    def bucket(self, key: int) -> list[int]:
+        """The id list under ``key`` (:meth:`CompositeHash.key_for`'s integer).
+
+        Bulk ids first, then delta ids in insertion order; empty when absent.
+        """
+        k = len(self.composite.positions)
+        if k <= 64:
+            probe = np.uint64(key)  # the low-endian integer is the packed key itself
+        else:
+            raw = np.frombuffer(int(key).to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+            probe = _pack_keys(np.unpackbits(raw, bitorder="little")[None, :k])[0]
+        out: list[int] = []
+        for keys, ids in self._runs():
+            lo, hi = keys.searchsorted(probe, "left"), keys.searchsorted(probe, "right")
+            out += ids[lo:hi].tolist()
         return out
 
     def probe(self, vector: BitVector) -> list[int]:
@@ -356,32 +366,12 @@ class BlockingGroup:
 
     @property
     def n_buckets(self) -> int:
-        n = int(self._bulk_boundaries().size)
-        for key in self._buckets:
-            lo, hi = self._bulk_range(key)
-            if lo == hi:
-                n += 1
-        return n
+        return int(self.export_arrays()[2].size)
 
     def bucket_sizes(self) -> np.ndarray:
-        """Sizes of all buckets — used for selectivity diagnostics."""
-        bounds = self._bulk_boundaries()
-        if bounds.size and self._keys is not None:
-            ends = np.r_[bounds[1:], self._keys.size]
-            sizes = (ends - bounds).astype(np.int64)
-        else:
-            sizes = np.empty(0, dtype=np.int64)
-        extra: list[int] = []
-        for key, ids in self._buckets.items():
-            lo, hi = self._bulk_range(key)
-            if lo == hi:
-                extra.append(len(ids))
-            else:
-                run = int(np.searchsorted(bounds, lo, side="right")) - 1
-                sizes[run] += len(ids)
-        if extra:
-            sizes = np.concatenate([sizes, np.asarray(extra, dtype=np.int64)])
-        return sizes
+        """Sizes of all buckets, in key order — selectivity diagnostics."""
+        keys, __, bounds = self.export_arrays()
+        return np.diff(np.r_[bounds, keys.size]).astype(np.int64)
 
 
 class HammingLSH:
@@ -507,12 +497,18 @@ class HammingLSH:
         for group in self.groups:
             group.insert_matrix(matrix)
 
+    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
+        """Streaming insert of ``matrix``'s rows under the given record ids."""
+        if matrix.n_bits != self.n_bits:
+            raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs LSH {self.n_bits}")
+        for group in self.groups:
+            group.insert_rows(matrix, ids)
+
     def insert(self, vector: BitVector, record_id: int) -> None:
-        """Streaming insert of a single record."""
+        """Streaming insert of a single record (the 1-row :meth:`insert_rows`)."""
         if vector.n_bits != self.n_bits:
             raise ValueError(f"width mismatch: vector {vector.n_bits} vs LSH {self.n_bits}")
-        for group in self.groups:
-            group.insert(vector, record_id)
+        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
 
     # -- candidate generation ------------------------------------------------------
 
@@ -622,53 +618,7 @@ class HammingLSH:
     ) -> Iterator[np.ndarray]:
         """Raw (un-deduplicated) bucket cross-products, each ``<= budget``."""
         for group in self.groups:
-            yield from self._group_products(group, matrix_b, budget, stats)
-
-    def _group_products(
-        self,
-        group: BlockingGroup,
-        matrix_b: BitMatrix,
-        budget: int | None,
-        stats: dict[str, float],
-    ) -> Iterator[np.ndarray]:
-        """One group's raw cross-products, no materialised array ``> budget``.
-
-        Bulk-only groups run through the vectorised sort-merge join; a
-        group holding streaming inserts falls back to a per-bucket loop
-        over :meth:`BlockingGroup.bucket` (which merges both stores).
-        """
-        n_b = matrix_b.n_rows
-        keys_b = group.composite.keys_for(matrix_b)
-        order = np.argsort(keys_b, kind="stable")
-        sorted_keys = keys_b[order]
-        boundaries = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        if not group._buckets and group._keys is not None and group._ids is not None:
-            yield from _join_products(
-                group._keys, group._ids, sorted_keys, order, boundaries, n_b, budget, stats
-            )
-            return
-        for i, start in enumerate(boundaries):
-            stop = boundaries[i + 1] if i + 1 < len(boundaries) else len(sorted_keys)
-            key = (
-                sorted_keys[start].item()
-                if sorted_keys.dtype != object
-                else sorted_keys[start]
-            )
-            ids_a = group.bucket(key)
-            if not ids_a:
-                continue
-            rows_b = order[start:stop]
-            rows_a = np.asarray(ids_a, dtype=np.int64)
-            product = rows_a.size * rows_b.size
-            stats["pairs_generated"] += product
-            stats["max_bucket_product"] = max(stats["max_bucket_product"], product)
-            if budget is None or product <= budget:
-                yield (
-                    np.repeat(rows_a, rows_b.size) * n_b
-                    + np.tile(rows_b, rows_a.size)
-                )
-                continue
-            yield from _sliced_product(rows_a, rows_b, n_b, budget)
+            yield from group.join_products(matrix_b, budget, stats)
 
     def candidate_pairs_per_group(
         self, matrix_b: BitMatrix
@@ -684,9 +634,8 @@ class HammingLSH:
 
     def _pairs_per_group(self, matrix_b: BitMatrix) -> Iterator[np.ndarray]:
         """Encoded pairs ``a * n_B + b`` for each blocking group in turn."""
-        stats = _generation_stats()
         for group in self.groups:
-            parts = list(self._group_products(group, matrix_b, None, stats))
+            parts = list(group.join_products(matrix_b))
             yield np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     # -- matching ------------------------------------------------------------------

@@ -106,6 +106,23 @@ class TestMaskedHammingRows:
         assert masked_hamming_rows(words, rows, zeros, rows, 0, 64).tolist() == [64]
         assert masked_hamming_rows(words, rows, zeros, rows, 64, 128).tolist() == [0]
 
+    def test_row_blocks_match_one_sweep(self, monkeypatch):
+        # More pairs than one cache block, and a ragged last block.
+        from repro.hamming import distance
+
+        rng = np.random.default_rng(5)
+        words_a = rng.integers(0, 2**63, size=(40, 3), dtype=np.int64).astype(np.uint64)
+        words_b = rng.integers(0, 2**63, size=(50, 3), dtype=np.int64).astype(np.uint64)
+        rows_a = rng.integers(0, 40, size=1000)
+        rows_b = rng.integers(0, 50, size=1000)
+        one_sweep = masked_hamming_rows(words_a, rows_a, words_b, rows_b, 37, 150)
+        monkeypatch.setattr(distance, "DEFAULT_BLOCK_ROWS", 96)
+        blocked = masked_hamming_rows(words_a, rows_a, words_b, rows_b, 37, 150)
+        assert blocked.dtype == np.int64
+        assert blocked.tolist() == one_sweep.tolist()
+        empty = np.empty(0, dtype=np.int64)
+        assert masked_hamming_rows(words_a, empty, words_b, empty, 0, 64).size == 0
+
     def test_invalid_range(self):
         words = np.zeros((1, 1), dtype=np.uint64)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
+from repro.text.alphabet import AlphabetError
 
 RECORDS = [
     ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
@@ -57,6 +58,30 @@ class TestEncode:
         matrix = ncvr_encoder.encode_dataset(RECORDS)
         for i, record in enumerate(RECORDS):
             assert matrix.row(i) == ncvr_encoder.encode(record)
+
+    def test_dataset_words_match_per_record_on_degenerate_values(self, ncvr_encoder):
+        """The identity that makes batched ingest legal: the batch encoder
+        and the per-record encoder agree bit for bit, also on empty and
+        missing (blanked) values, values shorter than a q-gram and
+        repeated rows (interned once by the batch encoder)."""
+        rows = [
+            ("", "", "", ""),
+            ("JONES", "", "12 MAIN ST", ""),
+            ("", "SMITH", "", "BOONE"),
+            ("A", "B", "1", " "),
+            ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
+            ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
+        ]
+        words = ncvr_encoder.encode_dataset(rows).words
+        for i, row in enumerate(rows):
+            assert np.array_equal(words[i], ncvr_encoder.encode(row).to_packed())
+
+    def test_non_alphabet_values_rejected_by_both_encoders(self, ncvr_encoder):
+        bad = ("JOS\u00c9", "SMITH", "12 MAIN ST", "BOONE")
+        with pytest.raises(AlphabetError):
+            ncvr_encoder.encode(bad)
+        with pytest.raises(AlphabetError):
+            ncvr_encoder.encode_dataset([RECORDS[0], bad])
 
     def test_encode_attribute_column(self, ncvr_encoder):
         matrix = ncvr_encoder.encode_attribute(RECORDS, "f2")

@@ -276,6 +276,50 @@ class TestDurableIngest:
         _assert_identical(rebuilt.query_batch(rows_b), engine.query_batch(rows_b))
 
 
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_overlay_equals_compacted_equals_fresh_build(
+        self, tmp_path, reference, encoder, rows_a, rows_b, n_shards
+    ):
+        """One join for both runs: overlay == replayed == compacted == fresh."""
+        engine = ShardedQueryEngine.build(
+            rows_a[:100], encoder, n_shards=n_shards, threshold=4, k=30, seed=SEED
+        )
+        bundle = engine.save(tmp_path / "idx")
+        for lo, hi in [(100, 117), (117, 118), (118, len(rows_a))]:  # batch, 1 row, batch
+            assert engine.ingest(rows_a[lo:hi]) == list(range(lo, hi))
+        assert engine.index.overlay_rows == len(rows_a) - 100
+        want = reference.query_batch(rows_b)
+        want_top = reference.query_batch(rows_b, top_k=2)
+        _assert_identical(want, engine.query_batch(rows_b))
+        _assert_identical(want_top, engine.query_batch(rows_b, top_k=2))
+        engine.close()
+        replayed = ShardedQueryEngine.from_bundle(bundle)
+        assert replayed.index.overlay_rows == len(rows_a) - 100
+        _assert_identical(want, replayed.query_batch(rows_b))
+        replayed.compact()
+        assert replayed.index.overlay_rows == 0
+        _assert_identical(want, replayed.query_batch(rows_b))
+        _assert_identical(want_top, replayed.query_batch(rows_b, top_k=2))
+        replayed.close()
+        fresh = ShardedQueryEngine.build(
+            rows_a, encoder, n_shards=n_shards, threshold=4, k=30, seed=SEED
+        )
+        _assert_identical(want, fresh.query_batch(rows_b))
+
+    def test_unencodable_batch_writes_no_wal_byte(self, tmp_path, encoder, rows_a):
+        """The batch is encoded before the first WAL append: all or nothing."""
+        engine = ShardedQueryEngine.build(
+            rows_a, encoder, n_shards=2, threshold=4, k=30, seed=SEED
+        )
+        bundle = engine.save(tmp_path / "idx")
+        with pytest.raises(ValueError):
+            engine.ingest([rows_a[0], rows_a[1][:-1]])  # second row is one value short
+        assert engine.index.n_rows == len(rows_a)
+        assert engine.index.next_id == len(rows_a)
+        assert not any((bundle / "wal").iterdir())
+        engine.close()
+
+
 class TestCrashRecovery:
     def test_torn_wal_tail_replays_to_durable_prefix(
         self, tmp_path, encoder, rows_a
@@ -320,6 +364,34 @@ class TestCrashRecovery:
         with ShardedIndex.open(bundle) as reopened:
             assert reopened.n_rows == len(rows_a)
             assert reopened.counters["wal_replayed_records"] == 0.0
+
+    def test_unreadable_mid_segment_record_fails_with_nothing_inserted(
+        self, tmp_path, encoder, rows_a
+    ):
+        """A CRC-valid but unparseable record after good ones, in the last
+        segment: replay parses every segment before its one batched insert,
+        so the open fails with the overlay still empty."""
+        engine = ShardedQueryEngine.build(
+            rows_a, encoder, n_shards=2, threshold=4, k=30, seed=SEED
+        )
+        bundle = engine.save(tmp_path / "idx")
+        engine.close()
+        with ShardedIndex.open(bundle) as index:  # attached before the WAL exists
+            first = index.next_id
+            for shard in (0, 1):
+                gids = [g for g in range(first, first + 50) if shard_of_id(g, 2) == shard][:2]
+                records = [frame(_wal_payload(gids[0], rows_a[0]))]
+                if shard == 1:
+                    records.append(frame(b"{not json"))
+                records.append(frame(_wal_payload(gids[1], rows_a[1])))
+                (bundle / wal_name(shard)).write_bytes(b"".join(records))
+            with pytest.raises(SnapshotError, match="unreadable WAL record"):
+                index._replay_wal()
+            assert index.overlay_rows == 0
+            assert index.n_rows == len(rows_a)
+            assert index.next_id == first
+        with pytest.raises(SnapshotError, match="unreadable WAL record"):
+            ShardedIndex.open(bundle).close()
 
     def test_wal_record_in_wrong_shard_fails_loudly(self, tmp_path, encoder, rows_a):
         engine = ShardedQueryEngine.build(

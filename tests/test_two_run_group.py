@@ -1,0 +1,180 @@
+"""The two-run blocking group: a bulk run plus a sorted delta run.
+
+Whatever interleaving of ``insert_matrix`` / ``insert`` / ``insert_rows``
+built an index, it must answer exactly like an all-bulk index over the
+same rows — the candidate join has one code path, and these tests pin it
+to per-bucket references kept here, not in ``src/``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.encoder import RecordEncoder
+from repro.data import EXPERIMENT_SCHEME, DBLPGenerator
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.lsh import BlockingGroup, HammingLSH
+from repro.rules.blocking import RuleAwareBlocker
+from repro.rules.parser import parse_rule
+
+N_BITS = 96
+N_TABLES = 3
+
+
+def clustered_matrix(seed: int, n_rows: int) -> BitMatrix:
+    """Rows one bit-flip away from four prototypes, so buckets collide at any K."""
+    rng = np.random.default_rng(seed)
+    prototypes = rng.integers(0, 2, size=(4, N_BITS), dtype=np.uint8)
+    bits = prototypes[rng.integers(0, 4, size=n_rows)]
+    flip = rng.integers(0, 2 * N_BITS, size=n_rows)  # half the rows stay exact
+    hit = flip < N_BITS
+    bits[np.flatnonzero(hit), flip[hit]] ^= 1
+    words = np.packbits(bits, axis=1, bitorder="little")
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8)))
+    return BitMatrix(words.view(np.uint64), N_BITS)
+
+
+def take(matrix: BitMatrix, lo: int, hi: int) -> BitMatrix:
+    return BitMatrix(matrix.words[lo:hi], matrix.n_bits)
+
+
+#: One build step: how the next ``size`` rows enter the index.
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["bulk", "rows", "single"]), st.integers(1, 9)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.sampled_from([8, 30, 70]),  # 70 > 64: void-dtype keys in both runs
+    steps=STEPS,
+    budget=st.sampled_from([None, 1, 64]),
+)
+@settings(max_examples=120, deadline=None)
+def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
+    n_rows = sum(size for __, size in steps)
+    matrix_a = clustered_matrix(seed, n_rows)
+    matrix_b = clustered_matrix(seed, 12)  # same prototypes, so B collides with A
+
+    def fresh() -> HammingLSH:
+        return HammingLSH(N_BITS, k, n_tables=N_TABLES, seed=seed, max_chunk_pairs=budget)
+
+    reference = fresh()
+    reference.index(matrix_a)
+    mixed = fresh()
+    bulk_ids: list[int] = []
+    streamed_ids: list[int] = []
+    at = 0
+    for how, size in steps:
+        ids = np.arange(at, at + size)
+        part = take(matrix_a, at, at + size)
+        if how == "bulk":
+            mixed.index(part)  # numbers from the rows already held
+            bulk_ids += ids.tolist()
+        elif how == "rows":
+            mixed.insert_rows(part, ids)
+            streamed_ids += ids.tolist()
+        else:
+            for i in ids.tolist():
+                mixed.insert(matrix_a.row(i), i)
+            streamed_ids += ids.tolist()
+        at += size
+
+    for got, want in zip(mixed.candidate_pairs(matrix_b), reference.candidate_pairs(matrix_b)):
+        assert np.array_equal(got, want)
+    chunks = list(mixed.candidate_chunks(matrix_b))
+    if budget is not None:
+        assert all(rows_a.size <= budget for rows_a, __ in chunks)
+    streamed = np.sort(np.concatenate([a * 12 + b for a, b in chunks] or [np.empty(0, int)]))
+    want_a, want_b = reference.candidate_pairs(matrix_b)
+    assert np.array_equal(streamed, want_a * 12 + want_b)
+    for got, want in zip(
+        mixed.candidate_pairs_per_group(matrix_b), reference.candidate_pairs_per_group(matrix_b)
+    ):
+        assert sorted(zip(*map(np.ndarray.tolist, got))) == sorted(
+            zip(*map(np.ndarray.tolist, want))
+        )
+
+    for group, ref_group in zip(mixed.groups, reference.groups):
+        assert group.n_rows == n_rows
+        assert group.n_buckets == ref_group.n_buckets
+        assert np.array_equal(group.bucket_sizes(), ref_group.bucket_sizes())
+        key_of = [group.composite.key_for(matrix_a.row(i)) for i in range(n_rows)]
+        for key in set(key_of):
+            # The ordering rule: bulk ids first, then streamed ids as inserted.
+            assert group.bucket(key) == [
+                i for i in bulk_ids + streamed_ids if key_of[i] == key
+            ]
+            assert sorted(group.bucket(key)) == ref_group.bucket(key)
+        keys, ids, bounds = group.export_arrays()
+        ref_keys, ref_ids, ref_bounds = ref_group.export_arrays()
+        assert keys.dtype == ref_keys.dtype
+        assert np.array_equal(keys, ref_keys)
+        assert np.array_equal(bounds, ref_bounds)
+        for lo, hi in zip(bounds, np.r_[bounds[1:], keys.size]):
+            assert sorted(ids[lo:hi].tolist()) == ref_ids[lo:hi].tolist()
+        reloaded = BlockingGroup.from_arrays(group.composite, keys, ids, bounds)
+        assert reloaded.n_rows == n_rows
+        assert sorted(np.concatenate(list(reloaded.join_products(matrix_b)) or [[]])) == sorted(
+            np.concatenate(list(ref_group.join_products(matrix_b)) or [[]])
+        )
+
+
+def test_second_index_call_continues_the_ids():
+    """Regression: a second ``index()`` used to renumber its rows from 0."""
+    matrix = clustered_matrix(3, 40)
+    once = HammingLSH(N_BITS, 8, n_tables=N_TABLES, seed=5)
+    once.index(matrix)
+    twice = HammingLSH(N_BITS, 8, n_tables=N_TABLES, seed=5)
+    twice.index(take(matrix, 0, 25))
+    twice.index(take(matrix, 25, 40))
+    probe = clustered_matrix(3, 15)
+    for got, want in zip(twice.candidate_pairs(probe), once.candidate_pairs(probe)):
+        assert np.array_equal(got, want)
+    for group, ref_group in zip(twice.groups, once.groups):
+        for got, want in zip(group.export_arrays(), ref_group.export_arrays()):
+            assert np.array_equal(got, want)
+
+
+def _brute_members(structure, matrix_a: BitMatrix, matrix_b: BitMatrix) -> np.ndarray:
+    """Per-bucket reference for ``_Structure.members``: a dict of id lists per table."""
+    pairs: set[int] = set()
+    for group in structure.groups:
+        buckets: dict[bytes, list[int]] = {}
+        for a, key in enumerate(group.composite.keys_for(matrix_a)):
+            buckets.setdefault(key.tobytes(), []).append(a)
+        for b, key in enumerate(group.composite.keys_for(matrix_b)):
+            for a in buckets.get(key.tobytes(), ()):
+                pairs.add(a * matrix_b.n_rows + b)
+    return np.asarray(sorted(pairs), dtype=np.int64)
+
+
+def test_structure_members_equal_per_bucket_reference():
+    rows = DBLPGenerator().generate(260, seed=11).value_rows()
+    encoder = RecordEncoder.calibrated(
+        rows, names=["FirstName", "LastName", "Title", "Year"], scheme=EXPERIMENT_SCHEME, seed=2
+    )
+    matrix_a = encoder.encode_dataset(rows[:200])
+    matrix_b = encoder.encode_dataset(rows[140:])  # 60 records of A come back in B
+    blocker = RuleAwareBlocker(
+        parse_rule("((FirstName<=4) & (LastName<=4)) | (Title<=8)"),
+        encoder,
+        k={"FirstName": 5, "LastName": 5, "Title": 12},
+        n_tables=6,
+        seed=4,
+    )
+    blocker.index(matrix_a)
+    structures = blocker._plan.structures
+    assert len(structures) == 2
+    for structure in structures:
+        want = _brute_members(structure, matrix_a, matrix_b)
+        assert want.size > 60
+        assert np.array_equal(structure.members(matrix_b), want)
+        # A second index() appends rows 200.. — same join, ids continue.
+        structure.index(matrix_b)
+        both = BitMatrix(np.vstack([matrix_a.words, matrix_b.words]), matrix_a.n_bits)
+        assert np.array_equal(
+            structure.members(matrix_b), _brute_members(structure, both, matrix_b)
+        )
