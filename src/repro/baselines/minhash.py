@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.cvector import HASH_PRIME
 from repro.core.qgram import QGramScheme
 from repro.hamming.distance import jaccard_distance_sets
+from repro.hamming.lsh import sorted_unique
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
@@ -223,7 +224,7 @@ class MinHashCandidateStage(CandidateStage):
                 if ids_a:
                     parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
         if parts:
-            encoded = np.unique(np.concatenate(parts))
+            encoded = sorted_unique(parts)
             ctx.cand_a, ctx.cand_b = encoded // n_b, encoded % n_b
         else:
             empty = np.empty(0, dtype=np.int64)

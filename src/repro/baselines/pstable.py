@@ -26,6 +26,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.hamming.lsh import sorted_unique
 from repro.hamming.theory import optimal_table_count
 
 #: Datar et al. recommend a bucket width of a few units; w = 4 is the
@@ -144,7 +145,7 @@ class EuclideanLSH:
         if not chunks:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        encoded = np.unique(np.concatenate(chunks))
+        encoded = sorted_unique(chunks)
         n_b = points_b.shape[0]
         return encoded // n_b, encoded % n_b
 

@@ -30,29 +30,51 @@ HASH_PRIME = 2**31 - 1
 #: Per-encoder LRU capacity for memoised compact index sets (streaming path).
 COMPACT_CACHE_SIZE = 4096
 
+#: Distinct values tokenised, hashed and packed per pass of
+#: :func:`embed_columns`.  Sized to keep every temporary near 1 MB, which
+#: the allocator recycles; whole-column temporaries (10+ MB at 100 000
+#: records) are mapped and page-faulted afresh on every call, the least
+#: steady cost an embed can have.
+VALUE_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class InternedColumn:
-    """Vectorised expansion of one attribute column's q-gram index sets.
+    """One attribute column, interned: every *unique* value tokenised once.
 
-    Every *unique* value of the column is tokenised exactly once; the
-    per-record structure is recovered with two gather arrays instead of a
-    per-record Python loop:
-
-    - ``flat_indices`` concatenates the q-gram indices of the unique
-      values (occurrence order, repeats kept — the bit scatter is
-      idempotent), in first-occurrence order of the values.
-    - ``gather[i]`` maps emitted bit ``i`` to its position in
-      ``flat_indices`` (so hashes are applied to unique indices only and
-      then gathered).
-    - ``rows[i]`` is the record that bit ``i`` belongs to.
+    ``inverse[i]`` is the unique-value id of record ``i`` (ids follow
+    first occurrence), ``counts[u]`` the q-gram count of unique value
+    ``u`` and ``flat_indices`` the q-gram indices of the unique values,
+    value by value (occurrence order, repeats kept — the bit scatter is
+    idempotent).  The per-(record, emitted bit) expansion is derived on
+    demand: ``rows[i]`` is the record bit ``i`` belongs to, ``gather[i]``
+    its position in ``flat_indices``.
     """
 
-    rows: np.ndarray
-    gather: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
     flat_indices: np.ndarray
-    n_values: int
-    n_unique: int
+
+    @property
+    def n_values(self) -> int:
+        return int(self.inverse.size)
+
+    @property
+    def n_unique(self) -> int:
+        return int(self.counts.size)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_values, dtype=np.int64), self.counts[self.inverse])
+
+    @property
+    def gather(self) -> np.ndarray:
+        rec_counts = self.counts[self.inverse]
+        starts = (np.cumsum(self.counts) - self.counts)[self.inverse]
+        ends = np.cumsum(rec_counts)
+        return np.arange(int(rec_counts.sum()), dtype=np.int64) + np.repeat(
+            starts + rec_counts - ends, rec_counts
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -62,37 +84,24 @@ class InternedColumn:
         return 1.0 - self.n_unique / self.n_values
 
 
-def intern_column(values: Sequence[str], scheme: QGramScheme) -> InternedColumn:
-    """Intern an attribute column: tokenise unique values once, then scatter.
+def _number_values(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values in first-occurrence order, and every record's value id."""
+    ids = {value: uid for uid, value in enumerate(dict.fromkeys(values))}
+    inverse = np.fromiter(map(ids.__getitem__, values), dtype=np.int64, count=len(values))
+    return list(ids), inverse
 
-    The q-grams of each distinct value are computed a single time (one
-    vectorised :func:`repro.core.qgram.batch_qgram_indices` pass over the
-    unique values); the returned gather arrays expand the unique-value
-    results back to one entry per (record, emitted bit).
-    """
-    n = len(values)
-    unique_ids: dict[str, int] = {}
-    inverse = np.empty(n, dtype=np.int64)
-    for i, value in enumerate(values):
-        uid = unique_ids.setdefault(value, len(unique_ids))
-        inverse[i] = uid
-    flat, counts = batch_qgram_indices(
-        list(unique_ids), scheme.q, scheme.alphabet, scheme.padded, scheme.pad_char
-    )
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))[:-1]
-    rec_counts = counts[inverse]
-    total = int(rec_counts.sum())
-    rows = np.repeat(np.arange(n, dtype=np.int64), rec_counts)
-    rec_offsets = np.cumsum(rec_counts) - rec_counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(rec_offsets, rec_counts)
-    gather = np.repeat(starts[inverse], rec_counts) + within
-    return InternedColumn(
-        rows=rows,
-        gather=gather,
-        flat_indices=flat,
-        n_values=n,
-        n_unique=len(unique_ids),
-    )
+
+def _tokenise(values: list[str], scheme: QGramScheme) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat q-gram indices, per-value counts)`` of ``values`` under ``scheme``."""
+    return batch_qgram_indices(values, scheme.q, scheme.alphabet, scheme.padded, scheme.pad_char)
+
+
+def intern_column(values: Sequence[str], scheme: QGramScheme) -> InternedColumn:
+    """Intern an attribute column: number its distinct values, tokenise each once
+    (one vectorised pass over the unique values, in first-occurrence order)."""
+    unique, inverse = _number_values(values)
+    flat, counts = _tokenise(unique, scheme)
+    return InternedColumn(inverse=inverse, counts=counts, flat_indices=flat)
 
 
 @dataclass(frozen=True)
@@ -117,8 +126,11 @@ class UniversalHash:
 
     def apply(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised evaluation over an integer array."""
-        xs = np.asarray(xs, dtype=np.int64)
-        return ((self.a * xs + self.b) % self.p) % self.m
+        out = np.asarray(xs, dtype=np.int64) * self.a
+        out += self.b
+        out %= self.p
+        out %= self.m
+        return out
 
     @classmethod
     def random(cls, m: int, rng: np.random.Generator, p: int = HASH_PRIME) -> "UniversalHash":
@@ -192,18 +204,10 @@ class CVectorEncoder:
     # -- dataset API --------------------------------------------------------------
 
     def encode_all(self, values: Sequence[str]) -> BitMatrix:
-        """Encode a whole attribute column into one packed :class:`BitMatrix`.
-
-        Interned: each *unique* value is tokenised and hashed once, then the
-        per-record bits are recovered by a vectorised gather.
-        """
+        """Encode a whole attribute column into one packed :class:`BitMatrix`."""
         if not values:
             raise ValueError("values must be non-empty")
-        column = intern_column(values, self.scheme)
-        if column.flat_indices.size == 0:
-            return BitMatrix.zeros(len(values), self.m)
-        hashed = self.hash_fn.apply(column.flat_indices)
-        return scatter_bits(len(values), self.m, column.rows, hashed[column.gather])
+        return embed_columns([self], [0], [values], self.m)[0]
 
     # -- calibration ---------------------------------------------------------------
 
@@ -236,3 +240,50 @@ class CVectorEncoder:
 
     def __repr__(self) -> str:
         return f"CVectorEncoder(m={self.m}, q={self.scheme.q}, padded={self.scheme.padded})"
+
+
+def embed_columns(
+    encoders: Sequence[CVectorEncoder],
+    offsets: Sequence[int],
+    columns: Sequence[Sequence[str]],
+    n_bits: int,
+) -> tuple[BitMatrix, int]:
+    """Embed parallel attribute columns into one ``n_bits``-wide matrix.
+
+    Value-granular: every *distinct* value of every column is tokenised,
+    hashed and packed once into a matrix-wide word row with its bits
+    shifted by the column's bit offset, ``VALUE_BLOCK`` values at a
+    time; each record then ORs together the rows of its values — one row
+    gather per column.  Returns the matrix and the number of distinct
+    values embedded.
+    """
+    numbered = [_number_values(values) for values in columns]
+    blocks = [
+        (enc, offset, unique[lo : lo + VALUE_BLOCK])
+        for enc, offset, (unique, __) in zip(encoders, offsets, numbered)
+        for lo in range(0, len(unique), VALUE_BLOCK)
+    ]
+    n_unique = sum(len(unique) for unique, __ in numbered)
+    packed = np.empty((n_unique, (n_bits + 63) // 64), dtype=np.uint64)
+    counts: list[np.ndarray] = []
+    bits: list[np.ndarray] = []
+    done = 0
+    for i, (enc, offset, block) in enumerate(blocks):
+        flat, block_counts = _tokenise(block, enc.scheme)
+        hashed = enc.hash_fn.apply(flat)
+        hashed += offset
+        counts.append(block_counts)
+        bits.append(hashed)
+        pending = sum(map(len, counts))
+        if pending >= VALUE_BLOCK or i == len(blocks) - 1:  # small columns share a scatter
+            rows = np.repeat(np.arange(pending), np.concatenate(counts))
+            packed[done : done + pending] = scatter_bits(
+                pending, n_bits, rows, np.concatenate(bits)
+            ).words
+            counts, bits, done = [], [], done + pending
+    words = packed[numbered[0][1]]
+    base = len(numbered[0][0])
+    for unique, inverse in numbered[1:]:
+        words |= packed[base + inverse]
+        base += len(unique)
+    return BitMatrix(words, n_bits), n_unique

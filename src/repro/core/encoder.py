@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cvector import CVectorEncoder, intern_column
+from repro.core.cvector import CVectorEncoder, embed_columns
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
-from repro.hamming.bitmatrix import BitMatrix, scatter_bits
+from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
 from repro.perf import ParallelConfig, parallel_map
@@ -112,10 +112,10 @@ class RecordEncoder:
         """Encode many records into one packed record-level matrix.
 
         Each attribute column is *interned*: every unique value is
-        tokenised and hashed once, then scattered to all its occurrences
-        (see :func:`repro.core.cvector.intern_column`), and the whole
-        dataset lands in one vectorised scatter with attribute ``i``'s
-        compact indices shifted by its bit offset.
+        tokenised, hashed and packed once into a record-width word row
+        with its bits shifted by the attribute's offset, and every
+        record ORs in its value's row
+        (see :func:`repro.core.cvector.embed_columns`).
 
         With ``parallel.n_jobs > 1`` the records are sharded into
         contiguous ranges and encoded by worker processes; results are
@@ -139,30 +139,18 @@ class RecordEncoder:
         self, records: Sequence[Sequence[str]], stats: dict[str, float] | None = None
     ) -> BitMatrix:
         """Single-process interned encode (the ``n_jobs=1`` path)."""
-        for record in records:
-            self._check_arity(record)
-        rows: list[np.ndarray] = []
-        bits: list[np.ndarray] = []
-        n_values = 0
-        n_unique = 0
-        for att, (enc, layout) in enumerate(zip(self.encoders, self.layouts)):
-            column = intern_column([record[att] for record in records], enc.scheme)
-            n_values += column.n_values
-            n_unique += column.n_unique
-            if column.flat_indices.size == 0:
-                continue
-            hashed = enc.hash_fn.apply(column.flat_indices) + layout.offset
-            rows.append(column.rows)
-            bits.append(hashed[column.gather])
+        if set(map(len, records)) != {self.n_attributes}:
+            for record in records:
+                self._check_arity(record)
+        columns = [[record[att] for record in records] for att in range(self.n_attributes)]
+        offsets = [layout.offset for layout in self.layouts]
+        matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
         if stats is not None:
+            n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)
             stats["intern_unique"] = float(n_unique)
-            stats["intern_hit_rate"] = 1.0 - n_unique / n_values if n_values else 0.0
-        if not rows:
-            return BitMatrix.zeros(len(records), self.total_bits)
-        return scatter_bits(
-            len(records), self.total_bits, np.concatenate(rows), np.concatenate(bits)
-        )
+            stats["intern_hit_rate"] = 1.0 - n_unique / n_values
+        return matrix
 
     def encode_attribute(self, records: Sequence[Sequence[str]], attribute: str) -> BitMatrix:
         """Attribute-level matrix for one named attribute."""

@@ -16,6 +16,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.hamming.bitvector import BitVector
+from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
 
 
 class BitMatrix:
@@ -169,9 +170,10 @@ class BitMatrix:
 def scatter_bits(n_rows: int, n_bits: int, rows: np.ndarray, bits: np.ndarray) -> BitMatrix:
     """Build a matrix by setting ``(rows[i], bits[i])`` positions to 1.
 
-    Fully vectorised (``np.bitwise_or.at``), so encoders can embed an entire
-    dataset without a per-record Python loop.  Duplicate positions are
-    idempotent, matching q-gram-set semantics.
+    Fully vectorised: positions are marked in a dense byte-per-bit sheet
+    that ``np.packbits`` folds into words, ``DEFAULT_BLOCK_ROWS`` rows at
+    a time so the sheet stays small.  Duplicate positions are idempotent,
+    matching q-gram-set semantics.
     """
     rows = np.asarray(rows, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int64)
@@ -182,10 +184,22 @@ def scatter_bits(n_rows: int, n_bits: int, rows: np.ndarray, bits: np.ndarray) -
     if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
         raise IndexError(f"row indices out of range for {n_rows} rows")
     n_words = (n_bits + 63) // 64
-    words = np.zeros((n_rows, n_words), dtype=np.uint64)
-    word_idx = bits // 64
-    masks = np.uint64(1) << (bits % 64).astype(np.uint64)
-    np.bitwise_or.at(words, (rows, word_idx), masks)
+    width = n_words * 64
+    flat = rows * width
+    flat += bits
+    starts = range(0, n_rows, DEFAULT_BLOCK_ROWS)
+    cuts = [0, flat.size]
+    if len(starts) > 1:  # split the positions by row block
+        if (rows[1:] < rows[:-1]).any():
+            flat = flat[np.argsort(rows, kind="stable")]
+        edges = np.arange(len(starts) + 1) * (DEFAULT_BLOCK_ROWS * width)
+        cuts = np.searchsorted(flat, edges).tolist()
+    words = np.empty((n_rows, n_words), dtype=np.uint64)
+    for i, lo in enumerate(starts):
+        hi = min(lo + DEFAULT_BLOCK_ROWS, n_rows)
+        sheet = np.zeros((hi - lo) * width, dtype=np.uint8)
+        sheet[flat[cuts[i] : cuts[i + 1]] - lo * width] = 1
+        words[lo:hi] = np.packbits(sheet, bitorder="little").view("<u8").reshape(hi - lo, n_words)
     return BitMatrix(words, n_bits)
 
 

@@ -12,8 +12,8 @@ each unique pair to a classification rule (here: a distance threshold or a
 :mod:`repro.rules` AST).
 
 The implementation is vectorised: blocking keys for a whole
-:class:`~repro.hamming.bitmatrix.BitMatrix` are produced per group with one
-column gather, every group stores its ids sorted by key — a bulk run
+:class:`~repro.hamming.bitmatrix.BitMatrix` are produced for all groups in
+one pass over its bytes, every group stores its ids sorted by key — a bulk run
 plus a small delta run for streaming inserts, no Python dict of buckets
 — matching buckets are found with a sort-merge join (two binary
 searches per distinct probe key and run) and expanded with gather
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +51,10 @@ from repro.hamming.theory import hamming_lsh_parameters
 
 #: One sorted run of a blocking group: ``(sorted keys, parallel row ids)``.
 _Run = tuple[np.ndarray, np.ndarray]
+
+#: ``rows x groups`` keys computed per pass of :meth:`KeyTable.keys`: 512 kB of
+#: ``uint64``, so the gathered rows stay cache-resident (half the wall of one pass).
+_KEY_BLOCK_CELLS = 1 << 16
 
 
 def _split_out_fresh(chunk: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -76,6 +81,19 @@ def _sorted_merge(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     out[mask] = fresh
     out[~mask] = seen
     return out
+
+
+def sorted_unique(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct values of ``parts`` concatenated, ascending.
+
+    Sort, then drop repeats: steady and ~30x faster than the hash-table
+    path ``np.unique`` takes on int64 (numpy >= 2.3) at a million pairs.
+    """
+    merged = np.concatenate(parts)
+    merged.sort()
+    keep = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def _generation_stats() -> dict[str, float]:
@@ -172,17 +190,12 @@ def _join_products(
 
 
 def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
-    """Collapse an ``(n, K)`` 0/1 array into one hashable key per row.
+    """Collapse an ``(n, K)`` 0/1 array, ``K > 64``, into one sortable key per row.
 
     Keys are the rows packed into bytes via ``numpy.packbits``, then viewed
-    as a void dtype so ``np.unique``/dict grouping treat each row as one
-    scalar.  For ``K <= 64`` a plain integer key is used instead, which is
-    faster to group.
+    as a void dtype so sorting and searching treat each row as one scalar.
+    (``K <= 64`` keys are plain integers, see :class:`KeyTable`.)
     """
-    n, k = bit_columns.shape
-    if k <= 64:
-        weights = (np.uint64(1) << np.arange(k, dtype=np.uint64))[None, :]
-        return (bit_columns.astype(np.uint64) * weights).sum(axis=1)
     # packbits preserves the input's memory order; a column gather can be
     # F-ordered, and the void view below needs a contiguous last axis.
     packed = np.ascontiguousarray(np.packbits(bit_columns, axis=1))
@@ -208,6 +221,54 @@ def _merge_runs(old: _Run | None, new: _Run) -> _Run:
     return np.insert(old[0], at, new[0]), np.insert(old[1], at, new[1])
 
 
+class KeyTable:
+    """Byte lookup table giving every group's blocking key in one pass.
+
+    ``lut[j][v, g]`` is what byte ``used[j]`` of a packed row, holding
+    value ``v``, contributes to group ``g``'s key: sampled bit of rank
+    ``r`` lands at key bit ``r``, the little-endian integer of
+    :meth:`CompositeHash.key_for`.  All ``L`` keys of a matrix are then
+    one row gather per used byte, OR-ed together.  ``K > 64`` does not
+    fit the integer and keeps the per-group :func:`_pack_keys` layout.
+    """
+
+    def __init__(self, positions: Sequence[Sequence[int]]):
+        self.positions = tuple(tuple(pos) for pos in positions)
+        table = np.asarray(self.positions, dtype=np.int64)  # (L, K)
+        self.lo, self.hi = int(table.min()), int(table.max())
+        if table.shape[1] > 64:  # no integer key: keys() packs per group
+            return
+        self.used = np.unique(table >> 3)
+        slot = np.searchsorted(self.used, table >> 3)
+        groups = np.arange(table.shape[0])
+        # The narrowest unsigned type holding K bits; keys() widens to uint64.
+        key_type = np.min_scalar_type((1 << table.shape[1]) - 1).type
+        byte_bits = (np.arange(256) >> np.arange(8)[:, None] & 1).astype(key_type)
+        lut = np.zeros((self.used.size, table.shape[0], 256), dtype=key_type)
+        for rank in range(table.shape[1]):  # one rank of every group at a time
+            lut[slot[:, rank], groups] |= byte_bits[table[:, rank] & 7] << key_type(rank)
+        self.lut = np.ascontiguousarray(lut.transpose(0, 2, 1))
+
+    def keys(self, matrix: BitMatrix) -> Sequence[np.ndarray]:
+        """Per group, the blocking key of every row of ``matrix``."""
+        if self.lo < 0 or self.hi >= matrix.n_bits:
+            raise IndexError(f"bit positions out of range for width {matrix.n_bits}")
+        if len(self.positions[0]) > 64:
+            return [_pack_keys(matrix.columns(pos)) for pos in self.positions]
+        row_bytes = matrix.words.astype("<u8", copy=False).view(np.uint8)
+        out = np.empty((len(self.positions), matrix.n_rows), dtype=np.uint64)
+        block = max(1, _KEY_BLOCK_CELLS // len(self.positions))
+        for lo in range(0, matrix.n_rows, block):
+            used_bytes = row_bytes[lo : lo + block][:, self.used]
+            keys = self.lut[0][used_bytes[:, 0]]
+            part = np.empty_like(keys)
+            for j in range(1, self.used.size):
+                # mode="clip" (a byte cannot overrun 256 rows) skips take's buffered copy
+                keys |= np.take(self.lut[j], used_bytes[:, j], axis=0, out=part, mode="clip")
+            out[:, lo : lo + block] = keys.T
+        return out
+
+
 @dataclass(frozen=True)
 class CompositeHash:
     """A composite hash function ``h_l``: ``K`` sampled bit positions."""
@@ -222,8 +283,8 @@ class CompositeHash:
         return key
 
     def keys_for(self, matrix: BitMatrix) -> np.ndarray:
-        """Blocking keys for every row of ``matrix`` (vectorised)."""
-        return _pack_keys(matrix.columns(list(self.positions)))
+        """Blocking keys for every row of ``matrix`` (a one-group key table)."""
+        return KeyTable([self.positions]).keys(matrix)[0]
 
 
 class BlockingGroup:
@@ -254,26 +315,33 @@ class BlockingGroup:
         """Rows held across both runs."""
         return sum(int(ids.size) for __, ids in self._runs())
 
-    def _sorted_run(self, matrix: BitMatrix, ids: np.ndarray) -> _Run:
-        """``matrix``'s blocking keys, stably sorted, with their ids."""
-        keys = self.composite.keys_for(matrix)
+    def _sorted_run(self, matrix: BitMatrix, ids: np.ndarray, keys: np.ndarray | None) -> _Run:
+        """``matrix``'s blocking keys, stably sorted, with their ids.
+
+        ``keys``, here and below, are this group's keys of ``matrix`` when
+        the caller computed all groups' at once; ``None`` computes them.
+        """
+        if keys is None:
+            keys = self.composite.keys_for(matrix)
         order = np.argsort(keys, kind="stable")
         return keys[order], np.asarray(ids, dtype=np.int64)[order]
 
-    def insert_matrix(self, matrix: BitMatrix) -> None:
+    def insert_matrix(self, matrix: BitMatrix, keys: np.ndarray | None = None) -> None:
         """Bulk-load every row of ``matrix``; ids continue from the rows held."""
         first = self.n_rows
         ids = np.arange(first, first + matrix.n_rows, dtype=np.int64)
-        self._bulk = _merge_runs(self._bulk, self._sorted_run(matrix, ids))
+        self._bulk = _merge_runs(self._bulk, self._sorted_run(matrix, ids, keys))
         self._bounds = None
 
-    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
+    def insert_rows(
+        self, matrix: BitMatrix, ids: np.ndarray, keys: np.ndarray | None = None
+    ) -> None:
         """Streaming insert: merge ``matrix``'s rows into the delta run.
 
         One ``searchsorted`` plus an ``O(delta)`` copy per batch; the
         (possibly memory-mapped) bulk run is never touched.
         """
-        self._delta = _merge_runs(self._delta, self._sorted_run(matrix, ids))
+        self._delta = _merge_runs(self._delta, self._sorted_run(matrix, ids, keys))
 
     def insert(self, vector: BitVector, record_id: int) -> None:
         """Insert a single vector — the 1-row case of :meth:`insert_rows`."""
@@ -284,6 +352,7 @@ class BlockingGroup:
         matrix_b: BitMatrix,
         budget: int | None = None,
         stats: dict[str, float] | None = None,
+        keys: np.ndarray | None = None,
     ) -> Iterator[np.ndarray]:
         """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``.
 
@@ -294,13 +363,11 @@ class BlockingGroup:
         """
         if stats is None:
             stats = _generation_stats()
-        keys_b = self.composite.keys_for(matrix_b)
-        order = np.argsort(keys_b, kind="stable")
-        sorted_keys = keys_b[order]
+        sorted_keys, order = self._sorted_run(matrix_b, np.arange(matrix_b.n_rows), keys)
         boundaries = _run_starts(sorted_keys)
-        for keys, ids in self._runs():
+        for run_keys, ids in self._runs():
             yield from _join_products(
-                keys, ids, sorted_keys, order, boundaries, matrix_b.n_rows, budget, stats
+                run_keys, ids, sorted_keys, order, boundaries, matrix_b.n_rows, budget, stats
             )
 
     # -- snapshot state --------------------------------------------------------
@@ -315,8 +382,8 @@ class BlockingGroup:
         """
         run = self._bulk if self._delta is None else _merge_runs(self._bulk, self._delta)
         if run is None:  # nothing held: empty arrays of this composite's key dtype
-            no_bits = np.empty((0, len(self.composite.positions)), dtype=np.uint8)
-            run = (_pack_keys(no_bits), np.empty(0, dtype=np.int64))
+            no_rows = BitMatrix.zeros(0, max(self.composite.positions) + 1)
+            run = self._sorted_run(no_rows, np.empty(0, dtype=np.int64), None)
         keys, ids = run
         if self._delta is not None:
             return keys, ids, _run_starts(keys)
@@ -438,6 +505,7 @@ class HammingLSH:
             )
             for __ in range(n_tables)
         ]
+        self._key_table: KeyTable | None = None
 
     @property
     def n_tables(self) -> int:
@@ -494,15 +562,24 @@ class HammingLSH:
         """Store every row of ``matrix`` (dataset A) in all blocking groups."""
         if matrix.n_bits != self.n_bits:
             raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs LSH {self.n_bits}")
-        for group in self.groups:
-            group.insert_matrix(matrix)
+        for group, keys in zip(self.groups, self._keys(matrix)):
+            group.insert_matrix(matrix, keys)
 
     def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
         """Streaming insert of ``matrix``'s rows under the given record ids."""
         if matrix.n_bits != self.n_bits:
             raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs LSH {self.n_bits}")
-        for group in self.groups:
-            group.insert_rows(matrix, ids)
+        for group, keys in zip(self.groups, self._keys(matrix)):
+            group.insert_rows(matrix, ids, keys)
+
+    def _keys(self, matrix: BitMatrix) -> Sequence[np.ndarray]:
+        """Every group's blocking keys of ``matrix``, from one shared key table:
+        built on first use from the groups' sampled positions, rebuilt when
+        those change (snapshot load and shard merge reassign ``groups``)."""
+        positions = tuple(group.composite.positions for group in self.groups)
+        if self._key_table is None or self._key_table.positions != positions:
+            self._key_table = KeyTable(positions)
+        return self._key_table.keys(matrix)
 
     def insert(self, vector: BitVector, record_id: int) -> None:
         """Streaming insert of a single record (the 1-row :meth:`insert_rows`)."""
@@ -578,7 +655,7 @@ class HammingLSH:
 
         The accumulator buffers raw bucket cross-products until the budget
         would overflow, then flushes: de-duplicate the buffer
-        (``np.unique``), drop pairs already emitted (binary search into
+        (:func:`sorted_unique`), drop pairs already emitted (binary search into
         the sorted ``seen`` array), emit the fresh remainder and merge it
         into ``seen``.  Counters recorded: ``pairs_generated`` (raw
         products), ``pairs_unique`` (emitted), ``pairs_duplicates``,
@@ -590,25 +667,22 @@ class HammingLSH:
         seen = np.empty(0, dtype=np.int64)
         buffer: list[np.ndarray] = []
         buffered = 0
-        for part in self._encoded_products(matrix_b, budget, stats):
-            if budget is not None and buffered and buffered + part.size > budget:
-                fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
-                seen = _sorted_merge(seen, fresh)
+        # The trailing None flushes what the last products left in the buffer.
+        for part in chain(self._encoded_products(matrix_b, budget, stats), [None]):
+            overflow = part is None or (budget is not None and buffered + part.size > budget)
+            if buffer and overflow:
+                fresh = _split_out_fresh(sorted_unique(buffer), seen)
                 buffer, buffered = [], 0
                 if fresh.size:
                     stats["pairs_unique"] += fresh.size
                     stats["n_chunks"] += 1
                     stats["peak_chunk_pairs"] = max(stats["peak_chunk_pairs"], fresh.size)
                     yield fresh
-            buffer.append(part)
-            buffered += part.size
-        if buffer:
-            fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
-            if fresh.size:
-                stats["pairs_unique"] += fresh.size
-                stats["n_chunks"] += 1
-                stats["peak_chunk_pairs"] = max(stats["peak_chunk_pairs"], fresh.size)
-                yield fresh
+                    if part is not None:  # more to come: remember what went out
+                        seen = _sorted_merge(seen, fresh)
+            if part is not None:
+                buffer.append(part)
+                buffered += part.size
         stats["pairs_duplicates"] = stats["pairs_generated"] - stats["pairs_unique"]
         if counters is not None:
             counters.update(stats)
@@ -617,8 +691,8 @@ class HammingLSH:
         self, matrix_b: BitMatrix, budget: int | None, stats: dict[str, float]
     ) -> Iterator[np.ndarray]:
         """Raw (un-deduplicated) bucket cross-products, each ``<= budget``."""
-        for group in self.groups:
-            yield from group.join_products(matrix_b, budget, stats)
+        for group, keys in zip(self.groups, self._keys(matrix_b)):
+            yield from group.join_products(matrix_b, budget, stats, keys)
 
     def candidate_pairs_per_group(
         self, matrix_b: BitMatrix
@@ -634,8 +708,8 @@ class HammingLSH:
 
     def _pairs_per_group(self, matrix_b: BitMatrix) -> Iterator[np.ndarray]:
         """Encoded pairs ``a * n_B + b`` for each blocking group in turn."""
-        for group in self.groups:
-            parts = list(group.join_products(matrix_b))
+        for group, keys in zip(self.groups, self._keys(matrix_b)):
+            parts = list(group.join_products(matrix_b, keys=keys))
             yield np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     # -- matching ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hamming.bitmatrix import BitMatrix, concat_matrices, scatter_bits
 from repro.hamming.bitvector import BitVector
+from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
 
 
 def random_matrix(rng, n_rows, n_bits, density=0.3):
@@ -71,6 +72,21 @@ class TestScatter:
     def test_scatter_empty(self):
         m = scatter_bits(2, 8, np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
         assert m.popcounts().tolist() == [0, 0]
+
+
+    @pytest.mark.parametrize("n_rows", [1, DEFAULT_BLOCK_ROWS - 1, DEFAULT_BLOCK_ROWS,
+                                        DEFAULT_BLOCK_ROWS + 1, 2 * DEFAULT_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n_bits", [8, 64, 130])
+    def test_scatter_equals_bitwise_or_at_across_row_blocks(self, rng, n_rows, n_bits):
+        """Unsorted rows, repeated positions, a row count either side of the block size."""
+        rows = rng.integers(0, n_rows, size=500)
+        rows[:3] = [n_rows - 1, 0, n_rows - 1]
+        bits = rng.integers(0, n_bits, size=500)
+        rows, bits = np.r_[rows, rows[:50]], np.r_[bits, bits[:50]]
+        expected = np.zeros((n_rows, (n_bits + 63) // 64), dtype=np.uint64)
+        masks = np.uint64(1) << (bits % 64).astype(np.uint64)
+        np.bitwise_or.at(expected, (rows, bits // 64), masks)
+        assert np.array_equal(scatter_bits(n_rows, n_bits, rows, bits).words, expected)
 
 
 class TestBitAccess:

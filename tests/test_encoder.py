@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
-from repro.text.alphabet import AlphabetError
+from repro.core.qgram import QGramScheme
+from repro.perf import ParallelConfig
+from repro.text.alphabet import TEXT_ALPHABET, AlphabetError
 
 RECORDS = [
     ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
@@ -76,6 +80,11 @@ class TestEncode:
         for i, row in enumerate(rows):
             assert np.array_equal(words[i], ncvr_encoder.encode(row).to_packed())
 
+    def test_arity_error_names_the_first_offender(self, ncvr_encoder):
+        rows = [RECORDS[0], ("A", "B", "C"), ("A",)]
+        with pytest.raises(ValueError, match="record has 3 values, encoder expects 4"):
+            ncvr_encoder.encode_dataset(rows)
+
     def test_non_alphabet_values_rejected_by_both_encoders(self, ncvr_encoder):
         bad = ("JOS\u00c9", "SMITH", "12 MAIN ST", "BOONE")
         with pytest.raises(AlphabetError):
@@ -92,6 +101,53 @@ class TestEncode:
     def test_empty_dataset_rejected(self, ncvr_encoder):
         with pytest.raises(ValueError):
             ncvr_encoder.encode_dataset([])
+
+
+#: DBLP-like layout: no attribute offset but the first is word-aligned and
+#: the 270 bits cross five words.
+WIDE_ENCODER = RecordEncoder(
+    [
+        CVectorEncoder(m, scheme=QGramScheme(alphabet=TEXT_ALPHABET), seed=i)
+        for i, m in enumerate((45, 52, 173))
+    ]
+)
+#: Few distinct values per column, so rows repeat them: empty, blank,
+#: shorter than a q-gram, and ordinary.
+_VALUE = st.sampled_from(["", " ", "A", "Z", "AB", "JONES", "JONAS", "12 MAIN ST", "A A"])
+
+
+class TestValueGranularEmbedding:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_VALUE, _VALUE, _VALUE), min_size=1, max_size=12))
+    def test_dataset_words_equal_stacked_per_record_vectors(self, rows):
+        expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
+        stats: dict[str, float] = {}
+        assert np.array_equal(WIDE_ENCODER.encode_dataset(rows, stats=stats).words, expected)
+        threads = ParallelConfig(n_jobs=2, backend="thread")
+        assert np.array_equal(WIDE_ENCODER.encode_dataset(rows, threads).words, expected)
+        n_unique = sum(len({row[att] for row in rows}) for att in range(3))
+        assert stats == {
+            "intern_values": 3.0 * len(rows),
+            "intern_unique": float(n_unique),
+            "intern_hit_rate": 1.0 - n_unique / (3 * len(rows)),
+        }
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_distinct_values_straddling_value_blocks(self, monkeypatch, block):
+        """Columns larger and smaller than a block, so scatters are shared and split."""
+        monkeypatch.setattr("repro.core.cvector.VALUE_BLOCK", block)
+        rows = [(f"A{i % 7}", "" if i % 3 else "SMITH", f"{i} MAIN ST") for i in range(11)]
+        expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
+        assert np.array_equal(WIDE_ENCODER.encode_dataset(rows).words, expected)
+
+    def test_process_sharded_encode_equals_serial(self):
+        rng = np.random.default_rng(5)
+        values = ["", " ", "A", "AB", "JONES", "JONAS", "12 MAIN ST", "99 OAK AVE"]
+        rows = [tuple(values[i] for i in rng.integers(0, len(values), size=3)) for __ in range(60)]
+        stats: dict[str, float] = {}
+        sharded = WIDE_ENCODER.encode_dataset(rows, ParallelConfig(n_jobs=2), stats)
+        assert sharded == WIDE_ENCODER.encode_dataset(rows)
+        assert stats["intern_values"] == 180.0  # unique counts are per shard
 
 
 class TestAttributeDistances:

@@ -5,7 +5,13 @@ import pytest
 
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
-from repro.hamming.lsh import BlockingGroup, CompositeHash, HammingLSH
+from repro.hamming.lsh import (
+    BlockingGroup,
+    CompositeHash,
+    HammingLSH,
+    _generation_stats,
+    _split_out_fresh,
+)
 
 
 def random_matrix(seed, n_rows, n_bits, density=0.3):
@@ -32,6 +38,57 @@ class TestCompositeHash:
         # Base hashes sample with replacement (uniformly at random).
         v = BitVector.from_bits([1, 0])
         assert CompositeHash(positions=(0, 0)).key_for(v) == 0b11
+
+
+class TestOnePassKeys:
+    @pytest.mark.parametrize("n_bits", [60, 120, 270])
+    @pytest.mark.parametrize("k", [1, 8, 30, 64, 70])
+    def test_every_group_key_matches_scalar_path(self, k, n_bits):
+        matrix = random_matrix(k, 25, n_bits, density=0.5)
+        lsh = HammingLSH(n_bits, k, n_tables=4, seed=n_bits)
+        all_keys = lsh._keys(matrix)
+        assert len(all_keys) == 4
+        for group, keys in zip(lsh.groups, all_keys):
+            assert np.array_equal(keys, group.composite.keys_for(matrix))
+            for i in range(matrix.n_rows):
+                row = matrix.row(i)
+                if k <= 64:
+                    assert keys.dtype == np.uint64
+                    assert int(keys[i]) == group.composite.key_for(row)
+                else:  # void key: the sampled bits packed big-endian per byte
+                    sampled = [row[pos] for pos in group.composite.positions]
+                    assert keys[i].tobytes() == np.packbits(sampled).tobytes()
+
+    def test_single_row_and_empty_matrix(self):
+        lsh = HammingLSH(120, 30, n_tables=3, seed=1)
+        one = random_matrix(2, 1, 120)
+        for group, keys in zip(lsh.groups, lsh._keys(one)):
+            assert keys.tolist() == [group.composite.key_for(one.row(0))]
+        assert np.asarray(lsh._keys(BitMatrix.zeros(0, 120))).shape == (3, 0)
+
+    def test_row_blocks_do_not_change_the_keys(self, monkeypatch):
+        matrix = random_matrix(5, 23, 120)
+        lsh = HammingLSH(120, 30, n_tables=4, seed=1)
+        whole = lsh._keys(matrix).copy()
+        monkeypatch.setattr("repro.hamming.lsh._KEY_BLOCK_CELLS", 12)  # 3 rows a pass
+        assert np.array_equal(lsh._keys(matrix), whole)
+
+    def test_key_table_follows_reassigned_groups(self):
+        """``from_state``, snapshot load and shard merge all assign ``lsh.groups``."""
+        matrix = random_matrix(3, 30, 120)
+        lsh = HammingLSH(120, 30, n_tables=3, seed=1)
+        other = HammingLSH(120, 30, n_tables=5, seed=2)
+        lsh._keys(matrix)  # table built for the seed-1 positions
+        lsh.groups = other.groups
+        assert np.array_equal(lsh._keys(matrix), other._keys(matrix))
+        rebuilt = HammingLSH.from_state(120, 30, [g.composite.positions for g in other.groups])
+        assert np.array_equal(rebuilt._keys(matrix), other._keys(matrix))
+
+    def test_positions_outside_the_matrix_rejected(self):
+        matrix = random_matrix(0, 4, 50)
+        for positions in [(3, 50), (-1, 3), (3, 63)]:
+            with pytest.raises(IndexError):
+                CompositeHash(positions=positions).keys_for(matrix)
 
 
 class TestBlockingGroup:
@@ -88,6 +145,34 @@ class TestHammingLSH:
         rows_a, rows_b = lsh.candidate_pairs(matrix)
         encoded = rows_a * 10 + rows_b
         assert len(np.unique(encoded)) == len(encoded)
+
+    @pytest.mark.parametrize("budget", [None, 1, 64])
+    def test_chunks_equal_np_unique_flush_reference(self, budget):
+        """The flush loop with ``np.unique`` as the de-dup (the pre-swap code), kept here."""
+        matrix_a, matrix_b = random_matrix(11, 60, 40, 0.2), random_matrix(12, 25, 40, 0.2)
+        lsh = HammingLSH(n_bits=40, k=3, n_tables=8, seed=4)
+        lsh.index(matrix_a)
+        expected: list[np.ndarray] = []
+        seen = np.empty(0, dtype=np.int64)
+        buffer: list[np.ndarray] = []
+        parts = list(lsh._encoded_products(matrix_b, budget, _generation_stats()))
+        for part in parts + [None]:
+            full = part is None or (
+                budget is not None and buffer and sum(map(len, buffer)) + part.size > budget
+            )
+            if full and buffer:
+                fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
+                seen = np.union1d(seen, fresh)
+                buffer = []
+                if fresh.size:
+                    expected.append(fresh)
+            buffer.append(part)
+        counters: dict[str, float] = {}
+        got = [a * 25 + b for a, b in lsh.candidate_chunks(matrix_b, budget, counters)]
+        assert len(got) == len(expected) > 0
+        for chunk, want in zip(got, expected):
+            assert np.array_equal(chunk, want)
+        assert counters["pairs_unique"] == seen.size < counters["pairs_generated"]
 
     def test_match_filters_by_threshold(self):
         matrix = random_matrix(5, 20, 60)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.cvector import CVectorEncoder
@@ -10,13 +11,17 @@ from repro.core.persist import (
     encoder_from_dict,
     encoder_to_dict,
     load_encoder,
+    load_index_snapshot,
     save_encoder,
+    save_index_snapshot,
     scheme_from_dict,
     scheme_to_dict,
 )
 from repro.core.qgram import QGramScheme
 from repro.data.generators import EXPERIMENT_SCHEME
+from repro.hamming.lsh import BlockingGroup, HammingLSH
 from repro.text.alphabet import Alphabet
+from tests.test_two_run_group import column_keys
 
 
 @pytest.fixture
@@ -86,3 +91,39 @@ class TestEncoderRoundTrip:
         matrix_original = original.encode_dataset(rows[:20])
         matrix_loaded = loaded.encode_dataset(rows[:20])
         assert matrix_original == matrix_loaded
+
+
+class TestSnapshotKeysStayByteIdentical:
+    """Bundles on disk hold keys computed by gathering ``K`` bit columns per
+    group; an index built with the one-pass key table must write the same
+    bytes and serve a bundle written the old way."""
+
+    @pytest.mark.parametrize("k", [8, 30, 70])
+    def test_bundle_with_column_keys_loads_and_answers_identically(self, encoder, tmp_path, k):
+        names = ["JOHN", "JOHNNY", "JON", "MARY", "MARIA", "MARK", "ANNA", "ANNE"]
+        streets = ["12 MAIN ST", "12 MAINE ST", "99 OAK AVE", "9 OAK AVE", "1 ELM RD"]
+        rows = [(names[i % 8], streets[i % 5]) for i in range(40)]
+        matrix = encoder.encode_dataset(rows)
+        probes = encoder.encode_dataset(rows[::3])
+        lsh = HammingLSH(encoder.total_bits, k, n_tables=4, seed=7)
+        lsh.index(matrix)
+
+        old = HammingLSH(encoder.total_bits, k, n_tables=4, seed=7)
+        groups = []
+        for group in old.groups:
+            keys = column_keys(matrix, group.composite.positions)
+            order = np.argsort(keys, kind="stable")
+            bounds = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
+            groups.append(BlockingGroup.from_arrays(group.composite, keys[order], order, bounds))
+        old.groups = groups
+
+        new_dir = save_index_snapshot(tmp_path / "new", encoder, matrix, lsh)
+        old_dir = save_index_snapshot(tmp_path / "old", encoder, matrix, old)
+        for name in ("keys.npy", "ids.npy", "bounds.npy", "words.npy"):
+            assert (new_dir / name).read_bytes() == (old_dir / name).read_bytes()
+        loaded = load_index_snapshot(old_dir).lsh
+        for group, ref_group in zip(loaded.groups, lsh.groups):
+            for got, want in zip(group.export_arrays(), ref_group.export_arrays()):
+                assert got.tobytes() == want.tobytes()
+        for got, want in zip(loaded.candidate_pairs(probes), lsh.candidate_pairs(probes)):
+            assert np.array_equal(got, want)

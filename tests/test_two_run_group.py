@@ -7,6 +7,7 @@ to per-bucket references kept here, not in ``src/``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,27 @@ def clustered_matrix(seed: int, n_rows: int) -> BitMatrix:
 
 def take(matrix: BitMatrix, lo: int, hi: int) -> BitMatrix:
     return BitMatrix(matrix.words[lo:hi], matrix.n_bits)
+
+
+def column_keys(matrix: BitMatrix, positions) -> np.ndarray:
+    """Blocking keys the way every bundle on disk was written: gather the ``K``
+    bit columns, then multiply-sum them (``K <= 64``) or pack them into void rows."""
+    bits = matrix.columns(list(positions))
+    if bits.shape[1] <= 64:
+        weights = np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64)
+        return (bits.astype(np.uint64) * weights[None, :]).sum(axis=1)
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    return packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
+
+
+class PositionsOnly:
+    """What ``benchmarks/suite/tracing.py`` swaps in for a group's composite
+    after the LSH is built: ``positions``, ``key_for``, ``keys_for``, nothing else."""
+
+    def __init__(self, inner):
+        self.positions = inner.positions
+        self.key_for = inner.key_for
+        self.keys_for = inner.keys_for
 
 
 #: One build step: how the next ``size`` rows enter the index.
@@ -120,6 +142,39 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
         assert sorted(np.concatenate(list(reloaded.join_products(matrix_b)) or [[]])) == sorted(
             np.concatenate(list(ref_group.join_products(matrix_b)) or [[]])
         )
+
+
+@pytest.mark.parametrize("k", [1, 8, 30, 64, 70])
+def test_arrays_written_with_column_keys_load_and_answer_identically(k):
+    """Keys are persisted, so the one-pass key table must reproduce them byte for byte."""
+    matrix_a, matrix_b = clustered_matrix(9, 80), clustered_matrix(9, 20)
+    lsh = HammingLSH(N_BITS, k, n_tables=N_TABLES, seed=3)
+    lsh.index(matrix_a)
+    for group in lsh.groups:
+        old_keys = column_keys(matrix_a, group.composite.positions)
+        order = np.argsort(old_keys, kind="stable")
+        keys, ids, bounds = group.export_arrays()
+        assert keys.dtype == old_keys.dtype
+        assert keys.tobytes() == old_keys[order].tobytes()
+        assert np.array_equal(ids, order)
+        adopted = BlockingGroup.from_arrays(group.composite, old_keys[order], order, bounds)
+        for got, want in zip(adopted.join_products(matrix_b), group.join_products(matrix_b)):
+            assert np.array_equal(got, want)
+
+
+def test_keys_survive_composites_swapped_for_position_proxies():
+    matrix_a, matrix_b = clustered_matrix(4, 60), clustered_matrix(4, 15)
+    plain = HammingLSH(N_BITS, 30, n_tables=N_TABLES, seed=6)
+    proxied = HammingLSH(N_BITS, 30, n_tables=N_TABLES, seed=6)
+    for group in proxied.groups:
+        group.composite = PositionsOnly(group.composite)
+    for lsh in (plain, proxied):
+        lsh.index(matrix_a)
+    for got, want in zip(proxied.candidate_pairs(matrix_b), plain.candidate_pairs(matrix_b)):
+        assert np.array_equal(got, want)
+    for group, ref_group in zip(proxied.groups, plain.groups):
+        for got, want in zip(group.export_arrays(), ref_group.export_arrays()):
+            assert np.array_equal(got, want)
 
 
 def test_second_index_call_continues_the_ids():
