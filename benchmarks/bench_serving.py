@@ -37,14 +37,19 @@ Times the serving story of ``repro.serve`` on the NCVR PL cell at
   group's delta run and go through the same sort-merge join, so the two
   rates must stay within a factor of two.
 
+* **value rows** — the batch-1 stream against a warm engine (every query
+  value's packed row held by the encoder's value-row store) and against
+  the same engine with the store emptied before every call; same answers.
+
 ``--check`` exits non-zero when batching fails to reach 5x the batch-1
 QPS, when any configuration (including every sharded cell) disagrees,
 when batch-1024 QPS against the overlay drops below 0.5x the compacted
-bundle's, or — at full scale — when the cold load is not at least 10x
+bundle's, when the warm batch-1 p50 is above 0.75x the emptied-store one,
+or — at full scale — when the cold load is not at least 10x
 faster than rebuilding (the CI serving-smoke gate runs ``--check
 --tiny``, which skips the load-ratio gate: at smoke scale both sides are
-timer noise; the overlay gate is a ratio of two rates taken seconds
-apart in one process, and holds at any scale).
+timer noise; the overlay and value-row gates are ratios of two readings
+taken seconds apart in one process, and hold at any scale).
 """
 
 import argparse
@@ -87,6 +92,7 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 MIN_BATCH_SPEEDUP = 5.0
 MIN_LOAD_SPEEDUP = 10.0
 MIN_OVERLAY_RATIO = 0.5
+MAX_WARM_Q1_RATIO = 0.75
 
 
 def _percentiles(samples):
@@ -275,6 +281,37 @@ def _measure_sharded_small_batch(bundle, rows_b, n_calls):
     return cell, {"sharded_small_batch": identical}
 
 
+def _measure_value_rows(bundle, rows, n_calls):
+    """Batch-1 p50 with the encoder's value rows held vs emptied per call.
+
+    Every query is asked twice back to back — first with the store just
+    emptied, then again with its values' rows held — so both readings
+    see the same minute of the host.
+    """
+    engine = QueryEngine.from_snapshot(bundle)
+    samples = {"emptied": [], "warm": []}
+    same = True
+    for i in range(n_calls):
+        batch = [rows[i % len(rows)]]
+        answers = {}
+        for mode in ("emptied", "warm"):
+            if mode == "emptied":
+                engine.snapshot.encoder.clear_value_rows()
+            started = time.perf_counter()
+            result = engine.query_batch(batch)
+            samples[mode].append(time.perf_counter() - started)
+            answers[mode] = (result.queries, result.ids, result.distances)
+        same = same and _identical(answers["emptied"], answers["warm"])
+    warm, emptied = (_percentiles(samples[mode])["p50_ms"] for mode in ("warm", "emptied"))
+    cell = {
+        "n_calls": n_calls,
+        "warm_q1_p50_ms": warm,
+        "emptied_q1_p50_ms": emptied,
+        "warm_vs_emptied": warm / emptied,
+    }
+    return cell, {"value_rows": same}
+
+
 def _median_qps(engine, rows, batch_size, n_calls):
     """``batch_size`` / median call wall: a rate one slow call cannot move."""
     cell = _measure_throughput(engine, rows, batch_size, n_calls)
@@ -418,6 +455,11 @@ def main(argv=None):
         )
         identical.update(ingest_identical)
 
+        value_rows_cell, value_rows_identical = _measure_value_rows(
+            bundle, rows_b, 10 * calls_per_batch[1]
+        )
+        identical.update(value_rows_identical)
+
     qps = {(cell["n_jobs"], cell["batch_size"]): cell["qps"] for cell in throughput}
     batch_speedup = qps[(1, 1024)] / qps[(1, 1)] if qps[(1, 1)] > 0 else float("inf")
     all_identical = all(identical.values())
@@ -442,11 +484,13 @@ def main(argv=None):
         "sharded": sharded_cells,
         "sharded_small_batch": small_batch_cell,
         "ingest_replay": ingest_cell,
+        "value_rows": value_rows_cell,
         "results_identical": identical,
         "gates": {
             "min_batch_speedup": MIN_BATCH_SPEEDUP,
             "min_load_speedup": MIN_LOAD_SPEEDUP if not args.tiny else None,
             "min_overlay_ratio": MIN_OVERLAY_RATIO,
+            "max_warm_q1_ratio": MAX_WARM_Q1_RATIO,
         },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -508,6 +552,11 @@ def main(argv=None):
         f"vs {ingest_cell['compacted_q1024_qps']:.0f} QPS after compact() "
         f"({ingest_cell['overlay_vs_compacted']:.2f}x)"
     )
+    print(
+        f"batch-1 p50 with value rows held: {value_rows_cell['warm_q1_p50_ms']:.3f} ms "
+        f"vs {value_rows_cell['emptied_q1_p50_ms']:.3f} ms emptied before every call "
+        f"({value_rows_cell['warm_vs_emptied']:.2f}x)"
+    )
     print(f"results identical across configurations: {all_identical}")
     print(f"wrote {OUTPUT}")
 
@@ -530,6 +579,14 @@ def main(argv=None):
                 f"CHECK FAILED: batch-1024 QPS with an un-compacted overlay is only "
                 f"{ingest_cell['overlay_vs_compacted']:.2f}x the compacted bundle's "
                 f"(need >= {MIN_OVERLAY_RATIO}x)",
+                file=sys.stderr,
+            )
+            return 1
+        if value_rows_cell["warm_vs_emptied"] > MAX_WARM_Q1_RATIO:
+            print(
+                f"CHECK FAILED: batch-1 p50 with every value row held is "
+                f"{value_rows_cell['warm_vs_emptied']:.2f}x the emptied-store p50 "
+                f"(need <= {MAX_WARM_Q1_RATIO}x)",
                 file=sys.stderr,
             )
             return 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cvector import CVectorEncoder, embed_columns
+from repro.core.cvector import CVectorEncoder, ValueRows, embed_columns
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
@@ -65,6 +65,11 @@ class RecordEncoder:
             self.layouts.append(AttributeLayout(name=name, offset=offset, width=enc.m))
             offset += enc.m
         self._by_name = {layout.name: i for i, layout in enumerate(self.layouts)}
+        self._value_rows = ValueRows(len(self.encoders), (self.total_bits + 63) // 64)
+
+    def clear_value_rows(self) -> None:
+        """Forget every stored value row (the next encode starts cold)."""
+        self._value_rows.clear()
 
     @property
     def n_attributes(self) -> int:
@@ -115,7 +120,11 @@ class RecordEncoder:
         tokenised, hashed and packed once into a record-width word row
         with its bits shifted by the attribute's offset, and every
         record ORs in its value's row
-        (see :func:`repro.core.cvector.embed_columns`).
+        (see :func:`repro.core.cvector.embed_columns`).  The encoder
+        keeps a bounded store of those rows
+        (:class:`~repro.core.cvector.ValueRows`), so a value met again —
+        in this call or a later one — is a row copy: a one-record query
+        whose values are all held costs three ORs.
 
         With ``parallel.n_jobs > 1`` the records are sharded into
         contiguous ranges and encoded by worker processes; results are
@@ -144,7 +153,9 @@ class RecordEncoder:
                 self._check_arity(record)
         columns = [[record[att] for record in records] for att in range(self.n_attributes)]
         offsets = [layout.offset for layout in self.layouts]
-        matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
+        matrix, n_unique = embed_columns(
+            self.encoders, offsets, columns, self.total_bits, self._value_rows
+        )
         if stats is not None:
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)

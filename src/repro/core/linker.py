@@ -371,25 +371,17 @@ class StreamingLinker:
         return BitVector.from_packed(self._words[record_id], self.encoder.total_bits)
 
     def insert(self, values: Sequence[str]) -> int:
-        """Insert one record; returns its internal id.
-
-        The 1-row case of :meth:`insert_rows`, embedded with the cheaper
-        per-record :meth:`RecordEncoder.encode` (same bits).
-        """
-        return self._insert_matrix(BitMatrix.from_vectors([self.encoder.encode(values)]))[0]
+        """Insert one record (the 1-row :meth:`insert_rows`); returns its internal id."""
+        return self.insert_rows([values])[0]
 
     def insert_rows(self, rows: Sequence[Sequence[str]]) -> list[int]:
-        """Insert a batch of records (one interned encode); returns their ids."""
+        """Insert a batch of records — one interned encode, one merge into the
+        index's delta run; returns their ids."""
         if not rows:
             return []
-        return self._insert_matrix(self.encoder.encode_dataset(rows))
-
-    def _insert_matrix(self, matrix: BitMatrix) -> list[int]:
-        """Append embedded rows to the store and the index's delta run.
-
-        The packed words land in a growable (amortised-doubling) array so
-        queries can batch candidate distances through one popcount kernel.
-        """
+        matrix = self.encoder.encode_dataset(rows)
+        # The packed words land in a growable (amortised-doubling) array so
+        # queries can batch candidate distances through one popcount kernel.
         stop = self._count + matrix.n_rows
         if stop > len(self._words):
             capacity = max(16, stop, 2 * len(self._words))

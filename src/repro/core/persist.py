@@ -34,7 +34,7 @@ from repro.core.cvector import CVectorEncoder, UniversalHash
 from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, HammingLSH
+from repro.hamming.lsh import HammingLSH, run_starts
 from repro.text.alphabet import Alphabet
 
 FORMAT_VERSION = 1
@@ -283,25 +283,18 @@ def save_index_snapshot(
             f"width mismatch: encoder {encoder.total_bits} vs LSH {lsh.n_bits}"
         )
 
-    key_parts: list[np.ndarray] = []
-    id_parts: list[np.ndarray] = []
-    bound_parts: list[np.ndarray] = []
-    table_offsets = [0]
-    bound_offsets = [0]
-    positions: list[list[int]] = []
-    for group in lsh.groups:
-        keys, ids, bounds = group.export_arrays()
-        key_parts.append(_keys_to_storage(keys))
-        id_parts.append(ids)
-        bound_parts.append(bounds.astype(np.int64, copy=False))
-        table_offsets.append(table_offsets[-1] + int(ids.size))
-        bound_offsets.append(bound_offsets[-1] + int(bounds.size))
-        positions.append([int(p) for p in group.composite.positions])
+    run = lsh.export()
+    table_offsets = run.offsets
+    bounds = [
+        run_starts(run.keys[lo:hi]) for lo, hi in zip(table_offsets, table_offsets[1:])
+    ]
+    bound_offsets = [0, *np.cumsum([b.size for b in bounds]).tolist()]
+    positions = [[int(p) for p in group.composite.positions] for group in lsh.groups]
 
     words = matrix.words
-    all_keys = np.concatenate(key_parts)
-    all_ids = np.concatenate(id_parts)
-    all_bounds = np.concatenate(bound_parts)
+    all_keys = _keys_to_storage(run.keys)
+    all_ids = run.ids
+    all_bounds = np.concatenate(bounds)
     payloads = {
         "words.npy": words,
         "keys.npy": all_keys,
@@ -480,19 +473,10 @@ def load_index_snapshot(path: str | Path, mmap_mode: str | None = "r") -> IndexS
 
     keys = _keys_from_storage(arrays["keys.npy"])
     ids = arrays["ids.npy"]
-    bounds = arrays["bounds.npy"]
     table_offsets = _offsets(manifest, "table_offsets", n_tables, int(keys.size))
-    bound_offsets = _offsets(manifest, "bound_offsets", n_tables, int(bounds.size))
-    groups = []
-    for table, group in enumerate(lsh.groups):
-        lo, hi = table_offsets[table], table_offsets[table + 1]
-        b_lo, b_hi = bound_offsets[table], bound_offsets[table + 1]
-        groups.append(
-            BlockingGroup.from_arrays(
-                group.composite, keys[lo:hi], ids[lo:hi], bounds[b_lo:b_hi]
-            )
-        )
-    lsh.groups = groups
+    # Checked for consistency only: the run starts are derivable from the keys.
+    _offsets(manifest, "bound_offsets", n_tables, int(arrays["bounds.npy"].size))
+    lsh.adopt(keys, ids, table_offsets)
     matrix = BitMatrix(words, n_bits)
     return IndexSnapshot(
         encoder=encoder,

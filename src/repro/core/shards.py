@@ -66,7 +66,7 @@ from repro.core.persist import (
     write_dir_atomic,
 )
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, HammingLSH
+from repro.hamming.lsh import HammingLSH
 from repro.wal import SegmentWriter, replay_segment, truncate_segment
 
 #: Version of the sharded root-manifest layout.
@@ -528,28 +528,24 @@ class ShardedIndex:
             delta=reference.delta,
             max_chunk_pairs=reference.max_chunk_pairs,
         )
-        groups: list[BlockingGroup] = []
-        for table, template in enumerate(merged.groups):
-            key_parts: list[np.ndarray] = []
-            gid_parts: list[np.ndarray] = []
-            for state in self.shards:
-                keys, local_ids, __ = state.lsh.groups[table].export_arrays()
-                key_parts.append(keys)
-                gid_parts.append(state.row_ids[local_ids])
-            keys = np.concatenate(key_parts)
-            gids = np.concatenate(gid_parts)
-            by_gid = np.argsort(gids, kind="stable")
-            keys, gids = keys[by_gid], gids[by_gid]
-            by_key = np.argsort(keys, kind="stable")
-            keys, gids = keys[by_key], gids[by_key]
-            if keys.size:
-                bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            else:
-                bounds = np.empty(0, dtype=np.int64)
-            groups.append(
-                BlockingGroup.from_arrays(template.composite, keys, gids, bounds)
+        runs = [state.lsh.export() for state in self.shards]
+        key_parts: list[np.ndarray] = []
+        gid_parts: list[np.ndarray] = []
+        for table in range(merged.n_tables):
+            spans = [slice(run.offsets[table], run.offsets[table + 1]) for run in runs]
+            keys = np.concatenate([run.keys[span] for run, span in zip(runs, spans)])
+            gids = np.concatenate(
+                [state.row_ids[run.ids[span]] for state, run, span in zip(self.shards, runs, spans)]
             )
-        merged.groups = groups
+            by_gid = np.argsort(gids, kind="stable")
+            by_key = by_gid[np.argsort(keys[by_gid], kind="stable")]
+            key_parts.append(keys[by_key])
+            gid_parts.append(gids[by_key])
+        merged.adopt(
+            np.concatenate(key_parts),
+            np.concatenate(gid_parts),
+            [table * total for table in range(merged.n_tables + 1)],
+        )
         return IndexSnapshot(
             encoder=self.encoder,
             matrix=BitMatrix(words, self.n_bits),

@@ -11,23 +11,23 @@ to across all groups, de-duplicates the retrieved identifiers, and hands
 each unique pair to a classification rule (here: a distance threshold or a
 :mod:`repro.rules` AST).
 
-The implementation is vectorised: blocking keys for a whole
-:class:`~repro.hamming.bitmatrix.BitMatrix` are produced for all groups in
-one pass over its bytes, every group stores its ids sorted by key — a bulk run
-plus a small delta run for streaming inserts, no Python dict of buckets
-— matching buckets are found with a sort-merge join (two binary
-searches per distinct probe key and run) and expanded with gather
-arithmetic, and the candidate-pair stream is de-duplicated over
-encoded pair ids — semantically identical to Algorithm 2's
-``UniqueCollection`` but dataset-at-a-time.
+The ``L`` tables are held as **one object** (:class:`TableRuns`): a whole
+:class:`~repro.hamming.bitmatrix.BitMatrix` gets its blocking keys for all
+groups in one pass over its bytes, and all tables' ids live in one array
+sorted by ``(table, key)`` — a bulk run plus a small delta run for
+streaming inserts, the layout a snapshot bundle has on disk — built by
+one packed plain sort.  A query batch is sorted the same way once
+(:class:`Probe`); matching buckets are found with two binary searches per
+table segment, expanded together with gather arithmetic, and the
+candidate-pair stream is de-duplicated over encoded pair ids —
+Algorithm 2's ``UniqueCollection``, dataset-at-a-time.
 
 De-duplication is *memory-bounded*: instead of materialising every
-bucket's cross-product before a single global ``numpy.unique`` (which
-blows up on skewed buckets), :meth:`HammingLSH.candidate_chunks` buffers
-raw products only up to a configurable ``max_chunk_pairs`` budget, then
-flushes a chunk — de-duplicated against everything already emitted via a
-vectorised sorted merge.  Peak transient memory is ``O(max_chunk_pairs +
-n_unique_candidates)`` rather than ``O(sum of raw cross-products)``.
+bucket's cross-product before one global de-dup (which blows up on skewed
+buckets), :meth:`HammingLSH.candidate_chunks` buffers raw products only up
+to a ``max_chunk_pairs`` budget, then flushes a chunk — de-duplicated
+against everything already emitted via a vectorised sorted merge.  Peak
+transient memory is ``O(max_chunk_pairs + n_unique_candidates)``.
 
 Within the stage pipeline (``repro.pipeline``), :meth:`HammingLSH.index`
 backs the shared ``BlockerIndexStage`` and :meth:`candidate_chunks` /
@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +50,13 @@ from repro.hamming.bitvector import BitVector
 from repro.hamming.theory import hamming_lsh_parameters
 
 
-#: One sorted run of a blocking group: ``(sorted keys, parallel row ids)``.
-_Run = tuple[np.ndarray, np.ndarray]
-
-#: ``rows x groups`` keys computed per pass of :meth:`KeyTable.keys`: 512 kB of
-#: ``uint64``, so the gathered rows stay cache-resident (half the wall of one pass).
+#: Cells per pass: ``rows x groups`` keys of :meth:`KeyTable.keys`, and pairs
+#: per bucket expansion when no ``max_chunk_pairs`` bounds it — 512 kB of
+#: ``uint64`` per temporary, which stays cache-resident and is recycled by the
+#: allocator instead of being mapped and page-faulted afresh per call.
 _KEY_BLOCK_CELLS = 1 << 16
+
+_NO_PAIRS = np.empty(0, dtype=np.int64)
 
 
 def _split_out_fresh(chunk: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -84,11 +86,9 @@ def _sorted_merge(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
 
 
 def sorted_unique(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The distinct values of ``parts`` concatenated, ascending.
-
-    Sort, then drop repeats: steady and ~30x faster than the hash-table
-    path ``np.unique`` takes on int64 (numpy >= 2.3) at a million pairs.
-    """
+    """The distinct values of ``parts`` concatenated, ascending: sort, then drop
+    repeats — steady and ~30x faster than the hash-table path ``np.unique``
+    takes on int64 (numpy >= 2.3) at a million pairs."""
     merged = np.concatenate(parts)
     merged.sort()
     keep = np.ones(merged.size, dtype=bool)
@@ -98,95 +98,52 @@ def sorted_unique(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 def _generation_stats() -> dict[str, float]:
     """Fresh zeroed candidate-generation counters."""
-    return {
-        "pairs_generated": 0.0,
-        "pairs_unique": 0.0,
-        "pairs_duplicates": 0.0,
-        "n_chunks": 0.0,
-        "peak_chunk_pairs": 0.0,
-        "max_bucket_product": 0.0,
-    }
+    names = "pairs_generated pairs_unique pairs_duplicates n_chunks peak_chunk_pairs"
+    return dict.fromkeys([*names.split(), "max_bucket_product"], 0.0)
 
 
-def _sliced_product(
-    rows_a: np.ndarray, rows_b: np.ndarray, n_b: int, budget: int
-) -> Iterator[np.ndarray]:
-    """Cross-product of one oversized bucket in slices of ``<= budget`` pairs."""
-    a_step = min(int(rows_a.size), budget)
-    for a_lo in range(0, int(rows_a.size), a_step):
-        sub_a = rows_a[a_lo : a_lo + a_step]
-        b_step = max(1, budget // int(sub_a.size))
-        for b_lo in range(0, int(rows_b.size), b_step):
-            sub_b = rows_b[b_lo : b_lo + b_step]
-            yield np.repeat(sub_a, sub_b.size) * n_b + np.tile(sub_b, sub_a.size)
-
-
-def _join_products(
-    keys_a: np.ndarray,
+def _bucket_products(
     ids_a: np.ndarray,
-    sorted_keys_b: np.ndarray,
-    order_b: np.ndarray,
-    boundaries_b: np.ndarray,
-    n_b: int,
+    probe: "Probe",
+    buckets: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     budget: int | None,
+    limits: list[int],
     stats: dict[str, float],
 ) -> Iterator[np.ndarray]:
-    """Sort-merge join of one group's bulk index against the ``B`` keys.
+    """Cross-products ``a * n_B + b`` of matched buckets, by gather arithmetic.
 
-    Matching buckets are located with two binary searches per distinct
-    ``B`` key, then their cross-products are expanded with pure gather
-    arithmetic — no per-bucket Python loop.  Consecutive buckets are
-    emitted together in segments whose total product fits the budget; a
-    single bucket larger than the budget is emitted in slices.
+    Bucket ``i`` of ``buckets = (start_a, count_a, start_b, count_b)`` pairs
+    ``ids_a[start_a[i]:][:count_a[i]]`` with ``probe.rows[start_b[i]:][:count_b[i]]``.
+    The pairs of all buckets, laid end to end (a-major within a bucket),
+    are emitted in blocks of ``budget`` pairs — fixed-size blocks without
+    a budget — cut wherever they fall, also inside a bucket, and at every
+    one of ``limits`` (bucket numbers: the table ends).
     """
-    if boundaries_b.size == 0:
-        return
-    unique_b = sorted_keys_b[boundaries_b]
-    run_ends = np.r_[boundaries_b[1:], sorted_keys_b.size]
-    lo = np.searchsorted(keys_a, unique_b, side="left")
-    hi = np.searchsorted(keys_a, unique_b, side="right")
-    matched = hi > lo
-    if not bool(matched.any()):
-        return
-    count_a = (hi - lo)[matched]
-    start_a = lo[matched]
-    start_b = boundaries_b[matched]
-    count_b = (run_ends - boundaries_b)[matched]
+    start_a, count_a, start_b, count_b = buckets
     products = count_a * count_b
-    stats["pairs_generated"] += float(products.sum())
+    edges = np.concatenate(([0], np.cumsum(products)))  # bucket i is pairs edges[i]..edges[i + 1]
+    stats["pairs_generated"] += float(edges[-1])
     stats["max_bucket_product"] = max(stats["max_bucket_product"], float(products.max()))
+    step = _KEY_BLOCK_CELLS if budget is None else budget
 
-    def expand(s: int, e: int) -> np.ndarray:
-        """Concatenated cross-products of buckets ``s..e`` (a-major order)."""
-        p = products[s:e]
-        total = int(p.sum())
-        offsets = np.cumsum(p) - p
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, p)
+    def expand(lo: int, hi: int) -> np.ndarray:
+        """Pairs ``lo..hi`` of the laid-out products."""
+        s = int(edges.searchsorted(lo, side="right")) - 1
+        e = int(edges.searchsorted(hi, side="left"))
+        p = np.minimum(edges[s + 1 : e + 1], hi) - np.maximum(edges[s:e], lo)
+        within = np.arange(lo, hi) - np.repeat(edges[s:e], p)
         cb = np.repeat(count_b[s:e], p)
         a_off = within // cb
-        b_off = within - a_off * cb
-        rows_a = ids_a[np.repeat(start_a[s:e], p) + a_off]
-        rows_b = order_b[np.repeat(start_b[s:e], p) + b_off]
-        return rows_a * n_b + rows_b
+        within -= a_off * cb
+        a_off += np.repeat(start_a[s:e], p)
+        within += np.repeat(start_b[s:e], p)
+        return ids_a[a_off] * probe.n_rows + probe.rows[within]
 
-    n_buckets = int(products.size)
-    if budget is None:
-        yield expand(0, n_buckets)
-        return
-    cumulative = np.cumsum(products)
-    start = 0
-    floor = 0
-    while start < n_buckets:
-        end = int(np.searchsorted(cumulative, floor + budget, side="right"))
-        if end > start:
-            yield expand(start, end)
-        else:
-            rows_a = ids_a[start_a[start] : start_a[start] + count_a[start]]
-            rows_b = order_b[start_b[start] : start_b[start] + count_b[start]]
-            yield from _sliced_product(rows_a, rows_b, n_b, budget)
-            end = start + 1
-        floor = int(cumulative[end - 1])
-        start = end
+    first = 0
+    for last in edges[limits].tolist():
+        for lo in range(first, last, step):
+            yield expand(lo, min(lo + step, last))
+        first = last
 
 
 def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
@@ -202,23 +159,77 @@ def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
     return packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
 
 
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start offsets of the distinct-key runs of a sorted key array."""
-    if not sorted_keys.size:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Flat start offsets of the distinct-key runs along the last axis of a
+    sorted key array (a new row of a 2-D array always starts a run)."""
+    change = np.ones(sorted_keys.shape, dtype=bool)
+    change[..., 1:] = sorted_keys[..., 1:] != sorted_keys[..., :-1]
+    return np.flatnonzero(change)
+
+
+def _sort_tables(keys: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stably sort every row of the ``(L, n)`` key array: ``(sorted keys, order)``.
+
+    Where ``key_bits + bits(n)`` fit one word, ``key << bits(n) | row`` is
+    sorted in place as plain integers — the row number breaks ties exactly
+    as a stable sort does, at a fifth of the cost of ``L`` stable
+    ``argsort`` calls plus their gathers.  Wider keys (and the void keys of
+    ``K > 64``) take the ``argsort``.  Consumes ``keys``.
+    """
+    row_bits = max(keys.shape[1] - 1, 0).bit_length()
+    if key_bits + row_bits > 64:
+        order = np.argsort(keys, axis=1, kind="stable")
+        return np.take_along_axis(keys, order, axis=1), order
+    keys <<= row_bits
+    keys |= np.arange(keys.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    order = keys & ((1 << row_bits) - 1)
+    keys >>= row_bits
+    return keys, order.view(np.int64)
+
+
+class _Run(NamedTuple):
+    """All tables' buckets as one sorted run — the bundle layout of
+    ``keys.npy`` / ``ids.npy`` / ``table_offsets``."""
+
+    keys: np.ndarray  # every table's sorted blocking keys, table after table
+    ids: np.ndarray  # parallel row ids; within one key, in insertion order
+    offsets: list[int]  # table t is [offsets[t], offsets[t + 1])
+
+    def locate(self, probe: "Probe") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The probe keys that have a bucket here, and each bucket's start and size
+        in ``ids`` — two binary searches per table segment."""
+        lo = np.empty(probe.keys.size, dtype=np.int64)
+        hi = np.empty_like(lo)
+        for table, first in enumerate(self.offsets[:-1]):
+            cut = slice(probe.cuts[table], probe.cuts[table + 1])
+            segment = self.keys[first : self.offsets[table + 1]]
+            np.add(segment.searchsorted(probe.keys[cut], side="left"), first, out=lo[cut])
+            np.add(segment.searchsorted(probe.keys[cut], side="right"), first, out=hi[cut])
+        matched = np.flatnonzero(hi > lo)
+        hi -= lo
+        return matched, lo[matched], hi[matched]
 
 
 def _merge_runs(old: _Run | None, new: _Run) -> _Run:
     """Merge sorted run ``new`` into sorted run ``old`` without re-sorting.
 
-    One binary search per new row plus an ``O(len(old))`` copy; within
-    one key, ``old``'s rows stay ahead of ``new``'s.
+    One binary search per table plus an ``O(len(old))`` copy; within one
+    key, ``old``'s rows stay ahead of ``new``'s.
     """
     if old is None:
         return new
-    at = np.searchsorted(old[0], new[0], side="right")
-    return np.insert(old[0], at, new[0]), np.insert(old[1], at, new[1])
+    spans = zip(old.offsets, old.offsets[1:], new.offsets, new.offsets[1:])
+    at = np.concatenate(
+        [old.keys[a:b].searchsorted(new.keys[c:d], side="right") + a for a, b, c, d in spans]
+    )
+    at += np.arange(at.size)  # where the new rows land in the merged run
+    kept = np.ones(old.ids.size + at.size, dtype=bool)
+    kept[at] = False
+    keys, ids = np.empty(kept.size, dtype=old.keys.dtype), np.empty(kept.size, dtype=np.int64)
+    keys[at], keys[kept] = new.keys, old.keys
+    ids[at], ids[kept] = new.ids, old.ids
+    return _Run(keys, ids, [a + c for a, c in zip(old.offsets, new.offsets)])
 
 
 class KeyTable:
@@ -247,24 +258,25 @@ class KeyTable:
         lut = np.zeros((self.used.size, table.shape[0], 256), dtype=key_type)
         for rank in range(table.shape[1]):  # one rank of every group at a time
             lut[slot[:, rank], groups] |= byte_bits[table[:, rank] & 7] << key_type(rank)
-        self.lut = np.ascontiguousarray(lut.transpose(0, 2, 1))
+        self.lut = list(np.ascontiguousarray(lut.transpose(0, 2, 1)))
 
-    def keys(self, matrix: BitMatrix) -> Sequence[np.ndarray]:
-        """Per group, the blocking key of every row of ``matrix``."""
+    def keys(self, matrix: BitMatrix) -> np.ndarray:
+        """The ``(L, n)`` blocking keys: per group, one key per row of ``matrix``."""
         if self.lo < 0 or self.hi >= matrix.n_bits:
             raise IndexError(f"bit positions out of range for width {matrix.n_bits}")
         if len(self.positions[0]) > 64:
-            return [_pack_keys(matrix.columns(pos)) for pos in self.positions]
+            return np.stack([_pack_keys(matrix.columns(pos)) for pos in self.positions])
         row_bytes = matrix.words.astype("<u8", copy=False).view(np.uint8)
         out = np.empty((len(self.positions), matrix.n_rows), dtype=np.uint64)
         block = max(1, _KEY_BLOCK_CELLS // len(self.positions))
         for lo in range(0, matrix.n_rows, block):
-            used_bytes = row_bytes[lo : lo + block][:, self.used]
-            keys = self.lut[0][used_bytes[:, 0]]
+            used_bytes = iter(row_bytes[lo : lo + block][:, self.used].T)
+            keys = self.lut[0][next(used_bytes)]
             part = np.empty_like(keys)
-            for j in range(1, self.used.size):
+            for table, values in zip(self.lut[1:], used_bytes):
                 # mode="clip" (a byte cannot overrun 256 rows) skips take's buffered copy
-                keys |= np.take(self.lut[j], used_bytes[:, j], axis=0, out=part, mode="clip")
+                table.take(values, 0, part, "clip")
+                keys |= part
             out[:, lo : lo + block] = keys.T
         return out
 
@@ -287,127 +299,227 @@ class CompositeHash:
         return KeyTable([self.positions]).keys(matrix)[0]
 
 
+class Probe(NamedTuple):
+    """A query batch's blocking keys, sorted and run-length encoded once for
+    whatever they are joined against: the bulk run, the delta run, every
+    shard of a sharded index (shards share one set of sampled positions)."""
+
+    n_rows: int  # rows of the probing matrix
+    cuts: list[int]  # table t owns keys[cuts[t]:cuts[t + 1]]
+    keys: np.ndarray  # distinct keys, table after table
+    starts: np.ndarray  # where each distinct key's rows begin in ``rows``
+    counts: np.ndarray  # how many rows share it
+    rows: np.ndarray  # probing row numbers in (table, key, row) order
+
+
+class TableRuns:
+    """The ``L`` bucket tables of one index, held as one object.
+
+    An LSM-style pair of sorted runs (:class:`_Run`): the **bulk run**
+    (:meth:`index`, or snapshot arrays adopted whole by :meth:`adopt`) and
+    a small **delta run** for streaming inserts (:meth:`insert_rows`).
+    Both are what the sort-merge join consumes, so :meth:`join` probes a
+    freshly inserted row like a bulk-loaded one — no dict of buckets, no
+    per-bucket or per-table loop beyond the segment binary searches.
+    Within one key, ids keep bulk-then-insertion order (every sort and
+    merge here is stable).  ``groups[t]`` is a view of table ``t``.
+    """
+
+    #: Width every matrix must have; ``None`` accepts any that holds the positions.
+    n_bits: int | None = None
+
+    def __init__(self, composites: Sequence[CompositeHash]):
+        self.composites = list(composites)
+        self._bulk: _Run | None = None
+        self._delta: _Run | None = None
+        self._key_table: KeyTable | None = None
+
+    @property
+    def groups(self) -> list["BlockingGroup"]:
+        """A view per table, made on demand (the tables hold no reference back)."""
+        return [BlockingGroup(c, self, t) for t, c in enumerate(self.composites)]
+
+    @groups.setter
+    def groups(self, groups: Sequence["BlockingGroup"]) -> None:
+        """Adopt other groups' composites and (copied) buckets as the bulk run."""
+        parts = [group.export_arrays() for group in groups]
+        TableRuns.__init__(self, [group.composite for group in groups])
+        self.adopt(
+            np.concatenate([keys for keys, __, __ in parts]),
+            np.concatenate([ids for __, ids, __ in parts]),
+            [0, *np.cumsum([ids.size for __, ids, __ in parts]).tolist()],
+        )
+
+    @property
+    def n_tables(self) -> int:
+        return len(self.composites)
+
+    def _keys(self, matrix: BitMatrix) -> np.ndarray:
+        """Every group's blocking keys of ``matrix``, from one shared key table:
+        built on first use from the groups' sampled positions, rebuilt when
+        those change (a group's ``composite`` is assignable)."""
+        if self.n_bits not in (None, matrix.n_bits):
+            raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs index {self.n_bits}")
+        positions = tuple(composite.positions for composite in self.composites)
+        if self._key_table is None or self._key_table.positions != positions:
+            self._key_table = KeyTable(positions)
+        return self._key_table.keys(matrix)
+
+    def _sorted_run(self, matrix: BitMatrix) -> _Run:
+        """``matrix``'s blocking keys of every table, stably sorted; ids are its row numbers."""
+        keys, order = _sort_tables(self._keys(matrix), len(self.composites[0].positions))
+        offsets = [t * matrix.n_rows for t in range(self.n_tables + 1)]
+        return _Run(keys.reshape(-1), order.reshape(-1), offsets)
+
+    # -- building ------------------------------------------------------------------
+
+    def index(self, matrix: BitMatrix) -> None:
+        """Bulk-load every row of ``matrix``; ids continue from the rows held."""
+        first = sum(run.offsets[1] for run in (self._bulk, self._delta) if run is not None)
+        run = self._sorted_run(matrix)
+        np.add(run.ids, first, out=run.ids)
+        self._bulk = _merge_runs(self._bulk, run)
+
+    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
+        """Streaming insert: merge ``matrix``'s rows into the delta run — one key
+        pass, one binary search per table, one ``O(delta)`` copy; the (possibly
+        memory-mapped) bulk run is never touched."""
+        run = self._sorted_run(matrix)
+        self._delta = _merge_runs(self._delta, run._replace(ids=np.asarray(ids, np.int64)[run.ids]))
+
+    def insert(self, vector: BitVector, record_id: int) -> None:
+        """Streaming insert of a single record (the 1-row :meth:`insert_rows`)."""
+        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
+
+    def adopt(self, keys: np.ndarray, ids: np.ndarray, offsets: Sequence[int]) -> None:
+        """Take :meth:`export`'s arrays as the bulk run (snapshot load: no hashing,
+        no sort).  They may be read-only memory maps: nothing here copies or
+        mutates them (``asarray`` only sheds the slow ``memmap`` indexing)."""
+        self._bulk, self._delta = _Run(np.asarray(keys), np.asarray(ids), list(offsets)), None
+
+    def export(self) -> _Run:
+        """Both runs as one, the delta merged in *here* — a snapshot loaded from
+        these arrays never re-sorts.  Within one key, bulk ids precede delta ids."""
+        if self._bulk is None and self._delta is None:  # empty arrays of the key dtype
+            width = max(max(composite.positions) for composite in self.composites) + 1
+            return self._sorted_run(BitMatrix.zeros(0, width))
+        return self._bulk if self._delta is None else _merge_runs(self._bulk, self._delta)
+
+    # -- the candidate join ----------------------------------------------------------
+
+    def probe(self, matrix_b: BitMatrix) -> Probe:
+        """Sort ``matrix_b``'s keys of every table once, for any number of joins."""
+        keys, rows = _sort_tables(self._keys(matrix_b), len(self.composites[0].positions))
+        starts = run_starts(keys)
+        counts = np.empty_like(starts)
+        counts[:-1] = starts[1:]
+        counts[-1:] = keys.size
+        counts -= starts
+        cuts = np.searchsorted(starts, np.arange(self.n_tables + 1) * matrix_b.n_rows)
+        distinct = keys.reshape(-1)[starts]
+        return Probe(matrix_b.n_rows, cuts.tolist(), distinct, starts, counts, rows.reshape(-1))
+
+    def join(
+        self,
+        probe: Probe,
+        budget: int | None = None,
+        stats: dict[str, float] | None = None,
+        table: int | None = None,
+    ) -> Iterator[np.ndarray]:
+        """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s) buckets.
+
+        The one candidate join: per run, two binary searches per table
+        segment locate every probe key's bucket, then all matched buckets
+        are expanded together (:func:`_bucket_products`).  No array exceeds
+        ``budget``; ``stats`` accumulates the :func:`_generation_stats` counters.
+        """
+        if stats is None:
+            stats = _generation_stats()
+        for run in (self._bulk, self._delta):
+            if run is None or not probe.keys.size:
+                continue
+            matched, start_a, count_a = run.locate(probe)
+            if table is not None:
+                own = slice(*np.searchsorted(matched, probe.cuts[table : table + 2]))
+                matched, start_a, count_a = matched[own], start_a[own], count_a[own]
+            if not matched.size:
+                continue
+            # Only a budgeted stream restarts its segments at every table.
+            limits = [matched.size]
+            if budget is not None:
+                limits = np.searchsorted(matched, probe.cuts[1:]).tolist()
+            buckets = (start_a, count_a, probe.starts[matched], probe.counts[matched])
+            yield from _bucket_products(run.ids, probe, buckets, budget, limits, stats)
+
+
 class BlockingGroup:
     """One blocking group ``T_l``: a composite hash plus its bucket table.
 
-    The table is an LSM-style pair of sorted runs, each a key array next
-    to its parallel row-id array: the **bulk run** (:meth:`insert_matrix`,
-    or memory-mapped snapshot arrays) and a small **delta run** that
-    takes streaming inserts (:meth:`insert_rows`).  Both are exactly what
-    the sort-merge candidate join consumes, so :meth:`join_products`
-    probes a freshly inserted row the same way as a bulk-loaded one — no
-    Python dict of buckets, no per-bucket loop.  Within one key, ids keep
-    bulk-then-insertion order (every sort and merge here is stable).
+    A view of table ``table`` of a :class:`TableRuns` (a one-table one of
+    its own when constructed standalone).  ``composite`` is assignable;
+    the tables of one index always hold the same rows, so inserting
+    through any group inserts into every table.
     """
 
-    def __init__(self, composite: CompositeHash):
-        self.composite = composite
-        self._bulk: _Run | None = None  # (sorted blocking keys, parallel row ids)
-        self._bounds: np.ndarray | None = None  # cached run starts of the bulk keys
-        self._delta: _Run | None = None  # streaming inserts, same layout
+    def __init__(self, composite: CompositeHash, tables: TableRuns | None = None, table: int = 0):
+        self._tables = TableRuns([composite]) if tables is None else tables
+        self._table = table
 
-    def _runs(self) -> list[_Run]:
-        """The runs held, bulk first."""
-        return [run for run in (self._bulk, self._delta) if run is not None]
+    @property
+    def composite(self) -> CompositeHash:
+        return self._tables.composites[self._table]
+
+    @composite.setter
+    def composite(self, composite: CompositeHash) -> None:
+        self._tables.composites[self._table] = composite
+
+    def _segments(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """This table's ``(keys, ids)`` slice of the runs held, bulk first."""
+        for run in (self._tables._bulk, self._tables._delta):
+            if run is not None:
+                span = slice(run.offsets[self._table], run.offsets[self._table + 1])
+                yield run.keys[span], run.ids[span]
 
     @property
     def n_rows(self) -> int:
         """Rows held across both runs."""
-        return sum(int(ids.size) for __, ids in self._runs())
+        return sum(int(ids.size) for __, ids in self._segments())
 
-    def _sorted_run(self, matrix: BitMatrix, ids: np.ndarray, keys: np.ndarray | None) -> _Run:
-        """``matrix``'s blocking keys, stably sorted, with their ids.
-
-        ``keys``, here and below, are this group's keys of ``matrix`` when
-        the caller computed all groups' at once; ``None`` computes them.
-        """
-        if keys is None:
-            keys = self.composite.keys_for(matrix)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], np.asarray(ids, dtype=np.int64)[order]
-
-    def insert_matrix(self, matrix: BitMatrix, keys: np.ndarray | None = None) -> None:
+    def insert_matrix(self, matrix: BitMatrix) -> None:
         """Bulk-load every row of ``matrix``; ids continue from the rows held."""
-        first = self.n_rows
-        ids = np.arange(first, first + matrix.n_rows, dtype=np.int64)
-        self._bulk = _merge_runs(self._bulk, self._sorted_run(matrix, ids, keys))
-        self._bounds = None
+        self._tables.index(matrix)
 
-    def insert_rows(
-        self, matrix: BitMatrix, ids: np.ndarray, keys: np.ndarray | None = None
-    ) -> None:
-        """Streaming insert: merge ``matrix``'s rows into the delta run.
-
-        One ``searchsorted`` plus an ``O(delta)`` copy per batch; the
-        (possibly memory-mapped) bulk run is never touched.
-        """
-        self._delta = _merge_runs(self._delta, self._sorted_run(matrix, ids, keys))
+    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
+        """Streaming insert of ``matrix``'s rows into the delta run."""
+        self._tables.insert_rows(matrix, ids)
 
     def insert(self, vector: BitVector, record_id: int) -> None:
         """Insert a single vector — the 1-row case of :meth:`insert_rows`."""
-        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
+        self._tables.insert(vector, record_id)
 
     def join_products(
-        self,
-        matrix_b: BitMatrix,
-        budget: int | None = None,
-        stats: dict[str, float] | None = None,
-        keys: np.ndarray | None = None,
+        self, matrix_b: BitMatrix, budget: int | None = None, stats: dict[str, float] | None = None
     ) -> Iterator[np.ndarray]:
-        """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``.
-
-        The one candidate join: ``matrix_b``'s keys are sorted once and
-        merge-joined (:func:`_join_products`) against the bulk run and
-        the delta run in turn.  No materialised array exceeds ``budget``;
-        ``stats`` accumulates the :func:`_generation_stats` counters.
-        """
-        if stats is None:
-            stats = _generation_stats()
-        sorted_keys, order = self._sorted_run(matrix_b, np.arange(matrix_b.n_rows), keys)
-        boundaries = _run_starts(sorted_keys)
-        for run_keys, ids in self._runs():
-            yield from _join_products(
-                run_keys, ids, sorted_keys, order, boundaries, matrix_b.n_rows, budget, stats
-            )
+        """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``."""
+        return self._tables.join(self._tables.probe(matrix_b), budget, stats, self._table)
 
     # -- snapshot state --------------------------------------------------------
 
     def export_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bulk state ``(sorted_keys, ids, run_starts)`` with the delta folded in.
-
-        The delta run is merged into the sorted bulk representation
-        *here*, at export time — a snapshot loaded from these arrays
-        never needs to re-sort.  Within one key, bulk ids keep preceding
-        delta ids (the :meth:`bucket` order).
-        """
-        run = self._bulk if self._delta is None else _merge_runs(self._bulk, self._delta)
-        if run is None:  # nothing held: empty arrays of this composite's key dtype
-            no_rows = BitMatrix.zeros(0, max(self.composite.positions) + 1)
-            run = self._sorted_run(no_rows, np.empty(0, dtype=np.int64), None)
-        keys, ids = run
-        if self._delta is not None:
-            return keys, ids, _run_starts(keys)
-        if self._bounds is None:
-            self._bounds = _run_starts(keys)
-        return keys, ids, self._bounds
+        """This table's ``(sorted_keys, ids, run_starts)`` with the delta folded in."""
+        run = self._tables.export()
+        span = slice(run.offsets[self._table], run.offsets[self._table + 1])
+        return run.keys[span], run.ids[span], run_starts(run.keys[span])
 
     @classmethod
     def from_arrays(
-        cls,
-        composite: CompositeHash,
-        keys: np.ndarray,
-        ids: np.ndarray,
-        bounds: np.ndarray,
+        cls, composite: CompositeHash, keys: np.ndarray, ids: np.ndarray, bounds: np.ndarray
     ) -> "BlockingGroup":
-        """Adopt pre-sorted bulk arrays (snapshot load: no hashing, no sort).
-
-        ``keys``/``ids``/``bounds`` must be the output of
-        :meth:`export_arrays`; they may be read-only memory-mapped views
-        — nothing here copies or mutates them.
-        """
+        """A standalone group over :meth:`export_arrays`' output (no hashing, no
+        sort, no copy; read-only maps are fine).  ``bounds`` is derivable from
+        ``keys`` and is not kept."""
         group = cls(composite)
-        group._bulk = (keys, ids)
-        group._bounds = bounds
+        group._tables.adopt(keys, ids, [0, int(ids.size)])
         return group
 
     def bucket(self, key: int) -> list[int]:
@@ -422,7 +534,7 @@ class BlockingGroup:
             raw = np.frombuffer(int(key).to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
             probe = _pack_keys(np.unpackbits(raw, bitorder="little")[None, :k])[0]
         out: list[int] = []
-        for keys, ids in self._runs():
+        for keys, ids in self._segments():
             lo, hi = keys.searchsorted(probe, "left"), keys.searchsorted(probe, "right")
             out += ids[lo:hi].tolist()
         return out
@@ -438,10 +550,10 @@ class BlockingGroup:
     def bucket_sizes(self) -> np.ndarray:
         """Sizes of all buckets, in key order — selectivity diagnostics."""
         keys, __, bounds = self.export_arrays()
-        return np.diff(np.r_[bounds, keys.size]).astype(np.int64)
+        return np.diff(bounds, append=keys.size).astype(np.int64)
 
 
-class HammingLSH:
+class HammingLSH(TableRuns):
     """The HB blocking/matching mechanism over a compact Hamming space.
 
     Parameters
@@ -499,17 +611,8 @@ class HammingLSH:
         if n_tables < 1:
             raise ValueError(f"L must be >= 1, got {n_tables}")
         rng = np.random.default_rng(seed)
-        self.groups = [
-            BlockingGroup(
-                CompositeHash(tuple(int(b) for b in rng.integers(0, n_bits, size=k)))
-            )
-            for __ in range(n_tables)
-        ]
-        self._key_table: KeyTable | None = None
-
-    @property
-    def n_tables(self) -> int:
-        return len(self.groups)
+        sampled = [sample_positions(n_bits, k, rng) for __ in range(n_tables)]
+        super().__init__([CompositeHash(positions) for positions in sampled])
 
     @classmethod
     def from_state(
@@ -523,69 +626,21 @@ class HammingLSH:
     ) -> "HammingLSH":
         """Rebuild an LSH from explicit per-table sampled bit positions.
 
-        This is the snapshot-load constructor: instead of drawing fresh
-        base hash functions from a seed, every table's ``K`` positions
-        are adopted verbatim, so a persisted index keeps producing the
-        exact blocking keys it was built with.  The groups come back
-        empty; attach their bulk arrays via
-        :meth:`BlockingGroup.from_arrays`.
+        The snapshot-load constructor: every table's ``K`` positions are
+        adopted verbatim, so a persisted index keeps producing the exact
+        blocking keys it was built with.  The tables come back empty;
+        attach their arrays via :meth:`TableRuns.adopt`.
         """
         if not positions:
             raise ValueError("positions must name at least one table")
         for table, pos in enumerate(positions):
             if len(pos) != k:
-                raise ValueError(
-                    f"table {table} has {len(pos)} positions, expected K={k}"
-                )
-            for p in pos:
-                if not 0 <= int(p) < n_bits:
-                    raise ValueError(
-                        f"table {table} samples bit {p}, out of range for width {n_bits}"
-                    )
-        lsh = cls(
-            n_bits=n_bits,
-            k=k,
-            threshold=threshold,
-            delta=delta,
-            n_tables=len(positions),
-            seed=0,
-            max_chunk_pairs=max_chunk_pairs,
-        )
-        lsh.groups = [
-            BlockingGroup(CompositeHash(tuple(int(p) for p in pos))) for pos in positions
-        ]
+                raise ValueError(f"table {table} has {len(pos)} positions, expected K={k}")
+            if not all(0 <= int(p) < n_bits for p in pos):
+                raise ValueError(f"table {table} samples a bit out of range for width {n_bits}")
+        lsh = cls(n_bits, k, threshold, delta, len(positions), 0, max_chunk_pairs)
+        TableRuns.__init__(lsh, [CompositeHash(tuple(int(p) for p in pos)) for pos in positions])
         return lsh
-
-    # -- indexing ---------------------------------------------------------------
-
-    def index(self, matrix: BitMatrix) -> None:
-        """Store every row of ``matrix`` (dataset A) in all blocking groups."""
-        if matrix.n_bits != self.n_bits:
-            raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs LSH {self.n_bits}")
-        for group, keys in zip(self.groups, self._keys(matrix)):
-            group.insert_matrix(matrix, keys)
-
-    def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
-        """Streaming insert of ``matrix``'s rows under the given record ids."""
-        if matrix.n_bits != self.n_bits:
-            raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs LSH {self.n_bits}")
-        for group, keys in zip(self.groups, self._keys(matrix)):
-            group.insert_rows(matrix, ids, keys)
-
-    def _keys(self, matrix: BitMatrix) -> Sequence[np.ndarray]:
-        """Every group's blocking keys of ``matrix``, from one shared key table:
-        built on first use from the groups' sampled positions, rebuilt when
-        those change (snapshot load and shard merge reassign ``groups``)."""
-        positions = tuple(group.composite.positions for group in self.groups)
-        if self._key_table is None or self._key_table.positions != positions:
-            self._key_table = KeyTable(positions)
-        return self._key_table.keys(matrix)
-
-    def insert(self, vector: BitVector, record_id: int) -> None:
-        """Streaming insert of a single record (the 1-row :meth:`insert_rows`)."""
-        if vector.n_bits != self.n_bits:
-            raise ValueError(f"width mismatch: vector {vector.n_bits} vs LSH {self.n_bits}")
-        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
 
     # -- candidate generation ------------------------------------------------------
 
@@ -595,17 +650,14 @@ class HammingLSH:
         This is Algorithm 2's outer loop for one query record, including
         its ``UniqueCollection`` de-duplication.
         """
-        seen: set[int] = set()
-        out: list[int] = []
-        for group in self.groups:
-            for rid in group.probe(vector):
-                if rid not in seen:
-                    seen.add(rid)
-                    out.append(rid)
-        return out
+        found = chain.from_iterable(group.probe(vector) for group in self.groups)
+        return list(dict.fromkeys(found))  # first occurrence keeps its place
 
     def candidate_pairs(
-        self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
+        self,
+        matrix_b: BitMatrix,
+        counters: dict[str, float] | None = None,
+        probe: Probe | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """De-duplicated candidate pairs between the indexed dataset and ``matrix_b``.
 
@@ -613,17 +665,14 @@ class HammingLSH:
         pair id.  Pairs co-bucketed in several groups appear once
         (Algorithm 2's de-duplication).  Generation runs through the
         memory-bounded chunk stream when ``max_chunk_pairs`` is set; the
-        result is identical either way.
+        result is identical either way.  ``probe`` is ``matrix_b``'s
+        :meth:`~TableRuns.probe` when the caller holds it already.
         """
-        n_b = matrix_b.n_rows
-        chunks = list(self._encoded_chunks(matrix_b, self.max_chunk_pairs, counters))
-        if not chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Chunks are mutually disjoint and each is sorted; a final sort
-        # restores the historical global np.unique order.
-        encoded = np.sort(np.concatenate(chunks), kind="stable")
-        return encoded // n_b, encoded % n_b
+        chunks = list(self._encoded_chunks(matrix_b, self.max_chunk_pairs, counters, probe))
+        # Chunks are mutually disjoint and each is sorted; sorting their
+        # concatenation restores the global order.
+        encoded = chunks[0] if len(chunks) == 1 else np.sort(np.concatenate([_NO_PAIRS, *chunks]))
+        return encoded // matrix_b.n_rows, encoded % matrix_b.n_rows
 
     def candidate_chunks(
         self,
@@ -650,6 +699,7 @@ class HammingLSH:
         matrix_b: BitMatrix,
         budget: int | None,
         counters: dict[str, float] | None = None,
+        probe: Probe | None = None,
     ) -> Iterator[np.ndarray]:
         """Sorted, mutually disjoint chunks of encoded pairs ``a * n_B + b``.
 
@@ -661,14 +711,12 @@ class HammingLSH:
         products), ``pairs_unique`` (emitted), ``pairs_duplicates``,
         ``n_chunks``, ``peak_chunk_pairs`` and ``max_bucket_product``.
         """
-        if matrix_b.n_bits != self.n_bits:
-            raise ValueError(f"width mismatch: matrix {matrix_b.n_bits} vs LSH {self.n_bits}")
         stats = _generation_stats()
-        seen = np.empty(0, dtype=np.int64)
+        seen = _NO_PAIRS
         buffer: list[np.ndarray] = []
         buffered = 0
         # The trailing None flushes what the last products left in the buffer.
-        for part in chain(self._encoded_products(matrix_b, budget, stats), [None]):
+        for part in chain(self._encoded_products(matrix_b, budget, stats, probe), [None]):
             overflow = part is None or (budget is not None and buffered + part.size > budget)
             if buffer and overflow:
                 fresh = _split_out_fresh(sorted_unique(buffer), seen)
@@ -688,37 +736,30 @@ class HammingLSH:
             counters.update(stats)
 
     def _encoded_products(
-        self, matrix_b: BitMatrix, budget: int | None, stats: dict[str, float]
+        self,
+        matrix_b: BitMatrix,
+        budget: int | None,
+        stats: dict[str, float],
+        probe: Probe | None = None,
     ) -> Iterator[np.ndarray]:
         """Raw (un-deduplicated) bucket cross-products, each ``<= budget``."""
-        for group, keys in zip(self.groups, self._keys(matrix_b)):
-            yield from group.join_products(matrix_b, budget, stats, keys)
+        return self.join(probe or self.probe(matrix_b), budget, stats)
 
     def candidate_pairs_per_group(
         self, matrix_b: BitMatrix
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per-group candidate pairs (no cross-group de-duplication).
-
-        Used by iterative baselines (HARRA) that block and match one table
-        at a time.
-        """
+        """Per-group candidate pairs (no cross-group de-duplication), for
+        iterative baselines (HARRA) that block and match one table at a time."""
         n_b = matrix_b.n_rows
-        for pairs in self._pairs_per_group(matrix_b):
+        probe = self.probe(matrix_b)
+        for table in range(self.n_tables):
+            pairs = np.concatenate([_NO_PAIRS, *self.join(probe, table=table)])
             yield pairs // n_b, pairs % n_b
-
-    def _pairs_per_group(self, matrix_b: BitMatrix) -> Iterator[np.ndarray]:
-        """Encoded pairs ``a * n_B + b`` for each blocking group in turn."""
-        for group, keys in zip(self.groups, self._keys(matrix_b)):
-            parts = list(group.join_products(matrix_b, keys=keys))
-            yield np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     # -- matching ------------------------------------------------------------------
 
     def match(
-        self,
-        matrix_a: BitMatrix,
-        matrix_b: BitMatrix,
-        threshold: int | None = None,
+        self, matrix_a: BitMatrix, matrix_b: BitMatrix, threshold: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Block ``matrix_b`` against the index and verify with ``d_H <= threshold``.
 
@@ -731,7 +772,7 @@ class HammingLSH:
             raise ValueError("no matching threshold available")
         rows_a, rows_b = self.candidate_pairs(matrix_b)
         if rows_a.size == 0:
-            return rows_a, rows_b, np.empty(0, dtype=np.int64)
+            return rows_a, rows_b, _NO_PAIRS
         distances = matrix_a.hamming_rows(rows_a, matrix_b, rows_b)
         keep = distances <= threshold
         return rows_a[keep], rows_b[keep], distances[keep]
@@ -740,15 +781,10 @@ class HammingLSH:
 
     def stats(self) -> dict[str, float]:
         """Bucket statistics across groups (selectivity diagnostics)."""
-        sizes = np.concatenate([g.bucket_sizes() for g in self.groups]) if self.groups else np.empty(0)
-        if sizes.size == 0:
-            return {"n_tables": float(self.n_tables), "n_buckets": 0.0, "mean_bucket": 0.0, "max_bucket": 0.0}
-        return {
-            "n_tables": float(self.n_tables),
-            "n_buckets": float(sizes.size),
-            "mean_bucket": float(sizes.mean()),
-            "max_bucket": float(sizes.max()),
-        }
+        sizes = np.concatenate([group.bucket_sizes() for group in self.groups])
+        mean, largest = (float(sizes.mean()), float(sizes.max())) if sizes.size else (0.0, 0.0)
+        counts = {"n_tables": float(self.n_tables), "n_buckets": float(sizes.size)}
+        return {**counts, "mean_bucket": mean, "max_bucket": largest}
 
 
 def sample_positions(n_bits: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:

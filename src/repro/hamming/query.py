@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.distance import hamming_packed
-from repro.hamming.lsh import HammingLSH
+from repro.hamming.lsh import HammingLSH, Probe, run_starts
 from repro.hamming.sketch import VerifyConfig, verify_pairs, verify_pairs_topk
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -56,6 +56,13 @@ def top_k_smallest(distances: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     return selected[np.argsort(composite[selected], kind="stable")]
 
 
+def first_per_query(queries: np.ndarray, top_k: int) -> np.ndarray:
+    """Mask keeping the first ``top_k`` entries of every run of equal ``queries``."""
+    starts = run_starts(queries)
+    counts = np.diff(starts, append=queries.size)
+    return np.arange(queries.size) - np.repeat(starts, counts) < top_k
+
+
 def batch_query(
     lsh: HammingLSH,
     words_a: np.ndarray,
@@ -64,6 +71,7 @@ def batch_query(
     top_k: int | None = None,
     verify: VerifyConfig | None = None,
     counters: dict[str, float] | None = None,
+    probe: Probe | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every row of ``matrix_b`` against the indexed dataset at once.
 
@@ -84,11 +92,12 @@ def batch_query(
     on partial distances, top-k mode additionally tightens each query's
     rejection threshold to its running k-th-distance bound.  Results stay
     byte-identical; tier counters are summed into ``counters`` when
-    given.
+    given.  ``probe`` is ``matrix_b``'s :meth:`HammingLSH.probe`, for a caller
+    that asks one batch of several indexes (shards) sharing their positions.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    cand_a, cand_b = lsh.candidate_pairs(matrix_b)
+    cand_a, cand_b = lsh.candidate_pairs(matrix_b, probe=probe)
     if cand_a.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
     prefilter = verify is not None and verify.enabled
@@ -127,10 +136,7 @@ def batch_query(
     composite = (queries * (lsh.n_bits + 1) + distances) * n_a + ids
     order = np.argsort(composite, kind="stable")
     queries, ids, distances = queries[order], ids[order], distances[order]
-    starts = np.flatnonzero(np.r_[True, queries[1:] != queries[:-1]])
-    counts = np.diff(np.r_[starts, queries.size])
-    ranks = np.arange(queries.size, dtype=np.int64) - np.repeat(starts, counts)
-    head = ranks < top_k
+    head = first_per_query(queries, top_k)
     return queries[head], ids[head], distances[head]
 
 

@@ -318,8 +318,8 @@ def verify_pairs_topk(
     composite = (rows_b * max_partial + partial) * n_a + rows_a
     grouping = np.argsort(composite, kind="stable")
     g_a, g_b, g_partial = rows_a[grouping], rows_b[grouping], partial[grouping]
-    starts = np.flatnonzero(np.r_[True, g_b[1:] != g_b[:-1]])
-    counts = np.diff(np.r_[starts, g_b.size])
+    starts = np.flatnonzero(np.concatenate(([True], g_b[1:] != g_b[:-1])))
+    counts = np.diff(starts, append=g_b.size)
     ranks = np.arange(g_b.size, dtype=np.int64) - np.repeat(starts, counts)
     is_seed = ranks < top_k
 

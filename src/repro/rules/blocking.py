@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.encoder import RecordEncoder
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, CompositeHash, KeyTable, sorted_unique
+from repro.hamming.lsh import BlockingGroup, CompositeHash, TableRuns, sorted_unique
 from repro.rules.ast import And, Comparison, Not, Or, Rule, RuleError
 from repro.rules.probability import (
     AttributeParams,
@@ -66,7 +66,7 @@ class _Structure:
         if not comparisons:
             raise RuleError("blocking structure needs at least one comparison")
         self.comparisons = comparisons
-        self.groups: list[BlockingGroup] = []
+        composites = []
         for __ in range(n_tables):
             positions: list[int] = []
             for cmp in comparisons:
@@ -74,24 +74,23 @@ class _Structure:
                 k = params[cmp.attribute].k
                 sampled = rng.integers(layout.offset, layout.stop, size=k)
                 positions.extend(int(b) for b in sampled)
-            self.groups.append(BlockingGroup(CompositeHash(tuple(positions))))
-        self._key_table = KeyTable([group.composite.positions for group in self.groups])
+            composites.append(CompositeHash(tuple(positions)))
+        self._tables = TableRuns(composites)
+
+    @property
+    def groups(self) -> list[BlockingGroup]:
+        return self._tables.groups
 
     @property
     def n_tables(self) -> int:
-        return len(self.groups)
+        return self._tables.n_tables
 
     def index(self, matrix: BitMatrix) -> None:
-        for group, keys in zip(self.groups, self._key_table.keys(matrix)):
-            group.insert_matrix(matrix, keys)
+        self._tables.index(matrix)
 
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""
-        parts = [
-            part
-            for group, keys in zip(self.groups, self._key_table.keys(matrix_b))
-            for part in group.join_products(matrix_b, keys=keys)
-        ]
+        parts = list(self._tables.join(self._tables.probe(matrix_b)))
         if not parts:
             return np.empty(0, dtype=np.int64)
         return sorted_unique(parts)

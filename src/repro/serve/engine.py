@@ -87,6 +87,20 @@ def _query_shard(
     return queries, ids, distances, counters
 
 
+def fold_counters(stats: dict[str, float], counters: dict[str, float]) -> None:
+    """Add one shard's or batch's ``counters`` into ``stats``.
+
+    Every counter — prefilter tiers and wall-clock timings — accumulates.
+    The derived ``prefilter_reject_rate`` ratio is never summed; it is
+    recomputed from the merged totals, and only once the prefilter has run.
+    """
+    for key, value in counters.items():
+        if key != "prefilter_reject_rate":
+            stats[key] = stats.get(key, 0.0) + value
+    if "pairs_prefiltered" in stats:
+        stats["prefilter_reject_rate"] = reject_rate(stats)
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """Grouped matches for one query batch.
@@ -277,7 +291,7 @@ class QueryEngine:
             queries, ids, distances, counters = _query_shard(
                 (work, effective, top_k, self.verify)
             )
-            self._merge_stats(counters)
+            fold_counters(self.stats, counters)
             self._account_batch(len(work), time.perf_counter() - call_started)
             return QueryResult(queries, ids, distances, len(work))
         source: str | IndexSnapshot = self.snapshot
@@ -297,26 +311,9 @@ class QueryEngine:
         ids = np.concatenate([part[1] for part in parts])
         distances = np.concatenate([part[2] for part in parts])
         for part in parts:
-            self._merge_stats(part[3])
+            fold_counters(self.stats, part[3])
         self._account_batch(len(work), time.perf_counter() - call_started)
         return QueryResult(queries, ids, distances, len(work))
-
-    def _merge_stats(self, counters: dict[str, float]) -> None:
-        """Fold one shard's counters into the engine stats, additively.
-
-        Every counter — prefilter tiers and the per-shard wall-clock
-        timings — accumulates across shards and batches.  The derived
-        ``prefilter_reject_rate`` ratio is never summed; it is recomputed
-        from the merged totals, and only once the prefilter has run.
-        """
-        if not counters:
-            return
-        for key, value in counters.items():
-            if key == "prefilter_reject_rate":
-                continue
-            self.stats[key] = self.stats.get(key, 0.0) + value
-        if "pairs_prefiltered" in self.stats:
-            self.stats["prefilter_reject_rate"] = reject_rate(self.stats)
 
     def _account_batch(self, n_queries: int, elapsed_s: float) -> None:
         """Record one served batch in the engine stats and histogram."""

@@ -38,10 +38,11 @@ from repro.core.config import DEFAULT_DELTA, DEFAULT_K
 from repro.core.encoder import RecordEncoder
 from repro.core.shards import ShardedIndex
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.query import batch_query
-from repro.hamming.sketch import VerifyConfig, reject_rate
+from repro.hamming.lsh import Probe
+from repro.hamming.query import batch_query, first_per_query
+from repro.hamming.sketch import VerifyConfig
 from repro.perf import LogHistogram, ParallelConfig, parallel_map
-from repro.serve.engine import QueryResult
+from repro.serve.engine import QueryResult, fold_counters
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -73,30 +74,25 @@ def _init_sharded_worker(source: str | ShardedIndex, mmap_mode: str | None) -> N
 
 
 def _query_one_shard(
-    task: tuple[int, np.ndarray, int, int, int | None, VerifyConfig | None],
+    task: tuple[int, np.ndarray, int, Probe, int, int | None, VerifyConfig | None],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
     """Answer one shard's slice of the fan-out against the attached bundle.
 
-    The query batch arrives pre-embedded (its packed ``uint64`` words);
+    The query batch arrives pre-embedded (its packed ``uint64`` words)
+    and pre-probed (its blocking keys sorted once for every shard);
     the worker rebuilds the :class:`BitMatrix` view, runs the shared
     batch kernel against its shard's rows, and translates local row ids
     back to global record ids.  Workers stay pure — counters (including
     the shard's wall-clock ``time_query_s``) ride back in the result.
     """
-    shard, words_b, n_bits, threshold, top_k, verify = task
+    shard, words_b, n_bits, probe, threshold, top_k, verify = task
     index: ShardedIndex = _SHARD_STATE["index"]
     state = index.shards[shard]
     matrix_b = BitMatrix(words_b, n_bits)
     counters: dict[str, float] = {}
     started = time.perf_counter()
     queries, local_ids, distances = batch_query(
-        state.lsh,
-        state.words[: state.count],
-        matrix_b,
-        threshold=threshold,
-        top_k=top_k,
-        verify=verify,
-        counters=counters,
+        state.lsh, state.words[: state.count], matrix_b, threshold, top_k, verify, counters, probe
     )
     counters["time_query_s"] = time.perf_counter() - started
     gids = np.asarray(state.row_ids[: state.count][local_ids], dtype=np.int64)
@@ -124,10 +120,7 @@ def _merge_shard_parts(
         return queries[order], gids[order], distances[order]
     order = np.lexsort((gids, distances, queries))
     queries, gids, distances = queries[order], gids[order], distances[order]
-    starts = np.flatnonzero(np.r_[True, queries[1:] != queries[:-1]])
-    counts = np.diff(np.r_[starts, queries.size])
-    ranks = np.arange(queries.size, dtype=np.int64) - np.repeat(starts, counts)
-    head = ranks < top_k
+    head = first_per_query(queries, top_k)
     return queries[head], gids[head], distances[head]
 
 
@@ -176,9 +169,7 @@ class ShardedQueryEngine:
         self.batch_time_hist = LogHistogram.latency()
         #: Per-shard counters (``time_query_s``, candidate-generation and
         #: prefilter tiers), summed over every served batch.
-        self.shard_stats: list[dict[str, float]] = [
-            {} for __ in range(index.n_shards)
-        ]
+        self.shard_stats: list[dict[str, float]] = [{} for __ in range(index.n_shards)]
 
     # -- constructors ------------------------------------------------------------
 
@@ -210,12 +201,7 @@ class ShardedQueryEngine:
             seed=seed,
             max_chunk_pairs=max_chunk_pairs,
         )
-        return cls(
-            index,
-            parallel=parallel,
-            verify=verify,
-            serial_batch_limit=serial_batch_limit,
-        )
+        return cls(index, parallel=parallel, verify=verify, serial_batch_limit=serial_batch_limit)
 
     @classmethod
     def from_bundle(
@@ -228,13 +214,7 @@ class ShardedQueryEngine:
     ) -> "ShardedQueryEngine":
         """Serve a persisted sharded bundle (mmap payloads, replay WAL)."""
         index = ShardedIndex.open(path, mmap_mode=mmap_mode)
-        return cls(
-            index,
-            parallel=parallel,
-            mmap_mode=mmap_mode,
-            verify=verify,
-            serial_batch_limit=serial_batch_limit,
-        )
+        return cls(index, parallel, mmap_mode, verify, serial_batch_limit)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -287,15 +267,14 @@ class ShardedQueryEngine:
     ) -> QueryResult:
         """Match a batch of query records against every shard and merge.
 
-        The batch is embedded once; the packed query words fan out to one
-        task per shard (inline when ``parallel.n_jobs <= 1`` or when
-        ``len(batch) * n_shards`` is at or under
-        :attr:`serial_batch_limit`, else via
+        The batch is embedded and its blocking keys sorted once; the
+        packed query words and that probe fan out to one task per shard
+        (inline when ``parallel.n_jobs <= 1`` or when ``len(batch) *
+        n_shards`` is at or under :attr:`serial_batch_limit`, else via
         :func:`repro.perf.parallel_map` with the bundle attached per
         worker by the initializer).  The merge re-establishes the
         single-shard result order — see the module docstring for why
-        that is byte-identical.  Ids in the result are **global** record
-        ids.
+        that is byte-identical.  Ids in the result are **global** record ids.
         """
         effective = self.threshold if threshold is None else threshold
         work = [tuple(row) for row in rows]
@@ -304,22 +283,18 @@ class ShardedQueryEngine:
         started = time.perf_counter()
         matrix_b = self.index.encoder.encode_dataset(work)
         embedded = time.perf_counter()
+        probe = self.index.shards[0].lsh.probe(matrix_b)  # shards share one set of positions
         tasks = [
-            (shard, matrix_b.words, matrix_b.n_bits, effective, top_k, self.verify)
+            (shard, matrix_b.words, matrix_b.n_bits, probe, effective, top_k, self.verify)
             for shard in range(self.n_shards)
         ]
-        serial = (
-            self.parallel.effective_jobs <= 1
-            or self.n_shards <= 1
-            or (
-                self.serial_batch_limit is not None
-                and len(work) * self.n_shards <= self.serial_batch_limit
-            )
+        small = self.serial_batch_limit is not None and (
+            len(work) * self.n_shards <= self.serial_batch_limit
         )
+        serial = self.parallel.effective_jobs <= 1 or self.n_shards <= 1 or small
         if serial:
             _init_sharded_worker(self.index, self._mmap_mode)
             parts = [_query_one_shard(task) for task in tasks]
-            self._bump("n_serial_batches", 1.0)
         else:
             source: str | ShardedIndex = self.index
             if self.parallel.backend == "process" and self.index.path is not None:
@@ -334,32 +309,14 @@ class ShardedQueryEngine:
         fanned = time.perf_counter()
         queries, gids, distances = _merge_shard_parts(parts, top_k)
         merged = time.perf_counter()
-        for shard, part in enumerate(parts):
-            self._merge_shard_stats(shard, part[3])
-        self._bump("time_embed_s", embedded - started)
-        self._bump("time_fanout_s", fanned - embedded)
-        self._bump("time_merge_s", merged - fanned)
-        self._bump("n_batches", 1.0)
-        self._bump("n_queries", float(len(work)))
+        for per_shard, part in zip(self.shard_stats, parts):
+            fold_counters(per_shard, part[3])
+            fold_counters(self.stats, part[3])
+        batch = {"n_batches": 1.0, "n_queries": float(len(work))}
+        batch.update(time_embed_s=embedded - started, time_fanout_s=fanned - embedded)
+        batch["time_merge_s"] = merged - fanned
+        if serial:
+            batch["n_serial_batches"] = 1.0
+        fold_counters(self.stats, batch)
         self.batch_time_hist.record(merged - started)
         return QueryResult(queries, gids, distances, len(work))
-
-    # -- stats -------------------------------------------------------------------
-
-    def _bump(self, key: str, value: float) -> None:
-        self.stats[key] = self.stats.get(key, 0.0) + value
-
-    def _merge_shard_stats(self, shard: int, counters: dict[str, float]) -> None:
-        """Fold one shard's per-batch counters into both stat views.
-
-        Counters are additive; the derived ``prefilter_reject_rate``
-        ratio is recomputed from the merged totals, never summed.
-        """
-        per_shard = self.shard_stats[shard]
-        for key, value in counters.items():
-            if key == "prefilter_reject_rate":
-                continue
-            per_shard[key] = per_shard.get(key, 0.0) + value
-            self._bump(key, value)
-        if "pairs_prefiltered" in self.stats:
-            self.stats["prefilter_reject_rate"] = reject_rate(self.stats)

@@ -1,5 +1,9 @@
 """Tests for repro.core.encoder — record-level c-vector encoding."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
+from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
 from repro.perf import ParallelConfig
 from repro.text.alphabet import TEXT_ALPHABET, AlphabetError
@@ -148,6 +153,135 @@ class TestValueGranularEmbedding:
         sharded = WIDE_ENCODER.encode_dataset(rows, ParallelConfig(n_jobs=2), stats)
         assert sharded == WIDE_ENCODER.encode_dataset(rows)
         assert stats["intern_values"] == 180.0  # unique counts are per shard
+
+
+def cold(encoder: RecordEncoder) -> RecordEncoder:
+    """The same calibration with nothing in its value-row stores."""
+    return RecordEncoder(encoder.encoders, encoder.names)
+
+
+def held(encoder: RecordEncoder) -> list[int]:
+    return [len(slots) for slots in encoder._value_rows._slots]
+
+
+class TestValueRowStore:
+    """A repeated value is embedded by copying its stored row; whatever the
+    store holds, dropped or never saw, the words are those of a cold encoder."""
+
+    @pytest.mark.parametrize("n_rows", [1, 64, 100_000])
+    @pytest.mark.parametrize(
+        "parallel",
+        [None, ParallelConfig(n_jobs=2, backend="thread"), ParallelConfig(n_jobs=2)],
+        ids=["serial", "thread", "process"],
+    )
+    def test_warm_encoder_equals_cold_encoder(self, n_rows, parallel):
+        rng = np.random.default_rng(n_rows)
+        common = ["", " ", "A", "JONES", "JONAS", "SMITH", "12 MAIN ST"]
+        # The third column is mostly distinct: at 64 and 100 000 rows it is past
+        # the column limit and bypasses the store, the first two go through it.
+        rows = [
+            (common[a], common[b], f"{c} OAK AVE" if c % 4 else "")
+            for a, b, c in zip(*rng.integers(0, len(common), size=(2, n_rows)), range(n_rows))
+        ]
+        warm = cold(WIDE_ENCODER)
+        warm.encode_dataset([("JONES", "", "7 OAK AVE"), ("", " ", "")])  # some held, some not
+        expected = cold(WIDE_ENCODER).encode_dataset(rows).words
+        for __ in range(2):  # the second pass finds what the first one stored
+            assert np.array_equal(warm.encode_dataset(rows, parallel).words, expected)
+        if n_rows == 1:
+            assert np.array_equal(expected[0], WIDE_ENCODER.encode(rows[0]).to_packed())
+
+    def test_full_store_starts_over_and_oversized_column_bypasses(self, monkeypatch):
+        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_CAPACITY", 4)
+        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_COLUMN_LIMIT", 4)
+        encoder = cold(WIDE_ENCODER)
+        reference = cold(WIDE_ENCODER)
+        reference._value_rows = None  # no store at all
+        batches = [
+            [(f"A{i}", "SMITH", f"{i} ELM RD") for i in range(lo, lo + 3)] for lo in range(9)
+        ]
+        sizes = []
+        for rows in batches + batches[:2]:  # evicted values come back
+            assert np.array_equal(
+                encoder.encode_dataset(rows).words, reference.encode_dataset(rows).words
+            )
+            sizes.append(held(encoder))
+        # Four rows per attribute: the two churning columns start over when
+        # full, and never at the expense of the repetitive one.
+        assert all(0 < a <= 4 and b == 1 and 0 < c <= 4 for a, b, c in sizes)
+        assert sum(now[0] < before[0] for before, now in zip(sizes, sizes[1:])) >= 2
+        wide = [(f"B{i}", "SMITH", "1 ELM RD") for i in range(5)]  # 5 distinct > the limit
+        before = held(encoder)
+        assert np.array_equal(
+            encoder.encode_dataset(wide).words, reference.encode_dataset(wide).words
+        )
+        assert held(encoder)[0] == before[0]  # bypassed: neither read nor churned
+
+    def test_store_is_not_part_of_the_encoder(self):
+        encoder = cold(WIDE_ENCODER)
+        description, fingerprint = encoder_to_dict(encoder), encoder_fingerprint(encoder)
+        row = [("JONES", "SMITH", "12 MAIN ST")]
+        words = encoder.encode_dataset(row).words
+        assert held(encoder) == [1, 1, 1]
+        assert encoder_to_dict(encoder) == description
+        assert encoder_fingerprint(encoder) == fingerprint
+        shipped = pickle.loads(pickle.dumps(encoder))  # what _encode_shard sends a worker
+        assert held(shipped) == [0, 0, 0] and held(encoder) == [1, 1, 1]
+        assert np.array_equal(shipped.encode_dataset(row).words, words)
+
+    def test_returned_rows_are_never_the_stored_ones(self):
+        encoder = cold(WIDE_ENCODER)
+        row = [("JONES", "SMITH", "12 MAIN ST")]
+        first = encoder.encode_dataset(row)
+        expected = first.words.copy()
+        first.words[:] = 0  # a caller scribbling on its own matrix ...
+        again = encoder.encode_dataset(row)
+        assert np.array_equal(again.words, expected)  # ... does not reach the store
+        again.words[:] = 0
+        assert np.array_equal(encoder.encode_dataset(row).words, expected)
+
+    def test_a_failure_is_never_stored(self):
+        encoder = cold(WIDE_ENCODER)
+        bad = [("JONES", "SMITH", "12 MAIN ST"), ("JOS\u00c9", "SMITH", "12 MAIN ST")]
+        for __ in range(3):
+            with pytest.raises(AlphabetError):
+                encoder.encode_dataset(bad)
+            with pytest.raises(AlphabetError):
+                encoder.encode_dataset(bad[1:])
+        assert held(encoder) == [0, 0, 0]  # the good values of a failed batch are not kept either
+        good = encoder.encode_dataset(bad[:1]).words
+        assert np.array_equal(good, cold(WIDE_ENCODER).encode_dataset(bad[:1]).words)
+
+    def test_concurrent_fills_of_a_small_store(self, monkeypatch):
+        """More threads than cores, a switch interval of microseconds and a
+        store that starts over every few values: a lost update or a row read
+        while being overwritten would show as a wrong word."""
+        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_CAPACITY", 8)
+        encoder = cold(WIDE_ENCODER)
+        batches = [
+            [(f"N{(t + i) % 13}", f"S{i % 5}", f"{(t * i) % 17} PINE LN") for i in range(6)]
+            for t in range(8)
+        ]
+        expected = [cold(WIDE_ENCODER).encode_dataset(rows).words for rows in batches]
+        wrong: list[int] = []
+
+        def worker(t: int) -> None:
+            for __ in range(400):
+                if not np.array_equal(encoder.encode_dataset(batches[t]).words, expected[t]):
+                    wrong.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestAttributeDistances:

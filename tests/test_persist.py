@@ -1,6 +1,7 @@
 """Tests for repro.core.persist — encoder serialisation."""
 
 import json
+import mmap
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.core.persist import (
 )
 from repro.core.qgram import QGramScheme
 from repro.data.generators import EXPERIMENT_SCHEME
+from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import BlockingGroup, HammingLSH
 from repro.text.alphabet import Alphabet
 from tests.test_two_run_group import column_keys
@@ -127,3 +129,56 @@ class TestSnapshotKeysStayByteIdentical:
                 assert got.tobytes() == want.tobytes()
         for got, want in zip(loaded.candidate_pairs(probes), lsh.candidate_pairs(probes)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [8, 70])
+    def test_load_adopts_the_mapped_payloads_whole(self, encoder, tmp_path, k):
+        """The payloads are the per-table arrays laid end to end — what every
+        bundle written before the tables were one run holds — and loading
+        maps them without copying: the run *is* the two mapped arrays and a
+        group is a slice of them."""
+        rows = [(f"N{i % 9}", f"{i % 6} MAIN ST") for i in range(50)]
+        matrix = encoder.encode_dataset(rows)
+        lsh = HammingLSH(encoder.total_bits, k, n_tables=4, seed=3)
+        lsh.index(BitMatrix(matrix.words[:30], matrix.n_bits))
+        lsh.insert_rows(BitMatrix(matrix.words[30:], matrix.n_bits), np.arange(30, 50))
+        first = save_index_snapshot(tmp_path / "first", encoder, matrix, lsh)
+
+        per_table = []
+        for group in lsh.groups:
+            keys = column_keys(matrix, group.composite.positions)
+            order = np.argsort(keys, kind="stable")
+            bounds = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
+            per_table.append((keys[order], order, bounds))
+        stored_keys = np.load(first / "keys.npy")
+        want_keys = np.concatenate([keys for keys, __, __ in per_table])
+        assert stored_keys.tobytes() == want_keys.tobytes()
+        assert stored_keys.dtype == (np.uint64 if k <= 64 else np.uint8)
+        want_ids = np.concatenate([order for __, order, __ in per_table])
+        want_bounds = np.concatenate([bounds for __, __, bounds in per_table])
+        assert np.array_equal(np.load(first / "ids.npy"), want_ids)
+        assert np.array_equal(np.load(first / "bounds.npy"), want_bounds)
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["table_offsets"] == [0, 50, 100, 150, 200]
+        assert manifest["format_version"] == 1
+
+        loaded = load_index_snapshot(first)
+        run = loaded.lsh.export()
+        for array in (run.keys, run.ids):
+            backing = array
+            while getattr(backing, "base", None) is not None:
+                backing = backing.base
+            assert isinstance(backing, mmap.mmap) and not array.flags.writeable
+        assert type(run.ids) is np.ndarray  # not the slow-to-index memmap subclass
+        for group, (keys, order, bounds) in zip(loaded.lsh.groups, per_table):
+            got_keys, got_ids, got_bounds = group.export_arrays()
+            assert np.shares_memory(got_ids, run.ids) and np.shares_memory(got_keys, run.keys)
+            assert got_keys.tobytes() == keys.tobytes()
+            assert np.array_equal(got_ids, order) and np.array_equal(got_bounds, bounds)
+        probes = encoder.encode_dataset(rows[::4])
+        for got, want in zip(loaded.lsh.candidate_pairs(probes), lsh.candidate_pairs(probes)):
+            assert np.array_equal(got, want)
+
+        second = save_index_snapshot(tmp_path / "second", encoder, loaded.matrix, loaded.lsh)
+        assert sorted(f.name for f in second.iterdir()) == sorted(f.name for f in first.iterdir())
+        for file in first.iterdir():
+            assert (second / file.name).read_bytes() == file.read_bytes()

@@ -49,7 +49,9 @@ from repro.pipeline import (
     ThresholdVerifyStage,
 )
 from repro.pipeline.runner import LinkagePipeline
+from repro.hamming.query import batch_query
 from repro.serve import QueryEngine, ShardedQueryEngine
+from repro.serve.sharded import _merge_shard_parts
 from repro.wal import frame, replay_segment
 from tests.golden_linkers import (
     GOLDEN_PATH,
@@ -178,6 +180,35 @@ class TestShardedParity:
             parallel=ParallelConfig(n_jobs=2, backend="thread"),
         )
         _assert_identical(reference.query_batch(rows_b), sharded.query_batch(rows_b))
+
+    @pytest.mark.parametrize("overlay", [False, True], ids=["clean", "overlay"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_probe_once_equals_probe_per_shard(self, encoder, rows_a, rows_b, n_shards, overlay):
+        """The engine sorts a batch's blocking keys once for all shards; every
+        shard computing and sorting its own (no ``probe=``) answers the same."""
+        indexed = rows_a[:100] if overlay else rows_a
+        engine = ShardedQueryEngine.build(
+            indexed, encoder, n_shards=n_shards, threshold=4, k=30, seed=SEED
+        )
+        if overlay:
+            engine.ingest(rows_a[100:])
+        pooled = ShardedQueryEngine(
+            engine.index, ParallelConfig(n_jobs=2, backend="thread"), serial_batch_limit=None
+        )
+        matrix_b = encoder.encode_dataset(rows_b)
+        for top_k in (None, 2):
+            parts = []
+            for state in engine.index.shards:
+                queries, local, distances = batch_query(
+                    state.lsh, state.words[: state.count], matrix_b, threshold=4, top_k=top_k
+                )
+                parts.append((queries, state.row_ids[: state.count][local], distances, {}))
+            want = _merge_shard_parts(parts, top_k)
+            assert want[0].size > 0
+            for served in (engine, pooled):
+                got = served.query_batch(rows_b, top_k=top_k)
+                for a, b in zip(_arrays(got), want):
+                    assert np.array_equal(a, b)
 
     def test_empty_batch_and_threshold_override(self, encoder, rows_a, rows_b):
         sharded = ShardedQueryEngine.build(

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from repro.core.encoder import RecordEncoder
 from repro.data import EXPERIMENT_SCHEME, DBLPGenerator
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, HammingLSH
+from repro.hamming.lsh import (
+    BlockingGroup,
+    HammingLSH,
+    _sort_tables,
+    _split_out_fresh,
+)
 from repro.rules.blocking import RuleAwareBlocker
 from repro.rules.parser import parse_rule
 
@@ -142,6 +147,128 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
         assert sorted(np.concatenate(list(reloaded.join_products(matrix_b)) or [[]])) == sorted(
             np.concatenate(list(ref_group.join_products(matrix_b)) or [[]])
         )
+
+
+def sort_key(key) -> bytes | int:
+    """Void keys (``K > 64``) order as their bytes, integer keys as integers."""
+    return int(key) if key.dtype == np.uint64 else key.tobytes()
+
+
+def reference_products(steps, matrix_a, matrix_b, positions, budget):
+    """The raw cross-products a per-table, per-bucket join emits, in order.
+
+    One Python dict of buckets per (run, table): the bulk run's tables
+    first, then the delta run's, each table's buckets in key order, ids
+    within a bucket in insertion order, a bucket's pairs a-major; under a
+    budget each (run, table)'s pairs go out ``budget`` at a time.  Also
+    returns the largest bucket product and each table's pairs (bulk
+    buckets, then delta buckets).
+    """
+    n_b = matrix_b.n_rows
+    keys_a = [column_keys(matrix_a, pos) for pos in positions]
+    keys_b = [column_keys(matrix_b, pos) for pos in positions]
+    runs = {"bulk": [], "delta": []}
+    at = 0
+    for how, size in steps:
+        runs["bulk" if how == "bulk" else "delta"] += range(at, at + size)
+        at += size
+    parts, largest = [], 0
+    per_table = [[] for __ in positions]
+    for ids in runs.values():
+        whole_run: list[int] = []
+        for table, (table_a, table_b) in enumerate(zip(keys_a, keys_b)):
+            buckets: dict = {}
+            for a in ids:
+                buckets.setdefault(sort_key(table_a[a]), []).append(a)
+            probes: dict = {}
+            for b in range(n_b):
+                probes.setdefault(sort_key(table_b[b]), []).append(b)
+            pairs: list[int] = []
+            for key in sorted(probes):
+                product = [a * n_b + b for a in buckets.get(key, []) for b in probes[key]]
+                largest = max(largest, len(product))
+                pairs += product
+            per_table[table] += pairs
+            whole_run += pairs
+            if budget is not None:
+                parts += [pairs[lo : lo + budget] for lo in range(0, len(pairs), budget)]
+        if budget is None and whole_run:
+            parts.append(whole_run)
+    return parts, largest, per_table
+
+
+def reference_chunks(parts, budget):
+    """``_encoded_chunks``' flush rule over ``parts``, with ``np.unique`` as the de-dup."""
+    chunks, seen, buffer = [], np.empty(0, dtype=np.int64), []
+    for part in parts + [None]:
+        full = part is None or (budget is not None and sum(map(len, buffer)) + len(part) > budget)
+        if full and buffer:
+            fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
+            seen, buffer = np.union1d(seen, fresh), []
+            chunks += [fresh] * bool(fresh.size)
+        if part is not None:
+            buffer.append(np.asarray(part, dtype=np.int64))
+    return chunks
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.sampled_from([8, 30, 62, 70]),  # 62 + bits(n) > 64: the argsort fallback
+    n_tables=st.sampled_from([1, 6, 9]),
+    steps=STEPS,
+    budget=st.sampled_from([None, 1, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps, budget):
+    n_rows = sum(size for __, size in steps)
+    matrix_a = clustered_matrix(seed, n_rows)
+    matrix_b = clustered_matrix(seed, 12)
+    lsh = HammingLSH(N_BITS, k, n_tables=n_tables, seed=seed, max_chunk_pairs=budget)
+    at = 0
+    for how, size in steps:
+        ids = np.arange(at, at + size)
+        if how == "bulk":
+            lsh.index(take(matrix_a, at, at + size))
+        elif how == "rows":
+            lsh.insert_rows(take(matrix_a, at, at + size), ids)
+        else:
+            for i in ids.tolist():
+                lsh.insert(matrix_a.row(i), i)
+        at += size
+    positions = [group.composite.positions for group in lsh.groups]
+    parts, largest, per_table = reference_products(steps, matrix_a, matrix_b, positions, budget)
+    want = reference_chunks(parts, budget)
+    unique = np.unique(np.concatenate([np.asarray(p, dtype=np.int64) for p in per_table]))
+
+    counters: dict[str, float] = {}
+    rows_a, rows_b = lsh.candidate_pairs(matrix_b, counters)
+    assert np.array_equal(rows_a * 12 + rows_b, unique)
+    assert counters["pairs_generated"] == sum(map(len, per_table))
+    assert counters["pairs_unique"] == unique.size
+    assert counters["max_bucket_product"] == largest
+    assert counters["n_chunks"] == len(want)
+    got = [a * 12 + b for a, b in lsh.candidate_chunks(matrix_b)]
+    assert len(got) == len(want)
+    for chunk, expected in zip(got, want):
+        assert np.array_equal(chunk, expected)
+    per_group = [a * 12 + b for a, b in lsh.candidate_pairs_per_group(matrix_b)]
+    assert [pairs.tolist() for pairs in per_group] == per_table
+    if budget is None:  # a probe made once serves any number of joins
+        probe = lsh.probe(matrix_b)
+        for __ in range(2):
+            again = lsh.candidate_pairs(matrix_b, probe=probe)
+            assert np.array_equal(again[0], rows_a) and np.array_equal(again[1], rows_b)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 300])
+def test_packed_sort_equals_stable_argsort(n_rows):
+    """Forced onto either path, ``_sort_tables`` gives one answer."""
+    keys = np.random.default_rng(n_rows).integers(0, 5, size=(4, n_rows)).astype(np.uint64)
+    packed_keys, packed_order = _sort_tables(keys.copy(), key_bits=3)
+    sorted_keys, order = _sort_tables(keys.copy(), key_bits=64 + (n_rows < 2))  # never fits
+    assert np.array_equal(order, np.argsort(keys, axis=1, kind="stable"))
+    assert np.array_equal(packed_order, order) and packed_order.dtype == order.dtype
+    assert np.array_equal(packed_keys, sorted_keys) and packed_keys.dtype == np.uint64
 
 
 @pytest.mark.parametrize("k", [1, 8, 30, 64, 70])
