@@ -27,6 +27,14 @@ objects, no runner bookkeeping) and reports the runner's overhead ratio;
 ``--check`` exits non-zero on an empty candidate stream, any invariance
 violation, or a runner overhead beyond tolerance (the CI perf-smoke
 gate).
+
+A rule-aware cell rides along: a DBLP PH slice linked under the
+benchmark suite's AND rule and under one OR rule.  Each link must return
+exactly what the eager oracle returns — every attribute of every
+candidate measured, then ``rule.evaluate`` — and must have measured
+fewer attribute distances to get there
+(``classify_distance_rows < n_candidates * n_rule_attributes``): a gate
+on counts, which repeat exactly, not on wall-clock.
 """
 
 import argparse
@@ -37,22 +45,36 @@ from pathlib import Path
 
 import numpy as np
 
-from common import scaled
+from common import DBLP_K, DBLP_NAMES, PH_RULE, scaled
 
 from repro.core.encoder import RecordEncoder
 from repro.core.linker import CompactHammingLinker
 from repro.core.qgram import clear_index_set_cache, qgram_index_set
-from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
+from repro.data import (
+    DBLPGenerator,
+    NCVRGenerator,
+    build_linkage_problem,
+    scheme_ph,
+    scheme_pl,
+)
 from repro.evaluation.reporting import banner, format_table
 from repro.hamming.bitmatrix import scatter_bits
 from repro.hamming.lsh import HammingLSH
 from repro.perf import ParallelConfig
+from repro.rules.blocking import RuleAwareBlocker
+from repro.rules.parser import parse_rule
 
 #: Problem size per side (scaled by REPRO_BENCH_SCALE).
 BASE_N = 2000
 SEED = 7
 THRESHOLD = 4
 K = 30
+#: Rule-aware cell: DBLP PH records per side (scaled) and its two rules.
+RULE_BASE_N = 1000
+RULES = {
+    "and": PH_RULE["dblp"],
+    "or": parse_rule("((FirstName<=4) & (LastName<=4)) | (Title<=8)"),
+}
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_hotpaths.json"
 
 
@@ -255,6 +277,44 @@ def _run_engine(prob, n_jobs=1, max_chunk_pairs=None):
     return phases, result
 
 
+def _run_rule_aware(prob, rule):
+    """One rule-aware ``link()`` beside the eager classification of its candidates."""
+    linker = CompactHammingLinker.rule_aware(
+        rule, k=DBLP_K, attribute_names=DBLP_NAMES, seed=SEED
+    )
+    start = time.perf_counter()
+    result = linker.link(prob.dataset_a, prob.dataset_b)
+    elapsed = time.perf_counter() - start
+
+    encoder = linker.encoder
+    matrix_a = encoder.encode_dataset(prob.dataset_a.value_rows())
+    matrix_b = encoder.encode_dataset(prob.dataset_b.value_rows())
+    blocker = RuleAwareBlocker(rule, encoder, k=DBLP_K, delta=linker.delta, seed=SEED)
+    blocker.index(matrix_a)
+    cand_a, cand_b = blocker.candidate_pairs(matrix_b)
+    distances = encoder.attribute_distances(matrix_a, cand_a, matrix_b, cand_b)
+    accepted = np.asarray(rule.evaluate(distances))
+    identical = (
+        np.array_equal(result.rows_a, cand_a[accepted])
+        and np.array_equal(result.rows_b, cand_b[accepted])
+        and list(result.attribute_distances) == list(distances)
+        and all(
+            np.array_equal(result.attribute_distances[name], dist[accepted])
+            for name, dist in distances.items()
+        )
+    )
+    return {
+        "rule": str(rule),
+        "link_total_s": elapsed,
+        "match_s": result.timings["match"],
+        "n_candidates": result.n_candidates,
+        "n_matches": result.n_matches,
+        "classify_distance_rows": int(result.counters["classify_distance_rows"]),
+        "eager_distance_rows": result.n_candidates * len(rule.attributes()),
+        "identical_to_eager": bool(identical),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -293,6 +353,10 @@ def main(argv=None):
 
     overhead = _measure_runner_overhead(prob, max_chunk_pairs=args.budget)
 
+    rule_n = scaled(RULE_BASE_N)
+    rule_prob = build_linkage_problem(DBLPGenerator(), rule_n, scheme_ph(), seed=SEED)
+    rule_aware = {name: _run_rule_aware(rule_prob, rule) for name, rule in RULES.items()}
+
     speedup = (
         baseline_phases["link_total"] / engine_phases["link_total"]
         if engine_phases["link_total"] > 0
@@ -323,6 +387,11 @@ def main(argv=None):
         },
         "speedup_link_total": speedup,
         "pipeline_overhead": overhead,
+        "rule_aware": {
+            "dataset": "dblp-ph",
+            "n_records_per_side": rule_n,
+            "cells": rule_aware,
+        },
         "matches_identical_across_n_jobs": bool(invariant),
         "matches_identical_to_baseline": bool(agrees_with_baseline),
     }
@@ -347,6 +416,22 @@ def main(argv=None):
     )
     print(f"matches identical across n_jobs/chunking: {invariant}")
     print(f"matches identical to baseline: {agrees_with_baseline}")
+    print(
+        format_table(
+            ["rule-aware", "candidates", "matches", "distance_rows", "eager_rows", "== eager"],
+            [
+                [
+                    name,
+                    cell["n_candidates"],
+                    cell["n_matches"],
+                    cell["classify_distance_rows"],
+                    cell["eager_distance_rows"],
+                    str(cell["identical_to_eager"]),
+                ]
+                for name, cell in rule_aware.items()
+            ],
+        )
+    )
     print(f"wrote {OUTPUT}")
 
     if args.check:
@@ -370,6 +455,25 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 1
+        for name, cell in rule_aware.items():
+            if cell["n_candidates"] == 0:
+                print(f"CHECK FAILED: rule-aware {name}: no candidates", file=sys.stderr)
+                return 1
+            if not cell["identical_to_eager"]:
+                print(
+                    f"CHECK FAILED: rule-aware {name}: lazy classification differs "
+                    "from the eager oracle",
+                    file=sys.stderr,
+                )
+                return 1
+            if cell["classify_distance_rows"] >= cell["eager_distance_rows"]:
+                print(
+                    f"CHECK FAILED: rule-aware {name}: measured "
+                    f"{cell['classify_distance_rows']} attribute distances, the eager "
+                    f"classifier measures {cell['eager_distance_rows']}",
+                    file=sys.stderr,
+                )
+                return 1
     return 0
 
 

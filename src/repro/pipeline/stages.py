@@ -347,29 +347,28 @@ class ThresholdVerifyStage(VerifyStage):
 
 
 class RuleClassifyStage(ClassifyStage):
-    """Evaluate a rule AST over per-attribute distances of the candidates.
+    """Apply a rule AST to the candidates, measuring only what it still needs.
 
-    The cBV-HB rule-aware matching step (Section 5.4): masked per-attribute
-    Hamming distances from the encoder, then the rule's boolean verdict.
+    The cBV-HB rule-aware matching step (Section 5.4), delegated to
+    :func:`repro.rules.classify.classify_pairs`: the rule is walked lazily
+    over the candidates and the full per-attribute distances are computed
+    for the accepted pairs only.  ``classify_distance_rows`` lands in the
+    run counters.
     """
 
     def __init__(self, rule: Any):
         self.rule = rule
 
     def run(self, ctx: PipelineContext) -> None:
+        # Runtime import: repro.pipeline stays import-leaf so repro.core
+        # can depend on it (see the module docstring).
+        from repro.rules.classify import classify_pairs
+
         cand_a, cand_b = _candidate_arrays(ctx)
-        distances: dict[str, np.ndarray] = (
-            ctx.encoder.attribute_distances(ctx.embedded_a, cand_a, ctx.embedded_b, cand_b)
-            if cand_a.size
-            else {}
+        ctx.out_a, ctx.out_b, ctx.attribute_distances = classify_pairs(
+            self.rule, ctx.encoder, ctx.embedded_a, cand_a, ctx.embedded_b, cand_b,
+            counters=ctx.counters,
         )
-        accepted = (
-            np.asarray(self.rule.evaluate(distances))
-            if cand_a.size
-            else np.empty(0, dtype=bool)
-        )
-        ctx.out_a, ctx.out_b = cand_a[accepted], cand_b[accepted]
-        ctx.attribute_distances = {name: d[accepted] for name, d in distances.items()}
 
 
 class AttributeThresholdClassifyStage(ClassifyStage):

@@ -1,4 +1,5 @@
-"""Classification rules: AST, parser, probability bounds and rule-aware blocking."""
+"""Classification rules: AST, parser, probability bounds, rule-aware blocking
+and the lazy classifier of the matching step."""
 
 from repro.rules.ast import (
     And,
@@ -11,6 +12,7 @@ from repro.rules.ast import (
     conjunction,
 )
 from repro.rules.blocking import RuleAwareBlocker, StructureInfo
+from repro.rules.classify import classify_pairs
 from repro.rules.derive import (
     DerivedThresholds,
     derive_thresholds,
@@ -41,6 +43,7 @@ __all__ = [
     "RuleError",
     "StructureInfo",
     "attribute_success_probability",
+    "classify_pairs",
     "comparison",
     "comparison_collision_probability",
     "conjunction",

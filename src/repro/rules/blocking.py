@@ -21,7 +21,8 @@ applied during matching.  The rule-aware blocker compiles the rule AST into
 
 After blocking, the matching step evaluates the *actual* rule on measured
 per-attribute Hamming distances of the candidate pairs (Algorithm 2 with
-the rule as the classification function).
+the rule as the classification function) — lazily, see
+:mod:`repro.rules.classify`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.core.encoder import RecordEncoder
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import BlockingGroup, CompositeHash, TableRuns, sorted_unique
 from repro.rules.ast import And, Comparison, Not, Or, Rule, RuleError
+from repro.rules.classify import classify_pairs
 from repro.rules.probability import (
     AttributeParams,
     rule_collision_probability,
@@ -88,21 +90,54 @@ class _Structure:
     def index(self, matrix: BitMatrix) -> None:
         self._tables.index(matrix)
 
+    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+        """Encoded pairs ``a * n_B + b`` as the tables' joins emit them: in no
+        order, a pair once per table that formulates it."""
+        return list(self._tables.join(self._tables.probe(matrix_b)))
+
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""
-        parts = list(self._tables.join(self._tables.probe(matrix_b)))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(parts)
+        return _distinct(self.parts(matrix_b))
+
+
+def _distinct(parts: list[np.ndarray]) -> np.ndarray:
+    """The union of ``parts``, ascending and without repeats."""
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return sorted_unique(parts)
+
+
+def _contained(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` present in ``members`` (ascending, no repeats).
+
+    One binary search each: filtering a formulated-pair set by it —
+    intersection, or difference with the mask inverted — leaves the set
+    sorted and unique without hashing or re-sorting it.
+    """
+    if not members.size:
+        return np.zeros(values.size, dtype=bool)
+    slots = np.searchsorted(members, values)
+    slots[slots == members.size] = 0
+    return members[slots] == values
 
 
 class _Plan:
-    """Base class of compiled blocking plans."""
+    """Base class of compiled blocking plans.
+
+    ``members`` returns the formulated pairs encoded ``a * n_B + b``,
+    ascending and without repeats.  ``parts`` returns arrays whose union
+    that is, in any order and with repeats: what a union above this node
+    needs, so an OR of structures sorts all its arms' pairs once instead
+    of every arm and then their union.
+    """
 
     structures: list[_Structure]
 
-    def members(self, matrix_b: BitMatrix) -> np.ndarray:
+    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
         raise NotImplementedError
+
+    def members(self, matrix_b: BitMatrix) -> np.ndarray:
+        return _distinct(self.parts(matrix_b))
 
 
 class _LeafPlan(_Plan):
@@ -110,8 +145,8 @@ class _LeafPlan(_Plan):
         self.structure = structure
         self.structures = [structure]
 
-    def members(self, matrix_b: BitMatrix) -> np.ndarray:
-        return self.structure.members(matrix_b)
+    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+        return self.structure.parts(matrix_b)
 
 
 class _OrPlan(_Plan):
@@ -119,11 +154,8 @@ class _OrPlan(_Plan):
         self.children = children
         self.structures = [s for child in children for s in child.structures]
 
-    def members(self, matrix_b: BitMatrix) -> np.ndarray:
-        out = self.children[0].members(matrix_b)
-        for child in self.children[1:]:
-            out = np.union1d(out, child.members(matrix_b))
-        return out
+    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+        return [part for child in self.children for part in child.parts(matrix_b)]
 
 
 class _AndPlan(_Plan):
@@ -136,12 +168,15 @@ class _AndPlan(_Plan):
             s for plan in (*positives, *negatives) for s in plan.structures
         ]
 
+    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+        return [self.members(matrix_b)]
+
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         out = self.positives[0].members(matrix_b)
         for plan in self.positives[1:]:
-            out = np.intersect1d(out, plan.members(matrix_b), assume_unique=True)
+            out = out.compress(_contained(out, plan.members(matrix_b)))
         for plan in self.negatives:
-            out = np.setdiff1d(out, plan.members(matrix_b), assume_unique=True)
+            out = out.compress(~_contained(out, plan.members(matrix_b)))
         return out
 
 
@@ -304,26 +339,25 @@ class RuleAwareBlocker:
         if self._matrix_a is None:
             raise RuleError("call index(matrix_a) before candidate_pairs")
         encoded = self._plan.members(matrix_b)
-        n_b = matrix_b.n_rows
-        return encoded // n_b, encoded % n_b
+        rows_a, rows_b = np.divmod(encoded, matrix_b.n_rows)
+        return rows_a, rows_b
 
     def match(
         self, matrix_b: BitMatrix
     ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Block, then apply the classification rule to measured distances.
+        """Block, then apply the classification rule to the formulated pairs.
 
         Returns ``(rows_a, rows_b, distances)`` of the *accepted* pairs,
-        with ``distances`` the per-attribute distance arrays restricted to
-        the accepted pairs.
+        with ``distances`` every attribute's distance array over exactly
+        those pairs.  The rule is applied lazily
+        (:func:`repro.rules.classify.classify_pairs`): an attribute is
+        measured only on the pairs a predicate still has to decide.
         """
         rows_a, rows_b = self.candidate_pairs(matrix_b)
-        if rows_a.size == 0:
-            return rows_a, rows_b, {}
         assert self._matrix_a is not None
-        distances = self.encoder.attribute_distances(self._matrix_a, rows_a, matrix_b, rows_b)
-        accepted = np.asarray(self.rule.evaluate(distances))
-        kept = {name: dist[accepted] for name, dist in distances.items()}
-        return rows_a[accepted], rows_b[accepted], kept
+        return classify_pairs(
+            self.rule, self.encoder, self._matrix_a, rows_a, matrix_b, rows_b
+        )
 
 
 def _flatten_and(rule: And) -> tuple[Rule, ...]:

@@ -12,13 +12,16 @@ compound semantics (membership in either AND structure for C1', in both
 OR structures for C2').
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
-from repro.rules.blocking import RuleAwareBlocker
+from repro.hamming.bitmatrix import BitMatrix
+from repro.rules.blocking import RuleAwareBlocker, _contained, _LeafPlan, _OrPlan
 from repro.rules.parser import parse_rule
 from repro.text.alphabet import TEXT_ALPHABET
 
@@ -168,3 +171,61 @@ class TestNotOverCompound:
         found = set(zip(rows_a.tolist(), rows_b.tolist()))
         assert (0, 0) not in found
         assert (0, 1) in found
+
+
+def _members_by_numpy_sets(plan, matrix_b):
+    """The plan's formulated pairs recomputed with numpy's set routines."""
+    if isinstance(plan, _LeafPlan):
+        return plan.members(matrix_b)
+    if isinstance(plan, _OrPlan):
+        arms = [_members_by_numpy_sets(child, matrix_b) for child in plan.children]
+        return functools.reduce(np.union1d, arms)
+    out = _members_by_numpy_sets(plan.positives[0], matrix_b)
+    for positive in plan.positives[1:]:
+        out = np.intersect1d(out, _members_by_numpy_sets(positive, matrix_b))
+    for negative in plan.negatives:
+        out = np.setdiff1d(out, _members_by_numpy_sets(negative, matrix_b))
+    return out
+
+
+class TestSortMergePlanAlgebra:
+    """Union, intersection and difference of formulated-pair sets are
+    sort-merge operations on sorted unique arrays; numpy's set routines are
+    the oracle, on every compound shape above."""
+
+    RULES = [
+        TestCompoundC1Prime.RULE,
+        TestCompoundC2Prime.RULE,
+        parse_rule("(f1<=4) & !(f2<=4)"),
+        TestMixedAndWithOrChild.RULE,
+        TestNotOverCompound.RULE,
+    ]
+
+    @pytest.mark.parametrize("rule", RULES, ids=str)
+    def test_members_equal_numpy_set_algebra(self, rule, encoder):
+        rng = np.random.default_rng(21)
+        n_words = (encoder.total_bits + 63) // 64
+        words_a = rng.integers(0, 2**63, size=(150, n_words)).astype(np.uint64)
+        words_a[:, -1] &= np.uint64((1 << (encoder.total_bits % 64)) - 1)
+        # B repeats A's rows with one word's low bits flipped here and there,
+        # so pairs collide in some attributes' tables and not in others.
+        words_b = words_a[rng.integers(0, 150, size=120)]
+        words_b[:, 0] ^= rng.integers(0, 2**20, size=120).astype(np.uint64) & np.uint64(0x5A5A5)
+        matrix_a = BitMatrix(words_a, encoder.total_bits)
+        matrix_b = BitMatrix(words_b, encoder.total_bits)
+        blocker = RuleAwareBlocker(rule, encoder, k=K, seed=11)
+        blocker.index(matrix_a)
+        got = blocker._plan.members(matrix_b)
+        want = _members_by_numpy_sets(blocker._plan, matrix_b)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.size < 150 * 120
+        rows_a, rows_b = blocker.candidate_pairs(matrix_b)
+        np.testing.assert_array_equal(rows_a * 120 + rows_b, want)
+
+    def test_contained_handles_empty_and_out_of_range(self):
+        members = np.array([2, 5, 9], dtype=np.int64)
+        values = np.array([0, 2, 3, 9, 10, 99], dtype=np.int64)
+        assert _contained(values, members).tolist() == [False, True, False, True, False, False]
+        assert _contained(values, members[:0]).tolist() == [False] * 6
+        assert _contained(values[:0], members).tolist() == []
