@@ -8,27 +8,21 @@ Times the serving story of ``repro.serve`` on the NCVR PL cell at
   zero-copy (``numpy.load(..., mmap_mode="r")``).  The ratio is the
   amortisation argument for persisting at all.
 * **query throughput** — QPS and p50/p95/p99 per-call latency of
-  ``QueryEngine.query_batch`` for batch sizes {1, 64, 1024} at
-  ``n_jobs`` in {1, 4}; batching must beat the per-call overhead of
-  single-record querying by a wide margin.
-* **invariance** — the full query stream answered by the mmap engine at
-  ``n_jobs`` 1 and 4 and by a freshly rebuilt in-memory engine must be
-  byte-identical (same ``(query, id, distance)`` arrays).
+  ``QueryEngine.query_batch`` for batch sizes {1, 64, 1024}; batching
+  must beat the per-call overhead of single-record querying by a wide
+  margin.
+* **invariance** — the full query stream answered by the mmap engine and
+  by a freshly rebuilt in-memory engine must be byte-identical (same
+  ``(query, id, distance)`` arrays).
 * **top-k prefilter** — the full stream as a top-k query with the sketch
   prefilter (:mod:`repro.hamming.sketch`) off vs on (running
   k-th-distance bound as the rejection threshold); answers must match
   byte-for-byte, and the cell records the reject rate alongside both
   timings.
-* **sharded fan-out** — the full stream served by a
-  ``ShardedQueryEngine`` over a persisted sharded bundle at ``n_shards``
-  in {1, 4}; every cell must be byte-identical to the single-shard
-  reference (the scatter-gather merge is deterministic by construction).
-* **sharded small batch** — batch-64 QPS on the 4-shard bundle with a
-  4-worker process pool configured, serial in-process scan
-  (``serial_batch_limit`` default) vs forced pool fan-out
-  (``serial_batch_limit=None``); answers must match byte-for-byte.
-  This is the regression cell behind the small-batch serial path: pool
-  dispatch dominates when ``batch x shards`` is small.
+* **sharded bundles** — the full stream served from a persisted sharded
+  bundle at ``n_shards`` in {1, 4}; every cell must be byte-identical to
+  the plain-bundle reference (the shard merge is deterministic by
+  construction).
 * **ingest + replay** — online appends into the sharded bundle's WAL,
   the replay cost a fresh open pays before compaction, and the
   compaction that folds the log back to zero-replay opens.  The same
@@ -69,9 +63,7 @@ from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.evaluation.reporting import banner, format_table
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.sketch import VerifyConfig
-from repro.perf import ParallelConfig
-from repro.serve import QueryEngine, ShardedQueryEngine
-from repro.serve.sharded import DEFAULT_SERIAL_BATCH_LIMIT
+from repro.serve import QueryEngine
 
 #: Serving amortisation is a scale story — the reference side of a
 #: deployment is large, so this benchmark defaults to 10x the linkage
@@ -82,9 +74,7 @@ SEED = 7
 THRESHOLD = 4
 K = 30
 BATCH_SIZES = (1, 64, 1024)
-JOBS = (1, 4)
 SHARDS = (1, 4)
-SMALL_BATCH = 64
 TOP_K = 5
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
@@ -148,7 +138,7 @@ def _batches(rows, batch_size, n_calls):
 def _measure_throughput(engine, rows, batch_size, n_calls):
     """Per-call latencies + aggregate QPS for one (engine, batch) cell."""
     batches = _batches(rows, batch_size, n_calls)
-    engine.query_batch(batches[0])  # warm up (worker pools, page cache)
+    engine.query_batch(batches[0])  # warm up (page cache)
     samples = []
     total_queries = 0
     started = time.perf_counter()
@@ -206,16 +196,16 @@ def _identical(left, right):
 
 
 def _measure_sharded(tmp, rows_a, rows_b, encoder, reference, repeats):
-    """Scatter-gather serving at each shard count, with byte parity cells."""
+    """Serving a sharded bundle at each shard count, with byte parity cells."""
     cells = []
     identical = {}
     for n_shards in SHARDS:
-        built = ShardedQueryEngine.build(
+        built = QueryEngine.build(
             rows_a, encoder, n_shards=n_shards, threshold=THRESHOLD, k=K, seed=SEED
         )
         bundle = built.save(f"{tmp}/sharded{n_shards}")
         built.close()
-        engine = ShardedQueryEngine.from_bundle(bundle)
+        engine = QueryEngine.from_bundle(bundle)
         best = float("inf")
         result = None
         for __ in range(repeats):
@@ -238,49 +228,6 @@ def _measure_sharded(tmp, rows_a, rows_b, encoder, reference, repeats):
     return cells, identical
 
 
-def _measure_sharded_small_batch(bundle, rows_b, n_calls):
-    """Batch-64 on the 4-shard bundle: serial in-process scan vs pool fan-out.
-
-    Both engines carry the same 4-worker process pool config; only
-    ``serial_batch_limit`` differs, so the QPS ratio isolates the
-    per-batch pool dispatch cost the serial path removes.  The parity
-    cell re-answers one batch on both engines and must be byte-identical.
-    """
-    cell = {"batch_size": SMALL_BATCH, "n_shards": SHARDS[-1]}
-    parallel = ParallelConfig(n_jobs=JOBS[-1], backend="process")
-    reference = None
-    identical = True
-    for label, limit in (
-        ("serial", DEFAULT_SERIAL_BATCH_LIMIT),
-        ("fanout", None),
-    ):
-        engine = ShardedQueryEngine.from_bundle(
-            bundle, parallel=parallel, serial_batch_limit=limit
-        )
-        batches = _batches(rows_b, SMALL_BATCH, n_calls)
-        engine.query_batch(batches[0])  # warm up (pool startup, page cache)
-        total_queries = 0
-        started = time.perf_counter()
-        for batch in batches:
-            engine.query_batch(batch)
-            total_queries += len(batch)
-        elapsed = time.perf_counter() - started
-        cell[f"{label}_qps"] = total_queries / elapsed if elapsed > 0 else float("inf")
-        arrays = _result_arrays(engine, list(rows_b[:SMALL_BATCH]))
-        if reference is None:
-            reference = arrays
-        else:
-            identical = _identical(reference, arrays)
-        engine.close()
-    cell["serial_vs_fanout_speedup"] = (
-        cell["serial_qps"] / cell["fanout_qps"]
-        if cell["fanout_qps"] > 0
-        else float("inf")
-    )
-    cell["n_calls"] = n_calls
-    return cell, {"sharded_small_batch": identical}
-
-
 def _measure_value_rows(bundle, rows, n_calls):
     """Batch-1 p50 with the encoder's value rows held vs emptied per call.
 
@@ -296,7 +243,7 @@ def _measure_value_rows(bundle, rows, n_calls):
         answers = {}
         for mode in ("emptied", "warm"):
             if mode == "emptied":
-                engine.snapshot.encoder.clear_value_rows()
+                engine.index.encoder.clear_value_rows()
             started = time.perf_counter()
             result = engine.query_batch(batch)
             samples[mode].append(time.perf_counter() - started)
@@ -326,7 +273,7 @@ def _measure_ingest_replay(tmp, rows_a, rows_b, encoder, n_ingest, n_calls):
     after ``compact()``.
     """
     base, extra = rows_a[:-n_ingest], rows_a[-n_ingest:]
-    built = ShardedQueryEngine.build(
+    built = QueryEngine.build(
         base, encoder, n_shards=SHARDS[-1], threshold=THRESHOLD, k=K, seed=SEED
     )
     bundle = built.save(f"{tmp}/ingest")
@@ -337,7 +284,7 @@ def _measure_ingest_replay(tmp, rows_a, rows_b, encoder, n_ingest, n_calls):
     built.close()
 
     start = time.perf_counter()
-    replaying = ShardedQueryEngine.from_bundle(bundle)
+    replaying = QueryEngine.from_bundle(bundle)
     replay_open_s = time.perf_counter() - start
     replayed = replaying.index.counters["wal_replayed_records"]
     after_ingest = _result_arrays(replaying, rows_b)
@@ -351,7 +298,7 @@ def _measure_ingest_replay(tmp, rows_a, rows_b, encoder, n_ingest, n_calls):
     replaying.close()
 
     start = time.perf_counter()
-    compacted = ShardedQueryEngine.from_bundle(bundle)
+    compacted = QueryEngine.from_bundle(bundle)
     clean_open_s = time.perf_counter() - start
     compacted.close()
 
@@ -413,27 +360,14 @@ def main(argv=None):
         load_s = _time_load(bundle, repeats)
         load_speedup = rebuild_s / load_s if load_s > 0 else float("inf")
 
-        throughput = []
-        for n_jobs in JOBS:
-            engine = QueryEngine.from_snapshot(
-                bundle, parallel=ParallelConfig(n_jobs=n_jobs)
-            )
-            for batch_size in BATCH_SIZES:
-                cell = _measure_throughput(
-                    engine, rows_b, batch_size, calls_per_batch[batch_size]
-                )
-                cell["n_jobs"] = n_jobs
-                throughput.append(cell)
+        engine = QueryEngine.from_snapshot(bundle)
+        throughput = [
+            _measure_throughput(engine, rows_b, batch_size, calls_per_batch[batch_size])
+            for batch_size in BATCH_SIZES
+        ]
 
         reference = _result_arrays(memory_engine, rows_b)
-        identical = {}
-        for n_jobs in JOBS:
-            engine = QueryEngine.from_snapshot(
-                bundle, parallel=ParallelConfig(n_jobs=n_jobs)
-            )
-            identical[f"mmap_jobs{n_jobs}"] = _identical(
-                reference, _result_arrays(engine, rows_b)
-            )
+        identical = {"mmap": _identical(reference, _result_arrays(engine, rows_b))}
 
         topk_prefilter = _measure_topk_prefilter(bundle, rows_b, repeats)
         identical["topk_prefilter"] = topk_prefilter["matches_identical"]
@@ -442,12 +376,6 @@ def main(argv=None):
             tmp, rows_a, rows_b, encoder, reference, repeats
         )
         identical.update(sharded_identical)
-
-        small_batch_calls = 4 if args.tiny else 12
-        small_batch_cell, small_batch_identical = _measure_sharded_small_batch(
-            f"{tmp}/sharded{SHARDS[-1]}", rows_b, small_batch_calls
-        )
-        identical.update(small_batch_identical)
 
         n_ingest = max(10, n // 100)
         ingest_cell, ingest_identical = _measure_ingest_replay(
@@ -460,8 +388,8 @@ def main(argv=None):
         )
         identical.update(value_rows_identical)
 
-    qps = {(cell["n_jobs"], cell["batch_size"]): cell["qps"] for cell in throughput}
-    batch_speedup = qps[(1, 1024)] / qps[(1, 1)] if qps[(1, 1)] > 0 else float("inf")
+    qps = {cell["batch_size"]: cell["qps"] for cell in throughput}
+    batch_speedup = qps[1024] / qps[1] if qps[1] > 0 else float("inf")
     all_identical = all(identical.values())
 
     payload = {
@@ -482,7 +410,6 @@ def main(argv=None):
         "batch_1024_vs_1_qps_speedup": batch_speedup,
         "topk_prefilter": topk_prefilter,
         "sharded": sharded_cells,
-        "sharded_small_batch": small_batch_cell,
         "ingest_replay": ingest_cell,
         "value_rows": value_rows_cell,
         "results_identical": identical,
@@ -502,7 +429,6 @@ def main(argv=None):
     )
     rows = [
         [
-            cell["n_jobs"],
             cell["batch_size"],
             f"{cell['qps']:.0f}",
             f"{cell['p50_ms']:.2f}",
@@ -511,7 +437,7 @@ def main(argv=None):
         ]
         for cell in throughput
     ]
-    print(format_table(["n_jobs", "batch", "QPS", "p50_ms", "p95_ms", "p99_ms"], rows))
+    print(format_table(["batch", "QPS", "p50_ms", "p95_ms", "p99_ms"], rows))
     print(f"batch-1024 vs batch-1 QPS: {batch_speedup:.1f}x")
     print(
         f"top-{TOP_K} prefilter: {topk_prefilter['prefilter_off_s'] * 1e3:.1f} ms off "
@@ -532,12 +458,6 @@ def main(argv=None):
         format_table(
             ["n_shards", "QPS", "fanout_ms/batch", "merge_ms/batch"], shard_rows
         )
-    )
-    print(
-        f"sharded small batch (batch {SMALL_BATCH}, {SHARDS[-1]} shards, "
-        f"{JOBS[-1]} jobs): serial {small_batch_cell['serial_qps']:.0f} QPS vs "
-        f"fan-out {small_batch_cell['fanout_qps']:.0f} QPS "
-        f"({small_batch_cell['serial_vs_fanout_speedup']:.1f}x)"
     )
     print(
         f"ingest {ingest_cell['n_ingested']} records: "

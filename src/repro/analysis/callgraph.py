@@ -13,8 +13,8 @@ actually establishes.
 
 ``self.method()`` / ``cls.method()`` calls resolve through the
 receiver class's base chain; plain names follow module bindings with
-one re-export hop (``from repro.serve import ShardedQueryEngine``
-reaches ``repro.serve.sharded``).  Constructor calls resolve to
+one re-export hop (``from repro.serve import QueryEngine``
+reaches ``repro.serve.engine``).  Constructor calls resolve to
 classes, not functions, and are deliberately left edge-less.
 
 The graph also derives the *module dependency closure* the incremental

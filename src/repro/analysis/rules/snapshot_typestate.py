@@ -1,6 +1,6 @@
 """RL303 -- typestate on snapshot/engine handles: no use after close.
 
-Objects built from snapshot bundles (``ShardedQueryEngine.from_bundle``,
+Objects built from snapshot bundles (``QueryEngine.from_bundle``,
 ``ShardedIndex.open``, loaded snapshot indexes) own mmap-backed state:
 once ``close()`` runs, a later ``query``/``ingest``/``compact`` call
 touches unmapped memory or a half-released WAL.  The lifecycle is a

@@ -11,7 +11,7 @@ The paper's evaluation workflow as shell commands::
     repro index build a.csv -o idx --threshold 4
     repro index build a.csv -o idx --threshold 4 --shards 4
     repro index query idx b.csv -o matches.csv --top-k 1
-    repro index bench idx b.csv --n-jobs 4
+    repro index bench idx b.csv
     repro index ingest idx more.csv
     repro index compact idx
     repro serve idx --port 8765 --max-batch 256 --max-wait-us 2000
@@ -174,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="write a sharded bundle with N shards (durable ingest + "
-        "scatter-gather serving); 0 (default) writes a single bundle",
+        help="write a sharded bundle with N shards (durable ingest); "
+        "0 (default) writes a plain single-index bundle",
     )
     _add_seed(build)
 
@@ -187,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("-o", "--output", required=True, help="matches CSV path")
     query.add_argument("--threshold", type=int, help="override the stored threshold")
     query.add_argument("--top-k", type=int, help="keep only the top-k closest matches")
-    query.add_argument("--n-jobs", type=int, default=1)
     _add_prefilter_flags(query)
 
     bench = isub.add_parser(
@@ -196,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("bundle", help="snapshot bundle directory")
     bench.add_argument("dataset", help="query dataset CSV")
     bench.add_argument("--repeat", type=int, default=3)
-    bench.add_argument("--n-jobs", type=int, default=1)
     _add_prefilter_flags(bench)
 
     ingest = isub.add_parser(
@@ -245,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=4096,
         help="bounded admission queue; beyond it requests get 503 + Retry-After",
     )
-    serve.add_argument("--n-jobs", type=int, default=1)
     serve.add_argument(
         "--threshold", type=int, help="matching threshold (required for CSV input)"
     )
@@ -256,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="CSV input: serve through an in-memory N-shard engine",
+        help="CSV input: index in memory as N shards (0: one plain index)",
     )
     serve.add_argument(
         "--limit-requests",
@@ -440,62 +437,47 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    import time
-
+def _build_engine(args: argparse.Namespace, dataset: Dataset):
+    """Calibrate on ``dataset`` and index it in memory (``--shards 0``: plain)."""
     from repro.protocol import value_rows
-    from repro.serve import QueryEngine, ShardedQueryEngine
+    from repro.serve import QueryEngine
 
-    dataset = read_dataset(args.dataset)
     linker = CompactHammingLinker.record_level(
         threshold=args.threshold, k=args.k, delta=args.delta, seed=args.seed
     )
-    encoder = linker.calibrate(dataset)
-    started = time.perf_counter()
-    if args.shards >= 1:
-        sharded = ShardedQueryEngine.build(
-            list(value_rows(dataset)),
-            encoder,
-            n_shards=args.shards,
-            threshold=args.threshold,
-            k=args.k,
-            delta=args.delta,
-            seed=args.seed,
-        )
-        bundle = sharded.save(args.output)
-        elapsed = time.perf_counter() - started
-        emit(
-            f"indexed {sharded.n_indexed} records ({encoder.total_bits} bits) "
-            f"across {sharded.n_shards} shards in {elapsed:.2f} s -> {bundle}"
-        )
-        return 0
-    engine = QueryEngine.build(
+    return QueryEngine.build(
         list(value_rows(dataset)),
-        encoder,
+        linker.calibrate(dataset),
         threshold=args.threshold,
         k=args.k,
         delta=args.delta,
         seed=args.seed,
+        n_shards=args.shards or None,
     )
+
+
+def _cmd_index_build(args: argparse.Namespace) -> int:
+    import time
+
+    dataset = read_dataset(args.dataset)
+    started = time.perf_counter()
+    engine = _build_engine(args, dataset)
     bundle = engine.save(args.output)
     elapsed = time.perf_counter() - started
+    index = engine.index
+    layout = f"{args.shards} shards" if args.shards else "plain bundle"
     emit(
-        f"indexed {engine.n_indexed} records ({encoder.total_bits} bits, "
-        f"{engine.snapshot.lsh.n_tables} tables) in {elapsed:.2f} s -> {bundle}"
+        f"indexed {engine.n_indexed} records ({index.n_bits} bits, "
+        f"{index.shards[0].lsh.n_tables} tables, {layout}) in {elapsed:.2f} s -> {bundle}"
     )
     return 0
 
 
 def _serving_engine(args: argparse.Namespace):
-    """The engine matching the bundle's kind (single-shard or sharded)."""
-    from repro.perf import ParallelConfig
-    from repro.serve import open_serving_engine
+    """Attach the bundle, whichever layout it has."""
+    from repro.serve import QueryEngine
 
-    return open_serving_engine(
-        args.bundle,
-        parallel=ParallelConfig(n_jobs=args.n_jobs),
-        verify=_verify_from_args(args),
-    )
+    return QueryEngine.from_bundle(args.bundle, verify=_verify_from_args(args))
 
 
 def _cmd_index_query(args: argparse.Namespace) -> int:
@@ -525,7 +507,6 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.protocol import value_rows
-    from repro.serve import ShardedQueryEngine
 
     dataset = read_dataset(args.dataset)
     rows = list(value_rows(dataset))
@@ -546,9 +527,8 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
         ["cold load (s)", f"{load_s:.4f}"],
         ["best batch time (s)", f"{best:.4f}"],
         ["QPS", f"{len(rows) / best:.0f}" if best else "inf"],
+        ["shards", engine.n_shards],
     ]
-    if isinstance(engine, ShardedQueryEngine):
-        table.append(["shards", engine.n_shards])
     batches = engine.stats.get("n_batches", 0.0)
     for key in ("time_embed_s", "time_query_s", "time_fanout_s", "time_merge_s"):
         if key in engine.stats:
@@ -564,21 +544,20 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
 def _cmd_index_ingest(args: argparse.Namespace) -> int:
     import time
 
-    from repro.core.shards import is_sharded_bundle
+    from repro.core.shards import PlainBundleError
     from repro.protocol import value_rows
-    from repro.serve import ShardedQueryEngine
+    from repro.serve import QueryEngine
 
-    if not is_sharded_bundle(args.bundle):
-        raise SystemExit(
-            f"{args.bundle} is not a sharded bundle; online ingest needs one "
-            "(build with: repro index build ... --shards N)"
-        )
     dataset = read_dataset(args.dataset)
-    engine = ShardedQueryEngine.from_bundle(args.bundle)
+    engine = QueryEngine.from_bundle(args.bundle)
     started = time.perf_counter()
-    gids = engine.ingest(list(value_rows(dataset)))
+    try:
+        gids = engine.ingest(list(value_rows(dataset)))
+    except PlainBundleError as exc:
+        raise SystemExit(str(exc)) from exc
+    finally:
+        engine.close()
     elapsed = time.perf_counter() - started
-    engine.close()
     first = f", ids {gids[0]}..{gids[-1]}" if gids else ""
     emit(
         f"ingested {len(gids)} records into {args.bundle} in {elapsed:.2f} s "
@@ -591,17 +570,19 @@ def _cmd_index_ingest(args: argparse.Namespace) -> int:
 def _cmd_index_compact(args: argparse.Namespace) -> int:
     import time
 
-    from repro.core.shards import is_sharded_bundle
-    from repro.serve import ShardedQueryEngine
+    from repro.core.shards import PlainBundleError
+    from repro.serve import QueryEngine
 
-    if not is_sharded_bundle(args.bundle):
-        raise SystemExit(f"{args.bundle} is not a sharded bundle; nothing to compact")
-    engine = ShardedQueryEngine.from_bundle(args.bundle)
+    engine = QueryEngine.from_bundle(args.bundle)
     replayed = int(engine.index.counters.get("wal_replayed_records", 0.0))
     started = time.perf_counter()
-    version = engine.compact()
+    try:
+        version = engine.compact()
+    except PlainBundleError as exc:
+        raise SystemExit(str(exc)) from exc
+    finally:
+        engine.close()
     elapsed = time.perf_counter() - started
-    engine.close()
     emit(
         f"compacted {args.bundle} to version {version} in {elapsed:.2f} s "
         f"({replayed} write-ahead records folded into {engine.n_shards} shards)"
@@ -613,13 +594,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
-    from repro.perf import ParallelConfig
-    from repro.serve import (
-        AsyncQueryServer,
-        BatcherConfig,
-        QueryEngine,
-        ShardedQueryEngine,
-    )
+    from repro.serve import AsyncQueryServer, BatcherConfig
     from repro.serve.asyncserve import serve_http
 
     config = BatcherConfig(
@@ -628,47 +603,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         queue_depth=args.queue_depth,
     )
-    parallel = ParallelConfig(n_jobs=args.n_jobs)
     if Path(args.source).is_dir():
-        server = AsyncQueryServer.from_bundle(
-            args.source, config=config, parallel=parallel
-        )
+        server = AsyncQueryServer.from_bundle(args.source, config=config)
     else:
         if args.threshold is None:
             raise SystemExit(
                 f"{args.source} is not a bundle directory; serving a CSV "
                 "needs --threshold"
             )
-        from repro.protocol import value_rows
-
-        dataset = read_dataset(args.source)
-        linker = CompactHammingLinker.record_level(
-            threshold=args.threshold, k=args.k, delta=args.delta, seed=args.seed
-        )
-        encoder = linker.calibrate(dataset)
-        rows = list(value_rows(dataset))
-        if args.shards >= 1:
-            engine: QueryEngine | ShardedQueryEngine = ShardedQueryEngine.build(
-                rows,
-                encoder,
-                n_shards=args.shards,
-                threshold=args.threshold,
-                k=args.k,
-                delta=args.delta,
-                seed=args.seed,
-                parallel=parallel,
-            )
-        else:
-            engine = QueryEngine.build(
-                rows,
-                encoder,
-                threshold=args.threshold,
-                k=args.k,
-                delta=args.delta,
-                seed=args.seed,
-                parallel=parallel,
-            )
-        server = AsyncQueryServer(engine, config=config)
+        server = AsyncQueryServer(_build_engine(args, read_dataset(args.source)), config=config)
 
     async def run() -> dict:
         frontend = await serve_http(

@@ -478,22 +478,13 @@ class StreamingLinker:
         global-order view — byte-identical to the single-bundle index
         over the same records, write-ahead overlay included.
         """
-        from repro.core.persist import load_index_snapshot
-        from repro.core.shards import ShardedIndex, is_sharded_bundle
+        from repro.core.shards import ShardedIndex
 
-        if is_sharded_bundle(path):
-            with ShardedIndex.open(path, mmap_mode=mmap_mode) as sharded:
-                snapshot = sharded.merged()
-        else:
-            snapshot = load_index_snapshot(path, mmap_mode=mmap_mode)
-        if snapshot.threshold is None:
-            raise ValueError(
-                f"snapshot at {path} records no matching threshold; "
-                "StreamingLinker needs one"
-            )
+        with ShardedIndex.open(path, mmap_mode=mmap_mode) as index:
+            snapshot = index.merged()
         linker = cls.__new__(cls)
         linker.encoder = snapshot.encoder
-        linker.threshold = snapshot.threshold
+        linker.threshold = index.threshold
         linker.parallel = parallel or ParallelConfig()
         linker.verify = verify
         linker._lsh = snapshot.lsh

@@ -8,7 +8,11 @@ bundle (mmap-able ``.npy`` payloads, loadable on its own with
 sidecar mapping the shard's local rows back to global record ids.
 Records are hashed to shards by id (:func:`shard_of_id`, a fixed
 splitmix64 mix), so the assignment is stable across processes and
-versions.
+versions.  A plain single-index bundle is the one-shard case:
+:meth:`ShardedIndex.open` — the only place that reads a bundle's kind —
+attaches it as one read-only shard whose local rows *are* the global
+ids (no ``row_ids.npy``, no WAL), so every consumer serves either
+layout through the same object.
 
 Layout::
 
@@ -42,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -127,7 +131,19 @@ def wal_name(shard: int) -> str:
     return f"wal/s{shard:05d}.wal"
 
 
-def is_sharded_bundle(path: str | Path) -> bool:
+class PlainBundleError(ValueError):
+    """Ingest or compaction was asked of a plain (single-index) bundle.
+
+    A plain bundle has no write-ahead log, so a record appended to it
+    could be acknowledged without being durable; it is served read-only.
+    """
+
+    def __init__(self, path: Path | None, consequence: str):
+        where = "this in-memory index" if path is None else str(path)
+        super().__init__(f"{where} is not a sharded bundle; {consequence}")
+
+
+def _is_sharded_bundle(path: str | Path) -> bool:
     """True when ``path`` holds a sharded root manifest (kind discriminator)."""
     manifest_file = Path(path) / MANIFEST_NAME
     if not manifest_file.is_file():
@@ -187,11 +203,13 @@ class _ShardState:
     memory-mapped) arrays and copy-on-grow at the first append; rows
     ``base_rows..count`` are the overlay — ingested or WAL-replayed
     records not yet folded into a shard bundle by compaction.
+    ``row_ids`` is ``None`` for the one shard of a plain bundle, whose
+    local rows are the global ids.
     """
 
     lsh: HammingLSH
     words: np.ndarray
-    row_ids: np.ndarray
+    row_ids: np.ndarray | None
     count: int
     base_rows: int
     dirname: str | None = None
@@ -200,15 +218,20 @@ class _ShardState:
     def overlay_rows(self) -> int:
         return self.count - self.base_rows
 
+    def global_ids(self, local: np.ndarray) -> np.ndarray:
+        """Global record ids of ``local`` rows (themselves, in a plain shard)."""
+        if self.row_ids is None:
+            return local
+        return np.asarray(self.row_ids[: self.count][local], dtype=np.int64)
+
 
 class ShardedIndex:
     """An ``N``-shard HB index with durable online ingest.
 
     Construct with :meth:`build` (partition and index rows in memory),
     then :meth:`save` to persist, or :meth:`open` to attach a persisted
-    sharded bundle (shard payloads memory-mapped, WAL replayed).  The
-    scatter-gather serving layer on top is
-    :class:`repro.serve.ShardedQueryEngine`.
+    bundle of either layout (payloads memory-mapped, WAL replayed).  The
+    serving layer on top is :class:`repro.serve.QueryEngine`.
     """
 
     def __init__(
@@ -232,6 +255,8 @@ class ShardedIndex:
         self.version = version
         self.manifest = manifest or {}
         self._mmap_mode = mmap_mode
+        #: The snapshot a plain (read-only, one-shard) index serves.
+        self._plain: IndexSnapshot | None = None
         self._writers: dict[int, SegmentWriter] = {}
         #: Recovery / ingest counters (``wal_replayed_records``,
         #: ``wal_torn_bytes``, ``records_appended``).
@@ -268,7 +293,7 @@ class ShardedIndex:
         cls,
         rows: list[tuple[str, ...]],
         encoder: RecordEncoder,
-        n_shards: int,
+        n_shards: int | None,
         threshold: int,
         k: int = DEFAULT_K,
         delta: float = DEFAULT_DELTA,
@@ -284,18 +309,13 @@ class ShardedIndex:
         bit positions — a record's candidacy for a query depends only on
         its own blocking keys, which is what makes sharded results
         byte-identical to a single index over the same rows.
+        ``n_shards=None`` indexes the rows whole as a plain index
+        (:meth:`single`), which saves the single-bundle layout.
         """
-        if n_shards < 1:
+        if n_shards is not None and n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        matrix = encoder.encode_dataset(rows)
-        ids = np.arange(len(rows), dtype=np.int64)
-        assignment = shards_of_ids(ids, n_shards)
-        shards: list[_ShardState] = []
-        for shard in range(n_shards):
-            row_ids = ids[assignment == shard]
-            shard_matrix = BitMatrix(
-                matrix.words[row_ids], encoder.total_bits
-            )
+
+        def indexed(part: BitMatrix) -> HammingLSH:
             lsh = HammingLSH(
                 n_bits=encoder.total_bits,
                 k=k,
@@ -305,7 +325,25 @@ class ShardedIndex:
                 seed=seed,
                 max_chunk_pairs=max_chunk_pairs,
             )
-            lsh.index(shard_matrix)
+            lsh.index(part)
+            return lsh
+
+        matrix = encoder.encode_dataset(rows)
+        if n_shards is None:
+            return cls.single(
+                IndexSnapshot(
+                    encoder=encoder, matrix=matrix, lsh=indexed(matrix), threshold=threshold
+                )
+            )
+        ids = np.arange(len(rows), dtype=np.int64)
+        assignment = shards_of_ids(ids, n_shards)
+        shards: list[_ShardState] = []
+        for shard in range(n_shards):
+            row_ids = ids[assignment == shard]
+            shard_matrix = BitMatrix(
+                matrix.words[row_ids], encoder.total_bits
+            )
+            lsh = indexed(shard_matrix)
             shards.append(
                 _ShardState(
                     lsh=lsh,
@@ -323,16 +361,52 @@ class ShardedIndex:
         )
 
     @classmethod
-    def open(cls, path: str | Path, mmap_mode: str | None = "r") -> "ShardedIndex":
-        """Attach a persisted sharded bundle and replay its WAL segments.
+    def single(cls, snapshot: IndexSnapshot) -> "ShardedIndex":
+        """Serve one snapshot as a plain index: one read-only shard.
 
-        Every shard's payloads stay memory-mapped (default
-        ``mmap_mode``); write-ahead records land in the in-memory
-        overlay exactly as they were acknowledged, a torn segment tail
-        is truncated to the durable prefix, and any structural problem
+        Local rows are the global ids, so nothing is copied or mapped
+        beyond the snapshot itself; :meth:`merged` hands it back as is,
+        :meth:`save` writes the single-bundle layout, and
+        :meth:`append_batch` / :meth:`compact` raise
+        :class:`PlainBundleError`.
+        """
+        if snapshot.threshold is None:
+            raise ValueError(
+                "snapshot records no matching threshold; rebuild it with one"
+            )
+        shard = _ShardState(
+            lsh=snapshot.lsh,
+            words=snapshot.matrix.words,
+            row_ids=None,
+            count=snapshot.n_rows,
+            base_rows=snapshot.n_rows,
+        )
+        index = cls(
+            encoder=snapshot.encoder,
+            shards=[shard],
+            threshold=snapshot.threshold,
+            next_id=snapshot.n_rows,
+            path=snapshot.path,
+            manifest=snapshot.manifest,
+        )
+        index._plain = snapshot
+        return index
+
+    @classmethod
+    def open(cls, path: str | Path, mmap_mode: str | None = "r") -> "ShardedIndex":
+        """Attach a persisted bundle of either layout.
+
+        A sharded bundle has every shard's payloads memory-mapped
+        (default ``mmap_mode``) and its WAL segments replayed:
+        write-ahead records land in the in-memory overlay exactly as
+        they were acknowledged and a torn segment tail is truncated to
+        the durable prefix.  A plain single-index bundle is attached as
+        :meth:`single` over the loaded snapshot.  Any structural problem
         raises :class:`~repro.core.persist.SnapshotError`.
         """
         root = Path(path)
+        if not _is_sharded_bundle(root):
+            return cls.single(load_index_snapshot(root, mmap_mode=mmap_mode))
         manifest = _read_root_manifest(root)
         encoder = _read_root_encoder(root, manifest)
         threshold = int(manifest["threshold"])
@@ -391,8 +465,19 @@ class ShardedIndex:
         by the shard save — is written as a complete single-index bundle
         under a temp root, the root manifest last; the temp root is then
         renamed into place.  The index re-attaches to the persisted
-        bundle (payloads memory-mapped, overlay empty).
+        bundle (payloads memory-mapped, overlay empty).  A plain index
+        writes the single-bundle layout of
+        :func:`~repro.core.persist.save_index_snapshot` instead and
+        keeps serving its in-memory arrays.
         """
+        if self._plain is not None:
+            plain = self._plain
+            out = save_index_snapshot(
+                path, plain.encoder, plain.matrix, plain.lsh, threshold=plain.threshold
+            )
+            self.path = out
+            self._plain = replace(plain, path=out)
+            return out
         version = max(1, self.version + 1)
 
         def _write(tmp: Path) -> None:
@@ -426,6 +511,8 @@ class ShardedIndex:
         after it leaves only orphaned old directories, swept by the next
         compaction.  Returns the new version.
         """
+        if self._plain is not None:
+            raise PlainBundleError(self.path, "nothing to compact")
         if self.path is None:
             raise ValueError(
                 "compact() needs a persisted sharded bundle; call save() first"
@@ -479,6 +566,11 @@ class ShardedIndex:
         replays all of them.  An in-memory index (never saved) skips the
         WAL and simply inserts.
         """
+        if self._plain is not None:
+            raise PlainBundleError(
+                self.path,
+                "online ingest needs one (build with: repro index build ... --shards N)",
+            )
         if not rows:
             return []
         matrix = self.encoder.encode_dataset(rows)
@@ -507,8 +599,11 @@ class ShardedIndex:
         single-shard build over the same rows would produce.  Used by
         the pipeline's ``LoadSnapshotStage`` and
         ``StreamingLinker.load_snapshot`` so offline linkage runs
-        unchanged against sharded bundles.
+        unchanged against sharded bundles.  A plain index returns the
+        snapshot it serves, zero-copy.
         """
+        if self._plain is not None:
+            return self._plain
         total = self.n_rows
         if total != self.next_id:
             raise SnapshotError(
@@ -518,7 +613,7 @@ class ShardedIndex:
         n_words = (self.n_bits + 63) // 64
         words = np.empty((total, n_words), dtype=np.uint64)
         for state in self.shards:
-            words[state.row_ids[: state.count]] = state.words[: state.count]
+            words[state.global_ids(np.arange(state.count))] = state.words[: state.count]
         reference = self.shards[0].lsh
         merged = HammingLSH.from_state(
             n_bits=self.n_bits,
@@ -535,7 +630,10 @@ class ShardedIndex:
             spans = [slice(run.offsets[table], run.offsets[table + 1]) for run in runs]
             keys = np.concatenate([run.keys[span] for run, span in zip(runs, spans)])
             gids = np.concatenate(
-                [state.row_ids[run.ids[span]] for state, run, span in zip(self.shards, runs, spans)]
+                [
+                    state.global_ids(run.ids[span])
+                    for state, run, span in zip(self.shards, runs, spans)
+                ]
             )
             by_gid = np.argsort(gids, kind="stable")
             by_key = by_gid[np.argsort(keys[by_gid], kind="stable")]
@@ -577,6 +675,7 @@ class ShardedIndex:
             state = self.shards[shard]
             mine = owners == shard
             stop = state.count + int(mine.sum())
+            assert state.row_ids is not None  # a plain shard is never appended to
             state.words = _with_room(state.words, state.count, stop)
             state.row_ids = _with_room(state.row_ids, state.count, stop)
             state.words[state.count : stop] = words[mine]
@@ -631,7 +730,7 @@ class ShardedIndex:
         save_index_snapshot(
             root / dirname, self.encoder, matrix, state.lsh, threshold=self.threshold
         )
-        row_ids = np.asarray(state.row_ids[: state.count], dtype=np.int64)
+        row_ids = state.global_ids(np.arange(state.count))
         np.save(root / dirname / ROW_IDS_NAME, row_ids, allow_pickle=False)
         fsync_file(root / dirname / ROW_IDS_NAME)
         return {"dir": dirname, "n_rows": int(state.count)}
@@ -690,11 +789,6 @@ def _read_root_manifest(root: Path) -> dict[str, Any]:
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"sharded manifest is not valid JSON: {exc}") from exc
-    if manifest.get("kind") != SHARDED_KIND:
-        raise SnapshotError(
-            f"bundle at {root} is not a sharded index (kind="
-            f"{manifest.get('kind')!r}); load it with load_index_snapshot"
-        )
     version = manifest.get("format_version")
     if version != SHARDED_FORMAT_VERSION:
         raise SnapshotError(

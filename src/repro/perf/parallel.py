@@ -57,21 +57,12 @@ class ParallelConfig:
         must be module-level callables, so every start method — including
         ``"spawn"``, which pickles everything — produces identical
         results.
-    initializer / initargs:
-        Default per-worker initializer hook.  It runs once per worker
-        (and once inline on the single-process path) before any work
-        item; this is how serving attaches a read-only memory-mapped
-        snapshot in each worker instead of pickling embeddings per task.
-        An explicit ``initializer`` passed to :func:`parallel_map` takes
-        precedence.
     """
 
     n_jobs: int = 1
     chunk_size: int | None = None
     backend: str = "process"
     start_method: str | None = None
-    initializer: Callable[..., None] | None = None
-    initargs: tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_jobs < 0:
@@ -84,8 +75,6 @@ class ParallelConfig:
             raise ValueError(
                 f"start_method must be one of {_START_METHODS}, got {self.start_method!r}"
             )
-        if self.initializer is None and self.initargs:
-            raise ValueError("initargs given without an initializer")
 
     @property
     def effective_jobs(self) -> int:
@@ -124,16 +113,12 @@ def parallel_map(
     ``config.backend``; ``initializer(*initargs)`` runs once per worker
     (and once inline on the single-process path), which is how large
     read-only arrays are shipped to workers exactly once instead of once
-    per work item.  When no explicit initializer is given the config's
-    ``initializer`` / ``initargs`` hook applies; ``config.start_method``
-    selects how worker processes are started (``"spawn"`` requires
-    module-level, picklable workers — which all of ours are).
+    per work item.  ``config.start_method`` selects how worker processes
+    are started (``"spawn"`` requires module-level, picklable workers —
+    which all of ours are).
     """
     work = list(items)
     jobs = min(config.effective_jobs, len(work))
-    if initializer is None and config.initializer is not None:
-        initializer = config.initializer
-        initargs = config.initargs
     if jobs <= 1:
         if initializer is not None:
             initializer(*initargs)

@@ -125,11 +125,12 @@ class LoadSnapshotStage(CalibrateStage):
     wall-clock to the ``"index"`` timing key, where index construction
     is accounted.
 
-    A sharded bundle (``repro.core.shards``) is accepted transparently:
-    its shards — including any write-ahead ingest overlay — are merged
-    into one logical snapshot in global-id order, byte-identical to a
-    single-bundle index over the same records, and the shard count /
-    replayed-record count land in the run counters.
+    Either bundle layout loads through ``ShardedIndex.open(...).merged()``:
+    a plain bundle's snapshot as is, a sharded bundle's shards —
+    including any write-ahead ingest overlay — merged into one logical
+    snapshot in global-id order, byte-identical to a single-bundle index
+    over the same records.  The shard count / replayed-record count land
+    in the run counters.
     """
 
     timing = "index"
@@ -141,18 +142,14 @@ class LoadSnapshotStage(CalibrateStage):
     def run(self, ctx: PipelineContext) -> None:
         # Runtime import: repro.pipeline stays import-leaf so repro.core
         # can depend on it (see the module docstring).
-        from repro.core.persist import load_index_snapshot
-        from repro.core.shards import ShardedIndex, is_sharded_bundle
+        from repro.core.shards import ShardedIndex
 
-        if is_sharded_bundle(self.path):
-            with ShardedIndex.open(self.path, mmap_mode=self.mmap_mode) as index:
-                snapshot = index.merged()
-                ctx.counters["snapshot_shards"] = float(index.n_shards)
-                ctx.counters["wal_replayed_records"] = index.counters[
-                    "wal_replayed_records"
-                ]
-        else:
-            snapshot = load_index_snapshot(self.path, mmap_mode=self.mmap_mode)
+        with ShardedIndex.open(self.path, mmap_mode=self.mmap_mode) as index:
+            snapshot = index.merged()
+            ctx.counters["snapshot_shards"] = float(index.n_shards)
+            ctx.counters["wal_replayed_records"] = index.counters.get(
+                "wal_replayed_records", 0.0
+            )
         ctx.encoder = snapshot.encoder
         ctx.embedded_a = snapshot.matrix
         ctx.blocker = snapshot.lsh

@@ -1,17 +1,16 @@
 """Snapshot serving: high-throughput batched queries over a persisted index.
 
-Single-bundle serving lives in :mod:`repro.serve.engine`; scatter-gather
-serving over sharded bundles (with durable ingest and compaction) in
-:mod:`repro.serve.sharded`; the async front-end that coalesces
-single-query requests into micro-batches in
-:mod:`repro.serve.asyncserve`.  :func:`open_serving_engine` dispatches a
-bundle path to the engine matching its kind.  See ``docs/serving.md``.
+One engine (:mod:`repro.serve.engine`) serves both bundle layouts — a
+plain single-index bundle and a sharded one with durable ingest and
+compaction; the async front-end that coalesces single-query requests
+into micro-batches is :mod:`repro.serve.asyncserve`.  See
+``docs/serving.md``.
 """
 
 from repro.serve.asyncserve import AsyncQueryServer, BatcherConfig
-from repro.serve.asyncserve.server import open_serving_engine
 from repro.serve.engine import QueryEngine, QueryResult
-from repro.serve.sharded import ShardedQueryEngine
+
+ShardedQueryEngine = QueryEngine  # the suite's name; goes when ROADMAP (1) lets the suite change
 
 __all__ = [
     "AsyncQueryServer",
@@ -19,5 +18,4 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "ShardedQueryEngine",
-    "open_serving_engine",
 ]

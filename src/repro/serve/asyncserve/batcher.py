@@ -339,20 +339,34 @@ class MicroBatcher:
         for pending in batch:
             groups.setdefault((pending.threshold, pending.top_k), []).append(pending)
         for (threshold, top_k), group in groups.items():
-            rows = [pending.row for pending in group]
-            try:
-                result = await self._execute(rows, threshold, top_k)
-            except Exception as exc:  # delivered, not swallowed
-                self._bump("n_execute_errors")
+            await self._run_group(group, threshold, top_k)
+
+    async def _run_group(
+        self, group: list[_Pending], threshold: int | None, top_k: int | None
+    ) -> None:
+        """One ``execute`` call for ``group``; a failure is narrowed to its rows.
+
+        One malformed row fails the whole call, so a failed group of
+        several is re-run request by request: only the offenders get the
+        exception (an engine-wide failure still reaches everyone), and
+        ``n_execute_errors`` counts them.
+        """
+        try:
+            result = await self._execute([pending.row for pending in group], threshold, top_k)
+        except Exception as exc:  # delivered, not swallowed
+            if len(group) > 1:
                 for pending in group:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
+                    await self._run_group([pending], threshold, top_k)
+                return
+            self._bump("n_execute_errors")
+            if not group[0].future.done():
+                group[0].future.set_exception(exc)
+            return
+        done = time.monotonic()
+        for pending, matches in zip(group, result.matches()):
+            if pending.future.done():
+                self._bump("n_cancelled")
                 continue
-            done = time.monotonic()
-            for pending, matches in zip(group, result.matches()):
-                if pending.future.done():
-                    self._bump("n_cancelled")
-                    continue
-                pending.future.set_result(matches)
-                self._bump("n_completed")
-                self.request_latency_hist.record(done - pending.enqueued)
+            pending.future.set_result(matches)
+            self._bump("n_completed")
+            self.request_latency_hist.record(done - pending.enqueued)

@@ -8,7 +8,8 @@ routes:
 * ``GET /healthz`` — liveness plus the serving generation.
 * ``GET /stats`` — the server's :meth:`~AsyncQueryServer.stats` dict.
 * ``POST /query`` — ``{"row": [...], "threshold"?, "top_k"?,
-  "deadline_ms"?}`` → ``{"matches": [[record_id, distance], ...]}``.
+  "deadline_ms"?}`` → ``{"matches": [[record_id, distance], ...]}``;
+  a row the encoder rejects (wrong arity, non-alphabet text) is ``400``.
 * ``POST /swap`` — ``{"bundle": path}`` → ``{"generation": n}``
   (zero-downtime snapshot swap).
 
@@ -54,6 +55,11 @@ class _BadRequestError(ValueError):
     """Client error: malformed request line, JSON or field types."""
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer — ``bool`` is an ``int`` subclass, and JSON ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_query_body(body: dict[str, Any]) -> tuple[
     tuple[str, ...], int | None, int | None, float | None
 ]:
@@ -64,14 +70,18 @@ def _parse_query_body(body: dict[str, Any]) -> tuple[
     ):
         raise _BadRequestError('"row" must be a list of strings')
     threshold = body.get("threshold")
-    if threshold is not None and not isinstance(threshold, int):
-        raise _BadRequestError('"threshold" must be an integer')
+    if threshold is not None and (not _is_int(threshold) or threshold < 0):
+        raise _BadRequestError('"threshold" must be a non-negative integer')
     top_k = body.get("top_k")
-    if top_k is not None and not isinstance(top_k, int):
+    if top_k is not None and not _is_int(top_k):
         raise _BadRequestError('"top_k" must be an integer')
     deadline_ms = body.get("deadline_ms")
-    if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
-        raise _BadRequestError('"deadline_ms" must be a number')
+    if deadline_ms is not None and (
+        isinstance(deadline_ms, bool)
+        or not isinstance(deadline_ms, (int, float))
+        or deadline_ms < 0
+    ):
+        raise _BadRequestError('"deadline_ms" must be a non-negative number')
     deadline_s = None if deadline_ms is None else float(deadline_ms) / 1e3
     return tuple(raw_row), threshold, top_k, deadline_s
 
@@ -181,6 +191,8 @@ class HttpFrontend:
                     content_length = int(value.strip())
                 except ValueError as exc:
                     raise _BadRequestError("bad Content-Length") from exc
+        if content_length < 0:
+            raise _BadRequestError("bad Content-Length")
         if content_length > _MAX_BODY_BYTES:
             raise _BadRequestError("request body too large")
         body: dict[str, Any] = {}
@@ -209,9 +221,12 @@ class HttpFrontend:
             return 200, [], dict(server.stats())
         if method == "POST" and path == "/query":
             row, threshold, top_k, deadline_s = _parse_query_body(body)
-            matches = await server.query(
-                row, threshold=threshold, top_k=top_k, deadline_s=deadline_s
-            )
+            try:
+                matches = await server.query(
+                    row, threshold=threshold, top_k=top_k, deadline_s=deadline_s
+                )
+            except ValueError as exc:  # wrong arity, non-alphabet text, top_k < 1
+                raise _BadRequestError(str(exc)) from exc
             return 200, [], {"matches": matches}
         if method == "POST" and path == "/swap":
             bundle = body.get("bundle")

@@ -1,18 +1,18 @@
 """Engine lifecycle behind the micro-batcher (:class:`AsyncQueryServer`).
 
-The server binds a :class:`MicroBatcher` to a serving engine
-(:class:`~repro.serve.engine.QueryEngine` or
-:class:`~repro.serve.sharded.ShardedQueryEngine`) and owns everything the
-batcher deliberately does not know about:
+The server binds a :class:`MicroBatcher` to a
+:class:`~repro.serve.engine.QueryEngine` and owns everything the batcher
+deliberately does not know about:
 
 * **Off-loop execution.**  ``query_batch`` is CPU-bound (NumPy kernels
   release the GIL, but the call itself blocks); every flushed batch runs
   in a single-thread executor, so the event loop keeps admitting and
   coalescing requests while a batch executes, and engine calls stay
-  serialised (the engines' ``stats`` bookkeeping is not thread-safe).
+  serialised (the engine's ``stats`` bookkeeping is not thread-safe).
 * **Zero-downtime snapshot swap.**  :meth:`swap` opens the new bundle
   off-loop, atomically redirects new requests to it, waits for the old
-  generation's in-flight batches to drain, then closes the old engine.
+  generation's in-flight batches to drain, then closes the old engine
+  if the server opened it.
   No request is dropped, and no request mixes versions: each batch
   captures its engine generation at dispatch.
 * **Observability.**  :meth:`stats` flattens the batcher's counters and
@@ -29,103 +29,50 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Protocol
 
 from dataclasses import dataclass
 
 from repro.hamming.sketch import VerifyConfig
-from repro.perf import LogHistogram, ParallelConfig
 from repro.serve.asyncserve.batcher import BatcherConfig, Matches, MicroBatcher, Row
 from repro.serve.engine import QueryEngine, QueryResult
-from repro.serve.sharded import ShardedQueryEngine
 
 
 @dataclass(frozen=True)
 class _OpenOptions:
     """How :meth:`AsyncQueryServer.swap` re-opens bundles (same as boot)."""
 
-    parallel: ParallelConfig | None = None
     mmap_mode: str | None = "r"
     verify: VerifyConfig | None = None
 
-
-class ServingEngine(Protocol):
-    """What the server needs from an engine (both engines satisfy it)."""
-
-    stats: dict[str, float]
-    batch_time_hist: LogHistogram
-
-    @property
-    def n_indexed(self) -> int:
-        """Number of reference records served."""
-        ...
-
-    @property
-    def threshold(self) -> int:
-        """The bundle's recorded matching threshold."""
-        ...
-
-    def query_batch(
-        self,
-        rows: "list[Row]",
-        threshold: int | None = None,
-        top_k: int | None = None,
-    ) -> QueryResult:
-        """Batched threshold / top-k matching."""
-        ...
-
-
-def open_serving_engine(
-    bundle: str | Path,
-    parallel: ParallelConfig | None = None,
-    mmap_mode: str | None = "r",
-    verify: VerifyConfig | None = None,
-) -> QueryEngine | ShardedQueryEngine:
-    """Open whichever engine matches the bundle's kind.
-
-    A sharded root manifest gets a scatter-gather
-    :class:`~repro.serve.sharded.ShardedQueryEngine`; anything else is
-    served as a single snapshot bundle.  Both arrive memory-mapped.
-    """
-    from repro.core.shards import is_sharded_bundle
-
-    if is_sharded_bundle(bundle):
-        return ShardedQueryEngine.from_bundle(
-            bundle, parallel=parallel, mmap_mode=mmap_mode, verify=verify
-        )
-    return QueryEngine.from_snapshot(
-        bundle, parallel=parallel, mmap_mode=mmap_mode, verify=verify
-    )
-
-
-def _close_engine(engine: object) -> None:
-    """Release an engine's resources if it holds any (idempotent).
-
-    The sharded engine owns WAL writers and mmaps and exposes
-    ``close()``; the single-bundle engine holds only read-only mmaps
-    reclaimed by the garbage collector and has no ``close``.
-    """
-    close = getattr(engine, "close", None)
-    if callable(close):
-        close()
+    def open(self, bundle: str | Path) -> QueryEngine:
+        return QueryEngine.from_bundle(bundle, mmap_mode=self.mmap_mode, verify=self.verify)
 
 
 class _EngineSlot:
     """One engine generation with its in-flight batch accounting.
 
     ``idle`` is set exactly when ``inflight == 0``; :meth:`swap` waits on
-    the *retired* slot's event before closing its engine, so in-flight
+    the *retired* slot's event before retiring its engine, so in-flight
     batches always complete against the bundle they started on.
+    ``owned`` marks an engine the server opened itself and therefore
+    closes; one handed to the constructor stays its caller's.
     """
 
-    __slots__ = ("engine", "generation", "inflight", "idle")
+    __slots__ = ("engine", "generation", "owned", "inflight", "idle")
 
-    def __init__(self, engine: ServingEngine, generation: int):
+    def __init__(self, engine: QueryEngine, generation: int, owned: bool):
         self.engine = engine
         self.generation = generation
+        self.owned = owned
         self.inflight = 0
         self.idle = asyncio.Event()
         self.idle.set()
+
+    async def retire(self) -> None:
+        """Wait out the in-flight batches, then close an owned engine."""
+        await self.idle.wait()
+        if self.owned:
+            self.engine.close()
 
     def acquire(self) -> None:
         self.inflight += 1
@@ -140,11 +87,11 @@ class _EngineSlot:
 class AsyncQueryServer:
     """Micro-batched async serving over one engine generation at a time.
 
-    Construct with an engine (``AsyncQueryServer(engine)``) or from a
-    bundle path (:meth:`from_bundle`); either way the server owns the
-    engine and closes it.  Use as an async context manager, or call
-    :meth:`close` explicitly.  All methods must be called from one event
-    loop.
+    Construct with an engine (``AsyncQueryServer(engine)``, which stays
+    the caller's to close) or from a bundle path (:meth:`from_bundle`;
+    the server closes what it opens, here and in :meth:`swap`).  Use as
+    an async context manager, or call :meth:`close` explicitly.  All
+    methods must be called from one event loop.
 
     The in-process API is :meth:`query` (single row in, matches out) —
     the HTTP layer in :mod:`repro.serve.asyncserve.http` is a thin
@@ -153,11 +100,12 @@ class AsyncQueryServer:
 
     def __init__(
         self,
-        engine: ServingEngine,
+        engine: QueryEngine,
         config: BatcherConfig | None = None,
         open_options: _OpenOptions | None = None,
     ):
-        self._slot = _EngineSlot(engine, generation=0)
+        # Boot options mean from_bundle() opened the engine for us.
+        self._slot = _EngineSlot(engine, generation=0, owned=open_options is not None)
         self._open = open_options or _OpenOptions()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="asyncserve"
@@ -172,26 +120,17 @@ class AsyncQueryServer:
         cls,
         bundle: str | Path,
         config: BatcherConfig | None = None,
-        parallel: ParallelConfig | None = None,
         mmap_mode: str | None = "r",
         verify: VerifyConfig | None = None,
     ) -> "AsyncQueryServer":
         """Serve a bundle path; :meth:`swap` reuses the same open options."""
-        engine = open_serving_engine(
-            bundle, parallel=parallel, mmap_mode=mmap_mode, verify=verify
-        )
-        return cls(
-            engine,
-            config=config,
-            open_options=_OpenOptions(
-                parallel=parallel, mmap_mode=mmap_mode, verify=verify
-            ),
-        )
+        options = _OpenOptions(mmap_mode=mmap_mode, verify=verify)
+        return cls(options.open(bundle), config=config, open_options=options)
 
     # -- serving -----------------------------------------------------------------
 
     @property
-    def engine(self) -> ServingEngine:
+    def engine(self) -> QueryEngine:
         """The engine currently answering new requests."""
         return self._slot.engine
 
@@ -246,26 +185,17 @@ class AsyncQueryServer:
 
         Opens ``bundle`` in a side thread (serving continues), atomically
         routes new requests to the new engine, then drains and closes the
-        retired one.  In-flight requests complete on the bundle they were
+        retired one (if the server opened it).  In-flight requests complete on the bundle they were
         dispatched against — no request is dropped or answered by a mix
         of versions.  Returns the new generation number.
         """
         if self._closed:
             raise RuntimeError("server is closed")
-        engine = await asyncio.to_thread(
-            partial(
-                open_serving_engine,
-                bundle,
-                parallel=self._open.parallel,
-                mmap_mode=self._open.mmap_mode,
-                verify=self._open.verify,
-            )
-        )
+        engine = await asyncio.to_thread(self._open.open, bundle)
         retired = self._slot
-        self._slot = _EngineSlot(engine, retired.generation + 1)
+        self._slot = _EngineSlot(engine, retired.generation + 1, owned=True)
         self._n_swaps += 1
-        await retired.idle.wait()
-        _close_engine(retired.engine)
+        await retired.retire()
         return self._slot.generation
 
     # -- observability -----------------------------------------------------------
@@ -306,13 +236,12 @@ class AsyncQueryServer:
     # -- lifecycle ---------------------------------------------------------------
 
     async def close(self) -> None:
-        """Drain the batcher, close the engine, stop the executor."""
+        """Drain the batcher, retire the engine, stop the executor."""
         if self._closed:
             return
         self._closed = True
         await self._batcher.close()
-        await self._slot.idle.wait()
-        _close_engine(self._slot.engine)
+        await self._slot.retire()
         self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncQueryServer":

@@ -1,22 +1,34 @@
-"""Snapshot-backed batched query serving (:class:`QueryEngine`).
+"""Batched query serving over an index bundle (:class:`QueryEngine`).
 
 The serving story for the paper's real-time setting: index the reference
-dataset once, persist it as a snapshot bundle
-(:func:`repro.core.persist.save_index_snapshot`), then answer batched
-threshold / top-k queries against the loaded bundle at high throughput.
+dataset once, persist it, then answer batched threshold / top-k queries
+against the attached bundle at high throughput.  There is one engine
+over :class:`repro.core.shards.ShardedIndex`, and two on-disk layouts
+behind it: a plain single-index bundle
+(:func:`repro.core.persist.save_index_snapshot`) served read-only as one
+shard, and an ``N``-shard bundle with durable online ingest.
 
-Parallel fan-out never pickles the index per task.  Each worker process
-runs :func:`_init_query_worker` exactly once: for an on-disk engine the
-initializer re-opens the bundle with ``numpy.load(..., mmap_mode="r")``,
-so every worker shares the same page-cache copy of the packed words and
-bucket arrays; for a never-persisted in-memory engine the snapshot object
-ships once per worker through the initializer arguments instead.  Query
-rows — the only per-task payload — are tiny.
+A batch is embedded **once**, its blocking keys are sorted once (all
+shards share one set of sampled positions), every shard is scanned
+inline by :func:`repro.hamming.query.batch_query`, and the per-shard
+results are merged deterministically.  Nothing fans out to a worker
+pool: building one per call cost 8–64x the scan it parallelised (see
+``docs/serving.md``).
 
-Sharding uses :meth:`repro.perf.ParallelConfig.shard_ranges`, and the
-batch kernel (:func:`repro.hamming.query.batch_query`) is deterministic
-per shard, so results are byte-identical for every ``n_jobs``, backend
-and start method.
+**Why the merge is byte-identical to a single index.**  Every record
+lives in exactly one shard and keeps its global id, and all shards share
+one set of sampled LSH positions, so a record's candidacy for a query is
+unchanged by sharding.  Threshold mode re-sorts the concatenated matches
+by ``(query, id)`` — the single-shard order.  Top-k mode asks each shard
+for its own top-k (a superset of the global winners: any globally kept
+match has fewer than ``k`` better matches even within its shard), then
+re-sorts the union by ``(query, distance, id)`` and cuts each query
+segment to ``k`` — the exact composite-sort-and-cut
+:func:`repro.hamming.query.batch_query` performs.  Within a shard local
+row order follows global-id order (ids are assigned monotonically), so
+per-shard tie-breaks already agree with the global ``(distance, id)``
+rule; shard number never decides.  One shard's output is therefore
+already the merged order, and the merge is skipped.
 """
 
 from __future__ import annotations
@@ -25,66 +37,20 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from repro.core.config import DEFAULT_DELTA, DEFAULT_K
 from repro.core.encoder import RecordEncoder
-from repro.core.persist import IndexSnapshot, load_index_snapshot, save_index_snapshot
-from repro.hamming.lsh import HammingLSH
-from repro.hamming.query import batch_query, group_matches
+from repro.core.shards import ShardedIndex
+from repro.hamming.query import batch_query, first_per_query, group_matches
 from repro.hamming.sketch import VerifyConfig, reject_rate
-from repro.perf import LogHistogram, ParallelConfig, parallel_map
+from repro.perf import LogHistogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Per-process worker state, set exactly once by :func:`_init_query_worker`.
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_query_worker(source: str | IndexSnapshot, mmap_mode: str | None) -> None:
-    """Attach the index in a pool worker (runs once per worker process).
-
-    ``source`` is the bundle path for persisted engines — each worker
-    memory-maps the read-only payloads itself, nothing is pickled — or
-    the :class:`IndexSnapshot` object for in-memory engines, shipped
-    once per worker rather than once per task.
-    """
-    if isinstance(source, IndexSnapshot):
-        _WORKER_STATE["snapshot"] = source
-    else:
-        _WORKER_STATE["snapshot"] = load_index_snapshot(source, mmap_mode=mmap_mode)
-
-
-def _query_shard(
-    task: tuple[list[tuple[str, ...]], int, int | None, VerifyConfig | None],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
-    """Answer one contiguous shard of query rows against the attached index.
-
-    Returns the shard's grouped match arrays plus its counters: prefilter
-    tiers when the sketch prefilter is on, and the shard's wall-clock
-    ``time_embed_s`` / ``time_query_s`` — workers stay pure, the engine
-    merges counters additively.
-    """
-    rows, threshold, top_k, verify = task
-    snapshot: IndexSnapshot = _WORKER_STATE["snapshot"]
-    started = time.perf_counter()
-    matrix_b = snapshot.encoder.encode_dataset(rows)
-    embedded = time.perf_counter()
-    counters: dict[str, float] = {}
-    queries, ids, distances = batch_query(
-        snapshot.lsh,
-        snapshot.matrix.words,
-        matrix_b,
-        threshold=threshold,
-        top_k=top_k,
-        verify=verify,
-        counters=counters,
-    )
-    counters["time_embed_s"] = embedded - started
-    counters["time_query_s"] = time.perf_counter() - embedded
-    return queries, ids, distances, counters
+#: One shard's ``(queries, global ids, distances)`` for a batch.
+_Part = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def fold_counters(stats: dict[str, float], counters: dict[str, float]) -> None:
@@ -99,6 +65,28 @@ def fold_counters(stats: dict[str, float], counters: dict[str, float]) -> None:
             stats[key] = stats.get(key, 0.0) + value
     if "pairs_prefiltered" in stats:
         stats["prefilter_reject_rate"] = reject_rate(stats)
+
+
+def _merge_shard_parts(parts: Sequence[_Part], top_k: int | None) -> _Part:
+    """Deterministic gather: single-shard ordering over the shard union.
+
+    Global ids are unique across shards, so the two-key (threshold) and
+    three-key (top-k) lexicographic sorts below have no ties left for the
+    shard number to break — the merged arrays are byte-identical to one
+    :func:`~repro.hamming.query.batch_query` over the unsharded index.
+    """
+    queries = np.concatenate([part[0] for part in parts])
+    gids = np.concatenate([part[1] for part in parts])
+    distances = np.concatenate([part[2] for part in parts])
+    if queries.size == 0:
+        return _EMPTY, _EMPTY, _EMPTY
+    if top_k is None:
+        order = np.lexsort((gids, queries))
+        return queries[order], gids[order], distances[order]
+    order = np.lexsort((gids, distances, queries))
+    queries, gids, distances = queries[order], gids[order], distances[order]
+    head = first_per_query(queries, top_k)
+    return queries[head], gids[head], distances[head]
 
 
 @dataclass(frozen=True)
@@ -126,13 +114,20 @@ class QueryResult:
 
 
 class QueryEngine:
-    """Batched threshold / top-k queries against a loaded index snapshot.
+    """Batched threshold / top-k queries against an attached index.
 
-    Construct with :meth:`from_snapshot` (serve a persisted bundle,
-    zero-copy via ``mmap``) or :meth:`build` (index rows in memory, e.g.
-    before a first :meth:`save`).  ``parallel`` shards query batches over
-    worker processes or threads; results are byte-identical for every
-    configuration.
+    Construct with :meth:`from_bundle` (serve a persisted bundle of
+    either layout: payloads memory-mapped, a sharded bundle's WAL
+    replayed) or :meth:`build` (index rows in memory, e.g. before a
+    first :meth:`save`).  Results are byte-identical for every layout
+    and shard count.
+
+    Beyond querying, the engine fronts a sharded bundle's lifecycle:
+    :meth:`ingest` durably appends records (write-ahead logged, fsync'd
+    before acknowledgement), :meth:`compact` folds the accumulated
+    overlay into a new snapshot version with an atomic manifest swap.
+    On a plain bundle both raise
+    :class:`~repro.core.shards.PlainBundleError`.
 
     Examples
     --------
@@ -146,48 +141,27 @@ class QueryEngine:
     1
     """
 
-    def __init__(
-        self,
-        snapshot: IndexSnapshot,
-        parallel: ParallelConfig | None = None,
-        mmap_mode: str | None = "r",
-        verify: VerifyConfig | None = None,
-    ):
-        if snapshot.threshold is None:
-            raise ValueError(
-                "snapshot records no matching threshold; pass one to "
-                "query_batch or rebuild the snapshot with a threshold"
-            )
-        self.snapshot = snapshot
-        self.parallel = parallel or ParallelConfig()
-        self._mmap_mode = mmap_mode
+    def __init__(self, index: ShardedIndex, verify: VerifyConfig | None = None):
+        self.index = index
         self.verify = verify
-        #: Counters summed over every served batch: per-stage wall-clock
-        #: accumulators (``time_embed_s``, ``time_query_s``), batch
-        #: bookkeeping (``n_batches``, ``n_queries``) and — when the
-        #: sketch prefilter is on — its tier counters
+        #: Counters summed over every served batch: wall-clock
+        #: accumulators (``time_embed_s``; ``time_query_s`` — probe plus
+        #: every shard scan, also readable as ``time_fanout_s``, the name
+        #: the sharded engine had for that interval; ``time_merge_s``),
+        #: batch bookkeeping (``n_batches``, ``n_queries``) and — when
+        #: the sketch prefilter is on — its tier counters
         #: (``pairs_prefiltered``, ``pairs_rejected_t<i>``,
         #: ``pairs_exact``, ``prefilter_reject_rate``).
         self.stats: dict[str, float] = {}
-        #: Per-batch wall-clock distribution (whole ``query_batch`` call,
-        #: embed + fan-out + merge).  The summed counters in :attr:`stats`
-        #: recover the mean; this histogram makes p50/p95/p99 derivable
-        #: offline from its :meth:`~repro.perf.LogHistogram.snapshot`.
+        #: Per-batch wall-clock distribution (whole ``query_batch`` call);
+        #: p50/p95/p99 derivable offline from its
+        #: :meth:`~repro.perf.LogHistogram.snapshot`.
         self.batch_time_hist = LogHistogram.latency()
+        #: Per-shard counters (``time_query_s`` — that shard's scan alone,
+        #: prefilter tiers), summed over every served batch.
+        self.shard_stats: list[dict[str, float]] = [{} for __ in range(index.n_shards)]
 
     # -- constructors ------------------------------------------------------------
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path: str | Path,
-        parallel: ParallelConfig | None = None,
-        mmap_mode: str | None = "r",
-        verify: VerifyConfig | None = None,
-    ) -> "QueryEngine":
-        """Serve a persisted bundle; payloads stay memory-mapped (zero-copy)."""
-        snapshot = load_index_snapshot(path, mmap_mode=mmap_mode)
-        return cls(snapshot, parallel=parallel, mmap_mode=mmap_mode, verify=verify)
 
     @classmethod
     def build(
@@ -200,63 +174,83 @@ class QueryEngine:
         n_tables: int | None = None,
         seed: int | None = None,
         max_chunk_pairs: int | None = None,
-        parallel: ParallelConfig | None = None,
         verify: VerifyConfig | None = None,
+        n_shards: int | None = None,
     ) -> "QueryEngine":
         """Index ``rows`` in memory under a calibrated ``encoder``.
 
-        The result is a never-persisted engine (``snapshot.path is
-        None``); call :meth:`save` to turn it into a bundle that
-        :meth:`from_snapshot` can serve zero-copy.
+        Without ``n_shards`` the result is a plain read-only index whose
+        :meth:`save` writes a single-index bundle; with ``n_shards >= 1``
+        the rows are partitioned by id and :meth:`save` writes a sharded
+        bundle that accepts :meth:`ingest` and :meth:`compact`.
         """
-        matrix = encoder.encode_dataset([tuple(row) for row in rows])
-        lsh = HammingLSH(
-            n_bits=encoder.total_bits,
-            k=k,
+        index = ShardedIndex.build(
+            [tuple(row) for row in rows],
+            encoder,
+            n_shards=n_shards,
             threshold=threshold,
+            k=k,
             delta=delta,
             n_tables=n_tables,
             seed=seed,
             max_chunk_pairs=max_chunk_pairs,
         )
-        lsh.index(matrix)
-        snapshot = IndexSnapshot(
-            encoder=encoder, matrix=matrix, lsh=lsh, threshold=threshold
-        )
-        return cls(snapshot, parallel=parallel, verify=verify)
+        return cls(index, verify=verify)
 
-    # -- persistence -------------------------------------------------------------
+    @classmethod
+    def from_bundle(
+        cls,
+        path: str | Path,
+        mmap_mode: str | None = "r",
+        verify: VerifyConfig | None = None,
+    ) -> "QueryEngine":
+        """Serve a persisted bundle (mmap payloads, replay a sharded WAL)."""
+        return cls(ShardedIndex.open(path, mmap_mode=mmap_mode), verify=verify)
+
+    from_snapshot = from_bundle
+
+    # -- lifecycle ---------------------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the index as a snapshot bundle and point the engine at it.
+        """Persist the index in its own layout and serve it from ``path``."""
+        return self.index.save(path)
 
-        After saving, parallel workers attach via the bundle path (mmap)
-        instead of receiving a pickled copy of the index.
+    def ingest(self, rows: Sequence[Sequence[str]]) -> list[int]:
+        """Durably append records; returns their assigned global ids.
+
+        For a persisted engine every record is written to its shard's
+        write-ahead segment and fsync'd **before** this returns — the
+        returned ids are the acknowledgement, and a crash at any moment
+        recovers to a prefix of the acknowledged stream.  Appended
+        records are immediately queryable.
         """
-        snapshot = self.snapshot
-        bundle = save_index_snapshot(
-            path,
-            snapshot.encoder,
-            snapshot.matrix,
-            snapshot.lsh,
-            threshold=snapshot.threshold,
-        )
-        self.snapshot = IndexSnapshot(
-            encoder=snapshot.encoder,
-            matrix=snapshot.matrix,
-            lsh=snapshot.lsh,
-            threshold=snapshot.threshold,
-            path=bundle,
-            manifest=snapshot.manifest,
-        )
-        return bundle
+        return self.index.append_batch([tuple(row) for row in rows])
 
-    # -- queries -----------------------------------------------------------------
+    def compact(self) -> int:
+        """Fold the ingest overlay into new shard snapshots (new version)."""
+        return self.index.compact()
+
+    def close(self) -> None:
+        """Release the bundle's write-ahead segment writers (idempotent)."""
+        self.index.close()
+
+    # -- introspection -----------------------------------------------------------
 
     @property
     def n_indexed(self) -> int:
-        """Number of reference records in the served index."""
-        return self.snapshot.n_rows
+        """Number of reference records served (including the overlay)."""
+        return self.index.n_rows
+
+    @property
+    def n_shards(self) -> int:
+        return self.index.n_shards
+
+    @property
+    def threshold(self) -> int:
+        """The bundle's recorded matching threshold."""
+        return self.index.threshold
+
+    # -- queries -----------------------------------------------------------------
 
     def query_batch(
         self,
@@ -264,18 +258,13 @@ class QueryEngine:
         threshold: int | None = None,
         top_k: int | None = None,
     ) -> QueryResult:
-        """Match a batch of query records against the served index.
+        """Match a batch of query records against every shard and merge.
 
-        ``threshold`` defaults to the one recorded in the snapshot;
+        ``threshold`` defaults to the one recorded in the bundle;
         ``top_k`` keeps at most that many closest matches per query,
-        ties broken deterministically by the smaller record id.  With
-        ``parallel.n_jobs > 1`` the batch is split into contiguous
-        shards (:meth:`~repro.perf.ParallelConfig.shard_ranges`); each
-        worker attaches the index once via the pool initializer, so only
-        the query rows travel per task.
-
-        When the engine was built with an enabled
-        :class:`~repro.hamming.sketch.VerifyConfig`, candidate
+        ties broken deterministically by the smaller record id.  Ids in
+        the result are **global** record ids.  With an enabled
+        :class:`~repro.hamming.sketch.VerifyConfig` candidate
         verification runs through the sketch prefilter (same matches,
         byte-identical) and the per-tier counters are summed into
         :attr:`stats`.
@@ -284,45 +273,45 @@ class QueryEngine:
         work = [tuple(row) for row in rows]
         if not work:
             return QueryResult(_EMPTY, _EMPTY, _EMPTY, 0)
-        call_started = time.perf_counter()
-        shards = self.parallel.shard_ranges(len(work))
-        if self.parallel.effective_jobs <= 1 or len(shards) <= 1:
-            _init_query_worker(self.snapshot, self._mmap_mode)
-            queries, ids, distances, counters = _query_shard(
-                (work, effective, top_k, self.verify)
+        started = time.perf_counter()
+        matrix_b = self.index.encoder.encode_dataset(work)
+        embedded = time.perf_counter()
+        shards = self.index.shards
+        probe = shards[0].lsh.probe(matrix_b)  # shards share one set of positions
+        parts: list[_Part] = []
+        for state, per_shard in zip(shards, self.shard_stats):
+            counters: dict[str, float] = {}
+            shard_started = time.perf_counter()
+            queries, local, distances = batch_query(
+                state.lsh,
+                state.words[: state.count],
+                matrix_b,
+                effective,
+                top_k,
+                self.verify,
+                counters,
+                probe,
             )
-            fold_counters(self.stats, counters)
-            self._account_batch(len(work), time.perf_counter() - call_started)
-            return QueryResult(queries, ids, distances, len(work))
-        source: str | IndexSnapshot = self.snapshot
-        if self.parallel.backend == "process" and self.snapshot.path is not None:
-            source = str(self.snapshot.path)
-        tasks = [(work[lo:hi], effective, top_k, self.verify) for lo, hi in shards]
-        parts = parallel_map(
-            _query_shard,
-            tasks,
-            self.parallel,
-            initializer=_init_query_worker,
-            initargs=(source, self._mmap_mode),
+            scan_s = time.perf_counter() - shard_started
+            fold_counters(self.stats, counters)  # the prefilter tiers
+            fold_counters(per_shard, {**counters, "time_query_s": scan_s})
+            parts.append((queries, state.global_ids(local), distances))
+        fanned = time.perf_counter()
+        # One shard's batch_query output is already in merged order.
+        queries, gids, distances = (
+            parts[0] if len(parts) == 1 else _merge_shard_parts(parts, top_k)
         )
-        queries = np.concatenate(
-            [part[0] + lo for part, (lo, __) in zip(parts, shards)]
+        merged = time.perf_counter()
+        fold_counters(
+            self.stats,
+            {
+                "n_batches": 1.0,
+                "n_queries": float(len(work)),
+                "time_embed_s": embedded - started,
+                "time_query_s": fanned - embedded,
+                "time_fanout_s": fanned - embedded,
+                "time_merge_s": merged - fanned,
+            },
         )
-        ids = np.concatenate([part[1] for part in parts])
-        distances = np.concatenate([part[2] for part in parts])
-        for part in parts:
-            fold_counters(self.stats, part[3])
-        self._account_batch(len(work), time.perf_counter() - call_started)
-        return QueryResult(queries, ids, distances, len(work))
-
-    def _account_batch(self, n_queries: int, elapsed_s: float) -> None:
-        """Record one served batch in the engine stats and histogram."""
-        self.stats["n_batches"] = self.stats.get("n_batches", 0.0) + 1.0
-        self.stats["n_queries"] = self.stats.get("n_queries", 0.0) + float(n_queries)
-        self.batch_time_hist.record(elapsed_s)
-
-    @property
-    def threshold(self) -> int:
-        """The snapshot's recorded matching threshold."""
-        assert self.snapshot.threshold is not None  # checked in __init__
-        return self.snapshot.threshold
+        self.batch_time_hist.record(merged - started)
+        return QueryResult(queries, gids, distances, len(work))

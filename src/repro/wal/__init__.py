@@ -1,8 +1,7 @@
 """Append-only write-ahead segments (CRC-framed, fsync'd).
 
 An import-leaf package: at module level it touches only the stdlib, so
-every layer — ``repro.core`` persistence, ``repro.serve`` — may depend
-on it freely.  See :mod:`repro.wal.segment` and ``docs/serving.md``.
+any layer may depend on it freely (today ``repro.core.shards`` does).  See :mod:`repro.wal.segment` and ``docs/serving.md``.
 """
 
 from repro.wal.segment import (

@@ -16,6 +16,8 @@ Four layers:
   see the new bundle, and nothing is dropped or version-mixed.
 * **HTTP layer** — the stdlib front-end round-trips queries, surfaces
   health/stats, and maps client errors to 400/404.
+* **Isolation** — one malformed request fails alone: the well-formed
+  requests coalesced with it get their answers.
 """
 
 import asyncio
@@ -148,7 +150,7 @@ class TestMicroBatcher:
         async def scenario():
             batcher = MicroBatcher(
                 _stub_execute(calls),
-                BatcherConfig(max_batch=8, max_wait_us=20000.0, adaptive=False),
+                BatcherConfig(max_batch=8, max_wait_us=100000.0, adaptive=False),
             )
             await asyncio.gather(
                 batcher.submit(("1",)),
@@ -471,12 +473,14 @@ class TestZeroDowntimeSwap:
 
 class TestHttpFrontend:
     @staticmethod
-    async def _request(host, port, method, path, payload=None):
+    async def _request(host, port, method, path, payload=None, content_length=None):
         reader, writer = await asyncio.open_connection(host, port)
         body = b"" if payload is None else json.dumps(payload).encode()
+        if content_length is None:
+            content_length = len(body)
         head = (
             f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
         )
         writer.write(head.encode() + body)
         await writer.drain()
@@ -626,3 +630,96 @@ class TestHttpFrontend:
         status, payload = asyncio.run(scenario())
         assert status == 504
         assert "deadline" in payload["error"]
+
+    def test_malformed_client_input_is_400(self, rows_a, encoder):
+        engine = QueryEngine.build(
+            rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED
+        )
+        row = list(rows_a[0])
+        bodies = [
+            {"row": row, "threshold": True},  # JSON true is not an integer
+            {"row": row, "top_k": True},
+            {"row": row, "threshold": -1},
+            {"row": row, "deadline_ms": -5},
+            {"row": row, "deadline_ms": True},
+            {"row": row, "top_k": 0},  # the engine's own ValueError
+            {"row": row + ["EXTRA"]},  # the encoder's
+        ]
+
+        async def scenario():
+            frontend = await serve_http(AsyncQueryServer(engine, BatcherConfig(max_batch=8)))
+            post = (frontend.host, frontend.port, "POST", "/query")
+            try:
+                answers = [await self._request(*post, body) for body in bodies]
+                answers.append(
+                    await self._request(*post, {"row": row}, content_length=-1)
+                )
+                good = await self._request(*post, {"row": row, "threshold": 0, "top_k": 1})
+            finally:
+                await frontend.stop()
+            return answers, good
+
+        answers, good = asyncio.run(scenario())
+        assert [status for status, __, __ in answers] == [400] * (len(bodies) + 1)
+        assert all(payload["error"] for __, __, payload in answers)
+        assert good[0] == 200
+
+
+class TestPoisonedBatch:
+    """Three concurrent queries, the middle one of the wrong arity."""
+
+    def test_only_the_offender_fails_in_process(self, rows_a, rows_b, encoder):
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        want = engine.query_batch([rows_b[0], rows_b[2]]).matches()
+
+        async def scenario():
+            async with AsyncQueryServer(
+                engine, BatcherConfig(max_batch=8, max_wait_us=5000.0, adaptive=False)
+            ) as server:
+                results = await asyncio.gather(
+                    server.query(rows_b[0]),
+                    server.query(rows_b[1] + ("EXTRA",)),
+                    server.query(rows_b[2]),
+                    return_exceptions=True,
+                )
+                return results, server.stats()
+
+        (first, bad, last), stats = asyncio.run(scenario())
+        assert [first, last] == want
+        assert isinstance(bad, ValueError) and "values" in str(bad)
+        assert stats["counters"]["n_batches"] == 1.0  # the three were coalesced
+        assert stats["counters"]["n_execute_errors"] == 1.0
+        assert stats["counters"]["n_completed"] == 2.0
+
+    def test_only_the_offender_gets_400_over_http(self, rows_a, rows_b, encoder):
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        want = engine.query_batch([rows_b[0], rows_b[2]]).matches()
+        rows = [list(rows_b[0]), list(rows_b[1]) + ["EXTRA"], list(rows_b[2])]
+
+        async def scenario():
+            frontend = await serve_http(
+                AsyncQueryServer(
+                    engine, BatcherConfig(max_batch=8, max_wait_us=100000.0, adaptive=False)
+                )
+            )
+            try:
+                answers = await asyncio.gather(
+                    *[
+                        TestHttpFrontend._request(
+                            frontend.host, frontend.port, "POST", "/query", {"row": row}
+                        )
+                        for row in rows
+                    ]
+                )
+                stats = frontend.server.stats()
+            finally:
+                await frontend.stop()
+            return answers, stats
+
+        answers, stats = asyncio.run(scenario())
+        assert [status for status, __, __ in answers] == [200, 400, 200]
+        assert [answers[0][2]["matches"], answers[2][2]["matches"]] == [
+            [list(m) for m in matches] for matches in want
+        ]
+        assert "values" in answers[1][2]["error"]
+        assert stats["counters"]["n_batches"] == 1.0  # the three were coalesced

@@ -1047,24 +1047,21 @@ class TestSeededBugs:
 
     def test_rl204_swallowed_snapshot_error(self):
         findings = self._mutate(
-            "src/repro/serve/engine.py",
-            "        snapshot = load_index_snapshot(path, mmap_mode=mmap_mode)\n"
-            "        return cls(snapshot, parallel=parallel, mmap_mode=mmap_mode, "
-            "verify=verify)",
-            "        try:\n"
-            "            snapshot = load_index_snapshot(path, mmap_mode=mmap_mode)\n"
-            "        except Exception:\n"
-            "            snapshot = None\n"
-            "        return cls(snapshot, parallel=parallel, mmap_mode=mmap_mode, "
-            "verify=verify)",
+            "src/repro/core/shards.py",
+            "            return cls.single(load_index_snapshot(root, mmap_mode=mmap_mode))",
+            "            try:\n"
+            "                snapshot = load_index_snapshot(root, mmap_mode=mmap_mode)\n"
+            "            except Exception:\n"
+            "                snapshot = None\n"
+            "            return cls.single(snapshot)",
         )
         assert "RL204" in rule_ids(findings)
 
     def test_rl205_lambda_initializer_in_engine(self):
         findings = self._mutate(
-            "src/repro/serve/engine.py",
-            "initializer=_init_query_worker,",
-            "initializer=lambda s, m: None,",
+            "src/repro/pipeline/stages.py",
+            "initializer=_init_verify_worker,",
+            "initializer=lambda a, b: None,",
         )
         assert "RL205" in rule_ids(findings)
 

@@ -883,13 +883,12 @@ class TestSeededBugsInRealSources:
         mutate(
             root / "src/repro/cli.py",
             "    started = time.perf_counter()\n"
-            "    gids = engine.ingest(list(value_rows(dataset)))\n"
-            "    elapsed = time.perf_counter() - started\n"
-            "    engine.close()\n",
+            "    try:\n"
+            "        gids = engine.ingest(list(value_rows(dataset)))\n",
             "    started = time.perf_counter()\n"
             "    engine.close()\n"
-            "    gids = engine.ingest(list(value_rows(dataset)))\n"
-            "    elapsed = time.perf_counter() - started\n",
+            "    try:\n"
+            "        gids = engine.ingest(list(value_rows(dataset)))\n",
         )
         findings = lint_real(root, "RL303")
         assert rule_ids(findings) == ["RL303"]
@@ -898,23 +897,30 @@ class TestSeededBugsInRealSources:
 
     def test_rl304_rng_in_worker_reached_kernel(self, tmp_path):
         root = copy_real_tree(tmp_path)
-        query = root / "src/repro/hamming/query.py"
-        text = query.read_text()
-        anchor = "def batch_query("
-        assert anchor in text
-        insert_at = text.index("\n", text.index(") ->", text.index(anchor)))
-        # Drop a process-global RNG draw into the kernel both serve-layer
-        # parallel workers reach through the call graph (inserted right
-        # after the signature, before the docstring).
-        query.write_text(
-            text[: insert_at + 1]
-            + "    _jitter = np.random.random()\n"
-            + text[insert_at + 1 :]
+        stages = root / "src/repro/pipeline/stages.py"
+        # The verify worker's plain sweep moves into a helper that draws
+        # from the process-global RNG: RL103 sees a clean worker, RL304
+        # follows the call.
+        mutate(
+            stages,
+            '    xor = _VERIFY_STATE["a"][rows_a] ^ _VERIFY_STATE["b"][rows_b]\n',
+            '    xor = _sampled_xor(_VERIFY_STATE["a"][rows_a], _VERIFY_STATE["b"][rows_b])\n',
+        )
+        stages.write_text(
+            stages.read_text()
+            + textwrap.dedent(
+                """
+
+                def _sampled_xor(words_a, words_b):
+                    _jitter = np.random.random()
+                    return words_a ^ words_b
+                """
+            )
         )
         findings = lint_real(root, "RL304")
         assert set(rule_ids(findings)) == {"RL304"}
-        assert any("batch_query" in f.message for f in findings)
-        assert any(f.path.endswith("serve/sharded.py") for f in findings)
+        assert any("_sampled_xor" in f.message for f in findings)
+        assert all(f.path.endswith("pipeline/stages.py") for f in findings)
 
     def test_rl305_helper_returned_handle_leaked(self, tmp_path):
         root = copy_real_tree(tmp_path)

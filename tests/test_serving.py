@@ -8,18 +8,20 @@ Three layers of the serving story:
 * corrupt or stale bundles fail loudly with :class:`SnapshotError`, never
   with silently wrong candidates;
 * :class:`repro.serve.QueryEngine` answers batched threshold / top-k
-  queries byte-identically for every ``n_jobs`` / backend / start-method
-  configuration, including the golden-parity fixture.
+  queries byte-identically for every bundle layout, shard count and
+  batch size — the per-record :class:`StreamingLinker` is the reference —
+  including the golden-parity fixture.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.core.persist import (
-    IndexSnapshot,
     SnapshotError,
     encoder_fingerprint,
     load_index_snapshot,
@@ -28,6 +30,7 @@ from repro.core.persist import (
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.core.encoder import RecordEncoder
 from repro.data.generators import EXPERIMENT_SCHEME
+from repro.core.shards import PlainBundleError, ShardedIndex
 from repro.hamming.lsh import HammingLSH
 from repro.perf import ParallelConfig
 from repro.pipeline import (
@@ -192,6 +195,15 @@ def _arrays(result):
     return result.queries, result.ids, result.distances
 
 
+def _tree_digests(root):
+    """``{relative path: SHA-256}`` of every file under ``root``."""
+    return {
+        str(file.relative_to(root)): hashlib.sha256(file.read_bytes()).hexdigest()
+        for file in sorted(root.rglob("*"))
+        if file.is_file()
+    }
+
+
 def _assert_identical(left, right):
     assert all(np.array_equal(a, b) for a, b in zip(_arrays(left), _arrays(right)))
 
@@ -218,79 +230,138 @@ class TestQueryEngine:
     def test_save_load_identical(self, tmp_path, engine, rows_b):
         reference = engine.query_batch(rows_b)
         bundle = engine.save(tmp_path / "idx")
-        assert engine.snapshot.path == bundle
+        assert engine.index.path == bundle
         loaded = QueryEngine.from_snapshot(bundle)
         _assert_identical(reference, loaded.query_batch(rows_b))
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ParallelConfig(n_jobs=2, backend="process"),
-            ParallelConfig(n_jobs=2, backend="thread"),
-            ParallelConfig(n_jobs=3, chunk_size=17),
-        ],
-        ids=["process", "thread", "chunked"],
-    )
-    def test_parallel_identical(self, tmp_path, engine, rows_b, config):
-        reference = engine.query_batch(rows_b)
-        bundle = engine.save(tmp_path / "idx")
-        parallel = QueryEngine.from_snapshot(bundle, parallel=config)
-        _assert_identical(reference, parallel.query_batch(rows_b))
-        _assert_identical(
-            engine.query_batch(rows_b, top_k=1),
-            parallel.query_batch(rows_b, top_k=1),
+    def test_save_writes_the_plain_snapshot_layout_byte_for_byte(
+        self, tmp_path, encoder, rows_a
+    ):
+        """Same file names, same SHA-256s as save_index_snapshot (format_version 1)."""
+        matrix, lsh = _build_index(encoder, rows_a)
+        want = save_index_snapshot(tmp_path / "want", encoder, matrix, lsh, threshold=4)
+        got = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED).save(
+            tmp_path / "got"
         )
+        assert _tree_digests(got) == _tree_digests(want)
+        assert json.loads((got / "manifest.json").read_text())["format_version"] == 1
 
-    def test_in_memory_parallel_ships_snapshot_once(self, engine, rows_b):
-        """A never-persisted engine still fans out (snapshot via initargs)."""
-        reference = engine.query_batch(rows_b)
-        snapshot = IndexSnapshot(
-            encoder=engine.snapshot.encoder,
-            matrix=engine.snapshot.matrix,
-            lsh=engine.snapshot.lsh,
-            threshold=engine.snapshot.threshold,
-        )
-        parallel = QueryEngine(
-            snapshot, parallel=ParallelConfig(n_jobs=2, backend="process")
-        )
-        assert parallel.snapshot.path is None
-        _assert_identical(reference, parallel.query_batch(rows_b))
+    def test_plain_bundle_refuses_ingest_and_compact_untouched(
+        self, tmp_path, encoder, rows_a
+    ):
+        """No WAL, so nothing may be acknowledged: one typed error, no write."""
+        built = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
+        with pytest.raises(PlainBundleError, match="in-memory index is not a sharded bundle"):
+            built.ingest([rows_a[0]])
+        bundle = built.save(tmp_path / "idx")
+        before = _tree_digests(bundle), sorted(bundle.iterdir())
+        engine = QueryEngine.from_bundle(bundle)
+        with pytest.raises(PlainBundleError, match="idx is not a sharded bundle; online ingest"):
+            engine.ingest([rows_a[0]])
+        with pytest.raises(PlainBundleError, match="idx is not a sharded bundle; nothing to compact"):
+            engine.compact()
+        engine.close()
+        assert engine.n_indexed == len(rows_a)
+        assert (_tree_digests(bundle), sorted(bundle.iterdir())) == before
 
     def test_threshold_override_and_empty_batch(self, engine, rows_b):
         assert engine.query_batch([]).n_queries == 0
-        loose = engine.query_batch(rows_b, threshold=engine.snapshot.lsh.n_bits)
+        loose = engine.query_batch(rows_b, threshold=engine.index.n_bits)
         strict = engine.query_batch(rows_b, threshold=0)
         assert loose.n_matches >= engine.query_batch(rows_b).n_matches >= strict.n_matches
 
     def test_rejects_thresholdless_snapshot(self, engine):
-        snapshot = IndexSnapshot(
-            encoder=engine.snapshot.encoder,
-            matrix=engine.snapshot.matrix,
-            lsh=engine.snapshot.lsh,
-            threshold=None,
-        )
+        snapshot = replace(engine.index.merged(), threshold=None)
         with pytest.raises(ValueError, match="threshold"):
-            QueryEngine(snapshot)
+            QueryEngine(ShardedIndex.single(snapshot))
 
     def test_rejects_bad_top_k(self, engine, rows_b):
         with pytest.raises(ValueError, match="top_k"):
             engine.query_batch(rows_b, top_k=0)
 
 
+#: Every way the one engine can hold the same 150 records.
+LAYOUTS = (
+    "memory-plain",
+    "saved-plain",
+    "memory-1",
+    "memory-2",
+    "memory-4",
+    "saved-1",
+    "saved-2",
+    "saved-4",
+    "overlay-4",
+    "replayed-4",
+)
+
+
+class TestOneEngineParity:
+    """Layout x mode x batch size: the per-record StreamingLinker is the
+    reference, and every layout returns the same arrays as the plain
+    in-memory engine."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, rows_b):
+        return [rows_b[i % len(rows_b)] for i in range(1024)]
+
+    @pytest.fixture(scope="class")
+    def reference(self, encoder, rows_a, stream):
+        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
+        for values in rows_a:
+            streaming.insert(values)
+        # Threshold mode is ordered by record id; the per-record query is not.
+        answers = {None: [sorted(streaming.query(values)) for values in stream]}
+        for top_k in (1, 5):
+            answers[top_k] = [streaming.query(values, top_k=top_k) for values in stream]
+        return answers
+
+    @pytest.fixture(scope="class")
+    def engines(self, tmp_path_factory, encoder, rows_a):
+        root = tmp_path_factory.mktemp("layouts")
+
+        def build(rows, n_shards=None):
+            return QueryEngine.build(
+                rows, encoder, threshold=4, k=30, seed=SEED, n_shards=n_shards
+            )
+
+        out = {"memory-plain": build(rows_a)}
+        out["saved-plain"] = QueryEngine.from_snapshot(build(rows_a).save(root / "plain"))
+        for n_shards in (1, 2, 4):
+            out[f"memory-{n_shards}"] = build(rows_a, n_shards)
+            out[f"saved-{n_shards}"] = QueryEngine.from_bundle(
+                build(rows_a, n_shards).save(root / f"sharded{n_shards}")
+            )
+        overlay = build(rows_a[:100], 4)
+        overlay.save(root / "overlay")
+        overlay.ingest(rows_a[100:])
+        assert overlay.index.overlay_rows == len(rows_a) - 100
+        out["overlay-4"] = overlay
+        logged = build(rows_a[:100], 4)
+        bundle = logged.save(root / "replayed")
+        logged.ingest(rows_a[100:])
+        logged.close()
+        out["replayed-4"] = QueryEngine.from_bundle(bundle)
+        assert out["replayed-4"].index.counters["wal_replayed_records"] == len(rows_a) - 100
+        yield out
+        for engine in out.values():
+            engine.close()
+
+    @pytest.mark.parametrize("batch", [0, 1, 64, 1024])
+    @pytest.mark.parametrize("top_k", [None, 1, 5])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_mode_batch(self, engines, reference, stream, layout, top_k, batch):
+        got = engines[layout].query_batch(stream[:batch], top_k=top_k)
+        assert got.n_queries == batch
+        assert got.matches() == reference[top_k][:batch]
+        want = engines["memory-plain"].query_batch(stream[:batch], top_k=top_k)
+        for a, b in zip(_arrays(got), _arrays(want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestSpawnStartMethod:
     """The process backend must be spawn-safe (regression for the
     initializer/initargs plumbing: everything shipped to workers is
     module-level and picklable)."""
-
-    def test_query_engine_identical_under_spawn(self, tmp_path, encoder, rows_a, rows_b):
-        engine = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
-        reference = engine.query_batch(rows_b)
-        bundle = engine.save(tmp_path / "idx")
-        spawned = QueryEngine.from_snapshot(
-            bundle,
-            parallel=ParallelConfig(n_jobs=2, backend="process", start_method="spawn"),
-        )
-        _assert_identical(reference, spawned.query_batch(rows_b))
 
     def test_linker_identical_under_spawn(self, problem):
         serial = CompactHammingLinker.record_level(threshold=4, k=30, seed=SEED)
@@ -308,8 +379,6 @@ class TestSpawnStartMethod:
     def test_start_method_validated(self):
         with pytest.raises(ValueError, match="start_method"):
             ParallelConfig(start_method="teleport")
-        with pytest.raises(ValueError, match="initializer"):
-            ParallelConfig(initargs=(1,))
 
 
 class TestLoadSnapshotStage:

@@ -1,11 +1,12 @@
-"""Tests for sharded bundles (repro.core.shards) and scatter-gather serving.
+"""Tests for sharded bundles (repro.core.shards) and serving over them.
 
 Four contracts:
 
-* **Parity** — ``ShardedQueryEngine`` returns byte-identical threshold
-  and top-k results to the single-shard ``QueryEngine`` for every
-  ``n_shards``, in memory, from a persisted bundle, and under process
-  fan-out; the merged global view serves the committed golden matches.
+* **Parity** — the engine over ``n_shards`` shards returns byte-identical
+  threshold and top-k results to the plain one-shard index, in memory
+  and from a persisted bundle (the full layout x mode x batch-size grid
+  is ``test_serving.TestOneEngineParity``); the merged global view
+  serves the committed golden matches.
 * **Durability** — an acknowledged ``ingest`` survives any crash: WAL
   replay on open restores exactly the acknowledged records, torn tails
   (kill between append and fsync) replay to the durable prefix, and
@@ -32,7 +33,6 @@ from repro.core.persist import (
 from repro.core.shards import (
     ShardedIndex,
     _wal_payload,
-    is_sharded_bundle,
     shard_of_id,
     shards_of_ids,
     wal_name,
@@ -41,7 +41,6 @@ from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.data.io import write_dataset
 from repro.hamming.sketch import VerifyConfig
-from repro.perf import ParallelConfig
 from repro.pipeline import (
     ChunkedCandidateStage,
     LoadSnapshotStage,
@@ -51,7 +50,7 @@ from repro.pipeline import (
 from repro.pipeline.runner import LinkagePipeline
 from repro.hamming.query import batch_query
 from repro.serve import QueryEngine, ShardedQueryEngine
-from repro.serve.sharded import _merge_shard_parts
+from repro.serve.engine import _merge_shard_parts
 from repro.wal import frame, replay_segment
 from tests.golden_linkers import (
     GOLDEN_PATH,
@@ -151,13 +150,11 @@ class TestShardedParity:
         )
         bundle = sharded.save(tmp_path / "idx")
         _assert_identical(reference.query_batch(rows_b), sharded.query_batch(rows_b))
-        parallel = ShardedQueryEngine.from_bundle(
-            bundle, parallel=ParallelConfig(n_jobs=2, backend="process")
-        )
-        _assert_identical(reference.query_batch(rows_b), parallel.query_batch(rows_b))
+        reopened = ShardedQueryEngine.from_bundle(bundle)
+        _assert_identical(reference.query_batch(rows_b), reopened.query_batch(rows_b))
         _assert_identical(
             reference.query_batch(rows_b, top_k=3),
-            parallel.query_batch(rows_b, top_k=3),
+            reopened.query_batch(rows_b, top_k=3),
         )
 
     def test_prefilter_parity(self, reference, encoder, rows_a, rows_b):
@@ -168,18 +165,6 @@ class TestShardedParity:
         _assert_identical(reference.query_batch(rows_b), sharded.query_batch(rows_b))
         assert sharded.stats["pairs_prefiltered"] > 0
         assert 0.0 <= sharded.stats["prefilter_reject_rate"] <= 1.0
-
-    def test_thread_backend_parity(self, reference, encoder, rows_a, rows_b):
-        sharded = ShardedQueryEngine.build(
-            rows_a,
-            encoder,
-            n_shards=4,
-            threshold=4,
-            k=30,
-            seed=SEED,
-            parallel=ParallelConfig(n_jobs=2, backend="thread"),
-        )
-        _assert_identical(reference.query_batch(rows_b), sharded.query_batch(rows_b))
 
     @pytest.mark.parametrize("overlay", [False, True], ids=["clean", "overlay"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -192,9 +177,6 @@ class TestShardedParity:
         )
         if overlay:
             engine.ingest(rows_a[100:])
-        pooled = ShardedQueryEngine(
-            engine.index, ParallelConfig(n_jobs=2, backend="thread"), serial_batch_limit=None
-        )
         matrix_b = encoder.encode_dataset(rows_b)
         for top_k in (None, 2):
             parts = []
@@ -202,13 +184,12 @@ class TestShardedParity:
                 queries, local, distances = batch_query(
                     state.lsh, state.words[: state.count], matrix_b, threshold=4, top_k=top_k
                 )
-                parts.append((queries, state.row_ids[: state.count][local], distances, {}))
+                parts.append((queries, state.row_ids[: state.count][local], distances))
             want = _merge_shard_parts(parts, top_k)
             assert want[0].size > 0
-            for served in (engine, pooled):
-                got = served.query_batch(rows_b, top_k=top_k)
-                for a, b in zip(_arrays(got), want):
-                    assert np.array_equal(a, b)
+            got = engine.query_batch(rows_b, top_k=top_k)
+            for a, b in zip(_arrays(got), want):
+                assert np.array_equal(a, b)
 
     def test_empty_batch_and_threshold_override(self, encoder, rows_a, rows_b):
         sharded = ShardedQueryEngine.build(
@@ -291,21 +272,6 @@ class TestDurableIngest:
         engine.ingest(rows_a[-3:])
         rebuilt = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
         _assert_identical(rebuilt.query_batch(rows_b), engine.query_batch(rows_b))
-
-    def test_parallel_serving_sees_acknowledged_ingest(
-        self, tmp_path, encoder, rows_a, rows_b
-    ):
-        """Pool workers attach via the bundle path and replay the WAL."""
-        engine = ShardedQueryEngine.from_bundle(
-            ShardedQueryEngine.build(
-                rows_a[:-5], encoder, n_shards=2, threshold=4, k=30, seed=SEED
-            ).save(tmp_path / "idx"),
-            parallel=ParallelConfig(n_jobs=2, backend="process"),
-        )
-        engine.ingest(rows_a[-5:])
-        rebuilt = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
-        _assert_identical(rebuilt.query_batch(rows_b), engine.query_batch(rows_b))
-
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_overlay_equals_compacted_equals_fresh_build(
@@ -505,16 +471,25 @@ class TestStaleManifests:
             rows_a, encoder, n_shards=2, threshold=4, k=30, seed=SEED
         ).save(tmp_path / "idx")
 
-    def test_kind_guards_both_loaders(self, tmp_path, bundle, encoder, rows_a):
+    def test_kind_guards_both_loaders(self, tmp_path, bundle, encoder, rows_a, rows_b):
+        """The single-index loader refuses a sharded root; ``ShardedIndex.open``
+        reads the kind and serves a plain bundle as one read-only shard."""
         with pytest.raises(SnapshotError, match="sharded"):
             load_index_snapshot(bundle)
         single = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
         single_bundle = single.save(tmp_path / "single")
-        with pytest.raises(SnapshotError, match="not a sharded index"):
-            ShardedIndex.open(single_bundle).close()
-        assert is_sharded_bundle(bundle)
-        assert not is_sharded_bundle(single_bundle)
-        assert not is_sharded_bundle(tmp_path / "absent")
+        with ShardedIndex.open(single_bundle) as plain:
+            assert plain.n_shards == 1 and plain.shards[0].row_ids is None
+            assert plain.n_rows == len(rows_a) and plain.overlay_rows == 0
+            assert plain.merged().path == single_bundle
+            _assert_identical(
+                single.query_batch(rows_b), QueryEngine(plain).query_batch(rows_b)
+            )
+        assert not (single_bundle / "wal").exists()
+        with ShardedIndex.open(bundle) as sharded:
+            assert sharded.n_shards == 2 and sharded.shards[0].row_ids is not None
+        with pytest.raises(SnapshotError, match="manifest"):
+            ShardedIndex.open(tmp_path / "absent").close()
 
     def test_stale_shard_row_count(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
@@ -626,37 +601,7 @@ class TestServingStats:
 
 
 class TestSerialSmallBatchPath:
-    """Satellite: small batches skip fan-out machinery but stay identical."""
-
-    def test_small_batch_takes_serial_path_with_identical_results(
-        self, reference, encoder, rows_a, rows_b
-    ):
-        parallel = ParallelConfig(n_jobs=2, backend="thread")
-        serial = ShardedQueryEngine.build(
-            rows_a, encoder, n_shards=3, threshold=4, k=30, seed=SEED,
-            parallel=parallel,
-        )
-        fanout = ShardedQueryEngine.build(
-            rows_a, encoder, n_shards=3, threshold=4, k=30, seed=SEED,
-            parallel=parallel, serial_batch_limit=None,
-        )
-        small = rows_b[:6]  # 6 * 3 shards = 18 tasks, far under the limit
-        _assert_identical(serial.query_batch(small), fanout.query_batch(small))
-        _assert_identical(reference.query_batch(small), serial.query_batch(small))
-        assert serial.stats["n_serial_batches"] == 2.0
-        assert "n_serial_batches" not in fanout.stats
-
-    def test_limit_decides_per_batch(self, encoder, rows_a, rows_b):
-        engine = ShardedQueryEngine.build(
-            rows_a, encoder, n_shards=3, threshold=4, k=30, seed=SEED,
-            parallel=ParallelConfig(n_jobs=2, backend="thread"),
-            serial_batch_limit=8,
-        )
-        engine.query_batch(rows_b[:2])  # 2 * 3 = 6 <= 8: serial
-        assert engine.stats["n_serial_batches"] == 1.0
-        engine.query_batch(rows_b)  # 150 * 3 = 450 > 8: fans out
-        assert engine.stats["n_serial_batches"] == 1.0
-        assert engine.stats["n_batches"] == 2.0
+    """Every batch, small or large, is one entry in the batch-time histogram."""
 
     def test_batch_time_histogram_records_every_batch(
         self, encoder, rows_a, rows_b
@@ -691,14 +636,12 @@ class TestShardedCLI:
         base = ["index", "build", str(ref), "--threshold", "4", "--seed", "7"]
         assert main(base + ["-o", str(single)]) == 0
         assert main(base + ["-o", str(sharded), "--shards", "3"]) == 0
-        assert is_sharded_bundle(sharded) and not is_sharded_bundle(single)
+        assert (sharded / "shards").is_dir() and (single / "words.npy").is_file()
 
         out_single, out_sharded = tmp_path / "m1.csv", tmp_path / "m2.csv"
         query = ["index", "query", "--top-k", "2"]
         assert main(query + [str(single), str(ref), "-o", str(out_single)]) == 0
-        assert main(
-            query + [str(sharded), str(ref), "-o", str(out_sharded), "--n-jobs", "2"]
-        ) == 0
+        assert main(query + [str(sharded), str(ref), "-o", str(out_sharded)]) == 0
         assert out_single.read_text() == out_sharded.read_text()
 
         assert main(["index", "ingest", str(sharded), str(extra)]) == 0
