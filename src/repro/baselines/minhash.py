@@ -224,7 +224,7 @@ class MinHashCandidateStage(CandidateStage):
                 if ids_a:
                     parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
         if parts:
-            encoded = sorted_unique(parts)
+            encoded = sorted_unique(np.concatenate(parts))
             ctx.cand_a, ctx.cand_b = encoded // n_b, encoded % n_b
         else:
             empty = np.empty(0, dtype=np.int64)

@@ -145,7 +145,7 @@ class EuclideanLSH:
         if not chunks:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        encoded = sorted_unique(chunks)
+        encoded = sorted_unique(np.concatenate(chunks))
         n_b = points_b.shape[0]
         return encoded // n_b, encoded % n_b
 

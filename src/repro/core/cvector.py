@@ -17,7 +17,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.qgram import QGramScheme, batch_qgram_indices
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO, optimal_cvector_size
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
+from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
 
 #: The large prime of the paper's hash family: 2^31 - 1 (a Mersenne prime).
 HASH_PRIME = 2**31 - 1
@@ -46,11 +47,12 @@ VALUE_ROW_CAPACITY = COMPACT_CACHE_SIZE
 VALUE_ROW_COLUMN_LIMIT = 1 << 5
 
 #: Distinct values tokenised, hashed and packed per pass of
-#: :func:`embed_columns`.  Sized to keep every temporary near 1 MB, which
-#: the allocator recycles; whole-column temporaries (10+ MB at 100 000
-#: records) are mapped and page-faulted afresh on every call, the least
-#: steady cost an embed can have.
-VALUE_BLOCK = 1 << 13
+#: :func:`embed_columns`.  Sized to keep every temporary under 1 MB (2 048
+#: street addresses are ~45 000 q-grams), which the allocator recycles;
+#: whole-column temporaries (10+ MB at 100 000 records) are mapped and
+#: page-faulted afresh on every call, the least steady cost an embed can
+#: have.  Embed time is flat from 2 048 to 8 192 values a pass.
+VALUE_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,12 @@ class InternedColumn:
 
 def _number_values(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The distinct values in first-occurrence order, and every record's value id."""
-    ids = {value: uid for uid, value in enumerate(dict.fromkeys(values))}
-    inverse = np.fromiter(map(ids.__getitem__, values), dtype=np.int64, count=len(values))
-    return list(ids), inverse
+    ids: dict[str, int] = {}  # value -> where it first occurs, in one pass
+    first = np.fromiter(map(ids.setdefault, values, count()), dtype=np.int64, count=len(values))
+    if len(ids) == first.size:  # all distinct (every one-record query): positions are the ids
+        return list(ids), first
+    rank = np.cumsum(first == np.arange(first.size))  # first occurrences up to and including here
+    return list(ids), rank[first] - 1
 
 
 def _tokenise(values: list[str], scheme: QGramScheme) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +247,11 @@ class CVectorEncoder:
         compute it), then ``m_opt`` follows from Theorem 1.
         """
         scheme = scheme or QGramScheme()
-        counts = [scheme.count(value) for value in sample]
-        if not counts:
+        lengths = np.fromiter(map(len, sample), dtype=np.int64)
+        if not lengths.size:
             raise ValueError("calibration sample must be non-empty")
-        b = sum(counts) / len(counts)
+        lengths += 2 * (scheme.q - 1) * scheme.padded - scheme.q + 1  # QGramScheme.count
+        b = int(np.maximum(lengths, 0).sum()) / lengths.size
         if b <= 0:
             raise ValueError("calibration sample produced no q-grams")
         m_opt = optimal_cvector_size(b, rho, r)
@@ -328,11 +334,13 @@ def embed_columns(
     """Embed parallel attribute columns into one ``n_bits``-wide matrix.
 
     Value-granular: every *distinct* value of every column is tokenised,
-    hashed and packed once into a matrix-wide word row with its bits
-    shifted by the column's bit offset, ``VALUE_BLOCK`` values at a
-    time; each record then ORs together the rows of its values — one row
-    gather per column.  With a ``store``, the rows it holds are copied
-    from there and only the rest are embedded, then remembered.
+    hashed (through ``g`` tabulated over the whole q-gram space once a
+    block is as large as that space) and packed once into a matrix-wide
+    word row with its bits shifted by the column's bit offset,
+    ``VALUE_BLOCK`` values at a time; each record then ORs together the
+    rows of its values — one blocked row gather per column.  With a
+    ``store``, the rows it holds are copied from there and only the rest
+    are embedded, then remembered.
     Returns the matrix and the number of distinct values.
     """
     numbered = [_number_values(values) for values in columns]
@@ -350,13 +358,18 @@ def embed_columns(
     fresh = np.empty((sum(map(len, todo)), (n_bits + 63) // 64), dtype=np.uint64)
     counts: list[np.ndarray] = []
     bits: list[np.ndarray] = []
+    tables: dict[int, np.ndarray] = {}  # bit offset -> g(x) + offset over the column's q-gram space
     done = 0
     for i, (enc, offset, block) in enumerate(blocks):
         flat, block_counts = _tokenise(block, enc.scheme)
-        hashed = enc.hash_fn.apply(flat)
-        hashed += offset
         counts.append(block_counts)
-        bits.append(hashed)
+        table = tables.get(offset)
+        if table is None and enc.scheme.space_size <= flat.size:  # costs no more than the block
+            table = tables[offset] = enc.hash_fn.apply(np.arange(enc.scheme.space_size)) + offset
+        if table is None:
+            bits.append(enc.hash_fn.apply(flat) + offset)
+        else:
+            bits.append(table.take(flat, mode="clip"))
         pending = sum(map(len, counts))
         if pending >= VALUE_BLOCK or i == len(blocks) - 1:  # small columns share a scatter
             rows = np.repeat(np.arange(pending), np.concatenate(counts))
@@ -364,7 +377,7 @@ def embed_columns(
                 pending, n_bits, rows, np.concatenate(bits)
             ).words
             counts, bits, done = [], [], done + pending
-    words = None
+    words = np.zeros((len(columns[0]), fresh.shape[1]), dtype=np.uint64)
     at_fresh = at_held = 0
     for attribute, ((unique, inverse), miss, values) in enumerate(zip(numbered, missing, todo)):
         table = fresh[at_fresh : at_fresh + len(values)]
@@ -376,8 +389,7 @@ def embed_columns(
             if miss:
                 table[miss] = embedded
                 store.add(attribute, values, embedded)
-        if words is None:
-            words = table[inverse]
-        else:
-            words |= table[inverse]
+        for lo in range(0, inverse.size, DEFAULT_BLOCK_ROWS):  # each record ORs in its value's row
+            hi = lo + DEFAULT_BLOCK_ROWS
+            words[lo:hi] |= table.take(inverse[lo:hi], 0)
     return BitMatrix(words, n_bits), sum(map(len, distinct))

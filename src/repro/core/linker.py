@@ -184,14 +184,17 @@ class CompactHammingLinker:
 
     # -- pipeline -----------------------------------------------------------------
 
-    def calibrate(self, *datasets: DatasetLike) -> RecordEncoder:
+    def calibrate(
+        self, *datasets: DatasetLike, rows: Sequence[list] | None = None
+    ) -> RecordEncoder:
         """Step 1: size and draw the attribute encoders from data samples.
 
         Samples up to ``calibration.sample_size`` records from each dataset
         (Charlie samples "randomly and uniformly" in the paper) and fits
-        one c-vector encoder per attribute.
+        one c-vector encoder per attribute.  ``rows`` is the datasets'
+        value rows when the caller holds them already (the pipeline does).
         """
-        rows: list[tuple[str, ...]] = []
+        sample: list[tuple[str, ...]] = []
         # Fall back to the linker seed so one seed fully determines the
         # pipeline (sampling included), as the architecture doc promises.
         sample_seed = (
@@ -199,18 +202,17 @@ class CompactHammingLinker:
         )
         rng = np.random.default_rng(sample_seed)
         per_dataset = max(1, self.calibration.sample_size // max(1, len(datasets)))
-        for dataset in datasets:
-            all_rows = _value_rows(dataset)
+        for all_rows in map(_value_rows, datasets) if rows is None else rows:
             if len(all_rows) <= per_dataset:
-                rows.extend(all_rows)
+                sample.extend(all_rows)
             else:
                 picks = rng.choice(len(all_rows), size=per_dataset, replace=False)
-                rows.extend(all_rows[int(i)] for i in picks)
+                sample.extend(all_rows[int(i)] for i in picks)
         scheme = self.scheme
         if scheme is None and datasets and hasattr(datasets[0], "schema"):
             scheme = datasets[0].schema[0].scheme
         self.encoder = RecordEncoder.calibrated(
-            rows,
+            sample,
             names=self.attribute_names,
             scheme=scheme,
             rho=self.calibration.rho,

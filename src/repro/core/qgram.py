@@ -101,12 +101,13 @@ def qgram_index_set(
 def _alphabet_lut(alphabet: Alphabet) -> np.ndarray:
     """Code-point lookup table: ``lut[ord(ch)]`` is Algorithm 1's ``ord(ch)``.
 
-    Characters outside the alphabet map to ``-1`` (or fall off the table).
+    Every other code point maps to ``-1``, and so does the table's last
+    slot, where ``take(..., mode="clip")`` sends the code points beyond it.
     Cached per alphabet; tables are tiny for ASCII alphabets.
     """
-    ords = np.fromiter((ord(ch) for ch in alphabet.chars), dtype=np.int64)
-    lut = np.full(int(ords.max()) + 1, -1, dtype=np.int64)
-    lut[ords] = np.arange(ords.size, dtype=np.int64)
+    ords = np.fromiter(map(ord, alphabet.chars), dtype=np.int64)
+    lut = np.full(int(ords.max()) + 2, -1, dtype=np.int64)
+    lut[ords] = np.arange(ords.size)
     return lut
 
 
@@ -122,9 +123,12 @@ def batch_qgram_indices(
     Returns ``(flat, counts)``: ``counts[i]`` is the number of q-grams of
     ``values[i]`` (with repeats, in occurrence order) and ``flat``
     concatenates their q-gram vector positions.  Equivalent to mapping
-    :func:`qgram_index` over :func:`qgrams` per value, but evaluated with
-    a fixed number of numpy operations over the concatenated column —
-    this is the hot-path tokeniser behind value interning.
+    :func:`qgram_index` over :func:`qgrams` per value, but evaluated over
+    one code buffer: the values joined (on the padding, when padded) as
+    bytes — UTF-32 when a character is not ASCII — go through the alphabet
+    once, Algorithm 1 is a multiply-add over ``q`` shifted views of the
+    result, and the windows that run over a value's end are dropped.
+    This is the hot-path tokeniser behind value interning.
 
     >>> flat, counts = batch_qgram_indices(['JOHN', 'OH'])
     >>> flat.tolist(), counts.tolist()
@@ -132,34 +136,40 @@ def batch_qgram_indices(
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if padded:
-        values = [pad_string(value, q, pad_char) for value in values]
-    n = len(values)
-    lengths = np.fromiter((len(v) for v in values), dtype=np.int64, count=n)
-    counts = np.maximum(lengths - q + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
+    wings = pad_char * (q - 1) if padded else ""
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    filled = np.flatnonzero(lengths)  # pad() leaves an empty value empty
+    spans = lengths[filled] + 2 * len(wings)
+    counts = np.zeros(lengths.size, dtype=np.int64)
+    counts[filled] = np.maximum(spans - q + 1, 0)
+    if not counts.any():
         return np.empty(0, dtype=np.int64), counts
-    codes = np.frombuffer("".join(values).encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    lut = _alphabet_lut(alphabet)
-    starts = np.cumsum(lengths) - lengths
-    offsets = np.cumsum(counts) - counts
-    pos = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    )
-    size = len(alphabet)
-    flat = np.zeros(total, dtype=np.int64)
-    for j in range(q):
-        at = codes[pos + j]
-        mapped = lut[np.minimum(at, lut.size - 1)]
-        mapped[at >= lut.size] = -1
-        if mapped.min() < 0:
-            bad = chr(int(at[mapped < 0][0]))
+    text = wings + (2 * wings).join(filter(None, values) if padded else values) + wings
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    mapped = _alphabet_lut(alphabet).take(codes, mode="clip")
+    ends = np.cumsum(spans)  # where each non-empty value's span of the buffer stops
+    if mapped.min() < 0:
+        # A character counts when it is in a q-gram: a value shorter than q has none.
+        at = np.flatnonzero(mapped < 0)
+        owner = filled[np.searchsorted(ends, at, side="right")]
+        hit = np.flatnonzero(counts[owner] > 0)
+        if hit.size:
+            bad, index = chr(codes[at[hit[0]]]), int(owner[hit[0]])
             raise AlphabetError(
-                f"character {bad!r} is not in alphabet {alphabet.chars!r}"
+                f"character {bad!r} of value {index} ({values[index]!r}) "
+                f"is not in alphabet {alphabet.chars!r}"
             )
-        flat = flat * size + mapped
-    return flat, counts
+    n_windows = codes.size - q + 1
+    flat = mapped[:n_windows]
+    whole = np.ones(codes.size, dtype=bool)
+    for j in range(1, q):
+        flat = flat * len(alphabet)
+        flat += mapped[j : j + n_windows]
+        whole[np.maximum(ends - j, 0)] = False  # a window this close to a value's end runs over it
+    return flat.compress(whole[:n_windows]), counts
 
 
 @lru_cache(maxsize=INDEX_SET_CACHE_SIZE)

@@ -45,8 +45,9 @@ class PipelineContext:
     embedded_b: Any = None
     #: Blocking structure built by the block stage (HammingLSH, ...).
     blocker: Any = None
-    #: Streamed candidate chunks [(rows_a, rows_b), ...] — memory-bounded.
-    candidate_chunks: list[tuple[np.ndarray, np.ndarray]] | None = None
+    #: Streamed candidate chunks — memory-bounded — each ``(rows_a, rows_b)``
+    #: or, still encoded, ``(a * n_b + b, n_b)``.
+    candidate_chunks: list[tuple[np.ndarray, np.ndarray | int]] | None = None
     #: Materialised candidate pair arrays (alternative to chunks).
     cand_a: np.ndarray | None = None
     cand_b: np.ndarray | None = None

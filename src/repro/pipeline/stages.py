@@ -44,31 +44,43 @@ def _init_verify_worker(words_a: np.ndarray, words_b: np.ndarray) -> None:
 
 
 def _verify_chunk(
-    task: tuple[np.ndarray, np.ndarray, int, "VerifyConfig | None"],
+    task: tuple[tuple[np.ndarray, "np.ndarray | int"], int, "VerifyConfig | None"],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
     """Worker: Hamming-verify one candidate chunk against the threshold.
 
-    With an enabled :class:`~repro.hamming.sketch.VerifyConfig` the chunk
-    runs through the tiered sketch prefilter (byte-identical output, see
-    that module); otherwise the plain full-width packed sweep.  The
-    per-chunk prefilter counters travel back with the kept pairs so the
-    stage can merge them without shared worker state.
+    The chunk is ``(rows_a, rows_b)`` or, as the blocker hands it over,
+    ``(a * n_b + b, n_b)``; it is decoded, gathered, XORed, popcounted
+    and filtered ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no temporary
+    is the size of the chunk.  With an enabled
+    :class:`~repro.hamming.sketch.VerifyConfig` each block runs through
+    the tiered sketch prefilter (byte-identical output, see that module);
+    otherwise the plain full-width packed sweep.  The per-chunk prefilter
+    counters travel back with the kept pairs so the stage can merge them
+    without shared worker state.
     """
-    rows_a, rows_b, threshold, config = task
-    if config is not None and config.enabled:
-        # Runtime import: repro.pipeline stays import-leaf (module docstring).
-        from repro.hamming.sketch import verify_pairs
+    # Runtime imports: repro.pipeline stays import-leaf (module docstring).
+    from repro.hamming.lsh import decode_pairs
+    from repro.hamming.sketch import DEFAULT_BLOCK_ROWS, verify_pairs
 
-        counters: dict[str, float] = {}
-        kept_a, kept_b, dist = verify_pairs(
-            _VERIFY_STATE["a"], rows_a, _VERIFY_STATE["b"], rows_b,
-            threshold, config, counters,
-        )
-        return kept_a, kept_b, dist, counters
-    xor = _VERIFY_STATE["a"][rows_a] ^ _VERIFY_STATE["b"][rows_b]
-    dist = np.bitwise_count(xor).sum(axis=1).astype(np.int64)
-    keep = dist <= threshold
-    return rows_a[keep], rows_b[keep], dist[keep], {}
+    (first, second), threshold, config = task
+    counters: dict[str, float] = {}
+    kept = [(_EMPTY_ROWS[0],) * 3]  # a chunk of no pairs still concatenates
+    for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
+        hi = lo + DEFAULT_BLOCK_ROWS
+        if isinstance(second, int):
+            rows_a, rows_b = decode_pairs(first[lo:hi], second)
+        else:
+            rows_a, rows_b = first[lo:hi], second[lo:hi]
+        if config is not None and config.enabled:
+            words_a, words_b = _VERIFY_STATE["a"], _VERIFY_STATE["b"]
+            kept.append(verify_pairs(words_a, rows_a, words_b, rows_b, threshold, config, counters))
+        else:
+            xor = _VERIFY_STATE["a"].take(rows_a, 0) ^ _VERIFY_STATE["b"].take(rows_b, 0)
+            dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+            keep = np.flatnonzero(dist <= threshold)
+            kept.append((rows_a[keep], rows_b[keep], dist[keep]))
+    out_a, out_b, dist = map(np.concatenate, zip(*kept))
+    return out_a, out_b, dist, counters
 
 
 def _packed_words(embedded: Any) -> np.ndarray:
@@ -94,7 +106,7 @@ class SupportsCalibration(Protocol):
 
     encoder: Any
 
-    def calibrate(self, *datasets: Any) -> Any: ...
+    def calibrate(self, *datasets: Any, rows: Any = None) -> Any: ...
 
 
 class EncoderCalibrateStage(CalibrateStage):
@@ -110,7 +122,7 @@ class EncoderCalibrateStage(CalibrateStage):
 
     def run(self, ctx: PipelineContext) -> None:
         if self.owner.encoder is None:
-            self.owner.calibrate(ctx.dataset_a, ctx.dataset_b)
+            self.owner.calibrate(ctx.dataset_a, ctx.dataset_b, rows=(ctx.rows_a, ctx.rows_b))
         ctx.encoder = self.owner.encoder
 
 
@@ -247,16 +259,18 @@ class BlockerIndexStage(BlockStage):
 class ChunkedCandidateStage(CandidateStage):
     """Stream memory-bounded candidate chunks from the blocker.
 
-    Materialises the blocker's ``candidate_chunks`` generator (each chunk
+    Materialises the blocker's ``encoded_chunks`` generator (each chunk
     respects the blocker's ``max_chunk_pairs`` budget), which also flushes
     the generation counters (pairs generated / unique / duplicates, chunk
-    stats) into the run counters.
+    stats) into the run counters.  The chunks stay encoded, for the
+    verify worker to decode a block at a time.
     """
 
     def run(self, ctx: PipelineContext) -> None:
-        chunks = list(ctx.blocker.candidate_chunks(ctx.embedded_b, counters=ctx.counters))
-        ctx.candidate_chunks = chunks
-        ctx.n_candidates = sum(int(chunk_a.size) for chunk_a, __ in chunks)
+        n_b = len(ctx.rows_b)
+        encoded = ctx.blocker.encoded_chunks(ctx.embedded_b, counters=ctx.counters)
+        ctx.candidate_chunks = [(chunk, n_b) for chunk in encoded]
+        ctx.n_candidates = sum(int(chunk.size) for chunk, __ in ctx.candidate_chunks)
 
 
 class MaterializedCandidateStage(CandidateStage):
@@ -315,10 +329,7 @@ class ThresholdVerifyStage(VerifyStage):
             empty = np.empty(0, dtype=np.int64)
             ctx.out_a, ctx.out_b, ctx.record_distances = empty, empty, empty
             return
-        tasks = [
-            (chunk_a, chunk_b, self.threshold, self.verify)
-            for chunk_a, chunk_b in chunks
-        ]
+        tasks = [(chunk, self.threshold, self.verify) for chunk in chunks]
         parts = parallel_map(
             _verify_chunk,
             tasks,
@@ -326,9 +337,7 @@ class ThresholdVerifyStage(VerifyStage):
             initializer=_init_verify_worker,
             initargs=(_packed_words(ctx.embedded_a), _packed_words(ctx.embedded_b)),
         )
-        out_a = np.concatenate([p[0] for p in parts])
-        out_b = np.concatenate([p[1] for p in parts])
-        dist = np.concatenate([p[2] for p in parts])
+        out_a, out_b, dist = (np.concatenate(column) for column in list(zip(*parts))[:3])
         if self.verify is not None and self.verify.enabled:
             # Runtime import: repro.pipeline stays import-leaf.
             from repro.hamming.sketch import reject_rate

@@ -104,7 +104,7 @@ def _distinct(parts: list[np.ndarray]) -> np.ndarray:
     """The union of ``parts``, ascending and without repeats."""
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return sorted_unique(parts)
+    return sorted_unique(np.concatenate(parts))
 
 
 def _contained(values: np.ndarray, members: np.ndarray) -> np.ndarray:

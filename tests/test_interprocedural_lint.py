@@ -898,13 +898,14 @@ class TestSeededBugsInRealSources:
     def test_rl304_rng_in_worker_reached_kernel(self, tmp_path):
         root = copy_real_tree(tmp_path)
         stages = root / "src/repro/pipeline/stages.py"
-        # The verify worker's plain sweep moves into a helper that draws
-        # from the process-global RNG: RL103 sees a clean worker, RL304
-        # follows the call.
+        # The verify worker's blocked sweep moves its XOR into a helper
+        # that draws from the process-global RNG: RL103 sees a clean
+        # worker, RL304 follows the call.
+        gathered = '_VERIFY_STATE["a"].take(rows_a, 0)', '_VERIFY_STATE["b"].take(rows_b, 0)'
         mutate(
             stages,
-            '    xor = _VERIFY_STATE["a"][rows_a] ^ _VERIFY_STATE["b"][rows_b]\n',
-            '    xor = _sampled_xor(_VERIFY_STATE["a"][rows_a], _VERIFY_STATE["b"][rows_b])\n',
+            f"            xor = {gathered[0]} ^ {gathered[1]}\n",
+            f"            xor = _sampled_xor({gathered[0]}, {gathered[1]})\n",
         )
         stages.write_text(
             stages.read_text()

@@ -155,7 +155,7 @@ class TestHammingLSH:
         expected: list[np.ndarray] = []
         seen = np.empty(0, dtype=np.int64)
         buffer: list[np.ndarray] = []
-        parts = list(lsh._encoded_products(matrix_b, budget, _generation_stats()))
+        parts = list(lsh.join(lsh.probe(matrix_b), budget, _generation_stats()))
         for part in parts + [None]:
             full = part is None or (
                 budget is not None and buffer and sum(map(len, buffer)) + part.size > budget

@@ -6,6 +6,8 @@ for every ``max_chunk_pairs`` budget.
 """
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.lsh import HammingLSH
 from repro.perf import LogHistogram, ParallelConfig, parallel_map, resolve_n_jobs
+from repro.pipeline.runner import LinkagePipeline
 
 
 def random_matrix(seed, n_rows, n_bits, density=0.3):
@@ -258,6 +261,101 @@ class TestLinkageInvariance:
         ):
             assert key in result.counters
         assert result.counters["pairs_verified"] == result.n_candidates
+
+
+class _MeteredStage:
+    """A pipeline stage that notes the traced memory its inner stage starts from."""
+
+    def __init__(self, stage, log):
+        self.stage, self.timing, self.log = stage, stage.timing, log
+
+    def run(self, ctx):
+        entry = tracemalloc.get_traced_memory()[0]
+        self.log.append([type(self.stage).__name__, entry, entry])
+        self.stage.run(ctx)
+
+
+def traced_link(linker, dataset_a, dataset_b):
+    """``linker.link`` under ``tracemalloc`` (which sees numpy's allocations).
+
+    Returns the result, the traced peak in bytes, each stage's
+    ``[name, traced at entry, traced peak]`` and, per line of ``repro/``
+    source, the most traced memory rose while that line ran — at least
+    the size of any single allocation it made.
+    """
+    stages, lines = [], {}
+    state = {"base": 0, "where": None, "peak": 0}
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            current, peak = tracemalloc.get_traced_memory()
+            lines[state["where"]] = max(lines.get(state["where"], 0), peak - state["base"])
+            state["peak"] = max(state["peak"], peak)
+            if stages:
+                stages[-1][2] = max(stages[-1][2], peak)
+            tracemalloc.reset_peak()
+            where = (frame.f_code.co_filename.rpartition("/repro/")[2], frame.f_lineno)
+            state["base"], state["where"] = current, where
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if "/repro/" in frame.f_code.co_filename else None
+
+    metered = [_MeteredStage(stage, stages) for stage in linker._stages()]
+    previous = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        result = LinkagePipeline(metered, parallel=linker.parallel).run(dataset_a, dataset_b)
+    finally:
+        sys.settrace(previous)
+        tracemalloc.stop()
+    return result, state["peak"], stages, lines
+
+
+class TestMemoryGate:
+    """A cold ``link()`` holds its raw candidate pairs once and nothing else
+    the size of the candidates — as traced bytes, which repeat exactly, so a
+    reintroduced candidate-sized temporary fails here, not in a noisy
+    benchmark.  20 000 generated NCVR records a side, the heaviest of
+    linker seeds 7..12, at the paper's ``K = 30`` (131 k raw pairs: 1 MB,
+    less than the index-sized arrays beside them, so what shows there is
+    the embed's block size: ``17f9406`` peaks at 16.1 MB against 13.2) and
+    at ``K = 18`` (887 k raw pairs: 7 MB, where ``17f9406`` peaks at
+    43.7 MB against 14.2 and breaks all three bounds)."""
+
+    MIB = 1 << 20
+    #: Everything a link holds that is not the size of its candidates: value
+    #: rows, columns, matrices, ``L x n`` key and probe arrays (11.1 MB at K = 30).
+    FIXED = 12 * MIB
+    #: What the candidate and verify stages add beside the pairs: the probe
+    #: and the bucket search, ~9 arrays of ``L x n`` cells (8.8 MB at L = 6).
+    STAGE = 10 * MIB
+    #: Three 64 k-cell ``int64`` temporaries: a block's worth in one expression.
+    BLOCK = 3 * MIB // 2
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return build_linkage_problem(NCVRGenerator(), 20_000, scheme_pl(), seed=7)
+
+    @pytest.mark.parametrize("k", [30, 18])
+    def test_link_holds_its_raw_pairs_once(self, problem, k):
+        a, b = problem.dataset_a, problem.dataset_b
+
+        def linker(seed):
+            return CompactHammingLinker.record_level(threshold=4, k=k, seed=seed)
+
+        def generated(seed):
+            return linker(seed).link(a, b).counters["pairs_generated"]
+
+        result, peak, stages, lines = traced_link(linker(max(range(7, 13), key=generated)), a, b)
+        raw = 8 * int(result.counters["pairs_generated"])
+        assert raw == {30: 8 * 130_639, 18: 8 * 887_074}[k]
+        assert peak < 2 * raw + self.FIXED
+        for name, entry, top in stages[-2:]:  # candidate generation, verification
+            assert top - entry < raw + self.STAGE, name
+        worst = max(lines, key=lines.get)
+        assert lines[worst] < raw + self.BLOCK, worst
 
 
 class TestStreamingBatchedQuery:

@@ -6,13 +6,14 @@ draws, the structural identities the paper's pipeline relies on must hold.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme, qgram_vector, qgrams
 from repro.hamming.lsh import HammingLSH
+from repro.text.alphabet import Alphabet
 from repro.text.edit_distance import levenshtein
 
 WORD = st.text(alphabet="ABCDEFGHIJ", min_size=2, max_size=10)
@@ -160,6 +161,72 @@ class TestPackedKernelParity:
             for i in range(self.N_ROWS)
         ]
         assert got.tolist() == want
+
+
+class TestBlockKernels:
+    """The blocked layers of a cold ``link()`` against their per-element references."""
+
+    #: Short values over three letters repeat within a column; ``""`` and
+    #: one-letter values have no bigram.
+    COLUMN = st.lists(st.text(alphabet="ABC", max_size=4), min_size=1, max_size=40)
+
+    @given(COLUMN)
+    @settings(max_examples=100, deadline=None)
+    def test_value_numbering_is_first_occurrence_order(self, values):
+        from repro.core.cvector import _number_values
+
+        unique, inverse = _number_values(values)
+        assert unique == list(dict.fromkeys(values))
+        assert inverse.tolist() == [unique.index(value) for value in values]
+
+    @given(COLUMN, st.integers(0, 50), st.sampled_from([1, 40, 64, 65]))
+    @example(["AB", "A"], 0, 40)  # 1 bigram: UniversalHash.apply
+    @example(["ABCA", "BCAB", "CABC", "AACC"], 0, 40)  # 12 bigrams: the table
+    @settings(max_examples=100, deadline=None)
+    def test_tabulated_hash_equals_apply_and_call(self, values, seed, m):
+        """Distinct values with at least ``3^2`` bigrams between them are hashed
+        through the table of ``g`` over the whole q-gram space, fewer through
+        ``UniversalHash.apply``; the per-string ``encode`` calls ``g`` itself."""
+        from repro.hamming.bitmatrix import BitMatrix
+
+        enc = CVectorEncoder(m, scheme=QGramScheme(alphabet=Alphabet("ABC")), seed=seed)
+        space = np.arange(enc.scheme.space_size)
+        assert enc.hash_fn.apply(space).tolist() == [enc.hash_fn(int(x)) for x in space]
+        assert enc.encode_all(values) == BitMatrix.from_vectors([enc.encode(v) for v in values])
+
+    @given(st.lists(st.tuples(COLUMN.map("".join), WORD, st.sampled_from(["", "AB", "BA"])),
+                    min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_dataset_rows_equal_per_string_encode(self, records):
+        from repro.hamming.bitmatrix import BitMatrix
+
+        encoder = _encoder()
+        expected = BitMatrix.from_vectors([encoder.encode(record) for record in records])
+        assert encoder.encode_dataset(records) == expected
+
+    @pytest.mark.parametrize("n_words", [1, 5])
+    @pytest.mark.parametrize("n_pairs", [0, 1, 1 << 15, (1 << 15) + 1])
+    def test_blocked_verify_equals_hamming_packed(self, n_pairs, n_words):
+        from repro.hamming.distance import hamming_packed
+        from repro.pipeline import stages
+
+        rng = np.random.default_rng(n_pairs + n_words)
+        n_a, n_b, threshold = 50, 70, 30 * n_words
+        words_a = rng.integers(0, 1 << 63, size=(n_a, n_words), dtype=np.uint64)
+        words_b = rng.integers(0, 1 << 63, size=(n_b, n_words), dtype=np.uint64)
+        rows_a, rows_b = rng.integers(0, n_a, n_pairs), rng.integers(0, n_b, n_pairs)
+        dist = hamming_packed(words_a[rows_a], words_b[rows_b])
+        keep = dist <= threshold
+        assert n_pairs < 2 or 0 < keep.sum() < n_pairs  # the threshold splits the pairs
+        stages._init_verify_worker(words_a, words_b)
+        try:
+            for chunk in ((rows_a, rows_b), (rows_a * n_b + rows_b, n_b)):
+                got = stages._verify_chunk((chunk, threshold, None))
+                for have, want in zip(got, (rows_a[keep], rows_b[keep], dist[keep])):
+                    assert have.dtype == np.int64 and have.tolist() == want.tolist()
+                assert got[3] == {}
+        finally:
+            stages._VERIFY_STATE.clear()
 
 
 class TestLSHInvariants:

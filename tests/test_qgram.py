@@ -1,11 +1,12 @@
 """Tests for repro.core.qgram — Algorithm 1 and q-gram vectors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.qgram import (
     QGramScheme,
+    batch_qgram_indices,
     qgram_from_index,
     qgram_index,
     qgram_index_set,
@@ -79,6 +80,49 @@ class TestAlgorithm1:
         abc = Alphabet("AB")
         assert qgram_index("BB", abc) == 3
         assert qgram_from_index(3, 2, abc) == "BB"
+
+
+#: An alphabet with the pad character and one non-ASCII letter: a column
+#: holding the letter goes through the UTF-32 code buffer, one without it
+#: through the byte buffer.
+MIXED = Alphabet("ABC_\u00e9")
+MIXED_COLUMN = st.lists(st.text(alphabet=MIXED.chars, max_size=5), max_size=8)
+
+
+class TestBatchTokeniser:
+    """``batch_qgram_indices`` is ``qgram_index`` over ``qgrams``, value by value."""
+
+    @given(MIXED_COLUMN, st.sampled_from([1, 2, 3]), st.booleans())
+    @example(["", "", ""], 2, True)  # only empty values: no buffer at all
+    @example(["A", "", "AB", "\u00e9"], 3, False)  # every value shorter than q
+    @example(["", "ABC", "", "A\u00e9_"], 2, True)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_value_algorithm_1(self, values, q, padded):
+        flat, counts = batch_qgram_indices(values, q, MIXED, padded, "_")
+        expected = [
+            [qgram_index(gram, MIXED) for gram in qgrams(value, q, padded, "_")]
+            for value in values
+        ]
+        assert counts.tolist() == [len(indices) for indices in expected]
+        assert flat.tolist() == [index for indices in expected for index in indices]
+
+    @pytest.mark.parametrize("bad", ["1", "\u00e8"], ids=["ascii", "non-ascii"])
+    @pytest.mark.parametrize(
+        "column, index",
+        [(["A{}B", "AB", "BA"], 0), (["AB", "BA", "AB{}"], 2), (["AB", "", "{}AB", "A{}"], 2)],
+        ids=["first", "last", "after-empty"],
+    )
+    def test_alphabet_error_names_the_value(self, column, index, bad):
+        values = [value.format(bad) for value in column]
+        with pytest.raises(AlphabetError) as error:
+            batch_qgram_indices(values, 2, MIXED)
+        message = str(error.value)
+        assert f"character {bad!r} of value {index} ({values[index]!r})" in message
+
+    def test_character_outside_every_qgram_is_not_an_error(self):
+        """As per value: a string shorter than ``q`` has no q-gram to index."""
+        flat, counts = batch_qgram_indices(["1", "AB"], 2, MIXED)
+        assert (flat.tolist(), counts.tolist()) == ([qgram_index("AB", MIXED)], [0, 1])
 
 
 class TestScheme:
