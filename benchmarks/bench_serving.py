@@ -14,11 +14,6 @@ Times the serving story of ``repro.serve`` on the NCVR PL cell at
 * **invariance** — the full query stream answered by the mmap engine and
   by a freshly rebuilt in-memory engine must be byte-identical (same
   ``(query, id, distance)`` arrays).
-* **top-k prefilter** — the full stream as a top-k query with the sketch
-  prefilter (:mod:`repro.hamming.sketch`) off vs on (running
-  k-th-distance bound as the rejection threshold); answers must match
-  byte-for-byte, and the cell records the reject rate alongside both
-  timings.
 * **sharded bundles** — the full stream served from a persisted sharded
   bundle at ``n_shards`` in {1, 4}; every cell must be byte-identical to
   the plain-bundle reference (the shard merge is deterministic by
@@ -62,7 +57,6 @@ from repro.core.qgram import clear_index_set_cache
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.evaluation.reporting import banner, format_table
 from repro.hamming.lsh import HammingLSH
-from repro.hamming.sketch import VerifyConfig
 from repro.serve import QueryEngine
 
 #: Serving amortisation is a scale story — the reference side of a
@@ -75,7 +69,6 @@ THRESHOLD = 4
 K = 30
 BATCH_SIZES = (1, 64, 1024)
 SHARDS = (1, 4)
-TOP_K = 5
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 #: Gates (see module docstring).
@@ -160,35 +153,6 @@ def _measure_throughput(engine, rows, batch_size, n_calls):
 def _result_arrays(engine, rows):
     result = engine.query_batch(rows)
     return result.queries, result.ids, result.distances
-
-
-def _measure_topk_prefilter(bundle, rows, repeats):
-    """Top-k over the full stream, sketch prefilter off vs on (byte parity)."""
-    cell = {"top_k": TOP_K}
-    reference = None
-    for label, verify in (("off", None), ("on", VerifyConfig())):
-        engine = QueryEngine.from_snapshot(bundle, verify=verify)
-        best = float("inf")
-        result = None
-        for __ in range(repeats):
-            start = time.perf_counter()
-            result = engine.query_batch(rows, top_k=TOP_K)
-            best = min(best, time.perf_counter() - start)
-        cell[f"prefilter_{label}_s"] = best
-        arrays = (result.queries, result.ids, result.distances)
-        if reference is None:
-            reference = arrays
-        else:
-            cell["matches_identical"] = _identical(reference, arrays)
-            cell["prefilter_reject_rate"] = engine.stats.get(
-                "prefilter_reject_rate", 0.0
-            )
-    cell["speedup"] = (
-        cell["prefilter_off_s"] / cell["prefilter_on_s"]
-        if cell["prefilter_on_s"] > 0
-        else float("inf")
-    )
-    return cell
 
 
 def _identical(left, right):
@@ -369,9 +333,6 @@ def main(argv=None):
         reference = _result_arrays(memory_engine, rows_b)
         identical = {"mmap": _identical(reference, _result_arrays(engine, rows_b))}
 
-        topk_prefilter = _measure_topk_prefilter(bundle, rows_b, repeats)
-        identical["topk_prefilter"] = topk_prefilter["matches_identical"]
-
         sharded_cells, sharded_identical = _measure_sharded(
             tmp, rows_a, rows_b, encoder, reference, repeats
         )
@@ -408,7 +369,6 @@ def main(argv=None):
         },
         "throughput": throughput,
         "batch_1024_vs_1_qps_speedup": batch_speedup,
-        "topk_prefilter": topk_prefilter,
         "sharded": sharded_cells,
         "ingest_replay": ingest_cell,
         "value_rows": value_rows_cell,
@@ -439,12 +399,6 @@ def main(argv=None):
     ]
     print(format_table(["batch", "QPS", "p50_ms", "p95_ms", "p99_ms"], rows))
     print(f"batch-1024 vs batch-1 QPS: {batch_speedup:.1f}x")
-    print(
-        f"top-{TOP_K} prefilter: {topk_prefilter['prefilter_off_s'] * 1e3:.1f} ms off "
-        f"vs {topk_prefilter['prefilter_on_s'] * 1e3:.1f} ms on "
-        f"({topk_prefilter['speedup']:.2f}x, reject rate "
-        f"{topk_prefilter['prefilter_reject_rate']:.1%})"
-    )
     shard_rows = [
         [
             cell["n_shards"],

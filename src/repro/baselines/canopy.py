@@ -25,7 +25,6 @@ import numpy as np
 from repro.baselines.minhash import record_bigram_set
 from repro.core.qgram import QGramScheme
 from repro.hamming.distance import jaccard_distance_sets
-from repro.hamming.sketch import VerifyConfig
 from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
@@ -111,7 +110,6 @@ class CanopyLinker:
         scheme: QGramScheme | None = None,
         seed: int | None = None,
         parallel: ParallelConfig | None = None,
-        verify: VerifyConfig | None = None,
     ) -> None:
         if not 0.0 <= tight <= loose <= 1.0:
             raise ValueError(
@@ -123,7 +121,6 @@ class CanopyLinker:
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
         self.parallel = parallel
-        self.verify = verify
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> canopy blocking -> Hamming verify on the shared runner."""
@@ -131,7 +128,7 @@ class CanopyLinker:
             [
                 CanopyEmbedStage(scheme=self.scheme, seed=self.seed),
                 _CanopyBlockStage(self),
-                ThresholdVerifyStage(self.threshold, verify=self.verify),
+                ThresholdVerifyStage(self.threshold),
             ],
             parallel=self.parallel,
         )

@@ -22,7 +22,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.qgram import QGramScheme
-from repro.hamming.sketch import VerifyConfig
 from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
@@ -107,7 +106,6 @@ class SortedNeighborhoodLinker:
         scheme: QGramScheme | None = None,
         seed: int | None = None,
         parallel: ParallelConfig | None = None,
-        verify: VerifyConfig | None = None,
     ) -> None:
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
@@ -120,7 +118,6 @@ class SortedNeighborhoodLinker:
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
         self.parallel = parallel
-        self.verify = verify
 
     def _keys_for_pass(self, rows: list[tuple[str, ...]], pass_index: int) -> list[str]:
         if pass_index == 0:
@@ -137,7 +134,7 @@ class SortedNeighborhoodLinker:
             [
                 SampledCalibrationEmbedStage(scheme=self.scheme, seed=self.seed),
                 _WindowBlockStage(self),
-                ThresholdVerifyStage(self.threshold, verify=self.verify),
+                ThresholdVerifyStage(self.threshold),
             ],
             parallel=self.parallel,
         )

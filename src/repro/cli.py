@@ -45,58 +45,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
-def _add_prefilter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="enable sketch-prefiltered verification (identical matches, "
-        "early-rejects on partial distances; see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--prefilter-tiers",
-        default="3,8",
-        metavar="W1,W2,...",
-        help="cumulative sketch words per refinement tier (default 3,8)",
-    )
-    parser.add_argument(
-        "--prefilter-block-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="candidate pairs per cache block (default 32768)",
-    )
-
-
-def _verify_from_args(args: argparse.Namespace):
-    """Build the VerifyConfig the ``--prefilter*`` flags describe (or None)."""
-    if not getattr(args, "prefilter", False):
-        return None
-    # Runtime import: the CLI's architecture contract reaches repro.hamming
-    # only through repro.core / repro.serve at module level.
-    from repro.hamming.sketch import DEFAULT_BLOCK_ROWS, VerifyConfig
-
-    tiers = tuple(int(w) for w in args.prefilter_tiers.split(",") if w.strip())
-    block_rows = args.prefilter_block_rows or DEFAULT_BLOCK_ROWS
-    return VerifyConfig(tiers=tiers, block_rows=block_rows)
-
-
-def _emit_prefilter_stats(counters: dict[str, float]) -> None:
-    """One reject-rate line for ablation runs (--prefilter)."""
-    total = counters.get("pairs_prefiltered", 0.0)
-    if not total:
-        return
-    exact = counters.get("pairs_exact", 0.0)
-    tiers = ", ".join(
-        f"t{key.rsplit('t', 1)[1]}={int(counters[key])}"
-        for key in sorted(key for key in counters if key.startswith("pairs_rejected_t"))
-    )
-    rate = counters.get("prefilter_reject_rate", (total - exact) / total)
-    emit(
-        f"prefilter: {int(total)} pairs, rejected {int(total - exact)} "
-        f"({rate:.1%}) before the exact sweep [{tiers}]"
-    )
-
-
 def _linker_epilog() -> str:
     """The linkage-method catalogue, straight from the pipeline registry."""
     lines = ["linkage methods (repro.pipeline.registry):"]
@@ -153,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     link.add_argument("-o", "--output", required=True, help="matches CSV path")
     link.add_argument("--truth", help="ground-truth CSV to score against")
     link.add_argument("--delta", type=float, default=0.1)
-    _add_prefilter_flags(link)
     _add_seed(link)
 
     index = sub.add_parser(
@@ -187,7 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("-o", "--output", required=True, help="matches CSV path")
     query.add_argument("--threshold", type=int, help="override the stored threshold")
     query.add_argument("--top-k", type=int, help="keep only the top-k closest matches")
-    _add_prefilter_flags(query)
 
     bench = isub.add_parser(
         "bench", help="time cold load + batched query throughput for a bundle"
@@ -195,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("bundle", help="snapshot bundle directory")
     bench.add_argument("dataset", help="query dataset CSV")
     bench.add_argument("--repeat", type=int, default=3)
-    _add_prefilter_flags(bench)
 
     ingest = isub.add_parser(
         "ingest",
@@ -384,10 +329,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
             f"schema mismatch: {dataset_a.schema.names} vs {dataset_b.schema.names}"
         )
     k = _parse_k(args.k)
-    verify = _verify_from_args(args)
     if args.rule is not None:
-        if verify is not None:
-            raise SystemExit("--prefilter applies to --threshold linkage only")
         if not isinstance(k, dict):
             raise SystemExit("rule-aware linkage needs repeated --k ATTR=K options")
         linker = CompactHammingLinker.rule_aware(
@@ -401,8 +343,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
         if not isinstance(k, int):
             raise SystemExit("record-level linkage takes a single --k value")
         linker = CompactHammingLinker.record_level(
-            threshold=args.threshold, k=k, delta=args.delta, seed=args.seed,
-            verify=verify,
+            threshold=args.threshold, k=k, delta=args.delta, seed=args.seed
         )
 
     result = linker.link(dataset_a, dataset_b)
@@ -412,7 +353,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         f"linked {len(dataset_a)} x {len(dataset_b)} records in "
         f"{summary['total_time_s']:.2f} s; {n_written} matches -> {args.output}"
     )
-    _emit_prefilter_stats(result.counters)
     emit(
         format_table(
             ["metric", "value"],
@@ -473,20 +413,14 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_engine(args: argparse.Namespace):
-    """Attach the bundle, whichever layout it has."""
-    from repro.serve import QueryEngine
-
-    return QueryEngine.from_bundle(args.bundle, verify=_verify_from_args(args))
-
-
 def _cmd_index_query(args: argparse.Namespace) -> int:
     import csv
 
     from repro.protocol import value_rows
+    from repro.serve import QueryEngine
 
     dataset = read_dataset(args.dataset)
-    engine = _serving_engine(args)
+    engine = QueryEngine.from_bundle(args.bundle)
     result = engine.query_batch(
         list(value_rows(dataset)), threshold=args.threshold, top_k=args.top_k
     )
@@ -499,7 +433,6 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
         f"matched {len(dataset)} queries against {engine.n_indexed} indexed "
         f"records; {result.n_matches} matches -> {args.output}"
     )
-    _emit_prefilter_stats(engine.stats)
     return 0
 
 
@@ -507,11 +440,12 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.protocol import value_rows
+    from repro.serve import QueryEngine
 
     dataset = read_dataset(args.dataset)
     rows = list(value_rows(dataset))
     started = time.perf_counter()
-    engine = _serving_engine(args)
+    engine = QueryEngine.from_bundle(args.bundle)
     load_s = time.perf_counter() - started
     timings = []
     n_matches = 0
@@ -537,7 +471,6 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
                 [f"{stage} (s/batch)", f"{engine.stats[key] / max(1.0, batches):.4f}"]
             )
     emit(format_table(["metric", "value"], table))
-    _emit_prefilter_stats(engine.stats)
     return 0
 
 

@@ -25,7 +25,7 @@ from repro.core.qgram import QGramScheme, batch_qgram_indices
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO, optimal_cvector_size
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
-from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
+from repro.hamming.distance import DEFAULT_BLOCK_ROWS
 
 #: The large prime of the paper's hash family: 2^31 - 1 (a Mersenne prime).
 HASH_PRIME = 2**31 - 1

@@ -43,7 +43,6 @@ from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import batch_query, group_matches, top_k_smallest
-from repro.hamming.sketch import VerifyConfig
 from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult as LinkageResult
@@ -100,7 +99,6 @@ class CompactHammingLinker:
         seed: int | None = None,
         parallel: ParallelConfig | None = None,
         max_chunk_pairs: int | None = None,
-        verify: VerifyConfig | None = None,
     ):
         if (threshold is None) == (rule is None):
             raise ValueError("specify exactly one of threshold (record-level) or rule")
@@ -119,7 +117,6 @@ class CompactHammingLinker:
         self.seed = seed
         self.parallel = parallel or ParallelConfig()
         self.max_chunk_pairs = max_chunk_pairs
-        self.verify = verify
         self.encoder: RecordEncoder | None = None
 
     # -- constructors ------------------------------------------------------------
@@ -136,7 +133,6 @@ class CompactHammingLinker:
         seed: int | None = None,
         parallel: ParallelConfig | None = None,
         max_chunk_pairs: int | None = None,
-        verify: VerifyConfig | None = None,
     ) -> "CompactHammingLinker":
         """Standard HB over the whole record-level c-vector (Section 4.2)."""
         return cls(
@@ -149,7 +145,6 @@ class CompactHammingLinker:
             seed=seed,
             parallel=parallel,
             max_chunk_pairs=max_chunk_pairs,
-            verify=verify,
         )
 
     @classmethod
@@ -254,11 +249,7 @@ class CompactHammingLinker:
             stages.append(RuleClassifyStage(self.rule))
         else:
             stages.append(ChunkedCandidateStage())
-            stages.append(
-                ThresholdVerifyStage(
-                    self.threshold or 0, sort_pairs=True, verify=self.verify
-                )
-            )
+            stages.append(ThresholdVerifyStage(self.threshold or 0, sort_pairs=True))
         return stages
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
@@ -350,12 +341,10 @@ class StreamingLinker:
         delta: float = DEFAULT_DELTA,
         seed: int | None = None,
         parallel: ParallelConfig | None = None,
-        verify: VerifyConfig | None = None,
     ):
         self.encoder = encoder
         self.threshold = threshold
         self.parallel = parallel or ParallelConfig()
-        self.verify = verify
         self._lsh = HammingLSH(
             n_bits=encoder.total_bits, k=k, threshold=threshold, delta=delta, seed=seed
         )
@@ -441,7 +430,6 @@ class StreamingLinker:
             matrix_b,
             threshold=self.threshold,
             top_k=top_k,
-            verify=self.verify,
         )
         return group_matches(queries, ids, distances, len(rows))
 
@@ -469,7 +457,6 @@ class StreamingLinker:
         path: str | Path,
         parallel: ParallelConfig | None = None,
         mmap_mode: str | None = "r",
-        verify: VerifyConfig | None = None,
     ) -> "StreamingLinker":
         """Rebuild a streaming linker from a snapshot bundle, zero-copy.
 
@@ -488,7 +475,6 @@ class StreamingLinker:
         linker.encoder = snapshot.encoder
         linker.threshold = index.threshold
         linker.parallel = parallel or ParallelConfig()
-        linker.verify = verify
         linker._lsh = snapshot.lsh
         linker._n_words = (snapshot.encoder.total_bits + 63) // 64
         linker._words = snapshot.matrix.words
@@ -512,7 +498,7 @@ class StreamingLinker:
             [
                 _StreamingIndexStage(self),
                 _StreamingQueryStage(self),
-                ThresholdVerifyStage(self.threshold, verify=self.verify),
+                ThresholdVerifyStage(self.threshold),
             ],
             parallel=self.parallel,
         )

@@ -10,13 +10,6 @@ from repro.hamming.distance import (
     normalized_hamming,
 )
 from repro.hamming.lsh import BlockingGroup, CompositeHash, HammingLSH, sample_positions
-from repro.hamming.sketch import (
-    VerifyConfig,
-    partial_hamming_rows,
-    sketch_word_order,
-    verify_pairs,
-    verify_pairs_topk,
-)
 from repro.hamming.theory import (
     base_success_probability,
     composite_collision_probability,
@@ -31,7 +24,6 @@ __all__ = [
     "BlockingGroup",
     "CompositeHash",
     "HammingLSH",
-    "VerifyConfig",
     "base_success_probability",
     "composite_collision_probability",
     "concat_matrices",
@@ -42,11 +34,7 @@ __all__ = [
     "jaccard_distance_sets",
     "normalized_hamming",
     "optimal_table_count",
-    "partial_hamming_rows",
     "recall_lower_bound",
     "sample_positions",
     "scatter_bits",
-    "sketch_word_order",
-    "verify_pairs",
-    "verify_pairs_topk",
 ]

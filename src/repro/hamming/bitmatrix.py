@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.hamming.bitvector import BitVector
-from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
+from repro.hamming.distance import DEFAULT_BLOCK_ROWS
 
 
 class BitMatrix:

@@ -10,7 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamming.bitvector import BitVector
-from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
+
+#: Rows per cache block of the blocked gather / XOR / popcount / scatter
+#: kernels: a block of a few packed words stays near 1 MB, so it is reused
+#: from the allocator instead of being mapped and page-faulted per call.
+DEFAULT_BLOCK_ROWS = 1 << 15
 
 
 def hamming(v1: BitVector, v2: BitVector) -> int:

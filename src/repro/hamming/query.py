@@ -24,7 +24,6 @@ import numpy as np
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH, Probe, run_starts
-from repro.hamming.sketch import VerifyConfig, verify_pairs, verify_pairs_topk
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -69,8 +68,6 @@ def batch_query(
     matrix_b: BitMatrix,
     threshold: int,
     top_k: int | None = None,
-    verify: VerifyConfig | None = None,
-    counters: dict[str, float] | None = None,
     probe: Probe | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every row of ``matrix_b`` against the indexed dataset at once.
@@ -87,12 +84,7 @@ def batch_query(
     sweep, one grouping sort — identical output to looping
     ``lsh.query`` + verify per record, at a fraction of the overhead.
 
-    An enabled ``verify`` config swaps the exact sweep for the sketch
-    prefilter (:mod:`repro.hamming.sketch`): threshold mode early-rejects
-    on partial distances, top-k mode additionally tightens each query's
-    rejection threshold to its running k-th-distance bound.  Results stay
-    byte-identical; tier counters are summed into ``counters`` when
-    given.  ``probe`` is ``matrix_b``'s :meth:`HammingLSH.probe`, for a caller
+    ``probe`` is ``matrix_b``'s :meth:`HammingLSH.probe`, for a caller
     that asks one batch of several indexes (shards) sharing their positions.
     """
     if top_k is not None and top_k < 1:
@@ -100,39 +92,17 @@ def batch_query(
     cand_a, cand_b = lsh.candidate_pairs(matrix_b, probe=probe)
     if cand_a.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    prefilter = verify is not None and verify.enabled
     n_a = int(words_a.shape[0])
-    if prefilter:
-        assert verify is not None
-        if top_k is None:
-            ids, queries, distances = verify_pairs(
-                words_a, cand_a, matrix_b.words, cand_b, threshold, verify, counters
-            )
-        else:
-            ids, queries, distances = verify_pairs_topk(
-                words_a,
-                cand_a,
-                matrix_b.words,
-                cand_b,
-                threshold,
-                top_k,
-                verify,
-                counters,
-            )
-    else:
-        distances = hamming_packed(words_a[cand_a], matrix_b.words[cand_b])
-        keep = distances <= threshold
-        ids, queries, distances = cand_a[keep], cand_b[keep], distances[keep]
+    distances = hamming_packed(words_a[cand_a], matrix_b.words[cand_b])
+    keep = distances <= threshold
+    ids, queries, distances = cand_a[keep], cand_b[keep], distances[keep]
     if ids.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
     if top_k is None:
         order = np.argsort(queries * n_a + ids, kind="stable")
         return queries[order], ids[order], distances[order]
     # Group by (query, distance, id) in one composite sort, then keep the
-    # first top_k of every query segment via segment-relative ranks.  The
-    # prefilter hands back an unordered superset of each query's top-k;
-    # this sort-and-cut reduces both paths to the same byte-identical
-    # selection.
+    # first top_k of every query segment via segment-relative ranks.
     composite = (queries * (lsh.n_bits + 1) + distances) * n_a + ids
     order = np.argsort(composite, kind="stable")
     queries, ids, distances = queries[order], ids[order], distances[order]

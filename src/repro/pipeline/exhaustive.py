@@ -10,7 +10,7 @@ and verification fans out over ``parallel`` like every other linker.
 
 from __future__ import annotations
 
-from typing import Any, TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
 from repro.pipeline.stage import CandidateStage
 from repro.pipeline.stages import SampledCalibrationEmbedStage, ThresholdVerifyStage
-
-if TYPE_CHECKING:
-    from repro.hamming.sketch import VerifyConfig
 
 #: Default pair budget per candidate chunk (matches the HammingLSH scale).
 DEFAULT_MAX_CHUNK_PAIRS = 1 << 20
@@ -66,7 +63,6 @@ class ExhaustiveLinker:
         parallel: ParallelConfig | None = None,
         max_chunk_pairs: int = DEFAULT_MAX_CHUNK_PAIRS,
         sample_size: int = 1000,
-        verify: "VerifyConfig | None" = None,
     ):
         self.threshold = threshold
         self.scheme = scheme
@@ -74,7 +70,6 @@ class ExhaustiveLinker:
         self.parallel = parallel or ParallelConfig()
         self.max_chunk_pairs = max_chunk_pairs
         self.sample_size = sample_size
-        self.verify = verify
 
     def link(self, dataset_a: Any, dataset_b: Any) -> LinkageResult:
         # Runtime import: keep this module import-leaf (see package docstring).
@@ -88,7 +83,7 @@ class ExhaustiveLinker:
                     scheme=scheme, seed=self.seed, sample_size=self.sample_size
                 ),
                 AllPairsCandidateStage(self.max_chunk_pairs),
-                ThresholdVerifyStage(self.threshold, sort_pairs=True, verify=self.verify),
+                ThresholdVerifyStage(self.threshold, sort_pairs=True),
             ],
             parallel=self.parallel,
         )

@@ -14,7 +14,7 @@ module-level so the process backend can pickle them by qualified name.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.pipeline.stage import (
     VerifyStage,
 )
 
-if TYPE_CHECKING:
-    from repro.hamming.sketch import VerifyConfig
-
 #: Per-worker verification state: the packed words of both matrices are
 #: shipped once per worker (executor initializer), not once per chunk.
 _VERIFY_STATE: dict[str, np.ndarray] = {}
@@ -44,26 +41,20 @@ def _init_verify_worker(words_a: np.ndarray, words_b: np.ndarray) -> None:
 
 
 def _verify_chunk(
-    task: tuple[tuple[np.ndarray, "np.ndarray | int"], int, "VerifyConfig | None"],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
+    task: tuple[tuple[np.ndarray, "np.ndarray | int"], int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Worker: Hamming-verify one candidate chunk against the threshold.
 
     The chunk is ``(rows_a, rows_b)`` or, as the blocker hands it over,
     ``(a * n_b + b, n_b)``; it is decoded, gathered, XORed, popcounted
     and filtered ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no temporary
-    is the size of the chunk.  With an enabled
-    :class:`~repro.hamming.sketch.VerifyConfig` each block runs through
-    the tiered sketch prefilter (byte-identical output, see that module);
-    otherwise the plain full-width packed sweep.  The per-chunk prefilter
-    counters travel back with the kept pairs so the stage can merge them
-    without shared worker state.
+    is the size of the chunk.
     """
     # Runtime imports: repro.pipeline stays import-leaf (module docstring).
+    from repro.hamming.distance import DEFAULT_BLOCK_ROWS
     from repro.hamming.lsh import decode_pairs
-    from repro.hamming.sketch import DEFAULT_BLOCK_ROWS, verify_pairs
 
-    (first, second), threshold, config = task
-    counters: dict[str, float] = {}
+    (first, second), threshold = task
     kept = [(_EMPTY_ROWS[0],) * 3]  # a chunk of no pairs still concatenates
     for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
         hi = lo + DEFAULT_BLOCK_ROWS
@@ -71,16 +62,12 @@ def _verify_chunk(
             rows_a, rows_b = decode_pairs(first[lo:hi], second)
         else:
             rows_a, rows_b = first[lo:hi], second[lo:hi]
-        if config is not None and config.enabled:
-            words_a, words_b = _VERIFY_STATE["a"], _VERIFY_STATE["b"]
-            kept.append(verify_pairs(words_a, rows_a, words_b, rows_b, threshold, config, counters))
-        else:
-            xor = _VERIFY_STATE["a"].take(rows_a, 0) ^ _VERIFY_STATE["b"].take(rows_b, 0)
-            dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
-            keep = np.flatnonzero(dist <= threshold)
-            kept.append((rows_a[keep], rows_b[keep], dist[keep]))
+        xor = _VERIFY_STATE["a"].take(rows_a, 0) ^ _VERIFY_STATE["b"].take(rows_b, 0)
+        dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+        keep = np.flatnonzero(dist <= threshold)
+        kept.append((rows_a[keep], rows_b[keep], dist[keep]))
     out_a, out_b, dist = map(np.concatenate, zip(*kept))
-    return out_a, out_b, dist, counters
+    return out_a, out_b, dist
 
 
 def _packed_words(embedded: Any) -> np.ndarray:
@@ -295,25 +282,11 @@ class ThresholdVerifyStage(VerifyStage):
     ``sort_pairs=True`` restores the historical cBV-HB order (sorted by
     encoded pair id ``a * n_B + b``); the classic baselines keep their
     natural candidate order.
-
-    ``verify`` enables the sketch prefilter
-    (:mod:`repro.hamming.sketch`): each chunk early-rejects candidates
-    whose partial word-subset distance already exceeds the threshold and
-    cache-blocks the exact sweep for the survivors.  Output stays
-    byte-identical; the per-tier rejection counters
-    (``pairs_rejected_t<i>``, ``pairs_exact``, ``prefilter_reject_rate``)
-    are merged into the run counters.
     """
 
-    def __init__(
-        self,
-        threshold: int,
-        sort_pairs: bool = False,
-        verify: "VerifyConfig | None" = None,
-    ):
+    def __init__(self, threshold: int, sort_pairs: bool = False):
         self.threshold = threshold
         self.sort_pairs = sort_pairs
-        self.verify = verify
 
     def run(self, ctx: PipelineContext) -> None:
         chunks = ctx.candidate_chunks
@@ -329,7 +302,7 @@ class ThresholdVerifyStage(VerifyStage):
             empty = np.empty(0, dtype=np.int64)
             ctx.out_a, ctx.out_b, ctx.record_distances = empty, empty, empty
             return
-        tasks = [(chunk, self.threshold, self.verify) for chunk in chunks]
+        tasks = [(chunk, self.threshold) for chunk in chunks]
         parts = parallel_map(
             _verify_chunk,
             tasks,
@@ -337,15 +310,7 @@ class ThresholdVerifyStage(VerifyStage):
             initializer=_init_verify_worker,
             initargs=(_packed_words(ctx.embedded_a), _packed_words(ctx.embedded_b)),
         )
-        out_a, out_b, dist = (np.concatenate(column) for column in list(zip(*parts))[:3])
-        if self.verify is not None and self.verify.enabled:
-            # Runtime import: repro.pipeline stays import-leaf.
-            from repro.hamming.sketch import reject_rate
-
-            for part in parts:
-                for key, value in part[3].items():
-                    ctx.counters[key] = ctx.counters.get(key, 0.0) + value
-            ctx.counters["prefilter_reject_rate"] = reject_rate(ctx.counters)
+        out_a, out_b, dist = map(np.concatenate, zip(*parts))
         if self.sort_pairs:
             order = np.argsort(out_a * len(ctx.rows_b) + out_b, kind="stable")
             out_a, out_b, dist = out_a[order], out_b[order], dist[order]

@@ -60,6 +60,15 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN`` / ``Infinity`` are not JSON (RFC 8259).
+
+    Python's parser accepts them by default, and a ``NaN`` deadline
+    compares false against every clock reading — silently no deadline.
+    """
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def _parse_query_body(body: dict[str, Any]) -> tuple[
     tuple[str, ...], int | None, int | None, float | None
 ]:
@@ -197,9 +206,12 @@ class HttpFrontend:
             raise _BadRequestError("request body too large")
         body: dict[str, Any] = {}
         if content_length:
-            raw = await reader.readexactly(content_length)
             try:
-                parsed = json.loads(raw)
+                raw = await reader.readexactly(content_length)
+            except asyncio.IncompleteReadError as exc:
+                raise _BadRequestError("truncated request body") from exc
+            try:
+                parsed = json.loads(raw, parse_constant=_reject_constant)
             except ValueError as exc:
                 raise _BadRequestError("body is not valid JSON") from exc
             if not isinstance(parsed, dict):

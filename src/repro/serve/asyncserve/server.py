@@ -30,22 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from dataclasses import dataclass
-
-from repro.hamming.sketch import VerifyConfig
 from repro.serve.asyncserve.batcher import BatcherConfig, Matches, MicroBatcher, Row
 from repro.serve.engine import QueryEngine, QueryResult
-
-
-@dataclass(frozen=True)
-class _OpenOptions:
-    """How :meth:`AsyncQueryServer.swap` re-opens bundles (same as boot)."""
-
-    mmap_mode: str | None = "r"
-    verify: VerifyConfig | None = None
-
-    def open(self, bundle: str | Path) -> QueryEngine:
-        return QueryEngine.from_bundle(bundle, mmap_mode=self.mmap_mode, verify=self.verify)
 
 
 class _EngineSlot:
@@ -98,15 +84,10 @@ class AsyncQueryServer:
     wrapper over it, so embedders and tests never need a socket.
     """
 
-    def __init__(
-        self,
-        engine: QueryEngine,
-        config: BatcherConfig | None = None,
-        open_options: _OpenOptions | None = None,
-    ):
-        # Boot options mean from_bundle() opened the engine for us.
-        self._slot = _EngineSlot(engine, generation=0, owned=open_options is not None)
-        self._open = open_options or _OpenOptions()
+    def __init__(self, engine: QueryEngine, config: BatcherConfig | None = None):
+        self._slot = _EngineSlot(engine, generation=0, owned=False)
+        #: How :meth:`swap` opens bundles; :meth:`from_bundle` sets its own.
+        self._mmap_mode: str | None = "r"
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="asyncserve"
         )
@@ -121,11 +102,12 @@ class AsyncQueryServer:
         bundle: str | Path,
         config: BatcherConfig | None = None,
         mmap_mode: str | None = "r",
-        verify: VerifyConfig | None = None,
     ) -> "AsyncQueryServer":
-        """Serve a bundle path; :meth:`swap` reuses the same open options."""
-        options = _OpenOptions(mmap_mode=mmap_mode, verify=verify)
-        return cls(options.open(bundle), config=config, open_options=options)
+        """Serve a bundle path; :meth:`swap` reuses the same ``mmap_mode``."""
+        server = cls(QueryEngine.from_bundle(bundle, mmap_mode=mmap_mode), config=config)
+        server._slot.owned = True  # opened here, so closed here
+        server._mmap_mode = mmap_mode
+        return server
 
     # -- serving -----------------------------------------------------------------
 
@@ -191,7 +173,7 @@ class AsyncQueryServer:
         """
         if self._closed:
             raise RuntimeError("server is closed")
-        engine = await asyncio.to_thread(self._open.open, bundle)
+        engine = await asyncio.to_thread(QueryEngine.from_bundle, bundle, self._mmap_mode)
         retired = self._slot
         self._slot = _EngineSlot(engine, retired.generation + 1, owned=True)
         self._n_swaps += 1

@@ -44,7 +44,6 @@ from repro.core.config import DEFAULT_DELTA, DEFAULT_K
 from repro.core.encoder import RecordEncoder
 from repro.core.shards import ShardedIndex
 from repro.hamming.query import batch_query, first_per_query, group_matches
-from repro.hamming.sketch import VerifyConfig, reject_rate
 from repro.perf import LogHistogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -54,17 +53,9 @@ _Part = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def fold_counters(stats: dict[str, float], counters: dict[str, float]) -> None:
-    """Add one shard's or batch's ``counters`` into ``stats``.
-
-    Every counter — prefilter tiers and wall-clock timings — accumulates.
-    The derived ``prefilter_reject_rate`` ratio is never summed; it is
-    recomputed from the merged totals, and only once the prefilter has run.
-    """
+    """Add one shard's or batch's ``counters`` into ``stats``, key by key."""
     for key, value in counters.items():
-        if key != "prefilter_reject_rate":
-            stats[key] = stats.get(key, 0.0) + value
-    if "pairs_prefiltered" in stats:
-        stats["prefilter_reject_rate"] = reject_rate(stats)
+        stats[key] = stats.get(key, 0.0) + value
 
 
 def _merge_shard_parts(parts: Sequence[_Part], top_k: int | None) -> _Part:
@@ -141,24 +132,20 @@ class QueryEngine:
     1
     """
 
-    def __init__(self, index: ShardedIndex, verify: VerifyConfig | None = None):
+    def __init__(self, index: ShardedIndex):
         self.index = index
-        self.verify = verify
         #: Counters summed over every served batch: wall-clock
         #: accumulators (``time_embed_s``; ``time_query_s`` — probe plus
         #: every shard scan, also readable as ``time_fanout_s``, the name
-        #: the sharded engine had for that interval; ``time_merge_s``),
-        #: batch bookkeeping (``n_batches``, ``n_queries``) and — when
-        #: the sketch prefilter is on — its tier counters
-        #: (``pairs_prefiltered``, ``pairs_rejected_t<i>``,
-        #: ``pairs_exact``, ``prefilter_reject_rate``).
+        #: the sharded engine had for that interval; ``time_merge_s``) and
+        #: batch bookkeeping (``n_batches``, ``n_queries``).
         self.stats: dict[str, float] = {}
         #: Per-batch wall-clock distribution (whole ``query_batch`` call);
         #: p50/p95/p99 derivable offline from its
         #: :meth:`~repro.perf.LogHistogram.snapshot`.
         self.batch_time_hist = LogHistogram.latency()
-        #: Per-shard counters (``time_query_s`` — that shard's scan alone,
-        #: prefilter tiers), summed over every served batch.
+        #: Per-shard counters (``time_query_s`` — that shard's scan alone),
+        #: summed over every served batch.
         self.shard_stats: list[dict[str, float]] = [{} for __ in range(index.n_shards)]
 
     # -- constructors ------------------------------------------------------------
@@ -174,7 +161,6 @@ class QueryEngine:
         n_tables: int | None = None,
         seed: int | None = None,
         max_chunk_pairs: int | None = None,
-        verify: VerifyConfig | None = None,
         n_shards: int | None = None,
     ) -> "QueryEngine":
         """Index ``rows`` in memory under a calibrated ``encoder``.
@@ -195,17 +181,14 @@ class QueryEngine:
             seed=seed,
             max_chunk_pairs=max_chunk_pairs,
         )
-        return cls(index, verify=verify)
+        return cls(index)
 
     @classmethod
     def from_bundle(
-        cls,
-        path: str | Path,
-        mmap_mode: str | None = "r",
-        verify: VerifyConfig | None = None,
+        cls, path: str | Path, mmap_mode: str | None = "r"
     ) -> "QueryEngine":
         """Serve a persisted bundle (mmap payloads, replay a sharded WAL)."""
-        return cls(ShardedIndex.open(path, mmap_mode=mmap_mode), verify=verify)
+        return cls(ShardedIndex.open(path, mmap_mode=mmap_mode))
 
     from_snapshot = from_bundle
 
@@ -263,11 +246,7 @@ class QueryEngine:
         ``threshold`` defaults to the one recorded in the bundle;
         ``top_k`` keeps at most that many closest matches per query,
         ties broken deterministically by the smaller record id.  Ids in
-        the result are **global** record ids.  With an enabled
-        :class:`~repro.hamming.sketch.VerifyConfig` candidate
-        verification runs through the sketch prefilter (same matches,
-        byte-identical) and the per-tier counters are summed into
-        :attr:`stats`.
+        the result are **global** record ids.
         """
         effective = self.threshold if threshold is None else threshold
         work = [tuple(row) for row in rows]
@@ -280,21 +259,11 @@ class QueryEngine:
         probe = shards[0].lsh.probe(matrix_b)  # shards share one set of positions
         parts: list[_Part] = []
         for state, per_shard in zip(shards, self.shard_stats):
-            counters: dict[str, float] = {}
             shard_started = time.perf_counter()
             queries, local, distances = batch_query(
-                state.lsh,
-                state.words[: state.count],
-                matrix_b,
-                effective,
-                top_k,
-                self.verify,
-                counters,
-                probe,
+                state.lsh, state.words[: state.count], matrix_b, effective, top_k, probe=probe
             )
-            scan_s = time.perf_counter() - shard_started
-            fold_counters(self.stats, counters)  # the prefilter tiers
-            fold_counters(per_shard, {**counters, "time_query_s": scan_s})
+            fold_counters(per_shard, {"time_query_s": time.perf_counter() - shard_started})
             parts.append((queries, state.global_ids(local), distances))
         fanned = time.perf_counter()
         # One shard's batch_query output is already in merged order.

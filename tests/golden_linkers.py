@@ -29,7 +29,6 @@ from repro.core.config import NCVR_ATTRIBUTE_K
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.pairs import LinkageProblem
-from repro.hamming.sketch import VerifyConfig
 from repro.perf import ParallelConfig
 from repro.rules.parser import parse_rule
 
@@ -39,13 +38,6 @@ THRESHOLD = 4
 K = 30
 NCVR_RULE = "(f1<=4) & (f2<=4) & (f3<=8)"
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_parity.json"
-
-#: Sketch prefilter exercised hard on the narrow NCVR embedding: a
-#: one-word tier-1 sketch plus a tiny cache block, so every tiered code
-#: path (reject, refine, remainder, block concatenation) runs even at
-#: PROBLEM_N scale.  Prefilter-on runners must reproduce their plain
-#: counterparts' golden payloads byte for byte.
-PREFILTER = VerifyConfig(tiers=(1,), block_rows=64)
 
 #: (matches, n_candidates) of one linker run.
 RunOutcome = tuple[set[tuple[int, int]], int]
@@ -59,15 +51,13 @@ def make_problem() -> LinkageProblem:
 
 
 def _run_cbv_record(problem: LinkageProblem, n_jobs: int = 1,
-                    max_chunk_pairs: int | None = None,
-                    verify: VerifyConfig | None = None) -> RunOutcome:
+                    max_chunk_pairs: int | None = None) -> RunOutcome:
     linker = CompactHammingLinker.record_level(
         threshold=THRESHOLD,
         k=K,
         seed=PROBLEM_SEED,
         parallel=ParallelConfig(n_jobs=n_jobs),
         max_chunk_pairs=max_chunk_pairs,
-        verify=verify,
     )
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
@@ -109,9 +99,8 @@ def _run_bfh(problem: LinkageProblem) -> RunOutcome:
     return result.matches, result.n_candidates
 
 
-def _run_canopy(problem: LinkageProblem,
-                verify: VerifyConfig | None = None) -> RunOutcome:
-    linker = CanopyLinker(threshold=THRESHOLD, seed=PROBLEM_SEED, verify=verify)
+def _run_canopy(problem: LinkageProblem) -> RunOutcome:
+    linker = CanopyLinker(threshold=THRESHOLD, seed=PROBLEM_SEED)
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
 
@@ -130,39 +119,12 @@ def _run_smeb(problem: LinkageProblem) -> RunOutcome:
     return result.matches, result.n_candidates
 
 
-def _run_sorted_neighborhood(problem: LinkageProblem,
-                             verify: VerifyConfig | None = None) -> RunOutcome:
+def _run_sorted_neighborhood(problem: LinkageProblem) -> RunOutcome:
     linker = SortedNeighborhoodLinker(
-        threshold=THRESHOLD, window=10, passes=2, seed=PROBLEM_SEED, verify=verify
+        threshold=THRESHOLD, window=10, passes=2, seed=PROBLEM_SEED
     )
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
-
-
-def _run_streaming_prefilter(problem: LinkageProblem) -> RunOutcome:
-    """The streaming batch-query path with the sketch prefilter enabled.
-
-    Must reproduce ``_run_streaming``'s golden payload: ``query_batch``
-    with a verify config answers exactly what per-record ``query`` does.
-    """
-    calibrator = CompactHammingLinker.record_level(
-        threshold=THRESHOLD, k=K, seed=PROBLEM_SEED
-    )
-    encoder = calibrator.calibrate(problem.dataset_a, problem.dataset_b)
-    streaming = StreamingLinker(
-        encoder, threshold=THRESHOLD, k=K, seed=PROBLEM_SEED, verify=PREFILTER
-    )
-    n_candidates = 0
-    for values in problem.dataset_a.value_rows():
-        streaming.insert(values)
-    rows_b = list(problem.dataset_b.value_rows())
-    for values in rows_b:
-        n_candidates += len(streaming._lsh.query(streaming.encoder.encode(values)))
-    matches: set[tuple[int, int]] = set()
-    for j, per_query in enumerate(streaming.query_batch(rows_b)):
-        for record_id, __ in per_query:
-            matches.add((record_id, j))
-    return matches, n_candidates
 
 
 #: Every golden-pinned linker run, by name.  n_jobs variants prove the
@@ -171,39 +133,15 @@ RUNNERS: dict[str, Callable[[LinkageProblem], RunOutcome]] = {
     "cbv-record-n1": _run_cbv_record,
     "cbv-record-n2": lambda p: _run_cbv_record(p, n_jobs=2),
     "cbv-record-chunked": lambda p: _run_cbv_record(p, max_chunk_pairs=2048),
-    "cbv-record-prefilter-n1": lambda p: _run_cbv_record(p, verify=PREFILTER),
-    "cbv-record-prefilter-n2": lambda p: _run_cbv_record(
-        p, n_jobs=2, verify=PREFILTER
-    ),
-    "cbv-record-prefilter-chunked": lambda p: _run_cbv_record(
-        p, max_chunk_pairs=2048, verify=PREFILTER
-    ),
     "cbv-rule-n1": _run_cbv_rule,
     "cbv-rule-n2": lambda p: _run_cbv_rule(p, n_jobs=2),
     "streaming": _run_streaming,
-    "streaming-prefilter": _run_streaming_prefilter,
     "bfh": _run_bfh,
     "canopy": _run_canopy,
-    "canopy-prefilter": lambda p: _run_canopy(p, verify=PREFILTER),
     "harra": _run_harra,
     "smeb": _run_smeb,
     "sorted-neighborhood": _run_sorted_neighborhood,
-    "sorted-neighborhood-prefilter": lambda p: _run_sorted_neighborhood(
-        p, verify=PREFILTER
-    ),
 }
-
-#: Prefilter-on runner -> the plain runner whose golden payload it must
-#: equal (the byte-identity contract of the sketch prefilter).
-PREFILTER_TWINS = {
-    "cbv-record-prefilter-n1": "cbv-record-n1",
-    "cbv-record-prefilter-n2": "cbv-record-n2",
-    "cbv-record-prefilter-chunked": "cbv-record-chunked",
-    "streaming-prefilter": "streaming",
-    "canopy-prefilter": "canopy",
-    "sorted-neighborhood-prefilter": "sorted-neighborhood",
-}
-
 
 def outcome_payload(outcome: RunOutcome) -> dict[str, object]:
     """JSON-stable form of one run outcome."""

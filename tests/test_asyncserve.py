@@ -474,7 +474,6 @@ class TestZeroDowntimeSwap:
 class TestHttpFrontend:
     @staticmethod
     async def _request(host, port, method, path, payload=None, content_length=None):
-        reader, writer = await asyncio.open_connection(host, port)
         body = b"" if payload is None else json.dumps(payload).encode()
         if content_length is None:
             content_length = len(body)
@@ -482,7 +481,14 @@ class TestHttpFrontend:
             f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
             f"Content-Length: {content_length}\r\n\r\n"
         )
-        writer.write(head.encode() + body)
+        return await TestHttpFrontend._exchange(host, port, head.encode() + body)
+
+    @staticmethod
+    async def _exchange(host, port, request):
+        """Send raw request bytes, half-close, parse the one response."""
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(request)
+        writer.write_eof()
         await writer.drain()
         raw = await reader.read()
         writer.close()
@@ -662,6 +668,44 @@ class TestHttpFrontend:
         answers, good = asyncio.run(scenario())
         assert [status for status, __, __ in answers] == [400] * (len(bodies) + 1)
         assert all(payload["error"] for __, __, payload in answers)
+        assert good[0] == 200
+
+    def _raw_query(self, engine, body, content_length, then_row):
+        """POST ``body`` bytes to /query under a given ``Content-Length``,
+        then ask ``then_row`` on a fresh connection."""
+        head = f"POST /query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
+
+        async def scenario():
+            frontend = await serve_http(AsyncQueryServer(engine, BatcherConfig(max_batch=8)))
+            try:
+                answer = await self._exchange(
+                    frontend.host, frontend.port, head.encode() + body
+                )
+                good = await self._request(
+                    frontend.host, frontend.port, "POST", "/query", {"row": then_row}
+                )
+            finally:
+                await frontend.stop()
+            return answer, good
+
+        return asyncio.run(scenario())
+
+    def test_body_shorter_than_content_length_is_400(self, rows_a, encoder):
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        row = list(rows_a[0])
+        (status, __, payload), good = self._raw_query(engine, b'{"row": ["A"', 100, row)
+        assert status == 400
+        assert payload["error"] == "truncated request body"
+        assert good[0] == 200  # the server keeps serving
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_json_constant_is_400(self, rows_a, encoder, constant):
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        row = list(rows_a[0])
+        body = f'{{"row": {json.dumps(row)}, "deadline_ms": {constant}}}'.encode()
+        (status, __, payload), good = self._raw_query(engine, body, len(body), row)
+        assert status == 400
+        assert payload["error"] == "body is not valid JSON"
         assert good[0] == 200
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hamming.bitmatrix import BitMatrix, concat_matrices, scatter_bits
 from repro.hamming.bitvector import BitVector
-from repro.hamming.sketch import DEFAULT_BLOCK_ROWS
+from repro.hamming.distance import DEFAULT_BLOCK_ROWS
 
 
 def random_matrix(rng, n_rows, n_bits, density=0.3):

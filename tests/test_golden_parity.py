@@ -13,7 +13,6 @@ import pytest
 
 from tests.golden_linkers import (
     GOLDEN_PATH,
-    PREFILTER_TWINS,
     RUNNERS,
     make_problem,
     outcome_payload,
@@ -41,9 +40,3 @@ def test_linker_matches_golden(name, problem, golden):
     assert got["n_candidates"] == want["n_candidates"]
     assert got["n_matches"] == want["n_matches"]
     assert got["matches"] == want["matches"]
-
-
-@pytest.mark.parametrize("prefilter_name", sorted(PREFILTER_TWINS))
-def test_prefilter_golden_equals_plain(prefilter_name, golden):
-    """The sketch prefilter is invisible in golden output, not just close."""
-    assert golden[prefilter_name] == golden[PREFILTER_TWINS[prefilter_name]]

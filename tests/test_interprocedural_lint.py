@@ -904,8 +904,8 @@ class TestSeededBugsInRealSources:
         gathered = '_VERIFY_STATE["a"].take(rows_a, 0)', '_VERIFY_STATE["b"].take(rows_b, 0)'
         mutate(
             stages,
-            f"            xor = {gathered[0]} ^ {gathered[1]}\n",
-            f"            xor = _sampled_xor({gathered[0]}, {gathered[1]})\n",
+            f"        xor = {gathered[0]} ^ {gathered[1]}\n",
+            f"        xor = _sampled_xor({gathered[0]}, {gathered[1]})\n",
         )
         stages.write_text(
             stages.read_text()

@@ -221,10 +221,10 @@ class TestBlockKernels:
         stages._init_verify_worker(words_a, words_b)
         try:
             for chunk in ((rows_a, rows_b), (rows_a * n_b + rows_b, n_b)):
-                got = stages._verify_chunk((chunk, threshold, None))
+                got = stages._verify_chunk((chunk, threshold))
+                assert len(got) == 3
                 for have, want in zip(got, (rows_a[keep], rows_b[keep], dist[keep])):
                     assert have.dtype == np.int64 and have.tolist() == want.tolist()
-                assert got[3] == {}
         finally:
             stages._VERIFY_STATE.clear()
 
