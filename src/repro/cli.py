@@ -408,7 +408,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     layout = f"{args.shards} shards" if args.shards else "plain bundle"
     emit(
         f"indexed {engine.n_indexed} records ({index.n_bits} bits, "
-        f"{index.shards[0].lsh.n_tables} tables, {layout}) in {elapsed:.2f} s -> {bundle}"
+        f"{index.lsh.n_tables} tables, {layout}) in {elapsed:.2f} s -> {bundle}"
     )
     return 0
 

@@ -14,6 +14,17 @@ attaches it as one read-only shard whose local rows *are* the global
 ids (no ``row_ids.npy``, no WAL), so every consumer serves either
 layout through the same object.
 
+**One query view.**  Shards are the unit of durability, not of
+querying: every layout is queried as one index, ``ShardedIndex.lsh``
+over ``ShardedIndex.words`` with global ids.  A plain bundle's view is
+its memory-mapped snapshot.  A sharded bundle's is built in memory:
+:meth:`ShardedIndex.open` reads every shard's words and row ids into
+global-id order and indexes them once; ingest and replay add to it with
+one streaming insert per batch.  A shard keeps only its row ids, count
+and directory; its ``keys.npy`` / ``ids.npy`` are derived at save and
+compaction by indexing its rows, which reproduces the incremental
+route's export byte for byte (both are the stable ``(key, row)`` sort).
+
 Layout::
 
     bundle/
@@ -30,7 +41,11 @@ write-ahead segment (:mod:`repro.wal`), fsyncs, and only then applies
 the insert in memory — a record is acknowledged only once it is
 durable.  :meth:`ShardedIndex.open` replays the segments (stopping at a
 torn tail, which it truncates), so a process killed mid-ingest recovers
-to exactly the acknowledged state.
+to exactly the acknowledged state: it applies the dense run of ids that
+starts at the root manifest's ``next_id`` and cuts every other frame
+from its segment — one below that id was compacted before a crash kept
+its segment from being deleted, one past the first missing id belongs to
+a batch that was never acknowledged.
 
 **Compaction.**  :meth:`ShardedIndex.compact` folds the replayed /
 ingested overlay of every shard into new shard bundle directories at
@@ -71,7 +86,7 @@ from repro.core.persist import (
 )
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
-from repro.wal import SegmentWriter, replay_segment, truncate_segment
+from repro.wal import SegmentWriter, frame, replay_segment, truncate_segment
 
 #: Version of the sharded root-manifest layout.
 SHARDED_FORMAT_VERSION = 1
@@ -184,10 +199,10 @@ def load_shard(
             f"{snapshot.n_rows} indexed rows — stale shard bundle"
         )
     if row_ids.size > 1 and not bool(np.all(np.diff(row_ids) > 0)):
-        # Local row order must follow global-id order: per-shard top-k
-        # tie-breaks (smaller local id wins) only agree with the global
-        # (distance, id) rule under this invariant, which every build /
-        # ingest / compaction path preserves.
+        # Local row order must follow global-id order: a shard's keys/ids
+        # are the stable (key, local row) sort, which is the (key, global
+        # id) order of the query view only under this invariant, which
+        # every build / ingest / compaction path preserves.
         raise SnapshotError(
             "shard row ids are not strictly increasing — corrupt or "
             "hand-edited shard bundle"
@@ -195,20 +210,64 @@ def load_shard(
     return snapshot, row_ids
 
 
-@dataclass
-class _ShardState:
-    """One shard's serving state: persisted base plus in-memory overlay.
+def _indexed_like(lsh: HammingLSH, words: np.ndarray) -> HammingLSH:
+    """A fresh index over ``words`` (ids = row numbers) sampling ``lsh``'s positions."""
+    out = HammingLSH.from_state(
+        n_bits=lsh.n_bits,
+        k=lsh.k,
+        positions=[composite.positions for composite in lsh.composites],
+        threshold=lsh.threshold,
+        delta=lsh.delta,
+        max_chunk_pairs=lsh.max_chunk_pairs,
+    )
+    out.index(BitMatrix(words, lsh.n_bits))
+    return out
 
-    ``words`` / ``row_ids`` start as the shard bundle's (typically
-    memory-mapped) arrays and copy-on-grow at the first append; rows
-    ``base_rows..count`` are the overlay — ingested or WAL-replayed
-    records not yet folded into a shard bundle by compaction.
-    ``row_ids`` is ``None`` for the one shard of a plain bundle, whose
-    local rows are the global ids.
+
+class _View:
+    """Every record as one index: ``lsh`` over ``words``, ids = global ids.
+
+    What a query batch runs against — one probe, one join, one verify,
+    whatever the shard count.  The word store grows by amortised
+    doubling (a plain snapshot's memory map is never appended to, so
+    never written).  An index and its shards share the view, which
+    holds no reference back to either.
     """
 
-    lsh: HammingLSH
-    words: np.ndarray
+    def __init__(self, lsh: HammingLSH, words: np.ndarray):
+        self.lsh = lsh
+        self._store = words
+        self.count = int(words.shape[0])
+
+    @property
+    def words(self) -> np.ndarray:
+        """The packed rows; row ``i`` is global id ``i``."""
+        return self._store[: self.count]
+
+    def append(self, words: np.ndarray) -> np.ndarray:
+        """Add rows as the next global ids, one streaming insert; returns the ids."""
+        stop = self.count + int(words.shape[0])
+        gids = np.arange(self.count, stop, dtype=np.int64)
+        self._store = _with_room(self._store, self.count, stop)
+        self._store[self.count : stop] = words
+        self.lsh.insert_rows(BitMatrix(self._store[self.count : stop], self.lsh.n_bits), gids)
+        self.count = stop
+        return gids
+
+
+@dataclass
+class _ShardState:
+    """One shard's persistence state: the records it owns and where they live.
+
+    ``row_ids`` (local row -> global id, ascending) copies-on-grow at the
+    first append; rows ``base_rows..count`` are the overlay — ingested
+    or WAL-replayed records not yet folded into a shard bundle by
+    compaction.  ``row_ids`` is ``None`` for the one shard of a plain
+    bundle, whose local rows are the global ids.  The records
+    themselves live once, in the index's :class:`_View`.
+    """
+
+    view: _View
     row_ids: np.ndarray | None
     count: int
     base_rows: int
@@ -218,51 +277,71 @@ class _ShardState:
     def overlay_rows(self) -> int:
         return self.count - self.base_rows
 
-    def global_ids(self, local: np.ndarray) -> np.ndarray:
-        """Global record ids of ``local`` rows (themselves, in a plain shard)."""
+    @property
+    def words(self) -> np.ndarray:
+        """This shard's packed rows in local order (gathered from the view)."""
         if self.row_ids is None:
-            return local
-        return np.asarray(self.row_ids[: self.count][local], dtype=np.int64)
+            return self.view.words
+        return self.view.words[self.row_ids[: self.count]]
+
+    @property
+    def lsh(self) -> HammingLSH:
+        """An index over :attr:`words` with local ids, built afresh per access.
+
+        Kept only for the benchmark suite's staged replay, which scans
+        shard by shard; it goes with that replay (ROADMAP item 1).
+        """
+        return _indexed_like(self.view.lsh, self.words)
 
 
 class ShardedIndex:
     """An ``N``-shard HB index with durable online ingest.
 
-    Construct with :meth:`build` (partition and index rows in memory),
-    then :meth:`save` to persist, or :meth:`open` to attach a persisted
-    bundle of either layout (payloads memory-mapped, WAL replayed).  The
-    serving layer on top is :class:`repro.serve.QueryEngine`.
+    Construct with :meth:`build` (index rows in memory, partitioned by
+    id), then :meth:`save` to persist, or :meth:`open` to attach a
+    persisted bundle of either layout (WAL replayed).  Queries run
+    against one view of every record, :attr:`lsh` over :attr:`words`
+    with global ids; the serving layer on top is
+    :class:`repro.serve.QueryEngine`.
     """
 
     def __init__(
         self,
         encoder: RecordEncoder,
+        view: _View,
         shards: list[_ShardState],
         threshold: int,
-        next_id: int,
         path: Path | None = None,
         version: int = 0,
         manifest: dict[str, Any] | None = None,
-        mmap_mode: str | None = "r",
     ):
         if not shards:
             raise ValueError("a sharded index needs at least one shard")
         self.encoder = encoder
+        self._view = view
         self.shards = shards
         self.threshold = threshold
-        self.next_id = next_id
         self.path = path
         self.version = version
         self.manifest = manifest or {}
-        self._mmap_mode = mmap_mode
         #: The snapshot a plain (read-only, one-shard) index serves.
         self._plain: IndexSnapshot | None = None
         self._writers: dict[int, SegmentWriter] = {}
         #: Recovery / ingest counters (``wal_replayed_records``,
-        #: ``wal_torn_bytes``, ``records_appended``).
+        #: ``wal_skipped_records``, ``wal_torn_bytes``, ``records_appended``).
         self.counters: dict[str, float] = {}
 
     # -- introspection -----------------------------------------------------------
+
+    @property
+    def lsh(self) -> HammingLSH:
+        """The one index every query runs against; its ids are global ids."""
+        return self._view.lsh
+
+    @property
+    def words(self) -> np.ndarray:
+        """Every record's packed row in global-id order."""
+        return self._view.words
 
     @property
     def n_shards(self) -> int:
@@ -271,7 +350,12 @@ class ShardedIndex:
     @property
     def n_rows(self) -> int:
         """Total indexed records across shards (including the overlay)."""
-        return sum(state.count for state in self.shards)
+        return self._view.count
+
+    @property
+    def next_id(self) -> int:
+        """The id the next ingested record gets (ids ``0..next_id - 1`` are held)."""
+        return self._view.count
 
     @property
     def overlay_rows(self) -> int:
@@ -301,70 +385,47 @@ class ShardedIndex:
         seed: int | None = None,
         max_chunk_pairs: int | None = None,
     ) -> "ShardedIndex":
-        """Partition ``rows`` across ``n_shards`` and index every shard.
+        """Index ``rows`` once and partition them across ``n_shards``.
 
-        Global record ids are the row indices; each shard gets its own
-        :class:`~repro.hamming.lsh.HammingLSH` built from the **same**
-        ``(k, threshold, delta, seed)``, so all shards sample identical
-        bit positions — a record's candidacy for a query depends only on
-        its own blocking keys, which is what makes sharded results
-        byte-identical to a single index over the same rows.
-        ``n_shards=None`` indexes the rows whole as a plain index
+        Global record ids are the row indices.  The rows are indexed as
+        one :class:`~repro.hamming.lsh.HammingLSH` built from
+        ``(k, threshold, delta, seed)`` — the query view, identical to a
+        single index over the same rows — and the shard a record is
+        persisted in is :func:`shard_of_id` of its id.
+        ``n_shards=None`` serves the rows as a plain index
         (:meth:`single`), which saves the single-bundle layout.
         """
         if n_shards is not None and n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-
-        def indexed(part: BitMatrix) -> HammingLSH:
-            lsh = HammingLSH(
-                n_bits=encoder.total_bits,
-                k=k,
-                threshold=threshold,
-                delta=delta,
-                n_tables=n_tables,
-                seed=seed,
-                max_chunk_pairs=max_chunk_pairs,
-            )
-            lsh.index(part)
-            return lsh
-
         matrix = encoder.encode_dataset(rows)
+        lsh = HammingLSH(
+            n_bits=encoder.total_bits,
+            k=k,
+            threshold=threshold,
+            delta=delta,
+            n_tables=n_tables,
+            seed=seed,
+            max_chunk_pairs=max_chunk_pairs,
+        )
+        lsh.index(matrix)
         if n_shards is None:
             return cls.single(
-                IndexSnapshot(
-                    encoder=encoder, matrix=matrix, lsh=indexed(matrix), threshold=threshold
-                )
+                IndexSnapshot(encoder=encoder, matrix=matrix, lsh=lsh, threshold=threshold)
             )
+        view = _View(lsh, matrix.words)
         ids = np.arange(len(rows), dtype=np.int64)
         assignment = shards_of_ids(ids, n_shards)
         shards: list[_ShardState] = []
         for shard in range(n_shards):
             row_ids = ids[assignment == shard]
-            shard_matrix = BitMatrix(
-                matrix.words[row_ids], encoder.total_bits
-            )
-            lsh = indexed(shard_matrix)
-            shards.append(
-                _ShardState(
-                    lsh=lsh,
-                    words=shard_matrix.words,
-                    row_ids=row_ids,
-                    count=int(row_ids.size),
-                    base_rows=int(row_ids.size),
-                )
-            )
-        return cls(
-            encoder=encoder,
-            shards=shards,
-            threshold=threshold,
-            next_id=len(rows),
-        )
+            shards.append(_ShardState(view, row_ids, int(row_ids.size), int(row_ids.size)))
+        return cls(encoder=encoder, view=view, shards=shards, threshold=threshold)
 
     @classmethod
     def single(cls, snapshot: IndexSnapshot) -> "ShardedIndex":
         """Serve one snapshot as a plain index: one read-only shard.
 
-        Local rows are the global ids, so nothing is copied or mapped
+        The snapshot is the query view, so nothing is copied or mapped
         beyond the snapshot itself; :meth:`merged` hands it back as is,
         :meth:`save` writes the single-bundle layout, and
         :meth:`append_batch` / :meth:`compact` raise
@@ -374,18 +435,12 @@ class ShardedIndex:
             raise ValueError(
                 "snapshot records no matching threshold; rebuild it with one"
             )
-        shard = _ShardState(
-            lsh=snapshot.lsh,
-            words=snapshot.matrix.words,
-            row_ids=None,
-            count=snapshot.n_rows,
-            base_rows=snapshot.n_rows,
-        )
+        view = _View(snapshot.lsh, snapshot.matrix.words)
         index = cls(
             encoder=snapshot.encoder,
-            shards=[shard],
+            view=view,
+            shards=[_ShardState(view, None, snapshot.n_rows, snapshot.n_rows)],
             threshold=snapshot.threshold,
-            next_id=snapshot.n_rows,
             path=snapshot.path,
             manifest=snapshot.manifest,
         )
@@ -396,24 +451,28 @@ class ShardedIndex:
     def open(cls, path: str | Path, mmap_mode: str | None = "r") -> "ShardedIndex":
         """Attach a persisted bundle of either layout.
 
-        A sharded bundle has every shard's payloads memory-mapped
-        (default ``mmap_mode``) and its WAL segments replayed:
-        write-ahead records land in the in-memory overlay exactly as
-        they were acknowledged and a torn segment tail is truncated to
-        the durable prefix.  A plain single-index bundle is attached as
-        :meth:`single` over the loaded snapshot.  Any structural problem
-        raises :class:`~repro.core.persist.SnapshotError`.
+        A plain single-index bundle is attached as :meth:`single` over
+        the loaded snapshot (payloads mapped with ``mmap_mode``).  A
+        sharded bundle has every shard's manifest validated and its
+        words and row ids read into global-id order (``mmap_mode`` only
+        says how they are read), then indexed once as the query view; a
+        shard's own keys / ids are never kept.  Its WAL segments are
+        then replayed: the acknowledged records land in the overlay and
+        a torn segment tail is truncated to the durable prefix.  Any
+        structural problem raises
+        :class:`~repro.core.persist.SnapshotError`.
         """
         root = Path(path)
         if not _is_sharded_bundle(root):
             return cls.single(load_index_snapshot(root, mmap_mode=mmap_mode))
         manifest = _read_root_manifest(root)
         encoder = _read_root_encoder(root, manifest)
-        threshold = int(manifest["threshold"])
-        specs = manifest["shards"]
-        shards: list[_ShardState] = []
-        reference: tuple[tuple[int, ...], ...] | None = None
-        for shard, spec in enumerate(specs):
+        next_id = int(manifest["next_id"])
+        words = np.empty((next_id, (encoder.total_bits + 63) // 64), dtype=np.uint64)
+        held = np.zeros(next_id, dtype=bool)
+        parts: list[tuple[np.ndarray, str]] = []
+        reference: HammingLSH | None = None
+        for shard, spec in enumerate(manifest["shards"]):
             snapshot, row_ids = load_shard(root / spec["dir"], mmap_mode=mmap_mode)
             if snapshot.n_rows != int(spec["n_rows"]):
                 raise SnapshotError(
@@ -425,33 +484,40 @@ class ShardedIndex:
                     f"shard {shard} was built with a different encoder than "
                     "the sharded root records"
                 )
-            positions = tuple(g.composite.positions for g in snapshot.lsh.groups)
             if reference is None:
-                reference = positions
-            elif positions != reference:
+                reference = snapshot.lsh
+            elif snapshot.lsh.composites != reference.composites:
                 raise SnapshotError(
                     f"shard {shard} samples different blocking positions than "
                     "shard 0 — shards of one bundle must share one LSH"
                 )
-            shards.append(
-                _ShardState(
-                    lsh=snapshot.lsh,
-                    words=snapshot.matrix.words,
-                    row_ids=row_ids,
-                    count=snapshot.n_rows,
-                    base_rows=snapshot.n_rows,
-                    dirname=str(spec["dir"]),
+            if row_ids.size and (row_ids[0] < 0 or row_ids[-1] >= next_id):
+                raise SnapshotError(
+                    f"shard {shard} holds record ids outside 0..{next_id - 1} "
+                    "— global ids must be dense"
                 )
+            words[row_ids] = snapshot.matrix.words
+            held[row_ids] = True
+            parts.append((np.array(row_ids), str(spec["dir"])))
+        total = sum(row_ids.size for row_ids, __ in parts)
+        if total != next_id or not held.all():
+            raise SnapshotError(
+                f"sharded bundle holds {total} rows but ids run to "
+                f"{next_id} — global ids must be dense"
             )
+        assert reference is not None  # the root manifest names at least one shard
+        view = _View(_indexed_like(reference, words), words)
         index = cls(
             encoder=encoder,
-            shards=shards,
-            threshold=threshold,
-            next_id=int(manifest["next_id"]),
+            view=view,
+            shards=[
+                _ShardState(view, row_ids, int(row_ids.size), int(row_ids.size), dirname)
+                for row_ids, dirname in parts
+            ],
+            threshold=int(manifest["threshold"]),
             path=root,
             version=int(manifest["version"]),
             manifest=manifest,
-            mmap_mode=mmap_mode,
         )
         index._replay_wal()
         return index
@@ -461,14 +527,13 @@ class ShardedIndex:
     def save(self, path: str | Path) -> Path:
         """Persist the index as a sharded bundle (atomic whole-directory).
 
-        Every shard — including any in-memory overlay, which is folded
-        by the shard save — is written as a complete single-index bundle
-        under a temp root, the root manifest last; the temp root is then
-        renamed into place.  The index re-attaches to the persisted
-        bundle (payloads memory-mapped, overlay empty).  A plain index
-        writes the single-bundle layout of
-        :func:`~repro.core.persist.save_index_snapshot` instead and
-        keeps serving its in-memory arrays.
+        Every shard — including any in-memory overlay — is written as a
+        complete single-index bundle under a temp root, the root
+        manifest last; the temp root is then renamed into place.  The
+        index keeps serving its in-memory view, now attached to the
+        persisted bundle (overlay empty).  A plain index writes the
+        single-bundle layout of
+        :func:`~repro.core.persist.save_index_snapshot` instead.
         """
         if self._plain is not None:
             plain = self._plain
@@ -478,26 +543,26 @@ class ShardedIndex:
             self.path = out
             self._plain = replace(plain, path=out)
             return out
-        version = max(1, self.version + 1)
+        manifest = self._root_manifest(max(1, self.version + 1))
 
         def _write(tmp: Path) -> None:
-            specs = []
-            for shard, state in enumerate(self.shards):
-                specs.append(self._write_shard(tmp, shard, state, version))
+            for state, spec in zip(self.shards, manifest["shards"]):
+                self._write_shard(tmp, state, spec)
             (tmp / "wal").mkdir(exist_ok=True)
             (tmp / ENCODER_NAME).write_text(
                 json.dumps(encoder_to_dict(self.encoder), indent=2),
                 encoding="utf-8",
             )
             fsync_file(tmp / ENCODER_NAME)
-            manifest = self._root_manifest(version, specs)
             (tmp / MANIFEST_NAME).write_text(
                 json.dumps(manifest, indent=2), encoding="utf-8"
             )
             fsync_file(tmp / MANIFEST_NAME)
 
         out = write_dir_atomic(path, _write)
-        self._attach(out)
+        self.close()
+        self.path = out
+        self._published(manifest)
         return out
 
     def compact(self) -> int:
@@ -509,7 +574,9 @@ class ShardedIndex:
         the superseded shard directories and WAL segments.  A crash
         before the swap leaves the old generation authoritative; a crash
         after it leaves only orphaned old directories, swept by the next
-        compaction.  Returns the new version.
+        compaction, and segments whose records the next open skips.
+        The query view's delta run is folded into its bulk run.
+        Returns the new version.
         """
         if self._plain is not None:
             raise PlainBundleError(self.path, "nothing to compact")
@@ -518,12 +585,9 @@ class ShardedIndex:
                 "compact() needs a persisted sharded bundle; call save() first"
             )
         root = self.path
-        version = self.version + 1
-        specs = [
-            self._write_shard(root, shard, state, version)
-            for shard, state in enumerate(self.shards)
-        ]
-        manifest = self._root_manifest(version, specs)
+        manifest = self._root_manifest(self.version + 1)
+        for state, spec in zip(self.shards, manifest["shards"]):
+            self._write_shard(root, state, spec)
         _swap_root_manifest(root, manifest)
         self.close()
         for state in self.shards:
@@ -531,11 +595,9 @@ class ShardedIndex:
                 shutil.rmtree(root / state.dirname, ignore_errors=True)
         for shard in range(self.n_shards):
             (root / wal_name(shard)).unlink(missing_ok=True)
-        _sweep_orphans(root, {str(spec["dir"]) for spec in specs})
-        self.version = version
-        self.manifest = manifest
-        self._reload_shards(specs)
-        return version
+        _sweep_orphans(root, {str(spec["dir"]) for spec in manifest["shards"]})
+        self._published(manifest)
+        return self.version
 
     def close(self) -> None:
         """Close any open write-ahead segment writers (idempotent)."""
@@ -581,8 +643,7 @@ class ShardedIndex:
                 self._writer(shard).append(_wal_payload(gid, row), sync=False)
             for shard in np.unique(owners).tolist():
                 self._writers[shard].sync()
-        self._append_rows(matrix.words, gids, owners)
-        self.next_id += len(rows)
+        self._append_rows(matrix.words, owners)
         self.counters["records_appended"] = (
             self.counters.get("records_appended", 0.0) + len(rows)
         )
@@ -591,63 +652,23 @@ class ShardedIndex:
     # -- merged view -------------------------------------------------------------
 
     def merged(self) -> IndexSnapshot:
-        """One logical :class:`IndexSnapshot` over all shards, in global order.
+        """The query view as one :class:`IndexSnapshot`, zero-copy.
 
-        Reassembles the packed words into global-id row order and merges
-        every blocking group's sorted arrays (stable two-key ordering:
-        bucket key, then global id) — byte-identical to the index a
-        single-shard build over the same rows would produce.  Used by
-        the pipeline's ``LoadSnapshotStage`` and
+        Words in global-id order and an LSH holding every record under
+        its global id — byte-identical to a single index built over the
+        same rows (its export is the stable ``(key, id)`` sort either
+        way).  Used by the pipeline's ``LoadSnapshotStage`` and
         ``StreamingLinker.load_snapshot`` so offline linkage runs
-        unchanged against sharded bundles.  A plain index returns the
-        snapshot it serves, zero-copy.
+        unchanged against sharded bundles.  The snapshot shares this
+        index's arrays, so it is for an index that serves nothing else
+        afterwards.  A plain index returns the snapshot it serves.
         """
         if self._plain is not None:
             return self._plain
-        total = self.n_rows
-        if total != self.next_id:
-            raise SnapshotError(
-                f"sharded bundle holds {total} rows but ids run to "
-                f"{self.next_id} — global ids must be dense"
-            )
-        n_words = (self.n_bits + 63) // 64
-        words = np.empty((total, n_words), dtype=np.uint64)
-        for state in self.shards:
-            words[state.global_ids(np.arange(state.count))] = state.words[: state.count]
-        reference = self.shards[0].lsh
-        merged = HammingLSH.from_state(
-            n_bits=self.n_bits,
-            k=reference.k,
-            positions=[g.composite.positions for g in reference.groups],
-            threshold=self.threshold,
-            delta=reference.delta,
-            max_chunk_pairs=reference.max_chunk_pairs,
-        )
-        runs = [state.lsh.export() for state in self.shards]
-        key_parts: list[np.ndarray] = []
-        gid_parts: list[np.ndarray] = []
-        for table in range(merged.n_tables):
-            spans = [slice(run.offsets[table], run.offsets[table + 1]) for run in runs]
-            keys = np.concatenate([run.keys[span] for run, span in zip(runs, spans)])
-            gids = np.concatenate(
-                [
-                    state.global_ids(run.ids[span])
-                    for state, run, span in zip(self.shards, runs, spans)
-                ]
-            )
-            by_gid = np.argsort(gids, kind="stable")
-            by_key = by_gid[np.argsort(keys[by_gid], kind="stable")]
-            key_parts.append(keys[by_key])
-            gid_parts.append(gids[by_key])
-        merged.adopt(
-            np.concatenate(key_parts),
-            np.concatenate(gid_parts),
-            [table * total for table in range(merged.n_tables + 1)],
-        )
         return IndexSnapshot(
             encoder=self.encoder,
-            matrix=BitMatrix(words, self.n_bits),
-            lsh=merged,
+            matrix=BitMatrix(self.words, self.n_bits),
+            lsh=self.lsh,
             threshold=self.threshold,
             path=self.path,
             manifest=self.manifest,
@@ -663,48 +684,50 @@ class ShardedIndex:
             self._writers[shard] = writer
         return writer
 
-    def _append_rows(
-        self, words: np.ndarray, gids: np.ndarray, owners: np.ndarray
-    ) -> None:
-        """Insert encoded records into their owning shards' in-memory overlays.
+    def _append_rows(self, words: np.ndarray, owners: np.ndarray) -> None:
+        """Add encoded records, the next global ids in order, to the view.
 
-        Per touched shard: one slice copy into the copy-on-grow word /
-        row-id stores and one :meth:`HammingLSH.insert_rows`.
+        One streaming insert into the view's LSH, then per touched shard
+        (``owners``: each row's shard) one slice copy into its
+        copy-on-grow row-id store.
         """
+        gids = self._view.append(words)
         for shard in np.unique(owners).tolist():
             state = self.shards[shard]
-            mine = owners == shard
-            stop = state.count + int(mine.sum())
+            mine = gids[owners == shard]
+            stop = state.count + int(mine.size)
             assert state.row_ids is not None  # a plain shard is never appended to
-            state.words = _with_room(state.words, state.count, stop)
             state.row_ids = _with_room(state.row_ids, state.count, stop)
-            state.words[state.count : stop] = words[mine]
-            state.row_ids[state.count : stop] = gids[mine]
-            state.lsh.insert_rows(
-                BitMatrix(state.words[state.count : stop], self.n_bits),
-                np.arange(state.count, stop, dtype=np.int64),
-            )
+            state.row_ids[state.count : stop] = mine
             state.count = stop
 
     def _replay_wal(self) -> None:
-        """Fold every shard's durable WAL records into the overlay.
+        """Fold the acknowledged write-ahead records into the view.
 
-        Every segment is parsed and checked before anything is inserted,
-        so an unreadable record fails the open with the overlay empty;
-        the surviving records are then encoded and inserted as one batch.
+        Every segment is parsed and checked before anything changes, so
+        an unreadable record fails the open with the overlay empty.
+        Applied — encoded and inserted as one batch — is the dense run
+        of ids from ``next_id`` (the root manifest's) on.  Every other
+        frame is cut from its segment and counted in
+        ``wal_skipped_records``: one below ``next_id`` is in a shard
+        bundle already (a crash between a compaction's manifest swap and
+        the segment's deletion), one past the first missing id belongs
+        to a batch that crashed between two shards' fsyncs, before its
+        acknowledgement.
         """
         assert self.path is not None
         torn = 0
-        gids: list[int] = []
-        rows: list[tuple[str, ...]] = []
+        segments: list[tuple[Path, list[bytes], list[int]]] = []
+        values: dict[int, tuple[str, ...]] = {}
         for shard in range(self.n_shards):
             segment = self.path / wal_name(shard)
             result = replay_segment(segment)
             if not result.clean:
                 truncate_segment(segment, result.durable_bytes)
                 torn += result.torn_bytes
+            gids: list[int] = []
             for payload in result.records:
-                gid, values = _parse_wal_payload(payload)
+                gid, row = _parse_wal_payload(payload)
                 if shard_of_id(gid, self.n_shards) != shard:
                     raise SnapshotError(
                         f"WAL segment for shard {shard} carries record "
@@ -712,30 +735,46 @@ class ShardedIndex:
                         f"{shard_of_id(gid, self.n_shards)}"
                     )
                 gids.append(gid)
-                rows.append(values)
-        if rows:
-            ids = np.asarray(gids, dtype=np.int64)
-            words = self.encoder.encode_dataset(rows).words
-            self._append_rows(words, ids, shards_of_ids(ids, self.n_shards))
-            self.next_id = max(self.next_id, int(ids.max()) + 1)
-        self.counters["wal_replayed_records"] = float(len(rows))
+                values[gid] = row
+            segments.append((segment, result.records, gids))
+        first = stop = self.next_id
+        while stop in values:
+            stop += 1
+        skipped = 0
+        for segment, records, gids in segments:
+            kept = [payload for payload, gid in zip(records, gids) if first <= gid < stop]
+            if len(kept) < len(records):
+                skipped += len(records) - len(kept)
+                _cut_segment(segment, kept)
+        if stop > first:
+            rows = [values[gid] for gid in range(first, stop)]
+            owners = shards_of_ids(np.arange(first, stop), self.n_shards)
+            self._append_rows(self.encoder.encode_dataset(rows).words, owners)
+        self.counters["wal_replayed_records"] = float(stop - first)
+        self.counters["wal_skipped_records"] = float(skipped)
         self.counters["wal_torn_bytes"] = float(torn)
 
-    def _write_shard(
-        self, root: Path, shard: int, state: _ShardState, version: int
-    ) -> dict[str, Any]:
-        """Write one shard (base + overlay) as a bundle dir; return its spec."""
-        dirname = shard_dirname(shard, version)
-        matrix = BitMatrix(np.asarray(state.words[: state.count]), self.n_bits)
-        save_index_snapshot(
-            root / dirname, self.encoder, matrix, state.lsh, threshold=self.threshold
-        )
-        row_ids = state.global_ids(np.arange(state.count))
-        np.save(root / dirname / ROW_IDS_NAME, row_ids, allow_pickle=False)
-        fsync_file(root / dirname / ROW_IDS_NAME)
-        return {"dir": dirname, "n_rows": int(state.count)}
+    def _write_shard(self, root: Path, state: _ShardState, spec: dict[str, Any]) -> None:
+        """Write one shard (base + overlay) as the bundle dir ``spec`` names.
 
-    def _root_manifest(self, version: int, specs: list[dict[str, Any]]) -> dict[str, Any]:
+        Its keys / ids come from indexing its rows: the stable ``(key,
+        local row)`` sort, which is what exporting a base index plus
+        streamed inserts of later (larger) ids gives.
+        """
+        out = root / spec["dir"]
+        words = state.words
+        save_index_snapshot(
+            out,
+            self.encoder,
+            BitMatrix(words, self.n_bits),
+            _indexed_like(self.lsh, words),
+            threshold=self.threshold,
+        )
+        assert state.row_ids is not None  # a plain shard is saved as a plain bundle
+        np.save(out / ROW_IDS_NAME, state.row_ids[: state.count], allow_pickle=False)
+        fsync_file(out / ROW_IDS_NAME)
+
+    def _root_manifest(self, version: int) -> dict[str, Any]:
         return {
             "format_version": SHARDED_FORMAT_VERSION,
             "kind": SHARDED_KIND,
@@ -745,37 +784,21 @@ class ShardedIndex:
             "threshold": self.threshold,
             "n_bits": self.n_bits,
             "encoder_sha256": encoder_fingerprint(self.encoder),
-            "shards": specs,
+            "shards": [
+                {"dir": shard_dirname(shard, version), "n_rows": int(state.count)}
+                for shard, state in enumerate(self.shards)
+            ],
         }
 
-    def _reload_shards(self, specs: list[dict[str, Any]]) -> None:
-        """Re-attach every shard from disk (fresh mmap, empty overlay)."""
-        assert self.path is not None
-        fresh: list[_ShardState] = []
-        for spec in specs:
-            snapshot, row_ids = load_shard(
-                self.path / spec["dir"], mmap_mode=self._mmap_mode
-            )
-            fresh.append(
-                _ShardState(
-                    lsh=snapshot.lsh,
-                    words=snapshot.matrix.words,
-                    row_ids=row_ids,
-                    count=snapshot.n_rows,
-                    base_rows=snapshot.n_rows,
-                    dirname=str(spec["dir"]),
-                )
-            )
-        self.shards = fresh
-
-    def _attach(self, root: Path) -> None:
-        """Point this index at a freshly written bundle root."""
-        self.close()
-        manifest = _read_root_manifest(root)
-        self.path = root
+    def _published(self, manifest: dict[str, Any]) -> None:
+        """Adopt a generation just written: every overlay row is in a shard
+        bundle now, and the view's delta run is folded into its bulk run."""
         self.version = int(manifest["version"])
         self.manifest = manifest
-        self._reload_shards(list(manifest["shards"]))
+        for state, spec in zip(self.shards, manifest["shards"]):
+            state.base_rows = state.count
+            state.dirname = str(spec["dir"])
+        self.lsh.adopt(*self.lsh.export())
 
 
 # -- root-manifest helpers ---------------------------------------------------------
@@ -844,6 +867,15 @@ def _swap_root_manifest(root: Path, manifest: dict[str, Any]) -> None:
     # Without a directory fsync the rename itself may not survive a
     # crash, leaving the old generation authoritative after an ack.
     _fsync_dir(root)
+
+
+def _cut_segment(segment: Path, kept: list[bytes]) -> None:
+    """Replace a write-ahead segment by the frames of ``kept`` (temp file + ``os.replace``)."""
+    tmp = segment.with_name(f"{segment.name}.tmp-{os.getpid()}")
+    tmp.write_bytes(b"".join(frame(payload) for payload in kept))
+    fsync_file(tmp)
+    os.replace(tmp, segment)
+    _fsync_dir(segment.parent)
 
 
 def _sweep_orphans(root: Path, live_dirs: set[str]) -> None:

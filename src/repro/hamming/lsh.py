@@ -305,8 +305,7 @@ class CompositeHash:
 
 class Probe(NamedTuple):
     """A query batch's blocking keys, sorted and run-length encoded once for
-    whatever they are joined against: the bulk run, the delta run, every
-    shard of a sharded index (shards share one set of sampled positions)."""
+    whatever they are joined against: the bulk run and the delta run."""
 
     n_rows: int  # rows of the probing matrix
     cuts: list[int]  # table t owns keys[cuts[t]:cuts[t + 1]]

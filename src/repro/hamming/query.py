@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.distance import hamming_packed
-from repro.hamming.lsh import HammingLSH, Probe, run_starts
+from repro.hamming.lsh import HammingLSH, run_starts
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -68,7 +68,6 @@ def batch_query(
     matrix_b: BitMatrix,
     threshold: int,
     top_k: int | None = None,
-    probe: Probe | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every row of ``matrix_b`` against the indexed dataset at once.
 
@@ -83,13 +82,10 @@ def batch_query(
     candidates from the sort-merge bucket join, one vectorised Hamming
     sweep, one grouping sort — identical output to looping
     ``lsh.query`` + verify per record, at a fraction of the overhead.
-
-    ``probe`` is ``matrix_b``'s :meth:`HammingLSH.probe`, for a caller
-    that asks one batch of several indexes (shards) sharing their positions.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    cand_a, cand_b = lsh.candidate_pairs(matrix_b, probe=probe)
+    cand_a, cand_b = lsh.candidate_pairs(matrix_b)
     if cand_a.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
     n_a = int(words_a.shape[0])
@@ -113,8 +109,12 @@ def batch_query(
 def group_matches(
     queries: np.ndarray, ids: np.ndarray, distances: np.ndarray, n_queries: int
 ) -> list[list[tuple[int, int]]]:
-    """Per-query ``(id, distance)`` lists from grouped batch-query arrays."""
+    """Per-query ``(id, distance)`` lists from grouped batch-query arrays.
+
+    Each array is read once, as a Python list: iterating a numpy array
+    boxes one scalar per element, which costs twice the whole loop.
+    """
     out: list[list[tuple[int, int]]] = [[] for __ in range(n_queries)]
-    for query, rid, dist in zip(queries, ids, distances):
-        out[int(query)].append((int(rid), int(dist)))
+    for query, rid, dist in zip(queries.tolist(), ids.tolist(), distances.tolist()):
+        out[query].append((rid, dist))
     return out

@@ -125,9 +125,9 @@ class LoadSnapshotStage(CalibrateStage):
     is accounted.
 
     Either bundle layout loads through ``ShardedIndex.open(...).merged()``:
-    a plain bundle's snapshot as is, a sharded bundle's shards —
-    including any write-ahead ingest overlay — merged into one logical
-    snapshot in global-id order, byte-identical to a single-bundle index
+    a plain bundle's snapshot as is, a sharded bundle's query view —
+    every shard's records, write-ahead ingest overlay included, indexed
+    as one in global-id order — byte-identical to a single-bundle index
     over the same records.  The shard count / replayed-record count land
     in the run counters.
     """

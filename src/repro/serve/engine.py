@@ -8,27 +8,16 @@ behind it: a plain single-index bundle
 (:func:`repro.core.persist.save_index_snapshot`) served read-only as one
 shard, and an ``N``-shard bundle with durable online ingest.
 
-A batch is embedded **once**, its blocking keys are sorted once (all
-shards share one set of sampled positions), every shard is scanned
-inline by :func:`repro.hamming.query.batch_query`, and the per-shard
-results are merged deterministically.  Nothing fans out to a worker
-pool: building one per call cost 8–64x the scan it parallelised (see
-``docs/serving.md``).
-
-**Why the merge is byte-identical to a single index.**  Every record
-lives in exactly one shard and keeps its global id, and all shards share
-one set of sampled LSH positions, so a record's candidacy for a query is
-unchanged by sharding.  Threshold mode re-sorts the concatenated matches
-by ``(query, id)`` — the single-shard order.  Top-k mode asks each shard
-for its own top-k (a superset of the global winners: any globally kept
-match has fewer than ``k`` better matches even within its shard), then
-re-sorts the union by ``(query, distance, id)`` and cuts each query
-segment to ``k`` — the exact composite-sort-and-cut
-:func:`repro.hamming.query.batch_query` performs.  Within a shard local
-row order follows global-id order (ids are assigned monotonically), so
-per-shard tie-breaks already agree with the global ``(distance, id)``
-rule; shard number never decides.  One shard's output is therefore
-already the merged order, and the merge is skipped.
+A batch is embedded **once** and answered by **one**
+:func:`repro.hamming.query.batch_query` against the index's query view
+(``ShardedIndex.lsh`` over ``ShardedIndex.words``): every record of
+every shard under its global id, so one probe, one join (bulk run plus
+delta run) and one verify serve any shard count, and the result is
+already in the single-index order — byte-identical for every layout,
+with no per-shard scan and no merge.  Shards are where records are
+persisted (WAL, compaction), not how they are queried.  Nothing fans
+out to a worker pool: building one per call cost 8–64x the scan it
+parallelised (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -43,41 +32,16 @@ import numpy as np
 from repro.core.config import DEFAULT_DELTA, DEFAULT_K
 from repro.core.encoder import RecordEncoder
 from repro.core.shards import ShardedIndex
-from repro.hamming.query import batch_query, first_per_query, group_matches
+from repro.hamming.query import batch_query, group_matches
 from repro.perf import LogHistogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: One shard's ``(queries, global ids, distances)`` for a batch.
-_Part = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 def fold_counters(stats: dict[str, float], counters: dict[str, float]) -> None:
-    """Add one shard's or batch's ``counters`` into ``stats``, key by key."""
+    """Add one batch's ``counters`` into ``stats``, key by key."""
     for key, value in counters.items():
         stats[key] = stats.get(key, 0.0) + value
-
-
-def _merge_shard_parts(parts: Sequence[_Part], top_k: int | None) -> _Part:
-    """Deterministic gather: single-shard ordering over the shard union.
-
-    Global ids are unique across shards, so the two-key (threshold) and
-    three-key (top-k) lexicographic sorts below have no ties left for the
-    shard number to break — the merged arrays are byte-identical to one
-    :func:`~repro.hamming.query.batch_query` over the unsharded index.
-    """
-    queries = np.concatenate([part[0] for part in parts])
-    gids = np.concatenate([part[1] for part in parts])
-    distances = np.concatenate([part[2] for part in parts])
-    if queries.size == 0:
-        return _EMPTY, _EMPTY, _EMPTY
-    if top_k is None:
-        order = np.lexsort((gids, queries))
-        return queries[order], gids[order], distances[order]
-    order = np.lexsort((gids, distances, queries))
-    queries, gids, distances = queries[order], gids[order], distances[order]
-    head = first_per_query(queries, top_k)
-    return queries[head], gids[head], distances[head]
 
 
 @dataclass(frozen=True)
@@ -108,10 +72,10 @@ class QueryEngine:
     """Batched threshold / top-k queries against an attached index.
 
     Construct with :meth:`from_bundle` (serve a persisted bundle of
-    either layout: payloads memory-mapped, a sharded bundle's WAL
-    replayed) or :meth:`build` (index rows in memory, e.g. before a
-    first :meth:`save`).  Results are byte-identical for every layout
-    and shard count.
+    either layout: a plain one memory-mapped, a sharded one indexed in
+    memory with its WAL replayed) or :meth:`build` (index rows in
+    memory, e.g. before a first :meth:`save`).  Results are
+    byte-identical for every layout and shard count.
 
     Beyond querying, the engine fronts a sharded bundle's lifecycle:
     :meth:`ingest` durably appends records (write-ahead logged, fsync'd
@@ -135,17 +99,20 @@ class QueryEngine:
     def __init__(self, index: ShardedIndex):
         self.index = index
         #: Counters summed over every served batch: wall-clock
-        #: accumulators (``time_embed_s``; ``time_query_s`` — probe plus
-        #: every shard scan, also readable as ``time_fanout_s``, the name
-        #: the sharded engine had for that interval; ``time_merge_s``) and
-        #: batch bookkeeping (``n_batches``, ``n_queries``).
+        #: accumulators (``time_embed_s``; ``time_query_s`` — the one
+        #: scan of the query view, also readable as ``time_fanout_s``, the
+        #: name the sharded engine had for that interval; ``time_merge_s``,
+        #: always 0: there is no shard merge) and batch
+        #: bookkeeping (``n_batches``, ``n_queries``).
         self.stats: dict[str, float] = {}
         #: Per-batch wall-clock distribution (whole ``query_batch`` call);
         #: p50/p95/p99 derivable offline from its
         #: :meth:`~repro.perf.LogHistogram.snapshot`.
         self.batch_time_hist = LogHistogram.latency()
-        #: Per-shard counters (``time_query_s`` — that shard's scan alone),
-        #: summed over every served batch.
+        #: Per-shard counters (``time_query_s``), summed over every served
+        #: batch.  Every shard's records are in the one scan, so each
+        #: shard's entry accumulates that scan's wall time: equal across
+        #: shards and always positive.
         self.shard_stats: list[dict[str, float]] = [{} for __ in range(index.n_shards)]
 
     # -- constructors ------------------------------------------------------------
@@ -187,7 +154,7 @@ class QueryEngine:
     def from_bundle(
         cls, path: str | Path, mmap_mode: str | None = "r"
     ) -> "QueryEngine":
-        """Serve a persisted bundle (mmap payloads, replay a sharded WAL)."""
+        """Serve a persisted bundle (a plain one mapped, a sharded one indexed, WAL replayed)."""
         return cls(ShardedIndex.open(path, mmap_mode=mmap_mode))
 
     from_snapshot = from_bundle
@@ -241,7 +208,7 @@ class QueryEngine:
         threshold: int | None = None,
         top_k: int | None = None,
     ) -> QueryResult:
-        """Match a batch of query records against every shard and merge.
+        """Match a batch of query records against every indexed record.
 
         ``threshold`` defaults to the one recorded in the bundle;
         ``top_k`` keeps at most that many closest matches per query,
@@ -255,32 +222,22 @@ class QueryEngine:
         started = time.perf_counter()
         matrix_b = self.index.encoder.encode_dataset(work)
         embedded = time.perf_counter()
-        shards = self.index.shards
-        probe = shards[0].lsh.probe(matrix_b)  # shards share one set of positions
-        parts: list[_Part] = []
-        for state, per_shard in zip(shards, self.shard_stats):
-            shard_started = time.perf_counter()
-            queries, local, distances = batch_query(
-                state.lsh, state.words[: state.count], matrix_b, effective, top_k, probe=probe
-            )
-            fold_counters(per_shard, {"time_query_s": time.perf_counter() - shard_started})
-            parts.append((queries, state.global_ids(local), distances))
-        fanned = time.perf_counter()
-        # One shard's batch_query output is already in merged order.
-        queries, gids, distances = (
-            parts[0] if len(parts) == 1 else _merge_shard_parts(parts, top_k)
+        queries, gids, distances = batch_query(
+            self.index.lsh, self.index.words, matrix_b, effective, top_k
         )
-        merged = time.perf_counter()
+        scanned = time.perf_counter()
+        for per_shard in self.shard_stats:
+            fold_counters(per_shard, {"time_query_s": scanned - embedded})
         fold_counters(
             self.stats,
             {
                 "n_batches": 1.0,
                 "n_queries": float(len(work)),
                 "time_embed_s": embedded - started,
-                "time_query_s": fanned - embedded,
-                "time_fanout_s": fanned - embedded,
-                "time_merge_s": merged - fanned,
+                "time_query_s": scanned - embedded,
+                "time_fanout_s": scanned - embedded,
+                "time_merge_s": 0.0,
             },
         )
-        self.batch_time_hist.record(merged - started)
+        self.batch_time_hist.record(scanned - started)
         return QueryResult(queries, gids, distances, len(work))

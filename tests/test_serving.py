@@ -32,6 +32,7 @@ from repro.core.encoder import RecordEncoder
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.core.shards import PlainBundleError, ShardedIndex
 from repro.hamming.lsh import HammingLSH
+from repro.hamming.query import group_matches
 from repro.perf import ParallelConfig
 from repro.pipeline import (
     ChunkedCandidateStage,
@@ -41,6 +42,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.runner import LinkagePipeline
 from repro.serve import QueryEngine
+from repro.serve.engine import QueryResult
 from tests.golden_linkers import (
     GOLDEN_PATH,
     K,
@@ -293,6 +295,33 @@ LAYOUTS = (
     "overlay-4",
     "replayed-4",
 )
+
+
+class TestGroupMatches:
+    @staticmethod
+    def _scalar_loop(queries, ids, distances, n_queries):
+        """The per-element loop ``group_matches`` replaced."""
+        out = [[] for __ in range(n_queries)]
+        for query, rid, dist in zip(queries, ids, distances):
+            out[int(query)].append((int(rid), int(dist)))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_queries = int(rng.integers(2, 64))
+        n = int(rng.integers(0, 300))
+        # Grouped by query, some queries with no match at all.
+        asked = rng.choice(n_queries, size=max(1, n_queries // 2), replace=False)
+        queries = np.sort(rng.choice(asked, size=n)).astype(np.int64)
+        ids = rng.integers(0, 100_000, size=n, dtype=np.int64)
+        distances = rng.integers(0, 40, size=n, dtype=np.int64)
+        want = self._scalar_loop(queries, ids, distances, n_queries)
+        got = group_matches(queries, ids, distances, n_queries)
+        assert got == want
+        assert QueryResult(queries, ids, distances, n_queries).matches() == want
+        assert all(type(v) is int for answer in got for pair in answer for v in pair)
+        assert len(got) == n_queries and [] in got
 
 
 class TestOneEngineParity:

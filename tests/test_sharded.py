@@ -1,36 +1,50 @@
 """Tests for sharded bundles (repro.core.shards) and serving over them.
 
-Four contracts:
+Five contracts:
 
 * **Parity** — the engine over ``n_shards`` shards returns byte-identical
   threshold and top-k results to the plain one-shard index, in memory
   and from a persisted bundle (the full layout x mode x batch-size grid
   is ``test_serving.TestOneEngineParity``); the merged global view
   serves the committed golden matches.
+* **One scan** — a query batch locates its buckets once per run (bulk,
+  delta) whatever the shard count, and the shard bundles it writes are
+  byte-identical to those of an index that streamed its inserts.
 * **Durability** — an acknowledged ``ingest`` survives any crash: WAL
   replay on open restores exactly the acknowledged records, torn tails
-  (kill between append and fsync) replay to the durable prefix, and
-  compaction folds the log into new shard snapshots without changing a
-  single result.
+  (kill between append and fsync) replay to the durable prefix, a crash
+  inside a batch or after a compaction's manifest swap replays neither
+  an unacknowledged nor an already compacted record, and compaction
+  folds the log into new shard snapshots without changing a single
+  result.
 * **Atomicity** — a killed save never leaves a half-written bundle; a
   killed compaction leaves the previous generation authoritative.
 * **Loud failure** — stale manifests, swapped encoders and corrupt
   sidecars raise :class:`SnapshotError`, never serve wrong candidates.
 """
 
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.hamming.lsh as lsh_module
 from repro.core.encoder import RecordEncoder
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.core.persist import (
     SnapshotError,
     load_index_snapshot,
+    save_index_snapshot,
     write_dir_atomic,
 )
 from repro.core.shards import (
+    ROW_IDS_NAME,
     ShardedIndex,
     _wal_payload,
     shard_of_id,
@@ -40,6 +54,8 @@ from repro.core.shards import (
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.data.io import write_dataset
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.lsh import HammingLSH
 from repro.pipeline import (
     ChunkedCandidateStage,
     LoadSnapshotStage,
@@ -47,9 +63,7 @@ from repro.pipeline import (
     ThresholdVerifyStage,
 )
 from repro.pipeline.runner import LinkagePipeline
-from repro.hamming.query import batch_query
 from repro.serve import QueryEngine, ShardedQueryEngine
-from repro.serve.engine import _merge_shard_parts
 from repro.wal import frame, replay_segment
 from tests.golden_linkers import (
     GOLDEN_PATH,
@@ -156,31 +170,6 @@ class TestShardedParity:
             reopened.query_batch(rows_b, top_k=3),
         )
 
-    @pytest.mark.parametrize("overlay", [False, True], ids=["clean", "overlay"])
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_probe_once_equals_probe_per_shard(self, encoder, rows_a, rows_b, n_shards, overlay):
-        """The engine sorts a batch's blocking keys once for all shards; every
-        shard computing and sorting its own (no ``probe=``) answers the same."""
-        indexed = rows_a[:100] if overlay else rows_a
-        engine = ShardedQueryEngine.build(
-            indexed, encoder, n_shards=n_shards, threshold=4, k=30, seed=SEED
-        )
-        if overlay:
-            engine.ingest(rows_a[100:])
-        matrix_b = encoder.encode_dataset(rows_b)
-        for top_k in (None, 2):
-            parts = []
-            for state in engine.index.shards:
-                queries, local, distances = batch_query(
-                    state.lsh, state.words[: state.count], matrix_b, threshold=4, top_k=top_k
-                )
-                parts.append((queries, state.row_ids[: state.count][local], distances))
-            want = _merge_shard_parts(parts, top_k)
-            assert want[0].size > 0
-            got = engine.query_batch(rows_b, top_k=top_k)
-            for a, b in zip(_arrays(got), want):
-                assert np.array_equal(a, b)
-
     def test_empty_batch_and_threshold_override(self, encoder, rows_a, rows_b):
         sharded = ShardedQueryEngine.build(
             rows_a, encoder, n_shards=2, threshold=4, k=30, seed=SEED
@@ -210,6 +199,121 @@ class TestShardedParity:
         )
         assert matches == golden["matches"]
         assert len(matches) == golden["n_matches"]
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_locate_runs_once_per_run_whatever_the_shard_count(
+        self, tmp_path, encoder, rows_a, rows_b, n_shards, monkeypatch
+    ):
+        """A work count, not a clock: with an overlay a batch searches the
+        bulk run and the delta run once each; after compaction, the bulk
+        run alone."""
+        engine = ShardedQueryEngine.build(
+            rows_a[:100], encoder, n_shards=n_shards, threshold=4, k=30, seed=SEED
+        )
+        engine.save(tmp_path / "idx")
+        engine.ingest(rows_a[100:])
+        calls = []
+        locate = lsh_module._Run.locate
+
+        def counted(run, probe):
+            calls.append(run)
+            return locate(run, probe)
+
+        monkeypatch.setattr(lsh_module._Run, "locate", counted)
+        for top_k, runs in [(None, 2), (2, 2)]:
+            calls.clear()
+            engine.query_batch(rows_b, top_k=top_k)
+            assert len(calls) == runs
+        engine.compact()
+        calls.clear()
+        engine.query_batch(rows_b)
+        assert len(calls) == 1
+        engine.close()
+
+
+def _digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+def _npy_digest(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return hashlib.sha256(buffer.getvalue()).hexdigest()
+
+
+class TestBundleBytes:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_shards=st.sampled_from([1, 2, 4]),
+        base=st.integers(1, 30),
+        steps=st.lists(st.integers(0, 12), max_size=6),  # 0: compact, n: append n rows
+    )
+    def test_shards_equal_the_streamed_route(self, encoder, rows_a, n_shards, base, steps):
+        """Build / append / compact interleavings: every file save() and
+        compact() write into a shard directory has the SHA-256 of
+        ``save_index_snapshot`` over the route of an index that streamed
+        its inserts — ``index(base)``, then ``insert_rows(overlay, local
+        ids)``, re-attached from its bundle at each compaction — and the
+        merged view exports what one index over every row does."""
+        bits = encoder.total_bits
+        words = encoder.encode_dataset(rows_a).words
+        owner = shards_of_ids(np.arange(len(rows_a)), n_shards)
+
+        def fresh():
+            return HammingLSH(n_bits=bits, k=30, threshold=4, seed=SEED)
+
+        refs, members = [], []
+        for shard in range(n_shards):
+            ids = np.flatnonzero(owner[:base] == shard)
+            lsh = fresh()
+            lsh.index(BitMatrix(words[ids], bits))
+            refs.append(lsh)
+            members.append(ids.tolist())
+
+        def check(index):
+            for shard, (lsh, ids) in enumerate(zip(refs, members)):
+                ids = np.asarray(ids, dtype=np.int64)
+                with tempfile.TemporaryDirectory() as tmp:
+                    ref = save_index_snapshot(
+                        Path(tmp) / "ref", encoder, BitMatrix(words[ids], bits), lsh, threshold=4
+                    )
+                    want = {**_digests(ref), ROW_IDS_NAME: _npy_digest(ids)}
+                assert _digests(index.path / index.shards[shard].dirname) == want
+                lsh.adopt(*lsh.export())  # what re-attaching the shard bundle gives
+
+        with tempfile.TemporaryDirectory() as root:
+            index = ShardedIndex.build(
+                rows_a[:base], encoder, n_shards, threshold=4, k=30, seed=SEED
+            )
+            index.save(Path(root) / "idx")
+            check(index)
+            n = base
+            for step in steps:
+                if not step:
+                    index.compact()
+                    check(index)
+                    continue
+                gids = index.append_batch(rows_a[n : n + step])
+                assert gids == list(range(n, n + step))
+                n += step
+                for shard, lsh in enumerate(refs):
+                    new = [gid for gid in gids if owner[gid] == shard]
+                    if new:
+                        local = np.arange(len(members[shard]), len(members[shard]) + len(new))
+                        lsh.insert_rows(BitMatrix(words[new], bits), local)
+                        members[shard] += new
+            whole = fresh()
+            whole.index(BitMatrix(words[:n], bits))
+            got, want = index.merged().lsh.export(), whole.export()
+            assert got.offsets == want.offsets
+            assert np.array_equal(got.keys, want.keys) and np.array_equal(got.ids, want.ids)
+            assert np.array_equal(index.merged().matrix.words, words[:n])
+            index.close()
 
 
 class TestDurableIngest:
@@ -390,6 +494,88 @@ class TestCrashRecovery:
         (bundle / wal_name(wrong)).write_bytes(frame(_wal_payload(gid, rows_a[0])))
         with pytest.raises(SnapshotError, match="hashes to shard"):
             ShardedIndex.open(bundle).close()
+
+    def test_crash_after_manifest_swap_replays_nothing_twice(
+        self, tmp_path, encoder, rows_a, rows_b, monkeypatch
+    ):
+        """compact() publishes the new generation, then dies before the WAL
+        segments are deleted: their records are in the shard bundles now,
+        so the next open cuts them instead of serving them twice."""
+        base = len(rows_a) - 10
+        engine = ShardedQueryEngine.build(
+            rows_a[:base], encoder, n_shards=2, threshold=4, k=30, seed=SEED
+        )
+        bundle = engine.save(tmp_path / "idx")
+        engine.ingest(rows_a[base:])
+        unlink = Path.unlink
+
+        def crash_on_wal(path, *args, **kwargs):
+            if path.suffix == ".wal":
+                raise OSError("killed before the WAL segments were deleted")
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", crash_on_wal)
+        with pytest.raises(OSError, match="killed"):
+            engine.compact()
+        monkeypatch.undo()
+        engine.close()
+
+        reopened = ShardedQueryEngine.from_bundle(bundle)
+        assert reopened.index.n_rows == reopened.index.next_id == len(rows_a)
+        assert reopened.index.counters["wal_replayed_records"] == 0.0
+        assert reopened.index.counters["wal_skipped_records"] == 10.0
+        assert not any(replay_segment(bundle / wal_name(s)).records for s in (0, 1))
+        rebuilt = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
+        _assert_identical(rebuilt.query_batch(rows_b), reopened.query_batch(rows_b))
+        assert reopened.ingest(rows_b[:3]) == list(range(len(rows_a), len(rows_a) + 3))
+        reopened.compact()
+        reopened.close()
+        again = ShardedQueryEngine.from_bundle(bundle)
+        rebuilt = QueryEngine.build(rows_a + rows_b[:3], encoder, threshold=4, k=30, seed=SEED)
+        _assert_identical(rebuilt.query_batch(rows_b), again.query_batch(rows_b))
+        again.close()
+
+    def test_crash_between_two_shards_fsyncs_replays_a_prefix(
+        self, tmp_path, encoder, rows_a, rows_b
+    ):
+        """append_batch dies after shard 0's frames are durable and before
+        shard 1's: the batch was never acknowledged, so the open applies its
+        dense prefix of ids and cuts shard 0's frames past the first gap."""
+        base = len(rows_a) - 8
+        engine = ShardedQueryEngine.build(
+            rows_a[:base], encoder, n_shards=2, threshold=4, k=30, seed=SEED
+        )
+        bundle = engine.save(tmp_path / "idx")
+        engine.close()
+        batch = np.arange(base, len(rows_a))
+        owners = shards_of_ids(batch, 2)
+        durable = batch[owners == 0].tolist()
+        (bundle / wal_name(0)).write_bytes(
+            b"".join(frame(_wal_payload(gid, rows_a[gid])) for gid in durable)
+        )
+        assert (owners == 1).any()
+        prefix = int(np.argmax(owners == 1))  # ids before the first of shard 1
+        assert len(durable) > prefix  # some of shard 0's frames lie past the gap
+
+        reopened = ShardedQueryEngine.from_bundle(bundle)
+        index = reopened.index
+        assert index.n_rows == index.next_id == base + prefix
+        assert index.counters["wal_replayed_records"] == float(prefix)
+        assert index.counters["wal_skipped_records"] == float(len(durable) - prefix)
+        assert index.merged().n_rows == base + prefix
+        assert len(replay_segment(bundle / wal_name(0)).records) == prefix
+        added = reopened.ingest(rows_b[:4])
+        assert added == list(range(base + prefix, base + prefix + 4))
+        reopened.compact()
+        reopened.close()
+        again = ShardedQueryEngine.from_bundle(bundle)
+        rows = rows_a[: base + prefix] + rows_b[:4]
+        rebuilt = QueryEngine.build(rows, encoder, threshold=4, k=30, seed=SEED)
+        _assert_identical(rebuilt.query_batch(rows_b), again.query_batch(rows_b))
+        _assert_identical(
+            rebuilt.query_batch(rows_b, top_k=2), again.query_batch(rows_b, top_k=2)
+        )
+        again.close()
 
 
 class TestAtomicPublish:
