@@ -16,10 +16,9 @@ verbatim so the comparison stays honest as the library evolves:
   materialises every cross-product before a single global ``np.unique``.
 
 The *engine* numbers run the current ``link()`` (interned encoding,
-memory-bounded chunked de-duplication, single process by default).  The
-script also verifies the engine's invariants — identical matches across
-``n_jobs`` settings and chunk budgets — and records the outcome in the
-JSON.
+memory-bounded chunked de-duplication).  The script also verifies the
+engine's invariant — identical matches across chunk budgets — and
+records the outcome in the JSON.
 
 Since ``link()`` now executes on the ``repro.pipeline`` stage runner, the
 script additionally times the same engine path driven *inline* (no stage
@@ -60,7 +59,6 @@ from repro.data import (
 from repro.evaluation.reporting import banner, format_table
 from repro.hamming.bitmatrix import scatter_bits
 from repro.hamming.lsh import HammingLSH
-from repro.perf import ParallelConfig
 from repro.rules.blocking import RuleAwareBlocker
 from repro.rules.parser import parse_rule
 
@@ -76,6 +74,10 @@ RULES = {
     "or": parse_rule("((FirstName<=4) & (LastName<=4)) | (Title<=8)"),
 }
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_hotpaths.json"
+#: A chunk budget small enough to split the candidate stream into several
+#: chunks even at ``REPRO_BENCH_SCALE=0.25``, for the invariance check
+#: beside ``--budget`` and no budget.
+SMALL_BUDGET = 128
 
 
 # -- pre-PR reference implementations --------------------------------------------
@@ -260,14 +262,10 @@ def _measure_runner_overhead(prob, max_chunk_pairs):
     }
 
 
-def _run_engine(prob, n_jobs=1, max_chunk_pairs=None):
-    """End-to-end current link() with the given engine settings."""
+def _run_engine(prob, max_chunk_pairs=None):
+    """End-to-end current link() with the given chunk budget."""
     linker = CompactHammingLinker.record_level(
-        threshold=THRESHOLD,
-        k=K,
-        seed=SEED,
-        parallel=ParallelConfig(n_jobs=n_jobs),
-        max_chunk_pairs=max_chunk_pairs,
+        threshold=THRESHOLD, k=K, seed=SEED, max_chunk_pairs=max_chunk_pairs
     )
     start = time.perf_counter()
     result = linker.link(prob.dataset_a, prob.dataset_b)
@@ -339,15 +337,14 @@ def main(argv=None):
     clear_index_set_cache()
     engine_phases, engine_result = _run_engine(prob, max_chunk_pairs=args.budget)
 
-    # Invariance: matches identical across n_jobs and chunk budgets.
-    _, result_jobs2 = _run_engine(prob, n_jobs=2, max_chunk_pairs=args.budget)
+    # Invariance: matches identical, in the same order, across chunk budgets.
+    _, result_small = _run_engine(prob, max_chunk_pairs=SMALL_BUDGET)
     _, result_unchunked = _run_engine(prob)
     matches = engine_result.matches
-    invariant = (
-        matches == result_jobs2.matches
-        and matches == result_unchunked.matches
-        and np.array_equal(engine_result.rows_a, result_jobs2.rows_a)
-        and np.array_equal(engine_result.rows_b, result_jobs2.rows_b)
+    invariant = all(
+        np.array_equal(engine_result.rows_a, other.rows_a)
+        and np.array_equal(engine_result.rows_b, other.rows_b)
+        for other in (result_small, result_unchunked)
     )
     agrees_with_baseline = matches == baseline_matches
 
@@ -378,8 +375,7 @@ def main(argv=None):
             "n_matches": len(baseline_matches),
         },
         "engine": {
-            "description": "interned embed + memory-bounded chunked candidates "
-            "(n_jobs=1)",
+            "description": "interned embed + memory-bounded chunked candidates",
             "phases_s": engine_phases,
             "n_candidates": engine_result.n_candidates,
             "n_matches": engine_result.n_matches,
@@ -392,7 +388,7 @@ def main(argv=None):
             "n_records_per_side": rule_n,
             "cells": rule_aware,
         },
-        "matches_identical_across_n_jobs": bool(invariant),
+        "matches_identical_across_chunk_budgets": bool(invariant),
         "matches_identical_to_baseline": bool(agrees_with_baseline),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -414,7 +410,7 @@ def main(argv=None):
         f"runner overhead: pipeline {overhead['pipeline_s']:.3f} s vs inline "
         f"{overhead['direct_s']:.3f} s ({overhead['ratio']:.3f}x)"
     )
-    print(f"matches identical across n_jobs/chunking: {invariant}")
+    print(f"matches identical across chunk budgets: {invariant}")
     print(f"matches identical to baseline: {agrees_with_baseline}")
     print(
         format_table(
@@ -439,7 +435,7 @@ def main(argv=None):
             print("CHECK FAILED: empty candidate stream", file=sys.stderr)
             return 1
         if not invariant:
-            print("CHECK FAILED: matches differ across engine settings", file=sys.stderr)
+            print("CHECK FAILED: matches differ across chunk budgets", file=sys.stderr)
             return 1
         if not agrees_with_baseline:
             print("CHECK FAILED: engine matches differ from baseline", file=sys.stderr)

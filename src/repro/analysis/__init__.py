@@ -7,25 +7,27 @@ from an explicit seed, probabilities must never be compared with float
 ``==``, and the public API must stay fully annotated so strict ``mypy``
 keeps meaning something.  Beyond the per-file rules, the architectural
 invariants of docs/architecture.md -- acyclic module-level imports, the
-declared package layering, parallel-worker purity, the pipeline's stage
-dataflow and seed propagation -- span modules, and the flow-sensitive
-invariants of the kernel/serving layers -- handles closed on every
-path, arrays staying ``uint64``, ctx writes dominating their reads --
-span *paths*, so the framework runs in three phases:
+declared package layering, the pipeline's stage dataflow and seed
+propagation -- span modules, the flow-sensitive invariants of the
+kernel/serving layers -- handles closed on every path, arrays staying
+``uint64``, ctx writes dominating their reads -- span *paths*, and the
+durable path's fsync ordering spans *calls*, so the framework runs in
+four phases:
 
 * :mod:`repro.analysis.engine` walks each module's ``ast`` tree once and
   dispatches nodes to per-rule visitors (phase 1, RL001-RL006), then
   assembles per-module summaries into a whole-program model checked by
-  project rules (phase 2, RL101-RL105 and RL203), and lowers each
-  function to a control-flow graph for the flow-sensitive rules
-  (phase 3, RL201-RL205).
+  project rules (phase 2, RL101, RL102, RL104, RL105 and RL203), lowers
+  each function to a control-flow graph for the flow-sensitive rules
+  (phase 3, RL201, RL202 and RL204), and walks the call graph for the
+  interprocedural rules (phase 4, RL301-RL303 and RL305).
 * :mod:`repro.analysis.cfg` builds the per-function CFGs (exception
   edges, ``finally`` duplication) and :mod:`repro.analysis.dataflow`
   runs generic forward/backward fixpoints over them.
 * :mod:`repro.analysis.project` extracts the
   :class:`~repro.analysis.project.ProjectModel`: import graph, symbol
-  tables, stage kinds, ``PipelineContext`` dataflow, ``parallel_map``
-  call sites and RNG seed sources.
+  tables, stage kinds, ``PipelineContext`` dataflow, call sites and RNG
+  seed sources.
 * :mod:`repro.analysis.rules` holds one module per check.
 * :mod:`repro.analysis.report` renders findings as text, JSON, or SARIF
   2.1.0 for GitHub code scanning.

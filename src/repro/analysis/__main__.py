@@ -28,8 +28,9 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
             prog="repro lint",
             description=(
                 "reprolint: repo-specific static analysis "
-                "(per-file RL001-RL006, whole-program RL101-RL105, "
-                "flow-sensitive RL201-RL205, interprocedural RL301-RL305)"
+                "(per-file RL001-RL006, whole-program RL101 RL102 RL104 "
+                "RL105 RL203, flow-sensitive RL201 RL202 RL204, "
+                "interprocedural RL301-RL303 RL305)"
             ),
         )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")

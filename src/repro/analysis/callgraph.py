@@ -18,10 +18,10 @@ reaches ``repro.serve.engine``).  Constructor calls resolve to
 classes, not functions, and are deliberately left edge-less.
 
 The graph also derives the *module dependency closure* the incremental
-cache keys on: module A depends on module B when some call or
-``parallel_map`` worker reference in A resolves into B, or A imports
-B.  Editing B then re-lints exactly the modules whose closure contains
-B — its transitive callers — not the whole tree.
+cache keys on: module A depends on module B when some call in A
+resolves into B, or A imports B.  Editing B then re-lints exactly the
+modules whose closure contains B — its transitive callers — not the
+whole tree.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class CallGraph:
     edges: dict[str, frozenset[str]] = field(default_factory=dict)
     #: callee node id -> caller node ids.
     reverse: dict[str, set[str]] = field(default_factory=dict)
-    #: module name -> modules it depends on (calls, worker refs, imports).
+    #: module name -> modules it depends on (calls, imports).
     module_edges: dict[str, set[str]] = field(default_factory=dict)
     _resolve_cache: dict[tuple[str, str, str], str | None] = field(
         default_factory=dict, repr=False
@@ -84,23 +84,6 @@ class CallGraph:
             for target in targets:
                 graph.reverse.setdefault(target, set()).add(node_id)
                 deps.add(graph.nodes[target].module)
-        # parallel_map worker/initializer references are call edges the
-        # syntax hides (the callable is passed, not called).
-        for name, summary in model.modules.items():
-            for pcall in summary.parallel_calls:
-                for ref in (pcall.worker, pcall.initializer):
-                    if ref is None or ref.kind != "name":
-                        continue
-                    target = graph.resolve_call(name, pcall.scope, ref.name)
-                    if target is None:
-                        continue
-                    graph.module_edges[name].add(graph.nodes[target].module)
-                    scope_id = f"{name}:{pcall.scope}"
-                    if scope_id in graph.nodes and target != scope_id:
-                        graph.edges[scope_id] = graph.edges.get(
-                            scope_id, frozenset()
-                        ) | {target}
-                        graph.reverse.setdefault(target, set()).add(scope_id)
         # Import edges: name resolution consults the imported module's
         # bindings, so an edit there can change this module's findings.
         for source, target, _record in model.resolved_edges(("module", "runtime")):

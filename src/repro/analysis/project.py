@@ -2,18 +2,17 @@
 
 The per-file rules (RL001-RL006) see one AST at a time.  The
 architectural invariants this package also guards — the import layering
-of docs/architecture.md, parallel-safety of ``repro.perf`` workers, the
-stage-dataflow contract of ``repro.pipeline`` — span modules, so lint
-runs build a whole-program model first and run :class:`ProjectRule`
-checks (RL101-RL105) over it second.
+of docs/architecture.md, the stage-dataflow contract of
+``repro.pipeline``, seed propagation — span modules, so lint runs build
+a whole-program model first and run :class:`ProjectRule` checks (RL101,
+RL102, RL104, RL105, RL203) over it second.
 
 The model is deliberately *summary-shaped* rather than AST-shaped: one
 :class:`ModuleSummary` per file capturing imports (classified as
 module-level / runtime / typing-only), name bindings, class symbol
 tables with base classes and ``kind`` declarations, per-function
-``PipelineContext`` attribute reads/writes, mutation and RNG behaviour,
-``parallel_map`` call sites, RNG-constructor seed sources, and stage
-list literals.  Summaries are plain JSON-serialisable data so the
+``PipelineContext`` attribute reads/writes, call sites, RNG-constructor
+seed sources, and stage list literals.  Summaries are plain JSON-serialisable data so the
 incremental cache (:mod:`repro.analysis.cache`) can persist them and a
 warm run never re-parses unchanged files.
 
@@ -34,41 +33,16 @@ from typing import Any
 from repro.analysis.cfg import CFGNode, build_cfg, evaluated
 from repro.analysis.config import ProtocolConfig
 from repro.analysis.dataflow import DataflowAnalysis, solve
-from repro.analysis.rngpatterns import (
-    RNG_CONSTRUCTORS,
-    has_seed_argument,
-    is_global_rng_call,
-    seed_argument,
-)
+from repro.analysis.rngpatterns import RNG_CONSTRUCTORS, seed_argument
 from repro.analysis.summaries import augment_function
 
 #: Bump when the ModuleSummary shape changes; invalidates cached summaries.
 #: 2: added FunctionInfo.ctx_maybe_unset (flow-sensitive ctx facts, RL203).
 #: 3: phase-4 procedure summaries (call_sites, must_calls, call_orders,
 #:    receivers, leaks, returns facts) and used_suppressions.
-SUMMARY_VERSION = 3
-
-#: Method names that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "sort",
-        "reverse",
-        "appendleft",
-        "extendleft",
-    }
-)
-
+#: 4: dropped parallel_calls and FunctionInfo.global_decls / mutations /
+#:    rng_calls (their only readers, RL103 and RL304, are gone).
+SUMMARY_VERSION = 4
 
 def dotted_name(node: ast.expr) -> str | None:
     """Resolve ``a.b.c`` attribute chains to a dotted string, else None.
@@ -107,17 +81,6 @@ class ImportRecord:
 
 
 @dataclass
-class RngCall:
-    """A call that draws randomness (for the parallel-safety rule)."""
-
-    name: str
-    lineno: int
-    col: int
-    #: True for process-global draws; False for unseeded constructors.
-    global_state: bool = True
-
-
-@dataclass
 class RngConstruction:
     """An RNG constructor call and where its seed comes from (RL105)."""
 
@@ -151,10 +114,6 @@ class FunctionInfo:
     ctx_maybe_unset: dict[str, int] = field(default_factory=dict)
     #: Same-module functions this one forwards its ctx to.
     ctx_calls: list[str] = field(default_factory=list)
-    global_decls: list[str] = field(default_factory=list)
-    #: (name, lineno) of in-place mutations of names not local to the body.
-    mutations: list[list[Any]] = field(default_factory=list)
-    rng_calls: list[RngCall] = field(default_factory=list)
     #: Every dotted call in the body (nested defs included):
     #: ``[name, lineno, col, use]`` where ``use`` is ``"stmt"`` for a
     #: discarded expression-statement call, ``"bound:<var>"`` for a
@@ -198,28 +157,6 @@ class ClassInfo:
 
 
 @dataclass
-class CallableRef:
-    """A callable expression handed to ``parallel_map``."""
-
-    #: "name" (resolvable reference), "inline" (lambda/comprehension
-    #: analysed in place) or "other" (opaque expression).
-    kind: str
-    name: str = ""
-    inline: FunctionInfo | None = None
-
-
-@dataclass
-class ParallelCall:
-    """One ``parallel_map`` call site."""
-
-    lineno: int
-    col: int
-    scope: str
-    worker: CallableRef | None = None
-    initializer: CallableRef | None = None
-
-
-@dataclass
 class StageList:
     """A list literal whose elements are all constructor calls.
 
@@ -246,7 +183,6 @@ class ModuleSummary:
     bindings: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    parallel_calls: list[ParallelCall] = field(default_factory=list)
     rng_constructions: list[RngConstruction] = field(default_factory=list)
     stage_lists: list[StageList] = field(default_factory=list)
     #: ``# reprolint: disable=`` markers: line number (as str, for JSON
@@ -286,9 +222,6 @@ class ModuleSummary:
                 ctx_writes=dict(entry["ctx_writes"]),
                 ctx_maybe_unset=dict(entry["ctx_maybe_unset"]),
                 ctx_calls=list(entry["ctx_calls"]),
-                global_decls=list(entry["global_decls"]),
-                mutations=[list(m) for m in entry["mutations"]],
-                rng_calls=[RngCall(**call) for call in entry["rng_calls"]],
                 call_sites=[list(site) for site in entry["call_sites"]],
                 must_calls=list(entry["must_calls"]),
                 returns_normally=entry["returns_normally"],
@@ -319,16 +252,6 @@ class ModuleSummary:
                 returns_line=entry["returns_line"],
             )
 
-        def ref(entry: Mapping[str, Any] | None) -> CallableRef | None:
-            if entry is None:
-                return None
-            inline = entry.get("inline")
-            return CallableRef(
-                kind=entry["kind"],
-                name=entry.get("name", ""),
-                inline=fn(inline) if inline is not None else None,
-            )
-
         return cls(
             name=data["name"],
             path=data["path"],
@@ -350,16 +273,6 @@ class ModuleSummary:
                 )
                 for key, value in data["classes"].items()
             },
-            parallel_calls=[
-                ParallelCall(
-                    lineno=entry["lineno"],
-                    col=entry["col"],
-                    scope=entry["scope"],
-                    worker=ref(entry["worker"]),
-                    initializer=ref(entry["initializer"]),
-                )
-                for entry in data["parallel_calls"]
-            ],
             rng_constructions=[
                 RngConstruction(**entry) for entry in data["rng_constructions"]
             ],
@@ -427,9 +340,8 @@ class _Extractor:
         self._scope: list[str] = []
         self._typing_depth = 0
         self._func_depth = 0
-        #: FunctionInfo accumulating ctx/mutation facts (outermost function).
+        #: FunctionInfo accumulating ctx/call facts (outermost function).
         self._func: FunctionInfo | None = None
-        self._locals: set[str] = set()
         #: (info, def node) of every ctx-taking function/method, for the
         #: flow-sensitive post-pass in :func:`extract_module`.
         self.ctx_functions: list[
@@ -480,9 +392,6 @@ class _Extractor:
             self._typing_depth -= 1
             for stmt in node.orelse:
                 self._visit(stmt)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            if self._func is not None:
-                self._func.global_decls.extend(node.names)
         else:
             self._handle_generic(node)
             for child in ast.iter_child_nodes(node):
@@ -542,16 +451,11 @@ class _Extractor:
         if outermost:
             info = self._function_info(node, qualname)
             self._func = info
-            self._locals = _local_names(node)
             if len(self._scope) == 0:
                 self.summary.functions[node.name] = info
                 self.all_functions.append((info, node))
             if info.ctx_param is not None:
                 self.ctx_functions.append((info, node))
-        else:
-            # Nested defs fold their facts into the enclosing summary;
-            # the nested name is local there.
-            self._locals.add(node.name)
 
         self._scope.append(node.name)
         self._func_depth += 1
@@ -565,7 +469,6 @@ class _Extractor:
 
         if outermost:
             self._func = None
-            self._locals = set()
 
     def _function_info(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
@@ -634,20 +537,19 @@ class _Extractor:
                     for dec in stmt.decorator_list
                 ):
                     info.properties.append(stmt.name)
-                was_func, was_locals = self._func, self._locals
+                was_func = self._func
                 self._func = None  # methods get their own FunctionInfo
                 method = self._function_info(
                     stmt, ".".join([*self._scope, stmt.name])
                 )
                 self._func = method
-                self._locals = _local_names(stmt)
                 self._scope.append(stmt.name)
                 self._func_depth += 1
                 for body_stmt in stmt.body:
                     self._visit(body_stmt)
                 self._func_depth -= 1
                 self._scope.pop()
-                self._func, self._locals = was_func, was_locals
+                self._func = was_func
                 info.methods[stmt.name] = method
                 if registered:
                     self.all_functions.append((method, stmt))
@@ -664,15 +566,11 @@ class _Extractor:
             # The call's value is discarded; recorded before the child
             # visit reaches the Call itself.
             self._call_use[id(node.value)] = "stmt"
-        if isinstance(node, ast.Lambda):
-            # Lambda params are local while the body is scanned.
-            for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]:
-                self._locals.add(arg.arg)
         if isinstance(node, ast.Attribute):
             self._record_ctx_access(node)
         elif isinstance(node, ast.Call):
             self._record_call(node)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+        elif isinstance(node, ast.Assign):
             self._record_assignment(node)
         elif isinstance(node, ast.List) and isinstance(node.ctx, ast.Load):
             self._record_stage_list(node)
@@ -702,25 +600,8 @@ class _Extractor:
                     self._call_use.get(id(node), ""),
                 ]
             )
-        if name is not None:
-            if name == "parallel_map" or name.endswith(".parallel_map"):
-                self._record_parallel_call(node)
-            if is_global_rng_call(name) and func is not None:
-                func.rng_calls.append(
-                    RngCall(name, node.lineno, node.col_offset + 1, True)
-                )
-            if RNG_CONSTRUCTORS.match(name):
-                if func is not None and not has_seed_argument(node):
-                    func.rng_calls.append(
-                        RngCall(name, node.lineno, node.col_offset + 1, False)
-                    )
-                self._record_rng_construction(node, name)
-            # Mutator-method calls on names that are not function-local.
-            if func is not None and isinstance(node.func, ast.Attribute):
-                if node.func.attr in _MUTATOR_METHODS:
-                    base = _base_name(node.func.value)
-                    if base is not None and not self._is_local(base, func):
-                        func.mutations.append([base, node.lineno])
+        if name is not None and RNG_CONSTRUCTORS.match(name):
+            self._record_rng_construction(node, name)
         if func is not None and isinstance(node.func, ast.Name):
             if func.ctx_param is not None and any(
                 isinstance(arg, ast.Name) and arg.id == func.ctx_param
@@ -728,97 +609,13 @@ class _Extractor:
             ):
                 func.ctx_calls.append(node.func.id)
 
-    def _record_assignment(self, node: ast.Assign | ast.AugAssign) -> None:
-        func = self._func
+    def _record_assignment(self, node: ast.Assign) -> None:
         if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
+            len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
             and isinstance(node.value, ast.Call)
         ):
             self._call_use[id(node.value)] = f"bound:{node.targets[0].id}"
-        if func is None:
-            return
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            for leaf in _assignment_leaves(target):
-                if isinstance(leaf, (ast.Attribute, ast.Subscript)):
-                    base = _base_name(leaf)
-                    if base is None or self._is_local(base, func):
-                        continue
-                    if (
-                        isinstance(leaf, ast.Attribute)
-                        and func.ctx_param is not None
-                        and base == func.ctx_param
-                    ):
-                        continue  # ctx writes are dataflow, not shared state
-                    func.mutations.append([base, node.lineno])
-
-    def _is_local(self, name: str, func: FunctionInfo) -> bool:
-        if name in func.global_decls:
-            return False
-        return name in self._locals or name in func.params
-
-    def _record_parallel_call(self, node: ast.Call) -> None:
-        worker_expr: ast.expr | None = node.args[0] if node.args else None
-        initializer_expr: ast.expr | None = None
-        for keyword in node.keywords:
-            if keyword.arg == "fn" and worker_expr is None:
-                worker_expr = keyword.value
-            elif keyword.arg == "initializer":
-                initializer_expr = keyword.value
-        self.summary.parallel_calls.append(
-            ParallelCall(
-                lineno=node.lineno,
-                col=node.col_offset + 1,
-                scope=self._scope_name(),
-                worker=self._callable_ref(worker_expr),
-                initializer=self._callable_ref(initializer_expr),
-            )
-        )
-
-    def _callable_ref(self, expr: ast.expr | None) -> CallableRef | None:
-        if expr is None:
-            return None
-        name = dotted_name(expr)
-        if name is not None:
-            return CallableRef(kind="name", name=name)
-        if isinstance(expr, ast.Lambda):
-            return CallableRef(kind="inline", inline=self._lambda_info(expr))
-        return CallableRef(kind="other")
-
-    def _lambda_info(self, node: ast.Lambda) -> FunctionInfo:
-        """Analyse an inline lambda as its own miniature function."""
-        args = node.args
-        params = [
-            arg.arg
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        ]
-        info = FunctionInfo(
-            qualname="<lambda>",
-            lineno=node.lineno,
-            col=node.col_offset + 1,
-            params=params,
-        )
-        local = set(params)
-        for sub in ast.walk(node.body):
-            if isinstance(sub, ast.Call):
-                name = dotted_name(sub.func)
-                if name is not None:
-                    if is_global_rng_call(name):
-                        info.rng_calls.append(
-                            RngCall(name, sub.lineno, sub.col_offset + 1, True)
-                        )
-                    elif RNG_CONSTRUCTORS.match(name) and not has_seed_argument(sub):
-                        info.rng_calls.append(
-                            RngCall(name, sub.lineno, sub.col_offset + 1, False)
-                        )
-                if isinstance(sub.func, ast.Attribute):
-                    if sub.func.attr in _MUTATOR_METHODS:
-                        base = _base_name(sub.func.value)
-                        if base is not None and base not in local:
-                            info.mutations.append([base, sub.lineno])
-        return info
 
     def _record_rng_construction(self, node: ast.Call, name: str) -> None:
         seed = seed_argument(node)
@@ -883,56 +680,6 @@ def _find_ctx_param(args: ast.arguments) -> str | None:
         if arg.arg == "ctx":
             return arg.arg
     return None
-
-
-def _local_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Names bound anywhere inside the function body (incl. nested defs).
-
-    Used to separate in-place mutation of locals (fine) from mutation of
-    enclosing/module state (flagged by RL103 for parallel workers).
-    Including nested-def bindings errs on the permissive side.
-    """
-    names: set[str] = set()
-    args = node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        names.add(arg.arg)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            names.add(sub.id)
-        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(sub.name)
-        elif isinstance(sub, ast.ExceptHandler) and sub.name:
-            names.add(sub.name)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            for alias in sub.names:
-                if alias.name != "*":
-                    names.add(alias.asname or alias.name.split(".")[0])
-    return names
-
-
-def _base_name(node: ast.expr) -> str | None:
-    """The root ``Name`` of an attribute/subscript chain, if any."""
-    current = node
-    while isinstance(current, (ast.Attribute, ast.Subscript)):
-        current = current.value
-    if isinstance(current, ast.Name):
-        return current.id
-    return None
-
-
-def _assignment_leaves(target: ast.expr) -> Iterator[ast.expr]:
-    """Flatten tuple/list/starred assignment targets to leaf targets."""
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _assignment_leaves(element)
-    elif isinstance(target, ast.Starred):
-        yield from _assignment_leaves(target.value)
-    else:
-        yield target
 
 
 class _CtxMustWritten(DataflowAnalysis[frozenset[str]]):

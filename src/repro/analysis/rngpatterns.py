@@ -1,9 +1,8 @@
 """Shared randomness-API matchers.
 
 Both the per-file RL001 rule (:mod:`repro.analysis.rules.randomness`) and
-the whole-program extractor (:mod:`repro.analysis.project`, feeding RL103
-parallel-safety and RL105 seed-propagation) need to recognise the same
-RNG call surface.  The patterns live here, in a module with no intra-
+the whole-program extractor (:mod:`repro.analysis.project`, feeding RL105
+seed-propagation) need to recognise the same RNG call surface.  The patterns live here, in a module with no intra-
 package imports, so neither side pulls the other in at import time.
 """
 

@@ -26,7 +26,6 @@ Rule id   Module                                         Guards
 ========  =============================================  =======================
 RL101     :mod:`repro.analysis.rules.architecture`       no import cycles
 RL102     :mod:`repro.analysis.rules.architecture`       layering contract
-RL103     :mod:`repro.analysis.rules.parallel_safety`    golden parallel parity
 RL104     :mod:`repro.analysis.rules.stage_contract`     stage kinds + dataflow
 RL105     :mod:`repro.analysis.rules.seeding`            seed propagation
 RL203     :mod:`repro.analysis.rules.ctx_refinement`     conditional ctx writes
@@ -41,7 +40,6 @@ Rule id   Module                                         Guards
 RL201     :mod:`repro.analysis.rules.resource_lifetime`  handles closed on all paths
 RL202     :mod:`repro.analysis.rules.dtype_discipline`   packed-uint64 kernels
 RL204     :mod:`repro.analysis.rules.exception_hygiene`  SnapshotError, dead code
-RL205     :mod:`repro.analysis.rules.spawn_safety`       picklable initializers
 ========  =============================================  =======================
 
 (RL203 consumes flow-sensitive ``ctx_maybe_unset`` facts from the model
@@ -59,7 +57,6 @@ Rule id   Module                                                Guards
 RL301     :mod:`repro.analysis.rules.crash_consistency`         fsync fences publishes
 RL302     :mod:`repro.analysis.rules.durability`                fsync before ack
 RL303     :mod:`repro.analysis.rules.snapshot_typestate`        no use after close
-RL304     :mod:`repro.analysis.rules.interprocedural_purity`    pure worker chains
 RL305     :mod:`repro.analysis.rules.ownership`                 helper-returned handles
 ========  ====================================================  =======================
 
@@ -81,16 +78,13 @@ from repro.analysis.rules import (  # noqa: F401
     dynamic_exec,
     exception_hygiene,
     float_equality,
-    interprocedural_purity,
     mutable_defaults,
     ownership,
-    parallel_safety,
     print_calls,
     randomness,
     resource_lifetime,
     seeding,
     snapshot_typestate,
-    spawn_safety,
     stage_contract,
 )
 
@@ -104,15 +98,12 @@ __all__ = [
     "dynamic_exec",
     "exception_hygiene",
     "float_equality",
-    "interprocedural_purity",
     "mutable_defaults",
     "ownership",
-    "parallel_safety",
     "print_calls",
     "randomness",
     "resource_lifetime",
     "seeding",
     "snapshot_typestate",
-    "spawn_safety",
     "stage_contract",
 ]

@@ -6,9 +6,9 @@ assumed to have written it before any of its own reads, so the rule
 skips every self-produced attribute.  That hides a real bug shape::
 
     def run(self, ctx):
-        if ctx.parallel.n_jobs > 1:
-            ctx.candidate_pairs = self._parallel_pairs(ctx)
-        total = len(ctx.candidate_pairs)   # n_jobs == 1: still None!
+        if ctx.blocker is not None:
+            ctx.cand_a, ctx.cand_b = ctx.blocker.candidate_pairs(ctx.embedded_b)
+        total = len(ctx.cand_a)   # no blocker: still None!
 
 The write happens on *one* path; the read executes on all of them.
 RL203 closes exactly this gap using the flow-sensitive

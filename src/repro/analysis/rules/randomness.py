@@ -25,18 +25,11 @@ from collections.abc import Iterable
 
 from repro.analysis.engine import FileContext, Finding, Rule
 from repro.analysis.rngpatterns import (
-    NUMPY_GLOBAL_RNG,
     RNG_CONSTRUCTORS,
-    STDLIB_GLOBAL_RNG,
     has_seed_argument,
+    is_global_rng_call,
 )
 from repro.analysis.rules.common import dotted_name
-
-# Shared with the whole-program extractor (RL103/RL105); see rngpatterns.
-_STDLIB_GLOBAL = STDLIB_GLOBAL_RNG
-_NUMPY_GLOBAL = NUMPY_GLOBAL_RNG
-_NEEDS_SEED = RNG_CONSTRUCTORS
-_has_seed_argument = has_seed_argument
 
 
 class UnseededRandomness(Rule):
@@ -50,14 +43,14 @@ class UnseededRandomness(Rule):
         name = dotted_name(node.func)
         if name is None:
             return
-        if _STDLIB_GLOBAL.match(name) or _NUMPY_GLOBAL.match(name):
+        if is_global_rng_call(name):
             yield self.make_finding(
                 node,
                 ctx,
                 f"call to `{name}` uses process-global RNG state; "
                 "thread an explicit `rng: np.random.Generator` through instead",
             )
-        elif _NEEDS_SEED.match(name) and not _has_seed_argument(node):
+        elif RNG_CONSTRUCTORS.match(name) and not has_seed_argument(node):
             yield self.make_finding(
                 node,
                 ctx,

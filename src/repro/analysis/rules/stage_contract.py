@@ -57,7 +57,6 @@ RUNNER_PROVIDED = frozenset(
         "dataset_b",
         "rows_a",
         "rows_b",
-        "parallel",
         "counters",
         "extras",
     }

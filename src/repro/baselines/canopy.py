@@ -25,7 +25,6 @@ import numpy as np
 from repro.baselines.minhash import record_bigram_set
 from repro.core.qgram import QGramScheme
 from repro.hamming.distance import jaccard_distance_sets
-from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
@@ -109,7 +108,6 @@ class CanopyLinker:
         tight: float = 0.3,
         scheme: QGramScheme | None = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> None:
         if not 0.0 <= tight <= loose <= 1.0:
             raise ValueError(
@@ -120,7 +118,6 @@ class CanopyLinker:
         self.tight = tight
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
-        self.parallel = parallel
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> canopy blocking -> Hamming verify on the shared runner."""
@@ -129,7 +126,6 @@ class CanopyLinker:
                 CanopyEmbedStage(scheme=self.scheme, seed=self.seed),
                 _CanopyBlockStage(self),
                 ThresholdVerifyStage(self.threshold),
-            ],
-            parallel=self.parallel,
+            ]
         )
         return pipeline.run(dataset_a, dataset_b)

@@ -22,7 +22,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.qgram import QGramScheme
-from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
@@ -105,7 +104,6 @@ class SortedNeighborhoodLinker:
         passes: int = 1,
         scheme: QGramScheme | None = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> None:
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
@@ -117,7 +115,6 @@ class SortedNeighborhoodLinker:
         self.passes = passes
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
-        self.parallel = parallel
 
     def _keys_for_pass(self, rows: list[tuple[str, ...]], pass_index: int) -> list[str]:
         if pass_index == 0:
@@ -135,7 +132,6 @@ class SortedNeighborhoodLinker:
                 SampledCalibrationEmbedStage(scheme=self.scheme, seed=self.seed),
                 _WindowBlockStage(self),
                 ThresholdVerifyStage(self.threshold),
-            ],
-            parallel=self.parallel,
+            ]
         )
         return pipeline.run(dataset_a, dataset_b)

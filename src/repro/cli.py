@@ -233,7 +233,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
     from repro.data.schema import Record
 
-    source = read_dataset(args.input)
+    source = _read_dataset(args.input)
     scheme = scheme_pl() if args.scheme == "pl" else scheme_ph()
     rng = np.random.default_rng(args.seed)
 
@@ -278,7 +278,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_sizing(args: argparse.Namespace) -> int:
-    dataset = read_dataset(args.input)
+    dataset = _read_dataset(args.input)
     counts = average_qgram_counts(dataset)
     rows = []
     total = 0
@@ -307,6 +307,14 @@ def _parse_k(entries: list[str]) -> int | dict[str, int]:
     return out
 
 
+def _read_dataset(path: str) -> Dataset:
+    """``read_dataset``, with a malformed file reported in one line."""
+    try:
+        return read_dataset(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def _read_truth(path: str, dataset_a: Dataset, dataset_b: Dataset) -> set[tuple[int, int]]:
     import csv
 
@@ -322,8 +330,8 @@ def _read_truth(path: str, dataset_a: Dataset, dataset_b: Dataset) -> set[tuple[
 def _cmd_link(args: argparse.Namespace) -> int:
     if (args.threshold is None) == (args.rule is None):
         raise SystemExit("specify exactly one of --threshold or --rule")
-    dataset_a = read_dataset(args.dataset_a)
-    dataset_b = read_dataset(args.dataset_b)
+    dataset_a = _read_dataset(args.dataset_a)
+    dataset_b = _read_dataset(args.dataset_b)
     if dataset_a.schema.names != dataset_b.schema.names:
         raise SystemExit(
             f"schema mismatch: {dataset_a.schema.names} vs {dataset_b.schema.names}"
@@ -399,7 +407,7 @@ def _build_engine(args: argparse.Namespace, dataset: Dataset):
 def _cmd_index_build(args: argparse.Namespace) -> int:
     import time
 
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     started = time.perf_counter()
     engine = _build_engine(args, dataset)
     bundle = engine.save(args.output)
@@ -419,7 +427,7 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     from repro.protocol import value_rows
     from repro.serve import QueryEngine
 
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     engine = QueryEngine.from_bundle(args.bundle)
     result = engine.query_batch(
         list(value_rows(dataset)), threshold=args.threshold, top_k=args.top_k
@@ -442,7 +450,7 @@ def _cmd_index_bench(args: argparse.Namespace) -> int:
     from repro.protocol import value_rows
     from repro.serve import QueryEngine
 
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     rows = list(value_rows(dataset))
     started = time.perf_counter()
     engine = QueryEngine.from_bundle(args.bundle)
@@ -481,7 +489,7 @@ def _cmd_index_ingest(args: argparse.Namespace) -> int:
     from repro.protocol import value_rows
     from repro.serve import QueryEngine
 
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     engine = QueryEngine.from_bundle(args.bundle)
     started = time.perf_counter()
     try:
@@ -544,7 +552,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{args.source} is not a bundle directory; serving a CSV "
                 "needs --threshold"
             )
-        server = AsyncQueryServer(_build_engine(args, read_dataset(args.source)), config=config)
+        server = AsyncQueryServer(_build_engine(args, _read_dataset(args.source)), config=config)
 
     async def run() -> dict:
         frontend = await serve_http(

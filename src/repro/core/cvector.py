@@ -276,7 +276,7 @@ class ValueRows:
     copied in and out under a lock, so concurrent fills are safe and no
     caller holds memory the store owns.  It is working state, not part
     of an encoder: never serialised or fingerprinted, and it pickles as
-    an empty store (a worker process starts cold).
+    an empty store (an unpickled encoder starts cold).
     """
 
     def __init__(self, n_attributes: int, n_words: int):

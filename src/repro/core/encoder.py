@@ -21,7 +21,6 @@ from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
-from repro.perf import ParallelConfig, parallel_map
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class RecordEncoder:
     def encode_dataset(
         self,
         records: Sequence[Sequence[str]],
-        parallel: ParallelConfig | None = None,
         stats: dict[str, float] | None = None,
     ) -> BitMatrix:
         """Encode many records into one packed record-level matrix.
@@ -126,28 +124,11 @@ class RecordEncoder:
         in this call or a later one — is a row copy: a one-record query
         whose values are all held costs three ORs.
 
-        With ``parallel.n_jobs > 1`` the records are sharded into
-        contiguous ranges and encoded by worker processes; results are
-        concatenated in range order, so the matrix is identical to the
-        single-process one.  ``stats``, when given, receives interning
-        counters (``intern_values``, ``intern_unique``, ``intern_hit_rate``).
+        ``stats``, when given, receives interning counters
+        (``intern_values``, ``intern_unique``, ``intern_hit_rate``).
         """
         if not records:
             raise ValueError("records must be non-empty")
-        if parallel is not None and parallel.effective_jobs > 1 and len(records) > 1:
-            ranges = parallel.shard_ranges(len(records))
-            if len(ranges) > 1:
-                shards = [(self, list(records[lo:hi])) for lo, hi in ranges]
-                outs = parallel_map(_encode_shard, shards, parallel)
-                if stats is not None:
-                    _merge_intern_stats(stats, [s for _, s in outs])
-                return BitMatrix(np.vstack([w for w, _ in outs]), self.total_bits)
-        return self._encode_dataset_single(records, stats)
-
-    def _encode_dataset_single(
-        self, records: Sequence[Sequence[str]], stats: dict[str, float] | None = None
-    ) -> BitMatrix:
-        """Single-process interned encode (the ``n_jobs=1`` path)."""
         if set(map(len, records)) != {self.n_attributes}:
             for record in records:
                 self._check_arity(record)
@@ -227,21 +208,3 @@ class RecordEncoder:
         widths = ", ".join(f"{lay.name}={lay.width}" for lay in self.layouts)
         return f"RecordEncoder(total_bits={self.total_bits}, {widths})"
 
-
-def _encode_shard(
-    task: "tuple[RecordEncoder, list[Sequence[str]]]",
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Worker: encode one contiguous record range (module-level, picklable)."""
-    encoder, records = task
-    stats: dict[str, float] = {}
-    matrix = encoder._encode_dataset_single(records, stats)
-    return matrix.words, stats
-
-
-def _merge_intern_stats(out: dict[str, float], shard_stats: Sequence[dict[str, float]]) -> None:
-    """Sum per-shard interning counters (unique counts are per shard)."""
-    values = sum(s.get("intern_values", 0.0) for s in shard_stats)
-    unique = sum(s.get("intern_unique", 0.0) for s in shard_stats)
-    out["intern_values"] = values
-    out["intern_unique"] = unique
-    out["intern_hit_rate"] = 1.0 - unique / values if values else 0.0

@@ -43,15 +43,11 @@ from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import batch_query, group_matches, top_k_smallest
-from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult as LinkageResult
 from repro.pipeline.runner import LinkagePipeline
 from repro.pipeline.stage import BlockStage, CandidateStage, Stage
 from repro.pipeline.stages import (
-    _VERIFY_STATE as _VERIFY_STATE,
-    _init_verify_worker as _init_verify_worker,
-    _verify_chunk as _verify_chunk,
     BlockerIndexStage,
     ChunkedCandidateStage,
     CVectorEmbedStage,
@@ -97,7 +93,6 @@ class CompactHammingLinker:
         scheme: QGramScheme | None = None,
         attribute_names: Sequence[str] | None = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
         max_chunk_pairs: int | None = None,
     ):
         if (threshold is None) == (rule is None):
@@ -115,7 +110,6 @@ class CompactHammingLinker:
         self.scheme = scheme
         self.attribute_names = list(attribute_names) if attribute_names else None
         self.seed = seed
-        self.parallel = parallel or ParallelConfig()
         self.max_chunk_pairs = max_chunk_pairs
         self.encoder: RecordEncoder | None = None
 
@@ -131,7 +125,6 @@ class CompactHammingLinker:
         calibration: CalibrationConfig | None = None,
         scheme: QGramScheme | None = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
         max_chunk_pairs: int | None = None,
     ) -> "CompactHammingLinker":
         """Standard HB over the whole record-level c-vector (Section 4.2)."""
@@ -143,7 +136,6 @@ class CompactHammingLinker:
             calibration=calibration,
             scheme=scheme,
             seed=seed,
-            parallel=parallel,
             max_chunk_pairs=max_chunk_pairs,
         )
 
@@ -157,14 +149,11 @@ class CompactHammingLinker:
         scheme: QGramScheme | None = None,
         attribute_names: Sequence[str] | None = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> "CompactHammingLinker":
         """Attribute-level blocking adapted to ``rule`` (Section 5.4).
 
         ``rule`` refers to attributes by the encoder's names (``f1..fn``
-        by default, or ``attribute_names``).  ``parallel`` shards the
-        embedding stage; the rule-aware candidate stage itself runs
-        single-process.
+        by default, or ``attribute_names``).
         """
         return cls(
             rule=rule,
@@ -174,7 +163,6 @@ class CompactHammingLinker:
             scheme=scheme,
             attribute_names=attribute_names,
             seed=seed,
-            parallel=parallel,
         )
 
     # -- pipeline -----------------------------------------------------------------
@@ -256,12 +244,12 @@ class CompactHammingLinker:
         """Run the full calibrate/embed/block/match pipeline.
 
         The record-level path streams memory-bounded candidate chunks
-        (``max_chunk_pairs``) and verifies them — fanned out over worker
-        processes when ``parallel.n_jobs > 1``.  Chunk partitioning and
-        result order are deterministic, so the output is identical for
-        every ``n_jobs`` / ``max_chunk_pairs`` setting.
+        (``max_chunk_pairs``) and verifies them a block at a time; the
+        rule-aware path classifies the de-duplicated candidates lazily.
+        Chunk partitioning and result order are deterministic, so the
+        output is identical for every ``max_chunk_pairs`` setting.
         """
-        pipeline = LinkagePipeline(self._stages(), parallel=self.parallel)
+        pipeline = LinkagePipeline(self._stages())
         return pipeline.run(dataset_a, dataset_b)
 
     def link_multiple(self, datasets: Sequence) -> dict[tuple[int, int], LinkageResult]:
@@ -340,11 +328,9 @@ class StreamingLinker:
         k: int = DEFAULT_K,
         delta: float = DEFAULT_DELTA,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
     ):
         self.encoder = encoder
         self.threshold = threshold
-        self.parallel = parallel or ParallelConfig()
         self._lsh = HammingLSH(
             n_bits=encoder.total_bits, k=k, threshold=threshold, delta=delta, seed=seed
         )
@@ -455,7 +441,6 @@ class StreamingLinker:
     def load_snapshot(
         cls,
         path: str | Path,
-        parallel: ParallelConfig | None = None,
         mmap_mode: str | None = "r",
     ) -> "StreamingLinker":
         """Rebuild a streaming linker from a snapshot bundle, zero-copy.
@@ -474,7 +459,6 @@ class StreamingLinker:
         linker = cls.__new__(cls)
         linker.encoder = snapshot.encoder
         linker.threshold = index.threshold
-        linker.parallel = parallel or ParallelConfig()
         linker._lsh = snapshot.lsh
         linker._n_words = (snapshot.encoder.total_bits + 63) // 64
         linker._words = snapshot.matrix.words
@@ -499,7 +483,6 @@ class StreamingLinker:
                 _StreamingIndexStage(self),
                 _StreamingQueryStage(self),
                 ThresholdVerifyStage(self.threshold),
-            ],
-            parallel=self.parallel,
+            ]
         )
         return pipeline.run(dataset_a, dataset_b)

@@ -46,14 +46,22 @@ def read_dataset(
     normalize_values:
         Upper-case, strip accents and drop characters outside the scheme's
         alphabet (recommended — the encoders are strict about alphabets).
+
+    A row with more or fewer fields than the header (an unquoted comma in
+    a value, a truncated line), a header naming a column twice and an
+    empty id cell raise :class:`ValueError` naming the file and line.  An
+    empty cell in a full-width row is a missing value and reads as ``""``.
     """
     path = Path(path)
     scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path} has no header row")
-        header = list(reader.fieldnames)
+        repeated = sorted({col for col in header if header.count(col) > 1})
+        if repeated:
+            raise ValueError(f"{path}, line 1: header repeats columns {repeated}")
         if id_column is None and "id" in header:
             id_column = "id"
         if attributes is None:
@@ -66,13 +74,22 @@ def read_dataset(
 
         specs = tuple(AttributeSpec(col, scheme) for col in attributes)
         schema = Schema(specs)
+        columns = [header.index(col) for col in attributes]
+        id_index = header.index(id_column) if id_column else None
         records = []
-        for row_number, row in enumerate(reader):
-            values = []
-            for spec in specs:
-                raw = row.get(spec.name) or ""
-                values.append(spec.clean(raw) if normalize_values else raw)
-            record_id = row[id_column] if id_column else f"R{row_number}"
+        for row in reader:
+            if not row:
+                continue  # a blank line is no record
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            raw = [row[i] for i in columns]
+            values = [spec.clean(v) for spec, v in zip(specs, raw)] if normalize_values else raw
+            record_id = row[id_index] if id_index is not None else f"R{len(records)}"
+            if not record_id:
+                raise ValueError(f"{path}, line {reader.line_num}: empty {id_column!r} cell")
             records.append(Record(record_id, tuple(values)))
     if not records:
         raise ValueError(f"{path} contains no data rows")

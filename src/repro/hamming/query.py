@@ -14,7 +14,7 @@ serving) and :meth:`repro.core.linker.StreamingLinker.query_batch`.
 Top-k selection is a partial sort (``numpy.argpartition``) over a
 composite ``(distance, id)`` key, so ties at the cut-off are broken
 deterministically by the smaller record id — byte-identical results for
-every batch size and worker count.
+every batch size.
 """
 
 from __future__ import annotations

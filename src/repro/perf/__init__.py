@@ -1,13 +1,8 @@
-"""Multi-core fan-out utilities for the hot-path linkage engine.
+"""Performance instrumentation shared by the linkage and serving layers.
 
-The paper's headline claim is runtime: compact embeddings plus Hamming
-LSH must stay fast at the 1M-record scale of its Figures 8(b) and 12(b).
-This package provides the process/thread fan-out used by
-:class:`repro.core.encoder.RecordEncoder` (embedding sharded over record
-ranges) and the stage pipeline's ``ThresholdVerifyStage`` (candidate
-verification sharded over pair chunks).  The :class:`ParallelConfig` is
-routed once at the :class:`repro.pipeline.LinkagePipeline` runner and
-reaches every stage through the pipeline context.
+:class:`LogHistogram` records latency and size distributions (the
+serving engines' per-batch timings, the async batcher's queue waits).
+Every ``link()`` runs in one process; there is no fan-out layer here.
 
 Like :mod:`repro.analysis` and :mod:`repro.evaluation`, this package sits
 beside the numeric stack: it imports nothing from the layers it serves,
@@ -15,6 +10,5 @@ so ``core`` and ``hamming`` may depend on it freely.
 """
 
 from repro.perf.metrics import LogHistogram
-from repro.perf.parallel import ParallelConfig, parallel_map, resolve_n_jobs
 
-__all__ = ["LogHistogram", "ParallelConfig", "parallel_map", "resolve_n_jobs"]
+__all__ = ["LogHistogram"]

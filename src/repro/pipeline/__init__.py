@@ -3,16 +3,15 @@
 The paper's method is explicitly staged (Section 5, Algorithm 2):
 calibrate -> embed -> block -> generate candidates -> verify/classify.
 This package turns that observation into the execution architecture —
-one :class:`LinkagePipeline` runner owning timings, counters, candidate
-budgets and the ``repro.perf`` fan-out, with every method (cBV-HB
-record-level and rule-aware, streaming, and all baselines) expressed as
-a composition of :class:`Stage` implementations.  See
-``docs/pipeline.md``.
+one :class:`LinkagePipeline` runner owning timings, counters and
+candidate budgets, with every method (cBV-HB record-level and
+rule-aware, streaming, and all baselines) expressed as a composition of
+:class:`Stage` implementations.  See ``docs/pipeline.md``.
 
-Layering: module-level imports stay within numpy, the stdlib and the
-leaf ``repro.perf`` package, so ``repro.core`` and ``repro.baselines``
-depend on this package freely; anything heavier (``RecordEncoder``,
-``value_rows``, the registry's linker classes) is imported at run time.
+Layering: module-level imports stay within numpy and the stdlib, so
+``repro.core`` and ``repro.baselines`` depend on this package freely;
+anything heavier (``RecordEncoder``, ``value_rows``, the registry's
+linker classes) is imported at run time.
 """
 
 from repro.pipeline.context import PipelineContext

@@ -19,8 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.perf import ParallelConfig
-
 
 @dataclass
 class PipelineContext:
@@ -28,16 +26,13 @@ class PipelineContext:
 
     ``dataset_a`` / ``dataset_b`` are the raw inputs (kept for calibrate
     stages that sample them); ``rows_a`` / ``rows_b`` are their
-    normalised value rows, computed once by the runner.  ``parallel`` is
-    the run's fan-out configuration — routed once, at the runner, so no
-    stage needs its own ``n_jobs`` plumbing.
+    normalised value rows, computed once by the runner.
     """
 
     dataset_a: Any
     dataset_b: Any
     rows_a: list[tuple[str, ...]]
     rows_b: list[tuple[str, ...]]
-    parallel: ParallelConfig
     #: Encoder the embed stage used (RecordEncoder, BloomRecordEncoder, ...).
     encoder: Any = None
     #: Embedded datasets (BitMatrix, float ndarray, packed uint64 words, ...).

@@ -4,8 +4,7 @@ Verifies *every* cross-dataset pair against the record-level compact
 Hamming threshold — the PC upper bound any blocking method is measured
 against, and the simplest possible pipeline: no block stage at all, just
 embed -> all-pairs candidates -> verify.  The candidate stage slices the
-quadratic pair space into budget-bounded chunks, so memory stays flat
-and verification fans out over ``parallel`` like every other linker.
+quadratic pair space into budget-bounded chunks, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
@@ -60,14 +58,12 @@ class ExhaustiveLinker:
         threshold: int,
         scheme: Any = None,
         seed: int | None = None,
-        parallel: ParallelConfig | None = None,
         max_chunk_pairs: int = DEFAULT_MAX_CHUNK_PAIRS,
         sample_size: int = 1000,
     ):
         self.threshold = threshold
         self.scheme = scheme
         self.seed = seed
-        self.parallel = parallel or ParallelConfig()
         self.max_chunk_pairs = max_chunk_pairs
         self.sample_size = sample_size
 
@@ -84,7 +80,6 @@ class ExhaustiveLinker:
                 ),
                 AllPairsCandidateStage(self.max_chunk_pairs),
                 ThresholdVerifyStage(self.threshold, sort_pairs=True),
-            ],
-            parallel=self.parallel,
+            ]
         )
         return pipeline.run(dataset_a, dataset_b)

@@ -2,8 +2,7 @@
 
 The runner owns what used to be duplicated across ten ``link()``
 implementations: value-row normalisation, per-stage wall-clock timing
-(accumulated under each stage's timing key), the shared counter dict,
-the ``repro.perf`` fan-out configuration (routed once, here) and the
+(accumulated under each stage's timing key), the shared counter dict and the
 final :class:`repro.pipeline.result.LinkageResult` assembly.
 
 Stages run strictly in order; each mutates the shared
@@ -20,7 +19,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.perf import ParallelConfig
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.stage import Stage
@@ -39,16 +37,12 @@ class LinkagePipeline:
         legal (the exhaustive reference linker has no block stage; HARRA
         fuses candidate generation and verification) — the runner only
         requires that *some* stage leaves ``out_a`` / ``out_b`` behind.
-    parallel:
-        The run's fan-out configuration, exposed to every stage through
-        the context; ``None`` keeps the exact single-process path.
     """
 
-    def __init__(self, stages: Sequence[Stage], parallel: ParallelConfig | None = None):
+    def __init__(self, stages: Sequence[Stage]):
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
         self.stages = list(stages)
-        self.parallel = parallel or ParallelConfig()
 
     def run(self, dataset_a: "DatasetLike", dataset_b: "DatasetLike") -> LinkageResult:
         """Execute every stage and assemble the :class:`LinkageResult`."""
@@ -61,7 +55,6 @@ class LinkagePipeline:
             dataset_b=dataset_b,
             rows_a=value_rows(dataset_a),
             rows_b=value_rows(dataset_b),
-            parallel=self.parallel,
         )
         timings: dict[str, float] = {}
         for stage in self.stages:

@@ -1,14 +1,9 @@
 """Shared concrete stages used by more than one linker.
 
 This module (like the whole ``repro.pipeline`` package) keeps its
-module-level imports to numpy, the stdlib and the leaf ``repro.perf``
-package, so ``repro.core`` and ``repro.baselines`` may import it freely;
-the one stage that needs :class:`repro.core.encoder.RecordEncoder`
-imports it at run time.
-
-The verification workers (:func:`_init_verify_worker` /
-:func:`_verify_chunk`) moved here from ``repro.core.linker`` — they stay
-module-level so the process backend can pickle them by qualified name.
+module-level imports to numpy and the stdlib, so ``repro.core`` and
+``repro.baselines`` may import it freely; the stages that need
+:mod:`repro.core` or :mod:`repro.hamming` import it at run time.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from repro.perf import parallel_map
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.stage import (
     BlockStage,
@@ -29,21 +23,14 @@ from repro.pipeline.stage import (
     VerifyStage,
 )
 
-#: Per-worker verification state: the packed words of both matrices are
-#: shipped once per worker (executor initializer), not once per chunk.
-_VERIFY_STATE: dict[str, np.ndarray] = {}
-
-
-def _init_verify_worker(words_a: np.ndarray, words_b: np.ndarray) -> None:
-    """Executor initializer: pin both packed matrices in the worker."""
-    _VERIFY_STATE["a"] = words_a
-    _VERIFY_STATE["b"] = words_b
-
 
 def _verify_chunk(
-    task: tuple[tuple[np.ndarray, "np.ndarray | int"], int],
+    words_a: np.ndarray,
+    words_b: np.ndarray,
+    chunk: tuple[np.ndarray, "np.ndarray | int"],
+    threshold: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Worker: Hamming-verify one candidate chunk against the threshold.
+    """Hamming-verify one candidate chunk against the threshold.
 
     The chunk is ``(rows_a, rows_b)`` or, as the blocker hands it over,
     ``(a * n_b + b, n_b)``; it is decoded, gathered, XORed, popcounted
@@ -54,7 +41,7 @@ def _verify_chunk(
     from repro.hamming.distance import DEFAULT_BLOCK_ROWS
     from repro.hamming.lsh import decode_pairs
 
-    (first, second), threshold = task
+    first, second = chunk
     kept = [(_EMPTY_ROWS[0],) * 3]  # a chunk of no pairs still concatenates
     for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
         hi = lo + DEFAULT_BLOCK_ROWS
@@ -62,7 +49,7 @@ def _verify_chunk(
             rows_a, rows_b = decode_pairs(first[lo:hi], second)
         else:
             rows_a, rows_b = first[lo:hi], second[lo:hi]
-        xor = _VERIFY_STATE["a"].take(rows_a, 0) ^ _VERIFY_STATE["b"].take(rows_b, 0)
+        xor = words_a.take(rows_a, 0) ^ words_b.take(rows_b, 0)
         dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
         keep = np.flatnonzero(dist <= threshold)
         kept.append((rows_a[keep], rows_b[keep], dist[keep]))
@@ -165,9 +152,7 @@ class QueryEmbedStage(EmbedStage):
 
     def run(self, ctx: PipelineContext) -> None:
         stats: dict[str, float] = {}
-        ctx.embedded_b = ctx.encoder.encode_dataset(
-            ctx.rows_b, parallel=ctx.parallel, stats=stats
-        )
+        ctx.embedded_b = ctx.encoder.encode_dataset(ctx.rows_b, stats=stats)
         values = stats.get("intern_values", 0.0)
         unique = stats.get("intern_unique", 0.0)
         ctx.counters["intern_values"] = values
@@ -179,20 +164,16 @@ class CVectorEmbedStage(EmbedStage):
     """Interned c-vector embedding of both datasets, with intern counters.
 
     Uses the hot-path engine of ``RecordEncoder.encode_dataset``: unique
-    values are encoded once and gathered, shards fan out over
-    ``ctx.parallel``, and the intern statistics land in the run counters
-    (``intern_values`` / ``intern_unique`` / ``intern_hit_rate``).
+    values are encoded once and gathered, and the intern statistics land
+    in the run counters (``intern_values`` / ``intern_unique`` /
+    ``intern_hit_rate``).
     """
 
     def run(self, ctx: PipelineContext) -> None:
         stats_a: dict[str, float] = {}
         stats_b: dict[str, float] = {}
-        ctx.embedded_a = ctx.encoder.encode_dataset(
-            ctx.rows_a, parallel=ctx.parallel, stats=stats_a
-        )
-        ctx.embedded_b = ctx.encoder.encode_dataset(
-            ctx.rows_b, parallel=ctx.parallel, stats=stats_b
-        )
+        ctx.embedded_a = ctx.encoder.encode_dataset(ctx.rows_a, stats=stats_a)
+        ctx.embedded_b = ctx.encoder.encode_dataset(ctx.rows_b, stats=stats_b)
         values = stats_a.get("intern_values", 0.0) + stats_b.get("intern_values", 0.0)
         unique = stats_a.get("intern_unique", 0.0) + stats_b.get("intern_unique", 0.0)
         ctx.counters["intern_values"] = values
@@ -250,7 +231,7 @@ class ChunkedCandidateStage(CandidateStage):
     respects the blocker's ``max_chunk_pairs`` budget), which also flushes
     the generation counters (pairs generated / unique / duplicates, chunk
     stats) into the run counters.  The chunks stay encoded, for the
-    verify worker to decode a block at a time.
+    verify stage to decode a block at a time.
     """
 
     def run(self, ctx: PipelineContext) -> None:
@@ -273,11 +254,9 @@ class ThresholdVerifyStage(VerifyStage):
     """Hamming-verify candidates against a record-level threshold.
 
     Consumes ``ctx.candidate_chunks`` when a chunked candidate stage ran,
-    otherwise shards the materialised ``cand_a`` / ``cand_b`` arrays by
-    ``ctx.parallel.shard_ranges``.  Verification fans out through
-    ``repro.perf.parallel_map`` (the packed matrices ship once per worker
-    via the executor initializer); chunk partitioning and result order are
-    deterministic, so output is identical for every ``n_jobs`` setting.
+    otherwise the materialised ``cand_a`` / ``cand_b`` arrays as one
+    chunk.  Each chunk is verified in blocks by :func:`_verify_chunk`
+    and the parts are concatenated in chunk order.
 
     ``sort_pairs=True`` restores the historical cBV-HB order (sorted by
     encoded pair id ``a * n_B + b``); the classic baselines keep their
@@ -291,25 +270,16 @@ class ThresholdVerifyStage(VerifyStage):
     def run(self, ctx: PipelineContext) -> None:
         chunks = ctx.candidate_chunks
         if chunks is None:
-            cand_a, cand_b = _candidate_arrays(ctx)
-            chunks = [
-                (cand_a[lo:hi], cand_b[lo:hi])
-                for lo, hi in ctx.parallel.shard_ranges(int(cand_a.size))
-            ]
+            chunks = [_candidate_arrays(ctx)]
         n_pairs = sum(int(chunk_a.size) for chunk_a, __ in chunks)
         ctx.counters["pairs_verified"] = float(n_pairs)
         if not chunks:
             empty = np.empty(0, dtype=np.int64)
             ctx.out_a, ctx.out_b, ctx.record_distances = empty, empty, empty
             return
-        tasks = [(chunk, self.threshold) for chunk in chunks]
-        parts = parallel_map(
-            _verify_chunk,
-            tasks,
-            ctx.parallel,
-            initializer=_init_verify_worker,
-            initargs=(_packed_words(ctx.embedded_a), _packed_words(ctx.embedded_b)),
-        )
+        words_a = _packed_words(ctx.embedded_a)
+        words_b = _packed_words(ctx.embedded_b)
+        parts = [_verify_chunk(words_a, words_b, chunk, self.threshold) for chunk in chunks]
         out_a, out_b, dist = map(np.concatenate, zip(*parts))
         if self.sort_pairs:
             order = np.argsort(out_a * len(ctx.rows_b) + out_b, kind="stable")

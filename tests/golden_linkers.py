@@ -29,7 +29,6 @@ from repro.core.config import NCVR_ATTRIBUTE_K
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.pairs import LinkageProblem
-from repro.perf import ParallelConfig
 from repro.rules.parser import parse_rule
 
 PROBLEM_N = 200
@@ -50,25 +49,23 @@ def make_problem() -> LinkageProblem:
     )
 
 
-def _run_cbv_record(problem: LinkageProblem, n_jobs: int = 1,
+def _run_cbv_record(problem: LinkageProblem,
                     max_chunk_pairs: int | None = None) -> RunOutcome:
     linker = CompactHammingLinker.record_level(
         threshold=THRESHOLD,
         k=K,
         seed=PROBLEM_SEED,
-        parallel=ParallelConfig(n_jobs=n_jobs),
         max_chunk_pairs=max_chunk_pairs,
     )
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
 
 
-def _run_cbv_rule(problem: LinkageProblem, n_jobs: int = 1) -> RunOutcome:
+def _run_cbv_rule(problem: LinkageProblem) -> RunOutcome:
     linker = CompactHammingLinker.rule_aware(
         parse_rule(NCVR_RULE),
         k=NCVR_ATTRIBUTE_K,
         seed=PROBLEM_SEED,
-        parallel=ParallelConfig(n_jobs=n_jobs),
     )
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
@@ -127,14 +124,12 @@ def _run_sorted_neighborhood(problem: LinkageProblem) -> RunOutcome:
     return result.matches, result.n_candidates
 
 
-#: Every golden-pinned linker run, by name.  n_jobs variants prove the
-#: runner's sharding is invisible in the output.
+#: Every golden-pinned linker run, by name.  The chunked variant proves the
+#: candidate chunk budget is invisible in the output.
 RUNNERS: dict[str, Callable[[LinkageProblem], RunOutcome]] = {
     "cbv-record-n1": _run_cbv_record,
-    "cbv-record-n2": lambda p: _run_cbv_record(p, n_jobs=2),
     "cbv-record-chunked": lambda p: _run_cbv_record(p, max_chunk_pairs=2048),
     "cbv-rule-n1": _run_cbv_rule,
-    "cbv-rule-n2": lambda p: _run_cbv_rule(p, n_jobs=2),
     "streaming": _run_streaming,
     "bfh": _run_bfh,
     "canopy": _run_canopy,

@@ -1,4 +1,4 @@
-"""Tests for the flow-sensitive phase of reprolint (RL201-RL205).
+"""Tests for the flow-sensitive phase of reprolint (RL201, RL202, RL204, RL203).
 
 Three layers mirror the implementation: the CFG builder
 (:mod:`repro.analysis.cfg`) gets structural tests over exception edges,
@@ -35,7 +35,7 @@ from tests.test_project_lint import (
 )
 
 #: Fixture paths chosen for rule scoping: RL202 only runs in the kernel
-#: and serving trees; RL201/RL204/RL205 run anywhere outside tests/.
+#: and serving trees; RL201/RL204 run anywhere outside tests/.
 KERNEL = "src/repro/hamming/fixture.py"
 SERVE = "src/repro/serve/fixture.py"
 
@@ -706,114 +706,6 @@ class TestRL204ExceptionHygiene:
 
 
 # ---------------------------------------------------------------------------
-# RL205 spawn safety
-# ---------------------------------------------------------------------------
-
-
-class TestRL205SpawnSafety:
-    def test_inline_lambda_initializer_triggers(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg):
-                    return parallel_map(worker, tasks, cfg, initializer=lambda: None)
-                """
-            ),
-        )
-        assert rule_ids(findings) == ["RL205"]
-        assert "lambda" in findings[0].message
-
-    def test_nested_def_initializer_triggers(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg):
-                    def init():
-                        pass
-                    return parallel_map(worker, tasks, cfg, initializer=init)
-                """
-            ),
-        )
-        assert rule_ids(findings) == ["RL205"]
-        assert "nested def" in findings[0].message
-
-    def test_generator_initarg_triggers(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(rows, setup):
-                    return ParallelConfig(
-                        n_jobs=2, initializer=setup, initargs=((r for r in rows),)
-                    )
-                """
-            ),
-        )
-        assert rule_ids(findings) == ["RL205"]
-        assert "generator expression" in findings[0].message
-
-    def test_name_bound_to_lambda_triggers(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg):
-                    init = lambda: None
-                    return parallel_map(worker, tasks, cfg, initializer=init)
-                """
-            ),
-        )
-        assert rule_ids(findings) == ["RL205"]
-        assert "bound to a lambda" in findings[0].message
-
-    def test_rebound_name_is_clean(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg):
-                    init = lambda: None
-                    init = _module_init
-                    return parallel_map(worker, tasks, cfg, initializer=init)
-                """
-            ),
-        )
-        assert findings == []
-
-    def test_disagreeing_branches_stay_silent(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg, flag):
-                    init = lambda: None
-                    if flag:
-                        init = _module_init
-                    return parallel_map(worker, tasks, cfg, initializer=init)
-                """
-            ),
-        )
-        assert findings == []
-
-    def test_module_level_initializer_is_clean(self, engine):
-        findings = engine.lint_source(
-            SERVE,
-            textwrap.dedent(
-                """
-                def _f(worker, tasks, cfg, payload):
-                    return parallel_map(
-                        worker, tasks, cfg,
-                        initializer=_module_init, initargs=(payload,),
-                    )
-                """
-            ),
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # RL203 conditional ctx writes (project phase)
 # ---------------------------------------------------------------------------
 
@@ -837,7 +729,7 @@ class TestRL203CtxRefinement:
 
                     class PairStage(CandidateStage):
                         def run(self, ctx):
-                            if ctx.parallel is not None:
+                            if ctx.blocker is not None:
                                 ctx.cand_a = self._pairs(ctx)
                             total = len(ctx.cand_a)
                             return total
@@ -890,7 +782,7 @@ class TestRL203CtxRefinement:
 
                     class PairStage(CandidateStage):
                         def run(self, ctx):
-                            if ctx.parallel is not None:
+                            if ctx.blocker is not None:
                                 ctx.cand_a = self._pairs(ctx)
                             total = len(ctx.cand_a)
                             return total
@@ -912,7 +804,7 @@ class TestRL203CtxRefinement:
 
                     class PairStage(CandidateStage):
                         def run(self, ctx):
-                            if ctx.parallel is not None:
+                            if ctx.blocker is not None:
                                 ctx.cand_a = self._pairs(ctx)
                                 total = len(ctx.cand_a)
                                 return total
@@ -946,18 +838,18 @@ class TestRL203CtxRefinement:
             textwrap.dedent(
                 """
                 def run(ctx):
-                    if ctx.parallel:
+                    if ctx.blocker:
                         ctx.cand_a = []
                     return len(ctx.cand_a)
                 """
             )
         )
         summary = extract_module("repro.mod", "src/repro/mod.py", tree)
-        # Raw extractor facts: the never-written ``parallel`` read is
-        # recorded too — RL203 filters runner-provided attributes later.
+        # Raw extractor facts: the never-written ``blocker`` read is
+        # recorded too — RL203 leaves attributes a stage never writes to RL104.
         assert summary.functions["run"].ctx_maybe_unset == {
             "cand_a": 5,
-            "parallel": 3,
+            "blocker": 3,
         }
 
 
@@ -1056,14 +948,6 @@ class TestSeededBugs:
             "            return cls.single(snapshot)",
         )
         assert "RL204" in rule_ids(findings)
-
-    def test_rl205_lambda_initializer_in_engine(self):
-        findings = self._mutate(
-            "src/repro/pipeline/stages.py",
-            "initializer=_init_verify_worker,",
-            "initializer=lambda a, b: None,",
-        )
-        assert "RL205" in rule_ids(findings)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,25 @@ class TestLink:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,first,last\n1,ANN,KIM\n4,DAN,LEE,EXTRA\n", "line 3: 4 fields, the header has 3"),
+            ("id,first,first\n1,ANN,KIM\n", "line 1: header repeats columns"),
+            ("id,first,last\n,ANN,KIM\n", "line 2: empty 'id' cell"),
+        ],
+        ids=["ragged-row", "repeated-header", "empty-id"],
+    )
+    def test_malformed_csv_exits_with_one_line(self, pair, tmp_path, text, message):
+        a, __, __ = pair
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["link", str(a), str(bad), "--threshold", "4", "-o", str(tmp_path / "m.csv")])
+        error = str(exit_info.value.code)
+        assert error.startswith(f"{bad}, ") and message in error
+        assert "\n" not in error
+
     def test_rule_needs_attr_k(self, pair, tmp_path):
         a, b, __ = pair
         with pytest.raises(SystemExit, match="ATTR=K"):

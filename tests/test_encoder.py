@@ -13,7 +13,6 @@ from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
 from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
-from repro.perf import ParallelConfig
 from repro.text.alphabet import TEXT_ALPHABET, AlphabetError
 
 RECORDS = [
@@ -128,8 +127,6 @@ class TestValueGranularEmbedding:
         expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
         stats: dict[str, float] = {}
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows, stats=stats).words, expected)
-        threads = ParallelConfig(n_jobs=2, backend="thread")
-        assert np.array_equal(WIDE_ENCODER.encode_dataset(rows, threads).words, expected)
         n_unique = sum(len({row[att] for row in rows}) for att in range(3))
         assert stats == {
             "intern_values": 3.0 * len(rows),
@@ -144,15 +141,6 @@ class TestValueGranularEmbedding:
         rows = [(f"A{i % 7}", "" if i % 3 else "SMITH", f"{i} MAIN ST") for i in range(11)]
         expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows).words, expected)
-
-    def test_process_sharded_encode_equals_serial(self):
-        rng = np.random.default_rng(5)
-        values = ["", " ", "A", "AB", "JONES", "JONAS", "12 MAIN ST", "99 OAK AVE"]
-        rows = [tuple(values[i] for i in rng.integers(0, len(values), size=3)) for __ in range(60)]
-        stats: dict[str, float] = {}
-        sharded = WIDE_ENCODER.encode_dataset(rows, ParallelConfig(n_jobs=2), stats)
-        assert sharded == WIDE_ENCODER.encode_dataset(rows)
-        assert stats["intern_values"] == 180.0  # unique counts are per shard
 
 
 def cold(encoder: RecordEncoder) -> RecordEncoder:
@@ -169,12 +157,7 @@ class TestValueRowStore:
     store holds, dropped or never saw, the words are those of a cold encoder."""
 
     @pytest.mark.parametrize("n_rows", [1, 64, 100_000])
-    @pytest.mark.parametrize(
-        "parallel",
-        [None, ParallelConfig(n_jobs=2, backend="thread"), ParallelConfig(n_jobs=2)],
-        ids=["serial", "thread", "process"],
-    )
-    def test_warm_encoder_equals_cold_encoder(self, n_rows, parallel):
+    def test_warm_encoder_equals_cold_encoder(self, n_rows):
         rng = np.random.default_rng(n_rows)
         common = ["", " ", "A", "JONES", "JONAS", "SMITH", "12 MAIN ST"]
         # The third column is mostly distinct: at 64 and 100 000 rows it is past
@@ -187,7 +170,7 @@ class TestValueRowStore:
         warm.encode_dataset([("JONES", "", "7 OAK AVE"), ("", " ", "")])  # some held, some not
         expected = cold(WIDE_ENCODER).encode_dataset(rows).words
         for __ in range(2):  # the second pass finds what the first one stored
-            assert np.array_equal(warm.encode_dataset(rows, parallel).words, expected)
+            assert np.array_equal(warm.encode_dataset(rows).words, expected)
         if n_rows == 1:
             assert np.array_equal(expected[0], WIDE_ENCODER.encode(rows[0]).to_packed())
 
@@ -225,7 +208,7 @@ class TestValueRowStore:
         assert held(encoder) == [1, 1, 1]
         assert encoder_to_dict(encoder) == description
         assert encoder_fingerprint(encoder) == fingerprint
-        shipped = pickle.loads(pickle.dumps(encoder))  # what _encode_shard sends a worker
+        shipped = pickle.loads(pickle.dumps(encoder))  # a pickled encoder arrives cold
         assert held(shipped) == [0, 0, 0] and held(encoder) == [1, 1, 1]
         assert np.array_equal(shipped.encode_dataset(row).words, words)
 

@@ -4,7 +4,7 @@
 *before* the stage-pipeline refactor; these tests prove the port onto
 :class:`repro.pipeline.LinkagePipeline` changed no observable linkage
 behaviour — matches and candidate counts byte-identical, including across
-``n_jobs`` settings and candidate chunk budgets.
+candidate chunk budgets.
 """
 
 import json

@@ -59,6 +59,42 @@ class TestReadValidation:
         with pytest.raises(ValueError, match="header"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "row, fields",
+        [
+            ("4,DAN,LEE,EXTRA", 4),  # a trailing extra cell
+            ("4,LEE, DAN,SMITH", 4),  # an unquoted comma inside a name
+            ("2,BOB", 2),  # a short row
+        ],
+        ids=["extra-cell", "comma-in-name", "short-row"],
+    )
+    def test_ragged_row_names_file_and_line(self, tmp_path, row, fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"id,first,last\n1,ANN,KIM\n{row}\n")
+        message = rf"ragged\.csv, line 3: {fields} fields, the header has 3"
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
+
+    def test_empty_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("id,first,last\n1,ANN,KIM\n\n,BOB,LEE\n")
+        with pytest.raises(ValueError, match=r"ids\.csv, line 4: empty 'id' cell"):
+            read_dataset(path)
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,first,first\n1,ANN,KIM\n")
+        message = r"dup\.csv, line 1: header repeats columns \['first'\]"
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("first,last\nANN,KIM\n\nBOB,LEE\n")
+        loaded = read_dataset(path)
+        assert [r.record_id for r in loaded] == ["R0", "R1"]
+        assert loaded.value_rows() == [("ANN", "KIM"), ("BOB", "LEE")]
+
 
 class TestNormalisation:
     def test_values_normalised_on_read(self, tmp_path):

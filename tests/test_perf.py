@@ -1,8 +1,7 @@
-"""Tests for the hot-path engine: interning, chunked candidates, fan-out.
+"""Tests for the hot-path engine: interning, chunked candidates, memory.
 
-Covers the three layers of the performance engine plus the invariants the
-engine must never break: identical output for every ``n_jobs`` setting and
-for every ``max_chunk_pairs`` budget.
+Covers the layers of the performance engine plus the invariant the engine
+must never break: identical output for every ``max_chunk_pairs`` budget.
 """
 
 import json
@@ -25,7 +24,7 @@ from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.lsh import HammingLSH
-from repro.perf import LogHistogram, ParallelConfig, parallel_map, resolve_n_jobs
+from repro.perf import LogHistogram
 from repro.pipeline.runner import LinkagePipeline
 
 
@@ -76,16 +75,6 @@ class TestInternedEncoding:
         expected = BitMatrix.from_vectors([enc.encode(r) for r in RECORDS])
         assert enc.encode_dataset(RECORDS) == expected
 
-    def test_encode_dataset_sharded_identical(self):
-        enc = RecordEncoder.calibrated(RECORDS, seed=3)
-        single = enc.encode_dataset(RECORDS)
-        for config in (
-            ParallelConfig(n_jobs=4),
-            ParallelConfig(n_jobs=2, chunk_size=7),
-            ParallelConfig(n_jobs=3, backend="thread"),
-        ):
-            assert enc.encode_dataset(RECORDS, parallel=config) == single
-
     def test_encode_dataset_reports_intern_stats(self):
         enc = RecordEncoder.calibrated(RECORDS, seed=3)
         stats = {}
@@ -96,59 +85,6 @@ class TestInternedEncoding:
     def test_compact_indices_cached(self):
         enc = CVectorEncoder(64, seed=1)
         assert enc.compact_indices("JOHN") is enc.compact_indices("JOHN")
-
-
-class TestParallelConfig:
-    def test_defaults_single_process(self):
-        config = ParallelConfig()
-        assert config.n_jobs == 1
-        assert config.effective_jobs == 1
-
-    def test_zero_means_all_cores(self):
-        assert ParallelConfig(n_jobs=0).effective_jobs == resolve_n_jobs(0) >= 1
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(n_jobs=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(backend="fiber")
-
-    def test_shard_ranges_cover_everything_in_order(self):
-        config = ParallelConfig(n_jobs=3, chunk_size=7)
-        ranges = config.shard_ranges(20)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 20
-        assert all(hi == ranges[i + 1][0] for i, (_, hi) in enumerate(ranges[:-1]))
-
-    def test_shard_ranges_even_split_without_chunk_size(self):
-        assert ParallelConfig(n_jobs=4).shard_ranges(10) == [
-            (0, 3),
-            (3, 6),
-            (6, 9),
-            (9, 10),
-        ]
-        assert ParallelConfig().shard_ranges(0) == []
-
-
-def _square(x):
-    return x * x
-
-
-class TestParallelMap:
-    def test_single_process_is_plain_loop(self):
-        config = ParallelConfig(n_jobs=1)
-        assert parallel_map(_square, [1, 2, 3], config) == [1, 4, 9]
-
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_parallel_preserves_order(self, backend):
-        config = ParallelConfig(n_jobs=3, backend=backend)
-        assert parallel_map(_square, list(range(10)), config) == [
-            x * x for x in range(10)
-        ]
-
-    def test_empty_items(self):
-        assert parallel_map(_square, [], ParallelConfig(n_jobs=4)) == []
 
 
 class TestChunkedCandidates:
@@ -217,35 +153,14 @@ class TestLinkageInvariance:
         assert result.n_candidates == reference.n_candidates
         assert result.matches == reference.matches
 
-    def test_n_jobs_invariance(self, problem, reference):
-        for config in (ParallelConfig(n_jobs=4), ParallelConfig(n_jobs=2, backend="thread")):
-            linker = CompactHammingLinker.record_level(
-                threshold=4, k=30, seed=7, parallel=config
-            )
-            self._assert_identical(
-                linker.link(problem.dataset_a, problem.dataset_b), reference
-            )
-
     def test_chunked_invariance(self, problem, reference):
-        for budget in (37, 512):
+        for budget in (37, 64, 512):
             linker = CompactHammingLinker.record_level(
                 threshold=4, k=30, seed=7, max_chunk_pairs=budget
             )
             self._assert_identical(
                 linker.link(problem.dataset_a, problem.dataset_b), reference
             )
-
-    def test_chunked_parallel_invariance(self, problem, reference):
-        linker = CompactHammingLinker.record_level(
-            threshold=4,
-            k=30,
-            seed=7,
-            parallel=ParallelConfig(n_jobs=4),
-            max_chunk_pairs=64,
-        )
-        self._assert_identical(
-            linker.link(problem.dataset_a, problem.dataset_b), reference
-        )
 
     def test_counters_populated(self, problem):
         linker = CompactHammingLinker.record_level(
@@ -306,7 +221,7 @@ def traced_link(linker, dataset_a, dataset_b):
     tracemalloc.start()
     sys.settrace(on_call)
     try:
-        result = LinkagePipeline(metered, parallel=linker.parallel).run(dataset_a, dataset_b)
+        result = LinkagePipeline(metered).run(dataset_a, dataset_b)
     finally:
         sys.settrace(previous)
         tracemalloc.stop()

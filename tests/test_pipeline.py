@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
-from repro.perf import ParallelConfig
 from repro.pipeline import (
     BlockStage,
     CalibrateStage,
@@ -146,12 +145,12 @@ class TestExhaustiveLinker:
             expected |= {(i, int(j)) for j in np.flatnonzero(dist <= 4)}
         assert full.matches == expected
 
-    def test_deterministic_and_njobs_invariant(self, problem):
+    def test_deterministic_and_chunk_budget_invariant(self, problem):
         results = [
-            ExhaustiveLinker(
-                threshold=4, seed=3, parallel=ParallelConfig(n_jobs=n), max_chunk_pairs=1024
-            ).link(problem.dataset_a, problem.dataset_b)
-            for n in (1, 2, 1)
+            ExhaustiveLinker(threshold=4, seed=3, max_chunk_pairs=budget).link(
+                problem.dataset_a, problem.dataset_b
+            )
+            for budget in (1024, 1 << 20, 1024)
         ]
         assert results[0].matches == results[1].matches == results[2].matches
         assert np.array_equal(results[0].rows_a, results[1].rows_a)
@@ -163,7 +162,6 @@ class TestExhaustiveLinker:
             dataset_b=None,
             rows_a=[("x",)] * 7,
             rows_b=[("y",)] * 5,
-            parallel=ParallelConfig(),
         )
         AllPairsCandidateStage(max_chunk_pairs=8).run(ctx)
         assert ctx.n_candidates == 35

@@ -1,4 +1,4 @@
-"""Tests for the whole-program phase of reprolint (RL101-RL105).
+"""Tests for the whole-program phase of reprolint (RL101, RL102, RL104, RL105).
 
 Fixtures are small package trees written to tmp_path with real
 ``__init__.py`` chains, so module-name derivation, cross-module
@@ -62,7 +62,6 @@ PIPELINE_CONTEXT = """
     class PipelineContext:
         rows_a: list
         rows_b: list
-        parallel: object = None
         encoder: object = None
         embedded_a: object = None
         embedded_b: object = None
@@ -181,24 +180,14 @@ class TestModelExtraction:
         # Subscript store on ctx.counters is a *read* of the dict field.
         assert "counters" in summary.functions["helper"].ctx_reads
 
-    def test_parallel_and_rng_extraction(self):
+    def test_rng_seed_extraction(self):
         summary = self._summary(
             """
             import numpy as np
-            from repro.perf import parallel_map
 
-            TOTALS = []
-
-            def worker(item):
-                TOTALS.append(item)
+            def unseeded(item):
                 rng = np.random.default_rng()
                 return item
-
-            def driver(items, cfg):
-                return parallel_map(worker, items, cfg, initializer=setup)
-
-            def setup():
-                pass
 
             def seeded(seed):
                 return np.random.default_rng(seed)
@@ -207,14 +196,8 @@ class TestModelExtraction:
                 return np.random.default_rng(1234)
             """
         )
-        call = summary.parallel_calls[0]
-        assert call.worker.name == "worker"
-        assert call.initializer.name == "setup"
-        worker = summary.functions["worker"]
-        assert worker.mutations and worker.mutations[0][0] == "TOTALS"
-        assert worker.rng_calls and not worker.rng_calls[0].global_state
         seeds = {c.scope: c.seed_kind for c in summary.rng_constructions}
-        assert seeds == {"worker": "missing", "seeded": "name", "burned": "literal"}
+        assert seeds == {"unseeded": "missing", "seeded": "name", "burned": "literal"}
 
     def test_stage_list_literals(self):
         summary = self._summary(
@@ -356,139 +339,6 @@ class TestRL102Architecture:
         findings = lint_paths([root], config)
         assert rule_ids(findings) == ["RL102"]
         assert "repro.perf" in findings[0].message
-
-
-class TestRL103ParallelSafety:
-    def _lint(self, tmp_path, body):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/__init__.py": "",
-                "src/repro/work.py": body,
-            },
-        )
-        return lint_paths([root], select_rules("RL103"))
-
-    def test_mutating_worker_flagged(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            SHARED = []
-
-            def worker(item):
-                SHARED.append(item)
-                return item
-
-            def driver(items, cfg):
-                return parallel_map(worker, items, cfg)
-            """,
-        )
-        assert rule_ids(findings) == ["RL103"]
-        assert "SHARED" in findings[0].message
-
-    def test_global_declaration_flagged(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            COUNT = 0
-
-            def worker(item):
-                global COUNT
-                COUNT = COUNT + 1
-                return item
-
-            def driver(items, cfg):
-                return parallel_map(worker, items, cfg)
-            """,
-        )
-        assert rule_ids(findings) == ["RL103"]
-        assert "global COUNT" in findings[0].message
-
-    def test_unseeded_rng_in_worker_flagged(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            import random
-
-            def worker(item):
-                return item + random.random()
-
-            def driver(items, cfg):
-                return parallel_map(worker, items, cfg)
-            """,
-        )
-        assert rule_ids(findings) == ["RL103"]
-        assert "random.random" in findings[0].message
-
-    def test_local_mutation_is_clean(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            def worker(items):
-                out = []
-                for item in items:
-                    out.append(item * 2)
-                return out
-
-            def driver(chunks, cfg):
-                return parallel_map(worker, chunks, cfg)
-            """,
-        )
-        assert findings == []
-
-    def test_initializer_may_pin_module_state(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            _STATE = {}
-
-            def setup(payload):
-                _STATE["data"] = payload
-
-            def worker(item):
-                return _STATE["data"][item]
-
-            def driver(items, cfg, payload):
-                return parallel_map(worker, items, cfg, initializer=setup, initargs=(payload,))
-            """,
-        )
-        assert findings == []
-
-    def test_worker_resolved_across_modules(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/__init__.py": "",
-                "src/repro/workers.py": """
-                    SHARED = []
-
-                    def worker(item):
-                        SHARED.append(item)
-                        return item
-                """,
-                "src/repro/driver.py": """
-                    from repro.workers import worker
-
-                    def run(items, cfg):
-                        return parallel_map(worker, items, cfg)
-                """,
-            },
-        )
-        findings = lint_paths([root], select_rules("RL103"))
-        assert rule_ids(findings) == ["RL103"]
-        assert findings[0].path.endswith("workers.py")
-
-    def test_inline_lambda_checked(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            """
-            ACC = []
-
-            def driver(items, cfg):
-                return parallel_map(lambda item: ACC.append(item), items, cfg)
-            """,
-        )
-        assert rule_ids(findings) == ["RL103"]
 
 
 class TestRL104StageContract:
@@ -699,11 +549,11 @@ class TestRL105SeedPropagation:
 
 
 class TestProjectSelfHosting:
-    """Acceptance: src/ lints clean with RL101-RL105 enabled."""
+    """Acceptance: src/ lints clean with every whole-program rule enabled."""
 
     def test_project_rules_clean_on_src(self):
         config = load_config(REPO_ROOT / "pyproject.toml").with_overrides(
-            select=["RL101", "RL102", "RL103", "RL104", "RL105"]
+            select=["RL101", "RL102", "RL104", "RL105"]
         )
         findings = lint_paths([REPO_ROOT / "src"], config)
         assert findings == [], [f.format() for f in findings]
@@ -747,14 +597,13 @@ class TestProjectSelfHosting:
 
 
 def test_project_model_covers_real_pipeline():
-    """The model sees the real stage classes and parallel call sites."""
+    """The model sees the real stage classes, context fields and imports."""
     summaries = []
     for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         summaries.append(extract_module(module_name_for(path), str(path), tree))
     model = ProjectModel.from_summaries(summaries)
     stages = model.modules["repro.pipeline.stages"]
-    assert stages.parallel_calls, "parallel_map call in ThresholdVerifyStage"
     verify = stages.classes["ThresholdVerifyStage"]
     assert verify.bases == ["VerifyStage"]
     chain = list(model.base_chain("repro.pipeline.stages", "ThresholdVerifyStage"))
@@ -767,7 +616,7 @@ def test_project_model_covers_real_pipeline():
         for source, target, _ in model.resolved_edges(("module",))
         if source == "repro.pipeline.stages"
     }
-    assert "repro.perf" in edges
+    assert "repro.pipeline.context" in edges
 
 
 if __name__ == "__main__":

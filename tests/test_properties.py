@@ -218,15 +218,11 @@ class TestBlockKernels:
         dist = hamming_packed(words_a[rows_a], words_b[rows_b])
         keep = dist <= threshold
         assert n_pairs < 2 or 0 < keep.sum() < n_pairs  # the threshold splits the pairs
-        stages._init_verify_worker(words_a, words_b)
-        try:
-            for chunk in ((rows_a, rows_b), (rows_a * n_b + rows_b, n_b)):
-                got = stages._verify_chunk((chunk, threshold))
-                assert len(got) == 3
-                for have, want in zip(got, (rows_a[keep], rows_b[keep], dist[keep])):
-                    assert have.dtype == np.int64 and have.tolist() == want.tolist()
-        finally:
-            stages._VERIFY_STATE.clear()
+        for chunk in ((rows_a, rows_b), (rows_a * n_b + rows_b, n_b)):
+            got = stages._verify_chunk(words_a, words_b, chunk, threshold)
+            assert len(got) == 3
+            for have, want in zip(got, (rows_a[keep], rows_b[keep], dist[keep])):
+                assert have.dtype == np.int64 and have.tolist() == want.tolist()
 
 
 class TestLSHInvariants:

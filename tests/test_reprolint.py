@@ -4,7 +4,7 @@ Each RL00x rule gets at least one positive fixture (snippet that must
 trigger it) and one negative fixture (snippet that must stay clean),
 plus suppression coverage and a self-hosting test asserting the repo's
 own ``src/`` tree lints clean with the shipped pyproject configuration.
-(The whole-program rules RL101-RL105 are covered in
+(The whole-program rules RL101, RL102, RL104 and RL105 are covered in
 test_project_lint.py; here they only appear through the CLI surface:
 severity, baseline, cache, SARIF.)
 """
@@ -715,6 +715,29 @@ class TestCacheMigration:
         monkeypatch.setattr(
             project_mod, "SUMMARY_VERSION", project_mod.SUMMARY_VERSION + 1
         )
+        stats = {}
+        findings = lint_paths(
+            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
+        )
+        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
+        assert [f.rule_id for f in findings] == ["RL002"]
+
+    def test_cache_from_previous_summary_version_replays_cold(
+        self, tmp_path, monkeypatch
+    ):
+        # A cache written before the last summary-shape change (both the
+        # cache fingerprint and the stored summaries carry the old
+        # version) is dropped whole on load, not replayed.
+        import repro.analysis.cache as cache_mod
+        import repro.analysis.project as project_mod
+
+        (tmp_path / "one.py").write_text("x = eval('1')\n")
+        config = LintConfig()
+        previous = project_mod.SUMMARY_VERSION - 1
+        monkeypatch.setattr(cache_mod, "SUMMARY_VERSION", previous)
+        monkeypatch.setattr(project_mod, "SUMMARY_VERSION", previous)
+        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
+        monkeypatch.undo()
         stats = {}
         findings = lint_paths(
             [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats

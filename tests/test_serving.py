@@ -33,7 +33,6 @@ from repro.data.generators import EXPERIMENT_SCHEME
 from repro.core.shards import PlainBundleError, ShardedIndex
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import group_matches
-from repro.perf import ParallelConfig
 from repro.pipeline import (
     ChunkedCandidateStage,
     LoadSnapshotStage,
@@ -385,29 +384,6 @@ class TestOneEngineParity:
         want = engines["memory-plain"].query_batch(stream[:batch], top_k=top_k)
         for a, b in zip(_arrays(got), _arrays(want)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-class TestSpawnStartMethod:
-    """The process backend must be spawn-safe (regression for the
-    initializer/initargs plumbing: everything shipped to workers is
-    module-level and picklable)."""
-
-    def test_linker_identical_under_spawn(self, problem):
-        serial = CompactHammingLinker.record_level(threshold=4, k=30, seed=SEED)
-        want = serial.link(problem.dataset_a, problem.dataset_b)
-        spawned = CompactHammingLinker.record_level(
-            threshold=4,
-            k=30,
-            seed=SEED,
-            parallel=ParallelConfig(n_jobs=2, backend="process", start_method="spawn"),
-        )
-        got = spawned.link(problem.dataset_a, problem.dataset_b)
-        assert want.matches == got.matches
-        assert want.n_candidates == got.n_candidates
-
-    def test_start_method_validated(self):
-        with pytest.raises(ValueError, match="start_method"):
-            ParallelConfig(start_method="teleport")
 
 
 class TestLoadSnapshotStage:
