@@ -1,4 +1,4 @@
-"""Hot-path engine benchmark: pre-PR baseline vs the interned/chunked engine.
+"""Hot-path engine benchmark: pre-PR baseline vs the interned engine and match kernel.
 
 Times the four phases of ``CompactHammingLinker.link`` (embed / index /
 candidate generation / match) on the NCVR PL cell at ``REPRO_BENCH_SCALE``
@@ -15,17 +15,18 @@ verbatim so the comparison stays honest as the library evolves:
 * candidate generation that walks every bucket in a Python loop and
   materialises every cross-product before a single global ``np.unique``.
 
-The *engine* numbers run the current ``link()`` (interned encoding,
-memory-bounded chunked de-duplication).  The script also verifies the
-engine's invariant — identical matches across chunk budgets — and
-records the outcome in the JSON.
+The *engine* numbers run the current ``link()`` (interned encoding, the
+one match kernel ``HammingLSH.match``: one join, in-place de-dup, blocked
+verify).  The script also verifies the engine's invariant — ``link()``'s
+rows, order and distances are the kernel's — and records the outcome in
+the JSON.
 
-Since ``link()`` now executes on the ``repro.pipeline`` stage runner, the
+Since ``link()`` executes on the ``repro.pipeline`` stage runner, the
 script additionally times the same engine path driven *inline* (no stage
-objects, no runner bookkeeping) and reports the runner's overhead ratio;
-``--check`` exits non-zero on an empty candidate stream, any invariance
-violation, or a runner overhead beyond tolerance (the CI perf-smoke
-gate).
+objects, no runner bookkeeping: a direct ``HammingLSH.match``) and reports
+the runner's overhead ratio; ``--check`` exits non-zero on an empty
+candidate stream, a link that differs from the kernel, or a runner
+overhead beyond tolerance (the CI perf-smoke gate).
 
 A rule-aware cell rides along: a DBLP PH slice linked under the
 benchmark suite's AND rule and under one OR rule.  Each link must return
@@ -74,10 +75,6 @@ RULES = {
     "or": parse_rule("((FirstName<=4) & (LastName<=4)) | (Title<=8)"),
 }
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_hotpaths.json"
-#: A chunk budget small enough to split the candidate stream into several
-#: chunks even at ``REPRO_BENCH_SCALE=0.25``, for the invariance check
-#: beside ``--budget`` and no budget.
-SMALL_BUDGET = 128
 
 
 # -- pre-PR reference implementations --------------------------------------------
@@ -195,17 +192,16 @@ OVERHEAD_TOLERANCE = 1.05
 OVERHEAD_SLACK_S = 0.05
 
 
-def _run_direct(prob, max_chunk_pairs=None):
+def _run_direct(prob):
     """The engine hot path driven inline — no stage objects, no runner.
 
     Reproduces exactly what ``CompactHammingLinker.link`` does on the
-    stage pipeline (interned embed, chunked candidates, chunk-wise verify,
-    canonical pair order), so the only difference from ``_run_engine`` is
-    the runner's per-stage bookkeeping.
+    stage pipeline (interned embed, index, one ``HammingLSH.match``), so
+    the only difference from ``_run_engine`` is the runner's per-stage
+    bookkeeping.  Returns the wall-clock, the kernel's
+    ``(rows_a, rows_b, distances)`` and its counters.
     """
-    linker = CompactHammingLinker.record_level(
-        threshold=THRESHOLD, k=K, seed=SEED, max_chunk_pairs=max_chunk_pairs
-    )
+    linker = CompactHammingLinker.record_level(threshold=THRESHOLD, k=K, seed=SEED)
     rows_a = prob.dataset_a.value_rows()
     rows_b = prob.dataset_b.value_rows()
 
@@ -216,40 +212,22 @@ def _run_direct(prob, max_chunk_pairs=None):
     lsh = linker._build_blocker(encoder)
     lsh.index(matrix_a)
     counters = {}
-    parts_a, parts_b = [], []
-    words_a, words_b = matrix_a.words, matrix_b.words
-    n_candidates = 0
-    for chunk_a, chunk_b in lsh.candidate_chunks(matrix_b, counters=counters):
-        n_candidates += chunk_a.size
-        xor = words_a[chunk_a] ^ words_b[chunk_b]
-        dist = np.bitwise_count(xor).sum(axis=1).astype(np.int64)
-        keep = dist <= THRESHOLD
-        parts_a.append(chunk_a[keep])
-        parts_b.append(chunk_b[keep])
-    if parts_a:
-        out_a = np.concatenate(parts_a)
-        out_b = np.concatenate(parts_b)
-        order = np.argsort(out_a * len(rows_b) + out_b, kind="stable")
-        out_a, out_b = out_a[order], out_b[order]
-    else:
-        out_a = out_b = np.empty(0, dtype=np.int64)
+    kernel = lsh.match(matrix_a.words, matrix_b, THRESHOLD, counters)
     elapsed = time.perf_counter() - start
-    matches = set(zip(out_a.tolist(), out_b.tolist()))
-    return elapsed, matches, int(n_candidates)
+    return elapsed, kernel, counters
 
 
-def _measure_runner_overhead(prob, max_chunk_pairs):
+def _measure_runner_overhead(prob):
     """Best-of-N inline vs pipeline timings and their agreement."""
     direct_s = float("inf")
     pipeline_s = float("inf")
-    direct_matches = None
-    pipeline_matches = None
+    identical = True
     for __ in range(OVERHEAD_REPEATS):
-        elapsed, direct_matches, __n = _run_direct(prob, max_chunk_pairs=max_chunk_pairs)
+        elapsed, kernel, counters = _run_direct(prob)
         direct_s = min(direct_s, elapsed)
-        phases, result = _run_engine(prob, max_chunk_pairs=max_chunk_pairs)
+        phases, result = _run_engine(prob)
         pipeline_s = min(pipeline_s, phases["link_total"])
-        pipeline_matches = result.matches
+        identical &= _equals_kernel(result, kernel, counters)
     return {
         "direct_s": direct_s,
         "pipeline_s": pipeline_s,
@@ -258,15 +236,24 @@ def _measure_runner_overhead(prob, max_chunk_pairs):
         "slack_s": OVERHEAD_SLACK_S,
         "within_tolerance": pipeline_s
         <= direct_s * OVERHEAD_TOLERANCE + OVERHEAD_SLACK_S,
-        "matches_identical": direct_matches == pipeline_matches,
+        "matches_identical": bool(identical),
     }
 
 
-def _run_engine(prob, max_chunk_pairs=None):
-    """End-to-end current link() with the given chunk budget."""
-    linker = CompactHammingLinker.record_level(
-        threshold=THRESHOLD, k=K, seed=SEED, max_chunk_pairs=max_chunk_pairs
+def _equals_kernel(result, kernel, counters):
+    """``link()``'s rows, order and distances (and candidate count) are the kernel's."""
+    return (
+        all(
+            np.array_equal(got, want)
+            for got, want in zip((result.rows_a, result.rows_b, result.record_distances), kernel)
+        )
+        and result.n_candidates == counters["pairs_unique"]
     )
+
+
+def _run_engine(prob):
+    """End-to-end current link()."""
+    linker = CompactHammingLinker.record_level(threshold=THRESHOLD, k=K, seed=SEED)
     start = time.perf_counter()
     result = linker.link(prob.dataset_a, prob.dataset_b)
     elapsed = time.perf_counter() - start
@@ -320,12 +307,6 @@ def main(argv=None):
         action="store_true",
         help="exit non-zero on empty candidate stream or broken invariance (CI gate)",
     )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=1 << 20,
-        help="max_chunk_pairs for the chunked engine run (default: 1Mi pairs)",
-    )
     args = parser.parse_args(argv)
 
     n = scaled(BASE_N)
@@ -335,20 +316,14 @@ def main(argv=None):
     baseline_phases, baseline_matches, baseline_candidates = _run_baseline(prob)
 
     clear_index_set_cache()
-    engine_phases, engine_result = _run_engine(prob, max_chunk_pairs=args.budget)
+    engine_phases, engine_result = _run_engine(prob)
 
-    # Invariance: matches identical, in the same order, across chunk budgets.
-    _, result_small = _run_engine(prob, max_chunk_pairs=SMALL_BUDGET)
-    _, result_unchunked = _run_engine(prob)
-    matches = engine_result.matches
-    invariant = all(
-        np.array_equal(engine_result.rows_a, other.rows_a)
-        and np.array_equal(engine_result.rows_b, other.rows_b)
-        for other in (result_small, result_unchunked)
-    )
-    agrees_with_baseline = matches == baseline_matches
+    # Invariance: link() is the match kernel — rows, order, distances.
+    __, kernel, counters = _run_direct(prob)
+    invariant = _equals_kernel(engine_result, kernel, counters)
+    agrees_with_baseline = engine_result.matches == baseline_matches
 
-    overhead = _measure_runner_overhead(prob, max_chunk_pairs=args.budget)
+    overhead = _measure_runner_overhead(prob)
 
     rule_n = scaled(RULE_BASE_N)
     rule_prob = build_linkage_problem(DBLPGenerator(), rule_n, scheme_ph(), seed=SEED)
@@ -366,7 +341,6 @@ def main(argv=None):
         "threshold": THRESHOLD,
         "k": K,
         "seed": SEED,
-        "max_chunk_pairs": args.budget,
         "baseline": {
             "description": "pre-engine hot path: uncached per-record embed, "
             "dict-bucket indexing, materialise-all-then-unique candidates",
@@ -375,7 +349,7 @@ def main(argv=None):
             "n_matches": len(baseline_matches),
         },
         "engine": {
-            "description": "interned embed + memory-bounded chunked candidates",
+            "description": "interned embed + one match kernel (join, in-place de-dup, blocked verify)",
             "phases_s": engine_phases,
             "n_candidates": engine_result.n_candidates,
             "n_matches": engine_result.n_matches,
@@ -388,7 +362,7 @@ def main(argv=None):
             "n_records_per_side": rule_n,
             "cells": rule_aware,
         },
-        "matches_identical_across_chunk_budgets": bool(invariant),
+        "matches_identical_to_kernel": bool(invariant),
         "matches_identical_to_baseline": bool(agrees_with_baseline),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -410,7 +384,7 @@ def main(argv=None):
         f"runner overhead: pipeline {overhead['pipeline_s']:.3f} s vs inline "
         f"{overhead['direct_s']:.3f} s ({overhead['ratio']:.3f}x)"
     )
-    print(f"matches identical across chunk budgets: {invariant}")
+    print(f"link() identical to HammingLSH.match: {invariant}")
     print(f"matches identical to baseline: {agrees_with_baseline}")
     print(
         format_table(
@@ -435,7 +409,7 @@ def main(argv=None):
             print("CHECK FAILED: empty candidate stream", file=sys.stderr)
             return 1
         if not invariant:
-            print("CHECK FAILED: matches differ across chunk budgets", file=sys.stderr)
+            print("CHECK FAILED: link() differs from HammingLSH.match", file=sys.stderr)
             return 1
         if not agrees_with_baseline:
             print("CHECK FAILED: engine matches differ from baseline", file=sys.stderr)

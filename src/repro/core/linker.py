@@ -46,15 +46,14 @@ from repro.hamming.query import batch_query, group_matches, top_k_smallest
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult as LinkageResult
 from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import BlockStage, CandidateStage, Stage
+from repro.pipeline.stage import CalibrateStage, Stage
 from repro.pipeline.stages import (
     BlockerIndexStage,
-    ChunkedCandidateStage,
     CVectorEmbedStage,
     EncoderCalibrateStage,
     MaterializedCandidateStage,
     RuleClassifyStage,
-    ThresholdVerifyStage,
+    ThresholdMatchStage,
 )
 from repro.protocol import (
     DatasetLike as DatasetLike,
@@ -93,7 +92,6 @@ class CompactHammingLinker:
         scheme: QGramScheme | None = None,
         attribute_names: Sequence[str] | None = None,
         seed: int | None = None,
-        max_chunk_pairs: int | None = None,
     ):
         if (threshold is None) == (rule is None):
             raise ValueError("specify exactly one of threshold (record-level) or rule")
@@ -110,7 +108,6 @@ class CompactHammingLinker:
         self.scheme = scheme
         self.attribute_names = list(attribute_names) if attribute_names else None
         self.seed = seed
-        self.max_chunk_pairs = max_chunk_pairs
         self.encoder: RecordEncoder | None = None
 
     # -- constructors ------------------------------------------------------------
@@ -125,7 +122,6 @@ class CompactHammingLinker:
         calibration: CalibrationConfig | None = None,
         scheme: QGramScheme | None = None,
         seed: int | None = None,
-        max_chunk_pairs: int | None = None,
     ) -> "CompactHammingLinker":
         """Standard HB over the whole record-level c-vector (Section 4.2)."""
         return cls(
@@ -136,7 +132,6 @@ class CompactHammingLinker:
             calibration=calibration,
             scheme=scheme,
             seed=seed,
-            max_chunk_pairs=max_chunk_pairs,
         )
 
     @classmethod
@@ -218,7 +213,6 @@ class CompactHammingLinker:
             delta=self.delta,
             n_tables=self.n_tables,
             seed=self.seed,
-            max_chunk_pairs=self.max_chunk_pairs,
         )
 
     def _make_blocker(self, ctx: PipelineContext) -> "RuleAwareBlocker | HammingLSH":
@@ -236,18 +230,16 @@ class CompactHammingLinker:
             stages.append(MaterializedCandidateStage())
             stages.append(RuleClassifyStage(self.rule))
         else:
-            stages.append(ChunkedCandidateStage())
-            stages.append(ThresholdVerifyStage(self.threshold or 0, sort_pairs=True))
+            stages.append(ThresholdMatchStage(self.threshold or 0))
         return stages
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """Run the full calibrate/embed/block/match pipeline.
 
-        The record-level path streams memory-bounded candidate chunks
-        (``max_chunk_pairs``) and verifies them a block at a time; the
-        rule-aware path classifies the de-duplicated candidates lazily.
-        Chunk partitioning and result order are deterministic, so the
-        output is identical for every ``max_chunk_pairs`` setting.
+        The record-level path runs the one match kernel
+        (:meth:`HammingLSH.match`: one join, one de-dup, a blocked verify;
+        matches in ``a * n_B + b`` order); the rule-aware path classifies
+        the de-duplicated candidates lazily.
         """
         pipeline = LinkagePipeline(self._stages())
         return pipeline.run(dataset_a, dataset_b)
@@ -270,45 +262,28 @@ class CompactHammingLinker:
         return results
 
 
-class _StreamingIndexStage(BlockStage):
-    """Insert dataset A's records one at a time (incremental semantics)."""
+class _StreamingInsertStage(CalibrateStage):
+    """Insert dataset A into the streaming store as one batch, embed B.
 
-    def __init__(self, linker: "StreamingLinker"):
-        self.linker = linker
+    Like :class:`~repro.pipeline.stages.LoadSnapshotStage`, the index
+    stands in for calibration (the linker's encoder is fixed), and its
+    wall-clock is charged to ``"index"``.
+    """
 
-    def run(self, ctx: PipelineContext) -> None:
-        for values in ctx.rows_a:
-            self.linker.insert(values)
-        ctx.blocker = self.linker._lsh
-        ctx.encoder = self.linker.encoder
-        ctx.embedded_a = self.linker._words[: len(self.linker)]
-
-
-class _StreamingQueryStage(CandidateStage):
-    """Query each B record against the streaming index, one at a time."""
+    timing = "index"
 
     def __init__(self, linker: "StreamingLinker"):
         self.linker = linker
 
     def run(self, ctx: PipelineContext) -> None:
         linker = self.linker
-        queries = np.empty((len(ctx.rows_b), linker._n_words), dtype=np.uint64)
-        parts_a: list[np.ndarray] = []
-        parts_b: list[np.ndarray] = []
-        total = 0
-        for j, values in enumerate(ctx.rows_b):
-            vector = linker.encoder.encode(values)
-            queries[j] = vector.to_packed()
-            ids = linker._lsh.query(vector)
-            if ids:
-                total += len(ids)
-                parts_a.append(np.asarray(ids, dtype=np.int64))
-                parts_b.append(np.full(len(ids), j, dtype=np.int64))
-        empty = np.empty(0, dtype=np.int64)
-        ctx.embedded_b = queries
-        ctx.cand_a = np.concatenate(parts_a) if parts_a else empty
-        ctx.cand_b = np.concatenate(parts_b) if parts_b else empty
-        ctx.n_candidates = total
+        linker.insert_rows(ctx.rows_a)
+        ctx.encoder, ctx.blocker = linker.encoder, linker._lsh
+        ctx.embedded_a = linker._words[: len(linker)]
+        width = linker.encoder.total_bits
+        ctx.embedded_b = (
+            linker.encoder.encode_dataset(ctx.rows_b) if ctx.rows_b else BitMatrix.zeros(0, width)
+        )
 
 
 class StreamingLinker:
@@ -472,17 +447,15 @@ class StreamingLinker:
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """Batch insert-then-query on the shared pipeline runner.
 
-        Inserts every A record into the streaming store (the index keeps
-        them afterwards — call on a fresh linker for standalone runs; the
-        result's A-row indices are the store's internal record ids), then
-        queries each B record and Hamming-verifies the candidates.
-        Timings: ``"index"`` (inserts) and ``"match"`` (queries + verify).
+        Inserts every A record into the streaming store as one batch (the
+        index keeps them afterwards — call on a fresh linker for standalone
+        runs; the result's A-row indices are the store's internal record
+        ids), embeds B and runs the one match kernel
+        (:meth:`HammingLSH.match`) over it: matches in ``a * n_B + b``
+        order.  Timings: ``"index"`` (inserts + B's embedding) and
+        ``"match"``.
         """
         pipeline = LinkagePipeline(
-            [
-                _StreamingIndexStage(self),
-                _StreamingQueryStage(self),
-                ThresholdVerifyStage(self.threshold),
-            ]
+            [_StreamingInsertStage(self), ThresholdMatchStage(self.threshold)]
         )
         return pipeline.run(dataset_a, dataset_b)

@@ -309,7 +309,6 @@ def save_index_snapshot(
         "n_tables": lsh.n_tables,
         "threshold": lsh.threshold if threshold is None else threshold,
         "delta": lsh.delta,
-        "max_chunk_pairs": lsh.max_chunk_pairs,
         "key_repr": "uint64" if all_keys.dtype == np.uint64 else "packed-bytes",
         "positions": positions,
         "table_offsets": table_offsets,
@@ -452,7 +451,6 @@ def load_index_snapshot(path: str | Path, mmap_mode: str | None = "r") -> IndexS
             f"{n_rows} rows of {n_bits} bits"
         )
     raw_threshold = manifest.get("threshold")
-    raw_budget = manifest.get("max_chunk_pairs")
     positions = manifest.get("positions") or []
     if len(positions) != n_tables:
         raise SnapshotError(
@@ -466,7 +464,6 @@ def load_index_snapshot(path: str | Path, mmap_mode: str | None = "r") -> IndexS
             positions=positions,
             threshold=None if raw_threshold is None else int(raw_threshold),
             delta=float(manifest.get("delta", 0.1)),
-            max_chunk_pairs=None if raw_budget is None else int(raw_budget),
         )
     except ValueError as exc:
         raise SnapshotError(f"snapshot index parameters invalid: {exc}") from exc

@@ -218,7 +218,6 @@ def _indexed_like(lsh: HammingLSH, words: np.ndarray) -> HammingLSH:
         positions=[composite.positions for composite in lsh.composites],
         threshold=lsh.threshold,
         delta=lsh.delta,
-        max_chunk_pairs=lsh.max_chunk_pairs,
     )
     out.index(BitMatrix(words, lsh.n_bits))
     return out
@@ -383,7 +382,6 @@ class ShardedIndex:
         delta: float = DEFAULT_DELTA,
         n_tables: int | None = None,
         seed: int | None = None,
-        max_chunk_pairs: int | None = None,
     ) -> "ShardedIndex":
         """Index ``rows`` once and partition them across ``n_shards``.
 
@@ -405,7 +403,6 @@ class ShardedIndex:
             delta=delta,
             n_tables=n_tables,
             seed=seed,
-            max_chunk_pairs=max_chunk_pairs,
         )
         lsh.index(matrix)
         if n_shards is None:

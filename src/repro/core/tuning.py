@@ -70,10 +70,9 @@ def measure_k(
         n_bits=sample_a.n_bits, k=k, threshold=threshold, delta=delta, seed=seed
     )
     lsh.index(sample_a)
-    rows_a, __ = lsh.candidate_pairs(sample_b)
-    if rows_a.size:
-        lsh.match(sample_a, sample_b)
-    return time.perf_counter() - start, int(rows_a.size), lsh.n_tables
+    counters: dict[str, float] = {}
+    lsh.match(sample_a.words, sample_b, counters=counters)
+    return time.perf_counter() - start, int(counters["pairs_unique"]), lsh.n_tables
 
 
 def choose_k(

@@ -43,6 +43,44 @@ def hamming_packed(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     return np.bitwise_count(xor).sum(axis=-1).astype(np.int64)
 
 
+def decode_pairs(encoded: np.ndarray, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows_a, rows_b)`` of encoded pairs ``a * n_b + b``."""
+    rows_a = encoded // n_b
+    return rows_a, encoded - rows_a * n_b
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def verify_pairs(
+    words_a: np.ndarray,
+    words_b: np.ndarray,
+    pairs: tuple[np.ndarray, "np.ndarray | int"],
+    threshold: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows_a, rows_b, distances)`` of the candidate pairs with ``d_H <= threshold``.
+
+    ``pairs`` is ``(rows_a, rows_b)`` or, still encoded, ``(a * n_b + b,
+    n_b)``; it is decoded, gathered, XORed, popcounted and filtered
+    ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no temporary is the size of
+    ``pairs``, and the accepted pairs keep their input order.
+    """
+    first, second = pairs
+    kept = [(_NO_ROWS,) * 3]  # no pairs still concatenate
+    for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
+        hi = lo + DEFAULT_BLOCK_ROWS
+        if isinstance(second, int):
+            rows_a, rows_b = decode_pairs(first[lo:hi], second)
+        else:
+            rows_a, rows_b = first[lo:hi], second[lo:hi]
+        xor = words_a.take(rows_a, 0) ^ words_b.take(rows_b, 0)
+        dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+        keep = np.flatnonzero(dist <= threshold)
+        kept.append((rows_a[keep], rows_b[keep], dist[keep]))
+    out_a, out_b, dist = map(np.concatenate, zip(*kept))
+    return out_a, out_b, dist
+
+
 def masked_hamming_rows(
     words_a: np.ndarray,
     rows_a: np.ndarray,

@@ -18,22 +18,19 @@ sorted by ``(table, key)`` — a bulk run plus a small delta run for
 streaming inserts, the layout a snapshot bundle has on disk — built by
 one packed plain sort.  A query batch is sorted the same way once
 (:class:`Probe`); matching buckets are found with two binary searches per
-table segment, expanded together with gather arithmetic, and the
-candidate-pair stream is de-duplicated over encoded pair ids —
-Algorithm 2's ``UniqueCollection``, dataset-at-a-time.
+table segment and expanded together with gather arithmetic.
 
-De-duplication is *memory-bounded*: instead of materialising every
-bucket's cross-product before one global de-dup (which blows up on skewed
-buckets), :meth:`HammingLSH.candidate_chunks` buffers raw products only up
-to a ``max_chunk_pairs`` budget, then flushes a chunk — de-duplicated
-against everything already emitted via a vectorised sorted merge.  Peak
-transient memory is ``O(max_chunk_pairs + n_unique_candidates)``.
-
-Within the stage pipeline (``repro.pipeline``), :meth:`HammingLSH.index`
-backs the shared ``BlockerIndexStage`` and :meth:`candidate_chunks` /
-:meth:`candidate_pairs` feed the ``ChunkedCandidateStage`` /
-``MaterializedCandidateStage`` pair — the same blocker serves cBV-HB,
-BfH and the streaming linker.
+:meth:`HammingLSH.match` is Algorithm 2 dataset-at-a-time and the one
+threshold-match kernel: one probe, one join into one raw-pair buffer of
+encoded ids ``a * n_B + b``, de-duplicated in place by a sort
+(:func:`sorted_unique`, the ``UniqueCollection``), then the blocked
+decode / XOR / popcount / filter of
+:func:`repro.hamming.distance.verify_pairs`.  The pairs come out sorted,
+so the matches are in ``a * n_B + b`` order with no further sort.  The
+record-level link, ``StreamingLinker.link``, serving's ``batch_query``,
+K tuning and the three-party protocol all call it;
+:meth:`HammingLSH.candidate_pairs` is the same join and de-dup without the
+verify (the rule-aware and per-group paths classify candidates otherwise).
 """
 
 from __future__ import annotations
@@ -47,43 +44,14 @@ import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
+from repro.hamming.distance import decode_pairs, verify_pairs
 from repro.hamming.theory import hamming_lsh_parameters
 
 
 #: Cells per pass: ``rows x groups`` keys of :meth:`KeyTable.keys`, and pairs
-#: per bucket expansion when no ``max_chunk_pairs`` bounds it — 512 kB of
-#: ``uint64`` per temporary, which stays cache-resident and is recycled by the
+#: per bucket expansion — 512 kB of ``uint64`` per temporary, which stays cache-resident and is recycled by the
 #: allocator instead of being mapped and page-faulted afresh per call.
 _KEY_BLOCK_CELLS = 1 << 16
-
-_NO_PAIRS = np.empty(0, dtype=np.int64)
-
-
-def _split_out_fresh(chunk: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """Elements of sorted ``chunk`` absent from sorted ``seen``."""
-    if not seen.size:
-        return chunk
-    pos = np.searchsorted(seen, chunk)
-    in_range = pos < seen.size
-    dup = in_range.copy()
-    dup[in_range] = seen[pos[in_range]] == chunk[in_range]
-    return chunk[~dup]
-
-
-def _sorted_merge(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Merge two sorted, disjoint int64 arrays in ``O(n)`` without re-sorting."""
-    if not seen.size:
-        return fresh
-    if not fresh.size:
-        return seen
-    out = np.empty(seen.size + fresh.size, dtype=np.int64)
-    at = np.searchsorted(seen, fresh) + np.arange(fresh.size, dtype=np.int64)
-    mask = np.zeros(out.size, dtype=bool)
-    mask[at] = True
-    out[mask] = fresh
-    out[~mask] = seen
-    return out
-
 
 def sorted_unique(pairs: np.ndarray) -> np.ndarray:
     """Sort ``pairs`` in place and move its distinct values to the front, a block
@@ -105,8 +73,8 @@ def sorted_unique(pairs: np.ndarray) -> np.ndarray:
 
 def _generation_stats() -> dict[str, float]:
     """Fresh zeroed candidate-generation counters."""
-    names = "pairs_generated pairs_unique pairs_duplicates n_chunks peak_chunk_pairs"
-    return dict.fromkeys([*names.split(), "max_bucket_product"], 0.0)
+    names = "pairs_generated pairs_unique pairs_duplicates max_bucket_product"
+    return dict.fromkeys(names.split(), 0.0)
 
 
 def _bucket_products(
@@ -114,24 +82,20 @@ def _bucket_products(
     probe: "Probe",
     buckets: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     edges: np.ndarray,
-    budget: int | None,
-    limits: list[int],
-) -> Iterator[np.ndarray]:
-    """Cross-products ``a * n_B + b`` of matched buckets, by gather arithmetic.
+    out: np.ndarray,
+) -> None:
+    """Write the cross-products ``a * n_B + b`` of matched buckets into ``out``.
 
     Bucket ``i`` of ``buckets = (start_a, count_a, start_b, count_b)`` pairs
     ``ids_a[start_a[i]:][:count_a[i]]`` with ``probe.rows[start_b[i]:][:count_b[i]]``.
-    The pairs of all buckets, laid end to end (a-major within a bucket:
-    bucket ``i`` is pairs ``edges[i]..edges[i + 1]``), are emitted in
-    blocks of ``budget`` pairs — fixed-size blocks without a budget — cut
-    wherever they fall, also inside a bucket, and at every one of
-    ``limits`` (bucket numbers: the table ends).
+    The pairs of all buckets are laid end to end (a-major within a bucket:
+    bucket ``i`` is pairs ``edges[i]..edges[i + 1]``) and expanded by gather
+    arithmetic in fixed-size blocks, cut wherever they fall, also inside a
+    bucket, so no temporary is larger than a block.
     """
     start_a, count_a, start_b, count_b = buckets
-    step = _KEY_BLOCK_CELLS if budget is None else budget
-
-    def expand(lo: int, hi: int) -> np.ndarray:
-        """Pairs ``lo..hi`` of the laid-out products."""
+    for lo in range(0, out.size, _KEY_BLOCK_CELLS):
+        hi = min(lo + _KEY_BLOCK_CELLS, out.size)
         s = int(edges.searchsorted(lo, side="right")) - 1
         e = int(edges.searchsorted(hi, side="left"))
         p = np.minimum(edges[s + 1 : e + 1], hi) - np.maximum(edges[s:e], lo)
@@ -141,13 +105,8 @@ def _bucket_products(
         within -= a_off * cb
         a_off += np.repeat(start_a[s:e], p)
         within += np.repeat(start_b[s:e], p)
-        return ids_a[a_off] * probe.n_rows + probe.rows[within]
-
-    first = 0
-    for last in edges[limits].tolist():
-        for lo in range(first, last, step):
-            yield expand(lo, min(lo + step, last))
-        first = last
+        np.multiply(ids_a[a_off], probe.n_rows, out=out[lo:hi])
+        out[lo:hi] += probe.rows[within]
 
 
 def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
@@ -423,19 +382,16 @@ class TableRuns:
         return Probe(matrix_b.n_rows, cuts.tolist(), distinct, starts, counts, rows.reshape(-1))
 
     def join(
-        self,
-        probe: Probe,
-        budget: int | None = None,
-        stats: dict[str, float] | None = None,
-        table: int | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s) buckets.
+        self, probe: Probe, stats: dict[str, float] | None = None, table: int | None = None
+    ) -> np.ndarray:
+        """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s)
+        buckets, in one buffer: bulk run first, then the delta run.
 
         The one candidate join: per run, two binary searches per table
         segment locate every probe key's bucket, then all matched buckets
-        are expanded together (:func:`_bucket_products`).  No array exceeds
-        ``budget``; ``stats`` accumulates the :func:`_generation_stats`
-        counters and is complete before the first pairs are yielded.
+        are expanded together (:func:`_bucket_products`) straight into the
+        buffer, which is allocated once at its final size.  ``stats``
+        accumulates ``pairs_generated`` and ``max_bucket_product``.
         """
         if stats is None:
             stats = _generation_stats()
@@ -449,18 +405,18 @@ class TableRuns:
                 matched, start_a, count_a = matched[own], start_a[own], count_a[own]
             if not matched.size:
                 continue
-            # Only a budgeted stream restarts its segments at every table.
-            limits = [matched.size]
-            if budget is not None:
-                limits = np.searchsorted(matched, probe.cuts[1:]).tolist()
             buckets = (start_a, count_a, probe.starts[matched], probe.counts[matched])
             products = count_a * buckets[3]
             edges = np.concatenate(([0], np.cumsum(products)))
-            stats["pairs_generated"] += float(edges[-1])
             stats["max_bucket_product"] = max(stats["max_bucket_product"], float(products.max()))
-            located.append((run.ids, buckets, edges, limits))
-        for ids_a, buckets, edges, limits in located:
-            yield from _bucket_products(ids_a, probe, buckets, edges, budget, limits)
+            located.append((run.ids, buckets, edges))
+        out = np.empty(sum(int(edges[-1]) for __, __, edges in located), dtype=np.int64)
+        stats["pairs_generated"] += float(out.size)
+        at = 0
+        for ids_a, buckets, edges in located:
+            _bucket_products(ids_a, probe, buckets, edges, out[at : at + int(edges[-1])])
+            at += int(edges[-1])
+        return out
 
 
 class BlockingGroup:
@@ -508,11 +464,9 @@ class BlockingGroup:
         """Insert a single vector — the 1-row case of :meth:`insert_rows`."""
         self._tables.insert(vector, record_id)
 
-    def join_products(
-        self, matrix_b: BitMatrix, budget: int | None = None, stats: dict[str, float] | None = None
-    ) -> Iterator[np.ndarray]:
+    def join_products(self, matrix_b: BitMatrix) -> np.ndarray:
         """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``."""
-        return self._tables.join(self._tables.probe(matrix_b), budget, stats, self._table)
+        return self._tables.join(self._tables.probe(matrix_b), table=self._table)
 
     # -- snapshot state --------------------------------------------------------
 
@@ -582,12 +536,6 @@ class HammingLSH(TableRuns):
         Explicit ``L``; when ``None`` it is computed from Equation (2).
     seed:
         Seed for sampling the base hash positions.
-    max_chunk_pairs:
-        Candidate-generation memory budget: raw bucket cross-products are
-        buffered up to this many encoded pairs before being de-duplicated
-        and emitted as one chunk.  ``None`` (default) buffers everything
-        and emits a single chunk.  The candidate *set* is identical for
-        every budget; only peak memory and chunking change.
 
     Examples
     --------
@@ -604,19 +552,15 @@ class HammingLSH(TableRuns):
         delta: float = 0.1,
         n_tables: int | None = None,
         seed: int | None = None,
-        max_chunk_pairs: int | None = None,
     ):
         if k < 1:
             raise ValueError(f"K must be >= 1, got {k}")
         if threshold is None and n_tables is None:
             raise ValueError("provide threshold (for Equation 2) or an explicit n_tables")
-        if max_chunk_pairs is not None and max_chunk_pairs < 1:
-            raise ValueError(f"max_chunk_pairs must be >= 1, got {max_chunk_pairs}")
         self.n_bits = n_bits
         self.k = k
         self.threshold = threshold
         self.delta = delta
-        self.max_chunk_pairs = max_chunk_pairs
         if n_tables is None:
             __, n_tables = hamming_lsh_parameters(threshold, n_bits, k, delta)
         if n_tables < 1:
@@ -633,7 +577,6 @@ class HammingLSH(TableRuns):
         positions: Sequence[Sequence[int]],
         threshold: int | None = None,
         delta: float = 0.1,
-        max_chunk_pairs: int | None = None,
     ) -> "HammingLSH":
         """Rebuild an LSH from explicit per-table sampled bit positions.
 
@@ -649,7 +592,7 @@ class HammingLSH(TableRuns):
                 raise ValueError(f"table {table} has {len(pos)} positions, expected K={k}")
             if not all(0 <= int(p) < n_bits for p in pos):
                 raise ValueError(f"table {table} samples a bit out of range for width {n_bits}")
-        lsh = cls(n_bits, k, threshold, delta, len(positions), 0, max_chunk_pairs)
+        lsh = cls(n_bits, k, threshold, delta, len(positions), 0)
         TableRuns.__init__(lsh, [CompositeHash(tuple(int(p) for p in pos)) for pos in positions])
         return lsh
 
@@ -664,113 +607,77 @@ class HammingLSH(TableRuns):
         found = chain.from_iterable(group.probe(vector) for group in self.groups)
         return list(dict.fromkeys(found))  # first occurrence keeps its place
 
+    def _unique_pairs(
+        self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
+    ) -> np.ndarray:
+        """Sorted, distinct encoded candidate pairs ``a * n_B + b`` against ``matrix_b``.
+
+        Algorithm 2's ``UniqueCollection`` dataset-at-a-time: one probe, one
+        join into one raw-pair buffer (:meth:`~TableRuns.join`), de-duplicated
+        in place (:func:`sorted_unique`) — the result is a view of that
+        buffer, so the raw pairs are held once.  ``counters`` receives
+        ``pairs_generated`` (raw products), ``pairs_unique``,
+        ``pairs_duplicates`` and ``max_bucket_product``.
+        """
+        stats = _generation_stats()
+        pairs = sorted_unique(self.join(self.probe(matrix_b), stats))
+        stats["pairs_unique"] = float(pairs.size)
+        stats["pairs_duplicates"] = stats["pairs_generated"] - pairs.size
+        if counters is not None:
+            counters.update(stats)
+        return pairs
+
     def candidate_pairs(
-        self,
-        matrix_b: BitMatrix,
-        counters: dict[str, float] | None = None,
-        probe: Probe | None = None,
+        self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """De-duplicated candidate pairs between the indexed dataset and ``matrix_b``.
 
         Returns parallel arrays ``(rows_a, rows_b)``, sorted by encoded
-        pair id.  Pairs co-bucketed in several groups appear once
-        (Algorithm 2's de-duplication).  Generation runs through the
-        memory-bounded chunk stream when ``max_chunk_pairs`` is set; the
-        result is identical either way.  ``probe`` is ``matrix_b``'s
-        :meth:`~TableRuns.probe` when the caller holds it already.
+        pair id; pairs co-bucketed in several groups appear once
+        (:meth:`_unique_pairs`, whose counters land in ``counters``).
         """
-        chunks = list(self.encoded_chunks(matrix_b, None, counters, probe))
-        # Chunks are mutually disjoint and each is sorted; sorting their
-        # concatenation restores the global order.
-        encoded = chunks[0] if len(chunks) == 1 else np.sort(np.concatenate([_NO_PAIRS, *chunks]))
-        return decode_pairs(encoded, matrix_b.n_rows)
-
-    def candidate_chunks(
-        self,
-        matrix_b: BitMatrix,
-        max_chunk_pairs: int | None = None,
-        counters: dict[str, float] | None = None,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`encoded_chunks`, each decoded into ``(rows_a, rows_b)``."""
-        for encoded in self.encoded_chunks(matrix_b, max_chunk_pairs, counters):
-            yield decode_pairs(encoded, matrix_b.n_rows)
-
-    def encoded_chunks(
-        self,
-        matrix_b: BitMatrix,
-        max_chunk_pairs: int | None = None,
-        counters: dict[str, float] | None = None,
-        probe: Probe | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Stream sorted, mutually disjoint chunks of encoded pairs ``a * n_B + b``,
-        each of at most ``max_chunk_pairs`` (the instance's setting when ``None``).
-
-        Raw bucket cross-products go into one buffer — of the budget, or
-        of all ``pairs_generated`` without one, so they are held once —
-        until the next would overflow it; a flush sorts and de-duplicates
-        it in place (:func:`sorted_unique`), drops pairs already emitted
-        (binary search into the sorted ``seen`` array), emits the fresh
-        remainder and merges it into ``seen``.  ``counters`` receives
-        ``pairs_generated`` (raw products), ``pairs_unique`` (emitted),
-        ``pairs_duplicates``, ``n_chunks``, ``peak_chunk_pairs`` and
-        ``max_bucket_product``.
-        """
-        budget = self.max_chunk_pairs if max_chunk_pairs is None else max_chunk_pairs
-        stats = _generation_stats()
-        seen = buffer = _NO_PAIRS
-        filled = emitted = 0
-        # The trailing None flushes what the last products left in the buffer.
-        for part in chain(self.join(probe or self.probe(matrix_b), budget, stats), [None]):
-            if filled and (part is None or filled + part.size > buffer.size):
-                fresh = _split_out_fresh(sorted_unique(buffer[:filled]), seen)
-                emitted, filled = emitted + filled, 0
-                if fresh.size:
-                    stats["pairs_unique"] += fresh.size
-                    stats["n_chunks"] += 1
-                    stats["peak_chunk_pairs"] = max(stats["peak_chunk_pairs"], fresh.size)
-                    yield fresh
-                    if part is not None:  # more to come: remember what went out
-                        seen = _sorted_merge(seen, fresh)
-            if part is not None:
-                if not filled:  # what is still to come is known: the join counted first
-                    left = int(stats["pairs_generated"]) - emitted
-                    buffer = np.empty(min(left, budget or left), dtype=np.int64)
-                buffer[filled : filled + part.size] = part
-                filled += part.size
-        stats["pairs_duplicates"] = stats["pairs_generated"] - stats["pairs_unique"]
-        if counters is not None:
-            counters.update(stats)
+        return decode_pairs(self._unique_pairs(matrix_b, counters), matrix_b.n_rows)
 
     def candidate_pairs_per_group(
         self, matrix_b: BitMatrix
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per-group candidate pairs (no cross-group de-duplication), for
         iterative baselines (HARRA) that block and match one table at a time."""
-        n_b = matrix_b.n_rows
         probe = self.probe(matrix_b)
         for table in range(self.n_tables):
-            yield decode_pairs(np.concatenate([_NO_PAIRS, *self.join(probe, table=table)]), n_b)
+            yield decode_pairs(self.join(probe, table=table), matrix_b.n_rows)
 
     # -- matching ------------------------------------------------------------------
 
     def match(
-        self, matrix_a: BitMatrix, matrix_b: BitMatrix, threshold: int | None = None
+        self,
+        words_a: "np.ndarray | BitMatrix",
+        matrix_b: BitMatrix,
+        threshold: int | None = None,
+        counters: dict[str, float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block ``matrix_b`` against the index and verify with ``d_H <= threshold``.
+        """Algorithm 2: block ``matrix_b`` against the index, keep ``d_H <= threshold``.
 
-        ``matrix_a`` must be the matrix previously passed to :meth:`index`.
-        Returns ``(rows_a, rows_b, distances)`` for the accepted pairs.
+        The one threshold-match kernel: :meth:`_unique_pairs`, then the
+        blocked decode / XOR / popcount / filter of
+        :func:`~repro.hamming.distance.verify_pairs`.  ``words_a`` holds
+        the indexed rows' packed words (a :class:`BitMatrix` is taken for
+        its ``words``; a read-only memory map is fine — only candidate rows
+        are gathered).  Returns ``(rows_a, rows_b, distances)`` of the
+        accepted pairs in ``a * n_B + b`` order; ``counters`` receives
+        :meth:`_unique_pairs`' counters and ``pairs_verified``.
         """
         if threshold is None:
             threshold = self.threshold
         if threshold is None:
             raise ValueError("no matching threshold available")
-        rows_a, rows_b = self.candidate_pairs(matrix_b)
-        if rows_a.size == 0:
-            return rows_a, rows_b, _NO_PAIRS
-        distances = matrix_a.hamming_rows(rows_a, matrix_b, rows_b)
-        keep = distances <= threshold
-        return rows_a[keep], rows_b[keep], distances[keep]
+        stats: dict[str, float] = {}
+        pairs = self._unique_pairs(matrix_b, stats)
+        stats["pairs_verified"] = float(pairs.size)
+        if counters is not None:
+            counters.update(stats)
+        words_a = np.asarray(getattr(words_a, "words", words_a))
+        return verify_pairs(words_a, matrix_b.words, (pairs, matrix_b.n_rows), threshold)
 
     # -- diagnostics -----------------------------------------------------------------
 
@@ -780,12 +687,6 @@ class HammingLSH(TableRuns):
         mean, largest = (float(sizes.mean()), float(sizes.max())) if sizes.size else (0.0, 0.0)
         counts = {"n_tables": float(self.n_tables), "n_buckets": float(sizes.size)}
         return {**counts, "mean_bucket": mean, "max_bucket": largest}
-
-
-def decode_pairs(encoded: np.ndarray, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows_a, rows_b)`` of encoded pairs ``a * n_b + b``."""
-    rows_a = encoded // n_b
-    return rows_a, encoded - rows_a * n_b
 
 
 def sample_positions(n_bits: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -3,10 +3,10 @@
 The real-time setting of Section 1 indexes a reference dataset once and
 matches query streams against it continuously.  Answering one query per
 call leaves most of the work in Python bookkeeping; this module is the
-shared *batch* kernel: a whole block of query vectors is blocked with the
-sort-merge candidate join, verified in one packed ``bitwise_count``
-sweep, and grouped back per query with gather arithmetic — no per-query
-Python loop anywhere.
+shared *batch* front end: a whole block of query vectors runs through the
+one threshold-match kernel (:meth:`HammingLSH.match`: the sort-merge
+candidate join, in-place de-dup, blocked ``bitwise_count`` verify) and is
+grouped back per query with one sort — no per-query Python loop anywhere.
 
 Both front doors build on it: :class:`repro.serve.QueryEngine` (snapshot
 serving) and :meth:`repro.core.linker.StreamingLinker.query_batch`.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH, run_starts
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -78,20 +77,15 @@ def batch_query(
     matches by record id, ``top_k`` mode keeps at most ``top_k`` per
     query ordered by ``(distance, id)``.
 
-    The pipeline is Algorithm 2 dataset-at-a-time: de-duplicated
-    candidates from the sort-merge bucket join, one vectorised Hamming
-    sweep, one grouping sort — identical output to looping
-    ``lsh.query`` + verify per record, at a fraction of the overhead.
+    The pipeline is Algorithm 2 dataset-at-a-time: the match kernel
+    (:meth:`HammingLSH.match`), then one grouping sort — identical output
+    to looping ``lsh.query`` + verify per record, at a fraction of the
+    overhead.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    cand_a, cand_b = lsh.candidate_pairs(matrix_b)
-    if cand_a.size == 0:
-        return _EMPTY, _EMPTY, _EMPTY
+    ids, queries, distances = lsh.match(words_a, matrix_b, threshold)
     n_a = int(words_a.shape[0])
-    distances = hamming_packed(words_a[cand_a], matrix_b.words[cand_b])
-    keep = distances <= threshold
-    ids, queries, distances = cand_a[keep], cand_b[keep], distances[keep]
     if ids.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
     if top_k is None:

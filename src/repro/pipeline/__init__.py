@@ -3,8 +3,7 @@
 The paper's method is explicitly staged (Section 5, Algorithm 2):
 calibrate -> embed -> block -> generate candidates -> verify/classify.
 This package turns that observation into the execution architecture —
-one :class:`LinkagePipeline` runner owning timings, counters and
-candidate budgets, with every method (cBV-HB record-level and
+one :class:`LinkagePipeline` runner owning timings and counters, with every method (cBV-HB record-level and
 rule-aware, streaming, and all baselines) expressed as a composition of
 :class:`Stage` implementations.  See ``docs/pipeline.md``.
 
@@ -37,7 +36,6 @@ from repro.pipeline.stage import (
 from repro.pipeline.stages import (
     AttributeThresholdClassifyStage,
     BlockerIndexStage,
-    ChunkedCandidateStage,
     CVectorEmbedStage,
     EncoderCalibrateStage,
     LoadSnapshotStage,
@@ -45,6 +43,7 @@ from repro.pipeline.stages import (
     QueryEmbedStage,
     RuleClassifyStage,
     SampledCalibrationEmbedStage,
+    ThresholdMatchStage,
     ThresholdVerifyStage,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "CVectorEmbedStage",
     "CalibrateStage",
     "CandidateStage",
-    "ChunkedCandidateStage",
     "ClassifyStage",
     "EmbedStage",
     "EncoderCalibrateStage",
@@ -70,6 +68,7 @@ __all__ = [
     "RuleClassifyStage",
     "SampledCalibrationEmbedStage",
     "Stage",
+    "ThresholdMatchStage",
     "ThresholdVerifyStage",
     "VerifyStage",
     "available_linkers",

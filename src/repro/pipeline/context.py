@@ -2,8 +2,7 @@
 
 Each stage reads the fields earlier stages produced and writes its own:
 embed stages fill ``embedded_a`` / ``embedded_b``, block stages
-``blocker``, candidate stages either ``candidate_chunks`` (a streamed,
-memory-bounded chunk list) or the materialised ``cand_a`` / ``cand_b``
+``blocker``, candidate stages the materialised ``cand_a`` / ``cand_b``
 arrays plus ``n_candidates``, and verify/classify stages the final
 ``out_a`` / ``out_b`` / distance fields the runner assembles into a
 :class:`repro.pipeline.result.LinkageResult`.
@@ -40,10 +39,7 @@ class PipelineContext:
     embedded_b: Any = None
     #: Blocking structure built by the block stage (HammingLSH, ...).
     blocker: Any = None
-    #: Streamed candidate chunks — memory-bounded — each ``(rows_a, rows_b)``
-    #: or, still encoded, ``(a * n_b + b, n_b)``.
-    candidate_chunks: list[tuple[np.ndarray, np.ndarray | int]] | None = None
-    #: Materialised candidate pair arrays (alternative to chunks).
+    #: Materialised candidate pair arrays.
     cand_a: np.ndarray | None = None
     cand_b: np.ndarray | None = None
     n_candidates: int = 0

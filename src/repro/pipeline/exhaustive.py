@@ -3,8 +3,9 @@
 Verifies *every* cross-dataset pair against the record-level compact
 Hamming threshold — the PC upper bound any blocking method is measured
 against, and the simplest possible pipeline: no block stage at all, just
-embed -> all-pairs candidates -> verify.  The candidate stage slices the
-quadratic pair space into budget-bounded chunks, so memory stays flat.
+embed -> verify all pairs.  The verify stage walks the quadratic pair
+space as encoded-id ranges, one block at a time through the shared
+blocked verify, so memory stays flat: only the accepted pairs are kept.
 """
 
 from __future__ import annotations
@@ -16,30 +17,29 @@ import numpy as np
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult
 from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import CandidateStage
-from repro.pipeline.stages import SampledCalibrationEmbedStage, ThresholdVerifyStage
-
-#: Default pair budget per candidate chunk (matches the HammingLSH scale).
-DEFAULT_MAX_CHUNK_PAIRS = 1 << 20
+from repro.pipeline.stage import VerifyStage
+from repro.pipeline.stages import SampledCalibrationEmbedStage, _packed_words
 
 
-class AllPairsCandidateStage(CandidateStage):
-    """Every (a, b) pair, as encoded-id ranges cut into bounded chunks."""
+class AllPairsVerifyStage(VerifyStage):
+    """Verify every ``(a, b)`` pair, ``DEFAULT_BLOCK_ROWS`` encoded ids at a time."""
 
-    def __init__(self, max_chunk_pairs: int = DEFAULT_MAX_CHUNK_PAIRS):
-        if max_chunk_pairs < 1:
-            raise ValueError(f"max_chunk_pairs must be >= 1, got {max_chunk_pairs}")
-        self.max_chunk_pairs = max_chunk_pairs
+    def __init__(self, threshold: int):
+        self.threshold = threshold
 
     def run(self, ctx: PipelineContext) -> None:
-        n_b = len(ctx.rows_b)
-        total = len(ctx.rows_a) * n_b
-        chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        for lo in range(0, total, self.max_chunk_pairs):
-            encoded = np.arange(lo, min(lo + self.max_chunk_pairs, total), dtype=np.int64)
-            chunks.append((encoded // n_b, encoded % n_b))
-        ctx.candidate_chunks = chunks
+        # Runtime import: keep this module import-leaf (see package docstring).
+        from repro.hamming.distance import DEFAULT_BLOCK_ROWS, verify_pairs
+
+        n_b, total = len(ctx.rows_b), ctx.comparison_space
+        words_a, words_b = _packed_words(ctx.embedded_a), _packed_words(ctx.embedded_b)
+        kept = [(np.empty(0, dtype=np.int64),) * 3]  # no pairs still concatenate
+        for lo in range(0, total, DEFAULT_BLOCK_ROWS):
+            block = np.arange(lo, min(lo + DEFAULT_BLOCK_ROWS, total), dtype=np.int64)
+            kept.append(verify_pairs(words_a, words_b, (block, n_b), self.threshold))
+        ctx.out_a, ctx.out_b, ctx.record_distances = map(np.concatenate, zip(*kept))
         ctx.n_candidates = total
+        ctx.counters["pairs_verified"] = float(total)
 
 
 class ExhaustiveLinker:
@@ -49,8 +49,6 @@ class ExhaustiveLinker:
     ----------
     threshold:
         Record-level compact-Hamming threshold for the matching step.
-    max_chunk_pairs:
-        Pair budget per verification chunk (bounds peak memory).
     """
 
     def __init__(
@@ -58,13 +56,11 @@ class ExhaustiveLinker:
         threshold: int,
         scheme: Any = None,
         seed: int | None = None,
-        max_chunk_pairs: int = DEFAULT_MAX_CHUNK_PAIRS,
         sample_size: int = 1000,
     ):
         self.threshold = threshold
         self.scheme = scheme
         self.seed = seed
-        self.max_chunk_pairs = max_chunk_pairs
         self.sample_size = sample_size
 
     def link(self, dataset_a: Any, dataset_b: Any) -> LinkageResult:
@@ -78,8 +74,7 @@ class ExhaustiveLinker:
                 SampledCalibrationEmbedStage(
                     scheme=scheme, seed=self.seed, sample_size=self.sample_size
                 ),
-                AllPairsCandidateStage(self.max_chunk_pairs),
-                ThresholdVerifyStage(self.threshold, sort_pairs=True),
+                AllPairsVerifyStage(self.threshold),
             ]
         )
         return pipeline.run(dataset_a, dataset_b)

@@ -28,7 +28,7 @@ class LinkageResult:
     record_distances: np.ndarray | None = None
     #: Hot-path diagnostics alongside the phase timings: interning hit
     #: rate of the embedding stage, candidate pairs generated / unique /
-    #: duplicate / verified, chunk count and peak chunk size.
+    #: duplicate / verified and the largest bucket product.
     counters: dict[str, float] = field(default_factory=dict)
 
     @cached_property

@@ -24,39 +24,6 @@ from repro.pipeline.stage import (
 )
 
 
-def _verify_chunk(
-    words_a: np.ndarray,
-    words_b: np.ndarray,
-    chunk: tuple[np.ndarray, "np.ndarray | int"],
-    threshold: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hamming-verify one candidate chunk against the threshold.
-
-    The chunk is ``(rows_a, rows_b)`` or, as the blocker hands it over,
-    ``(a * n_b + b, n_b)``; it is decoded, gathered, XORed, popcounted
-    and filtered ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no temporary
-    is the size of the chunk.
-    """
-    # Runtime imports: repro.pipeline stays import-leaf (module docstring).
-    from repro.hamming.distance import DEFAULT_BLOCK_ROWS
-    from repro.hamming.lsh import decode_pairs
-
-    first, second = chunk
-    kept = [(_EMPTY_ROWS[0],) * 3]  # a chunk of no pairs still concatenates
-    for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
-        hi = lo + DEFAULT_BLOCK_ROWS
-        if isinstance(second, int):
-            rows_a, rows_b = decode_pairs(first[lo:hi], second)
-        else:
-            rows_a, rows_b = first[lo:hi], second[lo:hi]
-        xor = words_a.take(rows_a, 0) ^ words_b.take(rows_b, 0)
-        dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
-        keep = np.flatnonzero(dist <= threshold)
-        kept.append((rows_a[keep], rows_b[keep], dist[keep]))
-    out_a, out_b, dist = map(np.concatenate, zip(*kept))
-    return out_a, out_b, dist
-
-
 def _packed_words(embedded: Any) -> np.ndarray:
     """Packed uint64 words of an embedding (BitMatrix or raw array)."""
     words = getattr(embedded, "words", None)
@@ -224,23 +191,6 @@ class BlockerIndexStage(BlockStage):
         ctx.blocker.index(ctx.embedded_a)
 
 
-class ChunkedCandidateStage(CandidateStage):
-    """Stream memory-bounded candidate chunks from the blocker.
-
-    Materialises the blocker's ``encoded_chunks`` generator (each chunk
-    respects the blocker's ``max_chunk_pairs`` budget), which also flushes
-    the generation counters (pairs generated / unique / duplicates, chunk
-    stats) into the run counters.  The chunks stay encoded, for the
-    verify stage to decode a block at a time.
-    """
-
-    def run(self, ctx: PipelineContext) -> None:
-        n_b = len(ctx.rows_b)
-        encoded = ctx.blocker.encoded_chunks(ctx.embedded_b, counters=ctx.counters)
-        ctx.candidate_chunks = [(chunk, n_b) for chunk in encoded]
-        ctx.n_candidates = sum(int(chunk.size) for chunk, __ in ctx.candidate_chunks)
-
-
 class MaterializedCandidateStage(CandidateStage):
     """De-duplicated candidate pair arrays via ``blocker.candidate_pairs``."""
 
@@ -251,40 +201,45 @@ class MaterializedCandidateStage(CandidateStage):
 
 
 class ThresholdVerifyStage(VerifyStage):
-    """Hamming-verify candidates against a record-level threshold.
+    """Hamming-verify materialised candidates against a record-level threshold.
 
-    Consumes ``ctx.candidate_chunks`` when a chunked candidate stage ran,
-    otherwise the materialised ``cand_a`` / ``cand_b`` arrays as one
-    chunk.  Each chunk is verified in blocks by :func:`_verify_chunk`
-    and the parts are concatenated in chunk order.
-
-    ``sort_pairs=True`` restores the historical cBV-HB order (sorted by
-    encoded pair id ``a * n_B + b``); the classic baselines keep their
-    natural candidate order.
+    The classic baselines' verify step: ``cand_a`` / ``cand_b`` are
+    verified in blocks by :func:`repro.hamming.distance.verify_pairs`
+    and keep their natural candidate order.
     """
 
-    def __init__(self, threshold: int, sort_pairs: bool = False):
+    def __init__(self, threshold: int):
         self.threshold = threshold
-        self.sort_pairs = sort_pairs
 
     def run(self, ctx: PipelineContext) -> None:
-        chunks = ctx.candidate_chunks
-        if chunks is None:
-            chunks = [_candidate_arrays(ctx)]
-        n_pairs = sum(int(chunk_a.size) for chunk_a, __ in chunks)
-        ctx.counters["pairs_verified"] = float(n_pairs)
-        if not chunks:
-            empty = np.empty(0, dtype=np.int64)
-            ctx.out_a, ctx.out_b, ctx.record_distances = empty, empty, empty
-            return
-        words_a = _packed_words(ctx.embedded_a)
-        words_b = _packed_words(ctx.embedded_b)
-        parts = [_verify_chunk(words_a, words_b, chunk, self.threshold) for chunk in chunks]
-        out_a, out_b, dist = map(np.concatenate, zip(*parts))
-        if self.sort_pairs:
-            order = np.argsort(out_a * len(ctx.rows_b) + out_b, kind="stable")
-            out_a, out_b, dist = out_a[order], out_b[order], dist[order]
-        ctx.out_a, ctx.out_b, ctx.record_distances = out_a, out_b, dist
+        # Runtime import: repro.pipeline stays import-leaf (module docstring).
+        from repro.hamming.distance import verify_pairs
+
+        cand_a, cand_b = _candidate_arrays(ctx)
+        ctx.counters["pairs_verified"] = float(cand_a.size)
+        words_a, words_b = _packed_words(ctx.embedded_a), _packed_words(ctx.embedded_b)
+        ctx.out_a, ctx.out_b, ctx.record_distances = verify_pairs(
+            words_a, words_b, (cand_a, cand_b), self.threshold
+        )
+
+
+class ThresholdMatchStage(VerifyStage):
+    """Algorithm 2 in one call: ``blocker.match`` of B against the indexed A.
+
+    Candidate generation and verification are one kernel
+    (:meth:`repro.hamming.lsh.HammingLSH.match`); its counters land in the
+    run counters and the matches come out in ``a * n_B + b`` order.
+    ``n_candidates`` is the de-duplicated candidate count.
+    """
+
+    def __init__(self, threshold: int):
+        self.threshold = threshold
+
+    def run(self, ctx: PipelineContext) -> None:
+        ctx.out_a, ctx.out_b, ctx.record_distances = ctx.blocker.match(
+            ctx.embedded_a, ctx.embedded_b, self.threshold, counters=ctx.counters
+        )
+        ctx.n_candidates = int(ctx.counters["pairs_unique"])
 
 
 class RuleClassifyStage(ClassifyStage):

@@ -273,7 +273,7 @@ class LinkageUnit:
                 seed=self.seed,
             )
             lsh.index(encoded_a.matrix)
-            rows_a, rows_b, __ = lsh.match(encoded_a.matrix, encoded_b.matrix)
+            rows_a, rows_b, __ = lsh.match(encoded_a.matrix.words, encoded_b.matrix)
         return [
             (encoded_a.record_ids[int(a)], encoded_b.record_ids[int(b)])
             for a, b in zip(rows_a, rows_b)

@@ -93,7 +93,7 @@ class _Structure:
     def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
         """Encoded pairs ``a * n_B + b`` as the tables' joins emit them: in no
         order, a pair once per table that formulates it."""
-        return list(self._tables.join(self._tables.probe(matrix_b)))
+        return [self._tables.join(self._tables.probe(matrix_b))]
 
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""

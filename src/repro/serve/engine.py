@@ -127,7 +127,6 @@ class QueryEngine:
         delta: float = DEFAULT_DELTA,
         n_tables: int | None = None,
         seed: int | None = None,
-        max_chunk_pairs: int | None = None,
         n_shards: int | None = None,
     ) -> "QueryEngine":
         """Index ``rows`` in memory under a calibrated ``encoder``.
@@ -146,7 +145,6 @@ class QueryEngine:
             delta=delta,
             n_tables=n_tables,
             seed=seed,
-            max_chunk_pairs=max_chunk_pairs,
         )
         return cls(index)
 

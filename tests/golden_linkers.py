@@ -49,13 +49,11 @@ def make_problem() -> LinkageProblem:
     )
 
 
-def _run_cbv_record(problem: LinkageProblem,
-                    max_chunk_pairs: int | None = None) -> RunOutcome:
+def _run_cbv_record(problem: LinkageProblem) -> RunOutcome:
     linker = CompactHammingLinker.record_level(
         threshold=THRESHOLD,
         k=K,
         seed=PROBLEM_SEED,
-        max_chunk_pairs=max_chunk_pairs,
     )
     result = linker.link(problem.dataset_a, problem.dataset_b)
     return result.matches, result.n_candidates
@@ -124,11 +122,9 @@ def _run_sorted_neighborhood(problem: LinkageProblem) -> RunOutcome:
     return result.matches, result.n_candidates
 
 
-#: Every golden-pinned linker run, by name.  The chunked variant proves the
-#: candidate chunk budget is invisible in the output.
+#: Every golden-pinned linker run, by name.
 RUNNERS: dict[str, Callable[[LinkageProblem], RunOutcome]] = {
     "cbv-record-n1": _run_cbv_record,
-    "cbv-record-chunked": lambda p: _run_cbv_record(p, max_chunk_pairs=2048),
     "cbv-rule-n1": _run_cbv_rule,
     "streaming": _run_streaming,
     "bfh": _run_bfh,

@@ -3,8 +3,7 @@
 ``tests/data/golden_parity.json`` was captured from the implementations
 *before* the stage-pipeline refactor; these tests prove the port onto
 :class:`repro.pipeline.LinkagePipeline` changed no observable linkage
-behaviour — matches and candidate counts byte-identical, including across
-candidate chunk budgets.
+behaviour — matches and candidate counts byte-identical.
 """
 
 import json

@@ -9,8 +9,6 @@ from repro.hamming.lsh import (
     BlockingGroup,
     CompositeHash,
     HammingLSH,
-    _generation_stats,
-    _split_out_fresh,
 )
 
 
@@ -148,31 +146,39 @@ class TestHammingLSH:
 
     @pytest.mark.parametrize("budget", [None, 1, 64])
     def test_chunks_equal_np_unique_flush_reference(self, budget):
-        """The flush loop with ``np.unique`` as the de-dup (the pre-swap code), kept here."""
+        """The flush loop with ``np.unique`` as the de-dup (the pre-swap code), kept
+        here over the per-table joins: whatever its flush budget, the fresh pairs
+        it emits are exactly the one-buffer :meth:`HammingLSH.candidate_pairs`."""
         matrix_a, matrix_b = random_matrix(11, 60, 40, 0.2), random_matrix(12, 25, 40, 0.2)
         lsh = HammingLSH(n_bits=40, k=3, n_tables=8, seed=4)
         lsh.index(matrix_a)
+        probe = lsh.probe(matrix_b)
+        parts = [lsh.join(probe, table=table) for table in range(lsh.n_tables)]
         expected: list[np.ndarray] = []
         seen = np.empty(0, dtype=np.int64)
         buffer: list[np.ndarray] = []
-        parts = list(lsh.join(lsh.probe(matrix_b), budget, _generation_stats()))
         for part in parts + [None]:
             full = part is None or (
                 budget is not None and buffer and sum(map(len, buffer)) + part.size > budget
             )
             if full and buffer:
-                fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
+                unique = np.unique(np.concatenate(buffer))
+                fresh = unique[~np.isin(unique, seen)]
                 seen = np.union1d(seen, fresh)
                 buffer = []
                 if fresh.size:
                     expected.append(fresh)
-            buffer.append(part)
+            if part is not None:
+                buffer.append(part)
+        raw = lsh.join(probe)
+        assert raw.size == sum(part.size for part in parts)
         counters: dict[str, float] = {}
-        got = [a * 25 + b for a, b in lsh.candidate_chunks(matrix_b, budget, counters)]
-        assert len(got) == len(expected) > 0
-        for chunk, want in zip(got, expected):
-            assert np.array_equal(chunk, want)
-        assert counters["pairs_unique"] == seen.size < counters["pairs_generated"]
+        rows_a, rows_b = lsh.candidate_pairs(matrix_b, counters)
+        got = rows_a * 25 + rows_b
+        assert expected and np.array_equal(got, np.sort(np.concatenate(expected)))
+        assert np.array_equal(got, np.unique(raw))
+        assert counters["pairs_unique"] == seen.size < counters["pairs_generated"] == raw.size
+        assert counters["pairs_duplicates"] == raw.size - seen.size
 
     def test_match_filters_by_threshold(self):
         matrix = random_matrix(5, 20, 60)

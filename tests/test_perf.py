@@ -1,7 +1,8 @@
-"""Tests for the hot-path engine: interning, chunked candidates, memory.
+"""Tests for the hot-path engine: interning, the one match kernel, memory.
 
 Covers the layers of the performance engine plus the invariant the engine
-must never break: identical output for every ``max_chunk_pairs`` budget.
+must never break: every record-level link is ``HammingLSH.match`` byte for
+byte.
 """
 
 import json
@@ -22,17 +23,9 @@ from repro.core.qgram import (
 )
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
-from repro.hamming.bitmatrix import BitMatrix, scatter_bits
-from repro.hamming.lsh import HammingLSH
+from repro.hamming.bitmatrix import BitMatrix
 from repro.perf import LogHistogram
 from repro.pipeline.runner import LinkagePipeline
-
-
-def random_matrix(seed, n_rows, n_bits, density=0.3):
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n_rows, n_bits)) < density
-    rows, bits = np.nonzero(mask)
-    return scatter_bits(n_rows, n_bits, rows, bits)
 
 
 RECORDS = [
@@ -87,53 +80,6 @@ class TestInternedEncoding:
         assert enc.compact_indices("JOHN") is enc.compact_indices("JOHN")
 
 
-class TestChunkedCandidates:
-    def setup_method(self):
-        self.matrix_a = random_matrix(1, 120, 80)
-        self.matrix_b = random_matrix(2, 90, 80)
-
-    def _lsh(self, max_chunk_pairs=None):
-        lsh = HammingLSH(
-            n_bits=80, k=6, n_tables=8, seed=4, max_chunk_pairs=max_chunk_pairs
-        )
-        lsh.index(self.matrix_a)
-        return lsh
-
-    def test_chunked_equals_unchunked_for_any_budget(self):
-        ref_a, ref_b = self._lsh().candidate_pairs(self.matrix_b)
-        for budget in (1, 13, 128, 10**9):
-            got_a, got_b = self._lsh(budget).candidate_pairs(self.matrix_b)
-            assert np.array_equal(got_a, ref_a)
-            assert np.array_equal(got_b, ref_b)
-
-    def test_chunks_are_disjoint_and_bounded(self):
-        budget = 50
-        lsh = self._lsh(budget)
-        n_b = self.matrix_b.n_rows
-        encoded_chunks = [
-            a * n_b + b for a, b in lsh.candidate_chunks(self.matrix_b)
-        ]
-        assert all(chunk.size <= budget for chunk in encoded_chunks)
-        merged = np.concatenate(encoded_chunks)
-        assert merged.size == np.unique(merged).size
-
-    def test_counters_account_for_duplicates(self):
-        counters = {}
-        lsh = self._lsh(64)
-        rows_a, _ = lsh.candidate_pairs(self.matrix_b, counters=counters)
-        assert counters["pairs_unique"] == rows_a.size
-        assert counters["pairs_generated"] >= counters["pairs_unique"]
-        assert (
-            counters["pairs_duplicates"]
-            == counters["pairs_generated"] - counters["pairs_unique"]
-        )
-        assert counters["peak_chunk_pairs"] <= 64
-
-    def test_rejects_invalid_budget(self):
-        with pytest.raises(ValueError):
-            HammingLSH(n_bits=8, k=2, n_tables=1, max_chunk_pairs=0)
-
-
 class TestLinkageInvariance:
     """Same seed => byte-identical results for every engine setting."""
 
@@ -153,26 +99,39 @@ class TestLinkageInvariance:
         assert result.n_candidates == reference.n_candidates
         assert result.matches == reference.matches
 
-    def test_chunked_invariance(self, problem, reference):
-        for budget in (37, 64, 512):
-            linker = CompactHammingLinker.record_level(
-                threshold=4, k=30, seed=7, max_chunk_pairs=budget
-            )
-            self._assert_identical(
-                linker.link(problem.dataset_a, problem.dataset_b), reference
-            )
+    def test_link_equals_match_kernel(self, problem, reference):
+        """The record-level link is one ``HammingLSH.match`` call, byte for byte."""
+        a, b = problem.dataset_a, problem.dataset_b
+        linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
+        encoder = linker.calibrate(a, b)
+        matrix_a = encoder.encode_dataset(a.value_rows())
+        lsh = linker._build_blocker(encoder)
+        lsh.index(matrix_a)
+        counters: dict[str, float] = {}
+        want = lsh.match(matrix_a.words, encoder.encode_dataset(b.value_rows()), 4, counters)
+        got = (reference.rows_a, reference.rows_b, reference.record_distances)
+        for have, expected in zip(got, want):
+            assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+        assert reference.n_candidates == counters["pairs_unique"] > reference.n_matches
+        assert {key: reference.counters[key] for key in counters} == counters
+        assert counters["pairs_duplicates"] == counters["pairs_generated"] - counters["pairs_unique"]
+
+    def test_streaming_link_equals_match_kernel(self, problem, reference):
+        """``StreamingLinker.link`` runs the same kernel: same matches, order, counts."""
+        a, b = problem.dataset_a, problem.dataset_b
+        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
+        self._assert_identical(StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b),
+                               reference)
 
     def test_counters_populated(self, problem):
-        linker = CompactHammingLinker.record_level(
-            threshold=4, k=30, seed=7, max_chunk_pairs=128
-        )
+        linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
         result = linker.link(problem.dataset_a, problem.dataset_b)
         for key in (
             "intern_hit_rate",
             "pairs_generated",
             "pairs_unique",
             "pairs_verified",
-            "peak_chunk_pairs",
+            "max_bucket_product",
         ):
             assert key in result.counters
         assert result.counters["pairs_verified"] == result.n_candidates
@@ -243,8 +202,8 @@ class TestMemoryGate:
     #: Everything a link holds that is not the size of its candidates: value
     #: rows, columns, matrices, ``L x n`` key and probe arrays (11.1 MB at K = 30).
     FIXED = 12 * MIB
-    #: What the candidate and verify stages add beside the pairs: the probe
-    #: and the bucket search, ~9 arrays of ``L x n`` cells (8.8 MB at L = 6).
+    #: What the match stage adds beside the pairs: the probe and the bucket
+    #: search, ~9 arrays of ``L x n`` cells (8.8 MB at L = 6).
     STAGE = 10 * MIB
     #: Three 64 k-cell ``int64`` temporaries: a block's worth in one expression.
     BLOCK = 3 * MIB // 2
@@ -267,8 +226,8 @@ class TestMemoryGate:
         raw = 8 * int(result.counters["pairs_generated"])
         assert raw == {30: 8 * 130_639, 18: 8 * 887_074}[k]
         assert peak < 2 * raw + self.FIXED
-        for name, entry, top in stages[-2:]:  # candidate generation, verification
-            assert top - entry < raw + self.STAGE, name
+        name, entry, top = stages[-1]  # the match stage: join, de-dup, verify
+        assert top - entry < raw + self.STAGE, name
         worst = max(lines, key=lines.get)
         assert lines[worst] < raw + self.BLOCK, worst
 

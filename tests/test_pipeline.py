@@ -1,5 +1,7 @@
 """Tests for repro.pipeline — the stage runner, shared stages and registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.pipeline import (
     get_linker,
     linker_names,
 )
-from repro.pipeline.exhaustive import AllPairsCandidateStage, ExhaustiveLinker
+from repro.pipeline.exhaustive import ExhaustiveLinker
 from repro.baselines.minhash import MinHashLinker
 
 
@@ -145,33 +147,30 @@ class TestExhaustiveLinker:
             expected |= {(i, int(j)) for j in np.flatnonzero(dist <= 4)}
         assert full.matches == expected
 
-    def test_deterministic_and_chunk_budget_invariant(self, problem):
+    def test_deterministic(self, problem):
         results = [
-            ExhaustiveLinker(threshold=4, seed=3, max_chunk_pairs=budget).link(
-                problem.dataset_a, problem.dataset_b
-            )
-            for budget in (1024, 1 << 20, 1024)
+            ExhaustiveLinker(threshold=4, seed=3).link(problem.dataset_a, problem.dataset_b)
+            for __ in range(2)
         ]
-        assert results[0].matches == results[1].matches == results[2].matches
+        assert results[0].matches == results[1].matches
         assert np.array_equal(results[0].rows_a, results[1].rows_a)
         assert np.array_equal(results[0].rows_b, results[1].rows_b)
+        assert results[0].counters["pairs_verified"] == results[0].comparison_space
 
-    def test_chunking_bounds_chunks(self):
-        ctx = PipelineContext(
-            dataset_a=None,
-            dataset_b=None,
-            rows_a=[("x",)] * 7,
-            rows_b=[("y",)] * 5,
-        )
-        AllPairsCandidateStage(max_chunk_pairs=8).run(ctx)
-        assert ctx.n_candidates == 35
-        assert all(chunk_a.size <= 8 for chunk_a, __ in ctx.candidate_chunks)
-        got = sorted(
-            (int(a), int(b))
-            for chunk_a, chunk_b in ctx.candidate_chunks
-            for a, b in zip(chunk_a, chunk_b)
-        )
-        assert got == [(i, j) for i in range(7) for j in range(5)]
+    def test_memory_stays_flat(self):
+        """The all-pairs space is verified a block at a time: 1 000 a side is a
+        million pairs, which a candidate list would hold at 16 B each (the
+        list this replaced peaked at 23 MB traced; the blocks at 2 MB)."""
+        big = build_linkage_problem(NCVRGenerator(), 1000, scheme_pl(), seed=11)
+        tracemalloc.start()
+        try:
+            result = ExhaustiveLinker(threshold=4, seed=3).link(big.dataset_a, big.dataset_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_candidates == 1000 * 1000
+        assert result.n_matches > 0
+        assert peak < 8 << 20
 
 
 class TestMinHashLinker:

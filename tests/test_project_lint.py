@@ -609,7 +609,7 @@ def test_project_model_covers_real_pipeline():
     chain = list(model.base_chain("repro.pipeline.stages", "ThresholdVerifyStage"))
     assert any(info.kind_literal == "verify" for _, info in chain)
     context = model.modules["repro.pipeline.context"].classes["PipelineContext"]
-    assert "candidate_chunks" in context.fields
+    assert "cand_a" in context.fields
     assert "comparison_space" in context.properties
     edges = {
         target

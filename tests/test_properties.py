@@ -207,8 +207,7 @@ class TestBlockKernels:
     @pytest.mark.parametrize("n_words", [1, 5])
     @pytest.mark.parametrize("n_pairs", [0, 1, 1 << 15, (1 << 15) + 1])
     def test_blocked_verify_equals_hamming_packed(self, n_pairs, n_words):
-        from repro.hamming.distance import hamming_packed
-        from repro.pipeline import stages
+        from repro.hamming.distance import hamming_packed, verify_pairs
 
         rng = np.random.default_rng(n_pairs + n_words)
         n_a, n_b, threshold = 50, 70, 30 * n_words
@@ -219,7 +218,7 @@ class TestBlockKernels:
         keep = dist <= threshold
         assert n_pairs < 2 or 0 < keep.sum() < n_pairs  # the threshold splits the pairs
         for chunk in ((rows_a, rows_b), (rows_a * n_b + rows_b, n_b)):
-            got = stages._verify_chunk(words_a, words_b, chunk, threshold)
+            got = verify_pairs(words_a, words_b, chunk, threshold)
             assert len(got) == 3
             for have, want in zip(got, (rows_a[keep], rows_b[keep], dist[keep])):
                 assert have.dtype == np.int64 and have.tolist() == want.tolist()

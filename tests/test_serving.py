@@ -34,10 +34,9 @@ from repro.core.shards import PlainBundleError, ShardedIndex
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import group_matches
 from repro.pipeline import (
-    ChunkedCandidateStage,
     LoadSnapshotStage,
     QueryEmbedStage,
-    ThresholdVerifyStage,
+    ThresholdMatchStage,
 )
 from repro.pipeline.runner import LinkagePipeline
 from repro.serve import QueryEngine
@@ -235,6 +234,20 @@ class TestQueryEngine:
         loaded = QueryEngine.from_snapshot(bundle)
         _assert_identical(reference, loaded.query_batch(rows_b))
 
+    def test_manifest_chunk_budget_key_is_ignored(self, tmp_path, engine, rows_b):
+        """A bundle built with a candidate budget carries ``max_chunk_pairs``
+        in its manifest; it still loads (format_version 1) and answers alike."""
+        bundle = engine.save(tmp_path / "idx")
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert "max_chunk_pairs" not in manifest
+        manifest["max_chunk_pairs"] = 2048
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        loaded = QueryEngine.from_bundle(bundle)
+        for top_k in (None, 2):
+            want = _arrays(engine.query_batch(rows_b, top_k=top_k))
+            got = _arrays(loaded.query_batch(rows_b, top_k=top_k))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     def test_save_writes_the_plain_snapshot_layout_byte_for_byte(
         self, tmp_path, encoder, rows_a
     ):
@@ -397,8 +410,7 @@ class TestLoadSnapshotStage:
             [
                 LoadSnapshotStage(bundle),
                 QueryEmbedStage(),
-                ChunkedCandidateStage(),
-                ThresholdVerifyStage(4, sort_pairs=True),
+                ThresholdMatchStage(4),
             ]
         )
         got = pipeline.run(problem.dataset_a, problem.dataset_b)

@@ -57,10 +57,9 @@ from repro.data.io import write_dataset
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
 from repro.pipeline import (
-    ChunkedCandidateStage,
     LoadSnapshotStage,
     QueryEmbedStage,
-    ThresholdVerifyStage,
+    ThresholdMatchStage,
 )
 from repro.pipeline.runner import LinkagePipeline
 from repro.serve import QueryEngine, ShardedQueryEngine
@@ -709,8 +708,7 @@ class TestMergedView:
             [
                 LoadSnapshotStage(bundle),
                 QueryEmbedStage(),
-                ChunkedCandidateStage(),
-                ThresholdVerifyStage(4, sort_pairs=True),
+                ThresholdMatchStage(4),
             ]
         )
         got = pipeline.run(problem.dataset_a, problem.dataset_b)

@@ -18,7 +18,6 @@ from repro.hamming.lsh import (
     BlockingGroup,
     HammingLSH,
     _sort_tables,
-    _split_out_fresh,
 )
 from repro.rules.blocking import RuleAwareBlocker
 from repro.rules.parser import parse_rule
@@ -77,16 +76,15 @@ STEPS = st.lists(
     seed=st.integers(0, 10_000),
     k=st.sampled_from([8, 30, 70]),  # 70 > 64: void-dtype keys in both runs
     steps=STEPS,
-    budget=st.sampled_from([None, 1, 64]),
 )
 @settings(max_examples=120, deadline=None)
-def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
+def test_any_interleaving_equals_all_bulk(seed, k, steps):
     n_rows = sum(size for __, size in steps)
     matrix_a = clustered_matrix(seed, n_rows)
     matrix_b = clustered_matrix(seed, 12)  # same prototypes, so B collides with A
 
     def fresh() -> HammingLSH:
-        return HammingLSH(N_BITS, k, n_tables=N_TABLES, seed=seed, max_chunk_pairs=budget)
+        return HammingLSH(N_BITS, k, n_tables=N_TABLES, seed=seed)
 
     reference = fresh()
     reference.index(matrix_a)
@@ -111,12 +109,8 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
 
     for got, want in zip(mixed.candidate_pairs(matrix_b), reference.candidate_pairs(matrix_b)):
         assert np.array_equal(got, want)
-    chunks = list(mixed.candidate_chunks(matrix_b))
-    if budget is not None:
-        assert all(rows_a.size <= budget for rows_a, __ in chunks)
-    streamed = np.sort(np.concatenate([a * 12 + b for a, b in chunks] or [np.empty(0, int)]))
-    want_a, want_b = reference.candidate_pairs(matrix_b)
-    assert np.array_equal(streamed, want_a * 12 + want_b)
+    for got, want in zip(mixed.match(matrix_a, matrix_b, 8), reference.match(matrix_a, matrix_b, 8)):
+        assert np.array_equal(got, want)
     for got, want in zip(
         mixed.candidate_pairs_per_group(matrix_b), reference.candidate_pairs_per_group(matrix_b)
     ):
@@ -144,9 +138,7 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps, budget):
             assert sorted(ids[lo:hi].tolist()) == ref_ids[lo:hi].tolist()
         reloaded = BlockingGroup.from_arrays(group.composite, keys, ids, bounds)
         assert reloaded.n_rows == n_rows
-        assert sorted(np.concatenate(list(reloaded.join_products(matrix_b)) or [[]])) == sorted(
-            np.concatenate(list(ref_group.join_products(matrix_b)) or [[]])
-        )
+        assert sorted(reloaded.join_products(matrix_b)) == sorted(ref_group.join_products(matrix_b))
 
 
 def sort_key(key) -> bytes | int:
@@ -154,13 +146,12 @@ def sort_key(key) -> bytes | int:
     return int(key) if key.dtype == np.uint64 else key.tobytes()
 
 
-def reference_products(steps, matrix_a, matrix_b, positions, budget):
+def reference_products(steps, matrix_a, matrix_b, positions):
     """The raw cross-products a per-table, per-bucket join emits, in order.
 
     One Python dict of buckets per (run, table): the bulk run's tables
     first, then the delta run's, each table's buckets in key order, ids
-    within a bucket in insertion order, a bucket's pairs a-major; under a
-    budget each (run, table)'s pairs go out ``budget`` at a time.  Also
+    within a bucket in insertion order, a bucket's pairs a-major.  Also
     returns the largest bucket product and each table's pairs (bulk
     buckets, then delta buckets).
     """
@@ -172,10 +163,9 @@ def reference_products(steps, matrix_a, matrix_b, positions, budget):
     for how, size in steps:
         runs["bulk" if how == "bulk" else "delta"] += range(at, at + size)
         at += size
-    parts, largest = [], 0
+    raw, largest = [], 0
     per_table = [[] for __ in positions]
     for ids in runs.values():
-        whole_run: list[int] = []
         for table, (table_a, table_b) in enumerate(zip(keys_a, keys_b)):
             buckets: dict = {}
             for a in ids:
@@ -183,32 +173,12 @@ def reference_products(steps, matrix_a, matrix_b, positions, budget):
             probes: dict = {}
             for b in range(n_b):
                 probes.setdefault(sort_key(table_b[b]), []).append(b)
-            pairs: list[int] = []
             for key in sorted(probes):
                 product = [a * n_b + b for a in buckets.get(key, []) for b in probes[key]]
                 largest = max(largest, len(product))
-                pairs += product
-            per_table[table] += pairs
-            whole_run += pairs
-            if budget is not None:
-                parts += [pairs[lo : lo + budget] for lo in range(0, len(pairs), budget)]
-        if budget is None and whole_run:
-            parts.append(whole_run)
-    return parts, largest, per_table
-
-
-def reference_chunks(parts, budget):
-    """``_encoded_chunks``' flush rule over ``parts``, with ``np.unique`` as the de-dup."""
-    chunks, seen, buffer = [], np.empty(0, dtype=np.int64), []
-    for part in parts + [None]:
-        full = part is None or (budget is not None and sum(map(len, buffer)) + len(part) > budget)
-        if full and buffer:
-            fresh = _split_out_fresh(np.unique(np.concatenate(buffer)), seen)
-            seen, buffer = np.union1d(seen, fresh), []
-            chunks += [fresh] * bool(fresh.size)
-        if part is not None:
-            buffer.append(np.asarray(part, dtype=np.int64))
-    return chunks
+                per_table[table] += product
+                raw += product
+    return raw, largest, per_table
 
 
 @given(
@@ -216,14 +186,13 @@ def reference_chunks(parts, budget):
     k=st.sampled_from([8, 30, 62, 70]),  # 62 + bits(n) > 64: the argsort fallback
     n_tables=st.sampled_from([1, 6, 9]),
     steps=STEPS,
-    budget=st.sampled_from([None, 1, 64]),
 )
 @settings(max_examples=150, deadline=None)
-def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps, budget):
+def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps):
     n_rows = sum(size for __, size in steps)
     matrix_a = clustered_matrix(seed, n_rows)
     matrix_b = clustered_matrix(seed, 12)
-    lsh = HammingLSH(N_BITS, k, n_tables=n_tables, seed=seed, max_chunk_pairs=budget)
+    lsh = HammingLSH(N_BITS, k, n_tables=n_tables, seed=seed)
     at = 0
     for how, size in steps:
         ids = np.arange(at, at + size)
@@ -236,8 +205,8 @@ def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps, bu
                 lsh.insert(matrix_a.row(i), i)
         at += size
     positions = [group.composite.positions for group in lsh.groups]
-    parts, largest, per_table = reference_products(steps, matrix_a, matrix_b, positions, budget)
-    want = reference_chunks(parts, budget)
+    raw, largest, per_table = reference_products(steps, matrix_a, matrix_b, positions)
+    assert lsh.join(lsh.probe(matrix_b)).tolist() == raw
     unique = np.unique(np.concatenate([np.asarray(p, dtype=np.int64) for p in per_table]))
 
     counters: dict[str, float] = {}
@@ -246,18 +215,8 @@ def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps, bu
     assert counters["pairs_generated"] == sum(map(len, per_table))
     assert counters["pairs_unique"] == unique.size
     assert counters["max_bucket_product"] == largest
-    assert counters["n_chunks"] == len(want)
-    got = [a * 12 + b for a, b in lsh.candidate_chunks(matrix_b)]
-    assert len(got) == len(want)
-    for chunk, expected in zip(got, want):
-        assert np.array_equal(chunk, expected)
     per_group = [a * 12 + b for a, b in lsh.candidate_pairs_per_group(matrix_b)]
     assert [pairs.tolist() for pairs in per_group] == per_table
-    if budget is None:  # a probe made once serves any number of joins
-        probe = lsh.probe(matrix_b)
-        for __ in range(2):
-            again = lsh.candidate_pairs(matrix_b, probe=probe)
-            assert np.array_equal(again[0], rows_a) and np.array_equal(again[1], rows_b)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 300])
@@ -285,8 +244,7 @@ def test_arrays_written_with_column_keys_load_and_answer_identically(k):
         assert keys.tobytes() == old_keys[order].tobytes()
         assert np.array_equal(ids, order)
         adopted = BlockingGroup.from_arrays(group.composite, old_keys[order], order, bounds)
-        for got, want in zip(adopted.join_products(matrix_b), group.join_products(matrix_b)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(adopted.join_products(matrix_b), group.join_products(matrix_b))
 
 
 def test_keys_survive_composites_swapped_for_position_proxies():
