@@ -17,15 +17,16 @@ import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
-from repro.core.qgram import QGramScheme, batch_qgram_indices
+from repro.core.qgram import QGramScheme, batch_qgram_indices, qgram_index_set
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO, optimal_cvector_size
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import DEFAULT_BLOCK_ROWS
+from repro.text.alphabet import AlphabetError
 
 #: The large prime of the paper's hash family: 2^31 - 1 (a Mersenne prime).
 HASH_PRIME = 2**31 - 1
@@ -33,18 +34,20 @@ HASH_PRIME = 2**31 - 1
 #: Per-encoder LRU capacity for memoised compact index sets (per-string path).
 COMPACT_CACHE_SIZE = 4096
 
-#: Distinct values per attribute whose packed rows a :class:`ValueRows` keeps:
-#: the batched path's counterpart of the per-string LRU, and as large.
-VALUE_ROW_CAPACITY = COMPACT_CACHE_SIZE
+#: Values per attribute a memo of :func:`embed_values` holds; a fill that
+#: would overflow it starts that memo over.
+VALUE_MEMO_SIZE = COMPACT_CACHE_SIZE
 
-#: A column with more distinct values than this bypasses the value-row store.
-#: Looking a value up, or remembering it, costs ~0.4 us; tokenising one more
-#: value in a pass that runs anyway ~0.8 us, the pass itself ~35 us.  So the
-#: store wins by sparing a small call the pass, which it can only when every
-#: value of the column is held (NCVR query batches, warm store, embed time
-#: against bypassing it: 0.67x at 1 row, 0.54x at 8, 0.89x at 16, 1.0x at 32
-#: and 64, 1.04x at 128).
-VALUE_ROW_COLUMN_LIMIT = 1 << 5
+#: Batches of at most this many rows are embedded value by value
+#: (:func:`embed_values`), larger ones by :func:`embed_columns`, whose ~30
+#: numpy calls cost about the same for 1 row as for 16.  Value by value
+#: against batched, p50 on an NCVR query stream (2 vCPUs, numpy 2.4, paths
+#: alternated call by call): 0.17-0.19x at 1 row, 0.37-0.42x at 4, 0.66-0.73x
+#: at 8, 0.83-1.00x at 12, 1.08-1.18x at 16; with the memos emptied before
+#: every call (no value seen before) 0.32x at 1, 0.78x at 4, 1.37x at 8.
+SMALL_BATCH_ROWS = 8
+
+_MEMO_FILL = threading.Lock()
 
 #: Distinct values tokenised, hashed and packed per pass of
 #: :func:`embed_columns`.  Sized to keep every temporary under 1 MB (2 048
@@ -263,65 +266,48 @@ class CVectorEncoder:
         return f"CVectorEncoder(m={self.m}, q={self.scheme.q}, padded={self.scheme.padded})"
 
 
-class ValueRows:
-    """Bounded ``(attribute, value) -> packed record-width word row`` store.
+def value_bits(encoder: CVectorEncoder, offset: int, value: str) -> int:
+    """The c-vector of ``value`` as an integer, its bits shifted by ``offset``:
+    :func:`~repro.core.qgram.qgram_index_set` and ``g`` in plain Python, uncached."""
+    scheme = encoder.scheme
+    try:
+        grams = qgram_index_set(value, scheme.q, scheme.alphabet, scheme.padded, scheme.pad_char)
+    except AlphabetError as err:
+        raise AlphabetError(f"{err} (value {value!r})") from None
+    a, b, p, m = encoder.hash_fn.a, encoder.hash_fn.b, encoder.hash_fn.p, encoder.hash_fn.m
+    return sum(1 << bit for bit in {(a * x + b) % p % m + offset for x in grams})
 
-    A c-vector is a pure function of ``(attribute, value)``, so a value
-    met again is embedded by copying its row.  Every attribute owns
-    ``VALUE_ROW_CAPACITY`` rows of one pool: when a fill would overflow
-    them that attribute starts over (no per-hit bookkeeping, and a
-    near-unique column never evicts a repetitive one), and a column with
-    more than ``VALUE_ROW_COLUMN_LIMIT`` distinct values bypasses the
-    store: it neither reads nor churns it.  Rows are
-    copied in and out under a lock, so concurrent fills are safe and no
-    caller holds memory the store owns.  It is working state, not part
-    of an encoder: never serialised or fingerprinted, and it pickles as
-    an empty store (an unpickled encoder starts cold).
+
+def embed_values(
+    encoders: Sequence[CVectorEncoder],
+    offsets: Sequence[int],
+    records: Sequence[Sequence[str]],
+    n_bits: int,
+    memos: Sequence[dict[str, int]],
+) -> BitMatrix:
+    """Embed a few records value by value: a row is the OR of its values'
+    :func:`value_bits`, from ``memos[i]`` (attribute ``i``'s value -> bits)
+    or computed; the batch's new values join the memos once every record
+    is embedded, so a failed batch leaves them as they were.
     """
-
-    def __init__(self, n_attributes: int, n_words: int):
-        self._slots: list[dict[str, int]] = [{} for __ in range(n_attributes)]
-        self._rows = np.empty((n_attributes * VALUE_ROW_CAPACITY, n_words), dtype=np.uint64)
-        self._used = [0] * n_attributes  # rows taken, >= len(slots): a refill leaves a dead row
-        self._lock = threading.Lock()
-
-    def __reduce__(self) -> tuple[type, tuple[int, int]]:
-        return ValueRows, (len(self._slots), self._rows.shape[1])
-
-    def find(self, columns: Sequence[list[str]]) -> tuple[np.ndarray, list[list[int] | None]]:
-        """The rows of every column's values, column after column, and per
-        column the positions of the rows not held (left undefined) — or
-        ``None`` for an oversized column, whose values have no rows here."""
-        slots: list[int] = []
-        missing: list[list[int] | None] = []
-        with self._lock:
-            for held, values in zip(self._slots, columns):
-                if len(values) > VALUE_ROW_COLUMN_LIMIT:
-                    missing.append(None)
-                    continue
-                found = list(map(held.get, values, repeat(-1)))  # -1, not held, reads some row
-                absent = -1 in found
-                missing.append([i for i, slot in enumerate(found) if slot < 0] if absent else [])
-                slots += found
-            return self._rows[slots], missing
-
-    def add(self, attribute: int, values: list[str], rows: np.ndarray) -> None:
-        """Remember the freshly embedded ``rows`` of one attribute's ``values``."""
-        with self._lock:
-            if self._used[attribute] + len(values) > VALUE_ROW_CAPACITY:
-                self._slots[attribute].clear()
-                self._used[attribute] = 0
-            first = attribute * VALUE_ROW_CAPACITY + self._used[attribute]
-            self._rows[first : first + len(values)] = rows
-            self._slots[attribute].update(zip(values, range(first, first + len(values))))
-            self._used[attribute] += len(values)
-
-    def clear(self) -> None:
-        """Forget every row (the next embed starts cold)."""
-        with self._lock:
-            for held in self._slots:
-                held.clear()
-            self._used = [0] * len(self._slots)
+    fresh: list[dict[str, int]] = [{} for __ in memos]
+    rows = []
+    for record in records:
+        row = 0
+        for enc, offset, memo, new, value in zip(encoders, offsets, memos, fresh, record):
+            bits = memo.get(value, new.get(value))
+            if bits is None:
+                bits = new[value] = value_bits(enc, offset, value)
+            row |= bits
+        rows.append(row)
+    with _MEMO_FILL:  # concurrent fills keep every memo within its size
+        for memo, new in zip(memos, fresh):
+            if len(memo) + len(new) > VALUE_MEMO_SIZE:
+                memo.clear()
+            memo.update(new)
+    n_bytes = 8 * ((n_bits + 63) // 64)
+    packed = bytearray(b"".join(row.to_bytes(n_bytes, "little") for row in rows))
+    return BitMatrix(np.frombuffer(packed, dtype="<u8").reshape(len(rows), -1), n_bits)
 
 
 def embed_columns(
@@ -329,7 +315,6 @@ def embed_columns(
     offsets: Sequence[int],
     columns: Sequence[Sequence[str]],
     n_bits: int,
-    store: ValueRows | None = None,
 ) -> tuple[BitMatrix, int]:
     """Embed parallel attribute columns into one ``n_bits``-wide matrix.
 
@@ -338,24 +323,17 @@ def embed_columns(
     block is as large as that space) and packed once into a matrix-wide
     word row with its bits shifted by the column's bit offset,
     ``VALUE_BLOCK`` values at a time; each record then ORs together the
-    rows of its values — one blocked row gather per column.  With a
-    ``store``, the rows it holds are copied from there and only the rest
-    are embedded, then remembered.
+    rows of its values — one blocked row gather per column.
     Returns the matrix and the number of distinct values.
     """
     numbered = [_number_values(values) for values in columns]
     distinct = [unique for unique, __ in numbered]
-    held, missing = (None, [None] * len(distinct)) if store is None else store.find(distinct)
-    todo = [
-        unique if miss is None else [unique[i] for i in miss]
-        for unique, miss in zip(distinct, missing)
-    ]
     blocks = [
         (enc, offset, values[lo : lo + VALUE_BLOCK])
-        for enc, offset, values in zip(encoders, offsets, todo)
+        for enc, offset, values in zip(encoders, offsets, distinct)
         for lo in range(0, len(values), VALUE_BLOCK)
     ]
-    fresh = np.empty((sum(map(len, todo)), (n_bits + 63) // 64), dtype=np.uint64)
+    fresh = np.empty((sum(map(len, distinct)), (n_bits + 63) // 64), dtype=np.uint64)
     counts: list[np.ndarray] = []
     bits: list[np.ndarray] = []
     tables: dict[int, np.ndarray] = {}  # bit offset -> g(x) + offset over the column's q-gram space
@@ -378,17 +356,10 @@ def embed_columns(
             ).words
             counts, bits, done = [], [], done + pending
     words = np.zeros((len(columns[0]), fresh.shape[1]), dtype=np.uint64)
-    at_fresh = at_held = 0
-    for attribute, ((unique, inverse), miss, values) in enumerate(zip(numbered, missing, todo)):
-        table = fresh[at_fresh : at_fresh + len(values)]
-        at_fresh += len(values)
-        if miss is not None:  # the column goes through the store
-            embedded = table
-            table = held[at_held : at_held + len(unique)]
-            at_held += len(unique)
-            if miss:
-                table[miss] = embedded
-                store.add(attribute, values, embedded)
+    at = 0
+    for unique, inverse in numbered:
+        table = fresh[at : at + len(unique)]
+        at += len(unique)
         for lo in range(0, inverse.size, DEFAULT_BLOCK_ROWS):  # each record ORs in its value's row
             hi = lo + DEFAULT_BLOCK_ROWS
             words[lo:hi] |= table.take(inverse[lo:hi], 0)

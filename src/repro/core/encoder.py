@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cvector import CVectorEncoder, ValueRows, embed_columns
+from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, embed_values
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
@@ -64,11 +64,14 @@ class RecordEncoder:
             self.layouts.append(AttributeLayout(name=name, offset=offset, width=enc.m))
             offset += enc.m
         self._by_name = {layout.name: i for i, layout in enumerate(self.layouts)}
-        self._value_rows = ValueRows(len(self.encoders), (self.total_bits + 63) // 64)
+        self._memos: list[dict[str, int]] = [{} for __ in self.encoders]
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_memos": [{} for __ in self.encoders]}  # arrives cold
 
     def clear_value_rows(self) -> None:
-        """Forget every stored value row (the next encode starts cold)."""
-        self._value_rows.clear()
+        """Empty the value memos (the next small batch starts cold)."""
+        self._memos = [{} for __ in self.encoders]
 
     @property
     def n_attributes(self) -> int:
@@ -118,11 +121,10 @@ class RecordEncoder:
         tokenised, hashed and packed once into a record-width word row
         with its bits shifted by the attribute's offset, and every
         record ORs in its value's row
-        (see :func:`repro.core.cvector.embed_columns`).  The encoder
-        keeps a bounded store of those rows
-        (:class:`~repro.core.cvector.ValueRows`), so a value met again —
-        in this call or a later one — is a row copy: a one-record query
-        whose values are all held costs three ORs.
+        (see :func:`repro.core.cvector.embed_columns`).  A batch of at most
+        ``SMALL_BATCH_ROWS`` records is embedded value by value instead
+        (:func:`repro.core.cvector.embed_values`), through the encoder's
+        bounded per-attribute memos of value bits.
 
         ``stats``, when given, receives interning counters
         (``intern_values``, ``intern_unique``, ``intern_hit_rate``).
@@ -132,11 +134,13 @@ class RecordEncoder:
         if set(map(len, records)) != {self.n_attributes}:
             for record in records:
                 self._check_arity(record)
-        columns = [[record[att] for record in records] for att in range(self.n_attributes)]
         offsets = [layout.offset for layout in self.layouts]
-        matrix, n_unique = embed_columns(
-            self.encoders, offsets, columns, self.total_bits, self._value_rows
-        )
+        if len(records) <= SMALL_BATCH_ROWS:
+            matrix = embed_values(self.encoders, offsets, records, self.total_bits, self._memos)
+            n_unique = sum(len(set(column)) for column in zip(*records))
+        else:
+            columns = [[record[att] for record in records] for att in range(self.n_attributes)]
+            matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
         if stats is not None:
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)

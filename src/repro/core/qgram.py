@@ -89,12 +89,23 @@ def qgram_index_set(
 ) -> frozenset[int]:
     """The set ``U_s`` of q-gram vector positions set by string ``value``.
 
+    Each character is looked up once; the windows are one Horner
+    evaluation over ``q`` shifted lists of the characters' orders.
+
     >>> sorted(qgram_index_set('JOHN'))
     [195, 248, 371]
     """
-    return frozenset(
-        qgram_index(g, alphabet) for g in qgrams(value, q, padded, pad_char)
-    )
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    text = pad_string(value, q, pad_char) if padded else value
+    if len(text) < q:
+        return frozenset()
+    codes = list(map(alphabet.index, text))
+    size = len(alphabet)
+    grams = codes[: len(codes) - q + 1]
+    for j in range(1, q):
+        grams = [gram * size + code for gram, code in zip(grams, codes[j:])]
+    return frozenset(grams)
 
 
 @lru_cache(maxsize=32)

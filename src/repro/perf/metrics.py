@@ -20,7 +20,7 @@ below the true p99 by more than one bucket's resolution.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import ceil
+from math import ceil, log10
 
 
 class LogHistogram:
@@ -35,8 +35,9 @@ class LogHistogram:
         Lower bound of the overflow bucket — values above ``hi`` land
         there.
     buckets_per_decade:
-        Grid resolution: bounds per power of ten.  The default 8 gives
-        ~33% relative bucket width, ample for percentile reporting.
+        Grid resolution: bounds per power of ten.  The default 32 gives
+        ~7.5% relative bucket width: at 8 (~33%) a closed loop whose
+        measured p50 / p99 were 9.3 / 10.4 ms read 10 ms for both.
 
     Examples
     --------
@@ -50,7 +51,7 @@ class LogHistogram:
     """
 
     def __init__(
-        self, lo: float = 1e-6, hi: float = 1e3, buckets_per_decade: int = 8
+        self, lo: float = 1e-6, hi: float = 1e3, buckets_per_decade: int = 32
     ):
         if lo <= 0 or hi <= lo:
             raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
@@ -61,28 +62,28 @@ class LogHistogram:
         self.lo = float(lo)
         self.hi = float(hi)
         self.buckets_per_decade = int(buckets_per_decade)
-        bounds: list[float] = []
-        step = 10.0 ** (1.0 / buckets_per_decade)
-        edge = self.lo
-        while edge < self.hi:
-            edge *= step
-            bounds.append(min(edge, self.hi))
+        # Edge i is a power of ten of its own, not a product of i steps, which
+        # drifted (10 ms read 0.009999999999999992, so 10 ms reported 13 ms).
+        per, first = self.buckets_per_decade, log10(self.lo)
+        n_edges = ceil(round((log10(self.hi) - first) * per, 9))
         #: Upper bucket edges between the underflow and overflow buckets.
-        self.bounds: tuple[float, ...] = tuple(bounds)
+        self.bounds: tuple[float, ...] = tuple(
+            min(10 ** (first + i / per), self.hi) for i in range(1, n_edges + 1)
+        )
         #: Per-bucket counts: ``[underflow, *bounds buckets, overflow]``.
-        self.counts: list[int] = [0] * (len(bounds) + 2)
+        self.counts: list[int] = [0] * (len(self.bounds) + 2)
         self.count = 0
         self.total = 0.0
 
     @classmethod
     def latency(cls) -> "LogHistogram":
         """The latency grid: 1 µs .. 1000 s in seconds."""
-        return cls(lo=1e-6, hi=1e3, buckets_per_decade=8)
+        return cls(lo=1e-6, hi=1e3)
 
     @classmethod
     def sizes(cls) -> "LogHistogram":
         """A count grid (batch sizes, queue depths): 1 .. 10^7."""
-        return cls(lo=1.0, hi=1e7, buckets_per_decade=8)
+        return cls(lo=1.0, hi=1e7)
 
     def record(self, value: float) -> None:
         """Record one observation (O(log buckets))."""

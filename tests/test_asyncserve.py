@@ -670,6 +670,27 @@ class TestHttpFrontend:
         assert all(payload["error"] for __, __, payload in answers)
         assert good[0] == 200
 
+    def test_non_alphabet_row_is_400(self, rows_a, encoder):
+        """A one-row batch (embedded value by value) with a character outside
+        the alphabet is the client's error, named in the answer."""
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        row = list(rows_a[0])
+
+        async def scenario():
+            frontend = await serve_http(AsyncQueryServer(engine, BatcherConfig(max_batch=8)))
+            post = (frontend.host, frontend.port, "POST", "/query")
+            try:
+                answer = await self._request(*post, {"row": ["JOSÉ", *row[1:]]})
+                good = await self._request(*post, {"row": row})
+            finally:
+                await frontend.stop()
+            return answer, good
+
+        (status, __, payload), good = asyncio.run(scenario())
+        assert status == 400
+        assert "'É'" in payload["error"] and "'JOSÉ'" in payload["error"]
+        assert good[0] == 200  # the server keeps serving
+
     def _raw_query(self, engine, body, content_length, then_row):
         """POST ``body`` bytes to /query under a given ``Content-Length``,
         then ask ``then_row`` on a fresh connection."""

@@ -3,17 +3,18 @@
 import pickle
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import CVectorEncoder
+from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, embed_values
 from repro.core.encoder import RecordEncoder
 from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
-from repro.text.alphabet import TEXT_ALPHABET, AlphabetError
+from repro.text.alphabet import TEXT_ALPHABET, Alphabet, AlphabetError
 
 RECORDS = [
     ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
@@ -115,6 +116,7 @@ WIDE_ENCODER = RecordEncoder(
         for i, m in enumerate((45, 52, 173))
     ]
 )
+OFFSETS = [layout.offset for layout in WIDE_ENCODER.layouts]
 #: Few distinct values per column, so rows repeat them: empty, blank,
 #: shorter than a q-gram, and ordinary.
 _VALUE = st.sampled_from(["", " ", "A", "Z", "AB", "JONES", "JONAS", "12 MAIN ST", "A A"])
@@ -143,25 +145,97 @@ class TestValueGranularEmbedding:
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows).words, expected)
 
 
+#: Padded bigrams and unpadded trigrams over an alphabet with a non-ASCII
+#: letter (the tokeniser's UTF-32 path).
+_ACCENTED = Alphabet("ABEJNOSÉ _")
+ACCENTED_ENCODER = RecordEncoder(
+    [
+        CVectorEncoder(40, scheme=QGramScheme(alphabet=_ACCENTED, padded=True), seed=5),
+        CVectorEncoder(70, scheme=QGramScheme(q=3, alphabet=_ACCENTED), seed=6),
+    ]
+)
+_ACCENTED_VALUE = st.sampled_from(["", " ", "É", "A", "AB", "JOSÉ", "ÉÉ", "JONES", "A B"])
+
+
+def _both_paths(encoder: RecordEncoder, rows: list) -> list[tuple[np.ndarray, dict]]:
+    """``encode_dataset``'s words and stats with every batch value by value, then batched."""
+    out = []
+    for limit in (len(rows), 0):
+        stats: dict[str, float] = {}
+        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", limit):
+            out.append((cold(encoder).encode_dataset(rows, stats=stats).words, stats))
+    return out
+
+
+class TestSmallBatchSelection:
+    """Both embeds of ``encode_dataset``, chosen by row count alone, give
+    the same words, stats and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["wide", "accented"]),
+        st.lists(st.lists(_ACCENTED_VALUE, min_size=3, max_size=3), min_size=1,
+                 max_size=SMALL_BATCH_ROWS + 1),
+    )
+    def test_every_size_equals_per_record_and_batched_words(self, which, rows):
+        encoder = WIDE_ENCODER if which == "wide" else ACCENTED_ENCODER
+        if which == "wide":  # no É in TEXT_ALPHABET: keep to its values
+            rows = [[value.replace("É", "E") for value in row] for row in rows]
+        rows = [tuple(row[: encoder.n_attributes]) for row in rows]
+        expected = np.stack([encoder.encode(row).to_packed() for row in rows])
+        columns = [[row[att] for row in rows] for att in range(encoder.n_attributes)]
+        offsets = [layout.offset for layout in encoder.layouts]
+        batched = embed_columns(encoder.encoders, offsets, columns, encoder.total_bits)[0]
+        memos: list[dict[str, int]] = [{} for __ in encoder.encoders]
+        by_value = embed_values(encoder.encoders, offsets, rows, encoder.total_bits, memos)
+        assert np.array_equal(batched.words, expected)
+        assert np.array_equal(by_value.words, expected)
+        assert np.array_equal(encoder.encode_dataset(rows).words, expected)
+        (small, small_stats), (large, large_stats) = _both_paths(encoder, rows)
+        assert np.array_equal(small, expected) and np.array_equal(large, expected)
+        n_unique = sum(len(set(column)) for column in columns)
+        assert small_stats == large_stats == {
+            "intern_values": float(encoder.n_attributes * len(rows)),
+            "intern_unique": float(n_unique),
+            "intern_hit_rate": 1.0 - n_unique / (encoder.n_attributes * len(rows)),
+        }
+
+    @pytest.mark.parametrize("n_rows", [1, SMALL_BATCH_ROWS, SMALL_BATCH_ROWS + 1])
+    def test_non_alphabet_value_is_named_on_both_paths(self, n_rows):
+        rows = [("JONES", "SMITH", "12 MAIN ST")] * (n_rows - 1) + [("JOSÉ", "", "")]
+        with pytest.raises(AlphabetError, match="'É'.*'JOSÉ'"):
+            cold(WIDE_ENCODER).encode_dataset(rows)
+
+
 def cold(encoder: RecordEncoder) -> RecordEncoder:
-    """The same calibration with nothing in its value-row stores."""
+    """The same calibration with nothing in its value memos."""
     return RecordEncoder(encoder.encoders, encoder.names)
 
 
 def held(encoder: RecordEncoder) -> list[int]:
-    return [len(slots) for slots in encoder._value_rows._slots]
+    return [len(memo) for memo in encoder._memos]
+
+
+def in_small_batches(encoder: RecordEncoder, rows: list) -> np.ndarray:
+    """``rows`` embedded ``SMALL_BATCH_ROWS`` at a time: every call value by value."""
+    return np.concatenate(
+        [
+            encoder.encode_dataset(rows[lo : lo + SMALL_BATCH_ROWS]).words
+            for lo in range(0, len(rows), SMALL_BATCH_ROWS)
+        ]
+    )
 
 
 class TestValueRowStore:
-    """A repeated value is embedded by copying its stored row; whatever the
-    store holds, dropped or never saw, the words are those of a cold encoder."""
+    """A small batch finds a value met before in its attribute's memo (the
+    value's record-width row, as an integer); whatever the memo holds,
+    dropped or never saw, the words are those of a cold encoder."""
 
     @pytest.mark.parametrize("n_rows", [1, 64, 100_000])
     def test_warm_encoder_equals_cold_encoder(self, n_rows):
         rng = np.random.default_rng(n_rows)
         common = ["", " ", "A", "JONES", "JONAS", "SMITH", "12 MAIN ST"]
-        # The third column is mostly distinct: at 64 and 100 000 rows it is past
-        # the column limit and bypasses the store, the first two go through it.
+        # The first two columns repeat a few values, the third is mostly distinct.
         rows = [
             (common[a], common[b], f"{c} OAK AVE" if c % 4 else "")
             for a, b, c in zip(*rng.integers(0, len(common), size=(2, n_rows)), range(n_rows))
@@ -169,36 +243,35 @@ class TestValueRowStore:
         warm = cold(WIDE_ENCODER)
         warm.encode_dataset([("JONES", "", "7 OAK AVE"), ("", " ", "")])  # some held, some not
         expected = cold(WIDE_ENCODER).encode_dataset(rows).words
-        for __ in range(2):  # the second pass finds what the first one stored
+        head = rows[:2048]  # the value-by-value path, SMALL_BATCH_ROWS rows a call
+        for __ in range(2):  # the second pass finds what the first one memoised
             assert np.array_equal(warm.encode_dataset(rows).words, expected)
+            assert np.array_equal(in_small_batches(warm, head), expected[: len(head)])
         if n_rows == 1:
             assert np.array_equal(expected[0], WIDE_ENCODER.encode(rows[0]).to_packed())
 
     def test_full_store_starts_over_and_oversized_column_bypasses(self, monkeypatch):
-        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_CAPACITY", 4)
-        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_COLUMN_LIMIT", 4)
+        monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 4)
         encoder = cold(WIDE_ENCODER)
-        reference = cold(WIDE_ENCODER)
-        reference._value_rows = None  # no store at all
         batches = [
             [(f"A{i}", "SMITH", f"{i} ELM RD") for i in range(lo, lo + 3)] for lo in range(9)
         ]
         sizes = []
         for rows in batches + batches[:2]:  # evicted values come back
-            assert np.array_equal(
-                encoder.encode_dataset(rows).words, reference.encode_dataset(rows).words
-            )
+            columns = [[row[att] for row in rows] for att in range(3)]
+            reference = embed_columns(WIDE_ENCODER.encoders, OFFSETS, columns, 270)[0]
+            assert np.array_equal(encoder.encode_dataset(rows).words, reference.words)
             sizes.append(held(encoder))
-        # Four rows per attribute: the two churning columns start over when
+        # Four values per attribute: the two churning columns start over when
         # full, and never at the expense of the repetitive one.
         assert all(0 < a <= 4 and b == 1 and 0 < c <= 4 for a, b, c in sizes)
         assert sum(now[0] < before[0] for before, now in zip(sizes, sizes[1:])) >= 2
-        wide = [(f"B{i}", "SMITH", "1 ELM RD") for i in range(5)]  # 5 distinct > the limit
+        wide = [(f"B{i}", "SMITH", "1 ELM RD") for i in range(SMALL_BATCH_ROWS + 1)]
         before = held(encoder)
         assert np.array_equal(
-            encoder.encode_dataset(wide).words, reference.encode_dataset(wide).words
+            encoder.encode_dataset(wide).words, cold(WIDE_ENCODER).encode_dataset(wide).words
         )
-        assert held(encoder)[0] == before[0]  # bypassed: neither read nor churned
+        assert held(encoder) == before  # a large batch neither reads nor fills the memos
 
     def test_store_is_not_part_of_the_encoder(self):
         encoder = cold(WIDE_ENCODER)
@@ -211,6 +284,8 @@ class TestValueRowStore:
         shipped = pickle.loads(pickle.dumps(encoder))  # a pickled encoder arrives cold
         assert held(shipped) == [0, 0, 0] and held(encoder) == [1, 1, 1]
         assert np.array_equal(shipped.encode_dataset(row).words, words)
+        encoder.clear_value_rows()
+        assert held(encoder) == [0, 0, 0]
 
     def test_returned_rows_are_never_the_stored_ones(self):
         encoder = cold(WIDE_ENCODER)
@@ -219,7 +294,7 @@ class TestValueRowStore:
         expected = first.words.copy()
         first.words[:] = 0  # a caller scribbling on its own matrix ...
         again = encoder.encode_dataset(row)
-        assert np.array_equal(again.words, expected)  # ... does not reach the store
+        assert np.array_equal(again.words, expected)  # ... does not reach the memo
         again.words[:] = 0
         assert np.array_equal(encoder.encode_dataset(row).words, expected)
 
@@ -237,9 +312,9 @@ class TestValueRowStore:
 
     def test_concurrent_fills_of_a_small_store(self, monkeypatch):
         """More threads than cores, a switch interval of microseconds and a
-        store that starts over every few values: a lost update or a row read
-        while being overwritten would show as a wrong word."""
-        monkeypatch.setattr("repro.core.cvector.VALUE_ROW_CAPACITY", 8)
+        memo that starts over every few values: a lost update or a value
+        read while being replaced would show as a wrong word."""
+        monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 8)
         encoder = cold(WIDE_ENCODER)
         batches = [
             [(f"N{(t + i) % 13}", f"S{i % 5}", f"{(t * i) % 17} PINE LN") for i in range(6)]
@@ -265,6 +340,7 @@ class TestValueRowStore:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        assert all(size <= 8 for size in held(encoder))
 
 
 class TestAttributeDistances:

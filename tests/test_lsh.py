@@ -6,6 +6,7 @@ import pytest
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import (
+    GATHER_KEY_ROWS,
     BlockingGroup,
     CompositeHash,
     HammingLSH,
@@ -17,6 +18,13 @@ def random_matrix(seed, n_rows, n_bits, density=0.3):
     mask = rng.random((n_rows, n_bits)) < density
     rows, bits = np.nonzero(mask)
     return scatter_bits(n_rows, n_bits, rows, bits)
+
+
+class _PositionsOnly:
+    """A composite that is nothing but its sampled positions."""
+
+    def __init__(self, positions):
+        self.positions = positions
 
 
 class TestCompositeHash:
@@ -68,8 +76,36 @@ class TestOnePassKeys:
         matrix = random_matrix(5, 23, 120)
         lsh = HammingLSH(120, 30, n_tables=4, seed=1)
         whole = lsh._keys(matrix).copy()
+        monkeypatch.setattr("repro.hamming.lsh.GATHER_KEY_ROWS", 0)  # the per-byte loop
         monkeypatch.setattr("repro.hamming.lsh._KEY_BLOCK_CELLS", 12)  # 3 rows a pass
         assert np.array_equal(lsh._keys(matrix), whole)
+
+    @pytest.mark.parametrize("k", [8, 30, 64])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_gather_equals_the_per_byte_loop(self, monkeypatch, k, traced):
+        """Both sides of the crossover, also for composites that only carry
+        ``positions`` (the benchmark suite's tracing stand-in)."""
+        lsh = HammingLSH(270, k, n_tables=5, seed=k)
+        if traced:
+            for group in lsh.groups:
+                group.composite = _PositionsOnly(group.composite.positions)
+        for n_rows in (1, GATHER_KEY_ROWS, GATHER_KEY_ROWS + 1):
+            matrix = random_matrix(n_rows, n_rows, 270, density=0.5)
+            keys = lsh._keys(matrix).copy()
+            monkeypatch.setattr("repro.hamming.lsh.GATHER_KEY_ROWS", 0)
+            assert np.array_equal(lsh._keys(matrix), keys)
+            monkeypatch.undo()
+            assert keys.dtype == np.uint64 and keys.shape == (5, n_rows)
+            assert keys.flags.c_contiguous
+            for group, group_keys in zip(lsh.groups, keys):
+                positions = CompositeHash(tuple(group.composite.positions))
+                assert int(group_keys[-1]) == positions.key_for(matrix.row(n_rows - 1))
+
+    def test_wide_keys_keep_the_packed_layout_on_both_sides(self):
+        lsh = HammingLSH(120, 70, n_tables=2, seed=3)
+        for n_rows in (1, GATHER_KEY_ROWS + 1):
+            keys = lsh._keys(random_matrix(n_rows, n_rows, 120))
+            assert keys.dtype.kind == "V" and keys.shape == (2, n_rows)
 
     def test_key_table_follows_reassigned_groups(self):
         """``from_state``, snapshot load and shard merge all assign ``lsh.groups``."""

@@ -282,6 +282,16 @@ class TestLogHistogram:
             reported = hist.percentile(1.0)
             assert value <= reported <= value * width
 
+    def test_a_value_on_an_edge_reports_that_edge(self):
+        """Edges do not drift: exactly 10 ms is reported as 10 ms, not as the
+        next edge up (13.3 ms when edges were products of many steps)."""
+        hist = LogHistogram.latency()
+        hist.record(0.010)
+        assert hist.percentile(0.5) <= 0.010
+        per = hist.buckets_per_decade
+        decades = [edge for i, edge in enumerate(hist.bounds, 1) if i % per == 0]
+        assert decades == [10.0**e for e in range(-5, 4)] and hist.bounds[-1] == hist.hi
+
     def test_percentiles_are_monotonic(self):
         rng = np.random.default_rng(3)
         hist = LogHistogram.latency()

@@ -1,5 +1,7 @@
 """Tests for repro.core.qgram — Algorithm 1 and q-gram vectors."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,23 @@ class TestAlgorithm1:
 #: through the byte buffer.
 MIXED = Alphabet("ABC_\u00e9")
 MIXED_COLUMN = st.lists(st.text(alphabet=MIXED.chars, max_size=5), max_size=8)
+
+
+class TestIndexSet:
+    @given(st.text(alphabet=MIXED.chars + "1", max_size=6), st.sampled_from([1, 2, 3]),
+           st.booleans())
+    @example("1", 2, False)  # shorter than q: no q-gram, so no character is looked up
+    @settings(max_examples=200, deadline=None)
+    def test_equals_qgram_index_over_qgrams(self, value, q, padded):
+        """The one-pass ``qgram_index_set`` against Algorithm 1 gram by gram,
+        errors included."""
+        try:
+            expected = {qgram_index(gram, MIXED) for gram in qgrams(value, q, padded, "_")}
+        except AlphabetError as error:
+            with pytest.raises(AlphabetError, match=re.escape(str(error))):
+                qgram_index_set(value, q, MIXED, padded, "_")
+        else:
+            assert qgram_index_set(value, q, MIXED, padded, "_") == expected
 
 
 class TestBatchTokeniser:
