@@ -14,7 +14,6 @@ work within one pytest session.
 from __future__ import annotations
 
 import os
-import random
 import time
 from functools import lru_cache
 
@@ -71,41 +70,6 @@ SMEB_THRESHOLDS = {
 
 def scaled(n: int) -> int:
     return max(50, int(n * SCALE))
-
-
-def poisson_arrivals(rate_qps: float, n: int, seed: int) -> list[float]:
-    """Arrival offsets (seconds from t=0) of a seeded Poisson process.
-
-    The open-loop load shape for the async serving benchmark: ``n``
-    strictly increasing offsets whose inter-arrival gaps are i.i.d.
-    exponential with mean ``1 / rate_qps``.  Deterministic for a fixed
-    ``(rate_qps, n, seed)`` so benchmark runs are reproducible.
-    """
-    if rate_qps <= 0:
-        raise ValueError(f"rate_qps must be > 0, got {rate_qps}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rng = random.Random(seed)
-    offsets: list[float] = []
-    clock = 0.0
-    for __ in range(n):
-        clock += rng.expovariate(rate_qps)
-        offsets.append(clock)
-    return offsets
-
-
-def query_stream(rows: list, n: int, seed: int) -> list:
-    """A deterministic with-replacement sample of ``n`` query rows.
-
-    The request mix both load generators (closed-loop and open-loop)
-    replay: sampling with replacement models repeated lookups of hot
-    records, and the fixed seed keeps the stream — and therefore the
-    per-request parity baseline — identical across runs.
-    """
-    if not rows:
-        raise ValueError("rows must be non-empty")
-    rng = random.Random(seed)
-    return [rows[rng.randrange(len(rows))] for __ in range(n)]
 
 
 @lru_cache(maxsize=None)

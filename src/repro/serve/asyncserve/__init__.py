@@ -1,8 +1,9 @@
 """Async serving front-end with adaptive micro-batching.
 
 The batched kernels behind :class:`repro.serve.QueryEngine` are ~two
-orders of magnitude faster per query at batch 1024 than at batch 1
-(``BENCH_serving.json``), but real clients send one query at a time.
+orders of magnitude faster per query at batch 1024 than at batch 1 (the
+benchmark suite's ``q1024_qps`` against ``q1_p50_ms``), but real
+clients send one query at a time.
 This package closes that gap: an :mod:`asyncio` front-end coalesces
 concurrent single-query requests into dynamic micro-batches, executes
 them off-loop against the existing engines, and splits the grouped

@@ -15,9 +15,11 @@ routes:
 
 Backpressure maps onto HTTP verbatim: a full admission queue is ``503``
 with a ``Retry-After`` header (seconds, from the batcher's drain
-estimate), an expired deadline is ``504``.  Anything the batching layer
-guarantees — coalescing, parity with direct ``query_batch`` calls —
-holds here too, since this layer only translates bytes.
+estimate), an expired deadline is ``504``, and a client that has not
+sent its whole request within ``_READ_TIMEOUT_S`` is ``408``.  Anything
+the batching layer guarantees — coalescing, parity with direct
+``query_batch`` calls — holds here too, since this layer only
+translates bytes.
 
 The in-process API (:meth:`AsyncQueryServer.query`) is the primary
 surface; tests and embedders use it without sockets and only the
@@ -37,6 +39,7 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -46,6 +49,10 @@ _REASONS = {
 #: safety bound, not a tuning knob).
 _MAX_HEAD_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1 * 1024 * 1024
+#: Seconds a client gets to send its whole request, head and body
+#: together; a client that stalls is answered ``408`` and its connection
+#: closed (a safety bound, not a tuning knob).
+_READ_TIMEOUT_S = 10.0
 
 #: One parsed route answer: status, extra headers, JSON payload.
 _Response = tuple[int, list[tuple[str, str]], dict[str, Any]]
@@ -154,8 +161,15 @@ class HttpFrontend:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
-                status, headers, payload = await self._route(method, path, body)
+                try:
+                    method, path, body = await asyncio.wait_for(
+                        self._read_request(reader), _READ_TIMEOUT_S
+                    )
+                except asyncio.TimeoutError:
+                    status, headers = 408, []
+                    payload = {"error": "request not received in time"}
+                else:
+                    status, headers, payload = await self._route(method, path, body)
             except _BadRequestError as exc:
                 status, headers, payload = 400, [], {"error": str(exc)}
             except QueueFullError as exc:
@@ -192,16 +206,19 @@ class HttpFrontend:
         if len(parts) != 3:
             raise _BadRequestError(f"malformed request line: {lines[0]!r}")
         method, path, _version = parts
-        content_length = 0
+        lengths: set[int] = set()
         for line in lines[1:]:
             name, _sep, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError as exc:
-                    raise _BadRequestError("bad Content-Length") from exc
-        if content_length < 0:
-            raise _BadRequestError("bad Content-Length")
+                value = value.strip()
+                # RFC 9110 section 8.6: 1*DIGIT, not the "+10", "1_0" or
+                # non-ASCII digits that ``int()`` also takes.
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequestError("bad Content-Length")
+                lengths.add(int(value))
+        if len(lengths) > 1:
+            raise _BadRequestError("conflicting Content-Length headers")
+        content_length = lengths.pop() if lengths else 0
         if content_length > _MAX_BODY_BYTES:
             raise _BadRequestError("request body too large")
         body: dict[str, Any] = {}

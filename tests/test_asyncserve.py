@@ -15,7 +15,7 @@ Four layers:
   complete on the bundle they were dispatched against, later requests
   see the new bundle, and nothing is dropped or version-mixed.
 * **HTTP layer** — the stdlib front-end round-trips queries, surfaces
-  health/stats, and maps client errors to 400/404.
+  health/stats, maps client errors to 400/404 and a stalled client to 408.
 * **Isolation** — one malformed request fails alone: the well-formed
   requests coalesced with it get their answers.
 """
@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+import repro.serve.asyncserve.http as http_frontend
 from repro.core.encoder import RecordEncoder
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
@@ -331,6 +332,7 @@ class TestAsyncQueryServerParity:
             rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED
         )
         direct = engine.query_batch(rows_b).matches()
+        direct_batches = engine.stats["n_batches"]
 
         async def scenario():
             async with AsyncQueryServer(
@@ -340,6 +342,8 @@ class TestAsyncQueryServerParity:
 
         served = asyncio.run(scenario())
         assert served == direct
+        # Coalescing on the real engine: fewer engine calls than requests.
+        assert engine.stats["n_batches"] - direct_batches < len(rows_b)
 
     def test_mixed_parameters_answered_per_request(self, rows_a, rows_b, encoder):
         engine = QueryEngine.build(
@@ -474,13 +478,16 @@ class TestZeroDowntimeSwap:
 class TestHttpFrontend:
     @staticmethod
     async def _request(host, port, method, path, payload=None, content_length=None):
+        """``content_length``: one header value, or a tuple of values sent
+        as that many ``Content-Length`` headers (default: the body's length)."""
         body = b"" if payload is None else json.dumps(payload).encode()
         if content_length is None:
             content_length = len(body)
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {content_length}\r\n\r\n"
-        )
+        if not isinstance(content_length, tuple):
+            content_length = (content_length,)
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n" + "".join(
+            f"Content-Length: {value}\r\n" for value in content_length
+        ) + "\r\n"
         return await TestHttpFrontend._exchange(host, port, head.encode() + body)
 
     @staticmethod
@@ -651,24 +658,33 @@ class TestHttpFrontend:
             {"row": row, "top_k": 0},  # the engine's own ValueError
             {"row": row + ["EXTRA"]},  # the encoder's
         ]
+        # Content-Length values that ``int()`` takes but RFC 9110 does not
+        # ("+10", "1_0"), written for the body's true length so that only the
+        # header's form is wrong, and two headers that disagree (the true
+        # length last, so "the last one wins" would read the body whole).
+        n = len(json.dumps({"row": row}))
+        lengths = [-1, f"+{n}", "_".join(str(n)), (n + 1, n)]
 
         async def scenario():
             frontend = await serve_http(AsyncQueryServer(engine, BatcherConfig(max_batch=8)))
             post = (frontend.host, frontend.port, "POST", "/query")
             try:
                 answers = [await self._request(*post, body) for body in bodies]
-                answers.append(
-                    await self._request(*post, {"row": row}, content_length=-1)
-                )
+                for length in lengths:
+                    answers.append(
+                        await self._request(*post, {"row": row}, content_length=length)
+                    )
                 good = await self._request(*post, {"row": row, "threshold": 0, "top_k": 1})
+                same_twice = await self._request(*post, {"row": row}, content_length=(n, n))
             finally:
                 await frontend.stop()
-            return answers, good
+            return answers, good, same_twice
 
-        answers, good = asyncio.run(scenario())
-        assert [status for status, __, __ in answers] == [400] * (len(bodies) + 1)
+        answers, good, same_twice = asyncio.run(scenario())
+        assert [status for status, __, __ in answers] == [400] * (len(bodies) + len(lengths))
         assert all(payload["error"] for __, __, payload in answers)
         assert good[0] == 200
+        assert same_twice[0] == 200  # a repeated identical value is one length
 
     def test_non_alphabet_row_is_400(self, rows_a, encoder):
         """A one-row batch (embedded value by value) with a character outside
@@ -717,6 +733,49 @@ class TestHttpFrontend:
         (status, __, payload), good = self._raw_query(engine, b'{"row": ["A"', 100, row)
         assert status == 400
         assert payload["error"] == "truncated request body"
+        assert good[0] == 200  # the server keeps serving
+
+    def test_stalled_client_is_408_and_closed(self, rows_a, encoder, monkeypatch):
+        """A client that stops sending mid-head or mid-body, without closing,
+        is answered 408 within the read bound and its connection closed."""
+        monkeypatch.setattr(http_frontend, "_READ_TIMEOUT_S", 0.2)
+        engine = QueryEngine.build(rows_a, encoder, threshold=THRESHOLD, k=K, seed=SEED)
+        row = list(rows_a[0])
+        stalls = [
+            b"GET /healthz HTTP/1.1\r\n",
+            b'POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"row": ',
+        ]
+
+        async def stalled(host, port, request):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(request)  # and no EOF: the client just stops
+            await writer.drain()
+            try:
+                raw = await asyncio.wait_for(reader.read(), 3.0)  # read() ends at close
+            finally:
+                writer.close()
+            head_part, __, body_part = raw.partition(b"\r\n\r\n")
+            return int(head_part.split(b" ", 2)[1]), json.loads(body_part)
+
+        async def scenario():
+            frontend = await serve_http(AsyncQueryServer(engine, BatcherConfig(max_batch=8)))
+            try:
+                answers = [
+                    await stalled(frontend.host, frontend.port, request)
+                    for request in stalls
+                ]
+                n_handled = frontend.n_handled
+                good = await self._request(
+                    frontend.host, frontend.port, "POST", "/query", {"row": row}
+                )
+            finally:
+                await frontend.stop()
+            return answers, n_handled, good
+
+        answers, n_handled, good = asyncio.run(scenario())
+        assert [status for status, __ in answers] == [408, 408]
+        assert all(payload["error"] for __, payload in answers)
+        assert n_handled == len(stalls)
         assert good[0] == 200  # the server keeps serving
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, embed_values
@@ -169,7 +169,8 @@ def _both_paths(encoder: RecordEncoder, rows: list) -> list[tuple[np.ndarray, di
 
 class TestSmallBatchSelection:
     """Both embeds of ``encode_dataset``, chosen by row count alone, give
-    the same words, stats and errors."""
+    the same words, stats and errors; a small batch never runs the batched
+    embed (the count form of "a one-row query pays per value")."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -177,6 +178,8 @@ class TestSmallBatchSelection:
         st.lists(st.lists(_ACCENTED_VALUE, min_size=3, max_size=3), min_size=1,
                  max_size=SMALL_BATCH_ROWS + 1),
     )
+    @example("wide", [["JONES", "SMITH", "12 MAIN ST"]] * SMALL_BATCH_ROWS)
+    @example("wide", [["JONES", "SMITH", "12 MAIN ST"]] * (SMALL_BATCH_ROWS + 1))
     def test_every_size_equals_per_record_and_batched_words(self, which, rows):
         encoder = WIDE_ENCODER if which == "wide" else ACCENTED_ENCODER
         if which == "wide":  # no É in TEXT_ALPHABET: keep to its values
@@ -190,7 +193,9 @@ class TestSmallBatchSelection:
         by_value = embed_values(encoder.encoders, offsets, rows, encoder.total_bits, memos)
         assert np.array_equal(batched.words, expected)
         assert np.array_equal(by_value.words, expected)
-        assert np.array_equal(encoder.encode_dataset(rows).words, expected)
+        with mock.patch("repro.core.encoder.embed_columns", wraps=embed_columns) as spy:
+            assert np.array_equal(encoder.encode_dataset(rows).words, expected)
+        assert spy.call_count == (0 if len(rows) <= SMALL_BATCH_ROWS else 1)
         (small, small_stats), (large, large_stats) = _both_paths(encoder, rows)
         assert np.array_equal(small, expected) and np.array_equal(large, expected)
         n_unique = sum(len(set(column)) for column in columns)

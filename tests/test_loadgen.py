@@ -1,8 +1,8 @@
-"""Load-generator utilities behind the async serving benchmark.
+"""The benchmark suite's load shape: Poisson arrivals and the query stream.
 
-``benchmarks/common.py`` is not an installed package; the benchmark
-scripts import it with ``benchmarks/`` as the working directory, so the
-tests put that directory on the path the same way.
+``benchmarks/suite/`` is not an installed package; ``run.py`` imports its
+modules with that directory on the path, so the tests put it there the
+same way.
 """
 
 import sys
@@ -10,59 +10,44 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "suite"))
 
-from common import poisson_arrivals, query_stream  # noqa: E402
+from harness import query_stream  # noqa: E402
+from loadgen import poisson_schedule  # noqa: E402
 
 
 class TestPoissonArrivals:
     def test_deterministic_for_fixed_seed(self):
-        assert poisson_arrivals(100.0, 50, seed=7) == poisson_arrivals(
-            100.0, 50, seed=7
-        )
+        assert poisson_schedule(100.0, 0.5, seed=7) == poisson_schedule(100.0, 0.5, seed=7)
 
     def test_seed_changes_the_process(self):
-        assert poisson_arrivals(100.0, 50, seed=7) != poisson_arrivals(
-            100.0, 50, seed=8
-        )
+        assert poisson_schedule(100.0, 0.5, seed=7) != poisson_schedule(100.0, 0.5, seed=8)
 
     def test_offsets_strictly_increasing_and_positive(self):
-        offsets = poisson_arrivals(250.0, 200, seed=3)
-        assert len(offsets) == 200
+        offsets = poisson_schedule(250.0, 0.8, seed=3)
+        assert len(offsets) > 100
         assert offsets[0] > 0.0
         assert all(b > a for a, b in zip(offsets, offsets[1:]))
+        assert offsets[-1] < 0.8
 
     def test_mean_gap_matches_rate(self):
         rate = 1000.0
-        offsets = poisson_arrivals(rate, 5000, seed=11)
-        mean_gap = offsets[-1] / len(offsets)
-        assert mean_gap == pytest.approx(1.0 / rate, rel=0.1)
-
-    def test_empty_and_validation(self):
-        assert poisson_arrivals(10.0, 0, seed=1) == []
-        with pytest.raises(ValueError):
-            poisson_arrivals(0.0, 5, seed=1)
-        with pytest.raises(ValueError):
-            poisson_arrivals(10.0, -1, seed=1)
+        offsets = poisson_schedule(rate, 5.0, seed=11)
+        assert len(offsets) == pytest.approx(rate * 5.0, rel=0.1)
+        assert offsets[-1] / len(offsets) == pytest.approx(1.0 / rate, rel=0.1)
 
 
 class TestQueryStream:
-    ROWS = [("A",), ("B",), ("C",), ("D",)]
+    N_ROWS = 4
 
     def test_deterministic_for_fixed_seed(self):
-        assert query_stream(self.ROWS, 40, seed=5) == query_stream(
-            self.ROWS, 40, seed=5
-        )
+        assert query_stream(self.N_ROWS, 40, seed=5) == query_stream(self.N_ROWS, 40, seed=5)
 
     def test_samples_only_from_rows(self):
-        stream = query_stream(self.ROWS, 100, seed=5)
+        stream = query_stream(self.N_ROWS, 100, seed=5)
         assert len(stream) == 100
-        assert set(stream) <= set(self.ROWS)
+        assert set(stream) <= set(range(self.N_ROWS))
 
     def test_with_replacement_covers_rows(self):
-        stream = query_stream(self.ROWS, 200, seed=9)
-        assert set(stream) == set(self.ROWS)
-
-    def test_rejects_empty_rows(self):
-        with pytest.raises(ValueError):
-            query_stream([], 10, seed=1)
+        stream = query_stream(self.N_ROWS, 200, seed=9)
+        assert set(stream) == set(range(self.N_ROWS))

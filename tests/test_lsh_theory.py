@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.bitvector import BitVector
+from repro.hamming.lsh import HammingLSH
 from repro.hamming.theory import (
     base_success_probability,
     composite_collision_probability,
@@ -113,3 +117,45 @@ class TestRecallBound:
     def test_invalid_tables(self):
         with pytest.raises(ValueError):
             recall_lower_bound(0.5, 0)
+
+
+class TestEquation2Recall:
+    """Eq. 2's guarantee, measured: a pair at distance exactly theta is found
+    by ``HammingLSH.match`` in at least ``1 - delta`` of independent draws."""
+
+    #: Independent index seeds per configuration.
+    N_SEEDS = 1000
+    #: Two-sided normal quantile of a 99.9% binomial interval.
+    Z = 3.29
+
+    @pytest.mark.parametrize(
+        "n_bits, k, threshold, n_tables",
+        [(120, 30, 4, 6), (267, 30, 8, 5), (500, 20, 16, 4)],
+    )
+    def test_pair_at_threshold_found_at_eq2_rate(self, n_bits, k, threshold, n_tables):
+        """Over ``N_SEEDS`` seeds (``L`` from Eq. 2, delta = 0.1) the hit rate
+        is at least ``1 - delta`` and lies in the 99.9% binomial interval
+        around the exact ``1 - (1 - (1 - theta/m)^K)^L`` of positions drawn
+        with replacement.  Drawing them without replacement would lower the
+        rate: at ``(120, 30, 4)`` to 0.893, outside the interval (and under
+        0.9).  The seeds are fixed, so the test is deterministic."""
+        rng = np.random.default_rng(n_bits)
+        a = rng.integers(0, 2, n_bits)
+        b = a.copy()
+        flipped = rng.choice(n_bits, threshold, replace=False)
+        b[flipped] ^= 1
+        matrix_a = BitMatrix.from_vectors([BitVector.from_bits(a)])
+        matrix_b = BitMatrix.from_vectors([BitVector.from_bits(b)])
+        hits = 0
+        for seed in range(self.N_SEEDS):
+            lsh = HammingLSH(n_bits, k, threshold=threshold, delta=0.1, seed=seed)
+            assert lsh.n_tables == n_tables
+            lsh.index(matrix_a)
+            rows_a, __, distances = lsh.match(matrix_a, matrix_b)
+            assert distances.tolist() in ([], [threshold])
+            hits += rows_a.size
+        rate = hits / self.N_SEEDS
+        exact = 1.0 - (1.0 - (1.0 - threshold / n_bits) ** k) ** n_tables
+        half_width = self.Z * math.sqrt(exact * (1.0 - exact) / self.N_SEEDS)
+        assert rate >= 1.0 - 0.1
+        assert abs(rate - exact) <= half_width, (rate, exact, half_width)

@@ -24,6 +24,7 @@ from repro.core.qgram import (
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.lsh import HammingLSH
 from repro.perf import LogHistogram
 from repro.pipeline.runner import LinkagePipeline
 
@@ -122,6 +123,32 @@ class TestLinkageInvariance:
         encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
         self._assert_identical(StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b),
                                reference)
+
+    def test_link_runs_each_layer_once(self, problem, monkeypatch):
+        """The runner adds no work: one ``link()`` embeds each side once,
+        indexes A once and runs the match kernel once (the count form of the
+        suite's ``pipeline.overhead_s``).  The streaming link's index layer
+        is its one batch ``insert_rows``."""
+        a, b = problem.dataset_a, problem.dataset_b
+        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
+        calls: dict[str, int] = {}
+        for cls, name in (
+            (RecordEncoder, "encode_dataset"),
+            (HammingLSH, "index"),
+            (HammingLSH, "insert_rows"),
+            (HammingLSH, "match"),
+        ):
+            def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        CompactHammingLinker.record_level(threshold=4, k=30, seed=7).link(a, b)
+        assert calls == {"encode_dataset": 2, "index": 1, "match": 1}
+        calls.clear()
+        StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b)
+        assert calls == {"encode_dataset": 2, "insert_rows": 1, "match": 1}
 
     def test_counters_populated(self, problem):
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
