@@ -11,16 +11,21 @@ declared package layering, the pipeline's stage dataflow and seed
 propagation -- span modules, the flow-sensitive invariants of the
 kernel/serving layers -- handles closed on every path, arrays staying
 ``uint64``, ctx writes dominating their reads -- span *paths*, and the
-durable path's fsync ordering spans *calls*, so the framework runs in
-four phases:
+durable path's fsync ordering spans *calls*, so one cold pass runs
+four rule families over shared per-file work:
 
-* :mod:`repro.analysis.engine` walks each module's ``ast`` tree once and
-  dispatches nodes to per-rule visitors (phase 1, RL001-RL006), then
-  assembles per-module summaries into a whole-program model checked by
-  project rules (phase 2, RL101, RL102, RL104, RL105 and RL203), lowers
-  each function to a control-flow graph for the flow-sensitive rules
-  (phase 3, RL201, RL202 and RL204), and walks the call graph for the
-  interprocedural rules (phase 4, RL301-RL303 and RL305).
+* :mod:`repro.analysis.engine` reads, parses and tokenises each module
+  once into a :class:`~repro.analysis.context.FileContext`, walks its
+  tree once for the per-file rules (RL001-RL006) and, at every function,
+  the flow-sensitive rules (RL201, RL202 and RL204) over the function's
+  control-flow graph; the same context then yields the module's
+  summary.  The summaries form a whole-program model checked by the
+  project rules (RL101, RL102, RL104, RL105 and RL203) and a call graph
+  walked by the interprocedural rules (RL301-RL303 and RL305).
+* :mod:`repro.analysis.context` holds the per-file state: suppressions,
+  parent links, and each function's CFG and held-binding analysis,
+  built at most once and shared by the flow rules, the ctx facts
+  behind RL203 and the procedure summaries behind RL301-RL305.
 * :mod:`repro.analysis.cfg` builds the per-function CFGs (exception
   edges, ``finally`` duplication) and :mod:`repro.analysis.dataflow`
   runs generic forward/backward fixpoints over them.
@@ -34,9 +39,6 @@ four phases:
 * :mod:`repro.analysis.config` loads ``[tool.reprolint]`` from
   ``pyproject.toml`` (rule selection, per-rule scoping and severities,
   the ``architecture`` contract table).
-* :mod:`repro.analysis.cache` keeps the content-hash incremental cache
-  (``.reprolint_cache.json``); :mod:`repro.analysis.baseline` lets new
-  rules land without blocking on accepted debt.
 
 Run it as ``repro lint src/`` or ``python -m repro.analysis src/``.
 Suppress a finding in place with ``# reprolint: disable=RL003`` (comma

@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from fnmatch import fnmatch
 from pathlib import Path
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.cache import LintCache, config_fingerprint, default_cache_path
 from repro.analysis.config import load_config
 from repro.analysis.engine import all_rule_ids, lint_paths
 from repro.analysis.report import render_json, render_sarif, render_text
@@ -28,9 +26,8 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
             prog="repro lint",
             description=(
                 "reprolint: repo-specific static analysis "
-                "(per-file RL001-RL006, whole-program RL101 RL102 RL104 "
-                "RL105 RL203, flow-sensitive RL201 RL202 RL204, "
-                "interprocedural RL301-RL303 RL305)"
+                "(per-file, whole-program, flow-sensitive and "
+                "interprocedural rules)"
             ),
         )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
@@ -65,34 +62,6 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
         "[tool.reprolint]",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (.reprolint_cache.json)",
-    )
-    parser.add_argument(
-        "--cache-path",
-        metavar="FILE",
-        default=None,
-        help="cache file location (default: beside pyproject.toml)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="drop findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record current findings as the accepted baseline and exit 0",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/parse statistics and phase timings to stderr",
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         default=None,
@@ -122,7 +91,7 @@ def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed arguments.
 
     Exit status: 0 clean or warnings only, 1 error findings, 2 usage
-    error (unknown rule id, missing path, unreadable baseline) -- a typo
+    error (unknown rule id, missing path, unwritable output) -- a typo
     in ``--select`` must not silently pass CI.
     """
     select, ignore = _split_ids(args.select), _split_ids(args.ignore)
@@ -147,48 +116,12 @@ def run_lint(args: argparse.Namespace) -> int:
             f"repro lint: path(s) not found: {', '.join(missing)}\n"
         )
         return 2
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            sys.stderr.write(f"repro lint: cannot read baseline: {exc}\n")
-            return 2
     config = load_config().with_overrides(
         select=select,
         ignore=ignore,
         warn_unused_suppressions=args.warn_unused_suppressions,
     )
-    cache = None
-    if not args.no_cache:
-        cache_path = (
-            Path(args.cache_path)
-            if args.cache_path is not None
-            else default_cache_path()
-        )
-        fingerprint = config_fingerprint(config, sorted(known))
-        cache = LintCache.load(cache_path, fingerprint)
-    stats: dict[str, int] = {}
-    findings = lint_paths(args.paths, config, cache=cache, stats=stats)
-    if args.stats:
-        sys.stderr.write(
-            "reprolint: {files} file(s), {parsed} parsed, "
-            "{cache_hits} cache hit(s), {project_runs} project pass(es)\n"
-            "reprolint: interprocedural {inter_module_runs} module(s) "
-            "checked, {inter_cache_hits} replayed from cache\n"
-            "reprolint: file phase {file_phase_ms} ms, "
-            "project phase {project_phase_ms} ms, "
-            "inter phase {inter_phase_ms} ms\n".format(**stats)
-        )
-    if args.write_baseline is not None:
-        count = write_baseline(findings, Path(args.write_baseline))
-        sys.stderr.write(
-            f"repro lint: wrote baseline with {count} finding(s) to "
-            f"{args.write_baseline}\n"
-        )
-        return 0
-    if baseline is not None:
-        findings = apply_baseline(findings, baseline)
+    findings = lint_paths(args.paths, config)
     if args.format == "json":
         output = render_json(findings)
     elif args.format == "sarif":

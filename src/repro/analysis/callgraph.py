@@ -16,12 +16,6 @@ receiver class's base chain; plain names follow module bindings with
 one re-export hop (``from repro.serve import QueryEngine``
 reaches ``repro.serve.engine``).  Constructor calls resolve to
 classes, not functions, and are deliberately left edge-less.
-
-The graph also derives the *module dependency closure* the incremental
-cache keys on: module A depends on module B when some call in A
-resolves into B, or A imports B.  Editing B then re-lints exactly the
-modules whose closure contains B — its transitive callers — not the
-whole tree.
 """
 
 from __future__ import annotations
@@ -51,8 +45,6 @@ class CallGraph:
     edges: dict[str, frozenset[str]] = field(default_factory=dict)
     #: callee node id -> caller node ids.
     reverse: dict[str, set[str]] = field(default_factory=dict)
-    #: module name -> modules it depends on (calls, imports).
-    module_edges: dict[str, set[str]] = field(default_factory=dict)
     _resolve_cache: dict[tuple[str, str, str], str | None] = field(
         default_factory=dict, repr=False
     )
@@ -61,7 +53,6 @@ class CallGraph:
     def build(cls, model: ProjectModel) -> "CallGraph":
         graph = cls(model=model)
         for name, summary in model.modules.items():
-            graph.module_edges.setdefault(name, set())
             for info in summary.functions.values():
                 node_id = f"{name}:{info.qualname}"
                 graph.nodes[node_id] = FuncNode(node_id, name, info.qualname, info)
@@ -80,14 +71,8 @@ class CallGraph:
                 if target is not None and target != node_id:
                     targets.add(target)
             graph.edges[node_id] = frozenset(targets)
-            deps = graph.module_edges[fnode.module]
             for target in targets:
                 graph.reverse.setdefault(target, set()).add(node_id)
-                deps.add(graph.nodes[target].module)
-        # Import edges: name resolution consults the imported module's
-        # bindings, so an edit there can change this module's findings.
-        for source, target, _record in model.resolved_edges(("module", "runtime")):
-            graph.module_edges[source].add(target)
         return graph
 
     def module_nodes(self, module_name: str) -> list[FuncNode]:
@@ -182,30 +167,3 @@ class CallGraph:
                             return found
             # Longer prefixes can shadow: keep trying shorter ones.
         return None
-
-    # -- dependency closure --------------------------------------------
-
-    def module_closure(self) -> dict[str, frozenset[str]]:
-        """Per module: every module its lint results may depend on.
-
-        Reflexive-transitive closure of :attr:`module_edges`; the
-        incremental cache keys a module's interprocedural findings on
-        the summary digests of exactly this set.
-        """
-        closure: dict[str, set[str]] = {
-            name: {name} | self.module_edges.get(name, set())
-            for name in self.model.modules
-        }
-        changed = True
-        while changed:
-            changed = False
-            for deps in closure.values():
-                additions: set[str] = set()
-                for dep in tuple(deps):
-                    extra = closure.get(dep)
-                    if extra is not None and not extra <= deps:
-                        additions |= extra
-                if additions - deps:
-                    deps |= additions
-                    changed = True
-        return {name: frozenset(deps) for name, deps in closure.items()}

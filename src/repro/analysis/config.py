@@ -58,11 +58,12 @@ from typing import Protocol
 
 
 class ScopedRule(Protocol):
-    """What path scoping needs from a rule (per-file or whole-program)."""
+    """What path scoping and grading need from a rule of any family."""
 
     rule_id: str
     default_include: tuple[str, ...]
     default_exclude: tuple[str, ...]
+    default_severity: str
 
 
 def _matches(path: str, patterns: Iterable[str]) -> bool:

@@ -1,67 +1,48 @@
-"""Core of the reprolint framework: rules, findings, and the three phases.
+"""Core of the reprolint framework: rules, findings, and one lint pass.
 
 Per-file rules (:class:`Rule`) declare the AST node types they want to
 see (``interests``) and implement :meth:`Rule.check_node`.  The
-:class:`LintEngine` parses each file once, builds a shared
-:class:`FileContext` (source lines, parent links, per-line
-suppressions), then walks the tree a single time, fanning each node out
-to every rule interested in its type.  This keeps a lint run O(nodes)
-regardless of how many rules are registered.
+:class:`LintEngine` parses each file once, builds one shared
+:class:`~repro.analysis.context.FileContext` (source lines, parent
+links, per-line suppressions, memoised per-function CFGs), then walks
+the tree a single time, fanning each node out to every rule interested
+in its type.  This keeps a lint run O(nodes) regardless of how many
+rules are registered.
 
-Whole-program rules (:class:`ProjectRule`, RL101+) run in a second
-phase: while each file is parsed, a
-:class:`~repro.analysis.project.ModuleSummary` is extracted, the
-summaries are assembled into a
+Flow-sensitive rules (:class:`FlowRule`, RL201+) ride the same walk:
+each function node met is handed, with its control-flow graph
+(:mod:`repro.analysis.cfg`), to every flow rule, which typically runs a
+fixpoint analysis (:mod:`repro.analysis.dataflow`) over it.
+
+Whole-program rules (:class:`ProjectRule`, RL101+) run once every file
+is read: from the same context, each file yields a
+:class:`~repro.analysis.project.ModuleSummary` (reusing the CFGs the
+flow rules built), the summaries are assembled into a
 :class:`~repro.analysis.project.ProjectModel`, and each project rule
 checks the model as a whole.
 
-Flow-sensitive rules (:class:`FlowRule`, RL201+) are the third phase:
-for every function in a file the engine lowers the body to a control-
-flow graph (:mod:`repro.analysis.cfg`) and hands graph + function +
-context to each flow rule, which typically runs a fixpoint analysis
-(:mod:`repro.analysis.dataflow`) over it.  Flow findings are produced
-during the per-file pass, so they are cached per file exactly like
-phase-1 findings and a warm run re-parses nothing.
-
-Interprocedural rules (:class:`InterRule`, RL301+) are the fourth
-phase: the engine assembles the summaries into a
+Interprocedural rules (:class:`InterRule`, RL301+) come last: the
+engine assembles the summaries into a
 :class:`~repro.analysis.callgraph.CallGraph`, wraps it with the
 protocol table's effect closures in an :class:`InterContext`, and
-checks each module against it.  Findings anchor in the module being
-checked, so they cache *per module*, keyed by the summary digests of
-the module's call-graph dependency closure — editing a callee
-re-lints exactly its transitive callers.  All four phases flow through
-the same severity, scoping, suppression and caching machinery, so a
-cross-module or path-sensitive finding behaves exactly like a
-per-file one.
-
-Suppressions are comment-driven: a physical line containing
-``# reprolint: disable=RL001`` (ids comma separated) silences those
-rules for findings anchored to that line.  Comments are discovered with
-:mod:`tokenize`, so the marker is never matched inside a string literal.
+checks each module against it.  Every family flows through the same
+severity, scoping and suppression handling, so a cross-module or
+path-sensitive finding behaves exactly like a per-file one.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import io
-import json
-import re
-import time
-import tokenize
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.analysis.cache import LintCache, content_hash
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.config import LintConfig
+from repro.analysis.cfg import CFG
+from repro.analysis.config import LintConfig, ScopedRule
+from repro.analysis.context import FileContext
 from repro.analysis.project import ModuleSummary, ProjectModel, extract_module, module_name_for
 from repro.analysis.summaries import EffectIndex
-
-_SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9,\s]+)")
 
 #: Rule id of unused-suppression findings.  Synthesised by the engine
 #: itself (no rule class): detection needs the used-suppression record
@@ -93,74 +74,6 @@ def finding_sort_key(finding: Finding) -> tuple[str, int, int, str, str]:
         finding.rule_id,
         finding.message,
     )
-
-
-@dataclass
-class FileContext:
-    """Per-file state shared by every rule during one walk.
-
-    ``parents`` maps each AST node to its syntactic parent, letting rules
-    ask questions like "is this ``def`` nested inside another function?"
-    without each rule re-walking the tree.
-    """
-
-    path: str
-    source: str
-    tree: ast.Module
-    lines: Sequence[str]
-    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, path: str, source: str, tree: ast.Module) -> "FileContext":
-        ctx = cls(path=path, source=source, tree=tree, lines=source.splitlines())
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                ctx.parents[child] = parent
-        ctx.suppressions = _collect_suppressions(source)
-        return ctx
-
-    def parent_chain(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Yield ancestors of ``node``, innermost first."""
-        current = self.parents.get(node)
-        while current is not None:
-            yield current
-            current = self.parents.get(current)
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        disabled = self.suppressions.get(finding.line)
-        return disabled is not None and finding.rule_id in disabled
-
-
-def _collect_suppressions(source: str) -> dict[int, frozenset[str]]:
-    """Map physical line number -> rule ids disabled on that line."""
-    suppressions: dict[int, frozenset[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(token.string)
-            if match is None:
-                continue
-            ids = frozenset(
-                part.strip() for part in match.group(1).split(",") if part.strip()
-            )
-            line = token.start[0]
-            suppressions[line] = suppressions.get(line, frozenset()) | ids
-    except tokenize.TokenError:
-        # A tokenize failure (unterminated string, etc.) surfaces later as
-        # a parse error; suppression info is best-effort by then.
-        pass
-    return suppressions
-
-
-def _group_used(used: set[tuple[int, str]]) -> dict[str, list[str]]:
-    """Group silenced (line, rule id) pairs into summary layout."""
-    grouped: dict[str, list[str]] = {}
-    for line, rule_id in sorted(used):
-        grouped.setdefault(str(line), []).append(rule_id)
-    return grouped
 
 
 class Rule:
@@ -256,17 +169,14 @@ class ProjectRule:
 class FlowRule:
     """Base class for flow-sensitive per-function rules (RL201+).
 
-    For each (non-lambda) function in a file the engine builds one
-    :class:`~repro.analysis.cfg.CFG` and calls :meth:`check_function`
-    with the graph, the function's AST node and the shared
-    :class:`FileContext`.  Rules usually run one or more
-    :mod:`repro.analysis.dataflow` fixpoints over the graph and emit
-    findings in a separate pass afterwards (transfer functions re-run
-    until convergence, so they must never emit directly).
-
-    Flow rules execute inside the per-file phase: their findings land in
-    the same per-file cache entry as phase-1 findings, so warm-cache
-    runs skip them along with everything else.
+    For each (non-lambda) function in a file the engine calls
+    :meth:`check_function` with the function's
+    :class:`~repro.analysis.cfg.CFG` (built once, shared through
+    ``ctx.cfg``), its AST node and the shared :class:`FileContext`.
+    Rules usually run one or more :mod:`repro.analysis.dataflow`
+    fixpoints over the graph and emit findings in a separate pass
+    afterwards (transfer functions re-run until convergence, so they
+    must never emit directly).
     """
 
     rule_id: str = ""
@@ -312,8 +222,7 @@ class FlowRule:
 class InterContext:
     """Shared state for one interprocedural phase run.
 
-    ``effects`` is lazy: a run where every module hits the cache never
-    computes a closure.
+    ``effects`` computes each closure on first use.
     """
 
     model: ProjectModel
@@ -328,10 +237,7 @@ class InterRule:
     Inter rules are checked *per module*: :meth:`check_module` receives
     one :class:`ModuleSummary` plus the :class:`InterContext` holding
     the whole-program call graph and effect closures.  Every finding
-    must anchor in the checked module — that contract is what lets the
-    engine cache inter findings per module, keyed on the module's
-    dependency closure, and re-lint only the transitive callers of an
-    edited callee.
+    must anchor in the checked module.
     """
 
     rule_id: str = ""
@@ -376,8 +282,12 @@ def all_rule_ids() -> set[str]:
     )
 
 
+#: (path, line, rule id) of every finding a suppression comment silenced.
+_Used = set[tuple[str, int, str]]
+
+
 class LintEngine:
-    """Run per-file and whole-program rules over Python source files."""
+    """Run every rule family over Python source files."""
 
     def __init__(self, config: LintConfig) -> None:
         self.config = config
@@ -401,175 +311,111 @@ class LintEngine:
             for rule_id, rule_cls in sorted(InterRule.registered().items())
             if config.rule_enabled(rule_id)
         ]
-        self._dispatch: dict[type[ast.AST], list[Rule]] = {}
-        for rule in self.rules:
-            for node_type in rule.interests:
-                self._dispatch.setdefault(node_type, []).append(rule)
 
     def lint_source(self, path: str, source: str) -> list[Finding]:
-        """Lint one in-memory module; ``path`` is used for reporting/config."""
-        findings, _ = self.lint_source_with_summary(path, source)
-        return findings
+        """Per-file and flow rules over one in-memory module; ``path`` is
+        used for reporting/config."""
+        parsed = parse_file(path, source)
+        if isinstance(parsed, Finding):
+            return [parsed]
+        return self.check_file(parsed, set())
 
-    def lint_source_with_summary(
-        self, path: str, source: str
-    ) -> tuple[list[Finding], ModuleSummary | None]:
-        """Per-file phase for one module: findings plus its model summary."""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            line = exc.lineno or 1
-            col = (exc.offset or 1)
-            return (
-                [Finding(path, line, col, "RL000", f"syntax error: {exc.msg}")],
-                None,
-            )
-        used: set[tuple[int, str]] = set()
-        findings = self._check_tree(path, source, tree, used)
-        summary = extract_module(
-            module_name_for(Path(path)),
-            path,
-            tree,
-            protocols=self.config.protocols,
-        )
-        summary.suppressions = {
-            str(line): sorted(ids)
-            for line, ids in _collect_suppressions(source).items()
-        }
-        summary.used_suppressions = _group_used(used)
-        return findings, summary
-
-    def _check_tree(
+    def _admit(
         self,
-        path: str,
-        source: str,
-        tree: ast.Module,
-        used: set[tuple[int, str]] | None = None,
-    ) -> list[Finding]:
-        active = [
-            rule for rule in self.rules if self.config.rule_applies(rule, path)
-        ]
-        flow_active = [
-            rule
-            for rule in self.flow_rules
-            if self.config.rule_applies(rule, path)
-        ]
-        if not active and not flow_active:
-            return []
-        ctx = FileContext.build(path, source, tree)
-        dispatch: dict[type[ast.AST], list[Rule]] = {}
-        for rule in active:
-            for node_type in rule.interests:
-                dispatch.setdefault(node_type, []).append(rule)
-        findings: list[Finding] = []
-        for node in ast.walk(tree):
-            for rule in dispatch.get(type(node), ()):
-                severity = self.config.severity_for(
-                    rule.rule_id, rule.default_severity
-                )
-                for finding in rule.check_node(node, ctx):
-                    if ctx.is_suppressed(finding):
-                        if used is not None:
-                            used.add((finding.line, finding.rule_id))
-                    else:
-                        if finding.severity != severity:
-                            finding = replace(finding, severity=severity)
-                        findings.append(finding)
-        if flow_active:
-            findings.extend(self._check_flow(tree, ctx, flow_active, used))
-        return sorted(findings, key=finding_sort_key)
+        rule: ScopedRule,
+        found: Iterable[Finding],
+        suppressions: Mapping[str, Mapping[int, frozenset[str]]],
+        used: _Used,
+        out: list[Finding],
+    ) -> None:
+        """Scope, suppress and re-grade one rule's findings into ``out``."""
+        severity = self.config.severity_for(rule.rule_id, rule.default_severity)
+        for finding in found:
+            if not self.config.rule_applies(rule, finding.path):
+                continue
+            disabled = suppressions.get(finding.path, {}).get(finding.line, ())
+            if finding.rule_id in disabled:
+                used.add((finding.path, finding.line, finding.rule_id))
+            elif finding.severity != severity:
+                out.append(replace(finding, severity=severity))
+            else:
+                out.append(finding)
 
-    def _check_flow(
-        self,
-        tree: ast.Module,
-        ctx: FileContext,
-        rules: Sequence[FlowRule],
-        used: set[tuple[int, str]] | None = None,
-    ) -> list[Finding]:
-        """Phase 3: one CFG per function, every flow rule over each.
+    def check_file(self, ctx: FileContext, used: _Used) -> list[Finding]:
+        """Per-file and flow rules over one walk of a module's tree.
 
         ``ast.walk`` yields nested functions as separate nodes and the
         CFG builder treats nested ``def`` bodies as opaque, so each
         function — however deeply nested — is analyzed exactly once.
         """
+        path = ctx.path
+        flow_rules = [
+            rule for rule in self.flow_rules if self.config.rule_applies(rule, path)
+        ]
+        dispatch: dict[type[ast.AST], list[Rule]] = {}
+        for rule in self.rules:
+            if self.config.rule_applies(rule, path):
+                for node_type in rule.interests:
+                    dispatch.setdefault(node_type, []).append(rule)
+        suppressions = {path: ctx.suppressions}
         findings: list[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            graph = build_cfg(node)
-            for rule in rules:
-                severity = self.config.severity_for(
-                    rule.rule_id, rule.default_severity
+        for node in ast.walk(ctx.tree):
+            for rule in dispatch.get(type(node), ()):
+                self._admit(
+                    rule, rule.check_node(node, ctx), suppressions, used, findings
                 )
-                for finding in rule.check_function(graph, node, ctx):
-                    if ctx.is_suppressed(finding):
-                        if used is not None:
-                            used.add((finding.line, finding.rule_id))
-                    else:
-                        if finding.severity != severity:
-                            finding = replace(finding, severity=severity)
-                        findings.append(finding)
-        return findings
-
-    def lint_file(self, path: Path) -> list[Finding]:
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(str(path), source)
-
-    def run_project_rules(
-        self,
-        model: ProjectModel,
-        used_out: dict[str, set[tuple[int, str]]] | None = None,
-    ) -> list[Finding]:
-        """Phase 2: every enabled whole-program rule over the model.
-
-        ``used_out``, when given, collects (line, rule id) pairs a
-        suppression comment silenced, per finding path.
-        """
-        by_path: dict[str, ModuleSummary] = {
-            summary.path: summary for summary in model.modules.values()
-        }
-        findings: list[Finding] = []
-        for rule in self.project_rules:
-            severity = self.config.severity_for(
-                rule.rule_id, rule.default_severity
-            )
-            for finding in rule.check_project(model, self.config):
-                if not self.config.rule_applies(rule, finding.path):
-                    continue
-                summary = by_path.get(finding.path)
-                if summary is not None and summary.is_suppressed(
-                    finding.line, finding.rule_id
-                ):
-                    if used_out is not None:
-                        used_out.setdefault(finding.path, set()).add(
-                            (finding.line, finding.rule_id)
-                        )
-                    continue
-                if finding.severity != severity:
-                    finding = replace(finding, severity=severity)
-                findings.append(finding)
+            if flow_rules and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                graph = ctx.cfg(node)
+                for flow_rule in flow_rules:
+                    self._admit(
+                        flow_rule,
+                        flow_rule.check_function(graph, node, ctx),
+                        suppressions,
+                        used,
+                        findings,
+                    )
         return sorted(findings, key=finding_sort_key)
 
-    def run_inter_rules(
-        self, module: ModuleSummary, ctx: InterContext
-    ) -> tuple[list[Finding], set[tuple[int, str]]]:
-        """Phase 4 for one module: findings plus silenced (line, id) pairs."""
+    def check_model(
+        self,
+        model: ProjectModel,
+        suppressions: Mapping[str, Mapping[int, frozenset[str]]],
+        used: _Used,
+    ) -> list[Finding]:
+        """Whole-program rules over the model, then interprocedural rules
+        over each module against the call graph."""
         findings: list[Finding] = []
-        used: set[tuple[int, str]] = set()
-        for rule in self.inter_rules:
-            severity = self.config.severity_for(
-                rule.rule_id, rule.default_severity
+        for rule in self.project_rules:
+            self._admit(
+                rule, rule.check_project(model, self.config), suppressions, used, findings
             )
-            for finding in rule.check_module(module, ctx):
-                if not self.config.rule_applies(rule, finding.path):
-                    continue
-                if module.is_suppressed(finding.line, finding.rule_id):
-                    used.add((finding.line, finding.rule_id))
-                    continue
-                if finding.severity != severity:
-                    finding = replace(finding, severity=severity)
-                findings.append(finding)
-        return sorted(findings, key=finding_sort_key), used
+        if self.inter_rules:
+            graph = CallGraph.build(model)
+            ictx = InterContext(
+                model=model,
+                graph=graph,
+                effects=EffectIndex(model, graph, self.config.protocols.events),
+                config=self.config,
+            )
+            for name in sorted(model.modules):
+                for inter_rule in self.inter_rules:
+                    self._admit(
+                        inter_rule,
+                        inter_rule.check_module(model.modules[name], ictx),
+                        suppressions,
+                        used,
+                        findings,
+                    )
+        return findings
+
+
+def parse_file(path: str, source: str) -> FileContext | Finding:
+    """The file's shared context, or its RL000 syntax-error finding."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return Finding(path, exc.lineno or 1, exc.offset or 1, "RL000", f"syntax error: {exc.msg}")
+    return FileContext.build(path, source, tree)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -588,225 +434,75 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def _project_cache_key(
-    fingerprint: str, summaries: Sequence[ModuleSummary]
-) -> str:
-    """Cache key of the whole-program phase: config + every summary.
-
-    Hashing the *summaries* rather than the file contents means edits
-    that cannot affect cross-module rules (comments, docstrings, body
-    tweaks that leave imports/classes/dataflow unchanged) keep the key
-    stable and skip phase 2.
-    """
-    blob = json.dumps(
-        [s.to_dict() for s in sorted(summaries, key=lambda s: s.path)],
-        sort_keys=True,
-    )
-    return hashlib.sha256((fingerprint + blob).encode("utf-8")).hexdigest()
-
-
-def _summary_digest(summary: ModuleSummary) -> str:
-    """Content hash of one module summary (for inter-phase cache keys)."""
-    blob = json.dumps(summary.to_dict(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def lint_paths(
-    paths: Iterable[str | Path],
-    config: LintConfig | None = None,
-    *,
-    cache: LintCache | None = None,
-    stats: dict[str, int] | None = None,
+    paths: Iterable[str | Path], config: LintConfig | None = None
 ) -> list[Finding]:
-    """Lint files/directories and return deduplicated, sorted findings.
+    """Lint files/directories in one pass and return sorted findings.
 
-    Findings are sorted by (path, line, col, rule id, message) and exact
-    duplicates (e.g. from overlapping input paths) are dropped, so output
-    is deterministic regardless of argument order.
-
-    ``cache`` enables the incremental cache (hits skip parsing and, when
-    no summary changed, the whole-program phase; interprocedural
-    findings replay per module unless a dependency-closure summary
-    changed).  ``stats``, when given, is filled with ``files`` /
-    ``parsed`` / ``cache_hits`` / ``project_runs`` /
-    ``inter_module_runs`` / ``inter_cache_hits`` counters plus
-    ``file_phase_ms`` / ``project_phase_ms`` / ``inter_phase_ms``
-    wall-clock timings — the cache tests assert on the counters, never
-    the timings.
+    Each file is read, parsed and tokenised once; its context serves the
+    per-file and flow rules and then its module summary.  Findings are
+    sorted by (path, line, col, rule id, message) and exact duplicates
+    (e.g. from overlapping input paths) are dropped, so output is
+    deterministic regardless of argument order.
     """
     if config is None:
         from repro.analysis.config import load_config
 
         config = load_config()
     engine = LintEngine(config)
-    counters = {
-        "files": 0,
-        "parsed": 0,
-        "cache_hits": 0,
-        "project_runs": 0,
-        "inter_module_runs": 0,
-        "inter_cache_hits": 0,
-        "file_phase_ms": 0,
-        "project_phase_ms": 0,
-        "inter_phase_ms": 0,
-    }
+    whole_program = bool(engine.project_rules or engine.inter_rules)
     findings: list[Finding] = []
     summaries: list[ModuleSummary] = []
-    file_phase_start = time.monotonic()
+    suppressions: dict[str, Mapping[int, frozenset[str]]] = {}
+    used: _Used = set()
     for path in iter_python_files(paths):
         if config.path_excluded(str(path)):
             continue
-        counters["files"] += 1
-        raw = path.read_bytes()
-        file_hash = content_hash(raw)
-        cache_id = str(path.resolve())
-        entry = cache.lookup(cache_id, file_hash) if cache is not None else None
-        if entry is not None:
-            counters["cache_hits"] += 1
-            findings.extend(entry.findings)
-            if entry.summary is not None:
-                summaries.append(entry.summary)
+        ctx = parse_file(str(path), path.read_bytes().decode("utf-8"))
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
             continue
-        counters["parsed"] += 1
-        source = raw.decode("utf-8")
-        file_findings, summary = engine.lint_source_with_summary(
-            str(path), source
-        )
-        findings.extend(file_findings)
-        if summary is not None:
-            summaries.append(summary)
-        if cache is not None:
-            cache.store(cache_id, file_hash, file_findings, summary)
-    counters["file_phase_ms"] = int(
-        (time.monotonic() - file_phase_start) * 1000
-    )
-    model: ProjectModel | None = None
-    project_used: dict[str, set[tuple[int, str]]] = {}
-    if engine.project_rules:
-        project_phase_start = time.monotonic()
-        project_findings: list[Finding] | None = None
-        project_key = ""
-        if cache is not None:
-            project_key = _project_cache_key(cache.fingerprint, summaries)
-            cached_project = cache.project_lookup(project_key)
-            if cached_project is not None:
-                project_findings, cached_used = cached_project
-                for path_key, pairs in cached_used.items():
-                    project_used.setdefault(path_key, set()).update(pairs)
-        if project_findings is None:
-            counters["project_runs"] += 1
-            model = ProjectModel.from_summaries(summaries)
-            project_findings = engine.run_project_rules(model, project_used)
-            if cache is not None:
-                cache.store_project(
-                    project_key,
-                    project_findings,
-                    {
-                        path_key: sorted(pairs)
-                        for path_key, pairs in project_used.items()
-                    },
+        suppressions[ctx.path] = ctx.suppressions
+        findings.extend(engine.check_file(ctx, used))
+        if whole_program:
+            summaries.append(
+                extract_module(
+                    module_name_for(path),
+                    ctx.path,
+                    ctx.tree,
+                    protocols=config.protocols,
+                    ctx=ctx,
                 )
-        findings.extend(project_findings)
-        counters["project_phase_ms"] = int(
-            (time.monotonic() - project_phase_start) * 1000
-        )
-    inter_used: dict[str, set[tuple[int, str]]] = {}
-    if engine.inter_rules:
-        inter_phase_start = time.monotonic()
-        if model is None:
-            model = ProjectModel.from_summaries(summaries)
-        graph = CallGraph.build(model)
-        effects = EffectIndex(model, graph, config.protocols.events)
-        ictx = InterContext(
-            model=model, graph=graph, effects=effects, config=config
-        )
-        closures = graph.module_closure()
-        digests = {
-            name: _summary_digest(summary)
-            for name, summary in model.modules.items()
-        }
-        for name in sorted(model.modules):
-            summary = model.modules[name]
-            key = ""
-            if cache is not None:
-                dep_blob = "|".join(
-                    f"{dep}={digests[dep]}"
-                    for dep in sorted(closures.get(name, frozenset((name,))))
-                    if dep in digests
-                )
-                key = hashlib.sha256(
-                    f"{cache.fingerprint}|{name}|{dep_blob}".encode("utf-8")
-                ).hexdigest()
-                entry = cache.inter_lookup(name, key)
-                if entry is not None:
-                    counters["inter_cache_hits"] += 1
-                    findings.extend(entry.findings)
-                    inter_used.setdefault(summary.path, set()).update(
-                        entry.used
-                    )
-                    continue
-            counters["inter_module_runs"] += 1
-            module_findings, module_used = engine.run_inter_rules(
-                summary, ictx
             )
-            findings.extend(module_findings)
-            inter_used.setdefault(summary.path, set()).update(module_used)
-            if cache is not None:
-                cache.store_inter(name, key, module_findings, sorted(module_used))
-        if cache is not None:
-            cache.prune_inter(set(model.modules))
-        counters["inter_phase_ms"] = int(
-            (time.monotonic() - inter_phase_start) * 1000
-        )
-    if config.warn_unused_suppressions and config.rule_enabled(
-        UNUSED_SUPPRESSION_ID
-    ):
-        findings.extend(
-            _unused_suppression_findings(
-                config, summaries, project_used, inter_used
-            )
-        )
-    if cache is not None:
-        cache.save()
-    if stats is not None:
-        stats.update(counters)
+    if whole_program:
+        model = ProjectModel.from_summaries(summaries)
+        findings.extend(engine.check_model(model, suppressions, used))
+    if config.warn_unused_suppressions and config.rule_enabled(UNUSED_SUPPRESSION_ID):
+        findings.extend(_unused_suppression_findings(config, suppressions, used))
     return sorted(set(findings), key=finding_sort_key)
 
 
 def _unused_suppression_findings(
     config: LintConfig,
-    summaries: Sequence[ModuleSummary],
-    project_used: dict[str, set[tuple[int, str]]],
-    inter_used: dict[str, set[tuple[int, str]]],
+    suppressions: Mapping[str, Mapping[int, frozenset[str]]],
+    used: _Used,
 ) -> list[Finding]:
     """Synthesise RL007 findings for suppressions nothing needed.
 
-    A suppression is *used* when some phase produced a finding it
-    silenced.  Per-file/flow usage travels inside the cached module
-    summary; project and inter usage arrive from their own cache
-    sections, so detection stays accurate on fully warm runs.
-    Suppressions of rules the run disabled (``--select``/``--ignore``)
-    are skipped rather than flagged: the rule never had a chance to
-    fire.
+    A suppression is *used* when some rule produced a finding it
+    silenced.  Suppressions of rules the run disabled
+    (``--select``/``--ignore``) are skipped rather than flagged: the
+    rule never had a chance to fire.
     """
     known = all_rule_ids()
     severity = config.severity_for(UNUSED_SUPPRESSION_ID, "warn")
     findings: list[Finding] = []
-    for summary in summaries:
-        used: set[tuple[int, str]] = set()
-        for line_str, ids in summary.used_suppressions.items():
-            for rule_id in ids:
-                used.add((int(line_str), rule_id))
-        used |= project_used.get(summary.path, set())
-        used |= inter_used.get(summary.path, set())
-        for line_str, ids in summary.suppressions.items():
-            line = int(line_str)
-            if summary.is_suppressed(line, UNUSED_SUPPRESSION_ID):
+    for path, lines in suppressions.items():
+        for line, ids in lines.items():
+            if UNUSED_SUPPRESSION_ID in ids:
                 continue
             for rule_id in sorted(ids):
-                if rule_id == UNUSED_SUPPRESSION_ID:
-                    continue
-                if (line, rule_id) in used:
+                if (path, line, rule_id) in used:
                     continue
                 if rule_id in known:
                     if not config.rule_enabled(rule_id):
@@ -818,13 +514,6 @@ def _unused_suppression_findings(
                 else:
                     message = f"suppression names unknown rule {rule_id}"
                 findings.append(
-                    Finding(
-                        summary.path,
-                        line,
-                        1,
-                        UNUSED_SUPPRESSION_ID,
-                        message,
-                        severity=severity,
-                    )
+                    Finding(path, line, 1, UNUSED_SUPPRESSION_ID, message, severity=severity)
                 )
     return findings

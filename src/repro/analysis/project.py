@@ -12,9 +12,7 @@ The model is deliberately *summary-shaped* rather than AST-shaped: one
 module-level / runtime / typing-only), name bindings, class symbol
 tables with base classes and ``kind`` declarations, per-function
 ``PipelineContext`` attribute reads/writes, call sites, RNG-constructor
-seed sources, and stage list literals.  Summaries are plain JSON-serialisable data so the
-incremental cache (:mod:`repro.analysis.cache`) can persist them and a
-warm run never re-parses unchanged files.
+seed sources, and stage list literals.
 
 Everything here is best-effort static analysis: dynamic constructs the
 extractor cannot see (computed imports, ``setattr``) simply do not
@@ -30,19 +28,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.cfg import CFGNode, build_cfg, evaluated
+from repro.analysis.cfg import CFG, CFGNode, evaluated
 from repro.analysis.config import ProtocolConfig
+from repro.analysis.context import FileContext
 from repro.analysis.dataflow import DataflowAnalysis, solve
 from repro.analysis.rngpatterns import RNG_CONSTRUCTORS, seed_argument
 from repro.analysis.summaries import augment_function
 
-#: Bump when the ModuleSummary shape changes; invalidates cached summaries.
-#: 2: added FunctionInfo.ctx_maybe_unset (flow-sensitive ctx facts, RL203).
-#: 3: phase-4 procedure summaries (call_sites, must_calls, call_orders,
-#:    receivers, leaks, returns facts) and used_suppressions.
-#: 4: dropped parallel_calls and FunctionInfo.global_decls / mutations /
-#:    rng_calls (their only readers, RL103 and RL304, are gone).
-SUMMARY_VERSION = 4
 
 def dotted_name(node: ast.expr) -> str | None:
     """Resolve ``a.b.c`` attribute chains to a dotted string, else None.
@@ -185,114 +177,6 @@ class ModuleSummary:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     rng_constructions: list[RngConstruction] = field(default_factory=list)
     stage_lists: list[StageList] = field(default_factory=list)
-    #: ``# reprolint: disable=`` markers: line number (as str, for JSON
-    #: round-tripping) -> disabled rule ids.  Attached by the engine so
-    #: project rules honour suppressions without re-reading sources.
-    suppressions: dict[str, list[str]] = field(default_factory=dict)
-    #: Suppressions that absorbed a per-file finding: line (as str) ->
-    #: rule ids actually silenced there.  Attached by the engine;
-    #: feeds unused-suppression detection (RL007).
-    used_suppressions: dict[str, list[str]] = field(default_factory=dict)
-
-    def is_suppressed(self, line: int, rule_id: str) -> bool:
-        return rule_id in self.suppressions.get(str(line), ())
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable form (see :data:`SUMMARY_VERSION`)."""
-        from dataclasses import asdict
-
-        payload = asdict(self)
-        payload["version"] = SUMMARY_VERSION
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleSummary | None":
-        """Rebuild from :meth:`to_dict` output; None on a stale version."""
-        if data.get("version") != SUMMARY_VERSION:
-            return None
-
-        def fn(entry: Mapping[str, Any]) -> FunctionInfo:
-            return FunctionInfo(
-                qualname=entry["qualname"],
-                lineno=entry["lineno"],
-                col=entry["col"],
-                params=list(entry["params"]),
-                ctx_param=entry["ctx_param"],
-                ctx_reads=dict(entry["ctx_reads"]),
-                ctx_writes=dict(entry["ctx_writes"]),
-                ctx_maybe_unset=dict(entry["ctx_maybe_unset"]),
-                ctx_calls=list(entry["ctx_calls"]),
-                call_sites=[list(site) for site in entry["call_sites"]],
-                must_calls=list(entry["must_calls"]),
-                returns_normally=entry["returns_normally"],
-                call_orders=[
-                    [
-                        order[0],
-                        order[1],
-                        order[2],
-                        list(order[3]),
-                        list(order[4]) if order[4] is not None else None,
-                    ]
-                    for order in entry["call_orders"]
-                ],
-                receivers=[
-                    [
-                        trace[0],
-                        [list(creation) for creation in trace[1]],
-                        [
-                            [call[0], call[1], call[2], list(call[3])]
-                            for call in trace[2]
-                        ],
-                    ]
-                    for trace in entry["receivers"]
-                ],
-                leaks=[list(leak) for leak in entry["leaks"]],
-                returns_acquirer=entry["returns_acquirer"],
-                returns_calls=list(entry["returns_calls"]),
-                returns_line=entry["returns_line"],
-            )
-
-        return cls(
-            name=data["name"],
-            path=data["path"],
-            is_package=data["is_package"],
-            imports=[ImportRecord(**record) for record in data["imports"]],
-            bindings=dict(data["bindings"]),
-            functions={key: fn(value) for key, value in data["functions"].items()},
-            classes={
-                key: ClassInfo(
-                    name=value["name"],
-                    lineno=value["lineno"],
-                    bases=list(value["bases"]),
-                    kind_literal=value["kind_literal"],
-                    fields=list(value["fields"]),
-                    properties=list(value["properties"]),
-                    methods={
-                        mname: fn(mval) for mname, mval in value["methods"].items()
-                    },
-                )
-                for key, value in data["classes"].items()
-            },
-            rng_constructions=[
-                RngConstruction(**entry) for entry in data["rng_constructions"]
-            ],
-            stage_lists=[
-                StageList(
-                    lineno=entry["lineno"],
-                    col=entry["col"],
-                    scope=entry["scope"],
-                    elements=[list(element) for element in entry["elements"]],
-                )
-                for entry in data["stage_lists"]
-            ],
-            suppressions={
-                key: list(value) for key, value in data["suppressions"].items()
-            },
-            used_suppressions={
-                key: list(value)
-                for key, value in data["used_suppressions"].items()
-            },
-        )
 
 
 def module_name_for(path: Path) -> str:
@@ -757,12 +641,11 @@ def _transitive_ctx_writes(summary: ModuleSummary) -> dict[str, frozenset[str]]:
 
 
 def _compute_ctx_maybe_unset(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    graph: CFG,
     ctx_name: str,
     helper_writes: Mapping[str, frozenset[str]],
 ) -> dict[str, int]:
     """Attr -> first line of a ctx read not preceded by a write on every path."""
-    graph = build_cfg(node)
     states = solve(graph, _CtxMustWritten(ctx_name, helper_writes))
     analysis = _CtxMustWritten(ctx_name, helper_writes)
     result: dict[str, int] = {}
@@ -795,19 +678,23 @@ def extract_module(
     tree: ast.Module,
     *,
     protocols: ProtocolConfig | None = None,
+    ctx: FileContext | None = None,
 ) -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed module.
 
     After the single-pass walk, a flow-sensitive post-pass computes
     :attr:`FunctionInfo.ctx_maybe_unset` for every ctx-taking function:
-    a CFG per function, a must-written fixpoint over it, and a scan of
-    the reachable reads against the per-statement states.  A second
+    a must-written fixpoint over the function's CFG and a scan of the
+    reachable reads against the per-statement states.  A second
     post-pass (:func:`repro.analysis.summaries.augment_function`) adds
     the phase-4 procedure summaries; its protocol-scoped fields
     (``call_orders``, ``receivers``) are only recorded for modules an
-    ordering/typestate contract covers, which is cache-safe because the
-    config fingerprint covers the protocol table.
+    ordering/typestate contract covers.  Both read each function's CFG
+    from ``ctx``, the file's :class:`FileContext` the rules also used
+    (a fresh one when none is given).
     """
+    if ctx is None:
+        ctx = FileContext.build(path, "", tree)
     is_package = Path(path).name == "__init__.py"
     extractor = _Extractor(name, path, is_package)
     summary = extractor.run(tree)
@@ -815,7 +702,7 @@ def extract_module(
     for info, def_node in extractor.ctx_functions:
         assert info.ctx_param is not None
         info.ctx_maybe_unset = _compute_ctx_maybe_unset(
-            def_node, info.ctx_param, helper_writes
+            ctx.cfg(def_node), info.ctx_param, helper_writes
         )
     record_orders = protocols is not None and protocols.order_scoped(name)
     record_receivers = protocols is not None and protocols.typestate_scoped(name)
@@ -823,6 +710,7 @@ def extract_module(
         augment_function(
             info,
             def_node,
+            ctx,
             record_orders=record_orders,
             record_receivers=record_receivers,
         )

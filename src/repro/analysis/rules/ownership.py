@@ -11,13 +11,14 @@ it immediately.
 The returns-handle set is an interprocedural closure: a function is in
 it when some return value is an acquirer call, or the traced binding
 of one, or a call to another returns-handle function.  On the caller
-side, phase-1 extraction runs an RL201-style may-analysis over bound
-call results (``with``/``.close()`` release, rebind/``del`` kill, any
-escaping use transfers ownership) and records what survives to an
-exit.  This rule joins the two: a surviving binding, or a bare
-expression-statement call, whose callee is in the closure is a leak.
-Direct acquirer bindings are excluded from the summaries — those stay
-RL201's, with its richer per-path anchor.
+side, extraction reads the helper-call facts of the held-binding
+analysis RL201 also reads (:func:`repro.analysis.summaries.held_bindings`:
+``with``/``.close()`` release, rebind/``del`` kill, any escaping use
+transfers ownership) and records what survives to an exit.  This rule
+joins the two: a surviving binding, or a bare expression-statement
+call, whose callee is in the closure is a leak.  Direct acquirer
+bindings are excluded from the summaries — those stay RL201's, with its
+richer per-path anchor.
 """
 
 from __future__ import annotations

@@ -8,123 +8,30 @@ a ``try/finally`` close is the idiom; a handle that escapes (returned,
 passed to another callable, stored on an object) transfers ownership
 and is the caller's problem.
 
-The analysis is a forward may-analysis over the function CFG: the state
-is the set of ``(name, line, col)`` handles acquired by a plain
-``name = open(...)``-style assignment and not yet closed or escaped.
-``.close()`` (called or passed as a callback) kills; rebinding, ``del``,
-``with name:`` and any other use of the bare name that hands it to
-other code kill conservatively — RL201 only flags handles the function
-*provably* keeps to itself and then drops.  Exception edges carry the
-kill-but-not-gen state, so ``f = open(p)`` raising mid-statement never
-leaks a phantom handle, while a raise *after* the assignment does leak
-the real one unless a ``finally`` closes it.
+The analysis is the forward may-analysis of
+:func:`repro.analysis.summaries.held_bindings`, solved once per function
+and shared with RL305; this rule reads its acquirer facts: handles
+acquired by a plain ``name = open(...)``-style assignment and not yet
+closed or escaped.  ``.close()`` (called or passed as a callback) kills;
+rebinding, ``del``, ``with name:`` and any other use of the bare name
+that hands it to other code kill conservatively — RL201 only flags
+handles the function *provably* keeps to itself and then drops.
+Exception edges carry the kill-but-not-gen state, so ``f = open(p)``
+raising mid-statement never leaks a phantom handle, while a raise
+*after* the assignment does leak the real one unless a ``finally``
+closes it.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from repro.analysis.cfg import CFG, CFGNode, evaluated
-from repro.analysis.dataflow import DataflowAnalysis, solve
+from repro.analysis.cfg import CFG
 from repro.analysis.engine import FileContext, Finding, FlowRule
-from repro.analysis.rules.common import dotted_name
-from repro.analysis.summaries import is_acquirer_name
-
-#: One tracked handle: (variable name, acquisition line, acquisition col).
-_Handle = tuple[str, int, int]
-_State = frozenset[_Handle]
-
-
-def _is_acquirer(call: ast.Call) -> bool:
-    # The acquirer table lives in repro.analysis.summaries so RL305's
-    # returns-handle closure and this rule can never disagree.
-    name = dotted_name(call.func)
-    return name is not None and is_acquirer_name(name)
-
-
-def _acquired_name(stmt: ast.AST | None) -> str | None:
-    """Variable bound by ``name = <acquirer>(...)``, else None."""
-    if (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and isinstance(stmt.value, ast.Call)
-        and _is_acquirer(stmt.value)
-    ):
-        return stmt.targets[0].id
-    return None
-
-
-class _OpenHandles(DataflowAnalysis[_State]):
-    """Forward may-analysis of handles acquired but not yet released."""
-
-    def __init__(self, ctx: FileContext) -> None:
-        self.ctx = ctx
-
-    def boundary(self) -> _State:
-        return frozenset()
-
-    def join(self, states: Sequence[_State]) -> _State:
-        result = states[0]
-        for state in states[1:]:
-            result |= state
-        return result
-
-    def transfer(self, node: CFGNode, state: _State) -> _State:
-        return self._apply(node, state, with_gen=True)
-
-    def transfer_exception(self, node: CFGNode, state: _State) -> _State:
-        # A raising statement completes its kills (close was attempted,
-        # escape may have happened) but never its own acquisition.
-        return self._apply(node, state, with_gen=False)
-
-    def _apply(self, node: CFGNode, state: _State, *, with_gen: bool) -> _State:
-        killed = self._killed_names(node)
-        if killed:
-            state = frozenset(h for h in state if h[0] not in killed)
-        if with_gen:
-            name = _acquired_name(node.stmt)
-            if name is not None:
-                stmt = node.stmt
-                assert stmt is not None
-                # Re-acquisition into the same name replaces the old fact.
-                state = frozenset(h for h in state if h[0] != name) | {
-                    (name, stmt.lineno, stmt.col_offset + 1)
-                }
-        return state
-
-    def _killed_names(self, node: CFGNode) -> set[str]:
-        """Names this node closes, escapes, rebinds or deletes."""
-        killed: set[str] = set()
-        stmt = node.stmt
-        acquired = _acquired_name(stmt)
-        for part in evaluated(node):
-            for sub in ast.walk(part):
-                if not isinstance(sub, ast.Name):
-                    continue
-                if isinstance(sub.ctx, (ast.Store, ast.Del)):
-                    if sub.id != acquired:
-                        killed.add(sub.id)
-                    continue
-                killed.update(self._use_kills(sub))
-        return killed
-
-    def _use_kills(self, name: ast.Name) -> set[str]:
-        """Classify one Load of a name: close/escape kill, or neutral."""
-        parent = self.ctx.parents.get(name)
-        if isinstance(parent, ast.Attribute):
-            # ``f.close()`` or ``f.close`` as a callback releases it;
-            # any other attribute/method access leaves it open.
-            return {name.id} if parent.attr == "close" else set()
-        if isinstance(parent, ast.withitem) and parent.context_expr is name:
-            return {name.id}  # ``with f:`` manages the release
-        if parent is None or isinstance(parent, ast.Expr):
-            return set()  # a bare ``f`` statement neither closes nor escapes
-        # Anything else — call argument, return/yield value, assignment
-        # value, container element, comparison — hands the handle to code
-        # we cannot see; ownership conservatively leaves this function.
-        return {name.id}
+# The acquirer table lives in repro.analysis.summaries so RL305's
+# returns-handle closure and this rule can never disagree.
+from repro.analysis.summaries import is_acquirer_call, is_acquirer_name
 
 
 class ResourceLifetime(FlowRule):
@@ -137,38 +44,29 @@ class ResourceLifetime(FlowRule):
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         ctx: FileContext,
     ) -> Iterable[Finding]:
-        analysis = _OpenHandles(ctx)
-        states = solve(graph, analysis)
-        findings: dict[_Handle, Finding] = {}
-        # Handles still open when the function returns normally.
-        for name, line, col in sorted(states.get(graph.exit, frozenset())):
-            findings[(name, line, col)] = Finding(
-                path=ctx.path,
-                line=line,
-                col=col,
-                rule_id=self.rule_id,
-                message=(
-                    f"`{name}` acquires a closeable resource that is not "
-                    "closed on every path to return; use `with` or close "
-                    "it in a `finally`"
-                ),
-            )
-        # Handles leaked only when an exception escapes the function.
-        for name, line, col in sorted(states.get(graph.raise_exit, frozenset())):
-            findings.setdefault(
-                (name, line, col),
-                Finding(
-                    path=ctx.path,
-                    line=line,
-                    col=col,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"`{name}` acquires a closeable resource that leaks "
-                        "when an exception escapes; use `with` or close it "
-                        "in a `finally`"
-                    ),
-                ),
-            )
+        held = ctx.held(node)
+        findings: dict[tuple[str, int, int], Finding] = {}
+        # Handles still open when the function returns normally, then
+        # those leaked only when an exception escapes the function.
+        for states, leak in (
+            (held.at_return, "is not closed on every path to return"),
+            (held.at_raise, "leaks when an exception escapes"),
+        ):
+            for name, callee, line, col in sorted(states):
+                if is_acquirer_name(callee):
+                    findings.setdefault(
+                        (name, line, col),
+                        Finding(
+                            path=ctx.path,
+                            line=line,
+                            col=col,
+                            rule_id=self.rule_id,
+                            message=(
+                                f"`{name}` acquires a closeable resource that "
+                                f"{leak}; use `with` or close it in a `finally`"
+                            ),
+                        ),
+                    )
         yield from findings.values()
         # Acquirer results dropped on the floor (not bound, returned or
         # passed anywhere) can never be closed.
@@ -181,7 +79,7 @@ class ResourceLifetime(FlowRule):
             if (
                 isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Call)
-                and _is_acquirer(stmt.value)
+                and is_acquirer_call(stmt.value)
             ):
                 key = (stmt.lineno, stmt.col_offset)
                 if key in seen:

@@ -19,14 +19,16 @@ This module computes both halves:
   ``receivers`` (method-call traces on locals bound from constructors,
   only in modules covered by a typestate protocol), ``leaks`` (locals
   bound from a call and never closed/escaped, the RL305 input) and the
-  ``returns_*`` facts feeding the returns-handle closure.  All fields
-  are plain JSON data so cached summaries replay them.
+  ``returns_*`` facts feeding the returns-handle closure.
+
+* :func:`held_bindings` is the one held-binding analysis per function:
+  RL201 reads its acquirer facts, ``leaks`` its helper-call facts.
 
 * :class:`EffectIndex` runs at lint time over the
   :class:`~repro.analysis.callgraph.CallGraph` and closes the
   per-function facts over calls: the may-emit / must-emit sets for each
   named event of the protocol table, and the returns-handle set for
-  RL305.  All closures are lazy — a warm cache never computes them.
+  RL305.  Each closure is computed on first use.
 
 The must-after side of ``call_orders`` deliberately ignores exception
 edges: "a directory fsync follows every publish" is a guarantee about
@@ -40,15 +42,17 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.cfg import CFG, NORMAL, CFGNode, build_cfg, evaluated
+from repro.analysis.cfg import CFG, NORMAL, CFGNode, evaluated
 from repro.analysis.dataflow import DataflowAnalysis, solve
 
 if TYPE_CHECKING:  # real imports would cycle through project.py
     from repro.analysis.callgraph import CallGraph
-    from repro.analysis.project import FunctionInfo, ModuleSummary, ProjectModel
+    from repro.analysis.context import FileContext
+    from repro.analysis.project import FunctionInfo, ProjectModel
 
 #: Callables whose result is an OS resource with a ``close()`` contract.
 #: (Shared with RL201; RL305 uses it to seed the returns-handle closure.)
@@ -288,102 +292,142 @@ def _receiver_traces(graph: CFG) -> list[list[Any]]:
     ]
 
 
-# -- ownership leaks (RL305 input) -------------------------------------
+# -- held bindings (RL201 and RL305 input) ----------------------------
 
-_Leak = tuple[str, str, int, int]  # (var, callee, line, col)
-_LeakState = frozenset[_Leak]
+#: A call result bound to a local and not yet released:
+#: ``(var, callee, line, col)``.
+Held = tuple[str, str, int, int]
+_HeldState = frozenset[Held]
+_NodeEffect = tuple[frozenset[str], frozenset[str], Held | None]
 
 
-class _BoundCalls(DataflowAnalysis[_LeakState]):
+@dataclass(frozen=True)
+class HeldBindings:
+    """What survives to each exit of one function: ``at_return`` on a
+    normal return, ``at_raise`` when an exception escapes."""
+
+    at_return: _HeldState
+    at_raise: _HeldState
+
+
+def _tracked_callee(callee: str) -> bool:
+    """Is a bound call result a held-binding fact?  Acquirer results are
+    RL201's; other callees feed RL305, except deep ``self.*`` chains, which
+    can never resolve to a model function."""
+    if is_acquirer_name(callee):
+        return True
+    return not (callee.startswith(("self.", "cls.")) and callee.count(".") >= 2)
+
+
+class _HeldBindings(DataflowAnalysis[_HeldState]):
     """Forward may-analysis of call results bound to locals and still held.
 
-    The kill semantics mirror RL201's ``_OpenHandles``: ``.close()`` and
-    ``with var:`` release, rebind/``del`` kill, and any use that hands
-    the value to other code (argument, return, container) escapes it.
-    What survives to an exit was provably held and dropped.
+    One solve serves two rules: acquirer bindings (``f = open(p)``) are
+    RL201's facts, every other tracked binding (``h = open_log(p)``) is
+    RL305's.  ``.close()`` (called or passed as a callback) and ``with
+    var:`` release, rebind/``del`` kill, and any use that hands the value
+    to other code (argument, return, container) escapes it.  What
+    survives to an exit was provably held and dropped.  A raising
+    statement completes its kills but never its own binding, so exception
+    edges carry the kill-but-not-gen state.
+
+    The two families keep their own kill scopes: a use inside a lambda
+    body releases an acquirer handle (``lambda: f.close()``) but not a
+    helper's result, and a statement binding any call result keeps its
+    target's helper fact alive, while only an acquirer binding keeps an
+    acquirer handle alive.
     """
 
     def __init__(self, parents: Mapping[ast.AST, ast.AST]) -> None:
         self.parents = parents
+        self._effects: dict[int, _NodeEffect] = {}
 
-    def boundary(self) -> _LeakState:
+    def boundary(self) -> _HeldState:
         return frozenset()
 
-    def join(self, states: Sequence[_LeakState]) -> _LeakState:
+    def join(self, states: Sequence[_HeldState]) -> _HeldState:
         result = states[0]
         for state in states[1:]:
             result |= state
         return result
 
-    def transfer(self, node: CFGNode, state: _LeakState) -> _LeakState:
+    def transfer(self, node: CFGNode, state: _HeldState) -> _HeldState:
         return self._apply(node, state, with_gen=True)
 
-    def transfer_exception(self, node: CFGNode, state: _LeakState) -> _LeakState:
+    def transfer_exception(self, node: CFGNode, state: _HeldState) -> _HeldState:
         return self._apply(node, state, with_gen=False)
 
-    def _apply(self, node: CFGNode, state: _LeakState, *, with_gen: bool) -> _LeakState:
-        killed = self._killed_names(node)
-        if killed:
-            state = frozenset(h for h in state if h[0] not in killed)
-        if with_gen:
-            created = _creation(node.stmt)
-            if created is not None and self._tracked_callee(created[1]):
-                var, callee = created
-                stmt = node.stmt
-                assert stmt is not None
-                state = frozenset(h for h in state if h[0] != var) | {
-                    (var, callee, stmt.lineno, stmt.col_offset + 1)
-                }
+    def _apply(self, node: CFGNode, state: _HeldState, *, with_gen: bool) -> _HeldState:
+        effect = self._effects.get(node.index)
+        if effect is None:
+            effect = self._effects[node.index] = self._effect(node)
+        acquirer_kills, helper_kills, gen = effect
+        if acquirer_kills or helper_kills:
+            state = frozenset(
+                h
+                for h in state
+                if h[0] not in (acquirer_kills if is_acquirer_name(h[1]) else helper_kills)
+            )
+        if with_gen and gen is not None:
+            # A new binding replaces the variable's old fact of its family.
+            acquirer = is_acquirer_name(gen[1])
+            state = frozenset(
+                h for h in state if h[0] != gen[0] or is_acquirer_name(h[1]) != acquirer
+            ) | {gen}
         return state
 
-    @staticmethod
-    def _tracked_callee(callee: str) -> bool:
-        # RL201 already owns direct acquirer bindings; deep self.* chains
-        # can never resolve to a model function, so tracking them would
-        # only bloat the summaries.
-        if is_acquirer_name(callee):
-            return False
-        if callee.startswith(("self.", "cls.")) and callee.count(".") >= 2:
-            return False
-        return True
-
-    def _killed_names(self, node: CFGNode) -> set[str]:
-        killed: set[str] = set()
+    def _effect(self, node: CFGNode) -> _NodeEffect:
+        """(names releasing acquirer facts, names releasing helper facts,
+        the fact this node binds)."""
         created = _creation(node.stmt)
-        acquired = created[0] if created is not None else None
-        for sub in _walk_evaluated(node):
-            if not isinstance(sub, ast.Name):
-                continue
-            if isinstance(sub.ctx, (ast.Store, ast.Del)):
-                if sub.id != acquired:
-                    killed.add(sub.id)
-                continue
-            parent = self.parents.get(sub)
-            if isinstance(parent, ast.Attribute):
-                if parent.attr == "close":
-                    killed.add(sub.id)
-            elif isinstance(parent, ast.withitem) and parent.context_expr is sub:
-                killed.add(sub.id)
-            elif parent is None or isinstance(parent, ast.Expr):
-                pass
-            else:
-                killed.add(sub.id)
-        return killed
+        bound = created[0] if created is not None else None
+        acquired = bound if created is not None and is_acquirer_name(created[1]) else None
+        # [0]: what the statement runs itself; [1]: inside lambda bodies.
+        stores: tuple[set[str], set[str]] = (set(), set())
+        uses: tuple[set[str], set[str]] = (set(), set())
+        stack: list[tuple[ast.AST, int]] = [(part, 0) for part in evaluated(node)]
+        while stack:
+            sub, deferred = stack.pop()
+            if isinstance(sub, ast.Name):
+                if isinstance(sub.ctx, (ast.Store, ast.Del)):
+                    stores[deferred].add(sub.id)
+                elif self._use_releases(sub):
+                    uses[deferred].add(sub.id)
+            deferred = deferred or int(isinstance(sub, ast.Lambda))
+            stack.extend((child, deferred) for child in ast.iter_child_nodes(sub))
+        gen: Held | None = None
+        if created is not None and _tracked_callee(created[1]):
+            stmt = node.stmt
+            assert stmt is not None
+            gen = (created[0], created[1], stmt.lineno, stmt.col_offset + 1)
+        return (
+            frozenset(((stores[0] | stores[1]) - {acquired}) | uses[0] | uses[1]),
+            frozenset((stores[0] - {bound}) | uses[0]),
+            gen,
+        )
+
+    def _use_releases(self, name: ast.Name) -> bool:
+        """Does one Load of a name close or escape what it holds?"""
+        parent = self.parents.get(name)
+        if isinstance(parent, ast.Attribute):
+            # ``f.close()`` or ``f.close`` as a callback releases it; any
+            # other attribute/method access leaves it open.
+            return parent.attr == "close"
+        # ``with f:`` manages the release, and a bare ``f`` statement
+        # neither closes nor escapes.  Anything else — call argument,
+        # return/yield value, assignment value, container element,
+        # comparison — hands the value to code we cannot see; ownership
+        # conservatively leaves this function.
+        return parent is not None and not isinstance(parent, ast.Expr)
 
 
-def _held_bindings(
-    graph: CFG, node: ast.FunctionDef | ast.AsyncFunctionDef
-) -> list[list[Any]]:
-    """``[callee, var, line, col]`` for call results held to an exit."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(node):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    states = solve(graph, _BoundCalls(parents))
-    held = states.get(graph.exit, frozenset()) | states.get(
-        graph.raise_exit, frozenset()
+def held_bindings(graph: CFG, parents: Mapping[ast.AST, ast.AST]) -> HeldBindings:
+    """Solve the held-binding analysis of one function CFG."""
+    states = solve(graph, _HeldBindings(parents))
+    return HeldBindings(
+        at_return=states.get(graph.exit, frozenset()),
+        at_raise=states.get(graph.raise_exit, frozenset()),
     )
-    return [[callee, var, line, col] for var, callee, line, col in sorted(held)]
 
 
 # -- returns facts ------------------------------------------------------
@@ -447,12 +491,14 @@ def _return_facts(
 def augment_function(
     info: FunctionInfo,
     node: ast.FunctionDef | ast.AsyncFunctionDef,
+    ctx: FileContext,
     *,
     record_orders: bool = False,
     record_receivers: bool = False,
 ) -> None:
-    """Fill the phase-4 flow fields of ``info`` from the function CFG."""
-    graph = build_cfg(node)
+    """Fill the phase-4 flow fields of ``info`` from the function's CFG
+    and held-binding analysis, both shared through ``ctx``."""
+    graph = ctx.cfg(node)
     calls: dict[int, frozenset[str]] = {}
     reachable = graph.reachable()
     site_lists: dict[int, list[tuple[str, int, int]]] = {}
@@ -482,7 +528,12 @@ def augment_function(
     if record_receivers:
         info.receivers = _receiver_traces(graph)
 
-    info.leaks = _held_bindings(graph, node)
+    held = ctx.held(node)
+    info.leaks = [
+        [callee, var, line, col]
+        for var, callee, line, col in sorted(held.at_return | held.at_raise)
+        if not is_acquirer_name(callee)  # direct acquisitions stay RL201's
+    ]
     acquirer, ret_calls, ret_line = _return_facts(node)
     info.returns_acquirer = acquirer
     info.returns_calls = ret_calls

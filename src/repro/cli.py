@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the reprolint static-analysis pass (RL001-RL006, RL101-RL105)",
+        help="run the reprolint static-analysis pass (repo-specific rules)",
     )
     _build_lint_parser(lint)
 

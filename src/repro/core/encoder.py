@@ -15,12 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, embed_values
+from repro.core.cvector import (
+    SMALL_BATCH_ROWS,
+    CVectorEncoder,
+    embed_columns,
+    embed_values,
+    value_bits,
+)
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
+from repro.text.alphabet import AlphabetError
 
 
 @dataclass(frozen=True)
@@ -135,18 +142,33 @@ class RecordEncoder:
             for record in records:
                 self._check_arity(record)
         offsets = [layout.offset for layout in self.layouts]
-        if len(records) <= SMALL_BATCH_ROWS:
-            matrix = embed_values(self.encoders, offsets, records, self.total_bits, self._memos)
-            n_unique = sum(len(set(column)) for column in zip(*records))
-        else:
-            columns = [[record[att] for record in records] for att in range(self.n_attributes)]
-            matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
+        try:
+            if len(records) <= SMALL_BATCH_ROWS:
+                matrix = embed_values(self.encoders, offsets, records, self.total_bits, self._memos)
+                n_unique = sum(len(set(column)) for column in zip(*records))
+            else:
+                columns = [[record[att] for record in records] for att in range(self.n_attributes)]
+                matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
+        except AlphabetError:
+            self._raise_at_first_bad_value(records)
+            raise
         if stats is not None:
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)
             stats["intern_unique"] = float(n_unique)
             stats["intern_hit_rate"] = 1.0 - n_unique / n_values
         return matrix
+
+    def _raise_at_first_bad_value(self, records: Sequence[Sequence[str]]) -> None:
+        """Raise the :class:`AlphabetError` of the first record (in batch order)
+        and attribute whose value is outside the alphabet: both embedding paths
+        report the same row and attribute, whatever order they met the value in."""
+        for row, record in enumerate(records):
+            for name, enc, value in zip(self.names, self.encoders, record):
+                try:
+                    value_bits(enc, 0, value)
+                except AlphabetError as err:
+                    raise AlphabetError(f"{err} in row {row}, attribute {name!r}") from None
 
     def encode_attribute(self, records: Sequence[Sequence[str]], attribute: str) -> BitMatrix:
         """Attribute-level matrix for one named attribute."""

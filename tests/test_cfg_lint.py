@@ -18,11 +18,9 @@ import textwrap
 import pytest
 
 from repro.analysis import LintConfig, LintEngine, lint_paths, load_config
-from repro.analysis.cache import LintCache, config_fingerprint
 from repro.analysis.cfg import EXCEPTION, NORMAL, build_cfg, evaluated
 from repro.analysis.config import RuleConfig
 from repro.analysis.dataflow import BACKWARD, DataflowAnalysis, solve
-from repro.analysis.engine import all_rule_ids
 from repro.analysis.project import extract_module
 from repro.analysis.report import render_text
 from tests.test_project_lint import (
@@ -854,7 +852,7 @@ class TestRL203CtxRefinement:
 
 
 # ---------------------------------------------------------------------------
-# Engine integration: scoping, severity, suppression, cache
+# Engine integration: scoping, severity, suppression
 # ---------------------------------------------------------------------------
 
 _LEAKY = "def _f(path):\n    fh = open(path)\n    return None\n"
@@ -880,23 +878,6 @@ class TestFlowEngineIntegration:
     def test_select_restricts_flow_rules(self):
         config = LintConfig(select=("RL204",))
         assert LintEngine(config).lint_source(SERVE, _LEAKY) == []
-
-    def test_flow_findings_replay_from_cache(self, tmp_path):
-        target = tmp_path / "one.py"
-        target.write_text(_LEAKY)
-        config = LintConfig()
-        fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-
-        def cache():
-            return LintCache.load(tmp_path / "cache.json", fingerprint)
-
-        cold_stats, warm_stats = {}, {}
-        cold = lint_paths([target], config, cache=cache(), stats=cold_stats)
-        warm = lint_paths([target], config, cache=cache(), stats=warm_stats)
-        assert rule_ids(cold) == ["RL201"]
-        assert warm == cold
-        assert warm_stats["parsed"] == 0 and warm_stats["cache_hits"] == 1
-
 
 # ---------------------------------------------------------------------------
 # Seeded bugs in the real tree

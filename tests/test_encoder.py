@@ -211,6 +211,20 @@ class TestSmallBatchSelection:
         with pytest.raises(AlphabetError, match="'É'.*'JOSÉ'"):
             cold(WIDE_ENCODER).encode_dataset(rows)
 
+    def test_both_paths_name_the_same_row_and_attribute(self):
+        """A bad value at row 5 reads the same from a batch of 8 (value by
+        value) and of 40 (interned columns, where it is unique value 1)."""
+        messages = []
+        for n_rows in (SMALL_BATCH_ROWS, 40):
+            rows = [("JONES", "SMITH", "12 MAIN ST")] * n_rows
+            rows[5] = ("JONES", "smith", "12 MAIN ST")
+            with pytest.raises(AlphabetError) as error:
+                cold(WIDE_ENCODER).encode_dataset(rows)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert f"row 5, attribute {WIDE_ENCODER.names[1]!r}" in messages[0]
+        assert "'smith'" in messages[0]
+
 
 def cold(encoder: RecordEncoder) -> RecordEncoder:
     """The same calibration with nothing in its value memos."""

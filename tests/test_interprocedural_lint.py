@@ -1,6 +1,5 @@
 """Tests for reprolint phase 4: interprocedural rules RL301-RL303 and RL305,
-unused-suppression detection (RL007), rule-id globs, and the
-dependency-aware incremental cache.
+unused-suppression detection (RL007) and rule-id globs.
 
 Synthetic fixtures are small package trees written to tmp_path (same
 idiom as test_project_lint.py).  The mutation tests copy the *real*
@@ -16,7 +15,6 @@ from pathlib import Path
 
 from repro.analysis import LintConfig, lint_paths, load_config
 from repro.analysis.__main__ import main as lint_main
-from repro.analysis.cache import LintCache, config_fingerprint
 from repro.analysis.config import (
     OrderProtocol,
     ProtocolConfig,
@@ -447,13 +445,13 @@ class TestRuleIdGlobs:
     def test_cli_accepts_glob_select(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("X: int = 1\n")
-        assert lint_main([str(target), "--select", "RL3*", "--no-cache"]) == 0
+        assert lint_main([str(target), "--select", "RL3*"]) == 0
         capsys.readouterr()
 
     def test_cli_rejects_glob_matching_nothing(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("X: int = 1\n")
-        assert lint_main([str(target), "--select", "RL9*", "--no-cache"]) == 2
+        assert lint_main([str(target), "--select", "RL9*"]) == 2
         err = capsys.readouterr().err
         assert "unknown rule id" in err
         assert "RL3*" in err  # the error advertises the valid prefixes
@@ -537,30 +535,6 @@ class TestUnusedSuppressions:
         )
         assert lint_paths([root], config) == []
 
-    def test_detection_survives_a_warm_cache(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/app/mod.py": (
-                    "x = eval('1')  # reprolint: disable=RL002\n"
-                    "Y: int = 1  # reprolint: disable=RL006\n"
-                ),
-            },
-        )
-        config = LintConfig(warn_unused_suppressions=True)
-        fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-        cache_path = tmp_path / "cache.json"
-
-        cache = LintCache.load(cache_path, fingerprint)
-        cold = lint_paths([root], config, cache=cache)
-        assert rule_ids(cold) == ["RL007"]  # RL006 suppression is unused
-
-        stats = {}
-        cache = LintCache.load(cache_path, fingerprint)
-        warm = lint_paths([root], config, cache=cache, stats=stats)
-        assert warm == cold
-        assert stats["parsed"] == 0
-
     def test_pyproject_toggle(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
@@ -572,7 +546,7 @@ class TestUnusedSuppressions:
         target = tmp_path / "mod.py"
         target.write_text("Y: int = 1  # reprolint: disable=RL002\n")
         assert (
-            lint_main([str(target), "--warn-unused-suppressions", "--no-cache"])
+            lint_main([str(target), "--warn-unused-suppressions"])
             == 0  # RL007 defaults to warn severity
         )
         out = capsys.readouterr().out
@@ -615,103 +589,6 @@ class TestProtocolConfigParsing:
         assert protocols.orders[0].after == ""
         assert protocols.order_scoped("pkg.mod")
         assert not protocols.order_scoped("other.mod")
-
-
-class TestDependencyAwareCache:
-    FILES = {
-        "src/app/__init__.py": "",
-        "src/app/a.py": """
-            from app.b import helper
-
-            def caller():
-                return helper()
-        """,
-        "src/app/b.py": """
-            def helper():
-                return 1
-        """,
-        "src/app/c.py": """
-            def lone():
-                return 2
-        """,
-    }
-
-    def _run(self, root, cache_path, config, fingerprint):
-        stats = {}
-        cache = LintCache.load(cache_path, fingerprint)
-        findings = lint_paths([root], config, cache=cache, stats=stats)
-        return findings, stats
-
-    def test_callee_edit_relints_exactly_its_dependents(self, tmp_path):
-        root = make_tree(tmp_path, dict(self.FILES))
-        config = LintConfig(select=("RL305",))
-        fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-        cache_path = tmp_path / "cache.json"
-
-        _, cold = self._run(root, cache_path, config, fingerprint)
-        assert cold["inter_module_runs"] == 4  # app, app.a, app.b, app.c
-        assert cold["inter_cache_hits"] == 0
-
-        _, warm = self._run(root, cache_path, config, fingerprint)
-        assert warm["inter_module_runs"] == 0
-        assert warm["inter_cache_hits"] == 4
-
-        # Editing the callee must re-lint it and its caller — nothing else.
-        b = root / "src/app/b.py"
-        b.write_text(b.read_text() + "\n\ndef helper2():\n    return 3\n")
-        _, edited = self._run(root, cache_path, config, fingerprint)
-        assert edited["parsed"] == 1
-        assert edited["inter_module_runs"] == 2  # app.b and app.a
-        assert edited["inter_cache_hits"] == 2  # app and app.c replay
-
-    def test_cached_inter_findings_replay(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/app/__init__.py": "",
-                "src/app/io_helpers.py": """
-                    def open_log(path):
-                        return open(path, "rb")
-                """,
-                "src/app/use.py": """
-                    from app.io_helpers import open_log
-
-                    def leak(path):
-                        h = open_log(path)
-                        data = h.read()
-                        return len(data)
-                """,
-            },
-        )
-        config = LintConfig(select=("RL305",))
-        fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-        cache_path = tmp_path / "cache.json"
-
-        cold_findings, cold = self._run(root, cache_path, config, fingerprint)
-        assert rule_ids(cold_findings) == ["RL305"]
-        warm_findings, warm = self._run(root, cache_path, config, fingerprint)
-        assert warm_findings == cold_findings
-        assert warm["inter_module_runs"] == 0
-        assert warm["parsed"] == 0
-
-    def test_protocol_edit_busts_the_cache(self, tmp_path):
-        root = make_tree(tmp_path, dict(self.FILES))
-        cache_path = tmp_path / "cache.json"
-
-        config = LintConfig(select=("RL301",), protocols=order_protocols())
-        fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-        self._run(root, cache_path, config, fingerprint)
-
-        # A different protocol table must produce a different fingerprint,
-        # so the loaded cache degrades to cold.
-        changed = LintConfig(
-            select=("RL301",), protocols=order_protocols("app.other")
-        )
-        changed_fp = config_fingerprint(changed, sorted(all_rule_ids()))
-        assert changed_fp != fingerprint
-        _, stats = self._run(root, cache_path, changed, changed_fp)
-        assert stats["inter_module_runs"] == 4
-        assert stats["inter_cache_hits"] == 0
 
 
 def copy_real_tree(tmp_path):

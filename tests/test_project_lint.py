@@ -22,7 +22,6 @@ import pytest
 from repro.analysis import LintConfig, lint_paths, load_config
 from repro.analysis.config import ArchitectureConfig
 from repro.analysis.project import (
-    ModuleSummary,
     ProjectModel,
     extract_module,
     module_name_for,
@@ -213,23 +212,6 @@ class TestModelExtraction:
             "Block",
             "Verify",
         ]
-
-    def test_json_round_trip(self):
-        source = (REPO_ROOT / "src/repro/pipeline/stages.py").read_text()
-        tree = ast.parse(source)
-        summary = extract_module(
-            "repro.pipeline.stages", "src/repro/pipeline/stages.py", tree
-        )
-        restored = ModuleSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
-        assert restored is not None
-        assert restored.to_dict() == summary.to_dict()
-
-    def test_stale_version_rejected(self):
-        summary = self._summary("X: int = 1\n")
-        payload = summary.to_dict()
-        payload["version"] = -1
-        assert ModuleSummary.from_dict(payload) is None
-
 
 class TestRL101ImportCycles:
     def _files(self, cycle):
@@ -583,7 +565,6 @@ class TestProjectSelfHosting:
                 "-m",
                 "repro.analysis",
                 "src/",
-                "--no-cache",
                 "--format",
                 "sarif",
             ],

@@ -6,12 +6,15 @@ plus suppression coverage and a self-hosting test asserting the repo's
 own ``src/`` tree lints clean with the shipped pyproject configuration.
 (The whole-program rules RL101, RL102, RL104 and RL105 are covered in
 test_project_lint.py; here they only appear through the CLI surface:
-severity, baseline, cache, SARIF.)
+severity, SARIF, --output.)
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -26,9 +29,8 @@ from repro.analysis import (
     render_text,
 )
 from repro.analysis.__main__ import main as lint_main
-from repro.analysis.cache import LintCache, config_fingerprint
 from repro.analysis.config import RuleConfig
-from repro.analysis.engine import all_rule_ids
+from repro.analysis.engine import all_rule_ids, iter_python_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -331,10 +333,18 @@ class TestCommandLine:
         assert main(["lint", str(REPO_ROOT / "src")]) == 0
         assert "no findings" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--help"], ["lint", "--help"]], ids=["repro", "lint"])
+    def test_help_names_only_registered_rules(self, argv, capsys):
+        """Help text never goes stale on rule ids: each one it prints, or
+        spans with a range like ``RL101-RL105``, exists."""
+        from repro.cli import main
 
-def _fresh_cache(tmp_path, config, name="cache.json"):
-    fingerprint = config_fingerprint(config, sorted(all_rule_ids()))
-    return LintCache.load(tmp_path / name, fingerprint)
+        with pytest.raises(SystemExit):
+            main(argv)
+        printed = set()
+        for first, last in re.findall(r"RL(\d{3})(?:-RL(\d{3}))?", capsys.readouterr().out):
+            printed.update(f"RL{n:03d}" for n in range(int(first), int(last or first) + 1))
+        assert printed <= all_rule_ids(), printed - all_rule_ids()
 
 
 class TestDeterminism:
@@ -454,7 +464,7 @@ class TestSeverity:
             "[tool.reprolint.rules.RL002]\nseverity = \"warn\"\n"
         )
         monkeypatch.chdir(tmp_path)
-        assert lint_main([str(target), "--no-cache"]) == 0
+        assert lint_main([str(target)]) == 0
         out = capsys.readouterr().out
         assert "RL002" in out and "[warn]" in out
 
@@ -463,46 +473,6 @@ class TestSeverity:
         findings = LintEngine(config).lint_source(SCOPED, "x = eval('1')\n")
         payload = json.loads(render_json(findings))
         assert payload["findings"][0]["severity"] == "warn"
-
-
-class TestBaseline:
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text("x = eval('1')\n")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            [str(target), "--no-cache", "--write-baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        assert lint_main(
-            [str(target), "--no-cache", "--baseline", str(baseline)]
-        ) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_new_findings_still_fail(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text("x = eval('1')\n")
-        baseline = tmp_path / "baseline.json"
-        lint_main([str(target), "--no-cache", "--write-baseline", str(baseline)])
-        # Baseline keys are (path, rule, message) -- a second eval() in the
-        # same file is the same accepted debt, so introduce a new rule hit.
-        target.write_text("x = eval('1')\nprint('x')\n")
-        capsys.readouterr()
-        assert lint_main(
-            [str(target), "--no-cache", "--baseline", str(baseline)]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "1 finding" in out
-
-    def test_malformed_baseline_is_usage_error(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("X: int = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{\"not\": \"a baseline\"}")
-        assert lint_main(
-            [str(target), "--no-cache", "--baseline", str(baseline)]
-        ) == 2
-        assert "baseline" in capsys.readouterr().err
 
 
 class TestSarifOutput:
@@ -542,240 +512,9 @@ class TestSarifOutput:
     def test_cli_sarif_format(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
         target.write_text("x = eval('1')\n")
-        assert lint_main([str(target), "--no-cache", "--format", "sarif"]) == 1
+        assert lint_main([str(target), "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["results"][0]["ruleId"] == "RL002"
-
-
-class TestIncrementalCache:
-    def test_warm_run_skips_parsing(self, tmp_path):
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        (tmp_path / "two.py").write_text("X: int = 1\n")
-        config = LintConfig()
-        cold_stats, warm_stats = {}, {}
-        cold = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=cold_stats
-        )
-        warm = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=warm_stats
-        )
-        assert warm == cold
-        assert cold_stats["parsed"] == 2 and cold_stats["cache_hits"] == 0
-        assert warm_stats["parsed"] == 0 and warm_stats["cache_hits"] == 2
-        assert cold_stats["project_runs"] == 1 and warm_stats["project_runs"] == 0
-
-    def test_edited_file_reparsed_alone(self, tmp_path):
-        one, two = tmp_path / "one.py", tmp_path / "two.py"
-        one.write_text("x = eval('1')\n")
-        two.write_text("X: int = 1\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        one.write_text("x = eval('2')\n")
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 1
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_comment_edit_skips_project_phase(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("X: int = 1\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        # Re-hash the file without changing its module summary: the
-        # per-file entry misses, but the whole-program key is unchanged.
-        target.write_text("# a comment\nX: int = 1\n")
-        stats = {}
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats)
-        assert stats["parsed"] == 1
-        assert stats["project_runs"] == 0
-
-    def test_import_graph_change_reruns_project_phase(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("X: int = 1\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        target.write_text("import json\nX: int = 1\n")
-        stats = {}
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats)
-        assert stats["project_runs"] == 1
-
-    def test_config_change_invalidates_cache(self, tmp_path):
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        narrowed = LintConfig(select=("RL006",))
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], narrowed, cache=_fresh_cache(tmp_path, narrowed), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert findings == []
-
-    def test_structurally_corrupt_cache_degrades_to_cold(self, tmp_path):
-        # Valid JSON with the right version/fingerprint but garbage
-        # entries: the loader must fall back to an empty cache.
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        cache = _fresh_cache(tmp_path, config)
-        import json as json_mod
-
-        from repro.analysis.cache import CACHE_VERSION
-
-        (tmp_path / "cache.json").write_text(
-            json_mod.dumps(
-                {
-                    "version": CACHE_VERSION,
-                    "fingerprint": cache.fingerprint,
-                    "files": {"one.py": {"bogus": True}},
-                }
-            )
-        )
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        (tmp_path / "cache.json").write_text("{broken json")
-        config = LintConfig()
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_cli_no_cache_flag(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text("x = eval('1')\n")
-        cache_path = tmp_path / "cache.json"
-        assert lint_main([str(target), "--cache-path", str(cache_path)]) == 1
-        assert cache_path.exists()
-        capsys.readouterr()
-        other = tmp_path / "nocache.json"
-        assert lint_main([str(target), "--no-cache", "--cache-path", str(other)]) == 1
-        assert not other.exists()
-
-    def test_cli_stats_flag(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("X: int = 1\n")
-        cache_path = tmp_path / "cache.json"
-        lint_main([str(target), "--cache-path", str(cache_path), "--stats"])
-        capsys.readouterr()
-        lint_main([str(target), "--cache-path", str(cache_path), "--stats"])
-        err = capsys.readouterr().err
-        assert "1 cache hit(s)" in err
-
-
-class TestCacheMigration:
-    """Version bumps and config edits must drop the cache cleanly.
-
-    Three distinct invalidation channels: the cache format version
-    (changes the fingerprint *and* the stored ``version`` field), the
-    module-summary schema version (the fingerprint captured at import
-    time stays valid, so stale summaries must be rejected entry by
-    entry), and the ``[tool.reprolint]`` table (flows into the config
-    fingerprint via the ``LintConfig`` repr).
-    """
-
-    def test_cache_version_bump_forces_cold_run(self, tmp_path, monkeypatch):
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        import repro.analysis.cache as cache_mod
-
-        monkeypatch.setattr(
-            cache_mod, "CACHE_VERSION", cache_mod.CACHE_VERSION + 1
-        )
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_summary_version_bump_rejects_stored_summaries(
-        self, tmp_path, monkeypatch
-    ):
-        # Patch only the extractor's version: repro.analysis.cache holds
-        # its own imported SUMMARY_VERSION binding, so the cache
-        # fingerprint still matches and the file is *accepted* — but
-        # every stored ModuleSummary is now stale and from_dict rejects
-        # it, forcing a clean re-parse instead of replaying stale facts.
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        import repro.analysis.project as project_mod
-
-        monkeypatch.setattr(
-            project_mod, "SUMMARY_VERSION", project_mod.SUMMARY_VERSION + 1
-        )
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_cache_from_previous_summary_version_replays_cold(
-        self, tmp_path, monkeypatch
-    ):
-        # A cache written before the last summary-shape change (both the
-        # cache fingerprint and the stored summaries carry the old
-        # version) is dropped whole on load, not replayed.
-        import repro.analysis.cache as cache_mod
-        import repro.analysis.project as project_mod
-
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        previous = project_mod.SUMMARY_VERSION - 1
-        monkeypatch.setattr(cache_mod, "SUMMARY_VERSION", previous)
-        monkeypatch.setattr(project_mod, "SUMMARY_VERSION", previous)
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        monkeypatch.undo()
-        stats = {}
-        findings = lint_paths(
-            [tmp_path], config, cache=_fresh_cache(tmp_path, config), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert [f.rule_id for f in findings] == ["RL002"]
-
-    def test_new_rule_id_changes_fingerprint(self, tmp_path):
-        (tmp_path / "one.py").write_text("x = eval('1')\n")
-        config = LintConfig()
-        lint_paths([tmp_path], config, cache=_fresh_cache(tmp_path, config))
-        grown = config_fingerprint(config, sorted([*all_rule_ids(), "RL999"]))
-        stats = {}
-        lint_paths(
-            [tmp_path],
-            config,
-            cache=LintCache.load(tmp_path / "cache.json", grown),
-            stats=stats,
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-
-    def test_pyproject_edit_forces_cold_run(self, tmp_path):
-        target = tmp_path / "one.py"
-        target.write_text("x = eval('1')\n")
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.reprolint]\n")
-        config = load_config(pyproject)
-        lint_paths([target], config, cache=_fresh_cache(tmp_path, config))
-        pyproject.write_text(
-            '[tool.reprolint]\n[tool.reprolint.rules.RL002]\nseverity = "warn"\n'
-        )
-        edited = load_config(pyproject)
-        stats = {}
-        findings = lint_paths(
-            [target], edited, cache=_fresh_cache(tmp_path, edited), stats=stats
-        )
-        assert stats["parsed"] == 1 and stats["cache_hits"] == 0
-        assert [f.severity for f in findings] == ["warn"]
 
 
 class TestOutputFlag:
@@ -786,7 +525,7 @@ class TestOutputFlag:
         target.write_text("x = eval('1')\n")
         report = tmp_path / "reprolint.sarif"
         status = lint_main(
-            [str(target), "--no-cache", "--format", "sarif",
+            [str(target), "--format", "sarif",
              "--output", str(report)]
         )
         assert status == 1  # findings still gate the exit code
@@ -794,26 +533,12 @@ class TestOutputFlag:
         payload = json.loads(report.read_text())
         assert payload["runs"][0]["results"][0]["ruleId"] == "RL002"
 
-    def test_output_with_stats_keeps_streams_separate(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("X: int = 1\n")
-        report = tmp_path / "report.json"
-        status = lint_main(
-            [str(target), "--no-cache", "--format", "json", "--stats",
-             "--output", str(report)]
-        )
-        captured = capsys.readouterr()
-        assert status == 0
-        assert captured.out == ""
-        assert "file phase" in captured.err
-        assert json.loads(report.read_text()) == {"count": 0, "findings": []}
-
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("X: int = 1\n")
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
         status = lint_main(
-            [str(target), "--no-cache", "--output", str(missing_dir)]
+            [str(target), "--output", str(missing_dir)]
         )
         assert status == 2
         assert "cannot write" in capsys.readouterr().err
@@ -834,3 +559,46 @@ class TestSelfHosting:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "no findings" in result.stdout
+
+
+class TestOnePass:
+    def test_each_file_tokenised_once_and_each_cfg_built_once(self, monkeypatch):
+        """A cold lint of ``src/`` does each piece of per-file work once: one
+        tokenisation per file (suppressions), and at most one control-flow
+        graph per function, shared by the flow rules, the ``ctx`` facts
+        and the procedure summaries."""
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        files = [
+            path
+            for path in iter_python_files([REPO_ROOT / "src"])
+            if not config.path_excluded(str(path))
+        ]
+        functions = sum(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+        calls = {"generate_tokens": 0, "build_cfg": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            tokenize, "generate_tokens", counted("generate_tokens", tokenize.generate_tokens)
+        )
+        # ``build_cfg`` is imported by name: wrap it wherever the linter binds it.
+        from repro.analysis.cfg import build_cfg
+
+        wrapped = counted("build_cfg", build_cfg)
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "build_cfg", None)
+            if name.startswith("repro.analysis") and bound is build_cfg:
+                monkeypatch.setattr(module, "build_cfg", wrapped)
+
+        assert lint_paths([REPO_ROOT / "src"], config) == []
+        assert calls["generate_tokens"] == len(files)
+        assert 0 < calls["build_cfg"] <= functions
