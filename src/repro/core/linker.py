@@ -51,8 +51,7 @@ from repro.pipeline.stages import (
     BlockerIndexStage,
     CVectorEmbedStage,
     EncoderCalibrateStage,
-    MaterializedCandidateStage,
-    RuleClassifyStage,
+    RuleMatchStage,
     ThresholdMatchStage,
 )
 from repro.protocol import (
@@ -227,8 +226,7 @@ class CompactHammingLinker:
             BlockerIndexStage(self._make_blocker),
         ]
         if self.rule is not None:
-            stages.append(MaterializedCandidateStage())
-            stages.append(RuleClassifyStage(self.rule))
+            stages.append(RuleMatchStage())
         else:
             stages.append(ThresholdMatchStage(self.threshold or 0))
         return stages
@@ -236,10 +234,12 @@ class CompactHammingLinker:
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """Run the full calibrate/embed/block/match pipeline.
 
-        The record-level path runs the one match kernel
-        (:meth:`HammingLSH.match`: one join, one de-dup, a blocked verify;
-        matches in ``a * n_B + b`` order); the rule-aware path classifies
-        the de-duplicated candidates lazily.
+        Either path is one match stage over bounded row blocks of B: the
+        record-level one runs the threshold kernel (:meth:`HammingLSH.match`:
+        per block one join, one de-dup, a blocked verify), the rule-aware one
+        :meth:`RuleAwareBlocker.match` (per block the plan's joins and set
+        algebra, then the lazy rule).  Matches come out in ``a * n_B + b``
+        order.
         """
         pipeline = LinkagePipeline(self._stages())
         return pipeline.run(dataset_a, dataset_b)

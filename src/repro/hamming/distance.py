@@ -55,22 +55,24 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 def verify_pairs(
     words_a: np.ndarray,
     words_b: np.ndarray,
-    pairs: tuple[np.ndarray, "np.ndarray | int"],
+    pairs: tuple[np.ndarray, "np.ndarray | int | np.integer"],
     threshold: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows_a, rows_b, distances)`` of the candidate pairs with ``d_H <= threshold``.
 
     ``pairs`` is ``(rows_a, rows_b)`` or, still encoded, ``(a * n_b + b,
-    n_b)``; it is decoded, gathered, XORed, popcounted and filtered
-    ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no temporary is the size of
-    ``pairs``, and the accepted pairs keep their input order.
+    n_b)`` with ``n_b`` any integer scalar; it is decoded, gathered, XORed,
+    popcounted and filtered ``DEFAULT_BLOCK_ROWS`` pairs at a time, so no
+    temporary is the size of ``pairs``, and the accepted pairs keep their
+    input order.
     """
     first, second = pairs
+    encoded = isinstance(second, (int, np.integer))
     kept = [(_NO_ROWS,) * 3]  # no pairs still concatenate
     for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
         hi = lo + DEFAULT_BLOCK_ROWS
-        if isinstance(second, int):
-            rows_a, rows_b = decode_pairs(first[lo:hi], second)
+        if encoded:
+            rows_a, rows_b = decode_pairs(first[lo:hi], int(second))
         else:
             rows_a, rows_b = first[lo:hi], second[lo:hi]
         xor = words_a.take(rows_a, 0) ^ words_b.take(rows_b, 0)

@@ -20,25 +20,29 @@ one packed plain sort.  A query batch is sorted the same way once
 (:class:`Probe`); matching buckets are found with two binary searches per
 table segment and expanded together with gather arithmetic.
 
-:meth:`HammingLSH.match` is Algorithm 2 dataset-at-a-time and the one
-threshold-match kernel: one probe, one join into one raw-pair buffer of
-encoded ids ``a * n_B + b``, de-duplicated in place by a sort
-(:func:`sorted_unique`, the ``UniqueCollection``), then the blocked
-decode / XOR / popcount / filter of
-:func:`repro.hamming.distance.verify_pairs`.  The pairs come out sorted,
-so the matches are in ``a * n_B + b`` order with no further sort.  The
-record-level link, ``StreamingLinker.link``, serving's ``batch_query``,
-K tuning and the three-party protocol all call it;
-:meth:`HammingLSH.candidate_pairs` is the same join and de-dup without the
-verify (the rule-aware and per-group paths classify candidates otherwise).
+:meth:`HammingLSH.match` is Algorithm 2 and the one threshold-match
+kernel.  It runs over row blocks of B (:func:`match_blocks`), sized from one
+byte budget (:data:`MATCH_BLOCK_BYTES`) that covers a block's ``L x rows``
+probe arrays and its raw pairs, so its memory does not grow with ``n_B``.
+Per block: one probe, one join into one raw-pair buffer of encoded ids
+``a * n_B + b``, de-duplicated in place by a sort (:func:`sorted_unique`,
+the ``UniqueCollection``), then the blocked decode / XOR / popcount /
+filter of :func:`repro.hamming.distance.verify_pairs`.  B blocks partition
+the pairs, so the blocks' matches merged by code are exactly the matches
+of one pass, in ``a * n_B + b`` order.  The record-level link,
+``StreamingLinker.link``, serving's ``batch_query``, K tuning and the
+three-party protocol all call it; the rule-aware blocker runs its plan
+over the same blocks.  :meth:`HammingLSH.candidate_pairs` is the join and
+de-dup of all of B at once, without the verify (the per-group paths and
+the materialising baselines classify candidates otherwise).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Protocol, TypeVar
 
 import numpy as np
 
@@ -59,6 +63,79 @@ _KEY_BLOCK_CELLS = 1 << 16
 #: (K = 30, L = 6), 0.13x / 0.65x / 0.85x / 1.48x / 1.66x at 270 bits, K = 12,
 #: L = 60; 256 wins in every configuration measured, in under 1 MB.
 GATHER_KEY_ROWS = 256
+
+#: Bytes one block of a match may hold: its ``L x rows`` probe and bucket
+#: search arrays (``_PROBE_CELL_BYTES`` a cell) and, once located, its raw
+#: pairs (8 bytes each).  :func:`match_blocks` cuts B into row blocks within
+#: it, so a match holds no array the size of ``L x n_B`` or of the candidates.
+#: At ``L = 6`` a block is 17 476 rows: a serving batch or the suite's
+#: 2 000-row small link is one block, and a block stays dense enough for
+#: :meth:`_Run.locate`'s sorted searches (docs/performance.md, "B-row blocks").
+MATCH_BLOCK_BYTES = 8 << 20
+#: Traced peak bytes per ``(table, row)`` cell of locating a block: the
+#: probe's sorted keys, rows, run starts and counts, and the bucket search's
+#: bounds, matches and bucket arrays (measured at 1 000-16 000 rows: 69-74
+#: for NCVR, K = 30, L = 6; 35-67 for DBLP's rule, 62 tables).
+_PROBE_CELL_BYTES = 80
+
+_L = TypeVar("_L", bound="SupportsPairCount")
+
+
+class SupportsPairCount(Protocol):
+    """A located block: knows how many raw pairs expanding it writes."""
+
+    @property
+    def n_pairs(self) -> int: ...
+
+
+def match_blocks(
+    matrix_b: BitMatrix,
+    n_tables: int,
+    locate: Callable[[BitMatrix], _L],
+    match: Callable[[int, BitMatrix, _L], tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, ...]:
+    """Match ``matrix_b`` in consecutive row blocks within :data:`MATCH_BLOCK_BYTES`.
+
+    Each block is located (``locate(block)``) and then matched
+    (``match(first_row, block, located)``, which returns ``(rows_a,
+    rows_b, ...)`` with ``rows_b`` in ``matrix_b``'s numbering, in
+    ``a * n_B + b`` order).  Returns those arrays over all blocks, in that
+    order: B blocks partition the pairs, so sorting by code is the merge.
+
+    A block starts at the rows whose ``n_tables`` probe cells fit the
+    budget.  One whose located raw pairs would not fit is split before it is
+    expanded: located again at the rows that would fill three quarters of
+    the budget at its density, which also sizes the next block (up to the
+    probe's cap).  A one-row block is never split, and an empty matrix is
+    still one block.  A block's bucket arrays are let go before the next
+    block is located.
+    """
+    cap = max(1, MATCH_BLOCK_BYTES // (_PROBE_CELL_BYTES * n_tables))
+    kept = []
+    lo, rows = 0, cap
+    while True:
+        hi = min(lo + rows, matrix_b.n_rows)
+        whole = lo == 0 and hi == matrix_b.n_rows
+        block = matrix_b if whole else BitMatrix(matrix_b.words[lo:hi], matrix_b.n_bits)
+        located = locate(block)
+        raw = 8 * located.n_pairs
+        fits = raw <= MATCH_BLOCK_BYTES or hi - lo == 1
+        if fits:
+            kept.append(match(lo, block, located))
+        del located
+        rows = max(1, min(cap, (hi - lo) * (3 * MATCH_BLOCK_BYTES // 4) // max(raw, 1)))
+        if not fits:  # split before expansion
+            rows = min(rows, hi - lo - 1)
+        elif hi == matrix_b.n_rows:
+            break
+        else:
+            lo = hi
+    if len(kept) == 1:
+        return kept[0]
+    columns = [np.concatenate(column) for column in zip(*kept)]
+    order = np.argsort(columns[0] * matrix_b.n_rows + columns[1])
+    return tuple(column[order] for column in columns)
+
 
 def sorted_unique(pairs: np.ndarray) -> np.ndarray:
     """Sort ``pairs`` in place and move its distinct values to the front, a block
@@ -394,21 +471,10 @@ class TableRuns:
         distinct = keys.reshape(-1)[starts]
         return Probe(matrix_b.n_rows, cuts.tolist(), distinct, starts, counts, rows.reshape(-1))
 
-    def join(
-        self, probe: Probe, stats: dict[str, float] | None = None, table: int | None = None
-    ) -> np.ndarray:
-        """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s)
-        buckets, in one buffer: bulk run first, then the delta run.
-
-        The one candidate join: per run, two binary searches per table
-        segment locate every probe key's bucket, then all matched buckets
-        are expanded together (:func:`_bucket_products`) straight into the
-        buffer, which is allocated once at its final size.  ``stats``
-        accumulates ``pairs_generated`` and ``max_bucket_product``.
-        """
-        if stats is None:
-            stats = _generation_stats()
-        located = []
+    def locate(self, probe: Probe, table: int | None = None) -> "Located":
+        """Every table's (or ``table``'s) buckets that ``probe``'s keys match, in
+        both runs: per run, two binary searches per table segment."""
+        located, total, largest = [], 0, 0
         for run in (self._bulk, self._delta):
             if run is None or not probe.keys.size:
                 continue
@@ -421,15 +487,44 @@ class TableRuns:
             buckets = (start_a, count_a, probe.starts[matched], probe.counts[matched])
             products = count_a * buckets[3]
             edges = np.concatenate(([0], np.cumsum(products)))
-            stats["max_bucket_product"] = max(stats["max_bucket_product"], float(products.max()))
+            largest = max(largest, int(products.max()))
+            total += int(edges[-1])
             located.append((run.ids, buckets, edges))
-        out = np.empty(sum(int(edges[-1]) for __, __, edges in located), dtype=np.int64)
+        return Located(probe, located, total, largest)
+
+    def expand(self, located: "Located", stats: dict[str, float] | None = None) -> np.ndarray:
+        """Raw cross-products ``a * n_B + b`` of ``located``'s buckets, in one
+        buffer allocated once at its final size: bulk run first, then the delta
+        run (:func:`_bucket_products`).  ``stats`` accumulates
+        ``pairs_generated`` and ``max_bucket_product``."""
+        if stats is None:
+            stats = _generation_stats()
+        out = np.empty(located.n_pairs, dtype=np.int64)
         stats["pairs_generated"] += float(out.size)
+        stats["max_bucket_product"] = max(stats["max_bucket_product"], float(located.max_product))
         at = 0
-        for ids_a, buckets, edges in located:
-            _bucket_products(ids_a, probe, buckets, edges, out[at : at + int(edges[-1])])
+        for ids_a, buckets, edges in located.runs:
+            _bucket_products(ids_a, located.probe, buckets, edges, out[at : at + int(edges[-1])])
             at += int(edges[-1])
         return out
+
+    def join(
+        self, probe: Probe, stats: dict[str, float] | None = None, table: int | None = None
+    ) -> np.ndarray:
+        """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s)
+        buckets, in one buffer: :meth:`locate`, then :meth:`expand`."""
+        return self.expand(self.locate(probe, table), stats)
+
+
+class Located(NamedTuple):
+    """A probe's matched buckets in the runs of one index, not yet expanded."""
+
+    probe: Probe
+    #: Per run with a match: its ids, the buckets ``(start_a, count_a, start_b,
+    #: count_b)`` and the pair offsets ``edges`` of :func:`_bucket_products`.
+    runs: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    n_pairs: int  # raw pairs :meth:`TableRuns.expand` writes
+    max_product: int  # the largest bucket's ``count_a * count_b``
 
 
 class BlockingGroup:
@@ -671,26 +766,43 @@ class HammingLSH(TableRuns):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Algorithm 2: block ``matrix_b`` against the index, keep ``d_H <= threshold``.
 
-        The one threshold-match kernel: :meth:`_unique_pairs`, then the
-        blocked decode / XOR / popcount / filter of
-        :func:`~repro.hamming.distance.verify_pairs`.  ``words_a`` holds
-        the indexed rows' packed words (a :class:`BitMatrix` is taken for
-        its ``words``; a read-only memory map is fine — only candidate rows
-        are gathered).  Returns ``(rows_a, rows_b, distances)`` of the
-        accepted pairs in ``a * n_B + b`` order; ``counters`` receives
-        :meth:`_unique_pairs`' counters and ``pairs_verified``.
+        The one threshold-match kernel, over the row blocks of
+        :func:`match_blocks`: per block one probe, one join, in-place de-dup
+        (:func:`sorted_unique`) and the blocked decode / XOR / popcount /
+        filter of :func:`~repro.hamming.distance.verify_pairs`; the blocks'
+        matches are then put in ``a * n_B + b`` order (one block is already
+        in it).  ``words_a`` holds the indexed rows' packed words (a
+        :class:`BitMatrix` is taken for its ``words``; a read-only memory
+        map is fine — only candidate rows are gathered).  Returns ``(rows_a, rows_b, distances)`` of the accepted pairs;
+        ``counters`` receives :meth:`_unique_pairs`' counters summed over
+        the blocks — ``max_bucket_product`` is the largest product within
+        one block — and ``pairs_verified``.
         """
         if threshold is None:
             threshold = self.threshold
         if threshold is None:
             raise ValueError("no matching threshold available")
-        stats: dict[str, float] = {}
-        pairs = self._unique_pairs(matrix_b, stats)
-        stats["pairs_verified"] = float(pairs.size)
+        stats = _generation_stats()
+        words_a = np.asarray(getattr(words_a, "words", words_a))
+
+        def verified(lo: int, block: BitMatrix, located: Located) -> tuple[np.ndarray, ...]:
+            pairs = sorted_unique(self.expand(located, stats))
+            stats["pairs_unique"] += pairs.size
+            rows_a, rows_b, dist = verify_pairs(
+                words_a, block.words, (pairs, block.n_rows), threshold
+            )
+            if lo:
+                rows_b += lo
+            return rows_a, rows_b, dist
+
+        out_a, out_b, dist = match_blocks(
+            matrix_b, self.n_tables, lambda block: self.locate(self.probe(block)), verified
+        )
+        stats["pairs_duplicates"] = stats["pairs_generated"] - stats["pairs_unique"]
+        stats["pairs_verified"] = stats["pairs_unique"]
         if counters is not None:
             counters.update(stats)
-        words_a = np.asarray(getattr(words_a, "words", words_a))
-        return verify_pairs(words_a, matrix_b.words, (pairs, matrix_b.n_rows), threshold)
+        return out_a, out_b, dist
 
     # -- diagnostics -----------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.pipeline.stages import (
     LoadSnapshotStage,
     MaterializedCandidateStage,
     QueryEmbedStage,
-    RuleClassifyStage,
+    RuleMatchStage,
     SampledCalibrationEmbedStage,
     ThresholdMatchStage,
     ThresholdVerifyStage,
@@ -65,7 +65,7 @@ __all__ = [
     "PipelineContext",
     "PipelineStage",
     "QueryEmbedStage",
-    "RuleClassifyStage",
+    "RuleMatchStage",
     "SampledCalibrationEmbedStage",
     "Stage",
     "ThresholdMatchStage",

@@ -242,29 +242,22 @@ class ThresholdMatchStage(VerifyStage):
         ctx.n_candidates = int(ctx.counters["pairs_unique"])
 
 
-class RuleClassifyStage(ClassifyStage):
-    """Apply a rule AST to the candidates, measuring only what it still needs.
+class RuleMatchStage(ClassifyStage):
+    """The rule-aware Algorithm 2 in one call: ``blocker.match`` of B.
 
     The cBV-HB rule-aware matching step (Section 5.4), delegated to
-    :func:`repro.rules.classify.classify_pairs`: the rule is walked lazily
-    over the candidates and the full per-attribute distances are computed
-    for the accepted pairs only.  ``classify_distance_rows`` lands in the
-    run counters.
+    :meth:`repro.rules.blocking.RuleAwareBlocker.match`: the plan and the
+    lazy rule run over bounded row blocks of B, so no candidate-sized
+    array exists.  Its counters land in the run counters
+    (``classify_distance_rows`` among them); ``n_candidates`` is the
+    formulated-pair count.
     """
 
-    def __init__(self, rule: Any):
-        self.rule = rule
-
     def run(self, ctx: PipelineContext) -> None:
-        # Runtime import: repro.pipeline stays import-leaf so repro.core
-        # can depend on it (see the module docstring).
-        from repro.rules.classify import classify_pairs
-
-        cand_a, cand_b = _candidate_arrays(ctx)
-        ctx.out_a, ctx.out_b, ctx.attribute_distances = classify_pairs(
-            self.rule, ctx.encoder, ctx.embedded_a, cand_a, ctx.embedded_b, cand_b,
-            counters=ctx.counters,
+        ctx.out_a, ctx.out_b, ctx.attribute_distances = ctx.blocker.match(
+            ctx.embedded_b, counters=ctx.counters
         )
+        ctx.n_candidates = int(ctx.counters["pairs_unique"])
 
 
 class AttributeThresholdClassifyStage(ClassifyStage):

@@ -22,7 +22,10 @@ applied during matching.  The rule-aware blocker compiles the rule AST into
 After blocking, the matching step evaluates the *actual* rule on measured
 per-attribute Hamming distances of the candidate pairs (Algorithm 2 with
 the rule as the classification function) — lazily, see
-:mod:`repro.rules.classify`.
+:mod:`repro.rules.classify`.  :meth:`RuleAwareBlocker.match` does both over
+row blocks of B (:func:`repro.hamming.lsh.match_blocks`, one byte budget):
+a pair's membership in any plan depends on that pair alone, so a block's
+set algebra is exact, and no array of the candidates' size is held.
 """
 
 from __future__ import annotations
@@ -34,9 +37,17 @@ import numpy as np
 
 from repro.core.encoder import RecordEncoder
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, CompositeHash, TableRuns, sorted_unique
+from repro.hamming.distance import decode_pairs
+from repro.hamming.lsh import (
+    BlockingGroup,
+    CompositeHash,
+    Located,
+    TableRuns,
+    match_blocks,
+    sorted_unique,
+)
 from repro.rules.ast import And, Comparison, Not, Or, Rule, RuleError
-from repro.rules.classify import classify_pairs
+from repro.rules.classify import PairClassifier
 from repro.rules.probability import (
     AttributeParams,
     rule_collision_probability,
@@ -90,21 +101,39 @@ class _Structure:
     def index(self, matrix: BitMatrix) -> None:
         self._tables.index(matrix)
 
-    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+    def locate(self, matrix_b: BitMatrix) -> Located:
+        """``matrix_b``'s matched buckets in every table, not yet expanded."""
+        return self._tables.locate(self._tables.probe(matrix_b))
+
+    def expand(self, located: Located, stats: dict[str, float] | None = None) -> np.ndarray:
         """Encoded pairs ``a * n_B + b`` as the tables' joins emit them: in no
         order, a pair once per table that formulates it."""
-        return [self._tables.join(self._tables.probe(matrix_b))]
+        return self._tables.expand(located, stats)
 
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""
-        return _distinct(self.parts(matrix_b))
+        return _distinct([self.expand(self.locate(matrix_b))])
+
+
+class _Block:
+    """One block of B, located in every structure of a plan and expanded
+    structure by structure as the plan asks (:meth:`pairs`)."""
+
+    def __init__(self, structures: list[_Structure], matrix_b: BitMatrix):
+        self._located = {structure: structure.locate(matrix_b) for structure in structures}
+        self.n_pairs = sum(located.n_pairs for located in self._located.values())
+        self.stats = {"pairs_generated": 0.0, "max_bucket_product": 0.0}
+
+    def pairs(self, structure: _Structure) -> np.ndarray:
+        """``structure``'s raw pairs in this block; its bucket arrays are let go."""
+        return structure.expand(self._located.pop(structure), self.stats)
 
 
 def _distinct(parts: list[np.ndarray]) -> np.ndarray:
     """The union of ``parts``, ascending and without repeats."""
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return sorted_unique(np.concatenate(parts))
+    return sorted_unique(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 def _contained(values: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -122,22 +151,28 @@ def _contained(values: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """Base class of compiled blocking plans.
+    """Base class of compiled blocking plans, evaluated one block of B at a time.
 
-    ``members`` returns the formulated pairs encoded ``a * n_B + b``,
-    ascending and without repeats.  ``parts`` returns arrays whose union
-    that is, in any order and with repeats: what a union above this node
-    needs, so an OR of structures sorts all its arms' pairs once instead
-    of every arm and then their union.
+    ``unique(block)`` returns the block's formulated pairs encoded
+    ``a * n_B + b`` (``n_B`` the block's rows), ascending and without
+    repeats.  ``parts(block)`` returns arrays whose union that is, in any
+    order and with repeats: what a union above this node needs, so an OR of
+    structures sorts all its arms' pairs once instead of every arm and then
+    their union.  A pair's membership depends on that pair alone, so the
+    set algebra of a block is exact.  ``members(matrix_b)`` is all of
+    ``matrix_b`` as one block.
     """
 
     structures: list[_Structure]
 
-    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
+    def parts(self, block: _Block) -> list[np.ndarray]:
         raise NotImplementedError
 
+    def unique(self, block: _Block) -> np.ndarray:
+        return _distinct(self.parts(block))
+
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
-        return _distinct(self.parts(matrix_b))
+        return self.unique(_Block(self.structures, matrix_b))
 
 
 class _LeafPlan(_Plan):
@@ -145,8 +180,8 @@ class _LeafPlan(_Plan):
         self.structure = structure
         self.structures = [structure]
 
-    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
-        return self.structure.parts(matrix_b)
+    def parts(self, block: _Block) -> list[np.ndarray]:
+        return [block.pairs(self.structure)]
 
 
 class _OrPlan(_Plan):
@@ -154,8 +189,8 @@ class _OrPlan(_Plan):
         self.children = children
         self.structures = [s for child in children for s in child.structures]
 
-    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
-        return [part for child in self.children for part in child.parts(matrix_b)]
+    def parts(self, block: _Block) -> list[np.ndarray]:
+        return [part for child in self.children for part in child.parts(block)]
 
 
 class _AndPlan(_Plan):
@@ -168,15 +203,15 @@ class _AndPlan(_Plan):
             s for plan in (*positives, *negatives) for s in plan.structures
         ]
 
-    def parts(self, matrix_b: BitMatrix) -> list[np.ndarray]:
-        return [self.members(matrix_b)]
+    def parts(self, block: _Block) -> list[np.ndarray]:
+        return [self.unique(block)]
 
-    def members(self, matrix_b: BitMatrix) -> np.ndarray:
-        out = self.positives[0].members(matrix_b)
+    def unique(self, block: _Block) -> np.ndarray:
+        out = self.positives[0].unique(block)
         for plan in self.positives[1:]:
-            out = out.compress(_contained(out, plan.members(matrix_b)))
+            out = out.compress(_contained(out, plan.unique(block)))
         for plan in self.negatives:
-            out = out.compress(~_contained(out, plan.members(matrix_b)))
+            out = out.compress(~_contained(out, plan.unique(block)))
         return out
 
 
@@ -343,21 +378,50 @@ class RuleAwareBlocker:
         return rows_a, rows_b
 
     def match(
-        self, matrix_b: BitMatrix
+        self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Block, then apply the classification rule to the formulated pairs.
 
-        Returns ``(rows_a, rows_b, distances)`` of the *accepted* pairs,
-        with ``distances`` every attribute's distance array over exactly
-        those pairs.  The rule is applied lazily
-        (:func:`repro.rules.classify.classify_pairs`): an attribute is
-        measured only on the pairs a predicate still has to decide.
+        Runs over the row blocks of B that
+        :func:`~repro.hamming.lsh.match_blocks` cuts from one byte budget:
+        per block, every structure's probe and join, the plan's set algebra
+        (exact within a block, since B blocks partition the pairs), then
+        the lazy rule (:class:`~repro.rules.classify.PairClassifier`, one
+        per link: an attribute is measured only on the pairs a predicate
+        still has to decide).  Returns ``(rows_a, rows_b, distances)`` of
+        the *accepted* pairs in ``a * n_B + b`` order, with ``distances``
+        every attribute's distance array over exactly those pairs (``{}``
+        when no pair was formulated).  ``counters`` receives
+        ``pairs_generated`` (raw pairs of every structure),
+        ``pairs_unique`` (the formulated pairs) and
+        ``classify_distance_rows``.
         """
-        rows_a, rows_b = self.candidate_pairs(matrix_b)
-        assert self._matrix_a is not None
-        return classify_pairs(
-            self.rule, self.encoder, self._matrix_a, rows_a, matrix_b, rows_b
+        if self._matrix_a is None:
+            raise RuleError("call index(matrix_a) before match")
+        matrix_a = self._matrix_a
+        classifier = PairClassifier(self.rule, self.encoder, matrix_a, matrix_b)
+        structures = self._plan.structures
+        generated = formulated = 0
+
+        def classified(lo: int, block: BitMatrix, located: _Block) -> tuple[np.ndarray, ...]:
+            nonlocal generated, formulated
+            rows_a, rows_b = decode_pairs(self._plan.unique(located), block.n_rows)
+            generated += int(located.stats["pairs_generated"])
+            formulated += rows_a.size
+            rows_b += lo
+            keep = classifier.accepted(rows_a, rows_b)
+            return rows_a[keep], rows_b[keep]
+
+        out_a, out_b = match_blocks(
+            matrix_b, self.total_tables, lambda block: _Block(structures, block), classified
         )
+        if counters is not None:
+            counters["pairs_generated"] = float(generated)
+            counters["pairs_unique"] = float(formulated)
+            counters["classify_distance_rows"] = float(classifier.rows_measured)
+        if not formulated:
+            return out_a, out_b, {}
+        return out_a, out_b, self.encoder.attribute_distances(matrix_a, out_a, matrix_b, out_b)
 
 
 def _flatten_and(rule: And) -> tuple[Rule, ...]:

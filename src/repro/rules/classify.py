@@ -49,12 +49,12 @@ class _LazyDistances:
     def __init__(
         self,
         encoder: "RecordEncoder",
-        words_a: np.ndarray,
-        words_b: np.ndarray,
+        matrix_a: BitMatrix,
+        matrix_b: BitMatrix,
         repeated: frozenset[str],
     ):
         self._encoder = encoder
-        self._words = (words_a, words_b)
+        self._matrices = (matrix_a, matrix_b)
         self._repeated = repeated
         self._columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.rows_measured = 0
@@ -76,8 +76,8 @@ class _LazyDistances:
         low = ~np.uint64((1 << layout.offset % 64) - 1)
         high = np.uint64((1 << ((layout.stop - 1) % 64 + 1)) - 1)
         sides: list[np.ndarray] = []
-        for words in self._words:
-            columns = words[:, first : last + 1].T.copy()
+        for matrix in self._matrices:
+            columns = matrix.words[:, first : last + 1].T.copy()
             columns[0] &= low
             columns[-1] &= high
             sides.append(columns)
@@ -144,6 +144,47 @@ def _cheapest_first(rule: Rule, words: dict[str, int]) -> Rule:
     return rule
 
 
+class PairClassifier:
+    """``rule`` applied to candidate pairs of ``matrix_a`` x ``matrix_b``, lazily.
+
+    Built once per link and asked block after block (:meth:`accepted`): an
+    attribute's packed words are laid out once, however many blocks of
+    candidates follow.  ``rows_measured`` counts the attribute distances
+    measured so far, summed over the rule's predicates.
+    """
+
+    def __init__(
+        self, rule: Rule, encoder: "RecordEncoder", matrix_a: BitMatrix, matrix_b: BitMatrix
+    ):
+        for cmp in rule.comparisons():
+            if cmp.attribute not in encoder.names:
+                raise RuleError(f"no distance supplied for attribute {cmp.attribute!r}")
+        per_attribute = Counter(cmp.attribute for cmp in rule.comparisons())
+        repeated = frozenset(name for name, uses in per_attribute.items() if uses > 1)
+        words: dict[str, int] = {}
+        for name in per_attribute:
+            first, last = _word_span(encoder.layout(name))
+            words[name] = last - first + 1
+        self._rule = _cheapest_first(rule, words)
+        self._distances = _LazyDistances(encoder, matrix_a, matrix_b, repeated)
+
+    @property
+    def rows_measured(self) -> int:
+        return self._distances.rows_measured
+
+    def accepted(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Ascending positions of the pairs ``(rows_a[i], rows_b[i])`` the rule
+        accepts, walked ``DEFAULT_BLOCK_ROWS`` at a time, so nothing
+        candidate-sized is allocated beyond the result."""
+        distances = self._distances
+        accepted = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, rows_a.size, DEFAULT_BLOCK_ROWS):
+            hi = lo + DEFAULT_BLOCK_ROWS
+            distances.open_block(rows_a[lo:hi], rows_b[lo:hi])
+            accepted.append(_accepted(self._rule, np.arange(distances.n_rows), distances) + lo)
+        return np.concatenate(accepted)
+
+
 def classify_pairs(
     rule: Rule,
     encoder: "RecordEncoder",
@@ -164,31 +205,16 @@ def classify_pairs(
     the verdict, summed over the rule's predicates — at most
     ``len(rows_a) * len(rule.attributes())``, the eager cost.
 
-    The candidates are walked ``DEFAULT_BLOCK_ROWS`` at a time, so nothing
+    One :class:`PairClassifier` over all the candidates, so nothing
     candidate-sized is allocated here.
     """
-    for cmp in rule.comparisons():
-        if cmp.attribute not in encoder.names:
-            raise RuleError(f"no distance supplied for attribute {cmp.attribute!r}")
+    classifier = PairClassifier(rule, encoder, matrix_a, matrix_b)
     if counters is not None:
         counters["classify_distance_rows"] = 0.0
     if not rows_a.size:
         return rows_a, rows_b, {}
-    per_attribute = Counter(cmp.attribute for cmp in rule.comparisons())
-    repeated = frozenset(name for name, uses in per_attribute.items() if uses > 1)
-    words: dict[str, int] = {}
-    for name in per_attribute:
-        first, last = _word_span(encoder.layout(name))
-        words[name] = last - first + 1
-    ordered = _cheapest_first(rule, words)
-    distances = _LazyDistances(encoder, matrix_a.words, matrix_b.words, repeated)
-    accepted: list[np.ndarray] = []
-    for lo in range(0, rows_a.size, DEFAULT_BLOCK_ROWS):
-        hi = lo + DEFAULT_BLOCK_ROWS
-        distances.open_block(rows_a[lo:hi], rows_b[lo:hi])
-        accepted.append(_accepted(ordered, np.arange(distances.n_rows), distances) + lo)
+    keep = classifier.accepted(rows_a, rows_b)
     if counters is not None:
-        counters["classify_distance_rows"] = float(distances.rows_measured)
-    keep = np.concatenate(accepted)
+        counters["classify_distance_rows"] = float(classifier.rows_measured)
     out_a, out_b = rows_a[keep], rows_b[keep]
     return out_a, out_b, encoder.attribute_distances(matrix_a, out_a, matrix_b, out_b)

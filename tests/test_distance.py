@@ -14,6 +14,7 @@ from repro.hamming.distance import (
     jaccard_distance_sets,
     masked_hamming_rows,
     normalized_hamming,
+    verify_pairs,
 )
 
 
@@ -46,6 +47,26 @@ class TestHammingPacked:
         a = np.asarray([0b1, 0], dtype=np.uint64)
         b = np.asarray([[0b0, 0], [0b1, 1]], dtype=np.uint64)
         assert hamming_packed(a, b).tolist() == [1, 1]
+
+
+class TestVerifyPairs:
+    @pytest.fixture
+    def words(self):
+        rng = np.random.default_rng(3)
+        return rng.integers(0, 2**63, size=(2, 9, 2)).astype(np.uint64)
+
+    @pytest.mark.parametrize("n_b", [9, np.int64(9), np.uint32(9)], ids=type)
+    def test_encoded_pairs_take_any_integer_scalar(self, words, n_b):
+        words_a, words_b = words
+        rows_a = np.repeat(np.arange(9), 9)
+        rows_b = np.tile(np.arange(9), 9)
+        threshold = int(np.median(hamming_packed(words_a[rows_a], words_b[rows_b])))
+        want = verify_pairs(words_a, words_b, (rows_a, rows_b), threshold)
+        got = verify_pairs(words_a, words_b, (rows_a * 9 + rows_b, n_b), threshold)
+        assert 0 < want[0].size < 81
+        for have, expected in zip(got, want):
+            assert have.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(have, expected)
 
 
 class TestJaccard:

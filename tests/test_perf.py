@@ -21,12 +21,22 @@ from repro.core.qgram import (
     index_set_cache_info,
     qgram_index_set,
 )
-from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
+from repro.data import (
+    Dataset,
+    DBLPGenerator,
+    NCVRGenerator,
+    build_linkage_problem,
+    scheme_ph,
+    scheme_pl,
+)
 from repro.data.generators import EXPERIMENT_SCHEME
+from repro.hamming import lsh as lsh_module
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
 from repro.perf import LogHistogram
 from repro.pipeline.runner import LinkagePipeline
+from repro.rules import blocking as blocking_module
+from repro.rules.parser import parse_rule
 
 
 RECORDS = [
@@ -164,6 +174,99 @@ class TestLinkageInvariance:
         assert result.counters["pairs_verified"] == result.n_candidates
 
 
+def force_block_rows(monkeypatch, rows):
+    """Set the match byte budget to ``rows`` rows of whatever tables each match
+    probes (``None``: all of B in one block); returns the rows of every block
+    matched from then on."""
+    seen = []
+    original = lsh_module.match_blocks
+
+    def blocks(matrix_b, n_tables, locate, match):
+        budget = 1 << 62 if rows is None else rows * n_tables * lsh_module._PROBE_CELL_BYTES
+        monkeypatch.setattr(lsh_module, "MATCH_BLOCK_BYTES", budget)
+
+        def counted(lo, block, located):
+            seen.append(block.n_rows)
+            return match(lo, block, located)
+
+        return original(matrix_b, n_tables, locate, counted)
+
+    monkeypatch.setattr(lsh_module, "match_blocks", blocks)
+    monkeypatch.setattr(blocking_module, "match_blocks", blocks)
+    return seen
+
+
+class TestBlockSizeInvariance:
+    """B blocks partition the pairs, so the block size changes no output:
+    with the budget forced to one-row, seven-row and one-block blocks, the
+    record-level, streaming and rule-aware links return the same matches,
+    distances, candidate count and counters as at the default budget —
+    except ``max_bucket_product``, the largest product within one block."""
+
+    NAMES = ["FirstName", "LastName", "Address", "Town"]
+    K = {"FirstName": 5, "LastName": 5, "Address": 10, "Town": 4}
+    RULES = [
+        "(FirstName<=4) & (LastName<=4) & (Address<=8)",  # C1: one AND structure
+        "(FirstName<=2) | (LastName<=2)",  # OR: a structure per arm
+        "(FirstName<=4) & (Address<=8) & !(Town<=2)",  # NOT: an exclusion structure
+        "[(FirstName<=4) & (LastName<=4)] | [(Address<=8) & (Town<=4)]",  # C1'
+        "[(FirstName<=4) | (LastName<=4)] & [(Address<=8) | (Town<=4)]",  # C2'
+        "(LastName<=4) & !((FirstName<=1) | (Town<=1))",  # NOT over a compound
+    ]
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=7)
+
+    @pytest.fixture(scope="class")
+    def encoder(self, problem):
+        linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
+        return linker.calibrate(problem.dataset_a, problem.dataset_b)
+
+    def _links(self, problem, encoder):
+        a, b = problem.dataset_a, problem.dataset_b
+        yield "record", CompactHammingLinker.record_level(threshold=4, k=30, seed=7).link(a, b)
+        yield "streaming", StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b)
+        for text in self.RULES:
+            linker = CompactHammingLinker.rule_aware(
+                parse_rule(text), k=self.K, attribute_names=self.NAMES, seed=7
+            )
+            yield text, linker.link(a, b)
+
+    @staticmethod
+    def _outcome(result):
+        arrays = {"rows_a": result.rows_a, "rows_b": result.rows_b}
+        if result.record_distances is not None:
+            arrays["record"] = result.record_distances
+        arrays.update(result.attribute_distances)
+        counters = dict(result.counters)
+        counters.pop("max_bucket_product", None)
+        return {name: (a.dtype.str, a.tobytes()) for name, a in arrays.items()}, (
+            result.n_candidates, counters
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self, problem, encoder):
+        return {name: self._outcome(result) for name, result in self._links(problem, encoder)}
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "all-of-B"])
+    def test_links_equal_at_every_block_size(self, problem, encoder, reference, monkeypatch, rows):
+        seen = force_block_rows(monkeypatch, rows)
+        for name, result in self._links(problem, encoder):
+            assert self._outcome(result) == reference[name], name
+            if name == "record":
+                assert 0 < result.n_matches < result.n_candidates
+        if rows is None:
+            assert set(seen) == {300}
+        else:
+            assert max(seen) <= rows and sum(seen) == 300 * (2 + len(self.RULES))
+        for name, (arrays, (n_candidates, counters)) in reference.items():
+            assert n_candidates > 0, name
+            assert len(arrays["rows_a"][1]) > 0, name
+            if name not in ("record", "streaming"):
+                assert 0 < counters["classify_distance_rows"], name
+
+
 class _MeteredStage:
     """A pipeline stage that notes the traced memory its inner stage starts from."""
 
@@ -215,22 +318,25 @@ def traced_link(linker, dataset_a, dataset_b):
 
 
 class TestMemoryGate:
-    """A cold ``link()`` holds its raw candidate pairs once and nothing else
-    the size of the candidates — as traced bytes, which repeat exactly, so a
-    reintroduced candidate-sized temporary fails here, not in a noisy
-    benchmark.  20 000 generated NCVR records a side, the heaviest of
-    linker seeds 7..12, at the paper's ``K = 30`` (131 k raw pairs: 1 MB,
-    less than the index-sized arrays beside them, so what shows there is
-    the embed's block size: ``17f9406`` peaks at 16.1 MB against 13.2) and
-    at ``K = 18`` (887 k raw pairs: 7 MB, where ``17f9406`` peaks at
-    43.7 MB against 14.2 and breaks all three bounds)."""
+    """Traced bytes of a cold ``link()``, which repeat exactly, so a
+    reintroduced candidate-sized or ``L x n_B`` temporary fails here, not in
+    a noisy benchmark.  The match runs over B blocks within one byte budget
+    (``repro.hamming.lsh.MATCH_BLOCK_BYTES``), so its peak is the budget's,
+    whatever ``n_B``.  Generated NCVR records, the heaviest of linker seeds
+    7..12 at the paper's ``K = 30`` (131 k raw pairs at 20 000 a side: 1 MB,
+    less than the index-sized arrays beside them, so what shows there is the
+    embed's block size: ``17f9406`` peaks at 16.1 MB against 13.2) and at
+    ``K = 18`` (887 k raw pairs: 7 MB, where ``17f9406`` peaks at 43.7 MB
+    against 14.2 and breaks all three bounds); and the rule-aware link of
+    ``link-dblp-ph``'s rule, which held every candidate before the blocks
+    (357 MiB at 20 000 a side)."""
 
     MIB = 1 << 20
     #: Everything a link holds that is not the size of its candidates: value
     #: rows, columns, matrices, ``L x n`` key and probe arrays (11.1 MB at K = 30).
     FIXED = 12 * MIB
-    #: What the match stage adds beside the pairs: the probe and the bucket
-    #: search, ~9 arrays of ``L x n`` cells (8.8 MB at L = 6).
+    #: What the match stage adds beside the pairs: one block's probe and bucket
+    #: search, within ``MATCH_BLOCK_BYTES`` (8 MiB; the stage rises 7.3 MB at seed 7).
     STAGE = 10 * MIB
     #: Three 64 k-cell ``int64`` temporaries: a block's worth in one expression.
     BLOCK = 3 * MIB // 2
@@ -257,6 +363,41 @@ class TestMemoryGate:
         assert top - entry < raw + self.STAGE, name
         worst = max(lines, key=lines.get)
         assert lines[worst] < raw + self.BLOCK, worst
+
+    def test_match_stage_peak_does_not_grow_with_n_b(self):
+        """20 000 records of A against 20 000 and 40 000 of B: a one-pass match
+        holds ``L x n_B`` probe arrays (L = 6), and its stage rises 8.8 MB
+        and 12.5 MB.  In blocks the rise is 7.7 MB at both sizes.  A is fixed
+        because bucket sizes, and with them each block's matched buckets and
+        raw pairs, grow with ``n_A``."""
+        problem = build_linkage_problem(NCVRGenerator(), 40_000, scheme_pl(), seed=7)
+        a, b = problem.dataset_a, problem.dataset_b
+        a = Dataset(a.schema, a.records[:20_000])
+        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
+        rises = {}
+        for n_b in (20_000, 40_000):
+            linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
+            linker.encoder = encoder
+            __, __, stages, __ = traced_link(linker, a, Dataset(b.schema, b.records[:n_b]))
+            name, entry, top = stages[-1]
+            assert name == "ThresholdMatchStage"
+            rises[n_b] = top - entry
+        assert rises[40_000] < rises[20_000] + self.MIB, rises
+
+    def test_rule_aware_link_stays_under_budget(self):
+        """``link-dblp-ph``'s rule and K at 20 000 a side: 14.1 M candidates.
+        A link that holds them all peaks at 357 MiB; in blocks, at 64 MiB."""
+        problem = build_linkage_problem(DBLPGenerator(), 20_000, scheme_ph(), seed=7)
+        linker = CompactHammingLinker.rule_aware(
+            parse_rule("(FirstName<=4) & (LastName<=4) & (Title<=8)"),
+            k={"FirstName": 5, "LastName": 5, "Title": 12},
+            attribute_names=["FirstName", "LastName", "Title", "Year"],
+            seed=7,
+        )
+        result, peak, stages, __ = traced_link(linker, problem.dataset_a, problem.dataset_b)
+        assert peak <= 100 * self.MIB, peak / self.MIB
+        assert result.n_candidates == 14_134_246
+        assert stages[-1][0] == "RuleMatchStage"
 
 
 class TestStreamingBatchedQuery:

@@ -1,10 +1,18 @@
 """Tests for repro.rules.probability — Definitions 4-6 and the paper's L values."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.cvector import CVectorEncoder
+from repro.core.encoder import RecordEncoder
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.bitvector import BitVector
 from repro.rules.ast import And, Comparison, Not, Or, RuleError
+from repro.rules.blocking import RuleAwareBlocker
 from repro.rules.parser import parse_rule
 from repro.rules.probability import (
     AttributeParams,
@@ -57,6 +65,65 @@ class TestDefinition4And:
 
     def test_paper_l_62_dblp(self):
         assert rule_table_count(C1, DBLP, delta=0.1) == 62
+
+
+class TestDefinition4Recall:
+    """Definition 4's guarantee, measured like Eq. 2's
+    (``test_lsh_theory.py::TestEquation2Recall``): a pair exactly at C1's
+    attribute thresholds is formulated by ``RuleAwareBlocker`` at the rate
+    ``1 - (1 - prod_i (1 - d_i/m_i)^(K_i))^L`` of its one AND structure."""
+
+    #: Independent blocker seeds per configuration.
+    N_SEEDS = 1000
+    #: Two-sided normal quantile of a 99.9% binomial interval.
+    Z = 3.29
+
+    def test_pair_at_thresholds_formulated_at_def4_rate(self):
+        """Over ``N_SEEDS`` seeds (DBLP's widths and K, the suite's
+        ``link-dblp-ph`` rule: ``L`` = 62 from Eq. 2 with Def 4's product,
+        delta = 0.1) the hit rate lies in the 99.9% binomial interval around
+        the exact rate, and that rate is at least ``1 - delta``.  The exact
+        rate is 0.9034 — ``L`` is the least count that reaches 0.9 — so a
+        seed range's own rate falls under 0.9 about a third of the time: the
+        measured rate is held to ``1 - delta`` less the interval's half
+        width.  The seeds are fixed, so the test is deterministic.  (NCVR's
+        178 tables take 13 s for the same count, spent drawing positions.)"""
+        params, n_tables = DBLP, 62
+        encoder = RecordEncoder(
+            [CVectorEncoder(params[name].m, seed=i) for i, name in enumerate(sorted(params))],
+            names=sorted(params),
+        )
+        rng = np.random.default_rng(n_tables)
+        a = rng.integers(0, 2, encoder.total_bits)
+        b = a.copy()
+        thresholds = {cmp.attribute: cmp.threshold for cmp in C1.comparisons()}
+        for name, threshold in thresholds.items():
+            layout = encoder.layout(name)
+            b[layout.offset + rng.choice(layout.width, threshold, replace=False)] ^= 1
+        matrix_a = BitMatrix.from_vectors([BitVector.from_bits(a)])
+        matrix_b = BitMatrix.from_vectors([BitVector.from_bits(b)])
+        k = {name: attribute.k for name, attribute in params.items()}
+        hits = 0
+        for seed in range(self.N_SEEDS):
+            blocker = RuleAwareBlocker(C1, encoder, k=k, delta=0.1, seed=seed)
+            assert blocker.total_tables == n_tables
+            blocker.index(matrix_a)
+            rows_a, __, distances = blocker.match(matrix_b)
+            if rows_a.size:
+                assert {name: d.tolist() for name, d in distances.items()} == {
+                    name: [thresholds[name]] for name in params
+                }
+            hits += rows_a.size
+        rate = hits / self.N_SEEDS
+        per_table = math.prod(
+            (1.0 - thresholds[name] / attribute.m) ** attribute.k
+            for name, attribute in params.items()
+        )
+        exact = 1.0 - (1.0 - per_table) ** n_tables
+        half_width = self.Z * math.sqrt(exact * (1.0 - exact) / self.N_SEEDS)
+        assert exact >= 1.0 - 0.1
+        assert rate >= 1.0 - 0.1 - half_width
+        assert abs(rate - exact) <= half_width, (rate, exact, half_width)
 
 
 class TestDefinition5Or:
