@@ -11,7 +11,6 @@ The paper's evaluation workflow as shell commands::
     repro index build a.csv -o idx --threshold 4
     repro index build a.csv -o idx --threshold 4 --shards 4
     repro index query idx b.csv -o matches.csv --top-k 1
-    repro index bench idx b.csv
     repro index ingest idx more.csv
     repro index compact idx
     repro serve idx --port 8765 --max-batch 256 --max-wait-us 2000
@@ -104,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_seed(link)
 
     index = sub.add_parser(
-        "index", help="build, query and benchmark persistent index snapshots"
+        "index", help="build, query, ingest into and compact persistent index snapshots"
     )
     isub = index.add_subparsers(dest="index_command", required=True)
 
@@ -134,13 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("-o", "--output", required=True, help="matches CSV path")
     query.add_argument("--threshold", type=int, help="override the stored threshold")
     query.add_argument("--top-k", type=int, help="keep only the top-k closest matches")
-
-    bench = isub.add_parser(
-        "bench", help="time cold load + batched query throughput for a bundle"
-    )
-    bench.add_argument("bundle", help="snapshot bundle directory")
-    bench.add_argument("dataset", help="query dataset CSV")
-    bench.add_argument("--repeat", type=int, default=3)
 
     ingest = isub.add_parser(
         "ingest",
@@ -444,44 +436,6 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.protocol import value_rows
-    from repro.serve import QueryEngine
-
-    dataset = _read_dataset(args.dataset)
-    rows = list(value_rows(dataset))
-    started = time.perf_counter()
-    engine = QueryEngine.from_bundle(args.bundle)
-    load_s = time.perf_counter() - started
-    timings = []
-    n_matches = 0
-    for __ in range(max(1, args.repeat)):
-        started = time.perf_counter()
-        n_matches = engine.query_batch(rows).n_matches
-        timings.append(time.perf_counter() - started)
-    best = min(timings)
-    table = [
-        ["indexed records", engine.n_indexed],
-        ["queries", len(rows)],
-        ["matches", n_matches],
-        ["cold load (s)", f"{load_s:.4f}"],
-        ["best batch time (s)", f"{best:.4f}"],
-        ["QPS", f"{len(rows) / best:.0f}" if best else "inf"],
-        ["shards", engine.n_shards],
-    ]
-    batches = engine.stats.get("n_batches", 0.0)
-    for key in ("time_embed_s", "time_query_s", "time_fanout_s", "time_merge_s"):
-        if key in engine.stats:
-            stage = key[len("time_") : -len("_s")]
-            table.append(
-                [f"{stage} (s/batch)", f"{engine.stats[key] / max(1.0, batches):.4f}"]
-            )
-    emit(format_table(["metric", "value"], table))
-    return 0
-
-
 def _cmd_index_ingest(args: argparse.Namespace) -> int:
     import time
 
@@ -597,7 +551,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     handler = {
         "build": _cmd_index_build,
         "query": _cmd_index_query,
-        "bench": _cmd_index_bench,
         "ingest": _cmd_index_ingest,
         "compact": _cmd_index_compact,
     }[args.index_command]

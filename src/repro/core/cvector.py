@@ -14,7 +14,6 @@ distances remain comparable).  ``m_opt`` comes from Theorem 1 — see
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -31,12 +30,9 @@ from repro.text.alphabet import AlphabetError
 #: The large prime of the paper's hash family: 2^31 - 1 (a Mersenne prime).
 HASH_PRIME = 2**31 - 1
 
-#: Per-encoder LRU capacity for memoised compact index sets (per-string path).
-COMPACT_CACHE_SIZE = 4096
-
 #: Values per attribute a memo of :func:`embed_values` holds; a fill that
 #: would overflow it starts that memo over.
-VALUE_MEMO_SIZE = COMPACT_CACHE_SIZE
+VALUE_MEMO_SIZE = 4096
 
 #: Batches of at most this many rows are embedded value by value
 #: (:func:`embed_values`), larger ones by :func:`embed_columns`, whose ~30
@@ -194,26 +190,12 @@ class CVectorEncoder:
         elif hash_fn.m != m:
             raise ValueError(f"hash modulus {hash_fn.m} differs from m={m}")
         self.hash_fn = hash_fn
-        self._compact_cache: OrderedDict[str, frozenset[int]] = OrderedDict()
 
     # -- per-string API -------------------------------------------------------
 
     def compact_indices(self, value: str) -> frozenset[int]:
-        """The set of compact positions ``{g(x) : x in U_s}`` for ``value``.
-
-        Memoised per encoder (bounded LRU) so the streaming insert/query
-        path pays the hash evaluation once per distinct value.
-        """
-        cached = self._compact_cache.get(value)
-        if cached is not None:
-            self._compact_cache.move_to_end(value)
-            return cached
-        u_s = self.scheme.index_set(value)
-        out = frozenset(self.hash_fn(x) for x in u_s)
-        self._compact_cache[value] = out
-        if len(self._compact_cache) > COMPACT_CACHE_SIZE:
-            self._compact_cache.popitem(last=False)
-        return out
+        """The set of compact positions ``{g(x) : x in U_s}`` for ``value``."""
+        return frozenset(self.hash_fn(x) for x in self.scheme.index_set(value))
 
     def encode(self, value: str) -> BitVector:
         """The c-vector of ``value`` (Figure 4 of the paper)."""
@@ -275,7 +257,10 @@ def value_bits(encoder: CVectorEncoder, offset: int, value: str) -> int:
     except AlphabetError as err:
         raise AlphabetError(f"{err} (value {value!r})") from None
     a, b, p, m = encoder.hash_fn.a, encoder.hash_fn.b, encoder.hash_fn.p, encoder.hash_fn.m
-    return sum(1 << bit for bit in {(a * x + b) % p % m + offset for x in grams})
+    bits = 0
+    for x in grams:
+        bits |= 1 << (a * x + b) % p % m
+    return bits << offset
 
 
 def embed_values(
@@ -295,16 +280,19 @@ def embed_values(
     for record in records:
         row = 0
         for enc, offset, memo, new, value in zip(encoders, offsets, memos, fresh, record):
-            bits = memo.get(value, new.get(value))
+            bits = memo.get(value)
+            if bits is None:
+                bits = new.get(value)
             if bits is None:
                 bits = new[value] = value_bits(enc, offset, value)
             row |= bits
         rows.append(row)
-    with _MEMO_FILL:  # concurrent fills keep every memo within its size
-        for memo, new in zip(memos, fresh):
-            if len(memo) + len(new) > VALUE_MEMO_SIZE:
-                memo.clear()
-            memo.update(new)
+    if any(fresh):
+        with _MEMO_FILL:  # concurrent fills keep every memo within its size
+            for memo, new in zip(memos, fresh):
+                if len(memo) + len(new) > VALUE_MEMO_SIZE:
+                    memo.clear()
+                memo.update(new)
     n_bytes = 8 * ((n_bits + 63) // 64)
     packed = bytearray(b"".join(row.to_bytes(n_bytes, "little") for row in rows))
     return BitMatrix(np.frombuffer(packed, dtype="<u8").reshape(len(rows), -1), n_bits)

@@ -71,6 +71,7 @@ class RecordEncoder:
             self.layouts.append(AttributeLayout(name=name, offset=offset, width=enc.m))
             offset += enc.m
         self._by_name = {layout.name: i for i, layout in enumerate(self.layouts)}
+        self._offsets = [layout.offset for layout in self.layouts]
         self._memos: list[dict[str, int]] = [{} for __ in self.encoders]
 
     def __getstate__(self) -> dict[str, object]:
@@ -141,11 +142,11 @@ class RecordEncoder:
         if set(map(len, records)) != {self.n_attributes}:
             for record in records:
                 self._check_arity(record)
-        offsets = [layout.offset for layout in self.layouts]
+        offsets = self._offsets
         try:
             if len(records) <= SMALL_BATCH_ROWS:
                 matrix = embed_values(self.encoders, offsets, records, self.total_bits, self._memos)
-                n_unique = sum(len(set(column)) for column in zip(*records))
+                n_unique = 0 if stats is None else sum(len(set(col)) for col in zip(*records))
             else:
                 columns = [[record[att] for record in records] for att in range(self.n_attributes)]
                 matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)

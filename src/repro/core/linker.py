@@ -15,8 +15,10 @@ Both linkers here are compositions of :mod:`repro.pipeline` stages run by
 baseline uses.  :class:`CompactHammingLinker` owns steps 1-4 for
 dataset-vs-dataset linkage; :class:`StreamingLinker` exposes an
 insert/query API for the near-real-time setting motivating the paper's
-introduction (plus a batch :meth:`StreamingLinker.link` on the shared
-runner).
+introduction: a thin facade over the one in-memory index a served bundle
+is queried through (:class:`repro.hamming.query.IndexView`), whose
+one-record query is a one-row batch of the one match kernel (plus a batch
+:meth:`StreamingLinker.link` on the shared runner).
 
 ``LinkageResult`` and the dataset protocol types are re-exported here for
 back-compat; they live in :mod:`repro.pipeline.result` and
@@ -40,9 +42,8 @@ from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
-from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH
-from repro.hamming.query import batch_query, group_matches, top_k_smallest
+from repro.hamming.query import IndexView, batch_query, group_matches
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.result import LinkageResult as LinkageResult
 from repro.pipeline.runner import LinkagePipeline
@@ -278,8 +279,8 @@ class _StreamingInsertStage(CalibrateStage):
     def run(self, ctx: PipelineContext) -> None:
         linker = self.linker
         linker.insert_rows(ctx.rows_a)
-        ctx.encoder, ctx.blocker = linker.encoder, linker._lsh
-        ctx.embedded_a = linker._words[: len(linker)]
+        ctx.encoder, ctx.blocker = linker.encoder, linker.view.lsh
+        ctx.embedded_a = linker.view.words
         width = linker.encoder.total_bits
         ctx.embedded_b = (
             linker.encoder.encode_dataset(ctx.rows_b) if ctx.rows_b else BitMatrix.zeros(0, width)
@@ -289,10 +290,14 @@ class _StreamingInsertStage(CalibrateStage):
 class StreamingLinker:
     """Incremental insert/query over the HB index (real-time setting, Section 1).
 
-    Records of the reference dataset are inserted one at a time; each query
+    Records of the reference dataset are inserted as they arrive; each query
     record is blocked and matched immediately — the health-surveillance
-    scenario where streams are integrated "in real-time".  :meth:`link`
-    runs the same insert-then-query flow as one batch on the shared
+    scenario where streams are integrated "in real-time".  A thin facade:
+    the encoder, the threshold and one :class:`~repro.hamming.query.IndexView`
+    (``view``: the LSH over a copy-on-grow word store, the object a served
+    bundle is queried through too).  Every query runs the one match kernel
+    (:func:`~repro.hamming.query.batch_query`); :meth:`link` runs the same
+    insert-then-match flow as one batch on the shared
     :class:`~repro.pipeline.runner.LinkagePipeline`.
     """
 
@@ -306,70 +311,39 @@ class StreamingLinker:
     ):
         self.encoder = encoder
         self.threshold = threshold
-        self._lsh = HammingLSH(
-            n_bits=encoder.total_bits, k=k, threshold=threshold, delta=delta, seed=seed
-        )
-        self._n_words = (encoder.total_bits + 63) // 64
-        self._words = np.empty((0, self._n_words), dtype=np.uint64)
-        self._count = 0
+        lsh = HammingLSH(n_bits=encoder.total_bits, k=k, threshold=threshold, delta=delta, seed=seed)
+        self.view = IndexView(lsh, np.empty((0, (encoder.total_bits + 63) // 64), dtype=np.uint64))
 
     def __len__(self) -> int:
-        return self._count
+        return self.view.count
 
     def vector(self, record_id: int) -> BitVector:
         """The stored embedding of an inserted record."""
-        if not 0 <= record_id < self._count:
-            raise IndexError(f"record id {record_id} out of range for {self._count} records")
-        return BitVector.from_packed(self._words[record_id], self.encoder.total_bits)
+        if not 0 <= record_id < self.view.count:
+            raise IndexError(f"record id {record_id} out of range for {self.view.count} records")
+        return BitVector.from_packed(self.view.words[record_id], self.encoder.total_bits)
 
     def insert(self, values: Sequence[str]) -> int:
         """Insert one record (the 1-row :meth:`insert_rows`); returns its internal id."""
         return self.insert_rows([values])[0]
 
     def insert_rows(self, rows: Sequence[Sequence[str]]) -> list[int]:
-        """Insert a batch of records — one interned encode, one merge into the
-        index's delta run; returns their ids."""
+        """Insert a batch of records — one interned encode, one append to the
+        view (one merge into the index's delta run); returns their ids."""
         if not rows:
             return []
-        matrix = self.encoder.encode_dataset(rows)
-        # The packed words land in a growable (amortised-doubling) array so
-        # queries can batch candidate distances through one popcount kernel.
-        stop = self._count + matrix.n_rows
-        if stop > len(self._words):
-            capacity = max(16, stop, 2 * len(self._words))
-            grown = np.empty((capacity, self._n_words), dtype=np.uint64)
-            grown[: self._count] = self._words[: self._count]
-            self._words = grown
-        self._words[self._count : stop] = matrix.words
-        ids = np.arange(self._count, stop, dtype=np.int64)
-        self._lsh.insert_rows(matrix, ids)
-        self._count = stop
-        return ids.tolist()
+        return self.view.append(self.encoder.encode_dataset(rows).words).tolist()
 
     def query(
         self, values: Sequence[str], top_k: int | None = None
     ) -> list[tuple[int, int]]:
-        """Matching (id, distance) pairs for one incoming record.
+        """Matching ``(id, distance)`` pairs for one incoming record.
 
-        Candidate ids from all blocking groups are verified in one batched
-        ``bitwise_count`` sweep over the packed store instead of a per-id
-        Python-integer Hamming loop.  ``top_k`` keeps only the ``top_k``
-        closest matches under the threshold, selected by a partial sort
-        with ties broken deterministically by the smaller record id (and
-        ordered by ``(distance, id)``).
+        The one-row :meth:`query_batch`: ordered by record id, or with
+        ``top_k`` the ``top_k`` closest matches under the threshold ordered
+        by ``(distance, id)`` (ties at the cut-off go to the smaller id).
         """
-        vector = self.encoder.encode(values)
-        ids = self._lsh.query(vector)
-        if not ids:
-            return []
-        rows = np.asarray(ids, dtype=np.int64)
-        distances = hamming_packed(self._words[rows], vector.to_packed())
-        keep = distances <= self.threshold
-        rows, distances = rows[keep], distances[keep]
-        if top_k is not None:
-            chosen = top_k_smallest(distances, rows, top_k)
-            rows, distances = rows[chosen], distances[chosen]
-        return [(int(rid), int(dist)) for rid, dist in zip(rows, distances)]
+        return self.query_batch([values], top_k)[0]
 
     def query_batch(
         self, rows: Sequence[Sequence[str]], top_k: int | None = None
@@ -378,19 +352,15 @@ class StreamingLinker:
 
         Runs the shared batch kernel (:func:`repro.hamming.query.batch_query`):
         the block is embedded in one interned pass, blocked with the
-        sort-merge join and verified in one packed Hamming sweep.  The
-        per-query lists equal :meth:`query` called record by record —
-        ordered by record id, or by ``(distance, id)`` with ``top_k``.
+        sort-merge join and verified in one packed Hamming sweep.  Each
+        query's list is ordered by record id, or by ``(distance, id)`` with
+        ``top_k`` — the same list :meth:`query` gives for that record alone.
         """
         if not rows:
             return []
         matrix_b = self.encoder.encode_dataset(rows)
         queries, ids, distances = batch_query(
-            self._lsh,
-            self._words[: self._count],
-            matrix_b,
-            threshold=self.threshold,
-            top_k=top_k,
+            self.view.lsh, self.view.words, matrix_b, threshold=self.threshold, top_k=top_k
         )
         return group_matches(queries, ids, distances, len(rows))
 
@@ -407,9 +377,9 @@ class StreamingLinker:
         """
         from repro.core.persist import save_index_snapshot
 
-        matrix = BitMatrix(self._words[: self._count], self.encoder.total_bits)
+        matrix = BitMatrix(self.view.words, self.encoder.total_bits)
         return save_index_snapshot(
-            path, self.encoder, matrix, self._lsh, threshold=self.threshold
+            path, self.encoder, matrix, self.view.lsh, threshold=self.threshold
         )
 
     @classmethod
@@ -434,10 +404,7 @@ class StreamingLinker:
         linker = cls.__new__(cls)
         linker.encoder = snapshot.encoder
         linker.threshold = index.threshold
-        linker._lsh = snapshot.lsh
-        linker._n_words = (snapshot.encoder.total_bits + 63) // 64
-        linker._words = snapshot.matrix.words
-        linker._count = snapshot.n_rows
+        linker.view = IndexView(snapshot.lsh, snapshot.matrix.words)
         return linker
 
     def insert_dataset(self, dataset: DatasetLike) -> None:

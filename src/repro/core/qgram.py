@@ -100,7 +100,7 @@ def qgram_index_set(
     text = pad_string(value, q, pad_char) if padded else value
     if len(text) < q:
         return frozenset()
-    codes = list(map(alphabet.index, text))
+    codes = alphabet.codes(text)
     size = len(alphabet)
     grams = codes[: len(codes) - q + 1]
     for j in range(1, q):

@@ -86,6 +86,7 @@ from repro.core.persist import (
 )
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
+from repro.hamming.query import IndexView, with_room
 from repro.wal import SegmentWriter, frame, replay_segment, truncate_segment
 
 #: Version of the sharded root-manifest layout.
@@ -223,37 +224,6 @@ def _indexed_like(lsh: HammingLSH, words: np.ndarray) -> HammingLSH:
     return out
 
 
-class _View:
-    """Every record as one index: ``lsh`` over ``words``, ids = global ids.
-
-    What a query batch runs against — one probe, one join, one verify,
-    whatever the shard count.  The word store grows by amortised
-    doubling (a plain snapshot's memory map is never appended to, so
-    never written).  An index and its shards share the view, which
-    holds no reference back to either.
-    """
-
-    def __init__(self, lsh: HammingLSH, words: np.ndarray):
-        self.lsh = lsh
-        self._store = words
-        self.count = int(words.shape[0])
-
-    @property
-    def words(self) -> np.ndarray:
-        """The packed rows; row ``i`` is global id ``i``."""
-        return self._store[: self.count]
-
-    def append(self, words: np.ndarray) -> np.ndarray:
-        """Add rows as the next global ids, one streaming insert; returns the ids."""
-        stop = self.count + int(words.shape[0])
-        gids = np.arange(self.count, stop, dtype=np.int64)
-        self._store = _with_room(self._store, self.count, stop)
-        self._store[self.count : stop] = words
-        self.lsh.insert_rows(BitMatrix(self._store[self.count : stop], self.lsh.n_bits), gids)
-        self.count = stop
-        return gids
-
-
 @dataclass
 class _ShardState:
     """One shard's persistence state: the records it owns and where they live.
@@ -263,10 +233,10 @@ class _ShardState:
     or WAL-replayed records not yet folded into a shard bundle by
     compaction.  ``row_ids`` is ``None`` for the one shard of a plain
     bundle, whose local rows are the global ids.  The records
-    themselves live once, in the index's :class:`_View`.
+    themselves live once, in the index's :class:`~repro.hamming.query.IndexView`.
     """
 
-    view: _View
+    view: IndexView
     row_ids: np.ndarray | None
     count: int
     base_rows: int
@@ -307,7 +277,7 @@ class ShardedIndex:
     def __init__(
         self,
         encoder: RecordEncoder,
-        view: _View,
+        view: IndexView,
         shards: list[_ShardState],
         threshold: int,
         path: Path | None = None,
@@ -409,7 +379,7 @@ class ShardedIndex:
             return cls.single(
                 IndexSnapshot(encoder=encoder, matrix=matrix, lsh=lsh, threshold=threshold)
             )
-        view = _View(lsh, matrix.words)
+        view = IndexView(lsh, matrix.words)
         ids = np.arange(len(rows), dtype=np.int64)
         assignment = shards_of_ids(ids, n_shards)
         shards: list[_ShardState] = []
@@ -432,7 +402,7 @@ class ShardedIndex:
             raise ValueError(
                 "snapshot records no matching threshold; rebuild it with one"
             )
-        view = _View(snapshot.lsh, snapshot.matrix.words)
+        view = IndexView(snapshot.lsh, snapshot.matrix.words)
         index = cls(
             encoder=snapshot.encoder,
             view=view,
@@ -503,7 +473,7 @@ class ShardedIndex:
                 f"{next_id} — global ids must be dense"
             )
         assert reference is not None  # the root manifest names at least one shard
-        view = _View(_indexed_like(reference, words), words)
+        view = IndexView(_indexed_like(reference, words), words)
         index = cls(
             encoder=encoder,
             view=view,
@@ -694,7 +664,7 @@ class ShardedIndex:
             mine = gids[owners == shard]
             stop = state.count + int(mine.size)
             assert state.row_ids is not None  # a plain shard is never appended to
-            state.row_ids = _with_room(state.row_ids, state.count, stop)
+            state.row_ids = with_room(state.row_ids, state.count, stop)
             state.row_ids[state.count : stop] = mine
             state.count = stop
 
@@ -883,21 +853,6 @@ def _sweep_orphans(root: Path, live_dirs: set[str]) -> None:
     for child in shards_dir.iterdir():
         if child.is_dir() and f"shards/{child.name}" not in live_dirs:
             shutil.rmtree(child, ignore_errors=True)
-
-
-def _with_room(store: np.ndarray, count: int, stop: int) -> np.ndarray:
-    """``store`` if it holds ``stop`` rows, else an amortised-doubling copy.
-
-    Only the first ``count`` rows are carried over; a (read-only,
-    memory-mapped) shard payload is full, so it is copied at the first
-    append and never written to.
-    """
-    if stop <= len(store):
-        return store
-    capacity = max(16, stop, 2 * len(store))
-    grown = np.empty((capacity, *store.shape[1:]), dtype=store.dtype)
-    grown[:count] = store[:count]
-    return grown
 
 
 def _wal_payload(gid: int, values: tuple[str, ...]) -> bytes:

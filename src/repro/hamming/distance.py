@@ -7,6 +7,8 @@ spaces H and H-hat throughout the paper.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.hamming.bitvector import BitVector
@@ -45,11 +47,19 @@ def hamming_packed(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
 
 def decode_pairs(encoded: np.ndarray, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows_a, rows_b)`` of encoded pairs ``a * n_b + b``."""
-    rows_a = encoded // n_b
-    return rows_a, encoded - rows_a * n_b
+    return np.divmod(encoded, n_b)
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def _word_ones(n_words: int) -> np.ndarray:
+    """A read-only ``int64`` ones vector: row popcounts summed by one ``dot``,
+    a third of an axis reduction's fixed cost."""
+    ones = np.ones(n_words, dtype=np.int64)
+    ones.flags.writeable = False
+    return ones
 
 
 def verify_pairs(
@@ -68,18 +78,22 @@ def verify_pairs(
     """
     first, second = pairs
     encoded = isinstance(second, (int, np.integer))
-    kept = [(_NO_ROWS,) * 3]  # no pairs still concatenate
+    ones = _word_ones(words_a.shape[1])
+    kept = []
     for lo in range(0, first.size, DEFAULT_BLOCK_ROWS):
-        hi = lo + DEFAULT_BLOCK_ROWS
+        block = first[lo : lo + DEFAULT_BLOCK_ROWS]
         if encoded:
-            rows_a, rows_b = decode_pairs(first[lo:hi], int(second))
+            rows_a, rows_b = np.divmod(block, second)
         else:
-            rows_a, rows_b = first[lo:hi], second[lo:hi]
-        xor = words_a.take(rows_a, 0) ^ words_b.take(rows_b, 0)
-        dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
-        keep = np.flatnonzero(dist <= threshold)
+            rows_a, rows_b = block, second[lo : lo + DEFAULT_BLOCK_ROWS]
+        xor = words_a.take(rows_a, 0)
+        xor ^= words_b.take(rows_b, 0)
+        dist = np.bitwise_count(xor).dot(ones)
+        keep = (dist <= threshold).nonzero()[0]
         kept.append((rows_a[keep], rows_b[keep], dist[keep]))
-    out_a, out_b, dist = map(np.concatenate, zip(*kept))
+    if len(kept) == 1:  # one block: nothing to concatenate
+        return kept[0]
+    out_a, out_b, dist = (np.concatenate(column) for column in zip((_NO_ROWS,) * 3, *kept))
     return out_a, out_b, dist
 
 

@@ -17,8 +17,9 @@ groups in one pass over its bytes, and all tables' ids live in one array
 sorted by ``(table, key)`` — a bulk run plus a small delta run for
 streaming inserts, the layout a snapshot bundle has on disk — built by
 one packed plain sort.  A query batch is sorted the same way once
-(:class:`Probe`); matching buckets are found with two binary searches per
-table segment and expanded together with gather arithmetic.
+(:class:`Probe`); each row's bucket is found with one binary search per
+table segment for both of its ends, and all are expanded together with
+gather arithmetic.
 
 :meth:`HammingLSH.match` is Algorithm 2 and the one threshold-match
 kernel.  It runs over row blocks of B (:func:`match_blocks`), sized from one
@@ -30,18 +31,22 @@ the ``UniqueCollection``), then the blocked decode / XOR / popcount /
 filter of :func:`repro.hamming.distance.verify_pairs`.  B blocks partition
 the pairs, so the blocks' matches merged by code are exactly the matches
 of one pass, in ``a * n_B + b`` order.  The record-level link,
-``StreamingLinker.link``, serving's ``batch_query``, K tuning and the
-three-party protocol all call it; the rule-aware blocker runs its plan
-over the same blocks.  :meth:`HammingLSH.candidate_pairs` is the join and
-de-dup of all of B at once, without the verify (the per-group paths and
-the materialising baselines classify candidates otherwise).
+``StreamingLinker.link``, serving's ``batch_query`` (and with it
+``StreamingLinker.query``, a one-row batch), K tuning and the three-party
+protocol all call it; the rule-aware blocker runs its plan over the same
+blocks.  :meth:`HammingLSH.candidate_pairs` is the join and de-dup of all
+of B at once, without the verify (the per-group paths and the
+materialising baselines classify candidates otherwise).
+
+Records enter and are matched only as matrices: there is no per-vector
+insert or query.  :meth:`CompositeHash.key_for` stays as the scalar
+reference :class:`KeyTable` is tested against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Protocol, TypeVar
 
 import numpy as np
@@ -73,9 +78,9 @@ GATHER_KEY_ROWS = 256
 #: :meth:`_Run.locate`'s sorted searches (docs/performance.md, "B-row blocks").
 MATCH_BLOCK_BYTES = 8 << 20
 #: Traced peak bytes per ``(table, row)`` cell of locating a block: the
-#: probe's sorted keys, rows, run starts and counts, and the bucket search's
-#: bounds, matches and bucket arrays (measured at 1 000-16 000 rows: 69-74
-#: for NCVR, K = 30, L = 6; 35-67 for DBLP's rule, 62 tables).
+#: probe's sorted keys (with their successors) and rows, and the bucket
+#: search's bounds, matches and entry arrays (measured at 1 000-16 000 rows:
+#: 72-73 for NCVR, K = 30, L = 6; 74 for DBLP's rule, 62 tables).
 _PROBE_CELL_BYTES = 80
 
 _L = TypeVar("_L", bound="SupportsPairCount")
@@ -110,26 +115,26 @@ def match_blocks(
     still one block.  A block's bucket arrays are let go before the next
     block is located.
     """
+    n_rows = matrix_b.n_rows
     cap = max(1, MATCH_BLOCK_BYTES // (_PROBE_CELL_BYTES * n_tables))
     kept = []
     lo, rows = 0, cap
     while True:
-        hi = min(lo + rows, matrix_b.n_rows)
-        whole = lo == 0 and hi == matrix_b.n_rows
-        block = matrix_b if whole else BitMatrix(matrix_b.words[lo:hi], matrix_b.n_bits)
+        hi = min(lo + rows, n_rows)
+        block = matrix_b if hi - lo == n_rows else BitMatrix(matrix_b.words[lo:hi], matrix_b.n_bits)
         located = locate(block)
         raw = 8 * located.n_pairs
         fits = raw <= MATCH_BLOCK_BYTES or hi - lo == 1
         if fits:
             kept.append(match(lo, block, located))
+            if hi == n_rows:
+                break
         del located
         rows = max(1, min(cap, (hi - lo) * (3 * MATCH_BLOCK_BYTES // 4) // max(raw, 1)))
-        if not fits:  # split before expansion
-            rows = min(rows, hi - lo - 1)
-        elif hi == matrix_b.n_rows:
-            break
-        else:
+        if fits:
             lo = hi
+        else:  # split before expansion
+            rows = min(rows, hi - lo - 1)
     if len(kept) == 1:
         return kept[0]
     columns = [np.concatenate(column) for column in zip(*kept)]
@@ -146,51 +151,59 @@ def sorted_unique(pairs: np.ndarray) -> np.ndarray:
     kept = 0
     for lo in range(0, pairs.size, _KEY_BLOCK_CELLS):
         block = pairs[lo : lo + _KEY_BLOCK_CELLS]
-        new = np.ones(block.size, dtype=bool)
+        new = np.empty(block.size, dtype=bool)
         new[0] = not kept or block[0] != pairs[kept - 1]
         np.not_equal(block[1:], block[:-1], out=new[1:])
-        distinct = block.compress(new)  # a copy: its place at the front may overlap the block
+        distinct = block[new]  # a copy: its place at the front may overlap the block
         pairs[kept : kept + distinct.size] = distinct
         kept += distinct.size
     return pairs[:kept]
 
 
-def _generation_stats() -> dict[str, float]:
-    """Fresh zeroed candidate-generation counters."""
-    names = "pairs_generated pairs_unique pairs_duplicates max_bucket_product"
-    return dict.fromkeys(names.split(), 0.0)
+def _generation_counters(generated: int, unique: int, largest: int) -> dict[str, float]:
+    """Candidate-generation counters: raw pairs, distinct pairs, the repeats
+    between them and the largest bucket product."""
+    return {
+        "pairs_generated": float(generated),
+        "pairs_unique": float(unique),
+        "pairs_duplicates": float(generated - unique),
+        "max_bucket_product": float(largest),
+    }
 
 
 def _bucket_products(
     ids_a: np.ndarray,
-    probe: "Probe",
-    buckets: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    n_b: int,
+    buckets: tuple[np.ndarray, np.ndarray, np.ndarray],
     edges: np.ndarray,
     out: np.ndarray,
 ) -> None:
     """Write the cross-products ``a * n_B + b`` of matched buckets into ``out``.
 
-    Bucket ``i`` of ``buckets = (start_a, count_a, start_b, count_b)`` pairs
-    ``ids_a[start_a[i]:][:count_a[i]]`` with ``probe.rows[start_b[i]:][:count_b[i]]``.
-    The pairs of all buckets are laid end to end (a-major within a bucket:
-    bucket ``i`` is pairs ``edges[i]..edges[i + 1]``) and expanded by gather
-    arithmetic in fixed-size blocks, cut wherever they fall, also inside a
-    bucket, so no temporary is larger than a block.
+    Entry ``i`` of ``buckets = (shift, rows_b, sizes)`` is one probing row
+    ``rows_b[i]`` in a bucket of ``sizes[i]`` ids; its pairs are ``out``
+    positions ``edges[i]..edges[i + 1]``, and the one at position ``j`` pairs
+    ``ids_a[j + shift[i]]`` with that row.  The pairs are expanded by gather
+    arithmetic in fixed-size blocks, cut wherever they fall, also inside an
+    entry, so no temporary is larger than a block.  A block is entries
+    ``s..e``; the next starts in the entry holding its last pair's successor.
     """
-    start_a, count_a, start_b, count_b = buckets
+    shift, rows_b, sizes = buckets
+    s = 0
     for lo in range(0, out.size, _KEY_BLOCK_CELLS):
         hi = min(lo + _KEY_BLOCK_CELLS, out.size)
-        s = int(edges.searchsorted(lo, side="right")) - 1
-        e = int(edges.searchsorted(hi, side="left"))
-        p = np.minimum(edges[s + 1 : e + 1], hi) - np.maximum(edges[s:e], lo)
-        within = np.arange(lo, hi) - np.repeat(edges[s:e], p)
-        cb = np.repeat(count_b[s:e], p)
-        a_off = within // cb
-        within -= a_off * cb
-        a_off += np.repeat(start_a[s:e], p)
-        within += np.repeat(start_b[s:e], p)
-        np.multiply(ids_a[a_off], probe.n_rows, out=out[lo:hi])
-        out[lo:hi] += probe.rows[within]
+        e = sizes.size if hi == out.size else int(edges.searchsorted(hi))
+        p = sizes[s:e]
+        if edges[s] < lo or edges[e] > hi:  # an entry cut at either end
+            p = p.copy()
+            p[0] -= lo - edges[s]
+            p[-1] -= edges[e] - hi
+        at = np.arange(lo, hi)
+        at += shift[s:e].repeat(p)
+        block = out[lo:hi]
+        np.multiply(ids_a.take(at), n_b, out=block)
+        block += rows_b[s:e].repeat(p)
+        s = e if edges[e] == hi else e - 1
 
 
 def _pack_keys(bit_columns: np.ndarray) -> np.ndarray:
@@ -244,18 +257,20 @@ class _Run(NamedTuple):
     offsets: list[int]  # table t is [offsets[t], offsets[t + 1])
 
     def locate(self, probe: "Probe") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The probe keys that have a bucket here, and each bucket's start and size
-        in ``ids`` — two binary searches per table segment."""
-        lo = np.empty(probe.keys.size, dtype=np.int64)
-        hi = np.empty_like(lo)
-        for table, first in enumerate(self.offsets[:-1]):
-            cut = slice(probe.cuts[table], probe.cuts[table + 1])
-            segment = self.keys[first : self.offsets[table + 1]]
-            np.add(segment.searchsorted(probe.keys[cut], side="left"), first, out=lo[cut])
-            np.add(segment.searchsorted(probe.keys[cut], side="right"), first, out=hi[cut])
-        matched = np.flatnonzero(hi > lo)
-        hi -= lo
-        return matched, lo[matched], hi[matched]
+        """The probe's ``(table, row)`` keys that have a bucket here (flat
+        indices into ``probe.rows``), and each bucket's start in its table's
+        segment of ``ids`` and size — one binary search per segment for both
+        ends (two for keys of 64 bits or more)."""
+        segments = [self.keys[first:stop] for first, stop in zip(self.offsets, self.offsets[1:])]
+        if probe.paired:  # each key and its successor: both ends in one search
+            found = [seg.searchsorted(keys) for seg, keys in zip(segments, probe.keys)]
+            lo, size = np.concatenate(found).reshape(-1, 2).T
+        else:
+            lo = np.concatenate([seg.searchsorted(k, "left") for seg, k in zip(segments, probe.keys)])
+            size = np.concatenate([seg.searchsorted(k, "right") for seg, k in zip(segments, probe.keys)])
+        size -= lo
+        matched = size.nonzero()[0]
+        return matched, lo[matched], size[matched]
 
 
 def _merge_runs(old: _Run | None, new: _Run) -> _Run:
@@ -307,7 +322,8 @@ class KeyTable:
         for rank in range(table.shape[1]):  # one rank of every group at a time
             lut[slot[:, rank], groups] |= byte_bits[table[:, rank] & 7] << key_type(rank)
         self.lut = np.ascontiguousarray(lut.transpose(0, 2, 1))  # (used bytes, 256, L)
-        self._slot_rows = np.arange(self.used.size)[:, None] * 256  # used byte j's LUT rows
+        self._flat = self.lut.reshape(-1, table.shape[0])  # used byte j's entries at j * 256
+        self._slot_rows = np.arange(0, 256 * self.used.size, 256, dtype=np.intp)[:, None]
 
     def keys(self, matrix: BitMatrix) -> np.ndarray:
         """The ``(L, n)`` blocking keys: per group, one key per row of ``matrix``."""
@@ -317,8 +333,9 @@ class KeyTable:
             return np.stack([_pack_keys(matrix.columns(pos)) for pos in self.positions])
         row_bytes = matrix.words.astype("<u8", copy=False).view(np.uint8)
         if matrix.n_rows <= GATHER_KEY_ROWS:  # every used byte's entry in one gather
-            flat = self.lut.reshape(-1, self.lut.shape[2])
-            gathered = flat.take(row_bytes[:, self.used].T + self._slot_rows, 0, mode="clip")
+            at = row_bytes.take(self.used, 1).T.astype(np.intp)
+            at += self._slot_rows
+            gathered = self._flat.take(at, 0, mode="clip")
             return np.bitwise_or.reduce(gathered, axis=0).T.astype(np.uint64, order="C")
         out = np.empty((len(self.positions), matrix.n_rows), dtype=np.uint64)
         block = max(1, _KEY_BLOCK_CELLS // len(self.positions))
@@ -353,15 +370,13 @@ class CompositeHash:
 
 
 class Probe(NamedTuple):
-    """A query batch's blocking keys, sorted and run-length encoded once for
-    whatever they are joined against: the bulk run and the delta run."""
+    """A query batch's blocking keys, sorted once per table for whatever they
+    are joined against: the bulk run and the delta run."""
 
     n_rows: int  # rows of the probing matrix
-    cuts: list[int]  # table t owns keys[cuts[t]:cuts[t + 1]]
-    keys: np.ndarray  # distinct keys, table after table
-    starts: np.ndarray  # where each distinct key's rows begin in ``rows``
-    counts: np.ndarray  # how many rows share it
-    rows: np.ndarray  # probing row numbers in (table, key, row) order
+    keys: np.ndarray  # ``(L, n)``: each table's keys, ascending; ``(L, 2n)`` when paired
+    paired: bool  # each key is followed by its successor (keys under 64 bits)
+    rows: np.ndarray  # the row of each key, flat in (table, key, row) order
 
 
 class TableRuns:
@@ -375,6 +390,8 @@ class TableRuns:
     per-bucket or per-table loop beyond the segment binary searches.
     Within one key, ids keep bulk-then-insertion order (every sort and
     merge here is stable).  ``groups[t]`` is a view of table ``t``.
+    Records enter only as matrices (:meth:`index`, :meth:`insert_rows`) and
+    are matched only as matrices: a one-record query is a one-row probe.
     """
 
     #: Width every matrix must have; ``None`` accepts any that holds the positions.
@@ -391,30 +408,18 @@ class TableRuns:
         """A view per table, made on demand (the tables hold no reference back)."""
         return [BlockingGroup(c, self, t) for t, c in enumerate(self.composites)]
 
-    @groups.setter
-    def groups(self, groups: Sequence["BlockingGroup"]) -> None:
-        """Adopt other groups' composites and (copied) buckets as the bulk run."""
-        parts = [group.export_arrays() for group in groups]
-        TableRuns.__init__(self, [group.composite for group in groups])
-        self.adopt(
-            np.concatenate([keys for keys, __, __ in parts]),
-            np.concatenate([ids for __, ids, __ in parts]),
-            [0, *np.cumsum([ids.size for __, ids, __ in parts]).tolist()],
-        )
-
     @property
     def n_tables(self) -> int:
         return len(self.composites)
 
     def _keys(self, matrix: BitMatrix) -> np.ndarray:
         """Every group's blocking keys of ``matrix``, from one shared key table:
-        built on first use from the groups' sampled positions, rebuilt when
-        those change (a group's ``composite`` is assignable)."""
+        built on first use from the groups' sampled positions, dropped when a
+        group's ``composite`` is reassigned."""
         if self.n_bits not in (None, matrix.n_bits):
             raise ValueError(f"width mismatch: matrix {matrix.n_bits} vs index {self.n_bits}")
-        positions = tuple(composite.positions for composite in self.composites)
-        if self._key_table is None or self._key_table.positions != positions:
-            self._key_table = KeyTable(positions)
+        if self._key_table is None:
+            self._key_table = KeyTable([composite.positions for composite in self.composites])
         return self._key_table.keys(matrix)
 
     def _sorted_run(self, matrix: BitMatrix) -> _Run:
@@ -439,10 +444,6 @@ class TableRuns:
         run = self._sorted_run(matrix)
         self._delta = _merge_runs(self._delta, run._replace(ids=np.asarray(ids, np.int64)[run.ids]))
 
-    def insert(self, vector: BitVector, record_id: int) -> None:
-        """Streaming insert of a single record (the 1-row :meth:`insert_rows`)."""
-        self.insert_rows(BitMatrix.from_vectors([vector]), np.asarray([record_id]))
-
     def adopt(self, keys: np.ndarray, ids: np.ndarray, offsets: Sequence[int]) -> None:
         """Take :meth:`export`'s arrays as the bulk run (snapshot load: no hashing,
         no sort).  They may be read-only memory maps: nothing here copies or
@@ -461,70 +462,74 @@ class TableRuns:
 
     def probe(self, matrix_b: BitMatrix) -> Probe:
         """Sort ``matrix_b``'s keys of every table once, for any number of joins."""
-        keys, rows = _sort_tables(self._keys(matrix_b), len(self.composites[0].positions))
-        starts = run_starts(keys)
-        counts = np.empty_like(starts)
-        counts[:-1] = starts[1:]
-        counts[-1:] = keys.size
-        counts -= starts
-        cuts = np.searchsorted(starts, np.arange(self.n_tables + 1) * matrix_b.n_rows)
-        distinct = keys.reshape(-1)[starts]
-        return Probe(matrix_b.n_rows, cuts.tolist(), distinct, starts, counts, rows.reshape(-1))
+        key_bits = len(self.composites[0].positions)
+        keys, rows = _sort_tables(self._keys(matrix_b), key_bits)
+        paired = key_bits < 64
+        if paired:  # the successor bounds a key's bucket from above: one search per table
+            keys = keys.repeat(2, axis=1)
+            keys[:, 1::2] += 1
+        return Probe(matrix_b.n_rows, keys, paired, rows.reshape(-1))
 
     def locate(self, probe: Probe, table: int | None = None) -> "Located":
         """Every table's (or ``table``'s) buckets that ``probe``'s keys match, in
-        both runs: per run, two binary searches per table segment."""
-        located, total, largest = [], 0, 0
+        both runs: per run, one or two binary searches per table segment.  A
+        probing row is an entry of its own, so rows sharing a key repeat the
+        bucket."""
+        located, total, n = [], 0, probe.n_rows
         for run in (self._bulk, self._delta):
-            if run is None or not probe.keys.size:
+            if run is None or not probe.rows.size:
                 continue
-            matched, start_a, count_a = run.locate(probe)
+            matched, start, size = run.locate(probe)
             if table is not None:
-                own = slice(*np.searchsorted(matched, probe.cuts[table : table + 2]))
-                matched, start_a, count_a = matched[own], start_a[own], count_a[own]
+                own = slice(*matched.searchsorted((table * n, table * n + n)))
+                matched, start, size = matched[own], start[own], size[own]
             if not matched.size:
                 continue
-            buckets = (start_a, count_a, probe.starts[matched], probe.counts[matched])
-            products = count_a * buckets[3]
-            edges = np.concatenate(([0], np.cumsum(products)))
-            largest = max(largest, int(products.max()))
-            total += int(edges[-1])
-            located.append((run.ids, buckets, edges))
-        return Located(probe, located, total, largest)
+            start += np.asarray(run.offsets).take(matched // n)  # segment -> run
+            edges = np.zeros(matched.size + 1, dtype=np.int64)
+            size.cumsum(out=edges[1:])
+            total += edges.item(-1)
+            start -= edges[:-1]  # the id of pair j of entry i is ids[j + start[i]]
+            located.append((run.ids, (start, probe.rows.take(matched), size), edges))
+        return Located(n, located, total)
 
-    def expand(self, located: "Located", stats: dict[str, float] | None = None) -> np.ndarray:
+    def expand(self, located: "Located") -> np.ndarray:
         """Raw cross-products ``a * n_B + b`` of ``located``'s buckets, in one
         buffer allocated once at its final size: bulk run first, then the delta
-        run (:func:`_bucket_products`).  ``stats`` accumulates
-        ``pairs_generated`` and ``max_bucket_product``."""
-        if stats is None:
-            stats = _generation_stats()
+        run (:func:`_bucket_products`)."""
         out = np.empty(located.n_pairs, dtype=np.int64)
-        stats["pairs_generated"] += float(out.size)
-        stats["max_bucket_product"] = max(stats["max_bucket_product"], float(located.max_product))
         at = 0
         for ids_a, buckets, edges in located.runs:
-            _bucket_products(ids_a, located.probe, buckets, edges, out[at : at + int(edges[-1])])
-            at += int(edges[-1])
+            stop = at + edges.item(-1)
+            _bucket_products(ids_a, located.n_rows, buckets, edges, out[at:stop])
+            at = stop
         return out
 
-    def join(
-        self, probe: Probe, stats: dict[str, float] | None = None, table: int | None = None
-    ) -> np.ndarray:
+    def join(self, probe: Probe, table: int | None = None) -> np.ndarray:
         """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s)
         buckets, in one buffer: :meth:`locate`, then :meth:`expand`."""
-        return self.expand(self.locate(probe, table), stats)
+        return self.expand(self.locate(probe, table))
 
 
 class Located(NamedTuple):
     """A probe's matched buckets in the runs of one index, not yet expanded."""
 
-    probe: Probe
-    #: Per run with a match: its ids, the buckets ``(start_a, count_a, start_b,
-    #: count_b)`` and the pair offsets ``edges`` of :func:`_bucket_products`.
-    runs: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    n_rows: int  # rows of the probing matrix
+    #: Per run with a match: its ids, the entries ``(shift, rows_b, sizes)``
+    #: and the pair offsets ``edges`` of :func:`_bucket_products`.
+    runs: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     n_pairs: int  # raw pairs :meth:`TableRuns.expand` writes
-    max_product: int  # the largest bucket's ``count_a * count_b``
+
+    @property
+    def max_product(self) -> int:
+        """The largest bucket's ``count_a * count_b`` (0 when none matched): the
+        entries of one bucket are adjacent and share its start."""
+        largest = 0
+        for __, (shift, __, sizes), edges in self.runs:
+            first = np.flatnonzero(np.diff(shift + edges[:-1], prepend=-1))
+            rows = np.diff(first, append=sizes.size)
+            largest = max(largest, int((sizes[first] * rows).max()))
+        return largest
 
 
 class BlockingGroup:
@@ -547,6 +552,7 @@ class BlockingGroup:
     @composite.setter
     def composite(self, composite: CompositeHash) -> None:
         self._tables.composites[self._table] = composite
+        self._tables._key_table = None  # keys follow the new positions
 
     def _segments(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """This table's ``(keys, ids)`` slice of the runs held, bulk first."""
@@ -567,10 +573,6 @@ class BlockingGroup:
     def insert_rows(self, matrix: BitMatrix, ids: np.ndarray) -> None:
         """Streaming insert of ``matrix``'s rows into the delta run."""
         self._tables.insert_rows(matrix, ids)
-
-    def insert(self, vector: BitVector, record_id: int) -> None:
-        """Insert a single vector — the 1-row case of :meth:`insert_rows`."""
-        self._tables.insert(vector, record_id)
 
     def join_products(self, matrix_b: BitMatrix) -> np.ndarray:
         """Raw cross-products ``a * n_B + b`` of this group against ``matrix_b``."""
@@ -594,27 +596,6 @@ class BlockingGroup:
         group = cls(composite)
         group._tables.adopt(keys, ids, [0, int(ids.size)])
         return group
-
-    def bucket(self, key: int) -> list[int]:
-        """The id list under ``key`` (:meth:`CompositeHash.key_for`'s integer).
-
-        Bulk ids first, then delta ids in insertion order; empty when absent.
-        """
-        k = len(self.composite.positions)
-        if k <= 64:
-            probe = np.uint64(key)  # the low-endian integer is the packed key itself
-        else:
-            raw = np.frombuffer(int(key).to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
-            probe = _pack_keys(np.unpackbits(raw, bitorder="little")[None, :k])[0]
-        out: list[int] = []
-        for keys, ids in self._segments():
-            lo, hi = keys.searchsorted(probe, "left"), keys.searchsorted(probe, "right")
-            out += ids[lo:hi].tolist()
-        return out
-
-    def probe(self, vector: BitVector) -> list[int]:
-        """Ids sharing this group's bucket with ``vector``."""
-        return self.bucket(self.composite.key_for(vector))
 
     @property
     def n_buckets(self) -> int:
@@ -706,15 +687,6 @@ class HammingLSH(TableRuns):
 
     # -- candidate generation ------------------------------------------------------
 
-    def query(self, vector: BitVector) -> list[int]:
-        """Unique indexed ids co-bucketed with ``vector`` in any group.
-
-        This is Algorithm 2's outer loop for one query record, including
-        its ``UniqueCollection`` de-duplication.
-        """
-        found = chain.from_iterable(group.probe(vector) for group in self.groups)
-        return list(dict.fromkeys(found))  # first occurrence keeps its place
-
     def _unique_pairs(
         self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
     ) -> np.ndarray:
@@ -727,12 +699,10 @@ class HammingLSH(TableRuns):
         ``pairs_generated`` (raw products), ``pairs_unique``,
         ``pairs_duplicates`` and ``max_bucket_product``.
         """
-        stats = _generation_stats()
-        pairs = sorted_unique(self.join(self.probe(matrix_b), stats))
-        stats["pairs_unique"] = float(pairs.size)
-        stats["pairs_duplicates"] = stats["pairs_generated"] - pairs.size
+        located = self.locate(self.probe(matrix_b))
+        pairs = sorted_unique(self.expand(located))
         if counters is not None:
-            counters.update(stats)
+            counters.update(_generation_counters(located.n_pairs, pairs.size, located.max_product))
         return pairs
 
     def candidate_pairs(
@@ -782,12 +752,16 @@ class HammingLSH(TableRuns):
             threshold = self.threshold
         if threshold is None:
             raise ValueError("no matching threshold available")
-        stats = _generation_stats()
         words_a = np.asarray(getattr(words_a, "words", words_a))
+        generated = unique = largest = 0
 
         def verified(lo: int, block: BitMatrix, located: Located) -> tuple[np.ndarray, ...]:
-            pairs = sorted_unique(self.expand(located, stats))
-            stats["pairs_unique"] += pairs.size
+            nonlocal generated, unique, largest
+            generated += located.n_pairs
+            if counters is not None:  # a reduction over the buckets: only when asked for
+                largest = max(largest, located.max_product)
+            pairs = sorted_unique(self.expand(located))
+            unique += pairs.size
             rows_a, rows_b, dist = verify_pairs(
                 words_a, block.words, (pairs, block.n_rows), threshold
             )
@@ -798,10 +772,9 @@ class HammingLSH(TableRuns):
         out_a, out_b, dist = match_blocks(
             matrix_b, self.n_tables, lambda block: self.locate(self.probe(block)), verified
         )
-        stats["pairs_duplicates"] = stats["pairs_generated"] - stats["pairs_unique"]
-        stats["pairs_verified"] = stats["pairs_unique"]
         if counters is not None:
-            counters.update(stats)
+            counters.update(_generation_counters(generated, unique, largest))
+            counters["pairs_verified"] = float(unique)
         return out_a, out_b, dist
 
     # -- diagnostics -----------------------------------------------------------------

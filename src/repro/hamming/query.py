@@ -1,18 +1,21 @@
 """Batched threshold / top-k queries against an indexed :class:`HammingLSH`.
 
 The real-time setting of Section 1 indexes a reference dataset once and
-matches query streams against it continuously.  Answering one query per
-call leaves most of the work in Python bookkeeping; this module is the
-shared *batch* front end: a whole block of query vectors runs through the
-one threshold-match kernel (:meth:`HammingLSH.match`: the sort-merge
-candidate join, in-place de-dup, blocked ``bitwise_count`` verify) and is
-grouped back per query with one sort — no per-query Python loop anywhere.
+matches query streams against it continuously.  This module is the one
+query front end: a block of query vectors (one row for a one-record
+query) runs through the one threshold-match kernel (:meth:`HammingLSH.match`:
+the sort-merge candidate join, in-place de-dup, blocked ``bitwise_count``
+verify) and is grouped back per query with one sort — no per-query Python
+loop anywhere.
 
-Both front doors build on it: :class:`repro.serve.QueryEngine` (snapshot
-serving) and :meth:`repro.core.linker.StreamingLinker.query_batch`.
+Both front doors query one :class:`IndexView` (an LSH over a growable
+word store) through it: :class:`repro.serve.QueryEngine` (snapshot serving,
+through :class:`repro.core.shards.ShardedIndex`) and
+:class:`repro.core.linker.StreamingLinker`, whose one-record ``query`` is a
+one-row batch.
 
-Top-k selection is a partial sort (``numpy.argpartition``) over a
-composite ``(distance, id)`` key, so ties at the cut-off are broken
+Top-k selection is one stable sort by ``(query, distance)`` of the
+kernel's id-ordered matches, so ties at the cut-off are broken
 deterministically by the smaller record id — byte-identical results for
 every batch size.
 """
@@ -22,43 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import HammingLSH, run_starts
+from repro.hamming.lsh import HammingLSH
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def top_k_smallest(distances: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest distances, ties broken by smaller id.
-
-    Selection runs as a partial sort (``argpartition``) over the packed
-    composite key ``distance * (max_id + 1) + id``, which makes the
-    boundary deterministic: among equal distances the smaller record ids
-    win.  The returned index array is ordered by ``(distance, id)``.
-    """
-    if k < 1:
-        raise ValueError(f"top_k must be >= 1, got {k}")
-    distances = np.asarray(distances, dtype=np.int64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if distances.shape != ids.shape:
-        raise ValueError(
-            f"distances and ids must be parallel arrays, got "
-            f"{distances.shape} vs {ids.shape}"
-        )
-    if distances.size == 0:
-        return _EMPTY
-    base = int(ids.max()) + 1
-    composite = distances * base + ids
-    if distances.size <= k:
-        return np.argsort(composite, kind="stable")
-    selected = np.argpartition(composite, k - 1)[:k]
-    return selected[np.argsort(composite[selected], kind="stable")]
-
-
-def first_per_query(queries: np.ndarray, top_k: int) -> np.ndarray:
-    """Mask keeping the first ``top_k`` entries of every run of equal ``queries``."""
-    starts = run_starts(queries)
-    counts = np.diff(starts, append=queries.size)
-    return np.arange(queries.size) - np.repeat(starts, counts) < top_k
 
 
 def batch_query(
@@ -78,26 +47,72 @@ def batch_query(
     query ordered by ``(distance, id)``.
 
     The pipeline is Algorithm 2 dataset-at-a-time: the match kernel
-    (:meth:`HammingLSH.match`), then one grouping sort — identical output
-    to looping ``lsh.query`` + verify per record, at a fraction of the
-    overhead.
+    (:meth:`HammingLSH.match`), then one grouping sort.  A batch of one row
+    is the one-record query, so every batch size gives each query the same
+    list.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     ids, queries, distances = lsh.match(words_a, matrix_b, threshold)
-    n_a = int(words_a.shape[0])
     if ids.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
+    # The kernel's pairs are in (id, query) order, so a stable sort by query
+    # (and distance) leaves each group in id order.
     if top_k is None:
-        order = np.argsort(queries * n_a + ids, kind="stable")
+        order = queries.argsort(kind="stable")
         return queries[order], ids[order], distances[order]
-    # Group by (query, distance, id) in one composite sort, then keep the
-    # first top_k of every query segment via segment-relative ranks.
-    composite = (queries * (lsh.n_bits + 1) + distances) * n_a + ids
-    order = np.argsort(composite, kind="stable")
-    queries, ids, distances = queries[order], ids[order], distances[order]
-    head = first_per_query(queries, top_k)
-    return queries[head], ids[head], distances[head]
+    # Group by (query, distance, id), then keep the first top_k of every
+    # query: an entry's rank is its offset from its query's first entry.
+    key = queries * (lsh.n_bits + 1)
+    key += distances
+    order = key.argsort(kind="stable")
+    ranked = queries[order]
+    order = order[np.arange(ranked.size) - ranked.searchsorted(ranked) < top_k]
+    return queries[order], ids[order], distances[order]
+
+
+class IndexView:
+    """Every record as one index: ``lsh`` over ``words``, ids = row numbers.
+
+    What a query batch runs against — one probe, one join, one verify.  The
+    word store grows by amortised doubling (:func:`with_room`; a memory-mapped
+    store is copied at the first append, never written to).
+    """
+
+    def __init__(self, lsh: HammingLSH, words: np.ndarray):
+        self.lsh = lsh
+        self._store = words
+        self.count = int(words.shape[0])
+
+    @property
+    def words(self) -> np.ndarray:
+        """The packed rows; row ``i`` is id ``i``."""
+        return self._store[: self.count]
+
+    def append(self, words: np.ndarray) -> np.ndarray:
+        """Add rows as the next ids, one streaming insert; returns the ids."""
+        stop = self.count + int(words.shape[0])
+        ids = np.arange(self.count, stop, dtype=np.int64)
+        self._store = with_room(self._store, self.count, stop)
+        self._store[self.count : stop] = words
+        self.lsh.insert_rows(BitMatrix(self._store[self.count : stop], self.lsh.n_bits), ids)
+        self.count = stop
+        return ids
+
+
+def with_room(store: np.ndarray, count: int, stop: int) -> np.ndarray:
+    """``store`` if it holds ``stop`` rows, else an amortised-doubling copy.
+
+    Only the first ``count`` rows are carried over; a (read-only,
+    memory-mapped) payload is full, so it is copied at the first append and
+    never written to.
+    """
+    if stop <= len(store):
+        return store
+    capacity = max(16, stop, 2 * len(store))
+    grown = np.empty((capacity, *store.shape[1:]), dtype=store.dtype)
+    grown[:count] = store[:count]
+    return grown
 
 
 def group_matches(

@@ -105,10 +105,10 @@ class _Structure:
         """``matrix_b``'s matched buckets in every table, not yet expanded."""
         return self._tables.locate(self._tables.probe(matrix_b))
 
-    def expand(self, located: Located, stats: dict[str, float] | None = None) -> np.ndarray:
+    def expand(self, located: Located) -> np.ndarray:
         """Encoded pairs ``a * n_B + b`` as the tables' joins emit them: in no
         order, a pair once per table that formulates it."""
-        return self._tables.expand(located, stats)
+        return self._tables.expand(located)
 
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""
@@ -122,11 +122,13 @@ class _Block:
     def __init__(self, structures: list[_Structure], matrix_b: BitMatrix):
         self._located = {structure: structure.locate(matrix_b) for structure in structures}
         self.n_pairs = sum(located.n_pairs for located in self._located.values())
-        self.stats = {"pairs_generated": 0.0, "max_bucket_product": 0.0}
+        self.generated = 0  # raw pairs expanded so far
 
     def pairs(self, structure: _Structure) -> np.ndarray:
         """``structure``'s raw pairs in this block; its bucket arrays are let go."""
-        return structure.expand(self._located.pop(structure), self.stats)
+        located = self._located.pop(structure)
+        self.generated += located.n_pairs
+        return structure.expand(located)
 
 
 def _distinct(parts: list[np.ndarray]) -> np.ndarray:
@@ -406,7 +408,7 @@ class RuleAwareBlocker:
         def classified(lo: int, block: BitMatrix, located: _Block) -> tuple[np.ndarray, ...]:
             nonlocal generated, formulated
             rows_a, rows_b = decode_pairs(self._plan.unique(located), block.n_rows)
-            generated += int(located.stats["pairs_generated"])
+            generated += located.generated
             formulated += rows_a.size
             rows_b += lo
             keep = classifier.accepted(rows_a, rows_b)

@@ -64,6 +64,16 @@ class Alphabet:
         except KeyError:
             raise AlphabetError(f"character {ch!r} is not in alphabet {self.chars!r}") from None
 
+    def codes(self, text: str) -> list[int]:
+        """:meth:`index` of every character of ``text``, in order (one dict
+        lookup a character; a character outside the alphabet raises the same
+        :class:`AlphabetError`)."""
+        lookup = self._index
+        try:
+            return [lookup[ch] for ch in text]
+        except KeyError:
+            return list(map(self.index, text))
+
     def char(self, index: int) -> str:
         """Return the character at ``index`` (inverse of :meth:`index`)."""
         if not 0 <= index < len(self.chars):

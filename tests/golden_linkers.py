@@ -79,8 +79,12 @@ def _run_streaming(problem: LinkageProblem) -> RunOutcome:
         streaming.insert(values)
     matches: set[tuple[int, int]] = set()
     n_candidates = 0
+    view = streaming.view
     for j, values in enumerate(problem.dataset_b.value_rows()):
-        n_candidates += len(streaming._lsh.query(streaming.encoder.encode(values)))
+        # A record's candidates are what the one match kernel counts as unique.
+        counters: dict[str, float] = {}
+        view.lsh.match(view.words, streaming.encoder.encode_dataset([values]), THRESHOLD, counters)
+        n_candidates += int(counters["pairs_unique"])
         for record_id, __ in streaming.query(values):
             matches.add((record_id, j))
     return matches, n_candidates

@@ -20,6 +20,27 @@ def random_matrix(seed, n_rows, n_bits, density=0.3):
     return scatter_bits(n_rows, n_bits, rows, bits)
 
 
+def one_row(matrix, i):
+    return BitMatrix(matrix.words[i : i + 1], matrix.n_bits)
+
+
+def buckets_of(group):
+    """``{key: ids}`` of one table, from its exported arrays."""
+    keys, ids, bounds = group.export_arrays()
+    stops = np.r_[bounds[1:], keys.size]
+    return {int(keys[lo]): ids[lo:hi].tolist() for lo, hi in zip(bounds, stops)}
+
+
+def per_table_candidates(lsh, matrix_a, query):
+    """The ids a per-table bucket lookup returns for ``query``: every indexed
+    row sharing a table's :meth:`CompositeHash.key_for` key, first seen first."""
+    found = []
+    for composite in lsh.composites:
+        key = composite.key_for(query)
+        found += [i for i in range(matrix_a.n_rows) if composite.key_for(matrix_a.row(i)) == key]
+    return list(dict.fromkeys(found))
+
+
 class _PositionsOnly:
     """A composite that is nothing but its sampled positions."""
 
@@ -108,13 +129,15 @@ class TestOnePassKeys:
             assert keys.dtype.kind == "V" and keys.shape == (2, n_rows)
 
     def test_key_table_follows_reassigned_groups(self):
-        """``from_state``, snapshot load and shard merge all assign ``lsh.groups``."""
+        """A group's ``composite`` is assignable (the suite's tracing stand-in
+        swaps it in); the key table follows the new positions."""
         matrix = random_matrix(3, 30, 120)
         lsh = HammingLSH(120, 30, n_tables=3, seed=1)
         other = HammingLSH(120, 30, n_tables=5, seed=2)
         lsh._keys(matrix)  # table built for the seed-1 positions
-        lsh.groups = other.groups
-        assert np.array_equal(lsh._keys(matrix), other._keys(matrix))
+        for group, composite in zip(lsh.groups, other.composites):
+            group.composite = composite
+        assert np.array_equal(lsh._keys(matrix), other._keys(matrix)[:3])
         rebuilt = HammingLSH.from_state(120, 30, [g.composite.positions for g in other.groups])
         assert np.array_equal(rebuilt._keys(matrix), other._keys(matrix))
 
@@ -130,8 +153,7 @@ class TestBlockingGroup:
         matrix = BitMatrix.from_index_sets([[0], [0], [1]], 8)
         group = BlockingGroup(CompositeHash(positions=(0,)))
         group.insert_matrix(matrix)
-        assert sorted(group.probe(matrix.row(0))) == [0, 1]
-        assert group.probe(matrix.row(2)) == [2]
+        assert buckets_of(group) == {0: [2], 1: [0, 1]}
 
     def test_streaming_insert_agrees_with_bulk(self):
         matrix = random_matrix(1, 20, 40)
@@ -139,9 +161,10 @@ class TestBlockingGroup:
         bulk.insert_matrix(matrix)
         stream = BlockingGroup(CompositeHash(positions=(1, 5, 30)))
         for i in range(20):
-            stream.insert(matrix.row(i), i)
-        for i in range(20):
-            assert sorted(bulk.probe(matrix.row(i))) == sorted(stream.probe(matrix.row(i)))
+            stream.insert_rows(one_row(matrix, i), [i])
+        assert buckets_of(stream) == buckets_of(bulk)
+        for got, want in zip(stream.export_arrays(), bulk.export_arrays()):
+            assert np.array_equal(got, want)
 
     def test_bucket_sizes(self):
         matrix = BitMatrix.from_index_sets([[0], [0], [1]], 8)
@@ -226,12 +249,15 @@ class TestHammingLSH:
             assert matrix.row(int(a)).hamming(matrix.row(int(b))) == d
 
     def test_query_unique_ids(self):
+        """A one-row probe's candidates are each id once, the per-table lookup's."""
         matrix = random_matrix(6, 15, 40)
         lsh = HammingLSH(n_bits=40, k=3, n_tables=10, seed=6)
         lsh.index(matrix)
-        ids = lsh.query(matrix.row(0))
-        assert len(ids) == len(set(ids))
+        ids, rows_b = lsh.candidate_pairs(one_row(matrix, 0))
+        assert not rows_b.any()
+        assert len(ids) == len(set(ids.tolist()))
         assert 0 in ids
+        assert ids.tolist() == sorted(per_table_candidates(lsh, matrix, matrix.row(0)))
 
     def test_recall_guarantee_empirically(self):
         """Pairs within the threshold are found at rate >= 1 - delta."""
@@ -259,7 +285,7 @@ class TestHammingLSH:
         with pytest.raises(ValueError):
             lsh.index(BitMatrix.zeros(2, 41))
         with pytest.raises(ValueError):
-            lsh.insert(BitVector(41), 0)
+            lsh.insert_rows(BitMatrix.zeros(1, 41), [0])
 
     def test_stats(self):
         matrix = random_matrix(9, 25, 50)

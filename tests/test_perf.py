@@ -32,7 +32,7 @@ from repro.data import (
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming import lsh as lsh_module
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import HammingLSH
+from repro.hamming.lsh import CompositeHash, HammingLSH
 from repro.perf import LogHistogram
 from repro.pipeline.runner import LinkagePipeline
 from repro.rules import blocking as blocking_module
@@ -85,10 +85,6 @@ class TestInternedEncoding:
         enc.encode_dataset(RECORDS, stats=stats)
         assert stats["intern_values"] == len(RECORDS) * 2
         assert 0.0 < stats["intern_hit_rate"] < 1.0
-
-    def test_compact_indices_cached(self):
-        enc = CVectorEncoder(64, seed=1)
-        assert enc.compact_indices("JOHN") is enc.compact_indices("JOHN")
 
 
 class TestLinkageInvariance:
@@ -402,20 +398,76 @@ class TestMemoryGate:
 
 class TestStreamingBatchedQuery:
     def test_query_matches_per_id_reference(self):
+        """Against a per-table reference kept here: every stored record that
+        shares a table's :meth:`CompositeHash.key_for` key with the query,
+        verified one by one, in id order."""
         rows = NCVRGenerator().generate(120, seed=11).value_rows()
         encoder = RecordEncoder.calibrated(rows, scheme=EXPERIMENT_SCHEME, seed=11)
         streaming = StreamingLinker(encoder, threshold=4, k=30, seed=11)
         for values in rows[:80]:
             streaming.insert(values)
+        composites = streaming.view.lsh.composites
+        stored = [streaming.vector(rid) for rid in range(len(streaming))]
+        stored_keys = [[c.key_for(vector) for c in composites] for vector in stored]
         for values in rows[40:]:
-            got = streaming.query(values)
             vector = encoder.encode(values)
+            keys = [c.key_for(vector) for c in composites]
             expected = []
-            for rid in streaming._lsh.query(vector):
-                distance = streaming.vector(rid).hamming(vector)
-                if distance <= streaming.threshold:
+            for rid, own in enumerate(stored_keys):
+                distance = stored[rid].hamming(vector)
+                if any(x == y for x, y in zip(own, keys)) and distance <= streaming.threshold:
                     expected.append((rid, distance))
-            assert got == expected
+            assert streaming.query(values) == expected
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        """100 NCVR PL records indexed one by one, and the other side's queries."""
+        problem = build_linkage_problem(NCVRGenerator(), 100, scheme_pl(), seed=7)
+        a, b = problem.dataset_a, problem.dataset_b
+        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
+        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=7)
+        for values in a.value_rows():
+            streaming.insert(values)
+        return streaming, b.value_rows()
+
+    @pytest.mark.parametrize("top_k", [None, 2])
+    def test_query_equals_one_row_batch(self, stream, top_k):
+        """One record is a one-row batch: the same list, in id order (or
+        ``(distance, id)`` order with ``top_k``), never first-seen order."""
+        streaming, queries = stream
+        answers = [streaming.query(values, top_k) for values in queries]
+        assert sum(map(len, answers)) > len(queries) // 2
+        for values, got in zip(queries, answers):
+            assert got == streaming.query_batch([values], top_k)[0]
+        assert answers == streaming.query_batch(queries, top_k)
+        if top_k is None:
+            assert all(got == sorted(got) for got in answers)
+
+    def test_one_row_query_and_insert_run_the_kernel_once(self, stream, monkeypatch):
+        """A 1-row query is one embed and one match kernel call, with no
+        per-record encode or per-table key; a 1-row insert is one insert
+        into the view's LSH."""
+        streaming, queries = stream
+        calls: dict[str, int] = {}
+        for cls, name in (
+            (RecordEncoder, "encode_dataset"),
+            (RecordEncoder, "encode"),
+            (HammingLSH, "match"),
+            (HammingLSH, "insert_rows"),
+            (CompositeHash, "key_for"),
+        ):
+            def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        for top_k in (None, 2):
+            calls.clear()
+            streaming.query(queries[0], top_k)
+            assert calls == {"encode_dataset": 1, "match": 1}
+        calls.clear()
+        streaming.insert(queries[0])
+        assert calls == {"encode_dataset": 1, "insert_rows": 1}
 
     def test_growable_store_roundtrips_vectors(self):
         rows = NCVRGenerator().generate(40, seed=5).value_rows()

@@ -21,7 +21,7 @@ from repro.core.persist import (
 from repro.core.qgram import QGramScheme
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.lsh import BlockingGroup, HammingLSH
+from repro.hamming.lsh import HammingLSH
 from repro.text.alphabet import Alphabet
 from tests.test_two_run_group import column_keys
 
@@ -111,13 +111,16 @@ class TestSnapshotKeysStayByteIdentical:
         lsh.index(matrix)
 
         old = HammingLSH(encoder.total_bits, k, n_tables=4, seed=7)
-        groups = []
+        tables = []
         for group in old.groups:
             keys = column_keys(matrix, group.composite.positions)
             order = np.argsort(keys, kind="stable")
-            bounds = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
-            groups.append(BlockingGroup.from_arrays(group.composite, keys[order], order, bounds))
-        old.groups = groups
+            tables.append((keys[order], order))
+        old.adopt(
+            np.concatenate([keys for keys, __ in tables]),
+            np.concatenate([order for __, order in tables]),
+            [0, *np.cumsum([order.size for __, order in tables]).tolist()],
+        )
 
         new_dir = save_index_snapshot(tmp_path / "new", encoder, matrix, lsh)
         old_dir = save_index_snapshot(tmp_path / "old", encoder, matrix, old)

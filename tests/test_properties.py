@@ -247,7 +247,7 @@ class TestLSHInvariants:
     @settings(max_examples=20, deadline=None)
     def test_streaming_equals_bulk_candidates(self, seed):
         rng = np.random.default_rng(seed)
-        from repro.hamming.bitmatrix import scatter_bits
+        from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 
         mask = rng.random((20, 40)) < 0.3
         rows, bits = np.nonzero(mask)
@@ -256,8 +256,6 @@ class TestLSHInvariants:
         bulk.index(matrix)
         stream = HammingLSH(n_bits=40, k=4, n_tables=3, seed=seed)
         for i in range(20):
-            stream.insert(matrix.row(i), i)
-        for i in range(20):
-            assert sorted(bulk.query(matrix.row(i))) == sorted(
-                stream.query(matrix.row(i))
-            )
+            stream.insert_rows(BitMatrix(matrix.words[i : i + 1], 40), [i])
+        for got, want in zip(stream.candidate_pairs(matrix), bulk.candidate_pairs(matrix)):
+            assert np.array_equal(got, want)

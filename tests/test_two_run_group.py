@@ -1,6 +1,6 @@
 """The two-run blocking group: a bulk run plus a sorted delta run.
 
-Whatever interleaving of ``insert_matrix`` / ``insert`` / ``insert_rows``
+Whatever interleaving of ``index`` / one-row and many-row ``insert_rows``
 built an index, it must answer exactly like an all-bulk index over the
 same rows — the candidate join has one code path, and these tests pin it
 to per-bucket references kept here, not in ``src/``.
@@ -103,7 +103,7 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps):
             streamed_ids += ids.tolist()
         else:
             for i in ids.tolist():
-                mixed.insert(matrix_a.row(i), i)
+                mixed.insert_rows(take(matrix_a, i, i + 1), [i])
             streamed_ids += ids.tolist()
         at += size
 
@@ -123,13 +123,12 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps):
         assert group.n_buckets == ref_group.n_buckets
         assert np.array_equal(group.bucket_sizes(), ref_group.bucket_sizes())
         key_of = [group.composite.key_for(matrix_a.row(i)) for i in range(n_rows)]
-        for key in set(key_of):
-            # The ordering rule: bulk ids first, then streamed ids as inserted.
-            assert group.bucket(key) == [
-                i for i in bulk_ids + streamed_ids if key_of[i] == key
-            ]
-            assert sorted(group.bucket(key)) == ref_group.bucket(key)
         keys, ids, bounds = group.export_arrays()
+        for lo, hi in zip(bounds, np.r_[bounds[1:], keys.size]):
+            bucket = ids[lo:hi].tolist()
+            # The ordering rule: bulk ids first, then streamed ids as inserted.
+            key = key_of[bucket[0]]
+            assert bucket == [i for i in bulk_ids + streamed_ids if key_of[i] == key]
         ref_keys, ref_ids, ref_bounds = ref_group.export_arrays()
         assert keys.dtype == ref_keys.dtype
         assert np.array_equal(keys, ref_keys)
@@ -151,9 +150,9 @@ def reference_products(steps, matrix_a, matrix_b, positions):
 
     One Python dict of buckets per (run, table): the bulk run's tables
     first, then the delta run's, each table's buckets in key order, ids
-    within a bucket in insertion order, a bucket's pairs a-major.  Also
-    returns the largest bucket product and each table's pairs (bulk
-    buckets, then delta buckets).
+    within a bucket in insertion order, a bucket's pairs probing row by
+    probing row (each row is its own entry).  Also returns the largest
+    bucket product and each table's pairs (bulk buckets, then delta buckets).
     """
     n_b = matrix_b.n_rows
     keys_a = [column_keys(matrix_a, pos) for pos in positions]
@@ -174,7 +173,7 @@ def reference_products(steps, matrix_a, matrix_b, positions):
             for b in range(n_b):
                 probes.setdefault(sort_key(table_b[b]), []).append(b)
             for key in sorted(probes):
-                product = [a * n_b + b for a in buckets.get(key, []) for b in probes[key]]
+                product = [a * n_b + b for b in probes[key] for a in buckets.get(key, [])]
                 largest = max(largest, len(product))
                 per_table[table] += product
                 raw += product
@@ -202,7 +201,7 @@ def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps):
             lsh.insert_rows(take(matrix_a, at, at + size), ids)
         else:
             for i in ids.tolist():
-                lsh.insert(matrix_a.row(i), i)
+                lsh.insert_rows(take(matrix_a, i, i + 1), [i])
         at += size
     positions = [group.composite.positions for group in lsh.groups]
     raw, largest, per_table = reference_products(steps, matrix_a, matrix_b, positions)
