@@ -7,10 +7,9 @@ from an explicit seed, probabilities must never be compared with float
 ``==``, and the public API must stay fully annotated so strict ``mypy``
 keeps meaning something.  Beyond the per-file rules, the architectural
 invariants of docs/architecture.md -- acyclic module-level imports, the
-declared package layering, the pipeline's stage dataflow and seed
-propagation -- span modules, the flow-sensitive invariants of the
-kernel/serving layers -- handles closed on every path, arrays staying
-``uint64``, ctx writes dominating their reads -- span *paths*, and the
+declared package layering and seed propagation -- span modules, the
+flow-sensitive invariants of the kernel/serving layers -- handles
+closed on every path, arrays staying ``uint64`` -- span *paths*, and the
 durable path's fsync ordering spans *calls*, so one cold pass runs
 four rule families over shared per-file work:
 
@@ -20,19 +19,18 @@ four rule families over shared per-file work:
   the flow-sensitive rules (RL201, RL202 and RL204) over the function's
   control-flow graph; the same context then yields the module's
   summary.  The summaries form a whole-program model checked by the
-  project rules (RL101, RL102, RL104, RL105 and RL203) and a call graph
+  project rules (RL101, RL102 and RL105) and a call graph
   walked by the interprocedural rules (RL301-RL303 and RL305).
 * :mod:`repro.analysis.context` holds the per-file state: suppressions,
   parent links, and each function's CFG and held-binding analysis,
-  built at most once and shared by the flow rules, the ctx facts
-  behind RL203 and the procedure summaries behind RL301-RL305.
+  built at most once and shared by the flow rules and the procedure
+  summaries behind RL301-RL305.
 * :mod:`repro.analysis.cfg` builds the per-function CFGs (exception
   edges, ``finally`` duplication) and :mod:`repro.analysis.dataflow`
   runs generic forward/backward fixpoints over them.
 * :mod:`repro.analysis.project` extracts the
   :class:`~repro.analysis.project.ProjectModel`: import graph, symbol
-  tables, stage kinds, ``PipelineContext`` dataflow, call sites and RNG
-  seed sources.
+  tables, call sites and RNG seed sources.
 * :mod:`repro.analysis.rules` holds one module per check.
 * :mod:`repro.analysis.report` renders findings as text, JSON, or SARIF
   2.1.0 for GitHub code scanning.

@@ -1,12 +1,11 @@
 """Intraprocedural control-flow graphs for flow-sensitive lint rules.
 
 The per-file rules (RL001-RL006) and whole-program rules (RL101-RL105)
-are flow-*insensitive*: they see that a function opens a handle or
-writes a ``PipelineContext`` attribute, but not *on which paths*.  The
-phase-3 rules (RL201+) need exactly that — a handle closed in one branch
-but leaked in the other, a dtype that promotes halfway through a kernel,
-a ``ctx`` read that only some paths precede with a write — so this
-module lowers one function body at a time into a small CFG.
+are flow-*insensitive*: they see that a function opens a handle, but
+not *on which paths*.  The phase-3 rules (RL201+) need exactly that — a
+handle closed in one branch but leaked in the other, a dtype that
+promotes halfway through a kernel — so this module lowers one function
+body at a time into a small CFG.
 
 Design notes:
 

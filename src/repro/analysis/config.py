@@ -12,7 +12,7 @@ Recognised keys::
     include = ["core/sizing.py", "hamming/*"]   # restrict rule to paths
     [tool.reprolint.rules.RL006]
     exclude = ["evaluation/reporting.py"]       # skip rule on paths
-    [tool.reprolint.rules.RL104]
+    [tool.reprolint.rules.RL105]
     severity = "warn"                           # downgrade from error
 
     [tool.reprolint.architecture]               # RL102 contract

@@ -4,9 +4,8 @@ Every phase reads the same context, so each piece of per-file work
 happens once: the source is tokenised once (suppression comments), the
 tree is walked once for parent links, and each function's control-flow
 graph and held-binding analysis are computed at most once, on first
-use.  The flow rules (RL201, RL202, RL204), the ``ctx`` must-write facts
-behind RL203 and the procedure summaries behind RL301-RL305 all share
-them.
+use.  The flow rules (RL201, RL202, RL204) and the procedure summaries
+behind RL301-RL305 share them.
 
 Suppressions are comment-driven: a physical line containing
 ``# reprolint: disable=RL001`` (ids comma separated) silences those

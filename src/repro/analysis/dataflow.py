@@ -9,8 +9,8 @@ environments — which keeps rule code free of lattice bookkeeping.
 
 * **May vs must** is purely the analysis's choice of ``join``: union
   gives a may-analysis (RL201: "a handle *may* still be open here"),
-  intersection a must-analysis (the ``ctx`` must-written facts feeding
-  RL203).
+  intersection a must-analysis (the must-call sets of the RL301
+  procedure summaries).
 * **Exception edges** can carry a different transfer
   (:meth:`DataflowAnalysis.transfer_exception`): a statement that raises
   does not complete its effect, so e.g. an assignment's gen-fact must not

@@ -2,17 +2,15 @@
 
 The per-file rules (RL001-RL006) see one AST at a time.  The
 architectural invariants this package also guards — the import layering
-of docs/architecture.md, the stage-dataflow contract of
-``repro.pipeline``, seed propagation — span modules, so lint runs build
-a whole-program model first and run :class:`ProjectRule` checks (RL101,
-RL102, RL104, RL105, RL203) over it second.
+of docs/architecture.md, seed propagation — span modules, so lint runs
+build a whole-program model first and run :class:`ProjectRule` checks
+(RL101, RL102, RL105) over it second.
 
 The model is deliberately *summary-shaped* rather than AST-shaped: one
 :class:`ModuleSummary` per file capturing imports (classified as
 module-level / runtime / typing-only), name bindings, class symbol
-tables with base classes and ``kind`` declarations, per-function
-``PipelineContext`` attribute reads/writes, call sites, RNG-constructor
-seed sources, and stage list literals.
+tables with base classes and methods, per-function call sites and
+RNG-constructor seed sources.
 
 Everything here is best-effort static analysis: dynamic constructs the
 extractor cannot see (computed imports, ``setattr``) simply do not
@@ -23,15 +21,13 @@ positively establishes.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.cfg import CFG, CFGNode, evaluated
 from repro.analysis.config import ProtocolConfig
 from repro.analysis.context import FileContext
-from repro.analysis.dataflow import DataflowAnalysis, solve
 from repro.analysis.rngpatterns import RNG_CONSTRUCTORS, seed_argument
 from repro.analysis.summaries import augment_function
 
@@ -92,20 +88,6 @@ class FunctionInfo:
     qualname: str
     lineno: int
     col: int
-    params: list[str] = field(default_factory=list)
-    #: Parameter carrying the PipelineContext, if the function takes one.
-    ctx_param: str | None = None
-    #: PipelineContext attribute -> first line read / written.
-    ctx_reads: dict[str, int] = field(default_factory=dict)
-    ctx_writes: dict[str, int] = field(default_factory=dict)
-    #: Flow-sensitive refinement of ``ctx_reads``: attribute -> first line
-    #: of a read NOT dominated by a write on every path into it (own
-    #: writes and same-module ctx-helper writes count; exception edges
-    #: count).  Empty for reads the function provably precedes with a
-    #: write.  Feeds RL203.
-    ctx_maybe_unset: dict[str, int] = field(default_factory=dict)
-    #: Same-module functions this one forwards its ctx to.
-    ctx_calls: list[str] = field(default_factory=list)
     #: Every dotted call in the body (nested defs included):
     #: ``[name, lineno, col, use]`` where ``use`` is ``"stmt"`` for a
     #: discarded expression-statement call, ``"bound:<var>"`` for a
@@ -140,27 +122,7 @@ class ClassInfo:
     name: str
     lineno: int
     bases: list[str] = field(default_factory=list)
-    #: Value of a literal ``kind = "..."`` class attribute, if present.
-    kind_literal: str | None = None
-    #: Annotated class-level names (dataclass fields).
-    fields: list[str] = field(default_factory=list)
-    properties: list[str] = field(default_factory=list)
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
-
-
-@dataclass
-class StageList:
-    """A list literal whose elements are all constructor calls.
-
-    Candidate for a pipeline stage sequence; RL104 checks ordering when
-    every element resolves to a known stage class.
-    """
-
-    lineno: int
-    col: int
-    scope: str
-    #: (source-dotted class name, lineno) per element.
-    elements: list[list[Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -176,7 +138,6 @@ class ModuleSummary:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     rng_constructions: list[RngConstruction] = field(default_factory=list)
-    stage_lists: list[StageList] = field(default_factory=list)
 
 
 def module_name_for(path: Path) -> str:
@@ -224,13 +185,8 @@ class _Extractor:
         self._scope: list[str] = []
         self._typing_depth = 0
         self._func_depth = 0
-        #: FunctionInfo accumulating ctx/call facts (outermost function).
+        #: FunctionInfo accumulating call facts (outermost function).
         self._func: FunctionInfo | None = None
-        #: (info, def node) of every ctx-taking function/method, for the
-        #: flow-sensitive post-pass in :func:`extract_module`.
-        self.ctx_functions: list[
-            tuple[FunctionInfo, ast.FunctionDef | ast.AsyncFunctionDef]
-        ] = []
         #: (info, def node) of every summarised function/method, for the
         #: phase-4 procedure-summary post-pass.
         self.all_functions: list[
@@ -338,8 +294,6 @@ class _Extractor:
             if len(self._scope) == 0:
                 self.summary.functions[node.name] = info
                 self.all_functions.append((info, node))
-            if info.ctx_param is not None:
-                self.ctx_functions.append((info, node))
 
         self._scope.append(node.name)
         self._func_depth += 1
@@ -354,26 +308,11 @@ class _Extractor:
         if outermost:
             self._func = None
 
+    @staticmethod
     def _function_info(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
+        node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
     ) -> FunctionInfo:
-        args = node.args
-        params = [
-            arg.arg
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        ]
-        if args.vararg:
-            params.append(args.vararg.arg)
-        if args.kwarg:
-            params.append(args.kwarg.arg)
-        ctx_param = _find_ctx_param(args)
-        return FunctionInfo(
-            qualname=qualname,
-            lineno=node.lineno,
-            col=node.col_offset + 1,
-            params=params,
-            ctx_param=ctx_param,
-        )
+        return FunctionInfo(qualname=qualname, lineno=node.lineno, col=node.col_offset + 1)
 
     # -- classes -------------------------------------------------------
 
@@ -389,38 +328,10 @@ class _Extractor:
 
         self._scope.append(node.name)
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                info.fields.append(stmt.target.id)
-                if (
-                    stmt.target.id == "kind"
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    info.kind_literal = stmt.value.value
+            if isinstance(stmt, (ast.AnnAssign, ast.Assign)):
                 if stmt.value is not None:
                     self._visit(stmt.value)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "kind"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)
-                    ):
-                        info.kind_literal = stmt.value.value
-                self._visit(stmt.value)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(
-                    dotted_name(dec) in ("property", "functools.cached_property")
-                    or (
-                        isinstance(dec, ast.Attribute)
-                        and dec.attr == "cached_property"
-                    )
-                    for dec in stmt.decorator_list
-                ):
-                    info.properties.append(stmt.name)
                 was_func = self._func
                 self._func = None  # methods get their own FunctionInfo
                 method = self._function_info(
@@ -437,8 +348,6 @@ class _Extractor:
                 info.methods[stmt.name] = method
                 if registered:
                     self.all_functions.append((method, stmt))
-                if method.ctx_param is not None:
-                    self.ctx_functions.append((method, stmt))
             else:
                 self._visit(stmt)
         self._scope.pop()
@@ -450,27 +359,10 @@ class _Extractor:
             # The call's value is discarded; recorded before the child
             # visit reaches the Call itself.
             self._call_use[id(node.value)] = "stmt"
-        if isinstance(node, ast.Attribute):
-            self._record_ctx_access(node)
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             self._record_call(node)
         elif isinstance(node, ast.Assign):
             self._record_assignment(node)
-        elif isinstance(node, ast.List) and isinstance(node.ctx, ast.Load):
-            self._record_stage_list(node)
-
-    def _record_ctx_access(self, node: ast.Attribute) -> None:
-        func = self._func
-        if func is None or func.ctx_param is None:
-            return
-        if not (
-            isinstance(node.value, ast.Name) and node.value.id == func.ctx_param
-        ):
-            return
-        if isinstance(node.ctx, ast.Store):
-            func.ctx_writes.setdefault(node.attr, node.lineno)
-        else:
-            func.ctx_reads.setdefault(node.attr, node.lineno)
 
     def _record_call(self, node: ast.Call) -> None:
         name = dotted_name(node.func)
@@ -486,12 +378,6 @@ class _Extractor:
             )
         if name is not None and RNG_CONSTRUCTORS.match(name):
             self._record_rng_construction(node, name)
-        if func is not None and isinstance(node.func, ast.Name):
-            if func.ctx_param is not None and any(
-                isinstance(arg, ast.Name) and arg.id == func.ctx_param
-                for arg in node.args
-            ):
-                func.ctx_calls.append(node.func.id)
 
     def _record_assignment(self, node: ast.Assign) -> None:
         if (
@@ -526,151 +412,6 @@ class _Extractor:
             )
         )
 
-    def _record_stage_list(self, node: ast.List) -> None:
-        if len(node.elts) < 2:
-            return
-        elements: list[list[Any]] = []
-        for element in node.elts:
-            if not isinstance(element, ast.Call):
-                return
-            name = dotted_name(element.func)
-            if name is None:
-                return
-            elements.append([name, element.lineno])
-        self.summary.stage_lists.append(
-            StageList(
-                lineno=node.lineno,
-                col=node.col_offset + 1,
-                scope=self._scope_name(),
-                elements=elements,
-            )
-        )
-
-
-def _find_ctx_param(args: ast.arguments) -> str | None:
-    """The parameter carrying a PipelineContext, if recognisable."""
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if arg.annotation is not None:
-            annotation = arg.annotation
-            name: str | None
-            if isinstance(annotation, ast.Constant) and isinstance(
-                annotation.value, str
-            ):
-                name = annotation.value
-            else:
-                name = dotted_name(annotation)
-            if name is not None and name.split(".")[-1] == "PipelineContext":
-                return arg.arg
-        if arg.arg == "ctx":
-            return arg.arg
-    return None
-
-
-class _CtxMustWritten(DataflowAnalysis[frozenset[str]]):
-    """Forward must-analysis: ctx attributes written on *every* path.
-
-    Gen facts come from direct ``ctx.attr = ...`` stores and from calls
-    to same-module helpers that (transitively) write ctx attributes.
-    Join is intersection — a write only counts if no path avoids it —
-    and exception edges carry the pre-state, because a raising statement
-    never completes its store.
-    """
-
-    def __init__(
-        self, ctx_name: str, helper_writes: Mapping[str, frozenset[str]]
-    ) -> None:
-        self.ctx_name = ctx_name
-        self.helper_writes = helper_writes
-
-    def boundary(self) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, states: Sequence[frozenset[str]]) -> frozenset[str]:
-        result = states[0]
-        for state in states[1:]:
-            result &= state
-        return result
-
-    def transfer(self, node: CFGNode, state: frozenset[str]) -> frozenset[str]:
-        written = self._written(node)
-        return state | written if written else state
-
-    def transfer_exception(
-        self, node: CFGNode, state: frozenset[str]
-    ) -> frozenset[str]:
-        return state
-
-    def _written(self, node: CFGNode) -> frozenset[str]:
-        written: set[str] = set()
-        for part in evaluated(node):
-            for sub in ast.walk(part):
-                if (
-                    isinstance(sub, ast.Attribute)
-                    and isinstance(sub.ctx, ast.Store)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == self.ctx_name
-                ):
-                    written.add(sub.attr)
-                elif (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Name)
-                    and any(
-                        isinstance(arg, ast.Name) and arg.id == self.ctx_name
-                        for arg in sub.args
-                    )
-                ):
-                    written |= self.helper_writes.get(sub.func.id, frozenset())
-        return frozenset(written)
-
-
-def _transitive_ctx_writes(summary: ModuleSummary) -> dict[str, frozenset[str]]:
-    """Per module-level function: ctx attrs it writes, helpers included."""
-    writes: dict[str, set[str]] = {
-        name: set(info.ctx_writes) for name, info in summary.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for name, info in summary.functions.items():
-            for callee in info.ctx_calls:
-                extra = writes.get(callee)
-                if extra and not extra <= writes[name]:
-                    writes[name] |= extra
-                    changed = True
-    return {name: frozenset(attrs) for name, attrs in writes.items()}
-
-
-def _compute_ctx_maybe_unset(
-    graph: CFG,
-    ctx_name: str,
-    helper_writes: Mapping[str, frozenset[str]],
-) -> dict[str, int]:
-    """Attr -> first line of a ctx read not preceded by a write on every path."""
-    states = solve(graph, _CtxMustWritten(ctx_name, helper_writes))
-    analysis = _CtxMustWritten(ctx_name, helper_writes)
-    result: dict[str, int] = {}
-    for index, state in states.items():
-        cfg_node = graph.nodes[index]
-        # Self-initialising statements (``ctx.x = fill(ctx.x)``) write the
-        # attr they read; the read is then deliberate, not a gap.
-        own_writes = analysis._written(cfg_node)
-        for part in evaluated(cfg_node):
-            for sub in ast.walk(part):
-                if not (
-                    isinstance(sub, ast.Attribute)
-                    and isinstance(sub.ctx, ast.Load)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == ctx_name
-                ):
-                    continue
-                attr = sub.attr
-                if attr in state or attr in own_writes:
-                    continue
-                line = sub.lineno
-                if attr not in result or line < result[attr]:
-                    result[attr] = line
-    return result
-
 
 def extract_module(
     name: str,
@@ -682,28 +423,19 @@ def extract_module(
 ) -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed module.
 
-    After the single-pass walk, a flow-sensitive post-pass computes
-    :attr:`FunctionInfo.ctx_maybe_unset` for every ctx-taking function:
-    a must-written fixpoint over the function's CFG and a scan of the
-    reachable reads against the per-statement states.  A second
-    post-pass (:func:`repro.analysis.summaries.augment_function`) adds
-    the phase-4 procedure summaries; its protocol-scoped fields
-    (``call_orders``, ``receivers``) are only recorded for modules an
-    ordering/typestate contract covers.  Both read each function's CFG
-    from ``ctx``, the file's :class:`FileContext` the rules also used
-    (a fresh one when none is given).
+    After the single-pass walk, a post-pass
+    (:func:`repro.analysis.summaries.augment_function`) adds the phase-4
+    procedure summaries; its protocol-scoped fields (``call_orders``,
+    ``receivers``) are only recorded for modules an ordering/typestate
+    contract covers.  It reads each function's CFG from ``ctx``, the
+    file's :class:`FileContext` the rules also used (a fresh one when
+    none is given).
     """
     if ctx is None:
         ctx = FileContext.build(path, "", tree)
     is_package = Path(path).name == "__init__.py"
     extractor = _Extractor(name, path, is_package)
     summary = extractor.run(tree)
-    helper_writes = _transitive_ctx_writes(summary)
-    for info, def_node in extractor.ctx_functions:
-        assert info.ctx_param is not None
-        info.ctx_maybe_unset = _compute_ctx_maybe_unset(
-            ctx.cfg(def_node), info.ctx_param, helper_writes
-        )
     record_orders = protocols is not None and protocols.order_scoped(name)
     record_receivers = protocols is not None and protocols.typestate_scoped(name)
     for info, def_node in extractor.all_functions:

@@ -26,9 +26,7 @@ Rule id   Module                                         Guards
 ========  =============================================  =======================
 RL101     :mod:`repro.analysis.rules.architecture`       no import cycles
 RL102     :mod:`repro.analysis.rules.architecture`       layering contract
-RL104     :mod:`repro.analysis.rules.stage_contract`     stage kinds + dataflow
 RL105     :mod:`repro.analysis.rules.seeding`            seed propagation
-RL203     :mod:`repro.analysis.rules.ctx_refinement`     conditional ctx writes
 ========  =============================================  =======================
 
 Flow-sensitive rules (phase 3, one CFG + dataflow fixpoint per
@@ -41,10 +39,6 @@ RL201     :mod:`repro.analysis.rules.resource_lifetime`  handles closed on all p
 RL202     :mod:`repro.analysis.rules.dtype_discipline`   packed-uint64 kernels
 RL204     :mod:`repro.analysis.rules.exception_hygiene`  SnapshotError, dead code
 ========  =============================================  =======================
-
-(RL203 consumes flow-sensitive ``ctx_maybe_unset`` facts from the model
-extractor but joins them *across* stages, so it registers as a phase-2
-project rule.)
 
 Interprocedural rules (phase 4, per module over the
 :class:`~repro.analysis.callgraph.CallGraph` and the
@@ -72,7 +66,6 @@ from repro.analysis.rules import (  # noqa: F401
     annotations,
     architecture,
     crash_consistency,
-    ctx_refinement,
     dtype_discipline,
     durability,
     dynamic_exec,
@@ -85,14 +78,12 @@ from repro.analysis.rules import (  # noqa: F401
     resource_lifetime,
     seeding,
     snapshot_typestate,
-    stage_contract,
 )
 
 __all__ = [
     "annotations",
     "architecture",
     "crash_consistency",
-    "ctx_refinement",
     "dtype_discipline",
     "durability",
     "dynamic_exec",
@@ -105,5 +96,4 @@ __all__ = [
     "resource_lifetime",
     "seeding",
     "snapshot_typestate",
-    "stage_contract",
 ]

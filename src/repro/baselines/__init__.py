@@ -1,8 +1,7 @@
 """Baseline embedding/linkage methods the paper compares against (Section 6.1).
 
-Every linker here runs on the shared :class:`repro.pipeline.LinkagePipeline`
-runner; see ``docs/pipeline.md`` and the registry in
-:mod:`repro.pipeline.registry` for the full catalogue.
+Every linker here is a class with a straight-line ``link(a, b)``; the
+registry in :mod:`repro.pipeline.registry` is the full catalogue.
 """
 
 from repro.baselines.bfh import BfHLinker

@@ -8,10 +8,10 @@ matching step*; the blocking threshold over the record-level filter is
 their sum, which is the distance a record pair just inside all
 attribute thresholds can reach.
 
-On the stage pipeline this is a Bloom embed stage, the shared
-``HammingLSH``-backed index/candidate stages, and the shared
-attribute-threshold classify stage fed by the Bloom encoder's masked
-per-attribute distances.
+``link`` is a Bloom embedding, ``HammingLSH`` blocking and the shared
+attribute-threshold match
+(:func:`~repro.hamming.distance.verify_attribute_pairs`) over the Bloom
+encoder's masked per-attribute distances.
 
 The paper's criticism of this space — distances depend on the *lengths*
 of the original strings, not only on the number of errors — is observable
@@ -23,34 +23,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from repro.baselines.bloom import (
-    BloomEmbedStage,
     BloomRecordEncoder,
     DEFAULT_BLOOM_BITS,
     DEFAULT_BLOOM_HASHES,
 )
 from repro.core.config import DEFAULT_DELTA, DEFAULT_K
 from repro.core.qgram import QGramScheme
+from repro.hamming.distance import verify_attribute_pairs
 from repro.hamming.lsh import HammingLSH
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stages import (
-    AttributeThresholdClassifyStage,
-    BlockerIndexStage,
-    MaterializedCandidateStage,
-)
-from repro.protocol import DatasetLike
-
-
-def _bloom_attribute_distances(ctx: PipelineContext) -> dict[str, np.ndarray]:
-    """Masked per-attribute Hamming distances over the candidate pairs."""
-    assert ctx.cand_a is not None and ctx.cand_b is not None
-    return ctx.encoder.attribute_distances(
-        ctx.embedded_a, ctx.cand_a, ctx.embedded_b, ctx.cand_b
-    )
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 
 
 class BfHLinker:
@@ -114,17 +97,31 @@ class BfHLinker:
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> HB blocking -> attribute-threshold matching."""
-        pipeline = LinkagePipeline(
-            [
-                BloomEmbedStage(self.encoder),
-                BlockerIndexStage(lambda ctx: self._build_lsh()),
-                MaterializedCandidateStage(),
-                AttributeThresholdClassifyStage(
-                    self.attribute_thresholds, _bloom_attribute_distances
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            matrix_a = self.encoder.encode_dataset(rows_a)
+            matrix_b = self.encoder.encode_dataset(rows_b)
+        with timed(timings, "index"):
+            lsh = self._build_lsh()
+            lsh.index(matrix_a)
+        with timed(timings, "match"):
+            candidates = lsh.candidate_pairs(matrix_b)
+            out_a, out_b, distances = verify_attribute_pairs(
+                candidates,
+                lambda cand_a, cand_b: self.encoder.attribute_distances(
+                    matrix_a, cand_a, matrix_b, cand_b
                 ),
-            ]
+                self.attribute_thresholds,
+            )
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=int(candidates[0].size),
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            attribute_distances=distances,
         )
-        return pipeline.run(dataset_a, dataset_b)
 
     @property
     def computed_n_tables(self) -> int:

@@ -23,8 +23,6 @@ from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.stage import EmbedStage
 from repro.text.alphabet import TEXT_ALPHABET
 
 #: Paper configuration: "a size of 500 bits by using 15 cryptographic hash
@@ -162,15 +160,3 @@ class BloomRecordEncoder:
             )
             for layout in self.layouts
         }
-
-
-class BloomEmbedStage(EmbedStage):
-    """Embed both datasets with a pre-built :class:`BloomRecordEncoder`."""
-
-    def __init__(self, encoder: BloomRecordEncoder) -> None:
-        self.encoder = encoder
-
-    def run(self, ctx: PipelineContext) -> None:
-        ctx.encoder = self.encoder
-        ctx.embedded_a = self.encoder.encode_dataset(ctx.rows_a)
-        ctx.embedded_b = self.encoder.encode_dataset(ctx.rows_b)

@@ -12,10 +12,11 @@ founds a *canopy* containing every record within ``loose`` distance;
 records within ``tight`` distance are removed from the candidate-seed
 pool.  Candidate pairs are the cross-dataset pairs sharing a canopy.
 
-On the stage pipeline this is a bigram-set + c-vector embed stage, the
-canopy clustering as the block stage, and the shared
-:class:`~repro.pipeline.stages.ThresholdVerifyStage` for compact-Hamming
-matching, like the other reference baselines.
+``link`` embeds bigram sets plus the A-sample c-vectors
+(:func:`~repro.core.encoder.sampled_embedding`), clusters canopies as its
+blocking step and verifies with the shared compact-Hamming
+:func:`~repro.hamming.distance.verify_pairs`, like the other reference
+baselines.
 """
 
 from __future__ import annotations
@@ -23,68 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.minhash import record_bigram_set
+from repro.core.encoder import sampled_embedding
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import jaccard_distance_sets
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import BlockStage
-from repro.pipeline.stages import SampledCalibrationEmbedStage, ThresholdVerifyStage
-from repro.protocol import DatasetLike
+from repro.hamming.distance import decode_pairs, jaccard_distance_sets, verify_pairs
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
-
-
-class CanopyEmbedStage(SampledCalibrationEmbedStage):
-    """Pooled bigram sets (A then B) plus the sampled c-vector embedding."""
-
-    def run(self, ctx: PipelineContext) -> None:
-        sets = [record_bigram_set(row, self.scheme) for row in ctx.rows_a]
-        sets += [record_bigram_set(row, self.scheme) for row in ctx.rows_b]
-        ctx.extras["bigram_sets"] = sets
-        super().run(ctx)
-
-
-class _CanopyBlockStage(BlockStage):
-    """Seed canopies over the pooled records; cross-dataset co-members pair."""
-
-    def __init__(self, linker: "CanopyLinker") -> None:
-        self.linker = linker
-
-    def run(self, ctx: PipelineContext) -> None:
-        linker = self.linker
-        sets = ctx.extras["bigram_sets"]
-        n_a, n_b = len(ctx.rows_a), len(ctx.rows_b)
-        rng = np.random.default_rng(linker.seed)
-        remaining = set(range(n_a + n_b))
-        candidate_set: set[int] = set()
-        pool = list(remaining)
-        rng.shuffle(pool)
-        for seed_idx in pool:
-            if seed_idx not in remaining:
-                continue
-            seed_set = sets[seed_idx]
-            canopy_a: list[int] = []
-            canopy_b: list[int] = []
-            for other in list(remaining):
-                distance = jaccard_distance_sets(seed_set, sets[other])
-                if distance <= linker.loose:
-                    if other < n_a:
-                        canopy_a.append(other)
-                    else:
-                        canopy_b.append(other - n_a)
-                    if distance <= linker.tight:
-                        remaining.discard(other)
-            remaining.discard(seed_idx)
-            for i in canopy_a:
-                for j in canopy_b:
-                    candidate_set.add(i * n_b + j)
-        if candidate_set:
-            encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
-            ctx.cand_a, ctx.cand_b = encoded // n_b, encoded % n_b
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            ctx.cand_a, ctx.cand_b = empty, empty
-        ctx.n_candidates = len(candidate_set)
 
 
 class CanopyLinker:
@@ -119,13 +64,58 @@ class CanopyLinker:
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
 
+    def _candidates(
+        self, sets: list[frozenset[int]], n_a: int, n_b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Seed canopies over the pooled records (A then B); cross-dataset
+        co-members pair."""
+        rng = np.random.default_rng(self.seed)
+        remaining = set(range(n_a + n_b))
+        candidate_set: set[int] = set()
+        pool = list(remaining)
+        rng.shuffle(pool)
+        for seed_idx in pool:
+            if seed_idx not in remaining:
+                continue
+            seed_set = sets[seed_idx]
+            canopy_a: list[int] = []
+            canopy_b: list[int] = []
+            for other in list(remaining):
+                distance = jaccard_distance_sets(seed_set, sets[other])
+                if distance <= self.loose:
+                    if other < n_a:
+                        canopy_a.append(other)
+                    else:
+                        canopy_b.append(other - n_a)
+                    if distance <= self.tight:
+                        remaining.discard(other)
+            remaining.discard(seed_idx)
+            for i in canopy_a:
+                for j in canopy_b:
+                    candidate_set.add(i * n_b + j)
+        encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
+        return decode_pairs(encoded, n_b)
+
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """embed -> canopy blocking -> Hamming verify on the shared runner."""
-        pipeline = LinkagePipeline(
-            [
-                CanopyEmbedStage(scheme=self.scheme, seed=self.seed),
-                _CanopyBlockStage(self),
-                ThresholdVerifyStage(self.threshold),
-            ]
+        """embed -> canopy blocking -> Hamming verify."""
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            sets = [record_bigram_set(row, self.scheme) for row in [*rows_a, *rows_b]]
+            matrix_a, matrix_b = sampled_embedding(rows_a, rows_b, self.scheme, self.seed)
+        with timed(timings, "index"):
+            candidates = self._candidates(sets, len(rows_a), len(rows_b))
+        with timed(timings, "match"):
+            out_a, out_b, distances = verify_pairs(
+                matrix_a.words, matrix_b.words, candidates, self.threshold
+            )
+        n_candidates = int(candidates[0].size)
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=n_candidates,
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            record_distances=distances,
+            counters={"pairs_verified": float(n_candidates)},
         )
-        return pipeline.run(dataset_a, dataset_b)

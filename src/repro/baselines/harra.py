@@ -10,11 +10,11 @@ blocking groups ``T_l`` are processed one after the other, and records
 classified as matched in table ``l`` are *removed* from all subsequent
 iterations ("early pruning"), which saves time but misses pairs.
 
-On the shared stage pipeline this is a bigram-set embed stage, the
-MinHash index stage, and one fused candidate/verify stage — the
-iteration is inherently sequential (each band's matches prune the next
-band's buckets), so unlike the other linkers it cannot split candidate
-generation from verification.  The non-iterative counterpart is
+``link`` embeds bigram sets, builds the MinHash band keys and runs one
+fused candidate/verify iteration — the iteration is inherently
+sequential (each band's matches prune the next band's buckets), so
+unlike the other linkers it cannot split candidate generation from
+verification.  The non-iterative counterpart is
 :class:`repro.baselines.minhash.MinHashLinker`.
 """
 
@@ -23,73 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.minhash import (
-    BigramSetEmbedStage,
-    MinHashIndexStage,
     MinHashLSH as MinHashLSH,
     record_bigram_set as record_bigram_set,
 )
 from repro.core.qgram import QGramScheme
 from repro.hamming.distance import jaccard_distance_sets
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import VerifyStage
-from repro.protocol import DatasetLike
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
-
-
-class _HarraMatchStage(VerifyStage):
-    """h-CC's fused candidate/verify iteration over the blocking groups."""
-
-    def __init__(self, linker: "HarraLinker") -> None:
-        self.linker = linker
-
-    def run(self, ctx: PipelineContext) -> None:
-        linker = self.linker
-        sets_a = ctx.extras["sets_a"]
-        sets_b = ctx.extras["sets_b"]
-        keys_a = ctx.extras["band_keys_a"]
-        keys_b = ctx.extras["band_keys_b"]
-        active_a = np.ones(len(ctx.rows_a), dtype=bool)
-        active_b = np.ones(len(ctx.rows_b), dtype=bool)
-        matched_a: list[int] = []
-        matched_b: list[int] = []
-        compared: set[tuple[int, int]] = set()
-        n_candidates = 0
-
-        for band in range(linker.n_tables):
-            buckets: dict[object, list[int]] = {}
-            band_a = keys_a[band]
-            for i in np.flatnonzero(active_a):
-                buckets.setdefault(band_a[i].item(), []).append(int(i))
-            band_b = keys_b[band]
-            for j in np.flatnonzero(active_b):
-                ids_a = buckets.get(band_b[j].item())
-                if not ids_a:
-                    continue
-                j = int(j)
-                for i in ids_a:
-                    if not active_a[i]:
-                        continue
-                    pair = (i, j)
-                    if pair in compared:
-                        continue
-                    compared.add(pair)
-                    n_candidates += 1
-                    distance = jaccard_distance_sets(sets_a[i], sets_b[j])
-                    if distance <= linker.threshold:
-                        matched_a.append(i)
-                        matched_b.append(j)
-                        if linker.early_pruning:
-                            # h-CC: matched records leave the process.
-                            active_a[i] = False
-                            active_b[j] = False
-                            break
-
-        ctx.out_a = np.asarray(matched_a, dtype=np.int64)
-        ctx.out_b = np.asarray(matched_b, dtype=np.int64)
-        ctx.n_candidates = n_candidates
-        ctx.counters["pairs_verified"] = float(n_candidates)
 
 
 class HarraLinker:
@@ -136,18 +77,75 @@ class HarraLinker:
         self.permutation_prefix = permutation_prefix
         self.seed = seed
 
+    def _match(
+        self,
+        sets_a: list[frozenset[int]],
+        sets_b: list[frozenset[int]],
+        keys_a: list[np.ndarray],
+        keys_b: list[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """h-CC's fused candidate/verify iteration over the blocking groups:
+        ``(rows_a, rows_b)`` of the matches and the number of pairs compared."""
+        active_a = np.ones(len(sets_a), dtype=bool)
+        active_b = np.ones(len(sets_b), dtype=bool)
+        matched_a: list[int] = []
+        matched_b: list[int] = []
+        compared: set[tuple[int, int]] = set()
+
+        for band_a, band_b in zip(keys_a, keys_b):
+            buckets: dict[object, list[int]] = {}
+            for i in np.flatnonzero(active_a):
+                buckets.setdefault(band_a[i].item(), []).append(int(i))
+            for j in np.flatnonzero(active_b):
+                ids_a = buckets.get(band_b[j].item())
+                if not ids_a:
+                    continue
+                j = int(j)
+                for i in ids_a:
+                    if not active_a[i]:
+                        continue
+                    pair = (i, j)
+                    if pair in compared:
+                        continue
+                    compared.add(pair)
+                    distance = jaccard_distance_sets(sets_a[i], sets_b[j])
+                    if distance <= self.threshold:
+                        matched_a.append(i)
+                        matched_b.append(j)
+                        if self.early_pruning:
+                            # h-CC: matched records leave the process.
+                            active_a[i] = False
+                            active_b[j] = False
+                            break
+
+        return (
+            np.asarray(matched_a, dtype=np.int64),
+            np.asarray(matched_b, dtype=np.int64),
+            len(compared),
+        )
+
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """Iterative blocking/matching over the MinHash blocking groups."""
-        pipeline = LinkagePipeline(
-            [
-                BigramSetEmbedStage(self.scheme),
-                MinHashIndexStage(
-                    k=self.k,
-                    n_tables=self.n_tables,
-                    seed=self.seed,
-                    prefix_fraction=self.permutation_prefix,
-                ),
-                _HarraMatchStage(self),
-            ]
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            sets_a = [record_bigram_set(row, self.scheme) for row in rows_a]
+            sets_b = [record_bigram_set(row, self.scheme) for row in rows_b]
+        with timed(timings, "index"):
+            lsh = MinHashLSH(
+                k=self.k,
+                n_tables=self.n_tables,
+                seed=self.seed,
+                prefix_fraction=self.permutation_prefix,
+            )
+            keys_a, keys_b = lsh.band_keys(sets_a), lsh.band_keys(sets_b)
+        with timed(timings, "match"):
+            out_a, out_b, n_candidates = self._match(sets_a, sets_b, keys_a, keys_b)
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=n_candidates,
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            counters={"pairs_verified": float(n_candidates)},
         )
-        return pipeline.run(dataset_a, dataset_b)

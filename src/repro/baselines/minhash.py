@@ -14,12 +14,9 @@ random permutation, so ``Pr[minhash(A) = minhash(B)] ≈ Jaccard(A, B)``.
 The signature computation is vectorised with ``numpy.minimum.reduceat``
 over the concatenated element arrays of all records.
 
-Besides the raw machinery this module provides the MinHash pipeline
-stages (:class:`BigramSetEmbedStage`, :class:`MinHashIndexStage`,
-:class:`MinHashCandidateStage`, :class:`JaccardVerifyStage`) and
-:class:`MinHashLinker` — a *non-iterative* MinHash LSH linker that runs
-all bands to completion, the ablation partner of HARRA's early-pruning
-h-CC.
+Besides the raw machinery this module provides :class:`MinHashLinker` —
+a *non-iterative* MinHash LSH linker that runs all bands to completion,
+the ablation partner of HARRA's early-pruning h-CC.
 """
 
 from __future__ import annotations
@@ -30,13 +27,10 @@ import numpy as np
 
 from repro.core.cvector import HASH_PRIME
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import jaccard_distance_sets
+from repro.hamming.distance import decode_pairs, jaccard_distance_sets
 from repro.hamming.lsh import sorted_unique
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import BlockStage, CandidateStage, EmbedStage, VerifyStage
-from repro.protocol import DatasetLike
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
 
 
@@ -98,10 +92,9 @@ class MinHasher:
         """Signature matrix for many sets (shape ``(n_sets, n_hashes)``).
 
         Empty sets get the sentinel signature ``p`` in every slot, which
-        never collides with a non-empty set's minimum (< p).
+        never collides with a non-empty set's minimum (< p).  No sets give
+        a ``(0, n_hashes)`` matrix.
         """
-        if not sets:
-            raise ValueError("sets must be non-empty")
         lengths = np.asarray([len(s) for s in sets], dtype=np.int64)
         output = np.full((len(sets), self.n_hashes), self.p, dtype=np.int64)
         non_empty = np.flatnonzero(lengths)
@@ -159,104 +152,6 @@ def collision_probability(jaccard_similarity: float, k: int, n_tables: int) -> f
     return 1.0 - (1.0 - jaccard_similarity**k) ** n_tables
 
 
-# -- pipeline stages -----------------------------------------------------------
-
-
-class BigramSetEmbedStage(EmbedStage):
-    """Record-level bigram index sets of both datasets.
-
-    The Jaccard-space "embedding": one merged q-gram set per record,
-    stored in ``ctx.extras['sets_a'] / ['sets_b']`` for the index and
-    verify stages.
-    """
-
-    def __init__(self, scheme: QGramScheme) -> None:
-        self.scheme = scheme
-
-    def run(self, ctx: PipelineContext) -> None:
-        ctx.extras["sets_a"] = [record_bigram_set(row, self.scheme) for row in ctx.rows_a]
-        ctx.extras["sets_b"] = [record_bigram_set(row, self.scheme) for row in ctx.rows_b]
-
-
-class MinHashIndexStage(BlockStage):
-    """Build the banded MinHash LSH and both datasets' band keys."""
-
-    def __init__(
-        self,
-        k: int,
-        n_tables: int,
-        seed: int | None = None,
-        prefix_fraction: float | None = None,
-    ) -> None:
-        self.k = k
-        self.n_tables = n_tables
-        self.seed = seed
-        self.prefix_fraction = prefix_fraction
-
-    def run(self, ctx: PipelineContext) -> None:
-        lsh = MinHashLSH(
-            k=self.k,
-            n_tables=self.n_tables,
-            seed=self.seed,
-            prefix_fraction=self.prefix_fraction,
-        )
-        ctx.blocker = lsh
-        ctx.extras["band_keys_a"] = lsh.band_keys(ctx.extras["sets_a"])
-        ctx.extras["band_keys_b"] = lsh.band_keys(ctx.extras["sets_b"])
-
-
-class MinHashCandidateStage(CandidateStage):
-    """De-duplicated candidates from *all* bands (non-iterative variant)."""
-
-    def run(self, ctx: PipelineContext) -> None:
-        keys_a = ctx.extras["band_keys_a"]
-        keys_b = ctx.extras["band_keys_b"]
-        n_a, n_b = len(ctx.rows_a), len(ctx.rows_b)
-        parts: list[np.ndarray] = []
-        for band in range(ctx.blocker.n_tables):
-            buckets: dict[object, list[int]] = {}
-            band_a = keys_a[band]
-            for i in range(n_a):
-                buckets.setdefault(band_a[i].item(), []).append(i)
-            band_b = keys_b[band]
-            for j in range(n_b):
-                ids_a = buckets.get(band_b[j].item())
-                if ids_a:
-                    parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
-        if parts:
-            encoded = sorted_unique(np.concatenate(parts))
-            ctx.cand_a, ctx.cand_b = encoded // n_b, encoded % n_b
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            ctx.cand_a, ctx.cand_b = empty, empty
-        ctx.n_candidates = int(ctx.cand_a.size)
-
-
-class JaccardVerifyStage(VerifyStage):
-    """Filter candidates by exact Jaccard distance of their bigram sets."""
-
-    def __init__(self, threshold: float) -> None:
-        self.threshold = threshold
-
-    def run(self, ctx: PipelineContext) -> None:
-        cand_a, cand_b = ctx.cand_a, ctx.cand_b
-        assert cand_a is not None and cand_b is not None
-        sets_a = ctx.extras["sets_a"]
-        sets_b = ctx.extras["sets_b"]
-        distances = np.fromiter(
-            (
-                jaccard_distance_sets(sets_a[int(i)], sets_b[int(j)])
-                for i, j in zip(cand_a, cand_b)
-            ),
-            dtype=np.float64,
-            count=int(cand_a.size),
-        )
-        ctx.counters["pairs_verified"] = float(cand_a.size)
-        keep = distances <= self.threshold
-        ctx.out_a, ctx.out_b = cand_a[keep], cand_b[keep]
-        ctx.record_distances = distances[keep]
-
-
 class MinHashLinker:
     """Non-iterative MinHash LSH linkage — HARRA without the heuristics.
 
@@ -295,19 +190,54 @@ class MinHashLinker:
         self.prefix_fraction = prefix_fraction
         self.seed = seed
 
+    def _candidates(
+        self, keys_a: list[np.ndarray], keys_b: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """De-duplicated candidates from *all* bands."""
+        n_a, n_b = keys_a[0].size, keys_b[0].size
+        parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for band_a, band_b in zip(keys_a, keys_b):
+            buckets: dict[object, list[int]] = {}
+            for i in range(n_a):
+                buckets.setdefault(band_a[i].item(), []).append(i)
+            for j in range(n_b):
+                ids_a = buckets.get(band_b[j].item())
+                if ids_a:
+                    parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
+        return decode_pairs(sorted_unique(np.concatenate(parts)), n_b)
+
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """embed -> index -> candidates -> verify on the shared runner."""
-        pipeline = LinkagePipeline(
-            [
-                BigramSetEmbedStage(self.scheme),
-                MinHashIndexStage(
-                    k=self.k,
-                    n_tables=self.n_tables,
-                    seed=self.seed,
-                    prefix_fraction=self.prefix_fraction,
+        """embed -> index -> all-band candidates -> Jaccard verify."""
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            sets_a = [record_bigram_set(row, self.scheme) for row in rows_a]
+            sets_b = [record_bigram_set(row, self.scheme) for row in rows_b]
+        with timed(timings, "index"):
+            lsh = MinHashLSH(
+                k=self.k,
+                n_tables=self.n_tables,
+                seed=self.seed,
+                prefix_fraction=self.prefix_fraction,
+            )
+            keys_a, keys_b = lsh.band_keys(sets_a), lsh.band_keys(sets_b)
+        with timed(timings, "match"):
+            cand_a, cand_b = self._candidates(keys_a, keys_b)
+            distances = np.fromiter(
+                (
+                    jaccard_distance_sets(sets_a[i], sets_b[j])
+                    for i, j in zip(cand_a.tolist(), cand_b.tolist())
                 ),
-                MinHashCandidateStage(),
-                JaccardVerifyStage(self.threshold),
-            ]
+                dtype=np.float64,
+                count=int(cand_a.size),
+            )
+            keep = distances <= self.threshold
+        return LinkageResult(
+            rows_a=cand_a[keep],
+            rows_b=cand_b[keep],
+            n_candidates=int(cand_a.size),
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            record_distances=distances[keep],
+            counters={"pairs_verified": float(cand_a.size)},
         )
-        return pipeline.run(dataset_a, dataset_b)

@@ -13,10 +13,8 @@ which drives Equation (2) for the number of blocking groups, exactly as
 the Hamming bound does for HB.
 
 :class:`EuclideanLSH` mirrors :class:`repro.hamming.lsh.HammingLSH`'s
-``index`` / ``candidate_pairs`` API, so it slots straight into the shared
-:class:`repro.pipeline.stages.BlockerIndexStage` /
-:class:`~repro.pipeline.stages.MaterializedCandidateStage` pair — which is
-exactly how :class:`repro.baselines.smeb.SMEBLinker` runs it.
+``index`` / ``candidate_pairs`` API, so :class:`repro.baselines.smeb.SMEBLinker`
+blocks with it exactly as BfH blocks with ``HammingLSH``.
 """
 
 from __future__ import annotations

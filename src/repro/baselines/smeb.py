@@ -8,9 +8,9 @@ them.  The attribute-level Euclidean thresholds (paper: 4.5 / 4.5 / 7.7)
 are applied during the matching step only; the blocking threshold is the
 largest attribute threshold (see :attr:`SMEBLinker.blocking_threshold`).
 
-On the stage pipeline this is the StringMap embed stage, the shared
-blocker index / materialised candidate stages over :class:`EuclideanLSH`,
-and the shared attribute-threshold classify stage fed by per-attribute
+``link`` is the StringMap embedding, :class:`EuclideanLSH` blocking and
+the shared attribute-threshold match
+(:func:`~repro.hamming.distance.verify_attribute_pairs`) over per-attribute
 block Euclidean distances.
 """
 
@@ -22,16 +22,9 @@ import numpy as np
 
 from repro.baselines.pstable import EuclideanLSH
 from repro.baselines.stringmap import StringMapEmbedder as StringMapEmbedder
-from repro.baselines.stringmap import StringMapEmbedStage
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stages import (
-    AttributeThresholdClassifyStage,
-    BlockerIndexStage,
-    MaterializedCandidateStage,
-)
-from repro.protocol import DatasetLike
+from repro.hamming.distance import verify_attribute_pairs
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 
 
 class SMEBLinker:
@@ -126,33 +119,67 @@ class SMEBLinker:
             seed=seed,
         )
 
-    def _attribute_distances(self, ctx: PipelineContext) -> dict[str, np.ndarray]:
+    def _embed(
+        self,
+        rows_a: Sequence[Sequence[str]],
+        rows_b: Sequence[Sequence[str]],
+        seeds: Sequence[np.random.SeedSequence],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-attribute StringMap embeddings, concatenated into record vectors.
+
+        For every attribute a fresh :class:`StringMapEmbedder` fits its pivots
+        on the pooled values of both datasets (the original algorithm iterates
+        "the strings of both data sets"), then transforms each column; the
+        per-attribute coordinate blocks are horizontally stacked.  Pivot
+        selection over repeated edit-distance computations dominates SM-EB's
+        embedding time, exactly as the paper's Figure 8(b) reports.
+        """
+        blocks_a: list[np.ndarray] = []
+        blocks_b: list[np.ndarray] = []
+        for att, seed in enumerate(seeds):
+            column_a = [row[att] for row in rows_a]
+            column_b = [row[att] for row in rows_b]
+            embedder = StringMapEmbedder(d=self.d, pivot_sample=self.pivot_sample, seed=seed)
+            embedder.fit(column_a + column_b)
+            blocks_a.append(embedder.transform(column_a))
+            blocks_b.append(embedder.transform(column_b))
+        return np.hstack(blocks_a), np.hstack(blocks_b)
+
+    def _attribute_distances(
+        self, points_a: np.ndarray, cand_a: np.ndarray, points_b: np.ndarray, cand_b: np.ndarray
+    ) -> dict[str, np.ndarray]:
         """Per-attribute Euclidean distances over the candidate pairs."""
-        assert ctx.cand_a is not None and ctx.cand_b is not None
-        points_a, points_b = ctx.embedded_a, ctx.embedded_b
         distances: dict[str, np.ndarray] = {}
         for att, name in enumerate(self.names):
             block = slice(att * self.d, (att + 1) * self.d)
-            deltas = points_a[ctx.cand_a, block] - points_b[ctx.cand_b, block]
+            deltas = points_a[cand_a, block] - points_b[cand_b, block]
             distances[name] = np.sqrt((deltas * deltas).sum(axis=1))
         return distances
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> p-stable blocking -> attribute-threshold matching."""
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.names) + 1)
-        pipeline = LinkagePipeline(
-            [
-                StringMapEmbedStage(
-                    n_attributes=len(self.names),
-                    d=self.d,
-                    pivot_sample=self.pivot_sample,
-                    seeds=seeds[: len(self.names)],
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            points_a, points_b = self._embed(rows_a, rows_b, seeds[: len(self.names)])
+        with timed(timings, "index"):
+            lsh = self._build_lsh(seeds[len(self.names)])
+            lsh.index(points_a)
+        with timed(timings, "match"):
+            candidates = lsh.candidate_pairs(points_b)
+            out_a, out_b, distances = verify_attribute_pairs(
+                candidates,
+                lambda cand_a, cand_b: self._attribute_distances(
+                    points_a, cand_a, points_b, cand_b
                 ),
-                BlockerIndexStage(lambda ctx: self._build_lsh(seeds[len(self.names)])),
-                MaterializedCandidateStage(),
-                AttributeThresholdClassifyStage(
-                    self.attribute_thresholds, self._attribute_distances
-                ),
-            ]
+                self.attribute_thresholds,
+            )
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=int(candidates[0].size),
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            attribute_distances=distances,
         )
-        return pipeline.run(dataset_a, dataset_b)

@@ -8,11 +8,11 @@ by a *sorting key* (a concatenation of attribute prefixes), slide a
 fixed-size window over the sorted sequence, and compare the cross-dataset
 pairs formulated inside each window.
 
-On the stage pipeline this is the shared sampled-calibration embed stage,
-the window sweep as the block stage, and the shared
-:class:`~repro.pipeline.stages.ThresholdVerifyStage` — the same
-compact-Hamming verification as cBV-HB, so the comparison isolates the
-*blocking* strategy.
+``link`` is the shared A-sample embedding
+(:func:`~repro.core.encoder.sampled_embedding`), the window sweep as its
+blocking step, and the shared :func:`~repro.hamming.distance.verify_pairs`
+— the same compact-Hamming verification as cBV-HB, so the comparison
+isolates the *blocking* strategy.
 """
 
 from __future__ import annotations
@@ -21,61 +21,17 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro.core.encoder import sampled_embedding
 from repro.core.qgram import QGramScheme
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import BlockStage
-from repro.pipeline.stages import SampledCalibrationEmbedStage, ThresholdVerifyStage
-from repro.protocol import DatasetLike
+from repro.hamming.distance import decode_pairs, verify_pairs
+from repro.pipeline.result import LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
 
 
 def default_sorting_key(values: Sequence[str], prefix: int = 3) -> str:
     """The customary key: the first characters of each attribute, in order."""
     return "".join(value[:prefix] for value in values)
-
-
-class _WindowBlockStage(BlockStage):
-    """Multi-pass sorted windows over the merged, key-sorted record stream."""
-
-    def __init__(self, linker: "SortedNeighborhoodLinker") -> None:
-        self.linker = linker
-
-    def run(self, ctx: PipelineContext) -> None:
-        linker = self.linker
-        rows_a, rows_b = ctx.rows_a, ctx.rows_b
-        candidate_set: set[int] = set()
-        n_b = len(rows_b)
-        for pass_index in range(linker.passes):
-            # Merge both datasets into one sorted sequence, tagged by side.
-            tagged = [
-                (key, 0, i)
-                for i, key in enumerate(linker._keys_for_pass(rows_a, pass_index))
-            ] + [
-                (key, 1, j)
-                for j, key in enumerate(linker._keys_for_pass(rows_b, pass_index))
-            ]
-            tagged.sort()
-            for pos, (__, side, idx) in enumerate(tagged):
-                if side != 0:
-                    continue
-                stop = min(pos + linker.window, len(tagged))
-                for __, other_side, other_idx in tagged[pos + 1 : stop]:
-                    if other_side == 1:
-                        candidate_set.add(idx * n_b + other_idx)
-                # Look backwards too: B records earlier in the window.
-                start = max(0, pos - linker.window + 1)
-                for __, other_side, other_idx in tagged[start:pos]:
-                    if other_side == 1:
-                        candidate_set.add(idx * n_b + other_idx)
-        if candidate_set:
-            encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
-            ctx.cand_a, ctx.cand_b = encoded // n_b, encoded % n_b
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            ctx.cand_a, ctx.cand_b = empty, empty
-        ctx.n_candidates = len(candidate_set)
 
 
 class SortedNeighborhoodLinker:
@@ -125,13 +81,54 @@ class SortedNeighborhoodLinker:
             for row in rows
         ]
 
-    def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """embed -> window blocking -> Hamming verify on the shared runner."""
-        pipeline = LinkagePipeline(
-            [
-                SampledCalibrationEmbedStage(scheme=self.scheme, seed=self.seed),
-                _WindowBlockStage(self),
-                ThresholdVerifyStage(self.threshold),
+    def _candidates(
+        self, rows_a: list[tuple[str, ...]], rows_b: list[tuple[str, ...]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Multi-pass sorted windows over the merged, key-sorted record stream."""
+        candidate_set: set[int] = set()
+        n_b = len(rows_b)
+        for pass_index in range(self.passes):
+            # Merge both datasets into one sorted sequence, tagged by side.
+            tagged = [
+                (key, 0, i) for i, key in enumerate(self._keys_for_pass(rows_a, pass_index))
+            ] + [
+                (key, 1, j) for j, key in enumerate(self._keys_for_pass(rows_b, pass_index))
             ]
+            tagged.sort()
+            for pos, (__, side, idx) in enumerate(tagged):
+                if side != 0:
+                    continue
+                stop = min(pos + self.window, len(tagged))
+                for __, other_side, other_idx in tagged[pos + 1 : stop]:
+                    if other_side == 1:
+                        candidate_set.add(idx * n_b + other_idx)
+                # Look backwards too: B records earlier in the window.
+                start = max(0, pos - self.window + 1)
+                for __, other_side, other_idx in tagged[start:pos]:
+                    if other_side == 1:
+                        candidate_set.add(idx * n_b + other_idx)
+        encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
+        return decode_pairs(encoded, n_b)
+
+    def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
+        """embed -> window blocking -> Hamming verify."""
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        with timed(timings, "embed"):
+            matrix_a, matrix_b = sampled_embedding(rows_a, rows_b, self.scheme, self.seed)
+        with timed(timings, "index"):
+            candidates = self._candidates(rows_a, rows_b)
+        with timed(timings, "match"):
+            out_a, out_b, distances = verify_pairs(
+                matrix_a.words, matrix_b.words, candidates, self.threshold
+            )
+        n_candidates = int(candidates[0].size)
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=n_candidates,
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            record_distances=distances,
+            counters={"pairs_verified": float(n_candidates)},
         )
-        return pipeline.run(dataset_a, dataset_b)

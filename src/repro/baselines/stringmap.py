@@ -18,12 +18,9 @@ The paper sets ``d = 20`` per attribute.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.stage import EmbedStage
 from repro.text.edit_distance import levenshtein
 
 
@@ -156,44 +153,3 @@ class StringMapEmbedder:
 
     def fit_transform(self, values: Sequence[str]) -> np.ndarray:
         return self.fit(values).transform(values)
-
-
-class StringMapEmbedStage(EmbedStage):
-    """Per-attribute StringMap embeddings, concatenated into record vectors.
-
-    For every attribute a fresh :class:`StringMapEmbedder` fits its pivots
-    on the pooled values of both datasets (the original algorithm iterates
-    "the strings of both data sets"), then transforms each column; the
-    per-attribute coordinate blocks are horizontally stacked.  Pivot
-    selection over repeated edit-distance computations dominates SM-EB's
-    embedding time, exactly as the paper's Figure 8(b) reports.
-    """
-
-    def __init__(
-        self,
-        n_attributes: int,
-        d: int,
-        pivot_sample: int,
-        seeds: Sequence[Any],
-    ) -> None:
-        if len(seeds) != n_attributes:
-            raise ValueError(f"{len(seeds)} seeds for {n_attributes} attributes")
-        self.n_attributes = n_attributes
-        self.d = d
-        self.pivot_sample = pivot_sample
-        self.seeds = list(seeds)
-
-    def run(self, ctx: PipelineContext) -> None:
-        blocks_a: list[np.ndarray] = []
-        blocks_b: list[np.ndarray] = []
-        for att in range(self.n_attributes):
-            column_a = [row[att] for row in ctx.rows_a]
-            column_b = [row[att] for row in ctx.rows_b]
-            embedder = StringMapEmbedder(
-                d=self.d, pivot_sample=self.pivot_sample, seed=self.seeds[att]
-            )
-            embedder.fit(column_a + column_b)
-            blocks_a.append(embedder.transform(column_a))
-            blocks_b.append(embedder.transform(column_b))
-        ctx.embedded_a = np.hstack(blocks_a)
-        ctx.embedded_b = np.hstack(blocks_b)

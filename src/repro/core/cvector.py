@@ -295,7 +295,7 @@ def embed_values(
                 memo.update(new)
     n_bytes = 8 * ((n_bits + 63) // 64)
     packed = bytearray(b"".join(row.to_bytes(n_bytes, "little") for row in rows))
-    return BitMatrix(np.frombuffer(packed, dtype="<u8").reshape(len(rows), -1), n_bits)
+    return BitMatrix(np.frombuffer(packed, dtype="<u8").reshape(len(rows), n_bytes // 8), n_bits)
 
 
 def embed_columns(

@@ -135,10 +135,9 @@ class RecordEncoder:
         bounded per-attribute memos of value bits.
 
         ``stats``, when given, receives interning counters
-        (``intern_values``, ``intern_unique``, ``intern_hit_rate``).
+        (``intern_values``, ``intern_unique``, ``intern_hit_rate``).  No
+        records encode to a ``(0, total_bits)`` matrix.
         """
-        if not records:
-            raise ValueError("records must be non-empty")
         if set(map(len, records)) != {self.n_attributes}:
             for record in records:
                 self._check_arity(record)
@@ -157,7 +156,7 @@ class RecordEncoder:
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)
             stats["intern_unique"] = float(n_unique)
-            stats["intern_hit_rate"] = 1.0 - n_unique / n_values
+            stats["intern_hit_rate"] = 1.0 - n_unique / n_values if n_values else 0.0
         return matrix
 
     def _raise_at_first_bad_value(self, records: Sequence[Sequence[str]]) -> None:
@@ -235,3 +234,17 @@ class RecordEncoder:
         widths = ", ".join(f"{lay.name}={lay.width}" for lay in self.layouts)
         return f"RecordEncoder(total_bits={self.total_bits}, {widths})"
 
+
+def sampled_embedding(
+    rows_a: Sequence[Sequence[str]],
+    rows_b: Sequence[Sequence[str]],
+    scheme: QGramScheme | None = None,
+    seed: int | None = None,
+    sample_size: int = 1000,
+) -> tuple[BitMatrix, BitMatrix]:
+    """Calibrate a :class:`RecordEncoder` on the first ``sample_size`` rows
+    of A and encode both sides: the embedding of the classic baselines
+    (canopy, sorted neighbourhood) and the exhaustive reference.  An empty
+    A raises ``ValueError``: there is nothing to calibrate on."""
+    encoder = RecordEncoder.calibrated(rows_a[:sample_size], scheme=scheme, seed=seed)
+    return encoder.encode_dataset(rows_a), encoder.encode_dataset(rows_b)

@@ -1,6 +1,6 @@
-"""cBV-HB: the paper's end-to-end record linkage pipeline (Section 5).
+"""cBV-HB: the paper's end-to-end record linkage (Section 5).
 
-The pipeline is Charlie's job from Section 3:
+The method is Charlie's job from Section 3:
 
 1. **Calibrate** — sample strings per attribute, measure ``b^(f_i)``, size
    the c-vectors via Theorem 1 and draw the attribute hash functions.
@@ -10,19 +10,13 @@ The pipeline is Charlie's job from Section 3:
 4. **Match** — Algorithm 2: de-duplicated candidate pairs, classified with
    a Hamming threshold or the rule AST over per-attribute distances.
 
-Both linkers here are compositions of :mod:`repro.pipeline` stages run by
-:class:`repro.pipeline.runner.LinkagePipeline` — the same engine every
-baseline uses.  :class:`CompactHammingLinker` owns steps 1-4 for
-dataset-vs-dataset linkage; :class:`StreamingLinker` exposes an
-insert/query API for the near-real-time setting motivating the paper's
-introduction: a thin facade over the one in-memory index a served bundle
-is queried through (:class:`repro.hamming.query.IndexView`), whose
-one-record query is a one-row batch of the one match kernel (plus a batch
-:meth:`StreamingLinker.link` on the shared runner).
-
-``LinkageResult`` and the dataset protocol types are re-exported here for
-back-compat; they live in :mod:`repro.pipeline.result` and
-:mod:`repro.protocol` now.
+:class:`CompactHammingLinker` runs steps 1-4 for dataset-vs-dataset
+linkage, one call each; :class:`StreamingLinker` exposes an insert/query
+API for the near-real-time setting motivating the paper's introduction:
+a thin facade over the one in-memory index a served bundle is queried
+through (:class:`repro.hamming.query.IndexView`), whose one-record query
+is a one-row batch of the one match kernel (plus a batch
+:meth:`StreamingLinker.link`).
 """
 
 from __future__ import annotations
@@ -44,22 +38,8 @@ from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import IndexView, batch_query, group_matches
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.result import LinkageResult as LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import CalibrateStage, Stage
-from repro.pipeline.stages import (
-    BlockerIndexStage,
-    CVectorEmbedStage,
-    EncoderCalibrateStage,
-    RuleMatchStage,
-    ThresholdMatchStage,
-)
-from repro.protocol import (
-    DatasetLike as DatasetLike,
-    SupportsValueRows as SupportsValueRows,
-    value_rows as _value_rows,
-)
+from repro.pipeline.result import LinkageResult as LinkageResult, timed
+from repro.protocol import DatasetLike, value_rows
 from repro.rules.ast import Rule
 from repro.rules.blocking import RuleAwareBlocker
 
@@ -160,7 +140,7 @@ class CompactHammingLinker:
             seed=seed,
         )
 
-    # -- pipeline -----------------------------------------------------------------
+    # -- the four steps -----------------------------------------------------------
 
     def calibrate(
         self, *datasets: DatasetLike, rows: Sequence[list] | None = None
@@ -170,17 +150,17 @@ class CompactHammingLinker:
         Samples up to ``calibration.sample_size`` records from each dataset
         (Charlie samples "randomly and uniformly" in the paper) and fits
         one c-vector encoder per attribute.  ``rows`` is the datasets'
-        value rows when the caller holds them already (the pipeline does).
+        value rows when the caller holds them already (:meth:`link` does).
         """
         sample: list[tuple[str, ...]] = []
         # Fall back to the linker seed so one seed fully determines the
-        # pipeline (sampling included), as the architecture doc promises.
+        # link (sampling included), as the architecture doc promises.
         sample_seed = (
             self.calibration.seed if self.calibration.seed is not None else self.seed
         )
         rng = np.random.default_rng(sample_seed)
         per_dataset = max(1, self.calibration.sample_size // max(1, len(datasets)))
-        for all_rows in map(_value_rows, datasets) if rows is None else rows:
+        for all_rows in map(value_rows, datasets) if rows is None else rows:
             if len(all_rows) <= per_dataset:
                 sample.extend(all_rows)
             else:
@@ -215,35 +195,68 @@ class CompactHammingLinker:
             seed=self.seed,
         )
 
-    def _make_blocker(self, ctx: PipelineContext) -> "RuleAwareBlocker | HammingLSH":
-        """Block-stage factory: build the blocker from the run's encoder."""
-        return self._build_blocker(ctx.encoder)
-
-    def _stages(self) -> list[Stage]:
-        """The cBV-HB stage composition (record-level or rule-aware)."""
-        stages: list[Stage] = [
-            EncoderCalibrateStage(self),
-            CVectorEmbedStage(),
-            BlockerIndexStage(self._make_blocker),
-        ]
-        if self.rule is not None:
-            stages.append(RuleMatchStage())
-        else:
-            stages.append(ThresholdMatchStage(self.threshold or 0))
-        return stages
+    def _embed(
+        self,
+        encoder: RecordEncoder,
+        rows_a: Sequence[Sequence[str]],
+        rows_b: Sequence[Sequence[str]],
+        counters: dict[str, float],
+    ) -> tuple[BitMatrix, BitMatrix]:
+        """Step 2: both sides' interned embedding; the intern counters of the
+        two passes land in ``counters`` summed."""
+        stats_a: dict[str, float] = {}
+        stats_b: dict[str, float] = {}
+        matrix_a = encoder.encode_dataset(rows_a, stats=stats_a)
+        matrix_b = encoder.encode_dataset(rows_b, stats=stats_b)
+        values = stats_a["intern_values"] + stats_b["intern_values"]
+        unique = stats_a["intern_unique"] + stats_b["intern_unique"]
+        counters["intern_values"] = values
+        counters["intern_unique"] = unique
+        counters["intern_hit_rate"] = 1.0 - unique / values if values else 0.0
+        return matrix_a, matrix_b
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """Run the full calibrate/embed/block/match pipeline.
+        """Calibrate (unless an encoder is set), embed, index A, match B.
 
-        Either path is one match stage over bounded row blocks of B: the
+        Either match is one call over bounded row blocks of B: the
         record-level one runs the threshold kernel (:meth:`HammingLSH.match`:
         per block one join, one de-dup, a blocked verify), the rule-aware one
         :meth:`RuleAwareBlocker.match` (per block the plan's joins and set
         algebra, then the lazy rule).  Matches come out in ``a * n_B + b``
-        order.
+        order.  Timings: ``"calibrate"`` (also when an encoder was set),
+        ``"embed"``, ``"index"`` and ``"match"``.
         """
-        pipeline = LinkagePipeline(self._stages())
-        return pipeline.run(dataset_a, dataset_b)
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        counters: dict[str, float] = {}
+        with timed(timings, "calibrate"):
+            encoder = self.encoder if self.encoder is not None else self.calibrate(
+                dataset_a, dataset_b, rows=(rows_a, rows_b)
+            )
+        with timed(timings, "embed"):
+            matrix_a, matrix_b = self._embed(encoder, rows_a, rows_b, counters)
+        with timed(timings, "index"):
+            blocker = self._build_blocker(encoder)
+            blocker.index(matrix_a)
+        record_distances: np.ndarray | None = None
+        attribute_distances: dict[str, np.ndarray] = {}
+        with timed(timings, "match"):
+            if isinstance(blocker, RuleAwareBlocker):
+                out_a, out_b, attribute_distances = blocker.match(matrix_b, counters=counters)
+            else:
+                out_a, out_b, record_distances = blocker.match(
+                    matrix_a, matrix_b, self.threshold, counters=counters
+                )
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=int(counters["pairs_unique"]),
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            attribute_distances=attribute_distances,
+            record_distances=record_distances,
+            counters=counters,
+        )
 
     def link_multiple(self, datasets: Sequence) -> dict[tuple[int, int], LinkageResult]:
         """Link every dataset pair ``(i, j), i < j`` with one shared encoder.
@@ -263,30 +276,6 @@ class CompactHammingLinker:
         return results
 
 
-class _StreamingInsertStage(CalibrateStage):
-    """Insert dataset A into the streaming store as one batch, embed B.
-
-    Like :class:`~repro.pipeline.stages.LoadSnapshotStage`, the index
-    stands in for calibration (the linker's encoder is fixed), and its
-    wall-clock is charged to ``"index"``.
-    """
-
-    timing = "index"
-
-    def __init__(self, linker: "StreamingLinker"):
-        self.linker = linker
-
-    def run(self, ctx: PipelineContext) -> None:
-        linker = self.linker
-        linker.insert_rows(ctx.rows_a)
-        ctx.encoder, ctx.blocker = linker.encoder, linker.view.lsh
-        ctx.embedded_a = linker.view.words
-        width = linker.encoder.total_bits
-        ctx.embedded_b = (
-            linker.encoder.encode_dataset(ctx.rows_b) if ctx.rows_b else BitMatrix.zeros(0, width)
-        )
-
-
 class StreamingLinker:
     """Incremental insert/query over the HB index (real-time setting, Section 1).
 
@@ -297,8 +286,7 @@ class StreamingLinker:
     (``view``: the LSH over a copy-on-grow word store, the object a served
     bundle is queried through too).  Every query runs the one match kernel
     (:func:`~repro.hamming.query.batch_query`); :meth:`link` runs the same
-    insert-then-match flow as one batch on the shared
-    :class:`~repro.pipeline.runner.LinkagePipeline`.
+    insert-then-match flow as one batch.
     """
 
     def __init__(
@@ -409,10 +397,10 @@ class StreamingLinker:
 
     def insert_dataset(self, dataset: DatasetLike) -> None:
         """Bulk insert of a dataset (convenience for warm-up), as one batch."""
-        self.insert_rows(_value_rows(dataset))
+        self.insert_rows(value_rows(dataset))
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """Batch insert-then-query on the shared pipeline runner.
+        """Batch insert-then-query.
 
         Inserts every A record into the streaming store as one batch (the
         index keeps them afterwards — call on a fresh linker for standalone
@@ -422,7 +410,22 @@ class StreamingLinker:
         order.  Timings: ``"index"`` (inserts + B's embedding) and
         ``"match"``.
         """
-        pipeline = LinkagePipeline(
-            [_StreamingInsertStage(self), ThresholdMatchStage(self.threshold)]
+        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
+        timings: dict[str, float] = {}
+        counters: dict[str, float] = {}
+        with timed(timings, "index"):
+            self.insert_rows(rows_a)
+            matrix_b = self.encoder.encode_dataset(rows_b)
+        with timed(timings, "match"):
+            out_a, out_b, distances = self.view.lsh.match(
+                self.view.words, matrix_b, self.threshold, counters=counters
+            )
+        return LinkageResult(
+            rows_a=out_a,
+            rows_b=out_b,
+            n_candidates=int(counters["pairs_unique"]),
+            comparison_space=len(rows_a) * len(rows_b),
+            timings=timings,
+            record_distances=distances,
+            counters=counters,
         )
-        return pipeline.run(dataset_a, dataset_b)

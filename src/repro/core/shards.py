@@ -624,9 +624,8 @@ class ShardedIndex:
         Words in global-id order and an LSH holding every record under
         its global id — byte-identical to a single index built over the
         same rows (its export is the stable ``(key, id)`` sort either
-        way).  Used by the pipeline's ``LoadSnapshotStage`` and
-        ``StreamingLinker.load_snapshot`` so offline linkage runs
-        unchanged against sharded bundles.  The snapshot shares this
+        way).  Used by ``StreamingLinker.load_snapshot`` so offline
+        linkage runs unchanged against sharded bundles.  The snapshot shares this
         index's arrays, so it is for an index that serves nothing else
         afterwards.  A plain index returns the snapshot it serves.
         """

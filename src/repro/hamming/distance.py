@@ -7,6 +7,7 @@ spaces H and H-hat throughout the paper.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 
 import numpy as np
@@ -95,6 +96,28 @@ def verify_pairs(
         return kept[0]
     out_a, out_b, dist = (np.concatenate(column) for column in zip((_NO_ROWS,) * 3, *kept))
     return out_a, out_b, dist
+
+
+def verify_attribute_pairs(
+    pairs: tuple[np.ndarray, np.ndarray],
+    distances: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]],
+    thresholds: Mapping[str, float],
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """``(rows_a, rows_b, distances)`` of the candidate pairs within every threshold.
+
+    The matching step of BfH and SM-EB: ``distances(rows_a, rows_b)``
+    measures every attribute over the pairs (it is not called when there
+    are none); the attributes in ``thresholds`` decide acceptance, the
+    others are only reported.
+    """
+    rows_a, rows_b = pairs
+    if not rows_a.size:
+        return rows_a, rows_b, {}
+    measured = distances(rows_a, rows_b)
+    accepted = np.ones(rows_a.size, dtype=bool)
+    for attribute, threshold in thresholds.items():
+        accepted &= measured[attribute] <= threshold
+    return rows_a[accepted], rows_b[accepted], {name: d[accepted] for name, d in measured.items()}
 
 
 def masked_hamming_rows(

@@ -1,11 +1,8 @@
-"""The composable stage-pipeline every linker in the repo runs on.
+"""The linker registry, the linkage result record and the exhaustive reference.
 
-The paper's method is explicitly staged (Section 5, Algorithm 2):
-calibrate -> embed -> block -> generate candidates -> verify/classify.
-This package turns that observation into the execution architecture —
-one :class:`LinkagePipeline` runner owning timings and counters, with every method (cBV-HB record-level and
-rule-aware, streaming, and all baselines) expressed as a composition of
-:class:`Stage` implementations.  See ``docs/pipeline.md``.
+Every linker is a class with a straight-line ``link(a, b) ->``
+:class:`LinkageResult`; :mod:`repro.pipeline.registry` names them all.
+See "Writing a linker" in ``docs/architecture.md``.
 
 Layering: module-level imports stay within numpy and the stdlib, so
 ``repro.core`` and ``repro.baselines`` depend on this package freely;
@@ -13,7 +10,6 @@ anything heavier (``RecordEncoder``, ``value_rows``, the registry's
 linker classes) is imported at run time.
 """
 
-from repro.pipeline.context import PipelineContext
 from repro.pipeline.registry import (
     LinkerSpec,
     available_linkers,
@@ -21,58 +17,14 @@ from repro.pipeline.registry import (
     get_linker,
     linker_names,
 )
-from repro.pipeline.result import LinkageResult
-from repro.pipeline.runner import LinkagePipeline
-from repro.pipeline.stage import (
-    BlockStage,
-    CalibrateStage,
-    CandidateStage,
-    ClassifyStage,
-    EmbedStage,
-    PipelineStage,
-    Stage,
-    VerifyStage,
-)
-from repro.pipeline.stages import (
-    AttributeThresholdClassifyStage,
-    BlockerIndexStage,
-    CVectorEmbedStage,
-    EncoderCalibrateStage,
-    LoadSnapshotStage,
-    MaterializedCandidateStage,
-    QueryEmbedStage,
-    RuleMatchStage,
-    SampledCalibrationEmbedStage,
-    ThresholdMatchStage,
-    ThresholdVerifyStage,
-)
+from repro.pipeline.result import LinkageResult, timed
 
 __all__ = [
-    "AttributeThresholdClassifyStage",
-    "BlockStage",
-    "BlockerIndexStage",
-    "CVectorEmbedStage",
-    "CalibrateStage",
-    "CandidateStage",
-    "ClassifyStage",
-    "EmbedStage",
-    "EncoderCalibrateStage",
-    "LoadSnapshotStage",
-    "LinkagePipeline",
     "LinkageResult",
     "LinkerSpec",
-    "MaterializedCandidateStage",
-    "PipelineContext",
-    "PipelineStage",
-    "QueryEmbedStage",
-    "RuleMatchStage",
-    "SampledCalibrationEmbedStage",
-    "Stage",
-    "ThresholdMatchStage",
-    "ThresholdVerifyStage",
-    "VerifyStage",
     "available_linkers",
     "create_linker",
     "get_linker",
     "linker_names",
+    "timed",
 ]

@@ -1,18 +1,24 @@
-"""The linkage result record — the lingua franca of every linker.
-
-:class:`LinkageResult` used to live in ``repro.core.linker``; it moved
-here with the stage-pipeline refactor because it is the output contract
-of :class:`repro.pipeline.runner.LinkagePipeline`, not of one particular
-method.  ``repro.core.linker`` re-exports it, so existing imports keep
-working.
+"""The linkage result record — the lingua franca of every linker — and
+:func:`timed`, the one clock every ``link()`` fills its ``timings`` with.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+
+@contextmanager
+def timed(timings: dict[str, float], key: str) -> Iterator[None]:
+    """Record the wall-clock seconds of the ``with`` body as ``timings[key]``."""
+    start = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - start
 
 
 @dataclass
@@ -54,8 +60,8 @@ class LinkageResult:
 
         One dict for report tables and the CLI — keys are stable:
         ``n_matches``, ``n_candidates``, ``comparison_space``,
-        ``reduction_ratio``, ``total_time_s`` and one ``time_<stage>_s``
-        per pipeline stage timing.
+        ``reduction_ratio``, ``total_time_s`` and one ``time_<step>_s``
+        per ``timings`` key.
         """
         out: dict[str, int | float] = {
             "n_matches": self.n_matches,
@@ -68,6 +74,6 @@ class LinkageResult:
             ),
             "total_time_s": self.total_time,
         }
-        for stage, seconds in self.timings.items():
-            out[f"time_{stage}_s"] = seconds
+        for step, seconds in self.timings.items():
+            out[f"time_{step}_s"] = seconds
         return out

@@ -9,8 +9,7 @@ identifiers plus bit vectors; Charlie never sees a raw string.
 
 This module also hosts the shared *dataset* protocol — the structural
 types every linker's ``link()`` accepts (:class:`SupportsValueRows`,
-``DatasetLike``, :func:`value_rows`).  They used to live in
-``repro.core.linker``, which still re-exports them for back-compat.
+``DatasetLike``, :func:`value_rows`).
 
 Beyond that, the module is an architectural wrapper over :mod:`repro.core`:
 

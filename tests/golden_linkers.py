@@ -2,10 +2,8 @@
 
 One place defines the linkage problem and one canonical configuration per
 linker; ``tests/test_golden_parity.py`` asserts that each run reproduces
-the committed ``tests/data/golden_parity.json`` byte for byte (matches and
-candidate counts).  The JSON was captured from the pre-pipeline
-implementations, so these tests prove the stage-pipeline refactor changed
-*no* observable linkage behaviour.
+the committed ``tests/data/golden_parity.json`` byte for byte: matches,
+candidate counts, the ``timings`` keys in order and the ``counters`` keys.
 
 Regenerate (only when a change is *supposed* to alter linkage output)::
 
@@ -22,6 +20,7 @@ from repro.baselines import (
     BfHLinker,
     CanopyLinker,
     HarraLinker,
+    MinHashLinker,
     SMEBLinker,
     SortedNeighborhoodLinker,
 )
@@ -29,6 +28,8 @@ from repro.core.config import NCVR_ATTRIBUTE_K
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.pairs import LinkageProblem
+from repro.pipeline.exhaustive import ExhaustiveLinker
+from repro.pipeline.result import LinkageResult
 from repro.rules.parser import parse_rule
 
 PROBLEM_N = 200
@@ -38,8 +39,8 @@ K = 30
 NCVR_RULE = "(f1<=4) & (f2<=4) & (f3<=8)"
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_parity.json"
 
-#: (matches, n_candidates) of one linker run.
-RunOutcome = tuple[set[tuple[int, int]], int]
+#: (matches, n_candidates, timings keys in order, sorted counters keys) of one run.
+RunOutcome = tuple[set[tuple[int, int]], int, list[str], list[str]]
 
 
 def make_problem() -> LinkageProblem:
@@ -49,14 +50,17 @@ def make_problem() -> LinkageProblem:
     )
 
 
+def _outcome(result: LinkageResult) -> RunOutcome:
+    return result.matches, result.n_candidates, list(result.timings), sorted(result.counters)
+
+
 def _run_cbv_record(problem: LinkageProblem) -> RunOutcome:
     linker = CompactHammingLinker.record_level(
         threshold=THRESHOLD,
         k=K,
         seed=PROBLEM_SEED,
     )
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_cbv_rule(problem: LinkageProblem) -> RunOutcome:
@@ -65,8 +69,7 @@ def _run_cbv_rule(problem: LinkageProblem) -> RunOutcome:
         k=NCVR_ATTRIBUTE_K,
         seed=PROBLEM_SEED,
     )
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_streaming(problem: LinkageProblem) -> RunOutcome:
@@ -87,43 +90,51 @@ def _run_streaming(problem: LinkageProblem) -> RunOutcome:
         n_candidates += int(counters["pairs_unique"])
         for record_id, __ in streaming.query(values):
             matches.add((record_id, j))
-    return matches, n_candidates
+    # The keys come from one batch link() on a fresh linker.
+    fresh = StreamingLinker(encoder, threshold=THRESHOLD, k=K, seed=PROBLEM_SEED)
+    __, __, timings, counters = _outcome(fresh.link(problem.dataset_a, problem.dataset_b))
+    return matches, n_candidates, timings, counters
 
 
 def _run_bfh(problem: LinkageProblem) -> RunOutcome:
     linker = BfHLinker(
         {"f1": 45, "f2": 45, "f3": 90}, n_attributes=4, seed=PROBLEM_SEED
     )
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
+
+
+def _run_exhaustive(problem: LinkageProblem) -> RunOutcome:
+    linker = ExhaustiveLinker(threshold=THRESHOLD, seed=PROBLEM_SEED)
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_canopy(problem: LinkageProblem) -> RunOutcome:
     linker = CanopyLinker(threshold=THRESHOLD, seed=PROBLEM_SEED)
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_harra(problem: LinkageProblem) -> RunOutcome:
     linker = HarraLinker(threshold=0.35, k=5, n_tables=30, seed=PROBLEM_SEED)
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
+
+
+def _run_minhash(problem: LinkageProblem) -> RunOutcome:
+    linker = MinHashLinker(threshold=0.35, k=5, n_tables=30, seed=PROBLEM_SEED)
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_smeb(problem: LinkageProblem) -> RunOutcome:
     linker = SMEBLinker(
         {"f1": 4.5, "f2": 4.5, "f3": 7.7}, n_attributes=4, seed=PROBLEM_SEED
     )
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 def _run_sorted_neighborhood(problem: LinkageProblem) -> RunOutcome:
     linker = SortedNeighborhoodLinker(
         threshold=THRESHOLD, window=10, passes=2, seed=PROBLEM_SEED
     )
-    result = linker.link(problem.dataset_a, problem.dataset_b)
-    return result.matches, result.n_candidates
+    return _outcome(linker.link(problem.dataset_a, problem.dataset_b))
 
 
 #: Every golden-pinned linker run, by name.
@@ -131,20 +142,24 @@ RUNNERS: dict[str, Callable[[LinkageProblem], RunOutcome]] = {
     "cbv-record-n1": _run_cbv_record,
     "cbv-rule-n1": _run_cbv_rule,
     "streaming": _run_streaming,
+    "exhaustive": _run_exhaustive,
     "bfh": _run_bfh,
     "canopy": _run_canopy,
     "harra": _run_harra,
+    "minhash": _run_minhash,
     "smeb": _run_smeb,
     "sorted-neighborhood": _run_sorted_neighborhood,
 }
 
 def outcome_payload(outcome: RunOutcome) -> dict[str, object]:
     """JSON-stable form of one run outcome."""
-    matches, n_candidates = outcome
+    matches, n_candidates, timings, counters = outcome
     return {
         "n_candidates": int(n_candidates),
         "n_matches": len(matches),
         "matches": sorted([int(a), int(b)] for a, b in matches),
+        "timings": timings,
+        "counters": counters,
     }
 
 

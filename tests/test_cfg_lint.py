@@ -1,4 +1,4 @@
-"""Tests for the flow-sensitive phase of reprolint (RL201, RL202, RL204, RL203).
+"""Tests for the flow-sensitive phase of reprolint (RL201, RL202, RL204).
 
 Three layers mirror the implementation: the CFG builder
 (:mod:`repro.analysis.cfg`) gets structural tests over exception edges,
@@ -21,16 +21,8 @@ from repro.analysis import LintConfig, LintEngine, lint_paths, load_config
 from repro.analysis.cfg import EXCEPTION, NORMAL, build_cfg, evaluated
 from repro.analysis.config import RuleConfig
 from repro.analysis.dataflow import BACKWARD, DataflowAnalysis, solve
-from repro.analysis.project import extract_module
 from repro.analysis.report import render_text
-from tests.test_project_lint import (
-    PIPELINE_CONTEXT,
-    PIPELINE_STAGE,
-    REPO_ROOT,
-    make_tree,
-    rule_ids,
-    select_rules,
-)
+from tests.test_project_lint import REPO_ROOT, rule_ids
 
 #: Fixture paths chosen for rule scoping: RL202 only runs in the kernel
 #: and serving trees; RL201/RL204 run anywhere outside tests/.
@@ -701,154 +693,6 @@ class TestRL204ExceptionHygiene:
             ),
         )
         assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL203 conditional ctx writes (project phase)
-# ---------------------------------------------------------------------------
-
-_PACKAGE_FILES = {
-    "src/repro/__init__.py": "",
-    "src/repro/pipeline/__init__.py": "",
-    "src/repro/pipeline/stage.py": PIPELINE_STAGE,
-    "src/repro/pipeline/context.py": PIPELINE_CONTEXT,
-    "src/repro/linkers/__init__.py": "",
-}
-
-
-class TestRL203CtxRefinement:
-    def test_conditional_write_before_read_triggers(self, tmp_path):
-        make_tree(
-            tmp_path,
-            {
-                **_PACKAGE_FILES,
-                "src/repro/linkers/cand.py": """
-                    from repro.pipeline.stage import CandidateStage
-
-                    class PairStage(CandidateStage):
-                        def run(self, ctx):
-                            if ctx.blocker is not None:
-                                ctx.cand_a = self._pairs(ctx)
-                            total = len(ctx.cand_a)
-                            return total
-
-                        def _pairs(self, ctx):
-                            return []
-                """,
-            },
-        )
-        findings = lint_paths([tmp_path], select_rules("RL203"))
-        assert rule_ids(findings) == ["RL203"]
-        assert "ctx.cand_a" in findings[0].message
-        assert findings[0].line == 8
-
-    def test_unconditional_write_is_clean(self, tmp_path):
-        make_tree(
-            tmp_path,
-            {
-                **_PACKAGE_FILES,
-                "src/repro/linkers/cand.py": """
-                    from repro.pipeline.stage import CandidateStage
-
-                    class PairStage(CandidateStage):
-                        def run(self, ctx):
-                            ctx.cand_a = self._pairs(ctx)
-                            total = len(ctx.cand_a)
-                            return total
-
-                        def _pairs(self, ctx):
-                            return []
-                """,
-            },
-        )
-        assert lint_paths([tmp_path], select_rules("RL203")) == []
-
-    def test_earlier_stage_write_legalises_conditional_override(self, tmp_path):
-        make_tree(
-            tmp_path,
-            {
-                **_PACKAGE_FILES,
-                "src/repro/linkers/block.py": """
-                    from repro.pipeline.stage import BlockStage
-
-                    class SeedCandidates(BlockStage):
-                        def run(self, ctx):
-                            ctx.cand_a = []
-                """,
-                "src/repro/linkers/cand.py": """
-                    from repro.pipeline.stage import CandidateStage
-
-                    class PairStage(CandidateStage):
-                        def run(self, ctx):
-                            if ctx.blocker is not None:
-                                ctx.cand_a = self._pairs(ctx)
-                            total = len(ctx.cand_a)
-                            return total
-
-                        def _pairs(self, ctx):
-                            return []
-                """,
-            },
-        )
-        assert lint_paths([tmp_path], select_rules("RL203")) == []
-
-    def test_read_hoisted_under_same_condition_is_clean(self, tmp_path):
-        make_tree(
-            tmp_path,
-            {
-                **_PACKAGE_FILES,
-                "src/repro/linkers/cand.py": """
-                    from repro.pipeline.stage import CandidateStage
-
-                    class PairStage(CandidateStage):
-                        def run(self, ctx):
-                            if ctx.blocker is not None:
-                                ctx.cand_a = self._pairs(ctx)
-                                total = len(ctx.cand_a)
-                                return total
-                            return 0
-
-                        def _pairs(self, ctx):
-                            return []
-                """,
-            },
-        )
-        assert lint_paths([tmp_path], select_rules("RL203")) == []
-
-    def test_helper_write_counts_via_transitive_facts(self):
-        tree = ast.parse(
-            textwrap.dedent(
-                """
-                def fill(ctx):
-                    ctx.cand_a = []
-
-                def run(ctx):
-                    fill(ctx)
-                    return len(ctx.cand_a)
-                """
-            )
-        )
-        summary = extract_module("repro.mod", "src/repro/mod.py", tree)
-        assert summary.functions["run"].ctx_maybe_unset == {}
-
-    def test_conditional_write_recorded_in_summary(self):
-        tree = ast.parse(
-            textwrap.dedent(
-                """
-                def run(ctx):
-                    if ctx.blocker:
-                        ctx.cand_a = []
-                    return len(ctx.cand_a)
-                """
-            )
-        )
-        summary = extract_module("repro.mod", "src/repro/mod.py", tree)
-        # Raw extractor facts: the never-written ``blocker`` read is
-        # recorded too — RL203 leaves attributes a stage never writes to RL104.
-        assert summary.functions["run"].ctx_maybe_unset == {
-            "cand_a": 5,
-            "blocker": 3,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,13 @@ class TestEncode:
         for i, record in enumerate(RECORDS):
             assert matrix.row(i) == enc.encode(record[1])
 
-    def test_empty_dataset_rejected(self, ncvr_encoder):
-        with pytest.raises(ValueError):
-            ncvr_encoder.encode_dataset([])
+    def test_empty_dataset_is_zero_rows(self, ncvr_encoder):
+        stats = {}
+        matrix = ncvr_encoder.encode_dataset([], stats=stats)
+        assert matrix.n_rows == 0 and matrix.n_bits == ncvr_encoder.total_bits
+        assert matrix.words.shape == (0, (ncvr_encoder.total_bits + 63) // 64)
+        assert matrix.words.dtype == np.uint64
+        assert stats == {"intern_values": 0.0, "intern_unique": 0.0, "intern_hit_rate": 0.0}
 
 
 #: DBLP-like layout: no attribute offset but the first is word-aligned and

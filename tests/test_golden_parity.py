@@ -1,9 +1,9 @@
-"""Golden parity: every linker reproduces its pre-pipeline output exactly.
+"""Golden parity: every registered linker reproduces its committed output.
 
-``tests/data/golden_parity.json`` was captured from the implementations
-*before* the stage-pipeline refactor; these tests prove the port onto
-:class:`repro.pipeline.LinkagePipeline` changed no observable linkage
-behaviour — matches and candidate counts byte-identical.
+``tests/data/golden_parity.json`` pins each linker's fixed-seed run:
+matches and candidate counts byte-identical, the ``timings`` keys in
+their order and the ``counters`` keys.  A change that alters none of
+the linkage behaviour leaves every entry as it is.
 """
 
 import json
@@ -39,3 +39,5 @@ def test_linker_matches_golden(name, problem, golden):
     assert got["n_candidates"] == want["n_candidates"]
     assert got["n_matches"] == want["n_matches"]
     assert got["matches"] == want["matches"]
+    assert got["timings"] == want["timings"]
+    assert got["counters"] == want["counters"]

@@ -30,6 +30,10 @@ class TestMinHasher:
         hasher = MinHasher(4, seed=3)
         assert (hasher.signature([]) == hasher.p).all()
 
+    def test_no_sets_is_zero_rows(self):
+        signatures = MinHasher(4, seed=3).signatures([])
+        assert signatures.shape == (0, 4) and signatures.dtype == np.int64
+
     def test_subset_minimum_dominates(self):
         """min-hash of a union is the elementwise min of the parts."""
         hasher = MinHasher(6, seed=4)

@@ -34,7 +34,6 @@ from repro.hamming import lsh as lsh_module
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import CompositeHash, HammingLSH
 from repro.perf import LogHistogram
-from repro.pipeline.runner import LinkagePipeline
 from repro.rules import blocking as blocking_module
 from repro.rules.parser import parse_rule
 
@@ -131,7 +130,7 @@ class TestLinkageInvariance:
                                reference)
 
     def test_link_runs_each_layer_once(self, problem, monkeypatch):
-        """The runner adds no work: one ``link()`` embeds each side once,
+        """``link()`` adds no work: it embeds each side once,
         indexes A once and runs the match kernel once (the count form of the
         suite's ``pipeline.overhead_s``).  The streaming link's index layer
         is its one batch ``insert_rows``."""
@@ -263,36 +262,25 @@ class TestBlockSizeInvariance:
                 assert 0 < counters["classify_distance_rows"], name
 
 
-class _MeteredStage:
-    """A pipeline stage that notes the traced memory its inner stage starts from."""
-
-    def __init__(self, stage, log):
-        self.stage, self.timing, self.log = stage, stage.timing, log
-
-    def run(self, ctx):
-        entry = tracemalloc.get_traced_memory()[0]
-        self.log.append([type(self.stage).__name__, entry, entry])
-        self.stage.run(ctx)
-
-
 def traced_link(linker, dataset_a, dataset_b):
     """``linker.link`` under ``tracemalloc`` (which sees numpy's allocations).
 
-    Returns the result, the traced peak in bytes, each stage's
-    ``[name, traced at entry, traced peak]`` and, per line of ``repro/``
-    source, the most traced memory rose while that line ran — at least
-    the size of any single allocation it made.
+    Returns the result, the traced peak in bytes, each match call's
+    ``[name, traced at entry, traced peak]`` (``HammingLSH.match`` or
+    ``RuleAwareBlocker.match``) and, per line of ``repro/`` source, the most
+    traced memory rose while that line ran — at least the size of any single
+    allocation it made.
     """
-    stages, lines = [], {}
-    state = {"base": 0, "where": None, "peak": 0}
+    matches, lines = [], {}
+    state = {"base": 0, "where": None, "peak": 0, "in_match": False}
 
     def on_line(frame, event, arg):
         if event == "line":
             current, peak = tracemalloc.get_traced_memory()
             lines[state["where"]] = max(lines.get(state["where"], 0), peak - state["base"])
             state["peak"] = max(state["peak"], peak)
-            if stages:
-                stages[-1][2] = max(stages[-1][2], peak)
+            if state["in_match"]:
+                matches[-1][2] = max(matches[-1][2], peak)
             tracemalloc.reset_peak()
             where = (frame.f_code.co_filename.rpartition("/repro/")[2], frame.f_lineno)
             state["base"], state["where"] = current, where
@@ -301,16 +289,35 @@ def traced_link(linker, dataset_a, dataset_b):
     def on_call(frame, event, arg):
         return on_line if "/repro/" in frame.f_code.co_filename else None
 
-    metered = [_MeteredStage(stage, stages) for stage in linker._stages()]
+    def metered(cls):
+        original = cls.match
+
+        def match(*args, **kwargs):
+            entry = tracemalloc.get_traced_memory()[0]
+            matches.append([f"{cls.__name__}.match", entry, entry])
+            state["in_match"] = True
+            try:
+                return original(*args, **kwargs)
+            finally:
+                state["in_match"] = False
+                matches[-1][2] = max(matches[-1][2], tracemalloc.get_traced_memory()[1])
+
+        return original, match
+
+    patched = {cls: metered(cls) for cls in (HammingLSH, blocking_module.RuleAwareBlocker)}
     previous = sys.gettrace()
+    for cls, (__, match) in patched.items():
+        cls.match = match
     tracemalloc.start()
     sys.settrace(on_call)
     try:
-        result = LinkagePipeline(metered).run(dataset_a, dataset_b)
+        result = linker.link(dataset_a, dataset_b)
     finally:
         sys.settrace(previous)
         tracemalloc.stop()
-    return result, state["peak"], stages, lines
+        for cls, (original, __) in patched.items():
+            cls.match = original
+    return result, state["peak"], matches, lines
 
 
 class TestMemoryGate:
@@ -331,8 +338,8 @@ class TestMemoryGate:
     #: Everything a link holds that is not the size of its candidates: value
     #: rows, columns, matrices, ``L x n`` key and probe arrays (11.1 MB at K = 30).
     FIXED = 12 * MIB
-    #: What the match stage adds beside the pairs: one block's probe and bucket
-    #: search, within ``MATCH_BLOCK_BYTES`` (8 MiB; the stage rises 7.3 MB at seed 7).
+    #: What the match call adds beside the pairs: one block's probe and bucket
+    #: search, within ``MATCH_BLOCK_BYTES`` (8 MiB; the match rises 7.3 MB at seed 7).
     STAGE = 10 * MIB
     #: Three 64 k-cell ``int64`` temporaries: a block's worth in one expression.
     BLOCK = 3 * MIB // 2
@@ -351,18 +358,18 @@ class TestMemoryGate:
         def generated(seed):
             return linker(seed).link(a, b).counters["pairs_generated"]
 
-        result, peak, stages, lines = traced_link(linker(max(range(7, 13), key=generated)), a, b)
+        result, peak, calls, lines = traced_link(linker(max(range(7, 13), key=generated)), a, b)
         raw = 8 * int(result.counters["pairs_generated"])
         assert raw == {30: 8 * 130_639, 18: 8 * 887_074}[k]
         assert peak < 2 * raw + self.FIXED
-        name, entry, top = stages[-1]  # the match stage: join, de-dup, verify
+        name, entry, top = calls[-1]  # the match call: join, de-dup, verify
         assert top - entry < raw + self.STAGE, name
         worst = max(lines, key=lines.get)
         assert lines[worst] < raw + self.BLOCK, worst
 
     def test_match_stage_peak_does_not_grow_with_n_b(self):
         """20 000 records of A against 20 000 and 40 000 of B: a one-pass match
-        holds ``L x n_B`` probe arrays (L = 6), and its stage rises 8.8 MB
+        holds ``L x n_B`` probe arrays (L = 6), and the match rises 8.8 MB
         and 12.5 MB.  In blocks the rise is 7.7 MB at both sizes.  A is fixed
         because bucket sizes, and with them each block's matched buckets and
         raw pairs, grow with ``n_A``."""
@@ -374,9 +381,9 @@ class TestMemoryGate:
         for n_b in (20_000, 40_000):
             linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
             linker.encoder = encoder
-            __, __, stages, __ = traced_link(linker, a, Dataset(b.schema, b.records[:n_b]))
-            name, entry, top = stages[-1]
-            assert name == "ThresholdMatchStage"
+            __, __, calls, __ = traced_link(linker, a, Dataset(b.schema, b.records[:n_b]))
+            name, entry, top = calls[-1]
+            assert name == "HammingLSH.match"
             rises[n_b] = top - entry
         assert rises[40_000] < rises[20_000] + self.MIB, rises
 
@@ -390,10 +397,10 @@ class TestMemoryGate:
             attribute_names=["FirstName", "LastName", "Title", "Year"],
             seed=7,
         )
-        result, peak, stages, __ = traced_link(linker, problem.dataset_a, problem.dataset_b)
+        result, peak, calls, __ = traced_link(linker, problem.dataset_a, problem.dataset_b)
         assert peak <= 100 * self.MIB, peak / self.MIB
         assert result.n_candidates == 14_134_246
-        assert stages[-1][0] == "RuleMatchStage"
+        assert calls[-1][0] == "RuleAwareBlocker.match"
 
 
 class TestStreamingBatchedQuery:

@@ -1,23 +1,14 @@
-"""Tests for repro.pipeline — the stage runner, shared stages and registry."""
+"""Tests for repro.pipeline — the registry and the linkers it names."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.config import NCVR_ATTRIBUTE_K
 from repro.core.linker import CompactHammingLinker, StreamingLinker
-from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
+from repro.data import Dataset, NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.pipeline import (
-    BlockStage,
-    CalibrateStage,
-    CandidateStage,
-    ClassifyStage,
-    EmbedStage,
-    LinkagePipeline,
-    PipelineContext,
-    PipelineStage,
-    Stage,
-    VerifyStage,
     available_linkers,
     create_linker,
     get_linker,
@@ -25,87 +16,12 @@ from repro.pipeline import (
 )
 from repro.pipeline.exhaustive import ExhaustiveLinker
 from repro.baselines.minhash import MinHashLinker
+from repro.rules.parser import parse_rule
 
 
 @pytest.fixture(scope="module")
 def problem():
     return build_linkage_problem(NCVRGenerator(), 120, scheme_pl(), seed=11)
-
-
-class _Recorder(PipelineStage):
-    """Test stage: records its invocation and emits a fixed match set."""
-
-    kind = "verify"
-    timing = "match"
-
-    def __init__(self, log, label):
-        self.log = log
-        self.label = label
-
-    def run(self, ctx: PipelineContext) -> None:
-        self.log.append(self.label)
-        ctx.out_a = np.asarray([0], dtype=np.int64)
-        ctx.out_b = np.asarray([1], dtype=np.int64)
-        ctx.n_candidates = 1
-
-
-class TestRunner:
-    def test_requires_stages(self):
-        with pytest.raises(ValueError, match="at least one stage"):
-            LinkagePipeline([])
-
-    def test_stages_run_in_order(self):
-        log = []
-        pipeline = LinkagePipeline([_Recorder(log, "first"), _Recorder(log, "second")])
-        result = pipeline.run([("a",)], [("a",), ("b",)])
-        assert log == ["first", "second"]
-        assert result.matches == {(0, 1)}
-        assert result.comparison_space == 2
-
-    def test_timings_accumulate_by_key(self):
-        log = []
-        pipeline = LinkagePipeline([_Recorder(log, "x"), _Recorder(log, "y")])
-        result = pipeline.run([("a",)], [("b",)])
-        # Both stages share the 'match' timing key -> one accumulated entry.
-        assert set(result.timings) == {"match"}
-
-    def test_accepts_raw_sequences_and_datasets(self, problem):
-        raw_rows = problem.dataset_a.value_rows()
-        log = []
-        pipeline = LinkagePipeline([_Recorder(log, "z")])
-        via_dataset = pipeline.run(problem.dataset_a, problem.dataset_a)
-        via_rows = pipeline.run(raw_rows, raw_rows)
-        assert via_dataset.comparison_space == via_rows.comparison_space
-
-    def test_empty_output_defaults(self):
-        class _Noop(PipelineStage):
-            def run(self, ctx):
-                pass
-
-        result = LinkagePipeline([_Noop()]).run([("a",)], [("b",)])
-        assert result.n_matches == 0
-        assert result.matches == set()
-
-
-class TestStageKinds:
-    def test_stage_protocol_runtime_checkable(self):
-        log = []
-        assert isinstance(_Recorder(log, "s"), Stage)
-
-    def test_kind_and_timing_mapping(self):
-        assert CalibrateStage.kind == "calibrate" and CalibrateStage.timing == "calibrate"
-        assert EmbedStage.kind == "embed" and EmbedStage.timing == "embed"
-        assert BlockStage.kind == "block" and BlockStage.timing == "index"
-        assert CandidateStage.kind == "candidates" and CandidateStage.timing == "match"
-        assert VerifyStage.kind == "verify" and VerifyStage.timing == "match"
-        assert ClassifyStage.kind == "classify" and ClassifyStage.timing == "match"
-
-    def test_name_defaults_to_class_name(self):
-        assert _Recorder([], "s").name == "_Recorder"
-
-    def test_base_run_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            PipelineStage().run(None)
 
 
 class TestStreamingLink:
@@ -251,6 +167,51 @@ class TestRegistry:
                 continue
             linker = spec.factory(**init)
             assert hasattr(linker, "link")
+
+
+class TestEmptyInput:
+    """A side with no records is a link with no matches, for every linker."""
+
+    CALIBRATE_ON_A = ("exhaustive", "canopy", "sorted-neighborhood")
+
+    def _linkers(self, problem):
+        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=3).calibrate(
+            problem.dataset_a, problem.dataset_b
+        )
+        kwargs = {
+            "cbv-record": {"threshold": 4},
+            "cbv-rule": {"rule": parse_rule("(f1<=4) & (f2<=4) & (f3<=8)"), "k": NCVR_ATTRIBUTE_K},
+            "streaming": {"encoder": encoder, "threshold": 4},
+            "exhaustive": {"threshold": 4},
+            "bfh": {"attribute_thresholds": {"f1": 45, "f2": 45, "f3": 90}, "n_attributes": 4},
+            "canopy": {"threshold": 4},
+            "harra": {},
+            "minhash": {},
+            "smeb": {"attribute_thresholds": {"f1": 4.5, "f2": 4.5, "f3": 7.7}, "n_attributes": 4},
+            "sorted-neighborhood": {"threshold": 4},
+        }
+        for spec in available_linkers():
+            yield spec.name, lambda name=spec.name: create_linker(name, seed=3, **kwargs[name])
+
+    def test_empty_b_links_to_an_empty_result(self, problem):
+        a, b = problem.dataset_a, problem.dataset_b
+        empty_b = Dataset(b.schema, [])
+        for name, make in self._linkers(problem):
+            want = make().link(a, b)
+            got = make().link(a, empty_b)
+            assert got.n_matches == got.n_candidates == got.comparison_space == 0, name
+            assert got.matches == set(), name
+            assert list(got.timings) == list(want.timings), name
+            assert sorted(got.counters) == sorted(want.counters), name
+
+    def test_empty_a_cannot_calibrate_on_a(self, problem):
+        empty_a = Dataset(problem.dataset_a.schema, [])
+        for name, make in self._linkers(problem):
+            if name in self.CALIBRATE_ON_A:
+                with pytest.raises(ValueError, match="non-empty"):
+                    make().link(empty_a, problem.dataset_b)
+            else:
+                assert make().link(empty_a, problem.dataset_b).n_matches == 0, name
 
 
 class TestCounters:

@@ -1,4 +1,4 @@
-"""Tests for the whole-program phase of reprolint (RL101, RL102, RL104, RL105).
+"""Tests for the whole-program phase of reprolint (RL101, RL102, RL105).
 
 Fixtures are small package trees written to tmp_path with real
 ``__init__.py`` chains, so module-name derivation, cross-module
@@ -28,50 +28,6 @@ from repro.analysis.project import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Miniature stage vocabulary + context mirroring repro.pipeline, so the
-#: RL104 fixtures resolve kinds the same way the real tree does.
-PIPELINE_STAGE = """
-    class PipelineStage:
-        kind = "stage"
-
-    class CalibrateStage(PipelineStage):
-        kind = "calibrate"
-
-    class EmbedStage(PipelineStage):
-        kind = "embed"
-
-    class BlockStage(PipelineStage):
-        kind = "block"
-
-    class CandidateStage(PipelineStage):
-        kind = "candidates"
-
-    class VerifyStage(PipelineStage):
-        kind = "verify"
-
-    class ClassifyStage(PipelineStage):
-        kind = "classify"
-"""
-
-PIPELINE_CONTEXT = """
-    from dataclasses import dataclass, field
-
-    @dataclass
-    class PipelineContext:
-        rows_a: list
-        rows_b: list
-        encoder: object = None
-        embedded_a: object = None
-        embedded_b: object = None
-        blocker: object = None
-        cand_a: object = None
-        cand_b: object = None
-        out_a: object = None
-        counters: dict = field(default_factory=dict)
-        extras: dict = field(default_factory=dict)
-"""
-
 
 def make_tree(tmp_path, files):
     """Write dedented file contents, creating package __init__ chains."""
@@ -142,42 +98,20 @@ class TestModelExtraction:
 
     def test_relative_imports_resolve(self):
         summary = self._summary(
-            "from .context import PipelineContext\n",
-            name="repro.pipeline.stages",
-            path="src/repro/pipeline/stages.py",
+            "from .result import LinkageResult\n",
+            name="repro.pipeline.registry",
+            path="src/repro/pipeline/registry.py",
         )
         targets = [record.target for record in summary.imports]
-        assert "repro.pipeline.context" in targets
+        assert "repro.pipeline.result" in targets
 
     def test_relative_import_from_package_init(self):
-        tree = ast.parse("from .runner import LinkagePipeline\n")
+        tree = ast.parse("from .registry import available_linkers\n")
         summary = extract_module(
             "repro.pipeline", "src/repro/pipeline/__init__.py", tree
         )
         assert summary.is_package
-        assert summary.imports[0].target == "repro.pipeline.runner"
-
-    def test_ctx_dataflow_and_stage_class(self):
-        summary = self._summary(
-            """
-            class MyStage(EmbedStage):
-                kind = "embed"
-
-                def run(self, ctx) -> None:
-                    ctx.embedded_a = encode(ctx.rows_a)
-                    helper(ctx)
-
-            def helper(ctx) -> None:
-                ctx.counters["n"] = 1
-            """
-        )
-        run = summary.classes["MyStage"].methods["run"]
-        assert "rows_a" in run.ctx_reads
-        assert "embedded_a" in run.ctx_writes
-        assert run.ctx_calls == ["helper"]
-        assert summary.classes["MyStage"].kind_literal == "embed"
-        # Subscript store on ctx.counters is a *read* of the dict field.
-        assert "counters" in summary.functions["helper"].ctx_reads
+        assert summary.imports[0].target == "repro.pipeline.registry"
 
     def test_rng_seed_extraction(self):
         summary = self._summary(
@@ -198,20 +132,6 @@ class TestModelExtraction:
         seeds = {c.scope: c.seed_kind for c in summary.rng_constructions}
         assert seeds == {"unseeded": "missing", "seeded": "name", "burned": "literal"}
 
-    def test_stage_list_literals(self):
-        summary = self._summary(
-            """
-            def build(self):
-                stages = [Embed(), Block(), Verify()]
-                stages.append(Extra())
-                return stages
-            """
-        )
-        assert [e[0] for e in summary.stage_lists[0].elements] == [
-            "Embed",
-            "Block",
-            "Verify",
-        ]
 
 class TestRL101ImportCycles:
     def _files(self, cycle):
@@ -323,132 +243,6 @@ class TestRL102Architecture:
         assert "repro.perf" in findings[0].message
 
 
-class TestRL104StageContract:
-    def _tree(self, tmp_path, linker_body):
-        return make_tree(
-            tmp_path,
-            {
-                "src/repro/__init__.py": "",
-                "src/repro/pipeline/__init__.py": "",
-                "src/repro/pipeline/stage.py": PIPELINE_STAGE,
-                "src/repro/pipeline/context.py": PIPELINE_CONTEXT,
-                "src/repro/linker.py": linker_body,
-            },
-        )
-
-    def test_missing_kind_flagged(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import PipelineStage
-
-            class Mystery(PipelineStage):
-                def run(self, ctx) -> None:
-                    pass
-            """,
-        )
-        findings = lint_paths([root], select_rules("RL104"))
-        assert rule_ids(findings) == ["RL104"]
-        assert "Mystery" in findings[0].message
-
-    def test_out_of_order_stage_list_flagged(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import EmbedStage, VerifyStage
-
-            class MyEmbed(EmbedStage):
-                def run(self, ctx) -> None:
-                    ctx.embedded_a = ctx.rows_a
-
-            class MyVerify(VerifyStage):
-                def run(self, ctx) -> None:
-                    ctx.out_a = ctx.embedded_a
-
-            def build():
-                return [MyVerify(), MyEmbed()]
-            """,
-        )
-        findings = lint_paths([root], select_rules("RL104"))
-        assert rule_ids(findings) == ["RL104"]
-        assert "ordered" in findings[0].message
-
-    def test_appended_lists_are_out_of_scope(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import EmbedStage, VerifyStage
-
-            class MyEmbed(EmbedStage):
-                def run(self, ctx) -> None:
-                    ctx.embedded_a = ctx.rows_a
-
-            class MyVerify(VerifyStage):
-                def run(self, ctx) -> None:
-                    ctx.out_a = ctx.embedded_a
-
-            def build(fancy):
-                stages = [MyEmbed(), MyVerify()]
-                if fancy:
-                    stages.append(MyEmbed())
-                return stages
-            """,
-        )
-        assert lint_paths([root], select_rules("RL104")) == []
-
-    def test_early_read_flagged(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import CalibrateStage
-
-            class EagerCalibrate(CalibrateStage):
-                def run(self, ctx) -> None:
-                    ctx.encoder = ctx.blocker
-            """,
-        )
-        findings = lint_paths([root], select_rules("RL104"))
-        assert rule_ids(findings) == ["RL104"]
-        assert "ctx.blocker" in findings[0].message
-        assert "EagerCalibrate" in findings[0].message
-
-    def test_reads_satisfied_by_earlier_writer(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import EmbedStage, VerifyStage
-
-            class MyEmbed(EmbedStage):
-                def run(self, ctx) -> None:
-                    ctx.embedded_a = ctx.rows_a
-
-            class MyVerify(VerifyStage):
-                def run(self, ctx) -> None:
-                    ctx.out_a = check(ctx)
-
-            def check(ctx):
-                return ctx.embedded_a
-            """,
-        )
-        assert lint_paths([root], select_rules("RL104")) == []
-
-    def test_unknown_context_attribute_flagged(self, tmp_path):
-        root = self._tree(
-            tmp_path,
-            """
-            from repro.pipeline.stage import EmbedStage
-
-            class MyEmbed(EmbedStage):
-                def run(self, ctx) -> None:
-                    ctx.embedded_aa = ctx.rows_a
-            """,
-        )
-        findings = lint_paths([root], select_rules("RL104"))
-        assert rule_ids(findings) == ["RL104"]
-        assert "embedded_aa" in findings[0].message
-        assert "typo" in findings[0].message
-
-
 class TestRL105SeedPropagation:
     def _lint(self, tmp_path, body):
         root = make_tree(
@@ -535,7 +329,7 @@ class TestProjectSelfHosting:
 
     def test_project_rules_clean_on_src(self):
         config = load_config(REPO_ROOT / "pyproject.toml").with_overrides(
-            select=["RL101", "RL102", "RL104", "RL105"]
+            select=["RL101", "RL102", "RL105"]
         )
         findings = lint_paths([REPO_ROOT / "src"], config)
         assert findings == [], [f.format() for f in findings]
@@ -577,28 +371,21 @@ class TestProjectSelfHosting:
         assert payload["runs"][0]["results"] == []
 
 
-def test_project_model_covers_real_pipeline():
-    """The model sees the real stage classes, context fields and imports."""
+def test_project_model_covers_real_tree():
+    """The model sees the real tree's class hierarchy, methods and imports."""
     summaries = []
     for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         summaries.append(extract_module(module_name_for(path), str(path), tree))
     model = ProjectModel.from_summaries(summaries)
-    stages = model.modules["repro.pipeline.stages"]
-    verify = stages.classes["ThresholdVerifyStage"]
-    assert verify.bases == ["VerifyStage"]
-    chain = list(model.base_chain("repro.pipeline.stages", "ThresholdVerifyStage"))
-    assert any(info.kind_literal == "verify" for _, info in chain)
-    context = model.modules["repro.pipeline.context"].classes["PipelineContext"]
-    assert "cand_a" in context.fields
-    assert "comparison_space" in context.properties
+    lsh = model.modules["repro.hamming.lsh"].classes["HammingLSH"]
+    assert lsh.bases == ["TableRuns"]
+    chain = [info.name for __, info in model.base_chain("repro.hamming.lsh", "HammingLSH")]
+    assert chain == ["HammingLSH", "TableRuns"]
+    assert "match" in lsh.methods
     edges = {
         target
         for source, target, _ in model.resolved_edges(("module",))
-        if source == "repro.pipeline.stages"
+        if source == "repro.core.linker"
     }
-    assert "repro.pipeline.context" in edges
-
-
-if __name__ == "__main__":
-    sys.exit(pytest.main([__file__, "-v"]))
+    assert {"repro.pipeline.result", "repro.hamming.lsh"} <= edges

@@ -4,7 +4,7 @@ Each RL00x rule gets at least one positive fixture (snippet that must
 trigger it) and one negative fixture (snippet that must stay clean),
 plus suppression coverage and a self-hosting test asserting the repo's
 own ``src/`` tree lints clean with the shipped pyproject configuration.
-(The whole-program rules RL101, RL102, RL104 and RL105 are covered in
+(The whole-program rules RL101, RL102 and RL105 are covered in
 test_project_lint.py; here they only appear through the CLI surface:
 severity, SARIF, --output.)
 """

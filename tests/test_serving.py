@@ -33,12 +33,6 @@ from repro.data.generators import EXPERIMENT_SCHEME
 from repro.core.shards import PlainBundleError, ShardedIndex
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import group_matches
-from repro.pipeline import (
-    LoadSnapshotStage,
-    QueryEmbedStage,
-    ThresholdMatchStage,
-)
-from repro.pipeline.runner import LinkagePipeline
 from repro.serve import QueryEngine
 from repro.serve.engine import QueryResult
 from tests.golden_linkers import (
@@ -399,31 +393,21 @@ class TestOneEngineParity:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-class TestLoadSnapshotStage:
-    def test_pipeline_equals_full_linker(self, tmp_path, problem, encoder, rows_a):
+class TestFromBundle:
+    def test_query_batch_equals_full_linker(self, tmp_path, problem, encoder, rows_a, rows_b):
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=SEED)
         linker.encoder = encoder
         want = linker.link(problem.dataset_a, problem.dataset_b)
-        engine = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
-        bundle = engine.save(tmp_path / "idx")
-        pipeline = LinkagePipeline(
-            [
-                LoadSnapshotStage(bundle),
-                QueryEmbedStage(),
-                ThresholdMatchStage(4),
-            ]
+        bundle = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED).save(
+            tmp_path / "idx"
         )
-        got = pipeline.run(problem.dataset_a, problem.dataset_b)
-        assert want.matches == got.matches
-        assert want.n_candidates == got.n_candidates
-        assert "index" in got.timings and "embed" in got.timings
-
-    def test_snapshot_exposed_in_extras_and_counters(self, tmp_path, problem, encoder, rows_a):
-        engine = QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
-        bundle = engine.save(tmp_path / "idx")
-        stage = LoadSnapshotStage(bundle)
-        assert stage.timing == "index"
-        assert stage.kind == "calibrate"
+        engine = QueryEngine.from_bundle(bundle)
+        try:
+            got = engine.query_batch(rows_b)
+        finally:
+            engine.close()
+        assert set(zip(got.ids.tolist(), got.queries.tolist())) == want.matches
+        assert want.n_matches > 0
 
 
 class TestGoldenParity:

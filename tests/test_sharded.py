@@ -56,12 +56,6 @@ from repro.data.generators import EXPERIMENT_SCHEME
 from repro.data.io import write_dataset
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
-from repro.pipeline import (
-    LoadSnapshotStage,
-    QueryEmbedStage,
-    ThresholdMatchStage,
-)
-from repro.pipeline.runner import LinkagePipeline
 from repro.serve import QueryEngine, ShardedQueryEngine
 from repro.wal import frame, replay_segment
 from tests.golden_linkers import (
@@ -697,25 +691,22 @@ class TestStaleManifests:
 
 
 class TestMergedView:
-    def test_pipeline_equals_full_linker(self, tmp_path, problem, encoder, rows_a):
+    def test_query_batch_equals_full_linker(self, tmp_path, problem, encoder, rows_a, rows_b):
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=SEED)
         linker.encoder = encoder
         want = linker.link(problem.dataset_a, problem.dataset_b)
         bundle = ShardedQueryEngine.build(
             rows_a, encoder, n_shards=3, threshold=4, k=30, seed=SEED
         ).save(tmp_path / "idx")
-        pipeline = LinkagePipeline(
-            [
-                LoadSnapshotStage(bundle),
-                QueryEmbedStage(),
-                ThresholdMatchStage(4),
-            ]
-        )
-        got = pipeline.run(problem.dataset_a, problem.dataset_b)
-        assert want.matches == got.matches
-        assert want.n_candidates == got.n_candidates
-        assert got.counters["snapshot_shards"] == 3.0
-        assert got.counters["wal_replayed_records"] == 0.0
+        engine = QueryEngine.from_bundle(bundle)
+        try:
+            got = engine.query_batch(rows_b)
+            assert engine.n_shards == 3
+            assert engine.index.counters.get("wal_replayed_records", 0.0) == 0.0
+        finally:
+            engine.close()
+        assert set(zip(got.ids.tolist(), got.queries.tolist())) == want.matches
+        assert want.n_matches > 0
 
     def test_streaming_linker_loads_sharded_bundle(
         self, tmp_path, encoder, rows_a, rows_b
