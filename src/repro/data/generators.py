@@ -12,6 +12,9 @@ available offline, so these generators synthesise datasets with the same
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +53,53 @@ DBLP_SCHEMA = Schema(
 
 
 class _WeightedWords:
-    """A word list with sampling weights tilted to a target mean length."""
+    """A word list with sampling weights tilted to a target mean length.
+
+    ``one`` draws exactly what ``rng.choice(len(words), p=weights)`` draws,
+    from the same single ``random()`` (weighted) or ``integers(0, n)``
+    (unweighted) call, but without re-validating ``p`` and recomputing its
+    cumulative sum on every draw: the CDF is built once here, the way
+    numpy builds it for ``choice``, and ``bisect_right`` on it is
+    ``cdf.searchsorted(u, "right")`` for one ``u``.
+    """
 
     def __init__(self, words: tuple[str, ...], target_mean_length: float | None = None) -> None:
         self.words = words
-        if target_mean_length is None:
-            self.weights = None
-        else:
-            self.weights = np.asarray(length_tilt(words, target_mean_length))
+        self.weights: np.ndarray | None = None
+        self._cdf: list[float] | None = None
+        if target_mean_length is not None:
+            self.weights = _checked_weights(length_tilt(words, target_mean_length), len(words))
+            cdf = self.weights.cumsum()
+            cdf /= cdf[-1]
+            self._cdf = cdf.tolist()
 
     def sample(self, rng: np.random.Generator, size: int) -> list[str]:
         indices = rng.choice(len(self.words), size=size, p=self.weights)
         return [self.words[int(i)] for i in indices]
 
     def one(self, rng: np.random.Generator) -> str:
-        return self.words[int(rng.choice(len(self.words), p=self.weights))]
+        if self._cdf is None:
+            return self.words[int(rng.integers(0, len(self.words)))]
+        return self.words[bisect_right(self._cdf, rng.random())]
+
+
+def _checked_weights(weights: Sequence[float], n_words: int) -> np.ndarray:
+    """``weights`` as float64, with the checks ``rng.choice`` makes on ``p``.
+
+    One weight per word, finite, non-negative and summing to 1 within
+    ``sqrt(eps)``; ``ValueError`` otherwise.
+    """
+    p = np.asarray(weights, dtype=np.float64)
+    if p.ndim != 1 or p.size != n_words:
+        raise ValueError(f"need one weight per word ({n_words}), got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("weights must be finite")
+    if (p < 0).any():
+        raise ValueError("weights must be non-negative")
+    total = math.fsum(p.tolist())
+    if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+    return p
 
 
 @dataclass(frozen=True)

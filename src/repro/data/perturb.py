@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +38,14 @@ class Operation(enum.Enum):
 ALL_OPERATIONS = (Operation.SUBSTITUTE, Operation.INSERT, Operation.DELETE)
 
 
+@lru_cache(maxsize=1024)
+def _letter_candidates(chars: str, exclude: str) -> tuple[str, ...]:
+    return tuple(ch for ch in chars if ch not in (" ", "_") and ch != exclude)
+
+
 def _random_letter(alphabet: Alphabet, rng: np.random.Generator, exclude: str = "") -> str:
     """A uniformly chosen non-blank alphabet character, optionally != exclude."""
-    candidates = [ch for ch in alphabet.chars if ch not in (" ", "_") and ch != exclude]
+    candidates = _letter_candidates(alphabet.chars, exclude)
     return candidates[int(rng.integers(0, len(candidates)))]
 
 
@@ -69,7 +75,7 @@ def apply_operation(
     return value[:pos] + value[pos + 1 :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppliedOperation:
     """Log entry: which operation hit which attribute of a record."""
 

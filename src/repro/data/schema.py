@@ -77,7 +77,7 @@ class Schema:
         return cls(tuple(AttributeSpec(name, scheme) for name in names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """A record: an identifier plus one string value per schema attribute."""
 
@@ -105,11 +105,12 @@ class Dataset:
         self.schema = schema
         self.records: list[Record] = list(records)
         self.name = name
+        n_attributes = schema.n_attributes
         for record in self.records:
-            if len(record.values) != schema.n_attributes:
+            if len(record.values) != n_attributes:
                 raise ValueError(
                     f"record {record.record_id!r} has {len(record.values)} values, "
-                    f"schema expects {schema.n_attributes}"
+                    f"schema expects {n_attributes}"
                 )
         self._by_id = {record.record_id: i for i, record in enumerate(self.records)}
         if len(self._by_id) != len(self.records):

@@ -1,11 +1,17 @@
 """Tests for repro.data.corpora and repro.data.generators."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from repro.data import build_linkage_problem, scheme_ph, scheme_pl
+from repro.data import generators as generators_module
 from repro.data.corpora import (
     FIRST_NAMES,
     LAST_NAMES,
     STREET_NAMES,
+    STREET_TYPES,
     TITLE_WORDS,
     TOWNS,
     length_tilt,
@@ -13,6 +19,7 @@ from repro.data.corpora import (
 from repro.data.generators import (
     DBLPGenerator,
     NCVRGenerator,
+    _WeightedWords,
     average_qgram_counts,
 )
 from repro.text.alphabet import TEXT_ALPHABET
@@ -96,3 +103,126 @@ class TestDBLPGenerator:
     def test_titles_are_multiword(self):
         ds = DBLPGenerator().generate(50, seed=2)
         assert all(" " in title for title in ds.column("Title"))
+
+
+class TestWeightCheck:
+    """``_WeightedWords`` checks its weights once, as ``rng.choice`` checks ``p``.
+
+    Each bad list below is one ``rng.choice(n, p=...)`` also rejects; the
+    check runs at construction, not on every draw.
+    """
+
+    WORDS = ("AB", "ABC", "ABCD")
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0.2, 0.3, 0.5]],  # 2-D
+            [0.5, 0.5],  # one weight short
+            [0.25, 0.25, 0.25, 0.25],  # one weight too many
+            [0.5, float("nan"), 0.5],
+            [0.5, float("inf"), 0.5],
+            [0.7, -0.2, 0.5],  # negative
+            [0.2, 0.3, 0.4],  # sums to 0.9
+            [0.2, 0.3, 0.5 + 1e-6],  # off by more than sqrt(eps)
+        ],
+        ids=["2d", "short", "long", "nan", "inf", "negative", "sum-low", "sum-eps"],
+    )
+    def test_bad_weights_rejected(self, monkeypatch, weights):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(self.WORDS), p=np.asarray(weights))
+        monkeypatch.setattr(generators_module, "length_tilt", lambda words, mean: weights)
+        with pytest.raises(ValueError):
+            _WeightedWords(self.WORDS, 3.0)
+
+    def test_sum_within_sqrt_eps_accepted(self, monkeypatch):
+        weights = [0.2, 0.3, 0.5 + 1e-9]
+        monkeypatch.setattr(generators_module, "length_tilt", lambda words, mean: weights)
+        words = _WeightedWords(self.WORDS, 3.0)
+        assert words.one(np.random.default_rng(0)) in self.WORDS
+
+
+class _CountingRng:
+    """Wrap a ``np.random.Generator`` and log every method call by name."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.calls: list[tuple[str, dict]] = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs))
+            return method(*args, **kwargs)
+
+        return counted
+
+    def names(self) -> Counter:
+        return Counter(name for name, __ in self.calls)
+
+
+@pytest.fixture
+def counting_rngs(monkeypatch):
+    """Every generator ``np.random.default_rng`` makes, wrapped and logged."""
+    made: list[_CountingRng] = []
+    real = np.random.default_rng
+
+    def default_rng(seed=None):
+        rng = _CountingRng(real(seed))
+        made.append(rng)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+class TestDrawCounts:
+    """One RNG call per drawn word: the clock-free gate on the per-draw path.
+
+    ``rng.choice(n, p=p)`` re-validates ``p`` and recomputes its cumulative
+    sum on every call (11-15 us); a draw from a prebuilt CDF is one
+    ``random()`` and a bisect.  The draws must equal what ``choice``
+    returns from the same stream, so the data do not move.
+    """
+
+    N_DRAWS = 200
+
+    def test_weighted_draw_is_one_random_call(self):
+        words = _WeightedWords(FIRST_NAMES, 6.1)
+        rng = _CountingRng(np.random.default_rng(11))
+        drawn = [words.one(rng) for __ in range(self.N_DRAWS)]
+        assert rng.names() == {"random": self.N_DRAWS}
+        twin = np.random.default_rng(11)
+        expected = [
+            FIRST_NAMES[int(twin.choice(len(FIRST_NAMES), p=words.weights))]
+            for __ in range(self.N_DRAWS)
+        ]
+        assert drawn == expected
+
+    def test_unweighted_draw_is_one_integers_call(self):
+        words = _WeightedWords(STREET_TYPES)
+        rng = _CountingRng(np.random.default_rng(12))
+        drawn = [words.one(rng) for __ in range(self.N_DRAWS)]
+        assert rng.names() == {"integers": self.N_DRAWS}
+        twin = np.random.default_rng(12)
+        expected = [
+            STREET_TYPES[int(twin.choice(len(STREET_TYPES)))] for __ in range(self.N_DRAWS)
+        ]
+        assert drawn == expected
+
+    @pytest.mark.parametrize(
+        ("make", "n_samples"),
+        [
+            (lambda: NCVRGenerator().generate(300, seed=1), 3),
+            (lambda: DBLPGenerator().generate(300, seed=1), 2),
+            (lambda: build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=1), 6),
+            (lambda: build_linkage_problem(DBLPGenerator(), 300, scheme_ph(), seed=1), 4),
+        ],
+        ids=["ncvr", "dblp", "ncvr-problem", "dblp-problem"],
+    )
+    def test_choice_only_in_vectorised_sample(self, counting_rngs, make, n_samples):
+        make()
+        choices = [kw for rng in counting_rngs for name, kw in rng.calls if name == "choice"]
+        assert len(choices) == n_samples
+        assert all(kw.get("size") is not None for kw in choices)

@@ -1,8 +1,12 @@
 """Tests for repro.data.schema."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.data.perturb import AppliedOperation, Operation
 from repro.data.schema import (
     AttributeSpec,
     Dataset,
@@ -72,6 +76,48 @@ class TestRecord:
             Record("", ("A",))
 
 
+class TestSlottedRecords:
+    """``Record`` and ``AppliedOperation`` carry no per-instance ``__dict__``.
+
+    A linkage problem holds one of each per record and per perturbation;
+    slots keep them small.  Equality and hashing must survive every way a
+    value is copied: pickling (process pools, saved problems), ``copy``
+    and ``deepcopy``.
+    """
+
+    VALUES = [
+        Record("R1", ("JONES", "1218 HICKORY RD APT 31")),
+        AppliedOperation("Address", Operation.INSERT),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [
+            lambda v: pickle.loads(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL)),
+            lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-0", "copy", "deepcopy"],
+    )
+    def test_equal_and_hash_survive(self, value, roundtrip):
+        twin = roundtrip(value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert {value: 1}[twin] == 1
+
+    def test_still_frozen(self):
+        record = Record("R1", ("A",))
+        with pytest.raises(AttributeError):
+            record.record_id = "R2"  # type: ignore[misc]
+
+
 class TestDataset:
     def test_len_iter_getitem(self, dataset):
         assert len(dataset) == 3
@@ -81,6 +127,16 @@ class TestDataset:
     def test_arity_validated(self, schema):
         with pytest.raises(ValueError):
             Dataset(schema, [Record("R0", ("only-one",))])
+
+    def test_arity_error_names_first_bad_record(self, schema):
+        records = [
+            Record("R0", ("A", "B")),
+            Record("R1", ("only-one",)),
+            Record("R2", ("x", "y", "z")),
+        ]
+        with pytest.raises(ValueError) as excinfo:
+            Dataset(schema, records)
+        assert str(excinfo.value) == "record 'R1' has 1 values, schema expects 2"
 
     def test_duplicate_ids_rejected(self, schema):
         with pytest.raises(ValueError, match="unique"):
