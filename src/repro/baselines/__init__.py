@@ -13,8 +13,8 @@ from repro.baselines.bloom import (
     DEFAULT_BLOOM_HASHES,
     bloom_positions,
 )
-from repro.baselines.harra import HarraLinker, record_bigram_set
-from repro.baselines.minhash import MinHasher, MinHashLinker, MinHashLSH
+from repro.baselines.harra import HarraLinker
+from repro.baselines.minhash import MinHasher, MinHashLinker, MinHashLSH, bigram_matrix
 from repro.baselines.pstable import (
     DEFAULT_BUCKET_WIDTH,
     EuclideanLSH,
@@ -45,8 +45,8 @@ __all__ = [
     "MinHasher",
     "SMEBLinker",
     "StringMapEmbedder",
+    "bigram_matrix",
     "bloom_positions",
     "collision_probability",
     "euclidean_lsh_parameters",
-    "record_bigram_set",
 ]

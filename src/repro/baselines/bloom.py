@@ -8,21 +8,24 @@ The paper's configuration is 500 bits and 15 hash functions per bigram.
 The standard construction uses the *double hashing* scheme of [26, 27]:
 ``h_i(gram) = (H1(gram) + i * H2(gram)) mod n_bits`` with ``H1 = MD5`` and
 ``H2 = SHA1``, which is what real Bloom-filter PPRL implementations do.
+
+The positions depend only on the q-gram, so a field encoder tabulates them
+once over the q-gram space and is embedded like a c-vector
+(:func:`~repro.core.cvector.embed_columns`), ``n_hashes`` bits per q-gram.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
-from repro.core.encoder import AttributeLayout
-from repro.core.qgram import QGramScheme
-from repro.hamming.bitmatrix import BitMatrix, scatter_bits
+from repro.core.cvector import embed_columns
+from repro.core.encoder import RecordLayout
+from repro.core.qgram import QGramScheme, qgram_from_index
+from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
-from repro.hamming.distance import masked_hamming_rows
 from repro.text.alphabet import TEXT_ALPHABET
 
 #: Paper configuration: "a size of 500 bits by using 15 cryptographic hash
@@ -31,9 +34,8 @@ DEFAULT_BLOOM_BITS = 500
 DEFAULT_BLOOM_HASHES = 15
 
 
-@lru_cache(maxsize=65536)
 def _digest_pair(gram: str) -> tuple[int, int]:
-    """(MD5, SHA1) digests of a q-gram as integers (cached: grams repeat)."""
+    """(MD5, SHA1) digests of a q-gram as integers."""
     data = gram.encode("utf-8")
     h1 = int.from_bytes(hashlib.md5(data).digest()[:8], "big")
     h2 = int.from_bytes(hashlib.sha1(data).digest()[:8], "big")
@@ -62,35 +64,26 @@ class BloomFieldEncoder:
         self.n_bits = n_bits
         self.n_hashes = n_hashes
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
+        self._table: np.ndarray | None = None
 
-    def positions(self, value: str) -> frozenset[int]:
-        """All Bloom filter positions set by ``value``'s q-grams."""
-        out: set[int] = set()
-        for gram in set(self.scheme.grams(value)):
-            out.update(bloom_positions(gram, self.n_bits, self.n_hashes))
-        return frozenset(out)
+    def gram_bits(self, ids: np.ndarray) -> np.ndarray:
+        """The ``n_hashes`` :func:`bloom_positions` of every q-gram id: rows of
+        a table over the whole q-gram space, built on first use."""
+        if self._table is None:
+            q, alphabet = self.scheme.q, self.scheme.alphabet
+            grams = (qgram_from_index(x, q, alphabet) for x in range(self.scheme.space_size))
+            positions = [bloom_positions(gram, self.n_bits, self.n_hashes) for gram in grams]
+            self._table = np.array(positions, dtype=np.int64).reshape(-1, self.n_hashes)
+        return self._table.take(ids, 0)
 
     def encode(self, value: str) -> BitVector:
-        return BitVector.from_indices(self.n_bits, self.positions(value))
+        return self.encode_all([value]).row(0)
 
     def encode_all(self, values: Sequence[str]) -> BitMatrix:
-        rows: list[int] = []
-        bits: list[int] = []
-        for i, value in enumerate(values):
-            positions = self.positions(value)
-            rows.extend([i] * len(positions))
-            bits.extend(positions)
-        if not bits:
-            return BitMatrix.zeros(len(values), self.n_bits)
-        return scatter_bits(
-            len(values),
-            self.n_bits,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(bits, dtype=np.int64),
-        )
+        return embed_columns([self], [0], [values], self.n_bits)[0]
 
 
-class BloomRecordEncoder:
+class BloomRecordEncoder(RecordLayout):
     """Record-level Bloom encoding: one field-level filter per attribute,
     concatenated — the structure BfH blocks and matches on."""
 
@@ -104,59 +97,10 @@ class BloomRecordEncoder:
     ) -> None:
         if n_attributes < 1:
             raise ValueError(f"n_attributes must be >= 1, got {n_attributes}")
-        if names is None:
-            names = [f"f{i + 1}" for i in range(n_attributes)]
-        if len(names) != n_attributes:
-            raise ValueError(f"{len(names)} names for {n_attributes} attributes")
         self.field_encoder = BloomFieldEncoder(n_bits, n_hashes, scheme)
-        self.names = list(names)
-        self.layouts = [
-            AttributeLayout(name=name, offset=i * n_bits, width=n_bits)
-            for i, name in enumerate(names)
-        ]
-
-    @property
-    def total_bits(self) -> int:
-        return self.layouts[-1].stop
-
-    def layout(self, attribute: str) -> AttributeLayout:
-        for candidate in self.layouts:
-            if candidate.name == attribute:
-                return candidate
-        raise KeyError(f"unknown attribute {attribute!r}; have {self.names}")
+        super().__init__([self.field_encoder] * n_attributes, [n_bits] * n_attributes, names)
 
     def encode_dataset(self, records: Sequence[Sequence[str]]) -> BitMatrix:
-        rows: list[int] = []
-        bits: list[int] = []
-        for i, record in enumerate(records):
-            if len(record) != len(self.layouts):
-                raise ValueError(
-                    f"record has {len(record)} values, encoder expects {len(self.layouts)}"
-                )
-            for layout, value in zip(self.layouts, record):
-                for bit in self.field_encoder.positions(value):
-                    rows.append(i)
-                    bits.append(bit + layout.offset)
-        if not bits:
-            return BitMatrix.zeros(len(records), self.total_bits)
-        return scatter_bits(
-            len(records),
-            self.total_bits,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(bits, dtype=np.int64),
-        )
-
-    def attribute_distances(
-        self,
-        matrix_a: BitMatrix,
-        rows_a: np.ndarray,
-        matrix_b: BitMatrix,
-        rows_b: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        """Per-attribute Hamming distances for candidate pairs."""
-        return {
-            layout.name: masked_hamming_rows(
-                matrix_a.words, rows_a, matrix_b.words, rows_b, layout.offset, layout.stop
-            )
-            for layout in self.layouts
-        }
+        """The record-level filters of ``records``: the attributes' field-level
+        filters, concatenated."""
+        return self._embed_columns(records)[0]

@@ -6,13 +6,13 @@ overlapping clusters, from which blocks of candidate record pairs can then
 be generated".
 
 Implementation: the cheap distance is the Jaccard distance on record-level
-bigram sets (cheap because set intersection needs no dynamic programming).
+bigram vectors (cheap because it is two popcounts, no dynamic programming).
 Starting from the pooled records of both datasets, a random seed record
 founds a *canopy* containing every record within ``loose`` distance;
 records within ``tight`` distance are removed from the candidate-seed
 pool.  Candidate pairs are the cross-dataset pairs sharing a canopy.
 
-``link`` embeds bigram sets plus the A-sample c-vectors
+``link`` embeds bigram vectors plus the A-sample c-vectors
 (:func:`~repro.core.encoder.sampled_embedding`), clusters canopies as its
 blocking step and verifies with the shared compact-Hamming
 :func:`~repro.hamming.distance.verify_pairs`, like the other reference
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.minhash import record_bigram_set
+from repro.baselines.minhash import bigram_matrix
 from repro.core.encoder import sampled_embedding
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import decode_pairs, jaccard_distance_sets, verify_pairs
+from repro.hamming.distance import decode_pairs, jaccard_distance_rows, verify_pairs
+from repro.hamming.lsh import sorted_unique
 from repro.pipeline.result import LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
@@ -64,47 +65,36 @@ class CanopyLinker:
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
         self.seed = seed
 
-    def _candidates(
-        self, sets: list[frozenset[int]], n_a: int, n_b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Seed canopies over the pooled records (A then B); cross-dataset
-        co-members pair."""
+    def _candidates(self, words: np.ndarray, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Seed canopies over the pooled bigram rows (A then B), each seed
+        against every remaining row in one call; cross-dataset co-members pair."""
         rng = np.random.default_rng(self.seed)
-        remaining = set(range(n_a + n_b))
-        candidate_set: set[int] = set()
-        pool = list(remaining)
+        pool = list(range(n_a + n_b))
         rng.shuffle(pool)
+        remaining = np.ones(n_a + n_b, dtype=bool)
+        parts = [np.empty(0, dtype=np.int64)]
         for seed_idx in pool:
-            if seed_idx not in remaining:
+            if not remaining[seed_idx]:
                 continue
-            seed_set = sets[seed_idx]
-            canopy_a: list[int] = []
-            canopy_b: list[int] = []
-            for other in list(remaining):
-                distance = jaccard_distance_sets(seed_set, sets[other])
-                if distance <= self.loose:
-                    if other < n_a:
-                        canopy_a.append(other)
-                    else:
-                        canopy_b.append(other - n_a)
-                    if distance <= self.tight:
-                        remaining.discard(other)
-            remaining.discard(seed_idx)
-            for i in canopy_a:
-                for j in canopy_b:
-                    candidate_set.add(i * n_b + j)
-        encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
-        return decode_pairs(encoded, n_b)
+            others = np.flatnonzero(remaining)
+            distances = jaccard_distance_rows(words, seed_idx, words, others)
+            remaining[others[distances <= self.tight]] = False
+            remaining[seed_idx] = False
+            canopy = others[distances <= self.loose]
+            canopy_a, canopy_b = canopy[canopy < n_a], canopy[canopy >= n_a] - n_a
+            parts.append((canopy_a[:, None] * n_b + canopy_b).ravel())
+        return decode_pairs(sorted_unique(np.concatenate(parts)), n_b)
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> canopy blocking -> Hamming verify."""
         rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
         timings: dict[str, float] = {}
         with timed(timings, "embed"):
-            sets = [record_bigram_set(row, self.scheme) for row in [*rows_a, *rows_b]]
+            bits_a, bits_b = (bigram_matrix(rows, self.scheme) for rows in (rows_a, rows_b))
             matrix_a, matrix_b = sampled_embedding(rows_a, rows_b, self.scheme, self.seed)
         with timed(timings, "index"):
-            candidates = self._candidates(sets, len(rows_a), len(rows_b))
+            words = np.concatenate([bits_a.words, bits_b.words])
+            candidates = self._candidates(words, len(rows_a), len(rows_b))
         with timed(timings, "match"):
             out_a, out_b, distances = verify_pairs(
                 matrix_a.words, matrix_b.words, candidates, self.threshold

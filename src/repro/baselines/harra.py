@@ -10,7 +10,7 @@ blocking groups ``T_l`` are processed one after the other, and records
 classified as matched in table ``l`` are *removed* from all subsequent
 iterations ("early pruning"), which saves time but misses pairs.
 
-``link`` embeds bigram sets, builds the MinHash band keys and runs one
+``link`` embeds bigram vectors, builds the MinHash band keys and runs one
 fused candidate/verify iteration — the iteration is inherently
 sequential (each band's matches prune the next band's buckets), so
 unlike the other linkers it cannot split candidate generation from
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.minhash import (
-    MinHashLSH as MinHashLSH,
-    record_bigram_set as record_bigram_set,
-)
+from repro.baselines.minhash import MinHashLSH, bigram_matrix
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import jaccard_distance_sets
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.distance import jaccard_distance_rows
 from repro.pipeline.result import LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
@@ -79,44 +77,46 @@ class HarraLinker:
 
     def _match(
         self,
-        sets_a: list[frozenset[int]],
-        sets_b: list[frozenset[int]],
+        bits_a: BitMatrix,
+        bits_b: BitMatrix,
         keys_a: list[np.ndarray],
         keys_b: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """h-CC's fused candidate/verify iteration over the blocking groups:
-        ``(rows_a, rows_b)`` of the matches and the number of pairs compared."""
-        active_a = np.ones(len(sets_a), dtype=bool)
-        active_b = np.ones(len(sets_b), dtype=bool)
+        ``(rows_a, rows_b)`` of the matches and the number of pairs compared.
+        Per band and B record, one Jaccard call measures the bucket's active,
+        not yet compared A records; with early pruning, the pairs after the
+        first match count as not compared."""
+        words_a, words_b, n_b = bits_a.words, bits_b.words, bits_b.n_rows
+        active_a = np.ones(bits_a.n_rows, dtype=bool)
+        active_b = np.ones(n_b, dtype=bool)
         matched_a: list[int] = []
         matched_b: list[int] = []
-        compared: set[tuple[int, int]] = set()
+        compared: set[int] = set()  # a * n_b + b
 
         for band_a, band_b in zip(keys_a, keys_b):
-            buckets: dict[object, list[int]] = {}
-            for i in np.flatnonzero(active_a):
-                buckets.setdefault(band_a[i].item(), []).append(int(i))
-            for j in np.flatnonzero(active_b):
-                ids_a = buckets.get(band_b[j].item())
+            a_keys, b_keys = band_a.tolist(), band_b.tolist()
+            buckets: dict[bytes, list[int]] = {}
+            for i in np.flatnonzero(active_a).tolist():
+                buckets.setdefault(a_keys[i], []).append(i)
+            for j in np.flatnonzero(active_b).tolist():
+                ids_a = buckets.get(b_keys[j])
                 if not ids_a:
                     continue
-                j = int(j)
-                for i in ids_a:
-                    if not active_a[i]:
-                        continue
-                    pair = (i, j)
-                    if pair in compared:
-                        continue
-                    compared.add(pair)
-                    distance = jaccard_distance_sets(sets_a[i], sets_b[j])
-                    if distance <= self.threshold:
-                        matched_a.append(i)
-                        matched_b.append(j)
-                        if self.early_pruning:
-                            # h-CC: matched records leave the process.
-                            active_a[i] = False
-                            active_b[j] = False
-                            break
+                fresh = [i for i in ids_a if active_a[i] and i * n_b + j not in compared]
+                if not fresh:
+                    continue
+                close = jaccard_distance_rows(words_a, fresh, words_b, j) <= self.threshold
+                hits = [i for i, hit in zip(fresh, close.tolist()) if hit]
+                if self.early_pruning and hits:
+                    # h-CC: matched records leave the process.
+                    del hits[1:]
+                    del fresh[fresh.index(hits[0]) + 1 :]
+                    active_a[hits[0]] = False
+                    active_b[j] = False
+                compared.update([i * n_b + j for i in fresh])
+                matched_a += hits
+                matched_b += [j] * len(hits)
 
         return (
             np.asarray(matched_a, dtype=np.int64),
@@ -129,18 +129,12 @@ class HarraLinker:
         rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
         timings: dict[str, float] = {}
         with timed(timings, "embed"):
-            sets_a = [record_bigram_set(row, self.scheme) for row in rows_a]
-            sets_b = [record_bigram_set(row, self.scheme) for row in rows_b]
+            bits_a, bits_b = (bigram_matrix(rows, self.scheme) for rows in (rows_a, rows_b))
         with timed(timings, "index"):
-            lsh = MinHashLSH(
-                k=self.k,
-                n_tables=self.n_tables,
-                seed=self.seed,
-                prefix_fraction=self.permutation_prefix,
-            )
-            keys_a, keys_b = lsh.band_keys(sets_a), lsh.band_keys(sets_b)
+            lsh = MinHashLSH(self.k, self.n_tables, self.seed, self.permutation_prefix)
+            keys_a, keys_b = lsh.band_keys(bits_a), lsh.band_keys(bits_b)
         with timed(timings, "match"):
-            out_a, out_b, n_candidates = self._match(sets_a, sets_b, keys_a, keys_b)
+            out_a, out_b, n_candidates = self._match(bits_a, bits_b, keys_a, keys_b)
         return LinkageResult(
             rows_a=out_a,
             rows_b=out_b,

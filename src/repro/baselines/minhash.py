@@ -11,8 +11,9 @@ Random permutations are realised permutation-free with universal hashes
 ``min_{x in U_s} g(x)`` is distributed like the first set element under a
 random permutation, so ``Pr[minhash(A) = minhash(B)] ≈ Jaccard(A, B)``.
 
-The signature computation is vectorised with ``numpy.minimum.reduceat``
-over the concatenated element arrays of all records.
+Records are packed bigram vectors (:func:`bigram_matrix`); a signature
+reads each row's set bits, looks every hash up in a table over the q-gram
+space and takes one ``numpy.minimum.reduceat`` per hash.
 
 Besides the raw machinery this module provides :class:`MinHashLinker` —
 a *non-iterative* MinHash LSH linker that runs all bands to completion,
@@ -22,24 +23,42 @@ the ablation partner of HARRA's early-pruning h-CC.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cvector import HASH_PRIME
+from repro.core.cvector import HASH_PRIME, embed_columns, record_errors
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import decode_pairs, jaccard_distance_sets
+from repro.hamming.bitmatrix import BitMatrix
+from repro.hamming.distance import decode_pairs, jaccard_distance_rows
 from repro.hamming.lsh import sorted_unique
 from repro.pipeline.result import LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
 
+#: Bytes of the bit-per-byte sheet :meth:`MinHasher.signatures` unpacks at a time.
+_UNPACK_BYTES = 1 << 22
 
-def record_bigram_set(values: Sequence[str], scheme: QGramScheme) -> frozenset[int]:
-    """One q-gram index set for the whole record (all attributes merged)."""
-    out: set[int] = set()
-    for value in values:
-        out |= scheme.index_set(value)
-    return frozenset(out)
+
+@dataclass(frozen=True)
+class _QGramVector:
+    """Section 4.1's q-gram vector as a column encoder: q-gram id ``x`` is bit ``x``."""
+
+    scheme: QGramScheme
+
+    def gram_bits(self, ids: np.ndarray) -> np.ndarray:
+        return ids[:, None]
+
+
+def bigram_matrix(rows: Sequence[Sequence[str]], scheme: QGramScheme) -> BitMatrix:
+    """HARRA's record-level bigram vectors: every attribute's q-gram ids ORed
+    into one ``|S|^q``-bit row (identical bigrams of two attributes share a
+    bit).  Records take the first one's arity; attributes are ``f1, f2, ...``."""
+    arity = len(rows[0]) if len(rows) else 1
+    encoders = [_QGramVector(scheme)] * arity
+    with record_errors(rows, [f"f{i + 1}" for i in range(arity)], encoders):
+        columns = [[row[att] for row in rows] for att in range(arity)]
+        return embed_columns(encoders, [0] * arity, columns, scheme.space_size)[0]
 
 
 class MinHasher:
@@ -88,27 +107,24 @@ class MinHasher:
         values = np.where(values < self._cutoff, values, self.p)
         return values.min(axis=1)
 
-    def signatures(self, sets: Sequence[frozenset[int]]) -> np.ndarray:
-        """Signature matrix for many sets (shape ``(n_sets, n_hashes)``).
-
-        Empty sets get the sentinel signature ``p`` in every slot, which
-        never collides with a non-empty set's minimum (< p).  No sets give
-        a ``(0, n_hashes)`` matrix.
-        """
-        lengths = np.asarray([len(s) for s in sets], dtype=np.int64)
-        output = np.full((len(sets), self.n_hashes), self.p, dtype=np.int64)
-        non_empty = np.flatnonzero(lengths)
-        if non_empty.size == 0:
-            return output
-        elements = np.concatenate(
-            [np.fromiter(sets[int(i)], dtype=np.int64, count=lengths[i]) for i in non_empty]
-        )
-        offsets = np.zeros(non_empty.size, dtype=np.int64)
-        np.cumsum(lengths[non_empty][:-1], out=offsets[1:])
-        for h in range(self.n_hashes):
-            values = (self._a[h] * elements + self._b[h]) % self.p
-            values = np.where(values < self._cutoff, values, self.p)
-            output[non_empty, h] = np.minimum.reduceat(values, offsets)
+    def signatures(self, matrix: BitMatrix) -> np.ndarray:
+        """:meth:`signature` of each row's set bits (shape ``(n_rows, n_hashes)``),
+        a few MB of unpacked rows at a time, each hash tabulated over the
+        ``n_bits`` elements.  Empty rows get the sentinel ``p`` in every slot,
+        which never collides with a non-empty set's minimum (< p)."""
+        space = np.arange(matrix.n_bits, dtype=np.int64)
+        output = np.full((matrix.n_rows, self.n_hashes), self.p, dtype=np.int64)
+        words = np.ascontiguousarray(matrix.words, dtype="<u8")
+        step = _UNPACK_BYTES // (64 * words.shape[1]) + 1
+        for lo in range(0, matrix.n_rows, step):
+            sheet = np.unpackbits(words[lo : lo + step].view(np.uint8), axis=1, bitorder="little")
+            rows, elements = sheet.nonzero()
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each non-empty row's first bit
+            non_empty = rows[starts] + lo
+            for h in range(self.n_hashes):
+                table = (self._a[h] * space + self._b[h]) % self.p
+                table[table >= self._cutoff] = self.p
+                output[non_empty, h] = np.minimum.reduceat(table.take(elements), starts)
         return output
 
 
@@ -133,16 +149,12 @@ class MinHashLSH:
         self.n_tables = n_tables
         self.hasher = MinHasher(k * n_tables, seed=seed, prefix_fraction=prefix_fraction)
 
-    def band_keys(self, sets: Sequence[frozenset[int]]) -> list[np.ndarray]:
-        """One key array per band; keys are hashable row tuples packed as bytes."""
-        signatures = self.hasher.signatures(sets)
-        keys: list[np.ndarray] = []
-        for band in range(self.n_tables):
-            chunk = np.ascontiguousarray(
-                signatures[:, band * self.k : (band + 1) * self.k]
-            )
-            keys.append(chunk.view([("", chunk.dtype)] * self.k).ravel())
-        return keys
+    def band_keys(self, matrix: BitMatrix) -> list[np.ndarray]:
+        """One key array per band over the sets ``matrix``'s rows hold: each
+        row's ``K`` signature slots as one ``8K``-byte value (``tolist``
+        gives hashable ``bytes``)."""
+        bands = np.split(self.hasher.signatures(matrix), self.n_tables, axis=1)
+        return [np.ascontiguousarray(band).view(f"V{8 * self.k}").ravel() for band in bands]
 
 
 def collision_probability(jaccard_similarity: float, k: int, n_tables: int) -> float:
@@ -194,14 +206,14 @@ class MinHashLinker:
         self, keys_a: list[np.ndarray], keys_b: list[np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
         """De-duplicated candidates from *all* bands."""
-        n_a, n_b = keys_a[0].size, keys_b[0].size
+        n_b = keys_b[0].size
         parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         for band_a, band_b in zip(keys_a, keys_b):
-            buckets: dict[object, list[int]] = {}
-            for i in range(n_a):
-                buckets.setdefault(band_a[i].item(), []).append(i)
-            for j in range(n_b):
-                ids_a = buckets.get(band_b[j].item())
+            buckets: dict[bytes, list[int]] = {}
+            for i, key in enumerate(band_a.tolist()):
+                buckets.setdefault(key, []).append(i)
+            for j, key in enumerate(band_b.tolist()):
+                ids_a = buckets.get(key)
                 if ids_a:
                     parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
         return decode_pairs(sorted_unique(np.concatenate(parts)), n_b)
@@ -211,26 +223,13 @@ class MinHashLinker:
         rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
         timings: dict[str, float] = {}
         with timed(timings, "embed"):
-            sets_a = [record_bigram_set(row, self.scheme) for row in rows_a]
-            sets_b = [record_bigram_set(row, self.scheme) for row in rows_b]
+            bits_a, bits_b = (bigram_matrix(rows, self.scheme) for rows in (rows_a, rows_b))
         with timed(timings, "index"):
-            lsh = MinHashLSH(
-                k=self.k,
-                n_tables=self.n_tables,
-                seed=self.seed,
-                prefix_fraction=self.prefix_fraction,
-            )
-            keys_a, keys_b = lsh.band_keys(sets_a), lsh.band_keys(sets_b)
+            lsh = MinHashLSH(self.k, self.n_tables, self.seed, self.prefix_fraction)
+            keys_a, keys_b = lsh.band_keys(bits_a), lsh.band_keys(bits_b)
         with timed(timings, "match"):
             cand_a, cand_b = self._candidates(keys_a, keys_b)
-            distances = np.fromiter(
-                (
-                    jaccard_distance_sets(sets_a[i], sets_b[j])
-                    for i, j in zip(cand_a.tolist(), cand_b.tolist())
-                ),
-                dtype=np.float64,
-                count=int(cand_a.size),
-            )
+            distances = jaccard_distance_rows(bits_a.words, cand_a, bits_b.words, cand_b)
             keep = distances <= self.threshold
         return LinkageResult(
             rows_a=cand_a[keep],

@@ -17,6 +17,7 @@ import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
+from typing import Protocol
 
 import numpy as np
 
@@ -193,6 +194,10 @@ class CVectorEncoder:
 
     # -- per-string API -------------------------------------------------------
 
+    def gram_bits(self, ids: np.ndarray) -> np.ndarray:
+        """``g(x)`` of every q-gram id, one column: the c-vector's gram -> bit table."""
+        return self.hash_fn.apply(ids)[:, None]
+
     def compact_indices(self, value: str) -> frozenset[int]:
         """The set of compact positions ``{g(x) : x in U_s}`` for ``value``."""
         return frozenset(self.hash_fn(x) for x in self.scheme.index_set(value))
@@ -252,10 +257,7 @@ def value_bits(encoder: CVectorEncoder, offset: int, value: str) -> int:
     """The c-vector of ``value`` as an integer, its bits shifted by ``offset``:
     :func:`~repro.core.qgram.qgram_index_set` and ``g`` in plain Python, uncached."""
     scheme = encoder.scheme
-    try:
-        grams = qgram_index_set(value, scheme.q, scheme.alphabet, scheme.padded, scheme.pad_char)
-    except AlphabetError as err:
-        raise AlphabetError(f"{err} (value {value!r})") from None
+    grams = qgram_index_set(value, scheme.q, scheme.alphabet, scheme.padded, scheme.pad_char)
     a, b, p, m = encoder.hash_fn.a, encoder.hash_fn.b, encoder.hash_fn.p, encoder.hash_fn.m
     bits = 0
     for x in grams:
@@ -298,8 +300,54 @@ def embed_values(
     return BitMatrix(np.frombuffer(packed, dtype="<u8").reshape(len(rows), n_bytes // 8), n_bits)
 
 
+class ColumnEncoder(Protocol):
+    """A column's encoder: its q-gram scheme and, per q-gram id, the ``w``
+    bit positions the gram sets (``gram_bits``, shape ``(ids.size, w)``)."""
+
+    scheme: QGramScheme
+
+    def gram_bits(self, ids: np.ndarray) -> np.ndarray: ...
+
+
+class record_errors:
+    """The input policy of every record embed, for a ``with`` block: a ragged
+    record raises ``ValueError`` up front, and an :class:`AlphabetError` from
+    the block is raised again naming the first row (in batch order) and
+    attribute whose value the attribute's scheme rejects.  A class like
+    :class:`contextlib.suppress`, as a generator costs a one-row query ~2 us."""
+
+    __slots__ = ("records", "names", "encoders")
+
+    def __init__(
+        self,
+        records: Sequence[Sequence[str]],
+        names: Sequence[str],
+        encoders: Sequence[ColumnEncoder],
+    ) -> None:
+        arity = len(encoders)
+        if set(map(len, records)) - {arity}:
+            ragged = next(record for record in records if len(record) != arity)
+            raise ValueError(f"record has {len(ragged)} values, encoder expects {arity}")
+        self.records, self.names, self.encoders = records, names, encoders
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind: type[BaseException] | None, *__: object) -> None:
+        if kind is None or not issubclass(kind, AlphabetError):
+            return
+        for row, record in enumerate(self.records):
+            for name, enc, value in zip(self.names, self.encoders, record):
+                try:
+                    enc.scheme.index_set(value)
+                except AlphabetError as err:
+                    raise AlphabetError(
+                        f"{err} (value {value!r}) in row {row}, attribute {name!r}"
+                    ) from None
+
+
 def embed_columns(
-    encoders: Sequence[CVectorEncoder],
+    encoders: Sequence[ColumnEncoder],
     offsets: Sequence[int],
     columns: Sequence[Sequence[str]],
     n_bits: int,
@@ -307,12 +355,12 @@ def embed_columns(
     """Embed parallel attribute columns into one ``n_bits``-wide matrix.
 
     Value-granular: every *distinct* value of every column is tokenised,
-    hashed (through ``g`` tabulated over the whole q-gram space once a
-    block is as large as that space) and packed once into a matrix-wide
-    word row with its bits shifted by the column's bit offset,
-    ``VALUE_BLOCK`` values at a time; each record then ORs together the
-    rows of its values — one blocked row gather per column.
-    Returns the matrix and the number of distinct values.
+    mapped to the ``w`` bits per q-gram of its encoder's ``gram_bits``
+    (tabulated over the q-gram space once a block is as large as that
+    space) and packed once into a matrix-wide word row with its bits
+    shifted by the column's bit offset, ``VALUE_BLOCK`` values at a time;
+    each record then ORs together the rows of its values — one blocked row
+    gather per column.  Returns the matrix and the number of distinct values.
     """
     numbered = [_number_values(values) for values in columns]
     distinct = [unique for unique, __ in numbered]
@@ -324,18 +372,19 @@ def embed_columns(
     fresh = np.empty((sum(map(len, distinct)), (n_bits + 63) // 64), dtype=np.uint64)
     counts: list[np.ndarray] = []
     bits: list[np.ndarray] = []
-    tables: dict[int, np.ndarray] = {}  # bit offset -> g(x) + offset over the column's q-gram space
+    tables: dict[tuple[ColumnEncoder, int], np.ndarray] = {}  # gram_bits + offset over the space
     done = 0
     for i, (enc, offset, block) in enumerate(blocks):
         flat, block_counts = _tokenise(block, enc.scheme)
-        counts.append(block_counts)
-        table = tables.get(offset)
+        table = tables.get((enc, offset))
         if table is None and enc.scheme.space_size <= flat.size:  # costs no more than the block
-            table = tables[offset] = enc.hash_fn.apply(np.arange(enc.scheme.space_size)) + offset
+            table = tables[enc, offset] = enc.gram_bits(np.arange(enc.scheme.space_size)) + offset
         if table is None:
-            bits.append(enc.hash_fn.apply(flat) + offset)
+            block_bits = enc.gram_bits(flat) + offset
         else:
-            bits.append(table.take(flat, mode="clip"))
+            block_bits = table.take(flat, 0, mode="clip")
+        counts.append(block_counts * block_bits.shape[1])  # a value's row, once per bit it sets
+        bits.append(block_bits.ravel())
         pending = sum(map(len, counts))
         if pending >= VALUE_BLOCK or i == len(blocks) - 1:  # small columns share a scatter
             rows = np.repeat(np.arange(pending), np.concatenate(counts))

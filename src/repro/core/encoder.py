@@ -17,17 +17,17 @@ import numpy as np
 
 from repro.core.cvector import (
     SMALL_BATCH_ROWS,
+    ColumnEncoder,
     CVectorEncoder,
     embed_columns,
     embed_values,
-    value_bits,
+    record_errors,
 )
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
-from repro.text.alphabet import AlphabetError
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,18 @@ class AttributeLayout:
         return self.offset + self.width
 
 
-class RecordEncoder:
-    """Encode multi-attribute string records into record-level c-vectors.
+class RecordLayout:
+    """One column encoder per attribute, in record order, their ``widths``
+    side by side in one record-level vector; ``names`` default to ``f1,
+    f2, ...``.  The base of :class:`RecordEncoder` and of BfH's Bloom
+    record encoder."""
 
-    Parameters
-    ----------
-    encoders:
-        One :class:`CVectorEncoder` per attribute, in record order.
-    names:
-        Attribute names (``f_1 .. f_nf``); defaults to ``f1, f2, ...``.
-    """
-
-    def __init__(self, encoders: Sequence[CVectorEncoder], names: Sequence[str] | None = None):
+    def __init__(
+        self,
+        encoders: Sequence[ColumnEncoder],
+        widths: Sequence[int],
+        names: Sequence[str] | None = None,
+    ):
         if not encoders:
             raise ValueError("encoders must be non-empty")
         if names is None:
@@ -67,19 +67,11 @@ class RecordEncoder:
         self.names = list(names)
         self.layouts: list[AttributeLayout] = []
         offset = 0
-        for name, enc in zip(self.names, self.encoders):
-            self.layouts.append(AttributeLayout(name=name, offset=offset, width=enc.m))
-            offset += enc.m
+        for name, width in zip(self.names, widths):
+            self.layouts.append(AttributeLayout(name=name, offset=offset, width=width))
+            offset += width
         self._by_name = {layout.name: i for i, layout in enumerate(self.layouts)}
         self._offsets = [layout.offset for layout in self.layouts]
-        self._memos: list[dict[str, int]] = [{} for __ in self.encoders]
-
-    def __getstate__(self) -> dict[str, object]:
-        return {**self.__dict__, "_memos": [{} for __ in self.encoders]}  # arrives cold
-
-    def clear_value_rows(self) -> None:
-        """Empty the value memos (the next small batch starts cold)."""
-        self._memos = [{} for __ in self.encoders]
 
     @property
     def n_attributes(self) -> int:
@@ -87,7 +79,7 @@ class RecordEncoder:
 
     @property
     def total_bits(self) -> int:
-        """``m̄_opt``: the record-level c-vector width."""
+        """The record-level vector width (``m̄_opt`` for c-vectors)."""
         return self.layouts[-1].stop
 
     def layout(self, attribute: str) -> AttributeLayout:
@@ -97,6 +89,53 @@ class RecordEncoder:
         except KeyError:
             raise KeyError(f"unknown attribute {attribute!r}; have {self.names}") from None
 
+    def _embed_columns(self, records: Sequence[Sequence[str]]) -> tuple[BitMatrix, int]:
+        """``(matrix, distinct values)`` of the records, column by column."""
+        with record_errors(records, self.names, self.encoders):
+            columns = [[record[att] for record in records] for att in range(self.n_attributes)]
+            return embed_columns(self.encoders, self._offsets, columns, self.total_bits)
+
+    def attribute_distances(
+        self, matrix_a: BitMatrix, rows_a: np.ndarray, matrix_b: BitMatrix, rows_b: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Per-attribute Hamming distances for candidate pairs.
+
+        Both matrices must be record-level matrices from this encoder.  The
+        distances are computed by slicing each attribute's bit range, which
+        is what the matching step's classification rules consume.
+        """
+        return {
+            layout.name: masked_hamming_rows(
+                matrix_a.words, rows_a, matrix_b.words, rows_b, layout.offset, layout.stop
+            )
+            for layout in self.layouts
+        }
+
+
+class RecordEncoder(RecordLayout):
+    """Encode multi-attribute string records into record-level c-vectors.
+
+    Parameters
+    ----------
+    encoders:
+        One :class:`CVectorEncoder` per attribute, in record order.
+    names:
+        Attribute names (``f_1 .. f_nf``); defaults to ``f1, f2, ...``.
+    """
+
+    encoders: list[CVectorEncoder]
+
+    def __init__(self, encoders: Sequence[CVectorEncoder], names: Sequence[str] | None = None):
+        super().__init__(encoders, [enc.m for enc in encoders], names)
+        self._memos: list[dict[str, int]] = [{} for __ in self.encoders]
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_memos": [{} for __ in self.encoders]}  # arrives cold
+
+    def clear_value_rows(self) -> None:
+        """Empty the value memos (the next small batch starts cold)."""
+        self._memos = [{} for __ in self.encoders]
+
     def attribute_encoder(self, attribute: str) -> CVectorEncoder:
         return self.encoders[self._by_name[attribute]]
 
@@ -104,17 +143,11 @@ class RecordEncoder:
 
     def encode(self, values: Sequence[str]) -> BitVector:
         """Record-level c-vector: attribute-level c-vectors concatenated."""
-        self._check_arity(values)
-        out = self.encoders[0].encode(values[0])
-        for enc, value in zip(self.encoders[1:], values[1:]):
-            out = out.concat(enc.encode(value))
+        with record_errors([values], self.names, self.encoders):
+            out = self.encoders[0].encode(values[0])
+            for enc, value in zip(self.encoders[1:], values[1:]):
+                out = out.concat(enc.encode(value))
         return out
-
-    def _check_arity(self, values: Sequence[str]) -> None:
-        if len(values) != self.n_attributes:
-            raise ValueError(
-                f"record has {len(values)} values, encoder expects {self.n_attributes}"
-            )
 
     # -- dataset API --------------------------------------------------------------
 
@@ -136,22 +169,17 @@ class RecordEncoder:
 
         ``stats``, when given, receives interning counters
         (``intern_values``, ``intern_unique``, ``intern_hit_rate``).  No
-        records encode to a ``(0, total_bits)`` matrix.
+        records encode to a ``(0, total_bits)`` matrix.  Errors follow
+        :func:`repro.core.cvector.record_errors`.
         """
-        if set(map(len, records)) != {self.n_attributes}:
-            for record in records:
-                self._check_arity(record)
-        offsets = self._offsets
-        try:
-            if len(records) <= SMALL_BATCH_ROWS:
-                matrix = embed_values(self.encoders, offsets, records, self.total_bits, self._memos)
-                n_unique = 0 if stats is None else sum(len(set(col)) for col in zip(*records))
-            else:
-                columns = [[record[att] for record in records] for att in range(self.n_attributes)]
-                matrix, n_unique = embed_columns(self.encoders, offsets, columns, self.total_bits)
-        except AlphabetError:
-            self._raise_at_first_bad_value(records)
-            raise
+        if len(records) <= SMALL_BATCH_ROWS:
+            with record_errors(records, self.names, self.encoders):
+                matrix = embed_values(
+                    self.encoders, self._offsets, records, self.total_bits, self._memos
+                )
+            n_unique = 0 if stats is None else sum(len(set(col)) for col in zip(*records))
+        else:
+            matrix, n_unique = self._embed_columns(records)
         if stats is not None:
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)
@@ -159,39 +187,10 @@ class RecordEncoder:
             stats["intern_hit_rate"] = 1.0 - n_unique / n_values if n_values else 0.0
         return matrix
 
-    def _raise_at_first_bad_value(self, records: Sequence[Sequence[str]]) -> None:
-        """Raise the :class:`AlphabetError` of the first record (in batch order)
-        and attribute whose value is outside the alphabet: both embedding paths
-        report the same row and attribute, whatever order they met the value in."""
-        for row, record in enumerate(records):
-            for name, enc, value in zip(self.names, self.encoders, record):
-                try:
-                    value_bits(enc, 0, value)
-                except AlphabetError as err:
-                    raise AlphabetError(f"{err} in row {row}, attribute {name!r}") from None
-
     def encode_attribute(self, records: Sequence[Sequence[str]], attribute: str) -> BitMatrix:
         """Attribute-level matrix for one named attribute."""
         idx = self._by_name[attribute]
         return self.encoders[idx].encode_all([record[idx] for record in records])
-
-    def attribute_distances(
-        self, matrix_a: BitMatrix, rows_a: np.ndarray, matrix_b: BitMatrix, rows_b: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """Per-attribute Hamming distances for candidate pairs.
-
-        Both matrices must be record-level matrices from this encoder.  The
-        distances are computed by slicing each attribute's bit range, which
-        is what the matching step's classification rules consume.
-        """
-        out: dict[str, np.ndarray] = {}
-        words_a = matrix_a.words
-        words_b = matrix_b.words
-        for layout in self.layouts:
-            out[layout.name] = masked_hamming_rows(
-                words_a, rows_a, words_b, rows_b, layout.offset, layout.stop
-            )
-        return out
 
     # -- calibration ----------------------------------------------------------------
 

@@ -7,7 +7,7 @@ spaces H and H-hat throughout the paper.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -173,12 +173,36 @@ def normalized_hamming(v1: BitVector, v2: BitVector) -> float:
     return v1.hamming(v2) / v1.n_bits
 
 
+def jaccard_distance_rows(
+    words_a: np.ndarray,
+    rows_a: "np.ndarray | Sequence[int] | int",
+    words_b: np.ndarray,
+    rows_b: "np.ndarray | Sequence[int] | int",
+) -> np.ndarray:
+    """Jaccard distances of the index sets held as bit rows ``words_a[rows_a[i]]``
+    and ``words_b[rows_b[i]]`` (either side may be one row index, paired with
+    every row of the other): popcounts of AND and OR, ``DEFAULT_BLOCK_ROWS``
+    pairs at a time, each the float :func:`jaccard_distance_sets` gives."""
+    rows_a, rows_b = np.asarray(rows_a), np.asarray(rows_b)
+    ones = _word_ones(words_a.shape[1])
+    out = np.empty(max(rows_a.size, rows_b.size), dtype=np.float64)
+    for lo in range(0, out.size, DEFAULT_BLOCK_ROWS):
+        hi = lo + DEFAULT_BLOCK_ROWS
+        a = words_a.take(rows_a if rows_a.ndim == 0 else rows_a[lo:hi], 0)
+        b = words_b.take(rows_b if rows_b.ndim == 0 else rows_b[lo:hi], 0)
+        union = np.bitwise_count(a | b).dot(ones)
+        inter = np.bitwise_count(a & b).dot(ones)
+        out[lo:hi] = np.where(union > 0, 1.0 - inter / np.maximum(union, 1), 0.0)
+    return out
+
+
 def jaccard_distance_sets(set_a: frozenset | set, set_b: frozenset | set) -> float:
     """Jaccard distance ``1 - |A ∩ B| / |A ∪ B|`` between two index sets.
 
     Used by Section 5.1's comparison against the Jaccard space J (the space
-    of q-gram index sets ``U_s``) and by the HARRA baseline.  The distance
-    between two empty sets is defined as 0.
+    of q-gram index sets ``U_s``), and the scalar reference of
+    :func:`jaccard_distance_rows`.  The distance between two empty sets is
+    defined as 0.
     """
     if not set_a and not set_b:
         return 0.0

@@ -38,7 +38,7 @@ class TestBloomFieldEncoder:
     def test_membership_superset(self):
         """The filter of a string contains every one of its bigram's bits."""
         enc = BloomFieldEncoder()
-        filter_positions = enc.positions("JONES")
+        filter_positions = set(enc.encode("JONES").indices())
         for gram in enc.scheme.grams("JONES"):
             assert set(bloom_positions(gram, 500, 15)) <= filter_positions
 

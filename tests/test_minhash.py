@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.minhash import MinHasher, MinHashLSH, collision_probability
+from repro.hamming.bitmatrix import BitMatrix
 
 SETS = st.sets(st.integers(0, 675), min_size=1, max_size=25).map(frozenset)
 
@@ -21,8 +22,8 @@ class TestMinHasher:
 
     def test_bulk_matches_single(self):
         hasher = MinHasher(8, seed=2)
-        sets = [frozenset({1, 5, 9}), frozenset({2}), frozenset(), frozenset({1, 5, 9})]
-        bulk = hasher.signatures(sets)
+        sets = [{1, 5, 9}, {2}, set(), {1, 5, 9}]
+        bulk = hasher.signatures(BitMatrix.from_index_sets(sets, 676))
         for i, s in enumerate(sets):
             assert (bulk[i] == hasher.signature(sorted(s))).all()
 
@@ -31,7 +32,7 @@ class TestMinHasher:
         assert (hasher.signature([]) == hasher.p).all()
 
     def test_no_sets_is_zero_rows(self):
-        signatures = MinHasher(4, seed=3).signatures([])
+        signatures = MinHasher(4, seed=3).signatures(BitMatrix.zeros(0, 676))
         assert signatures.shape == (0, 4) and signatures.dtype == np.int64
 
     def test_subset_minimum_dominates(self):
@@ -66,8 +67,8 @@ class TestMinHasher:
 
     def test_prefix_signatures_bulk_matches_single(self):
         hasher = MinHasher(8, seed=11, prefix_fraction=0.05)
-        sets = [frozenset({1, 5, 9}), frozenset({2, 600})]
-        bulk = hasher.signatures(sets)
+        sets = [{1, 5, 9}, {2, 600}]
+        bulk = hasher.signatures(BitMatrix.from_index_sets(sets, 676))
         for i, s in enumerate(sets):
             assert (bulk[i] == hasher.signature(sorted(s))).all()
 
@@ -84,19 +85,19 @@ class TestMinHasher:
 class TestMinHashLSH:
     def test_band_keys_shape(self):
         lsh = MinHashLSH(k=5, n_tables=3, seed=0)
-        keys = lsh.band_keys([frozenset({1}), frozenset({2})])
+        keys = lsh.band_keys(BitMatrix.from_index_sets([{1}, {2}], 676))
         assert len(keys) == 3
         assert all(k.shape == (2,) for k in keys)
 
     def test_identical_sets_collide_everywhere(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=1)
-        keys = lsh.band_keys([frozenset({1, 2, 3}), frozenset({1, 2, 3})])
+        keys = lsh.band_keys(BitMatrix.from_index_sets([{1, 2, 3}, {1, 2, 3}], 676))
         for band in keys:
             assert band[0] == band[1]
 
     def test_disjoint_sets_rarely_collide(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=2)
-        keys = lsh.band_keys([frozenset(range(50)), frozenset(range(100, 150))])
+        keys = lsh.band_keys(BitMatrix.from_index_sets([range(50), range(100, 150)], 676))
         agreements = sum(bool(band[0] == band[1]) for band in keys)
         assert agreements == 0
 
