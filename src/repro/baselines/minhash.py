@@ -13,11 +13,15 @@ random permutation, so ``Pr[minhash(A) = minhash(B)] ≈ Jaccard(A, B)``.
 
 Records are packed bigram vectors (:func:`bigram_matrix`); a signature
 reads each row's set bits, looks every hash up in a table over the q-gram
-space and takes one ``numpy.minimum.reduceat`` per hash.
+space and takes one ``numpy.minimum.reduceat`` per hash.  A band's ``K``
+slots are its blocking key; :meth:`MinHashLSH.band_keys` also hashes them
+to one ``uint64`` per band and row, the key array of the sort-merge join
+every LSH blocker shares (:func:`repro.hamming.lsh.join_keys`, which drops
+pairs whose slots differ, so a hash collision formulates no pair).
 
 Besides the raw machinery this module provides :class:`MinHashLinker` —
-a *non-iterative* MinHash LSH linker that runs all bands to completion,
-the ablation partner of HARRA's early-pruning h-CC.
+a *non-iterative* MinHash LSH linker that runs all bands to completion in
+one join, the ablation partner of HARRA's early-pruning h-CC.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.core.cvector import HASH_PRIME, embed_columns, record_errors
 from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.distance import decode_pairs, jaccard_distance_rows
-from repro.hamming.lsh import sorted_unique
+from repro.hamming.lsh import hash_keys, join_keys, sorted_unique
 from repro.pipeline.result import LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
@@ -149,12 +153,13 @@ class MinHashLSH:
         self.n_tables = n_tables
         self.hasher = MinHasher(k * n_tables, seed=seed, prefix_fraction=prefix_fraction)
 
-    def band_keys(self, matrix: BitMatrix) -> list[np.ndarray]:
-        """One key array per band over the sets ``matrix``'s rows hold: each
-        row's ``K`` signature slots as one ``8K``-byte value (``tolist``
-        gives hashable ``bytes``)."""
-        bands = np.split(self.hasher.signatures(matrix), self.n_tables, axis=1)
-        return [np.ascontiguousarray(band).view(f"V{8 * self.k}").ravel() for band in bands]
+    def band_keys(self, matrix: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The bands of the sets ``matrix``'s rows hold, as the blocking keys
+        :func:`~repro.hamming.lsh.join_keys` takes: the ``(L, n, K)``
+        signature slots of each band and row, and their ``(L, n)`` hashes."""
+        signatures = self.hasher.signatures(matrix)
+        bands = signatures.reshape(matrix.n_rows, self.n_tables, self.k).transpose(1, 0, 2)
+        return bands, hash_keys(bands)
 
 
 def collision_probability(jaccard_similarity: float, k: int, n_tables: int) -> float:
@@ -202,22 +207,6 @@ class MinHashLinker:
         self.prefix_fraction = prefix_fraction
         self.seed = seed
 
-    def _candidates(
-        self, keys_a: list[np.ndarray], keys_b: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """De-duplicated candidates from *all* bands."""
-        n_b = keys_b[0].size
-        parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        for band_a, band_b in zip(keys_a, keys_b):
-            buckets: dict[bytes, list[int]] = {}
-            for i, key in enumerate(band_a.tolist()):
-                buckets.setdefault(key, []).append(i)
-            for j, key in enumerate(band_b.tolist()):
-                ids_a = buckets.get(key)
-                if ids_a:
-                    parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
-        return decode_pairs(sorted_unique(np.concatenate(parts)), n_b)
-
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> index -> all-band candidates -> Jaccard verify."""
         rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
@@ -226,9 +215,11 @@ class MinHashLinker:
             bits_a, bits_b = (bigram_matrix(rows, self.scheme) for rows in (rows_a, rows_b))
         with timed(timings, "index"):
             lsh = MinHashLSH(self.k, self.n_tables, self.seed, self.prefix_fraction)
-            keys_a, keys_b = lsh.band_keys(bits_a), lsh.band_keys(bits_b)
+            (bands_a, keys_a), (bands_b, keys_b) = lsh.band_keys(bits_a), lsh.band_keys(bits_b)
         with timed(timings, "match"):
-            cand_a, cand_b = self._candidates(keys_a, keys_b)
+            # Every band in one join; a pair formulated by several bands once.
+            pairs = sorted_unique(join_keys(keys_a, keys_b, bands_a, bands_b))
+            cand_a, cand_b = decode_pairs(pairs, len(rows_b))
             distances = jaccard_distance_rows(bits_a.words, cand_a, bits_b.words, cand_b)
             keep = distances <= self.threshold
         return LinkageResult(

@@ -14,17 +14,21 @@ the Hamming bound does for HB.
 
 :class:`EuclideanLSH` mirrors :class:`repro.hamming.lsh.HammingLSH`'s
 ``index`` / ``candidate_pairs`` API, so :class:`repro.baselines.smeb.SMEBLinker`
-blocks with it exactly as BfH blocks with ``HammingLSH``.
+blocks with it exactly as BfH blocks with ``HammingLSH``.  A table's key is
+a row's ``K`` floors, hashed to one ``uint64``; ``index`` keeps dataset A's
+floors and hashes, and ``candidate_pairs`` is the sort-merge join every LSH
+blocker shares (:func:`repro.hamming.lsh.join_keys`), which drops the pairs
+whose floors differ.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
-from repro.hamming.lsh import sorted_unique
+from repro.hamming.distance import decode_pairs
+from repro.hamming.lsh import hash_keys, join_keys, sorted_unique
 from repro.hamming.theory import optimal_table_count
 
 #: Datar et al. recommend a bucket width of a few units; w = 4 is the
@@ -101,51 +105,37 @@ class EuclideanLSH:
         # One (dim, K) projection matrix and one (K,) offset per table.
         self._projections = [rng.standard_normal((dim, k)) for __ in range(n_tables)]
         self._offsets = [rng.uniform(0.0, w, size=k) for __ in range(n_tables)]
-        self._buckets: list[dict[bytes, list[int]]] = [{} for __ in range(n_tables)]
         self._indexed: np.ndarray | None = None
+        self._keys_a: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _keys(self, points: np.ndarray, table: int) -> np.ndarray:
-        hashed = np.floor(
-            (points @ self._projections[table] + self._offsets[table]) / self.w
-        ).astype(np.int64)
-        return hashed
+    def _keys(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every table's ``K`` floors per row, ``(L, n, K)``, and their
+        ``(L, n)`` hashes: the key arrays of :func:`join_keys`."""
+        floors = np.stack(
+            [
+                np.floor((points @ projection + offset) / self.w).astype(np.int64)
+                for projection, offset in zip(self._projections, self._offsets)
+            ]
+        )
+        return floors, hash_keys(floors)
 
     def index(self, points: np.ndarray) -> None:
-        """Store dataset A's vectors (row index = record id)."""
+        """Store dataset A's vectors (row index = record id) and their keys."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {points.shape}")
         self._indexed = points
-        for table in range(self.n_tables):
-            keys = self._keys(points, table)
-            buckets = self._buckets[table]
-            for i in range(points.shape[0]):
-                buckets.setdefault(keys[i].tobytes(), []).append(i)
-
-    def _pairs_per_table(self, points_b: np.ndarray) -> Iterator[np.ndarray]:
-        n_b = points_b.shape[0]
-        for table in range(self.n_tables):
-            keys_b = self._keys(points_b, table)
-            buckets = self._buckets[table]
-            parts: list[np.ndarray] = []
-            for j in range(n_b):
-                ids_a = buckets.get(keys_b[j].tobytes())
-                if ids_a:
-                    parts.append(np.asarray(ids_a, dtype=np.int64) * n_b + j)
-            yield np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        self._keys_a = self._keys(points)
 
     def candidate_pairs(self, points_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """De-duplicated candidate pairs against the indexed dataset."""
+        """De-duplicated candidate pairs against the indexed dataset, sorted by
+        ``a * n_B + b``: every table's sort-merge join, a pair once."""
         points_b = np.asarray(points_b, dtype=np.float64)
-        if self._indexed is None:
+        if self._keys_a is None:
             raise RuntimeError("call index() before candidate_pairs()")
-        chunks = [pairs for pairs in self._pairs_per_table(points_b) if pairs.size]
-        if not chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        encoded = sorted_unique(np.concatenate(chunks))
-        n_b = points_b.shape[0]
-        return encoded // n_b, encoded % n_b
+        (floors_a, keys_a), (floors_b, keys_b) = self._keys_a, self._keys(points_b)
+        pairs = sorted_unique(join_keys(keys_a, keys_b, floors_a, floors_b))
+        return decode_pairs(pairs, points_b.shape[0])
 
     def match(
         self, points_b: np.ndarray, threshold: float | None = None

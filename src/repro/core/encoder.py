@@ -244,6 +244,9 @@ def sampled_embedding(
     """Calibrate a :class:`RecordEncoder` on the first ``sample_size`` rows
     of A and encode both sides: the embedding of the classic baselines
     (canopy, sorted neighbourhood) and the exhaustive reference.  An empty
-    A raises ``ValueError``: there is nothing to calibrate on."""
+    A has nothing to calibrate on and nothing to match: both sides come back
+    as rows of one zero bit, so the link runs on to an empty result."""
+    if not rows_a:
+        return BitMatrix.zeros(0, 1), BitMatrix.zeros(len(rows_b), 1)
     encoder = RecordEncoder.calibrated(rows_a[:sample_size], scheme=scheme, seed=seed)
     return encoder.encode_dataset(rows_a), encoder.encode_dataset(rows_b)

@@ -35,8 +35,12 @@ of one pass, in ``a * n_B + b`` order.  The record-level link,
 ``StreamingLinker.query``, a one-row batch), K tuning and the three-party
 protocol all call it; the rule-aware blocker runs its plan over the same
 blocks.  :meth:`HammingLSH.candidate_pairs` is the join and de-dup of all
-of B at once, without the verify (the per-group paths and the
-materialising baselines classify candidates otherwise).
+of B at once, without the verify (for linkers that classify candidates
+otherwise).
+
+The join runs on ``(L, n)`` ``uint64`` key arrays: :class:`TableRuns`
+feeds it its matrices' keys, and :func:`join_keys` the keys the LSH
+baselines hold (MinHash bands, p-stable floors; :func:`hash_keys`).
 
 Records enter and are matched only as matrices: there is no per-vector
 insert or query.  :meth:`CompositeHash.key_for` stays as the scalar
@@ -82,6 +86,8 @@ MATCH_BLOCK_BYTES = 8 << 20
 #: search's bounds, matches and entry arrays (measured at 1 000-16 000 rows:
 #: 72-73 for NCVR, K = 30, L = 6; 74 for DBLP's rule, 62 tables).
 _PROBE_CELL_BYTES = 80
+
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
 
 _L = TypeVar("_L", bound="SupportsPairCount")
 
@@ -256,6 +262,13 @@ class _Run(NamedTuple):
     ids: np.ndarray  # parallel row ids; within one key, in insertion order
     offsets: list[int]  # table t is [offsets[t], offsets[t + 1])
 
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, key_bits: int = 64) -> "_Run":
+        """An ``(L, n)`` key array as one run; ids are row numbers (consumes ``keys``)."""
+        n_tables, n_rows = keys.shape
+        keys, order = _sort_tables(keys, key_bits)
+        return cls(keys.reshape(-1), order.reshape(-1), [t * n_rows for t in range(n_tables + 1)])
+
     def locate(self, probe: "Probe") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The probe's ``(table, row)`` keys that have a bucket here (flat
         indices into ``probe.rows``), and each bucket's start in its table's
@@ -378,6 +391,71 @@ class Probe(NamedTuple):
     paired: bool  # each key is followed by its successor (keys under 64 bits)
     rows: np.ndarray  # the row of each key, flat in (table, key, row) order
 
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, key_bits: int = 64) -> "Probe":
+        """Sort an ``(L, n)`` ``uint64`` key array once per table, for any
+        number of joins (consumes ``keys``)."""
+        n_rows = keys.shape[1]
+        keys, rows = _sort_tables(keys, key_bits)
+        paired = key_bits < 64
+        if paired:  # the successor bounds a key's bucket from above: one search per table
+            keys = keys.repeat(2, axis=1)
+            keys[:, 1::2] += 1
+        return cls(n_rows, keys, paired, rows.reshape(-1))
+
+
+def _locate(runs: Sequence[_Run | None], probe: Probe, table: int | None = None) -> "Located":
+    """Every table's (or ``table``'s) buckets that ``probe``'s keys match in
+    ``runs``: per run, one or two binary searches per table segment.  A
+    probing row is an entry of its own, so rows sharing a key repeat the
+    bucket."""
+    located, total, n = [], 0, probe.n_rows
+    for run in runs:
+        if run is None or not probe.rows.size:
+            continue
+        matched, start, size = run.locate(probe)
+        if table is not None:
+            own = slice(*matched.searchsorted((table * n, table * n + n)))
+            matched, start, size = matched[own], start[own], size[own]
+        if not matched.size:
+            continue
+        start += np.asarray(run.offsets).take(matched // n)  # segment -> run
+        edges = np.zeros(matched.size + 1, dtype=np.int64)
+        size.cumsum(out=edges[1:])
+        total += edges.item(-1)
+        start -= edges[:-1]  # the id of pair j of entry i is ids[j + start[i]]
+        located.append((run.ids, (start, probe.rows.take(matched), size), edges))
+    return Located(n, located, total)
+
+
+def hash_keys(keys: np.ndarray) -> np.ndarray:
+    """One ``uint64`` per ``(table, row)`` of an ``(L, n, K)`` ``int64`` key
+    array: the ``K`` values as a polynomial in an odd multiplier, modulo
+    ``2^64`` (equal keys hash equal; :func:`join_keys` drops collisions)."""
+    hashed = np.zeros_like(keys[..., 0], dtype=np.uint64)  # in the keys' memory order
+    for column in np.moveaxis(keys, 2, 0):
+        hashed *= _HASH_MULTIPLIER
+        hashed += column.view(np.uint64)
+    return hashed
+
+
+def join_keys(
+    keys_a: np.ndarray, keys_b: np.ndarray, full_a: np.ndarray, full_b: np.ndarray
+) -> np.ndarray:
+    """The sort-merge join of two ``(L, n)`` ``uint64`` key arrays, one table
+    at a time: raw cross-products ``a * n_B + b`` of the rows sharing a key,
+    table after table (a pair once per table that formulates it).  ``full_a``
+    / ``full_b`` are the ``(L, n, K)`` keys they hash (:func:`hash_keys`): a
+    table's pairs whose full keys differ are dropped before the next table is
+    joined, so a hash collision formulates no pair."""
+    kept = [np.empty(0, dtype=np.int64)]
+    for t in range(keys_b.shape[0]):
+        run = _Run.from_keys(keys_a[t : t + 1].copy())
+        pairs = _locate([run], Probe.from_keys(keys_b[t : t + 1].copy())).expand()
+        rows_a, rows_b = decode_pairs(pairs, keys_b.shape[1])
+        kept.append(pairs.compress((full_a[t].take(rows_a, 0) == full_b[t].take(rows_b, 0)).all(1)))
+    return np.concatenate(kept)
+
 
 class TableRuns:
     """The ``L`` bucket tables of one index, held as one object.
@@ -424,9 +502,7 @@ class TableRuns:
 
     def _sorted_run(self, matrix: BitMatrix) -> _Run:
         """``matrix``'s blocking keys of every table, stably sorted; ids are its row numbers."""
-        keys, order = _sort_tables(self._keys(matrix), len(self.composites[0].positions))
-        offsets = [t * matrix.n_rows for t in range(self.n_tables + 1)]
-        return _Run(keys.reshape(-1), order.reshape(-1), offsets)
+        return _Run.from_keys(self._keys(matrix), len(self.composites[0].positions))
 
     # -- building ------------------------------------------------------------------
 
@@ -462,53 +538,17 @@ class TableRuns:
 
     def probe(self, matrix_b: BitMatrix) -> Probe:
         """Sort ``matrix_b``'s keys of every table once, for any number of joins."""
-        key_bits = len(self.composites[0].positions)
-        keys, rows = _sort_tables(self._keys(matrix_b), key_bits)
-        paired = key_bits < 64
-        if paired:  # the successor bounds a key's bucket from above: one search per table
-            keys = keys.repeat(2, axis=1)
-            keys[:, 1::2] += 1
-        return Probe(matrix_b.n_rows, keys, paired, rows.reshape(-1))
+        return Probe.from_keys(self._keys(matrix_b), len(self.composites[0].positions))
 
     def locate(self, probe: Probe, table: int | None = None) -> "Located":
         """Every table's (or ``table``'s) buckets that ``probe``'s keys match, in
-        both runs: per run, one or two binary searches per table segment.  A
-        probing row is an entry of its own, so rows sharing a key repeat the
-        bucket."""
-        located, total, n = [], 0, probe.n_rows
-        for run in (self._bulk, self._delta):
-            if run is None or not probe.rows.size:
-                continue
-            matched, start, size = run.locate(probe)
-            if table is not None:
-                own = slice(*matched.searchsorted((table * n, table * n + n)))
-                matched, start, size = matched[own], start[own], size[own]
-            if not matched.size:
-                continue
-            start += np.asarray(run.offsets).take(matched // n)  # segment -> run
-            edges = np.zeros(matched.size + 1, dtype=np.int64)
-            size.cumsum(out=edges[1:])
-            total += edges.item(-1)
-            start -= edges[:-1]  # the id of pair j of entry i is ids[j + start[i]]
-            located.append((run.ids, (start, probe.rows.take(matched), size), edges))
-        return Located(n, located, total)
-
-    def expand(self, located: "Located") -> np.ndarray:
-        """Raw cross-products ``a * n_B + b`` of ``located``'s buckets, in one
-        buffer allocated once at its final size: bulk run first, then the delta
-        run (:func:`_bucket_products`)."""
-        out = np.empty(located.n_pairs, dtype=np.int64)
-        at = 0
-        for ids_a, buckets, edges in located.runs:
-            stop = at + edges.item(-1)
-            _bucket_products(ids_a, located.n_rows, buckets, edges, out[at:stop])
-            at = stop
-        return out
+        both runs (:func:`_locate`)."""
+        return _locate((self._bulk, self._delta), probe, table)
 
     def join(self, probe: Probe, table: int | None = None) -> np.ndarray:
         """Raw cross-products ``a * n_B + b`` of every table's (or ``table``'s)
-        buckets, in one buffer: :meth:`locate`, then :meth:`expand`."""
-        return self.expand(self.locate(probe, table))
+        buckets, in one buffer: :meth:`locate`, then :meth:`Located.expand`."""
+        return self.locate(probe, table).expand()
 
 
 class Located(NamedTuple):
@@ -518,7 +558,19 @@ class Located(NamedTuple):
     #: Per run with a match: its ids, the entries ``(shift, rows_b, sizes)``
     #: and the pair offsets ``edges`` of :func:`_bucket_products`.
     runs: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
-    n_pairs: int  # raw pairs :meth:`TableRuns.expand` writes
+    n_pairs: int  # raw pairs :meth:`expand` writes
+
+    def expand(self) -> np.ndarray:
+        """Raw cross-products ``a * n_B + b`` of the buckets, in one buffer
+        allocated once at its final size: bulk run first, then the delta run
+        (:func:`_bucket_products`)."""
+        out = np.empty(self.n_pairs, dtype=np.int64)
+        at = 0
+        for ids_a, buckets, edges in self.runs:
+            stop = at + edges.item(-1)
+            _bucket_products(ids_a, self.n_rows, buckets, edges, out[at:stop])
+            at = stop
+        return out
 
     @property
     def max_product(self) -> int:
@@ -687,43 +739,23 @@ class HammingLSH(TableRuns):
 
     # -- candidate generation ------------------------------------------------------
 
-    def _unique_pairs(
-        self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
-    ) -> np.ndarray:
-        """Sorted, distinct encoded candidate pairs ``a * n_B + b`` against ``matrix_b``.
-
-        Algorithm 2's ``UniqueCollection`` dataset-at-a-time: one probe, one
-        join into one raw-pair buffer (:meth:`~TableRuns.join`), de-duplicated
-        in place (:func:`sorted_unique`) — the result is a view of that
-        buffer, so the raw pairs are held once.  ``counters`` receives
-        ``pairs_generated`` (raw products), ``pairs_unique``,
-        ``pairs_duplicates`` and ``max_bucket_product``.
-        """
-        located = self.locate(self.probe(matrix_b))
-        pairs = sorted_unique(self.expand(located))
-        if counters is not None:
-            counters.update(_generation_counters(located.n_pairs, pairs.size, located.max_product))
-        return pairs
-
     def candidate_pairs(
         self, matrix_b: BitMatrix, counters: dict[str, float] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """De-duplicated candidate pairs between the indexed dataset and ``matrix_b``.
+        """De-duplicated candidate pairs ``(rows_a, rows_b)`` between the indexed
+        dataset and ``matrix_b``, sorted by encoded pair id ``a * n_B + b``.
 
-        Returns parallel arrays ``(rows_a, rows_b)``, sorted by encoded
-        pair id; pairs co-bucketed in several groups appear once
-        (:meth:`_unique_pairs`, whose counters land in ``counters``).
+        Algorithm 2's ``UniqueCollection`` dataset-at-a-time: one probe, one
+        join into one raw-pair buffer, de-duplicated in place
+        (:func:`sorted_unique`), so the raw pairs are held once.  ``counters``
+        receives ``pairs_generated`` (raw products), ``pairs_unique``,
+        ``pairs_duplicates`` and ``max_bucket_product``.
         """
-        return decode_pairs(self._unique_pairs(matrix_b, counters), matrix_b.n_rows)
-
-    def candidate_pairs_per_group(
-        self, matrix_b: BitMatrix
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per-group candidate pairs (no cross-group de-duplication), for
-        iterative baselines (HARRA) that block and match one table at a time."""
-        probe = self.probe(matrix_b)
-        for table in range(self.n_tables):
-            yield decode_pairs(self.join(probe, table=table), matrix_b.n_rows)
+        located = self.locate(self.probe(matrix_b))
+        pairs = sorted_unique(located.expand())
+        if counters is not None:
+            counters.update(_generation_counters(located.n_pairs, pairs.size, located.max_product))
+        return decode_pairs(pairs, matrix_b.n_rows)
 
     # -- matching ------------------------------------------------------------------
 
@@ -744,7 +776,7 @@ class HammingLSH(TableRuns):
         in it).  ``words_a`` holds the indexed rows' packed words (a
         :class:`BitMatrix` is taken for its ``words``; a read-only memory
         map is fine — only candidate rows are gathered).  Returns ``(rows_a, rows_b, distances)`` of the accepted pairs;
-        ``counters`` receives :meth:`_unique_pairs`' counters summed over
+        ``counters`` receives :meth:`candidate_pairs`' counters summed over
         the blocks — ``max_bucket_product`` is the largest product within
         one block — and ``pairs_verified``.
         """
@@ -760,7 +792,7 @@ class HammingLSH(TableRuns):
             generated += located.n_pairs
             if counters is not None:  # a reduction over the buckets: only when asked for
                 largest = max(largest, located.max_product)
-            pairs = sorted_unique(self.expand(located))
+            pairs = sorted_unique(located.expand())
             unique += pairs.size
             rows_a, rows_b, dist = verify_pairs(
                 words_a, block.words, (pairs, block.n_rows), threshold

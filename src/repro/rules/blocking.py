@@ -105,14 +105,9 @@ class _Structure:
         """``matrix_b``'s matched buckets in every table, not yet expanded."""
         return self._tables.locate(self._tables.probe(matrix_b))
 
-    def expand(self, located: Located) -> np.ndarray:
-        """Encoded pairs ``a * n_B + b`` as the tables' joins emit them: in no
-        order, a pair once per table that formulates it."""
-        return self._tables.expand(located)
-
     def members(self, matrix_b: BitMatrix) -> np.ndarray:
         """Sorted unique encoded pairs ``a * n_B + b`` formulated in any table."""
-        return _distinct([self.expand(self.locate(matrix_b))])
+        return _distinct([self.locate(matrix_b).expand()])
 
 
 class _Block:
@@ -128,7 +123,7 @@ class _Block:
         """``structure``'s raw pairs in this block; its bucket arrays are let go."""
         located = self._located.pop(structure)
         self.generated += located.n_pairs
-        return structure.expand(located)
+        return located.expand()
 
 
 def _distinct(parts: list[np.ndarray]) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Pin the q-gram baselines beyond golden parity's 200 records, byte for byte.
+"""Pin the baselines beyond golden parity's 200 records, byte for byte.
 
 ``tests/data/golden_parity.json`` pins every linker on one 200-record
 problem.  These digests pin the q-gram baselines (BfH's Bloom filters,
 HARRA's and MinHash's bigram sets, canopy's Jaccard blocking) on larger
 NCVR PL and DBLP PH problems, where buckets, canopies and early pruning
-meet far more collisions: a change to how the baselines embed, hash or
-measure Jaccard distances keeps every seed's matches and candidate
-counts identical.  Each digest is SHA-256 over the sorted matches and
+meet far more collisions, and SM-EB with its p-stable blocking
+(:class:`EuclideanLSH`, also alone on Gaussian points in wide, crowded
+buckets): a change to how the baselines embed, hash, join or measure
+distances keeps every seed's matches and candidate counts identical.
+Each linker digest is SHA-256 over the sorted matches and
 ``n_candidates`` of one fixed-seed run.
 """
 
@@ -17,9 +19,11 @@ import json
 from collections.abc import Callable
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from repro.baselines import BfHLinker, CanopyLinker, HarraLinker, MinHashLinker
+from repro.baselines import BfHLinker, CanopyLinker, HarraLinker, MinHashLinker, SMEBLinker
+from repro.baselines.pstable import EuclideanLSH
 from repro.data import (
     DBLPGenerator,
     NCVRGenerator,
@@ -58,6 +62,9 @@ LINKERS: dict[str, Callable[[str], object]] = {
         JACCARD_THRESHOLD[cell], n_tables=HARRA_TABLES[cell], seed=SEED
     ),
     "canopy": lambda cell: CanopyLinker(4, seed=SEED),
+    "smeb": lambda cell: SMEBLinker(
+        {f"f{i}": 4.5 for i in (1, 2, 3, 4)}, n_attributes=4, seed=SEED
+    ),
 }
 
 DIGESTS = {
@@ -75,7 +82,14 @@ DIGESTS = {
     ),
     ("dblp-ph", "minhash"): "0e86fe668d9d62e427f697d02cd5d25804224496fa57017c7ae191ca9ad361af",
     ("dblp-ph", "canopy"): "8281e784da89d12f548269cf6a5843480e53ffc36e01d518a44e22356b84c7e1",
+    # NCVR only, at canopy's 500 a side: SM-EB's pivot search takes ~45 s
+    # on DBLP at 300 a side.
+    ("ncvr-pl", "smeb"): "4bbaa3a1ca51e1c8ff50407c7508f825ef8f93026c3de34db6d158fdf26a2e30",
 }
+
+#: ``EuclideanLSH.candidate_pairs`` of 2 000 Gaussian points a side in R^6,
+#: K = 4, L = 8, w = 3: 889 283 distinct candidates of 4 000 000 pairs.
+EUCLIDEAN_DIGEST = "c757bdf4523bf8153445c59402f77f342e83c760993e935edcbd554b8b648316"
 
 
 @lru_cache(maxsize=4)
@@ -97,6 +111,17 @@ def result_digest(result: LinkageResult) -> str:
 @pytest.mark.parametrize("cell, name", sorted(DIGESTS))
 def test_baseline_digest(cell, name):
     __, __, n, n_canopy = CELLS[cell]
-    prob = problem(cell, n_canopy if name == "canopy" else n)
+    prob = problem(cell, n_canopy if name in ("canopy", "smeb") else n)
     result = LINKERS[name](cell).link(prob.dataset_a, prob.dataset_b)
     assert result_digest(result) == DIGESTS[cell, name]
+
+
+def test_euclidean_candidates_digest():
+    rng = np.random.default_rng(SEED)
+    points_a, points_b = rng.standard_normal((2000, 6)), rng.standard_normal((2000, 6))
+    lsh = EuclideanLSH(6, k=4, n_tables=8, w=3.0, seed=SEED)
+    lsh.index(points_a)
+    rows_a, rows_b = lsh.candidate_pairs(points_b)
+    assert rows_a.size == 889_283
+    payload = rows_a.astype("<i8").tobytes() + rows_b.astype("<i8").tobytes()
+    assert hashlib.sha256(payload).hexdigest() == EUCLIDEAN_DIGEST

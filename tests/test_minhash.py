@@ -85,21 +85,29 @@ class TestMinHasher:
 class TestMinHashLSH:
     def test_band_keys_shape(self):
         lsh = MinHashLSH(k=5, n_tables=3, seed=0)
-        keys = lsh.band_keys(BitMatrix.from_index_sets([{1}, {2}], 676))
-        assert len(keys) == 3
-        assert all(k.shape == (2,) for k in keys)
+        bands, keys = lsh.band_keys(BitMatrix.from_index_sets([{1}, {2}], 676))
+        assert bands.shape == (3, 2, 5) and bands.dtype == np.int64
+        assert keys.shape == (3, 2) and keys.dtype == np.uint64
 
     def test_identical_sets_collide_everywhere(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=1)
-        keys = lsh.band_keys(BitMatrix.from_index_sets([{1, 2, 3}, {1, 2, 3}], 676))
-        for band in keys:
-            assert band[0] == band[1]
+        bands, keys = lsh.band_keys(BitMatrix.from_index_sets([{1, 2, 3}, {1, 2, 3}], 676))
+        for band, key in zip(bands, keys):
+            assert (band[0] == band[1]).all() and key[0] == key[1]
 
     def test_disjoint_sets_rarely_collide(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=2)
-        keys = lsh.band_keys(BitMatrix.from_index_sets([range(50), range(100, 150)], 676))
-        agreements = sum(bool(band[0] == band[1]) for band in keys)
+        bands, __ = lsh.band_keys(BitMatrix.from_index_sets([range(50), range(100, 150)], 676))
+        agreements = sum(bool((band[0] == band[1]).all()) for band in bands)
         assert agreements == 0
+
+    def test_bands_are_signature_slices(self):
+        lsh = MinHashLSH(k=3, n_tables=4, seed=5)
+        matrix = BitMatrix.from_index_sets([{1, 9}, {4}, set()], 676)
+        bands, __ = lsh.band_keys(matrix)
+        signatures = lsh.hasher.signatures(matrix)
+        for band in range(4):
+            assert np.array_equal(bands[band], signatures[:, 3 * band : 3 * band + 3])
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

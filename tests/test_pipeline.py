@@ -172,8 +172,6 @@ class TestRegistry:
 class TestEmptyInput:
     """A side with no records is a link with no matches, for every linker."""
 
-    CALIBRATE_ON_A = ("exhaustive", "canopy", "sorted-neighborhood")
-
     def _linkers(self, problem):
         encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=3).calibrate(
             problem.dataset_a, problem.dataset_b
@@ -204,14 +202,16 @@ class TestEmptyInput:
             assert list(got.timings) == list(want.timings), name
             assert sorted(got.counters) == sorted(want.counters), name
 
-    def test_empty_a_cannot_calibrate_on_a(self, problem):
-        empty_a = Dataset(problem.dataset_a.schema, [])
+    def test_empty_a_links_to_an_empty_result(self, problem):
+        a, b = problem.dataset_a, problem.dataset_b
+        empty_a = Dataset(a.schema, [])
         for name, make in self._linkers(problem):
-            if name in self.CALIBRATE_ON_A:
-                with pytest.raises(ValueError, match="non-empty"):
-                    make().link(empty_a, problem.dataset_b)
-            else:
-                assert make().link(empty_a, problem.dataset_b).n_matches == 0, name
+            want = make().link(a, b)
+            got = make().link(empty_a, b)
+            assert got.n_matches == got.n_candidates == got.comparison_space == 0, name
+            assert got.matches == set(), name
+            assert list(got.timings) == list(want.timings), name
+            assert sorted(got.counters) == sorted(want.counters), name
 
 
 class TestCounters:

@@ -111,12 +111,10 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps):
         assert np.array_equal(got, want)
     for got, want in zip(mixed.match(matrix_a, matrix_b, 8), reference.match(matrix_a, matrix_b, 8)):
         assert np.array_equal(got, want)
-    for got, want in zip(
-        mixed.candidate_pairs_per_group(matrix_b), reference.candidate_pairs_per_group(matrix_b)
-    ):
-        assert sorted(zip(*map(np.ndarray.tolist, got))) == sorted(
-            zip(*map(np.ndarray.tolist, want))
-        )
+    probe, reference_probe = mixed.probe(matrix_b), reference.probe(matrix_b)
+    for table in range(reference.n_tables):
+        got, want = mixed.join(probe, table=table), reference.join(reference_probe, table=table)
+        assert sorted(got.tolist()) == sorted(want.tolist())
 
     for group, ref_group in zip(mixed.groups, reference.groups):
         assert group.n_rows == n_rows
@@ -214,7 +212,8 @@ def test_single_run_join_equals_per_table_reference(seed, k, n_tables, steps):
     assert counters["pairs_generated"] == sum(map(len, per_table))
     assert counters["pairs_unique"] == unique.size
     assert counters["max_bucket_product"] == largest
-    per_group = [a * 12 + b for a, b in lsh.candidate_pairs_per_group(matrix_b)]
+    probe = lsh.probe(matrix_b)
+    per_group = [lsh.join(probe, table=table) for table in range(lsh.n_tables)]
     assert [pairs.tolist() for pairs in per_group] == per_table
 
 
