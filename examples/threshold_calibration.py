@@ -8,16 +8,18 @@ distances correspond to error *types* (Section 5.1).  This example:
    (one typo per name field, two in the address — the paper's PH);
 2. links with a deliberately loose threshold to collect the full
    candidate-distance spectrum;
-3. sweeps the matching threshold (`repro.evaluation.curves`) and shows
-   that the *derived* threshold sits at the PC/precision knee.
+3. sweeps the matching threshold over those distances (one
+   `evaluate_linkage` per threshold) and shows that the *derived*
+   threshold sits at the PC/precision knee.
 
 Run:  python examples/threshold_calibration.py
 """
 
 from repro import CompactHammingLinker, NCVRGenerator, build_linkage_problem, scheme_pl
-from repro.evaluation.ascii import bar_chart
-from repro.evaluation.curves import threshold_curve
+from repro.evaluation import evaluate_linkage, format_table, pairs_from_arrays
 from repro.rules.derive import derive_thresholds, error_budget
+
+LOOSE_THRESHOLD = 12
 
 
 def main() -> None:
@@ -31,30 +33,30 @@ def main() -> None:
 
     # 2. A linkage run with a loose threshold, to expose the spectrum.
     problem = build_linkage_problem(NCVRGenerator(), 4000, scheme_pl(), seed=21)
-    linker = CompactHammingLinker.record_level(threshold=12, k=25, seed=21)
+    linker = CompactHammingLinker.record_level(threshold=LOOSE_THRESHOLD, k=25, seed=21)
     result = linker.link(problem.dataset_a, problem.dataset_b)
 
-    # 3. The sweep: quality at every threshold in one pass.
-    curve = threshold_curve(
-        result.rows_a, result.rows_b, result.record_distances,
-        problem.true_matches,
-    )
-    print(f"{'theta':>6} {'matches':>8} {'PC':>7} {'precision':>10} {'F1':>7}")
-    for point in curve:
-        marker = "  <- derived theta" if point.threshold == 4 else ""
-        print(
-            f"{point.threshold:>6.0f} {point.n_matches:>8} "
-            f"{point.pairs_completeness:>7.3f} {point.precision:>10.3f} "
-            f"{point.f1:>7.3f}{marker}"
+    # 3. The sweep: keep the loose run's pairs within each threshold.
+    rows, f1 = [], {}
+    for theta in range(LOOSE_THRESHOLD + 1):
+        keep = result.record_distances <= theta
+        quality = evaluate_linkage(
+            pairs_from_arrays(result.rows_a[keep], result.rows_b[keep]),
+            problem.true_matches,
+            result.n_candidates,
+            problem.comparison_space,
         )
+        f1[theta] = quality.f1
+        marker = "<- derived theta" if theta == 4 else ""
+        rows.append(
+            [theta, quality.n_matches, round(quality.pairs_completeness, 3),
+             round(quality.precision, 3), round(quality.f1, 3), marker]
+        )
+    print(format_table(["theta", "matches", "PC", "precision", "F1", ""], rows))
 
-    best = curve.best_f1()
-    at_derived = curve.at(4)
-    print(f"\nbest-F1 threshold (tuned):   {best.threshold:g}  (F1 = {best.f1:.3f})")
-    print(f"derived threshold (theta=4): F1 = {at_derived.f1:.3f}")
-    print("\nF1 comparison:")
-    print(bar_chart({"tuned optimum": best.f1, "derived theta=4": at_derived.f1},
-                    width=30, max_value=1.0))
+    best = max(f1, key=f1.__getitem__)
+    print(f"\nbest-F1 threshold (tuned):   {best}  (F1 = {f1[best]:.3f})")
+    print(f"derived threshold (theta=4): F1 = {f1[4]:.3f}")
     print("\n(the derived threshold needs no tuning data at all — that is the")
     print(" practical payoff of embedding into a space where distance counts errors)")
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.core.encoder import sampled_embedding
 from repro.core.qgram import QGramScheme
-from repro.hamming.distance import decode_pairs, verify_pairs
+from repro.hamming.distance import verify_pairs
+from repro.hamming.lsh import sorted_unique
 from repro.pipeline.result import LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.text.alphabet import TEXT_ALPHABET
@@ -83,32 +84,29 @@ class SortedNeighborhoodLinker:
 
     def _candidates(
         self, rows_a: list[tuple[str, ...]], rows_b: list[tuple[str, ...]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Multi-pass sorted windows over the merged, key-sorted record stream."""
-        candidate_set: set[int] = set()
-        n_b = len(rows_b)
+    ) -> tuple[np.ndarray, int]:
+        """Multi-pass sorted windows over the merged, key-sorted record stream,
+        as encoded pairs ``a * n_B + b`` in ascending order."""
+        n_a, n_b = len(rows_a), len(rows_b)
+        # Both datasets merged into one stream, tagged by side (A = 0, B = 1).
+        side = np.repeat(np.array([0, 1], dtype=np.int8), [n_a, n_b])
+        ids = np.concatenate([np.arange(n_a), np.arange(n_b)])
+        found: list[np.ndarray] = []
         for pass_index in range(self.passes):
-            # Merge both datasets into one sorted sequence, tagged by side.
-            tagged = [
-                (key, 0, i) for i, key in enumerate(self._keys_for_pass(rows_a, pass_index))
-            ] + [
-                (key, 1, j) for j, key in enumerate(self._keys_for_pass(rows_b, pass_index))
-            ]
-            tagged.sort()
-            for pos, (__, side, idx) in enumerate(tagged):
-                if side != 0:
-                    continue
-                stop = min(pos + self.window, len(tagged))
-                for __, other_side, other_idx in tagged[pos + 1 : stop]:
-                    if other_side == 1:
-                        candidate_set.add(idx * n_b + other_idx)
-                # Look backwards too: B records earlier in the window.
-                start = max(0, pos - self.window + 1)
-                for __, other_side, other_idx in tagged[start:pos]:
-                    if other_side == 1:
-                        candidate_set.add(idx * n_b + other_idx)
-        encoded = np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
-        return decode_pairs(encoded, n_b)
+            keys = self._keys_for_pass(rows_a, pass_index)
+            keys += self._keys_for_pass(rows_b, pass_index)
+            order = np.lexsort((ids, side, np.array(keys, dtype=str)))
+            sorted_side, sorted_ids = side[order], ids[order]
+            # A pair is formulated when an A and a B record lie fewer than
+            # ``window`` positions apart in the sorted stream.
+            for gap in range(1, min(self.window, order.size)):
+                first, second = sorted_side[:-gap], sorted_side[gap:]
+                cross = first != second
+                a_first = first[cross] == 0
+                lo, hi = sorted_ids[:-gap][cross], sorted_ids[gap:][cross]
+                found.append(np.where(a_first, lo, hi) * n_b + np.where(a_first, hi, lo))
+        encoded = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+        return sorted_unique(encoded.astype(np.int64, copy=False)), n_b
 
     def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
         """embed -> window blocking -> Hamming verify."""

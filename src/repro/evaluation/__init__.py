@@ -1,19 +1,5 @@
-"""Evaluation harness: quality measures, experiment runner and reporting."""
+"""Evaluation: the paper's quality measures and plain-text reporting."""
 
-from repro.evaluation.ascii import bar_chart, line_chart, sparkline
-from repro.evaluation.curves import ThresholdCurve, ThresholdPoint, threshold_curve
-from repro.evaluation.diagnostics import (
-    BlockingDiagnostics,
-    diagnose_blocking,
-    selectivity_sweep,
-)
-from repro.evaluation.experiment import (
-    ExperimentResult,
-    TrialResult,
-    per_operation_completeness,
-    run_experiment,
-    sweep,
-)
 from repro.evaluation.metrics import (
     LinkageQuality,
     evaluate_linkage,
@@ -23,30 +9,15 @@ from repro.evaluation.metrics import (
     reduction_ratio,
     subset_completeness,
 )
-from repro.evaluation.reporting import banner, format_series, format_table
+from repro.evaluation.reporting import format_table
 
 __all__ = [
-    "BlockingDiagnostics",
-    "ExperimentResult",
-    "ThresholdCurve",
-    "ThresholdPoint",
-    "threshold_curve",
     "LinkageQuality",
-    "TrialResult",
-    "banner",
-    "bar_chart",
-    "diagnose_blocking",
-    "line_chart",
-    "selectivity_sweep",
-    "sparkline",
     "evaluate_linkage",
-    "format_series",
     "format_table",
     "pairs_completeness",
     "pairs_from_arrays",
     "pairs_quality",
-    "per_operation_completeness",
     "reduction_ratio",
     "subset_completeness",
-    "sweep",
 ]

@@ -1,9 +1,4 @@
-"""Plain-text reporting: the tables and series the paper's figures plot.
-
-Benchmarks print the same rows/series a figure shows (method x measure),
-so a run of a benchmark file regenerates the corresponding artefact in
-textual form.
-"""
+"""Plain-text reporting: the CLI's one output sink and its aligned tables."""
 
 from __future__ import annotations
 
@@ -56,19 +51,3 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float], precision: int = 4) -> str:
-    """Render one figure series as ``name: x=y`` pairs, one per line."""
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} x-values for {len(ys)} y-values")
-    lines = [f"series {name}:"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {x} -> {y:.{precision}g}")
-    return "\n".join(lines)
-
-
-def banner(title: str, char: str = "=") -> str:
-    """A section banner for benchmark output."""
-    line = char * max(len(title), 8)
-    return f"{line}\n{title}\n{line}"

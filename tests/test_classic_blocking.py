@@ -1,5 +1,6 @@
 """Tests for the classic blocking baselines (sorted neighborhood, canopy)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.canopy import CanopyLinker
@@ -7,7 +8,7 @@ from repro.baselines.sorted_neighborhood import (
     SortedNeighborhoodLinker,
     default_sorting_key,
 )
-from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
+from repro.data import DBLPGenerator, NCVRGenerator, build_linkage_problem, scheme_ph, scheme_pl
 from repro.evaluation.metrics import evaluate_linkage
 
 
@@ -87,6 +88,52 @@ class TestSortedNeighborhood:
             SortedNeighborhoodLinker(threshold=4, window=1)
         with pytest.raises(ValueError):
             SortedNeighborhoodLinker(threshold=4, passes=0)
+
+
+def reference_window_pairs(linker, rows_a, rows_b):
+    """The window sweep written out pair by pair: every cross-dataset pair
+    fewer than ``window`` positions apart in the (key, side, id)-sorted stream."""
+    found = set()
+    for pass_index in range(linker.passes):
+        tagged = sorted(
+            [(key, 0, i) for i, key in enumerate(linker._keys_for_pass(rows_a, pass_index))]
+            + [(key, 1, j) for j, key in enumerate(linker._keys_for_pass(rows_b, pass_index))]
+        )
+        for pos, (__, side, idx) in enumerate(tagged):
+            if side == 0:
+                lo, hi = max(0, pos - linker.window + 1), pos + linker.window
+                found.update((idx, j) for __, s, j in tagged[lo:hi] if s == 1)
+    return found
+
+
+class TestSortedNeighborhoodSweep:
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return {
+            "ncvr-pl": build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=5),
+            "dblp-ph": build_linkage_problem(DBLPGenerator(), 300, scheme_ph(), seed=6),
+        }
+
+    @pytest.mark.parametrize("name", ["ncvr-pl", "dblp-ph"])
+    def test_candidates_equal_the_pairwise_sweep(self, problems, name):
+        rows_a = problems[name].dataset_a.value_rows()
+        rows_b = problems[name].dataset_b.value_rows()
+        for passes in (1, 2, 3):
+            for window in range(3, 26):
+                linker = SortedNeighborhoodLinker(threshold=4, window=window, passes=passes)
+                encoded, n_b = linker._candidates(rows_a, rows_b)
+                got = set(zip(*(x.tolist() for x in np.divmod(encoded, n_b))))
+                assert got == reference_window_pairs(linker, rows_a, rows_b), (passes, window)
+
+    @pytest.mark.parametrize("name", ["ncvr-pl", "dblp-ph"])
+    def test_matches_come_out_in_pair_order(self, problems, name):
+        problem = problems[name]
+        result = SortedNeighborhoodLinker(threshold=16, window=10, passes=3, seed=1).link(
+            problem.dataset_a, problem.dataset_b
+        )
+        encoded = result.rows_a * len(problem.dataset_b) + result.rows_b
+        assert result.rows_a.size > 100
+        assert (np.diff(encoded) > 0).all()
 
 
 class TestCanopy:
