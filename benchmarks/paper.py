@@ -291,22 +291,6 @@ def _timed(fn: Callable[[], object]) -> tuple[object, float]:
     return value, time.perf_counter() - start
 
 
-def _tables(linker: object) -> int | None:
-    """Equation (2)'s L of a linker after its link has calibrated it; None for
-    the classic blockers, which have no hash tables."""
-    if isinstance(linker, CompactHammingLinker):
-        assert linker.encoder is not None
-        blocker = linker._build_blocker(linker.encoder)
-        if isinstance(blocker, RuleAwareBlocker):
-            return blocker.total_tables
-        return blocker.n_tables
-    if isinstance(linker, HarraLinker):
-        return linker.n_tables
-    if isinstance(linker, (BfHLinker, SMEBLinker)):
-        return linker.computed_n_tables
-    return None
-
-
 Result = tuple[dict[str, object], float]
 
 
@@ -316,9 +300,10 @@ def _link(linker: object, prob: LinkageProblem) -> Result:
     exact: dict[str, object] = _quality(
         result.matches, prob.true_matches, result.n_candidates, prob.comparison_space
     )
-    tables, encoder = _tables(linker), getattr(linker, "encoder", None)
+    # L, as the link reports it; the classic blockers have no hash tables.
+    tables, encoder = result.counters.get("n_tables"), getattr(linker, "encoder", None)
     if tables is not None:
-        exact["L"] = tables
+        exact["L"] = int(tables)
     if encoder is not None:
         exact["m_bar"] = encoder.total_bits
     return exact, wall

@@ -121,9 +121,5 @@ class BfHLinker:
             comparison_space=len(rows_a) * len(rows_b),
             timings=timings,
             attribute_distances=distances,
+            counters={"n_tables": float(lsh.n_tables)},
         )
-
-    @property
-    def computed_n_tables(self) -> int:
-        """The L that Equation (2) yields for this configuration."""
-        return self._build_lsh().n_tables

@@ -180,5 +180,5 @@ class HarraLinker:
             n_candidates=n_candidates,
             comparison_space=len(rows_a) * len(rows_b),
             timings=timings,
-            counters={"pairs_verified": float(n_candidates)},
+            counters={"pairs_verified": float(n_candidates), "n_tables": float(lsh.n_tables)},
         )

@@ -229,5 +229,5 @@ class MinHashLinker:
             comparison_space=len(rows_a) * len(rows_b),
             timings=timings,
             record_distances=distances[keep],
-            counters={"pairs_verified": float(cand_a.size)},
+            counters={"pairs_verified": float(cand_a.size), "n_tables": float(lsh.n_tables)},
         )

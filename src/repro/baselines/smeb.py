@@ -182,4 +182,5 @@ class SMEBLinker:
             comparison_space=len(rows_a) * len(rows_b),
             timings=timings,
             attribute_distances=distances,
+            counters={"n_tables": float(lsh.n_tables)},
         )

@@ -238,6 +238,9 @@ class CompactHammingLinker:
         with timed(timings, "index"):
             blocker = self._build_blocker(encoder)
             blocker.index(matrix_a)
+            counters["n_tables"] = float(
+                blocker.total_tables if isinstance(blocker, RuleAwareBlocker) else blocker.n_tables
+            )
         record_distances: np.ndarray | None = None
         attribute_distances: dict[str, np.ndarray] = {}
         with timed(timings, "match"):
@@ -416,6 +419,7 @@ class StreamingLinker:
         with timed(timings, "index"):
             self.insert_rows(rows_a)
             matrix_b = self.encoder.encode_dataset(rows_b)
+        counters["n_tables"] = float(self.view.lsh.n_tables)
         with timed(timings, "match"):
             out_a, out_b, distances = self.view.lsh.match(
                 self.view.words, matrix_b, self.threshold, counters=counters

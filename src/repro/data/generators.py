@@ -29,7 +29,8 @@ from repro.data.corpora import (
     TOWNS,
     length_tilt,
 )
-from repro.data.schema import AttributeSpec, Dataset, Record, Schema
+from repro.data.draws import RawDraws
+from repro.data.schema import AttributeSpec, Dataset, Schema, dataset_from_rows
 from repro.text.alphabet import TEXT_ALPHABET
 
 #: Shared q-gram scheme of all experiment attributes (bigrams, letters +
@@ -60,7 +61,8 @@ class _WeightedWords:
     (unweighted) call, but without re-validating ``p`` and recomputing its
     cumulative sum on every draw: the CDF is built once here, the way
     numpy builds it for ``choice``, and ``bisect_right`` on it is
-    ``cdf.searchsorted(u, "right")`` for one ``u``.
+    ``cdf.searchsorted(u, "right")`` for one ``u``.  ``rng`` is a
+    Generator or a :class:`~repro.data.draws.RawDraws` over one.
     """
 
     def __init__(self, words: tuple[str, ...], target_mean_length: float | None = None) -> None:
@@ -75,11 +77,11 @@ class _WeightedWords:
 
     def sample(self, rng: np.random.Generator, size: int) -> list[str]:
         indices = rng.choice(len(self.words), size=size, p=self.weights)
-        return [self.words[int(i)] for i in indices]
+        return list(map(self.words.__getitem__, indices.tolist()))
 
-    def one(self, rng: np.random.Generator) -> str:
+    def one(self, rng: np.random.Generator | RawDraws) -> str:
         if self._cdf is None:
-            return self.words[int(rng.integers(0, len(self.words)))]
+            return self.words[rng.integers(0, len(self.words))]
         return self.words[bisect_right(self._cdf, rng.random())]
 
 
@@ -147,34 +149,42 @@ class NCVRGenerator:
     def schema(self) -> Schema:
         return NCVR_SCHEMA
 
-    def _address(self, rng: np.random.Generator) -> str:
-        number = int(rng.integers(1, 10000))
-        parts = [str(number), self._street.one(rng), self._type.one(rng)]
+    def _address(self, draws: RawDraws) -> str:
+        number = draws.integers(1, 10000)
+        address = f"{number} {self._street.one(draws)} {self._type.one(draws)}"
         # Unit suffixes lift the average length to the Table 3 target
         # (b ≈ 20 bigrams) the way real voter addresses do.
-        if rng.random() < 0.65:
-            parts.append(f"APT {int(rng.integers(1, 100))}")
-        return " ".join(parts)
+        if draws.random() < 0.65:
+            return f"{address} APT {draws.integers(1, 100)}"
+        return address
 
-    def generate(self, n: int, seed: int | None = None, id_prefix: str = "N") -> Dataset:
-        """Generate ``n`` records, reproducibly under ``seed``."""
+    def generate_rows(self, n: int, seed: int | None = None) -> list[tuple[str, ...]]:
+        """The value rows of ``generate(n, seed)``, without records or ids."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
         firsts = self._first.sample(rng, n)
         lasts = self._last.sample(rng, n)
         towns = self._town.sample(rng, n)
-        records: list[Record] = []
-        for i in range(n):
-            if records and rng.random() < self.household_rate:
-                # A family member of an earlier voter: new first name,
-                # shared last name / address / town.
-                relative = records[int(rng.integers(0, len(records)))]
-                values = (firsts[i], *relative.values[1:])
-            else:
-                values = (firsts[i], lasts[i], self._address(rng), towns[i])
-            records.append(Record(f"{id_prefix}{i}", values))
-        return Dataset(NCVR_SCHEMA, records, name="ncvr-like")
+        household_rate = self.household_rate
+        rows: list[tuple[str, ...]] = []
+        address = self._address
+        with RawDraws(rng) as draws:
+            random, integers = draws.random, draws.integers
+            for first, last, town in zip(firsts, lasts, towns):
+                if rows and random() < household_rate:
+                    # A family member of an earlier voter: new first name,
+                    # shared last name / address / town.
+                    relative = rows[integers(0, len(rows))]
+                    rows.append((first, *relative[1:]))
+                else:
+                    rows.append((first, last, address(draws), town))
+        return rows
+
+    def generate(self, n: int, seed: int | None = None, id_prefix: str = "N") -> Dataset:
+        """Generate ``n`` records, reproducibly under ``seed``."""
+        rows = self.generate_rows(n, seed)
+        return dataset_from_rows(NCVR_SCHEMA, rows, id_prefix, name="ncvr-like")
 
 
 class DBLPGenerator:
@@ -205,15 +215,15 @@ class DBLPGenerator:
     def schema(self) -> Schema:
         return DBLP_SCHEMA
 
-    def _title(self, rng: np.random.Generator) -> str:
+    def _title(self, draws: RawDraws) -> str:
         # Append words until adding another would overshoot the target
         # length by more than it undershoots; titles then average out near
         # the Table 3 statistic (b ≈ 64.8 bigrams).
         target = self.profile.long_field
-        words = [self._word.one(rng)]
+        words = [self._word.one(draws)]
         length = len(words[0])
         while True:
-            word = self._word.one(rng)
+            word = self._word.one(draws)
             new_length = length + 1 + len(word)
             if new_length > target and (new_length - target) > (target - length):
                 break
@@ -223,28 +233,31 @@ class DBLPGenerator:
                 break
         return " ".join(words)
 
-    def generate(self, n: int, seed: int | None = None, id_prefix: str = "D") -> Dataset:
-        """Generate ``n`` records, reproducibly under ``seed``."""
+    def generate_rows(self, n: int, seed: int | None = None) -> list[tuple[str, ...]]:
+        """The value rows of ``generate(n, seed)``, without records or ids."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
         firsts = self._first.sample(rng, n)
         lasts = self._last.sample(rng, n)
-        records: list[Record] = []
-        for i in range(n):
-            if records and rng.random() < self.coauthor_rate:
-                # A co-author entry: different author, same title and year.
-                paper = records[int(rng.integers(0, len(records)))]
-                values = (firsts[i], lasts[i], paper.values[2], paper.values[3])
-            else:
-                values = (
-                    firsts[i],
-                    lasts[i],
-                    self._title(rng),
-                    str(int(rng.integers(1970, 2016))),
-                )
-            records.append(Record(f"{id_prefix}{i}", values))
-        return Dataset(DBLP_SCHEMA, records, name="dblp-like")
+        coauthor_rate = self.coauthor_rate
+        rows: list[tuple[str, ...]] = []
+        title = self._title
+        with RawDraws(rng) as draws:
+            random, integers = draws.random, draws.integers
+            for first, last in zip(firsts, lasts):
+                if rows and random() < coauthor_rate:
+                    # A co-author entry: different author, same title and year.
+                    paper = rows[integers(0, len(rows))]
+                    rows.append((first, last, paper[2], paper[3]))
+                else:
+                    rows.append((first, last, title(draws), str(integers(1970, 2016))))
+        return rows
+
+    def generate(self, n: int, seed: int | None = None, id_prefix: str = "D") -> Dataset:
+        """Generate ``n`` records, reproducibly under ``seed``."""
+        rows = self.generate_rows(n, seed)
+        return dataset_from_rows(DBLP_SCHEMA, rows, id_prefix, name="dblp-like")
 
 
 def average_qgram_counts(dataset: Dataset) -> dict[str, float]:

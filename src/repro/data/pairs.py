@@ -16,16 +16,22 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.data.perturb import AppliedOperation, Operation, PerturbationScheme
-from repro.data.schema import Dataset, Record
+from repro.data.draws import RawDraws
+from repro.data.perturb import AppliedOperation, PerturbationScheme
+from repro.data.schema import Dataset, Record, numbered_records
 
 
 class DatasetGenerator(Protocol):
-    """Structural type for dataset generators (NCVRGenerator, DBLPGenerator)."""
+    """Structural type for dataset generators (NCVRGenerator, DBLPGenerator).
+
+    ``generate_rows(n, seed)`` is the value rows of ``generate(n, seed)``.
+    """
 
     def generate(
         self, n: int, seed: int | None = None, id_prefix: str = "N"
     ) -> Dataset: ...
+
+    def generate_rows(self, n: int, seed: int | None = None) -> list[tuple[str, ...]]: ...
 
 
 @dataclass
@@ -53,17 +59,6 @@ class LinkageProblem:
         """``|A x B|``, the denominator of the Reduction Ratio."""
         return len(self.dataset_a) * len(self.dataset_b)
 
-    def matches_with_operation(self, operation: Operation) -> set[tuple[int, int]]:
-        """True pairs whose perturbation used the given operation at least once.
-
-        Figure 11 reports PC separately per operation type.
-        """
-        return {
-            pair
-            for pair, log in self.operation_log.items()
-            if any(entry.operation is operation for entry in log)
-        }
-
 
 def build_linkage_problem(
     generator: DatasetGenerator,
@@ -82,7 +77,9 @@ def build_linkage_problem(
     n:
         Number of records in A (and in B).
     scheme:
-        The perturbation scheme (PL or PH).
+        The perturbation scheme (PL or PH), or any object whose
+        ``perturb(record, schema, rng, new_id)`` draws only through
+        ``rng.random()`` and ``rng.integers(low, high)``.
     match_probability:
         Probability that a record of A gets a perturbed twin in B
         (the paper uses 0.5).
@@ -97,31 +94,28 @@ def build_linkage_problem(
 
     dataset_a = generator.generate(n, seed=seed_a, id_prefix="A")
     schema = dataset_a.schema
+    records_a = dataset_a.records
 
     rng = np.random.default_rng(seed_sel)
-    chosen = np.flatnonzero(rng.random(n) < match_probability)
+    chosen = np.flatnonzero(rng.random(n) < match_probability).tolist()
 
     records_b: list[Record] = []
-    true_matches: set[tuple[int, int]] = set()
     operation_log: dict[tuple[int, int], tuple[AppliedOperation, ...]] = {}
-    for row_b, row_a in enumerate(chosen):
-        source = dataset_a[int(row_a)]
-        perturbed, log = scheme.perturb(source, schema, rng, new_id=f"B{row_b}")
-        records_b.append(perturbed)
-        pair = (int(row_a), row_b)
-        true_matches.add(pair)
-        operation_log[pair] = log
+    with RawDraws(rng) as draws:
+        for row_b, row_a in enumerate(chosen):
+            perturbed, log = scheme.perturb(records_a[row_a], schema, draws, f"B{row_b}")
+            records_b.append(perturbed)
+            operation_log[row_a, row_b] = log
 
     n_fill = n - len(records_b)
     if n_fill > 0:
-        filler = generator.generate(n_fill, seed=seed_fill, id_prefix="F")
-        for i, record in enumerate(filler):
-            records_b.append(Record(f"B{len(chosen) + i}", record.values))
+        filler = generator.generate_rows(n_fill, seed=seed_fill)
+        records_b += numbered_records(filler, "B", start=len(records_b))
 
     dataset_b = Dataset(schema, records_b, name=f"{dataset_a.name}-B")
     return LinkageProblem(
         dataset_a=dataset_a,
         dataset_b=dataset_b,
-        true_matches=true_matches,
+        true_matches=set(operation_log),
         operation_log=operation_log,
     )

@@ -20,11 +20,22 @@ import enum
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import Protocol
 
 from repro.data.schema import Record, Schema
 from repro.text.alphabet import Alphabet
+
+
+class Draws(Protocol):
+    """The scalar draws perturbation makes: a numpy Generator has them.
+
+    So does :class:`repro.data.draws.RawDraws`, which decodes the same
+    values from a Generator's raw words at a fraction of the call cost.
+    """
+
+    def random(self) -> float: ...
+
+    def integers(self, low: int, high: int) -> int: ...
 
 
 class Operation(enum.Enum):
@@ -43,35 +54,31 @@ def _letter_candidates(chars: str, exclude: str) -> tuple[str, ...]:
     return tuple(ch for ch in chars if ch not in (" ", "_") and ch != exclude)
 
 
-def _random_letter(alphabet: Alphabet, rng: np.random.Generator, exclude: str = "") -> str:
+def _random_letter(alphabet: Alphabet, rng: Draws, exclude: str = "") -> str:
     """A uniformly chosen non-blank alphabet character, optionally != exclude."""
     candidates = _letter_candidates(alphabet.chars, exclude)
-    return candidates[int(rng.integers(0, len(candidates)))]
+    return candidates[rng.integers(0, len(candidates))]
 
 
-def apply_operation(
-    value: str, operation: Operation, alphabet: Alphabet, rng: np.random.Generator
-) -> str:
+def apply_operation(value: str, operation: Operation, alphabet: Alphabet, rng: Draws) -> str:
     """Apply one edit operation to ``value`` at a random position.
 
     Substitutions always change the character (edit distance strictly
     grows); deletes on empty strings degrade to inserts so the operation
     always has an effect.
     """
-    if not value and operation is Operation.DELETE:
-        operation = Operation.INSERT
-    if not value and operation is Operation.SUBSTITUTE:
+    if not value and operation is not Operation.INSERT:
         operation = Operation.INSERT
 
     if operation is Operation.SUBSTITUTE:
-        pos = int(rng.integers(0, len(value)))
+        pos = rng.integers(0, len(value))
         new_char = _random_letter(alphabet, rng, exclude=value[pos])
         return value[:pos] + new_char + value[pos + 1 :]
     if operation is Operation.INSERT:
-        pos = int(rng.integers(0, len(value) + 1))
+        pos = rng.integers(0, len(value) + 1)
         return value[:pos] + _random_letter(alphabet, rng) + value[pos:]
     # DELETE
-    pos = int(rng.integers(0, len(value)))
+    pos = rng.integers(0, len(value))
     return value[:pos] + value[pos + 1 :]
 
 
@@ -81,6 +88,12 @@ class AppliedOperation:
 
     attribute: str
     operation: Operation
+
+
+@lru_cache(maxsize=1024)
+def _applied(attribute: str, operation: Operation) -> AppliedOperation:
+    """The one log entry for (attribute, operation); entries are immutable."""
+    return AppliedOperation(attribute, operation)
 
 
 @dataclass(frozen=True)
@@ -112,28 +125,34 @@ class PerturbationScheme:
         return sum(self.ops_per_attribute.values())
 
     def perturb(
-        self, record: Record, schema: Schema, rng: np.random.Generator, new_id: str
+        self, record: Record, schema: Schema, rng: Draws, new_id: str
     ) -> tuple[Record, tuple[AppliedOperation, ...]]:
-        """Perturbed copy of ``record`` plus the log of applied operations."""
+        """Perturbed copy of ``record`` plus the log of applied operations.
+
+        ``rng`` is anything with ``random()`` and ``integers(low, high)``
+        drawing what a numpy Generator's scalar calls draw.
+        """
+        attributes = schema.attributes
+        if self.random_single:
+            plan = [(rng.integers(0, len(attributes)), 1)]
+        else:
+            plan = sorted(self.ops_per_attribute.items())
+            if plan[-1][0] >= len(attributes):
+                raise ValueError(
+                    f"scheme targets attribute index {plan[-1][0]}, schema has "
+                    f"{len(attributes)} attributes"
+                )
         values = list(record.values)
         log: list[AppliedOperation] = []
-        if self.random_single:
-            plan = {int(rng.integers(0, schema.n_attributes)): 1}
-        else:
-            plan = dict(self.ops_per_attribute)
-        for index, count in sorted(plan.items()):
-            if index >= schema.n_attributes:
-                raise ValueError(
-                    f"scheme targets attribute index {index}, schema has "
-                    f"{schema.n_attributes} attributes"
-                )
-            spec = schema[index]
+        operations = self.operations
+        for index, count in plan:
+            spec = attributes[index]
             for __ in range(count):
-                operation = self.operations[int(rng.integers(0, len(self.operations)))]
+                operation = operations[rng.integers(0, len(operations))]
                 values[index] = apply_operation(
                     values[index], operation, spec.scheme.alphabet, rng
                 )
-                log.append(AppliedOperation(spec.name, operation))
+                log.append(_applied(spec.name, operation))
         return Record(new_id, tuple(values)), tuple(log)
 
 

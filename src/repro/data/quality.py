@@ -21,9 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.data.perturb import AppliedOperation, Operation
+from repro.data.perturb import AppliedOperation, Draws, Operation
 from repro.data.schema import Dataset, Record, Schema
 
 
@@ -46,7 +44,7 @@ class MissingValueScheme:
             raise ValueError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
 
     def perturb(
-        self, record: Record, schema: Schema, rng: np.random.Generator, new_id: str
+        self, record: Record, schema: Schema, rng: Draws, new_id: str
     ) -> tuple[Record, tuple[AppliedOperation, ...]]:
         values = list(record.values)
         log: list[AppliedOperation] = []
@@ -84,7 +82,7 @@ class WordScrambleScheme:
             )
 
     def perturb(
-        self, record: Record, schema: Schema, rng: np.random.Generator, new_id: str
+        self, record: Record, schema: Schema, rng: Draws, new_id: str
     ) -> tuple[Record, tuple[AppliedOperation, ...]]:
         values = list(record.values)
         log: list[AppliedOperation] = []
@@ -114,7 +112,7 @@ class CompositeScheme:
             )
 
     def perturb(
-        self, record: Record, schema: Schema, rng: np.random.Generator, new_id: str
+        self, record: Record, schema: Schema, rng: Draws, new_id: str
     ) -> tuple[Record, tuple[AppliedOperation, ...]]:
         log: list[AppliedOperation] = []
         current = record

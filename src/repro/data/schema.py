@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.qgram import QGramScheme
@@ -98,23 +99,32 @@ class Record:
         return Record(self.record_id, tuple(values))
 
 
+_values = attrgetter("values")
+_record_id = attrgetter("record_id")
+
+
 class Dataset:
-    """An ordered collection of records under a shared schema."""
+    """An ordered collection of records under a shared schema.
+
+    Construction checks every record's arity and that the ids are
+    unique; the id -> row index behind :meth:`index_of` is built on its
+    first call (most datasets are only ever read by row).
+    """
 
     def __init__(self, schema: Schema, records: Iterable[Record], name: str = "") -> None:
         self.schema = schema
         self.records: list[Record] = list(records)
         self.name = name
         n_attributes = schema.n_attributes
-        for record in self.records:
-            if len(record.values) != n_attributes:
-                raise ValueError(
-                    f"record {record.record_id!r} has {len(record.values)} values, "
-                    f"schema expects {n_attributes}"
-                )
-        self._by_id = {record.record_id: i for i, record in enumerate(self.records)}
-        if len(self._by_id) != len(self.records):
+        if set(map(len, map(_values, self.records))) - {n_attributes}:
+            bad = next(r for r in self.records if len(r.values) != n_attributes)
+            raise ValueError(
+                f"record {bad.record_id!r} has {len(bad.values)} values, "
+                f"schema expects {n_attributes}"
+            )
+        if len(set(map(_record_id, self.records))) != len(self.records):
             raise ValueError("record ids must be unique within a dataset")
+        self._by_id: dict[str, int] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -126,6 +136,8 @@ class Dataset:
         return self.records[index]
 
     def index_of(self, record_id: str) -> int:
+        if self._by_id is None:
+            self._by_id = {record.record_id: i for i, record in enumerate(self.records)}
         return self._by_id[record_id]
 
     def column(self, attribute: str) -> list[str]:
@@ -149,11 +161,15 @@ class Dataset:
         return f"Dataset({label} n={len(self.records)}, attributes={self.schema.names})"
 
 
+def numbered_records(
+    rows: Iterable[Sequence[str]], id_prefix: str, start: int = 0
+) -> list[Record]:
+    """``Record(f"{id_prefix}{start + i}", tuple(row))`` for each ``i``-th row."""
+    return [Record(f"{id_prefix}{i}", tuple(row)) for i, row in enumerate(rows, start)]
+
+
 def dataset_from_rows(
     schema: Schema, rows: Sequence[Sequence[str]], id_prefix: str = "R", name: str = ""
 ) -> Dataset:
     """Build a dataset from plain value rows, generating sequential ids."""
-    records = [
-        Record(f"{id_prefix}{i}", tuple(row)) for i, row in enumerate(rows)
-    ]
-    return Dataset(schema, records, name=name)
+    return Dataset(schema, numbered_records(rows, id_prefix), name=name)

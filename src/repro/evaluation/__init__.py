@@ -7,7 +7,6 @@ from repro.evaluation.metrics import (
     pairs_from_arrays,
     pairs_quality,
     reduction_ratio,
-    subset_completeness,
 )
 from repro.evaluation.reporting import format_table
 
@@ -19,5 +18,4 @@ __all__ = [
     "pairs_from_arrays",
     "pairs_quality",
     "reduction_ratio",
-    "subset_completeness",
 ]

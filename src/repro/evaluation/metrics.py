@@ -42,19 +42,6 @@ class LinkageQuality:
             return 0.0
         return 2.0 * self.precision * self.recall / (self.precision + self.recall)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "PC": self.pairs_completeness,
-            "PQ": self.pairs_quality,
-            "RR": self.reduction_ratio,
-            "precision": self.precision,
-            "recall": self.recall,
-            "F1": self.f1,
-            "n_true_matches": float(self.n_true_matches),
-            "n_candidates": float(self.n_candidates),
-            "n_matches": float(self.n_matches),
-        }
-
 
 def pairs_completeness(found: set[tuple[int, int]], truth: set[tuple[int, int]]) -> float:
     """``|found ∩ truth| / |truth|``; defined as 1.0 for empty truth."""
@@ -110,10 +97,3 @@ def evaluate_linkage(
 def pairs_from_arrays(rows_a: np.ndarray, rows_b: np.ndarray) -> set[tuple[int, int]]:
     """Convert parallel index arrays into a set of (row_a, row_b) pairs."""
     return set(zip(rows_a.tolist(), rows_b.tolist()))
-
-
-def subset_completeness(
-    found: set[tuple[int, int]], truth_subset: set[tuple[int, int]]
-) -> float:
-    """PC restricted to a subset of the truth (Figure 11's per-operation PC)."""
-    return pairs_completeness(found, truth_subset)

@@ -13,14 +13,15 @@ def problem():
 
 
 class TestConfiguration:
-    def test_paper_pl_table_count(self):
+    def test_paper_pl_table_count(self, problem):
         """K=30, record-level theta = 4 * 45 over 2000 bits gives a small L
-        (the paper reports L = 4 for its PL setting)."""
+        (the paper reports L = 4 for its PL setting); the link reports it."""
         linker = BfHLinker(
             {"f1": 45, "f2": 45, "f3": 45, "f4": 45}, n_attributes=4, k=30, seed=0
         )
         assert linker.blocking_threshold == 180
-        assert 3 <= linker.computed_n_tables <= 40
+        result = linker.link(problem.dataset_a, problem.dataset_b)
+        assert 3 <= result.counters["n_tables"] <= 40
 
     def test_explicit_blocking_threshold(self):
         linker = BfHLinker(

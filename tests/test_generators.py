@@ -143,23 +143,38 @@ class TestWeightCheck:
 
 
 class _CountingRng:
-    """Wrap a ``np.random.Generator`` and log every method call by name."""
+    """Wrap a ``np.random.Generator``: log every method call by name.
+
+    Attributes that are not methods (``bit_generator``) pass through
+    unlogged, so a :class:`~repro.data.draws.RawDraws` can decode the
+    wrapped Generator's stream.
+    """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self.calls: list[tuple[str, dict]] = []
+        self.calls: list[tuple[str, tuple, dict]] = []
 
     def __getattr__(self, name):
-        method = getattr(self._rng, name)
+        attribute = getattr(self._rng, name)
+        if not callable(attribute):
+            return attribute
 
         def counted(*args, **kwargs):
-            self.calls.append((name, kwargs))
-            return method(*args, **kwargs)
+            self.calls.append((name, args, kwargs))
+            return attribute(*args, **kwargs)
 
         return counted
 
     def names(self) -> Counter:
-        return Counter(name for name, __ in self.calls)
+        return Counter(name for name, __, __ in self.calls)
+
+
+def _is_scalar_draw(name: str, args: tuple, kwargs: dict) -> bool:
+    """A ``random()`` / ``integers(low, high)`` call without a ``size``."""
+    size_position = {"random": 0, "integers": 2}.get(name)
+    if size_position is None:
+        return False
+    return len(args) <= size_position and kwargs.get("size") is None
 
 
 @pytest.fixture
@@ -177,13 +192,28 @@ def counting_rngs(monkeypatch):
     return made
 
 
+MAKERS = pytest.mark.parametrize(
+    ("make", "n_samples"),
+    [
+        (lambda: NCVRGenerator().generate(300, seed=1), 3),
+        (lambda: DBLPGenerator().generate(300, seed=1), 2),
+        (lambda: build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=1), 6),
+        (lambda: build_linkage_problem(DBLPGenerator(), 300, scheme_ph(), seed=1), 4),
+    ],
+    ids=["ncvr", "dblp", "ncvr-problem", "dblp-problem"],
+)
+
+
 class TestDrawCounts:
-    """One RNG call per drawn word: the clock-free gate on the per-draw path.
+    """The clock-free gate on the per-draw path.
 
     ``rng.choice(n, p=p)`` re-validates ``p`` and recomputes its cumulative
     sum on every call (11-15 us); a draw from a prebuilt CDF is one
-    ``random()`` and a bisect.  The draws must equal what ``choice``
-    returns from the same stream, so the data do not move.
+    ``random()`` and a bisect.  A scalar ``random()`` / ``integers()`` on
+    the Generator is itself 0.5-1.7 us of numpy call overhead, so the
+    per-record loops draw through a :class:`~repro.data.draws.RawDraws`
+    instead and make none.  The draws must equal what numpy returns from
+    the same stream, so the data do not move (``tests/test_data_stream``).
     """
 
     N_DRAWS = 200
@@ -211,18 +241,25 @@ class TestDrawCounts:
         ]
         assert drawn == expected
 
-    @pytest.mark.parametrize(
-        ("make", "n_samples"),
-        [
-            (lambda: NCVRGenerator().generate(300, seed=1), 3),
-            (lambda: DBLPGenerator().generate(300, seed=1), 2),
-            (lambda: build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=1), 6),
-            (lambda: build_linkage_problem(DBLPGenerator(), 300, scheme_ph(), seed=1), 4),
-        ],
-        ids=["ncvr", "dblp", "ncvr-problem", "dblp-problem"],
-    )
+    @MAKERS
     def test_choice_only_in_vectorised_sample(self, counting_rngs, make, n_samples):
         make()
-        choices = [kw for rng in counting_rngs for name, kw in rng.calls if name == "choice"]
+        choices = [kw for rng in counting_rngs for name, __, kw in rng.calls if name == "choice"]
         assert len(choices) == n_samples
         assert all(kw.get("size") is not None for kw in choices)
+
+    @MAKERS
+    def test_no_scalar_draw_on_the_generator(self, counting_rngs, make, n_samples):
+        make()
+        calls = [call for rng in counting_rngs for call in rng.calls]
+        assert calls
+        assert not [call for call in calls if _is_scalar_draw(*call)]
+
+    def test_counting_rng_passes_attributes_through(self):
+        rng = _CountingRng(np.random.default_rng(3))
+        assert isinstance(rng.bit_generator, np.random.PCG64)
+        assert rng.calls == []
+        rng.random(4)
+        rng.integers(0, 5)
+        assert [name for name, __, __ in rng.calls] == ["random", "integers"]
+        assert [_is_scalar_draw(*call) for call in rng.calls] == [False, True]

@@ -11,7 +11,6 @@ from repro.evaluation.metrics import (
     pairs_from_arrays,
     pairs_quality,
     reduction_ratio,
-    subset_completeness,
 )
 
 PAIRS = st.sets(
@@ -78,10 +77,6 @@ class TestEvaluateLinkage:
         assert quality.recall == 0.0
         assert quality.f1 == 0.0
 
-    def test_as_dict_keys(self):
-        quality = evaluate_linkage([(0, 0)], {(0, 0)}, 1, 4)
-        assert {"PC", "PQ", "RR", "precision", "recall", "F1"} <= set(quality.as_dict())
-
     @given(PAIRS, PAIRS)
     def test_recall_equals_pc(self, found, truth):
         """PC and recall coincide when matches are the classified pairs."""
@@ -94,7 +89,3 @@ class TestHelpers:
     def test_pairs_from_arrays(self):
         pairs = pairs_from_arrays(np.asarray([1, 2]), np.asarray([3, 4]))
         assert pairs == {(1, 3), (2, 4)}
-
-    def test_subset_completeness(self):
-        found = {(0, 0), (1, 1)}
-        assert subset_completeness(found, {(1, 1), (2, 2)}) == pytest.approx(0.5)

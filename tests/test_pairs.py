@@ -68,8 +68,11 @@ class TestConstruction:
 
 class TestPerOperationBreakdown:
     def test_operations_partition_matches(self, problem):
+        """Every true pair was made by at least one logged operation."""
         by_op = {
-            op: problem.matches_with_operation(op) for op in Operation
+            op: {pair for pair, log in problem.operation_log.items()
+                 if any(entry.operation is op for entry in log)}
+            for op in Operation
         }
         union = set().union(*by_op.values())
         assert union == problem.true_matches

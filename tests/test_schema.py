@@ -145,6 +145,18 @@ class TestDataset:
     def test_index_of(self, dataset):
         assert dataset.index_of("R2") == 2
 
+    def test_index_of_every_id_and_unknown(self, schema):
+        ds = dataset_from_rows(schema, [("A", "B")] * 50, id_prefix="X")
+        assert [ds.index_of(f"X{i}") for i in range(50)] == list(range(50))
+        with pytest.raises(KeyError):
+            ds.index_of("X50")
+
+    def test_duplicate_ids_rejected_without_index_lookup(self, schema):
+        """Uniqueness is checked when the dataset is built, not on first lookup."""
+        records = [Record(f"R{i}", ("A", "B")) for i in range(5)] + [Record("R3", ("C", "D"))]
+        with pytest.raises(ValueError, match="unique"):
+            Dataset(schema, records)
+
     def test_column(self, dataset):
         assert dataset.column("LastName") == ["SMITH", "GARCIA", "WALKER"]
 
