@@ -78,7 +78,7 @@ from repro.data.quality import (  # noqa: E402
 )
 from repro.evaluation.reporting import format_table  # noqa: E402
 from repro.hamming.bitmatrix import scatter_bits  # noqa: E402
-from repro.hamming.distance import jaccard_distance_sets  # noqa: E402
+from repro.hamming.distance import hamming_packed, jaccard_distance_sets  # noqa: E402
 from repro.hamming.lsh import HammingLSH  # noqa: E402
 from repro.rules.blocking import RuleAwareBlocker  # noqa: E402
 from repro.rules.parser import parse_rule  # noqa: E402
@@ -626,18 +626,22 @@ def _run_jaro_winkler(cell: Cell) -> Result:
         encoder = CVectorEncoder.calibrated(
             [a for a, __ in matched], scheme=EXPERIMENT_SCHEME, seed=cell.seed
         )
-        score: Callable[[str, str], float] = lambda a, b: encoder.encode(a).hamming(
-            encoder.encode(b)
-        )
-    elif cell.method == "jaro-winkler":
-        score = jaro_winkler_distance
+
+        def score_pairs(pairs: list[tuple[str, str]]) -> Sequence[float]:
+            side_a, side_b = (encoder.encode_all(side).words for side in zip(*pairs))
+            return hamming_packed(side_a, side_b)  # each side embedded once
     else:
-        index_set = EXPERIMENT_SCHEME.index_set
-        score = lambda a, b: jaccard_distance_sets(index_set(a), index_set(b))
+        if cell.method == "jaro-winkler":
+            score: Callable[[str, str], float] = jaro_winkler_distance
+        else:
+            index_set = EXPERIMENT_SCHEME.index_set
+            score = lambda a, b: jaccard_distance_sets(index_set(a), index_set(b))
+
+        def score_pairs(pairs: list[tuple[str, str]]) -> Sequence[float]:
+            return [score(a, b) for a, b in pairs]
 
     def scores() -> tuple[np.ndarray, np.ndarray]:
-        scored = ([score(a, b) for a, b in pairs] for pairs in (matched, unmatched))
-        return tuple(np.asarray(values, dtype=float) for values in scored)
+        return tuple(np.asarray(score_pairs(pairs), dtype=float) for pairs in (matched, unmatched))
 
     (scores_m, scores_u), wall = _timed(scores)
     best, best_threshold = 0, 0.0

@@ -17,6 +17,7 @@ Run:  python examples/rule_aware_blocking.py
 from repro import (
     CompactHammingLinker,
     NCVRGenerator,
+    RuleAwareBlocker,
     build_linkage_problem,
     evaluate_linkage,
     parse_rule,
@@ -75,7 +76,7 @@ def main() -> None:
         print(f"    {name:<10} max u = {int(distances[name].max())}")
 
     # The compiled blocking structures:
-    blocker = linker._build_blocker(linker.encoder)
+    blocker = RuleAwareBlocker(rule, linker.encoder, k=K, seed=3)
     print("\ncompiled blocking structures for C1:")
     for info in blocker.structures:
         print(f"  {info.rule}: L = {info.n_tables}, "

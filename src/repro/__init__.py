@@ -27,7 +27,6 @@ from repro.core import (
     StreamingLinker,
     optimal_cvector_size,
     qgram_index,
-    qgram_vector,
 )
 from repro.data import (
     DBLPGenerator,
@@ -42,14 +41,13 @@ from repro.data import (
     scheme_pl,
 )
 from repro.evaluation import LinkageQuality, evaluate_linkage
-from repro.hamming import BitMatrix, BitVector, HammingLSH
+from repro.hamming import BitMatrix, HammingLSH
 from repro.rules import Comparison, Rule, RuleAwareBlocker, parse_rule
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BitMatrix",
-    "BitVector",
     "CVectorEncoder",
     "CalibrationConfig",
     "CompactHammingLinker",
@@ -74,7 +72,6 @@ __all__ = [
     "optimal_cvector_size",
     "parse_rule",
     "qgram_index",
-    "qgram_vector",
     "scheme_ph",
     "scheme_pl",
 ]

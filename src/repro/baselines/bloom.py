@@ -25,7 +25,6 @@ from repro.core.cvector import embed_columns
 from repro.core.encoder import RecordLayout
 from repro.core.qgram import QGramScheme, qgram_from_index
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.text.alphabet import TEXT_ALPHABET
 
 #: Paper configuration: "a size of 500 bits by using 15 cryptographic hash
@@ -75,9 +74,6 @@ class BloomFieldEncoder:
             positions = [bloom_positions(gram, self.n_bits, self.n_hashes) for gram in grams]
             self._table = np.array(positions, dtype=np.int64).reshape(-1, self.n_hashes)
         return self._table.take(ids, 0)
-
-    def encode(self, value: str) -> BitVector:
-        return self.encode_all([value]).row(0)
 
     def encode_all(self, values: Sequence[str]) -> BitMatrix:
         return embed_columns([self], [0], [values], self.n_bits)[0]

@@ -21,9 +21,7 @@ from repro.core.qgram import (
     qgram_from_index,
     qgram_index,
     qgram_index_set,
-    qgram_vector,
     qgrams,
-    record_qgram_vector,
 )
 from repro.core.persist import (
     encoder_from_dict,
@@ -77,9 +75,7 @@ __all__ = [
     "qgram_from_index",
     "qgram_index",
     "qgram_index_set",
-    "qgram_vector",
     "qgrams",
-    "record_qgram_vector",
     "record_size",
     "size_attribute",
 ]

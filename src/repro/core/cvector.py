@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.qgram import QGramScheme, batch_qgram_indices, qgram_index_set
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO, optimal_cvector_size
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
-from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import DEFAULT_BLOCK_ROWS
 from repro.text.alphabet import AlphabetError
 
@@ -192,26 +191,11 @@ class CVectorEncoder:
             raise ValueError(f"hash modulus {hash_fn.m} differs from m={m}")
         self.hash_fn = hash_fn
 
-    # -- per-string API -------------------------------------------------------
+    # -- dataset API --------------------------------------------------------------
 
     def gram_bits(self, ids: np.ndarray) -> np.ndarray:
         """``g(x)`` of every q-gram id, one column: the c-vector's gram -> bit table."""
         return self.hash_fn.apply(ids)[:, None]
-
-    def compact_indices(self, value: str) -> frozenset[int]:
-        """The set of compact positions ``{g(x) : x in U_s}`` for ``value``."""
-        return frozenset(self.hash_fn(x) for x in self.scheme.index_set(value))
-
-    def encode(self, value: str) -> BitVector:
-        """The c-vector of ``value`` (Figure 4 of the paper)."""
-        return BitVector.from_indices(self.m, self.compact_indices(value))
-
-    def collisions(self, value: str) -> int:
-        """Observed collision count for ``value``: ``|U_s| - |g(U_s)|``."""
-        u_s = self.scheme.index_set(value)
-        return len(u_s) - len({self.hash_fn(x) for x in u_s})
-
-    # -- dataset API --------------------------------------------------------------
 
     def encode_all(self, values: Sequence[str]) -> BitMatrix:
         """Encode a whole attribute column into one packed :class:`BitMatrix`."""
@@ -240,8 +224,9 @@ class CVectorEncoder:
         lengths = np.fromiter(map(len, sample), dtype=np.int64)
         if not lengths.size:
             raise ValueError("calibration sample must be non-empty")
-        lengths += 2 * (scheme.q - 1) * scheme.padded - scheme.q + 1  # QGramScheme.count
-        b = int(np.maximum(lengths, 0).sum()) / lengths.size
+        if scheme.padded:  # QGramScheme.count: padding leaves an empty value empty
+            lengths[lengths > 0] += 2 * (scheme.q - 1)
+        b = int(np.maximum(lengths - scheme.q + 1, 0).sum()) / lengths.size
         if b <= 0:
             raise ValueError("calibration sample produced no q-grams")
         m_opt = optimal_cvector_size(b, rho, r)

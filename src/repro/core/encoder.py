@@ -26,7 +26,6 @@ from repro.core.cvector import (
 from repro.core.qgram import QGramScheme
 from repro.core.sizing import DEFAULT_CONFIDENCE_R, DEFAULT_RHO
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import masked_hamming_rows
 
 
@@ -138,16 +137,6 @@ class RecordEncoder(RecordLayout):
 
     def attribute_encoder(self, attribute: str) -> CVectorEncoder:
         return self.encoders[self._by_name[attribute]]
-
-    # -- per-record API ---------------------------------------------------------
-
-    def encode(self, values: Sequence[str]) -> BitVector:
-        """Record-level c-vector: attribute-level c-vectors concatenated."""
-        with record_errors([values], self.names, self.encoders):
-            out = self.encoders[0].encode(values[0])
-            for enc, value in zip(self.encoders[1:], values[1:]):
-                out = out.concat(enc.encode(value))
-        return out
 
     # -- dataset API --------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from repro.core.config import (
 from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import IndexView, batch_query, group_matches
 from repro.pipeline.result import LinkageResult as LinkageResult, timed
@@ -307,12 +306,6 @@ class StreamingLinker:
 
     def __len__(self) -> int:
         return self.view.count
-
-    def vector(self, record_id: int) -> BitVector:
-        """The stored embedding of an inserted record."""
-        if not 0 <= record_id < self.view.count:
-            raise IndexError(f"record id {record_id} out of range for {self.view.count} records")
-        return BitVector.from_packed(self.view.words[record_id], self.encoder.total_bits)
 
     def insert(self, values: Sequence[str]) -> int:
         """Insert one record (the 1-row :meth:`insert_rows`); returns its internal id."""

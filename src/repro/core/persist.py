@@ -132,7 +132,7 @@ def save_encoder(encoder: RecordEncoder, path: str | Path) -> None:
     >>> with tempfile.TemporaryDirectory() as d:
     ...     save_encoder(enc, os.path.join(d, 'enc.json'))
     ...     loaded = load_encoder(os.path.join(d, 'enc.json'))
-    >>> loaded.encode(('JONES',)) == enc.encode(('JONES',))
+    >>> loaded.encode_dataset([('JONES',)]) == enc.encode_dataset([('JONES',)])
     True
     """
     path = Path(path)

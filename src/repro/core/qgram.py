@@ -2,7 +2,10 @@
 
 A *q-gram vector* represents a string deterministically in the Hamming
 space ``{0,1}^(|S|^q)``: every position stands for one distinct q-gram, and
-the positions of the q-grams occurring in the string are set to 1.
+the positions of the q-grams occurring in the string are set to 1.  This
+module computes those positions (:func:`qgram_index_set`,
+:func:`batch_qgram_indices`); rows of q-gram vectors are packed like
+c-vectors, by :func:`repro.core.cvector.embed_columns`.
 
 Algorithm 1 gives the bijection ``F`` from a q-gram to its position: the
 q-gram is read as a base-``|S|`` number using the zero-based order of each
@@ -18,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.hamming.bitvector import BitVector
 from repro.text.alphabet import Alphabet, AlphabetError, DEFAULT_ALPHABET
 from repro.text.normalize import pad as pad_string
 
@@ -248,31 +250,8 @@ class QGramScheme:
     def count(self, value: str) -> int:
         """Number of q-grams produced by ``value`` (with repeats).
 
-        This is the quantity averaged into ``b^(f_i)`` in Table 3.
+        This is the quantity averaged into ``b^(f_i)`` in Table 3.  Padding
+        leaves an empty value empty, so it has no q-gram in any scheme.
         """
-        length = len(value) + (2 * (self.q - 1) if self.padded else 0)
+        length = len(value) + (2 * (self.q - 1) if self.padded and value else 0)
         return max(0, length - self.q + 1)
-
-    def vector(self, value: str) -> BitVector:
-        """The full (sparse) q-gram vector of ``value`` in ``{0,1}^(|S|^q)``."""
-        return BitVector.from_indices(self.space_size, self.index_set(value))
-
-
-def qgram_vector(value: str, scheme: QGramScheme | None = None) -> BitVector:
-    """Build the q-gram vector of ``value`` (Figure 1 of the paper)."""
-    scheme = scheme or QGramScheme()
-    return scheme.vector(value)
-
-
-def record_qgram_vector(values: list[str], scheme: QGramScheme | None = None) -> BitVector:
-    """Record-level q-gram vector: attribute-level vectors concatenated.
-
-    The result lives in ``{0,1}^(n_f * |S|^q)`` (Section 4.1).
-    """
-    scheme = scheme or QGramScheme()
-    if not values:
-        raise ValueError("values must be non-empty")
-    out = scheme.vector(values[0])
-    for value in values[1:]:
-        out = out.concat(scheme.vector(value))
-    return out

@@ -27,10 +27,10 @@ def format_table(
     ``str()``-ed.
 
     >>> print(format_table(['a', 'b'], [[1, 0.5], [22, 0.25]]))
-    a   | b
-    ----+-----
-    1   | 0.5
-    22  | 0.25
+    a  | b
+    ---+-----
+    1  | 0.5
+    22 | 0.25
     """
     def fmt(cell: object) -> str:
         if isinstance(cell, float):

@@ -12,28 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.hamming.bitvector import BitVector
-
 #: Rows per cache block of the blocked gather / XOR / popcount / scatter
 #: kernels: a block of a few packed words stays near 1 MB, so it is reused
 #: from the allocator instead of being mapped and page-faulted per call.
 DEFAULT_BLOCK_ROWS = 1 << 15
 
-
-def hamming(v1: BitVector, v2: BitVector) -> int:
-    """Hamming distance between two equal-width bit vectors."""
-    return v1.hamming(v2)
-
-
-def hamming_int(x: int, y: int) -> int:
-    """Hamming distance between two non-negative integers' bit patterns.
-
-    >>> hamming_int(0b1010, 0b0110)
-    2
-    """
-    if x < 0 or y < 0:
-        raise ValueError("hamming_int expects non-negative integers")
-    return (x ^ y).bit_count()
 
 def hamming_packed(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     """Row-wise Hamming distance between two packed ``uint64`` arrays.
@@ -166,11 +149,6 @@ def masked_hamming_rows(
             xor[:, -1] &= np.uint64((1 << o_hi) - 1)
         out[lo:hi] = np.bitwise_count(xor).sum(axis=1)
     return out
-
-
-def normalized_hamming(v1: BitVector, v2: BitVector) -> float:
-    """Hamming distance divided by the vector width (a value in ``[0, 1]``)."""
-    return v1.hamming(v2) / v1.n_bits
 
 
 def jaccard_distance_rows(

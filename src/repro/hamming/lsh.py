@@ -43,8 +43,8 @@ feeds it its matrices' keys, and :func:`join_keys` the keys the LSH
 baselines hold (MinHash bands, p-stable floors; :func:`hash_keys`).
 
 Records enter and are matched only as matrices: there is no per-vector
-insert or query.  :meth:`CompositeHash.key_for` stays as the scalar
-reference :class:`KeyTable` is tested against.
+insert or query.  :meth:`CompositeHash.key_for` reads one packed row bit by
+bit in Python: the scalar reference :class:`KeyTable` is tested against.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from typing import NamedTuple, Protocol, TypeVar
 import numpy as np
 
 from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import decode_pairs, verify_pairs
 from repro.hamming.theory import hamming_lsh_parameters
 
@@ -370,11 +369,12 @@ class CompositeHash:
 
     positions: tuple[int, ...]
 
-    def key_for(self, vector: BitVector) -> int:
-        """Blocking key of a single vector (low-endian packed sample bits)."""
+    def key_for(self, row: np.ndarray) -> int:
+        """Blocking key of one packed row (``matrix.words[i]``): the sampled
+        bits packed low-endian."""
         key = 0
         for rank, pos in enumerate(self.positions):
-            key |= vector[pos] << rank
+            key |= (int(row[pos // 64]) >> pos % 64 & 1) << rank
         return key
 
     def keys_for(self, matrix: BitMatrix) -> np.ndarray:

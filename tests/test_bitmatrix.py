@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hamming.bitmatrix import BitMatrix, concat_matrices, scatter_bits
-from repro.hamming.bitvector import BitVector
-from repro.hamming.distance import DEFAULT_BLOCK_ROWS
+from repro.core.cvector import CVectorEncoder
+from repro.core.encoder import RecordEncoder
+from repro.hamming.bitmatrix import BitMatrix, scatter_bits
+from repro.hamming.distance import DEFAULT_BLOCK_ROWS, hamming_packed
+from tests.bits import row_int, set_bits
 
 
 def random_matrix(rng, n_rows, n_bits, density=0.3):
@@ -30,22 +32,7 @@ class TestConstruction:
         m = BitMatrix.zeros(3, 70)
         assert m.n_rows == 3
         assert m.n_bits == 70
-        assert m.popcounts().tolist() == [0, 0, 0]
-
-    def test_from_vectors_roundtrip(self):
-        vectors = [BitVector.from_indices(90, [i, 64 + i]) for i in range(5)]
-        m = BitMatrix.from_vectors(vectors)
-        for i, v in enumerate(vectors):
-            assert m.row(i) == v
-
-    def test_from_vectors_width_mismatch(self):
-        with pytest.raises(ValueError):
-            BitMatrix.from_vectors([BitVector(8), BitVector(9)])
-
-    def test_from_index_sets(self):
-        m = BitMatrix.from_index_sets([[0, 5], [1]], 8)
-        assert m.row(0).indices() == [0, 5]
-        assert m.row(1).indices() == [1]
+        assert not m.words.any() and m.words.shape == (3, 2)
 
     def test_word_shape_validation(self):
         with pytest.raises(ValueError):
@@ -55,13 +42,11 @@ class TestConstruction:
 class TestScatter:
     def test_scatter_sets_exact_positions(self):
         m = scatter_bits(3, 130, np.asarray([0, 0, 2]), np.asarray([0, 129, 64]))
-        assert m.row(0).indices() == [0, 129]
-        assert m.row(1).indices() == []
-        assert m.row(2).indices() == [64]
+        assert [set_bits(m, i) for i in range(3)] == [[0, 129], [], [64]]
 
     def test_scatter_duplicates_idempotent(self):
         m = scatter_bits(1, 8, np.asarray([0, 0]), np.asarray([3, 3]))
-        assert m.row(0).count() == 1
+        assert m.words.tolist() == [[1 << 3]]
 
     def test_scatter_bounds_checked(self):
         with pytest.raises(IndexError):
@@ -71,7 +56,7 @@ class TestScatter:
 
     def test_scatter_empty(self):
         m = scatter_bits(2, 8, np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
-        assert m.popcounts().tolist() == [0, 0]
+        assert m.words.tolist() == [[0], [0]]
 
 
     @pytest.mark.parametrize("n_rows", [1, DEFAULT_BLOCK_ROWS - 1, DEFAULT_BLOCK_ROWS,
@@ -91,17 +76,19 @@ class TestScatter:
 
 class TestBitAccess:
     def test_get_set_bit(self):
-        m = BitMatrix.zeros(2, 70)
-        m.set_bit(1, 69)
-        assert m.get_bit(1, 69) == 1
-        assert m.get_bit(0, 69) == 0
+        """Bit ``j`` of a row lives in word ``j // 64`` at offset ``j % 64``."""
+        words = np.zeros((2, 2), dtype=np.uint64)
+        words[1, 1] = 1 << 5
+        m = BitMatrix(words, 70)
+        assert m.columns([69, 5, 64]).tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert scatter_bits(2, 70, np.asarray([1]), np.asarray([69])) == m
 
     def test_bounds(self):
         m = BitMatrix.zeros(1, 8)
         with pytest.raises(IndexError):
-            m.get_bit(0, 8)
+            m.columns([8])
         with pytest.raises(IndexError):
-            m.set_bit(0, -1)
+            m.columns([-1])
 
 
 class TestColumns:
@@ -110,8 +97,8 @@ class TestColumns:
         cols = matrix.columns(picks)
         assert cols.shape == (matrix.n_rows, len(picks))
         for i in range(matrix.n_rows):
-            row = matrix.row(i)
-            assert cols[i].tolist() == [row[b] for b in picks]
+            row = row_int(matrix.words[i])
+            assert cols[i].tolist() == [row >> b & 1 for b in picks]
 
     def test_columns_out_of_range(self, matrix):
         with pytest.raises(IndexError):
@@ -120,44 +107,48 @@ class TestColumns:
 
 class TestHamming:
     def test_hamming_to_matches_rowwise(self, matrix):
-        probe = matrix.row(3)
-        dists = matrix.hamming_to(probe)
+        """One row broadcast against every row."""
+        probe = matrix.words[3]
+        dists = hamming_packed(probe, matrix.words)
         for i in range(matrix.n_rows):
-            assert dists[i] == matrix.row(i).hamming(probe)
+            assert dists[i] == (row_int(matrix.words[i]) ^ row_int(probe)).bit_count()
 
     def test_hamming_rows_batch(self, matrix, rng):
         rows_a = rng.integers(0, matrix.n_rows, size=15)
         rows_b = rng.integers(0, matrix.n_rows, size=15)
-        dists = matrix.hamming_rows(rows_a, matrix, rows_b)
+        dists = hamming_packed(matrix.words[rows_a], matrix.words[rows_b])
         for a, b, d in zip(rows_a, rows_b, dists):
-            assert d == matrix.row(int(a)).hamming(matrix.row(int(b)))
+            assert d == (row_int(matrix.words[a]) ^ row_int(matrix.words[b])).bit_count()
 
     def test_width_mismatch(self, matrix):
         with pytest.raises(ValueError):
-            matrix.hamming_to(BitVector(8))
+            hamming_packed(matrix.words, BitMatrix.zeros(1, 130).words)
 
 
 class TestConcat:
+    """Record-level rows are attribute-level rows side by side: each column's
+    bits shifted by its offset, at any widths (word boundaries included)."""
+
+    @staticmethod
+    def concatenated(encoder: RecordEncoder, record) -> int:
+        row = 0
+        for enc, layout, value in zip(encoder.encoders, encoder.layouts, record):
+            row |= row_int(enc.encode_all([value]).words[0]) << layout.offset
+        return row
+
     @given(st.integers(1, 70), st.integers(1, 70))
-    @settings(max_examples=20)
+    @settings(max_examples=20, deadline=None)
     def test_concat_widths(self, w1, w2):
-        m1 = BitMatrix.from_vectors([BitVector.from_indices(w1, [w1 - 1])] * 2)
-        m2 = BitMatrix.from_vectors([BitVector.from_indices(w2, [0])] * 2)
-        out = m1.concat(m2)
-        assert out.n_bits == w1 + w2
-        assert out.row(0).indices() == [w1 - 1, w1]
+        encoder = RecordEncoder([CVectorEncoder(w1, seed=w1), CVectorEncoder(w2, seed=w2)])
+        records = [("JONES", "SMITH"), ("", "WASHINGTON")] * 5  # the batched embed
+        matrix = encoder.encode_dataset(records)
+        assert matrix.n_bits == w1 + w2
+        for row, record in zip(matrix.words, records):
+            assert row_int(row) == self.concatenated(encoder, record)
 
-    def test_concat_matrices_multiway(self, rng):
-        parts = [random_matrix(rng, 5, w) for w in (15, 15, 68, 22)]
-        combined = concat_matrices(parts)
-        assert combined.n_bits == 120
-        # Row-wise equality against BitVector concat.
-        for i in range(5):
-            expected = parts[0].row(i)
-            for part in parts[1:]:
-                expected = expected.concat(part.row(i))
-            assert combined.row(i) == expected
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ValueError):
-            BitMatrix.zeros(2, 8).concat(BitMatrix.zeros(3, 8))
+    def test_concat_matrices_multiway(self, ncvr_encoder):
+        records = [("JONES", "SMITH", "12 MAIN ST", "BOONE"), ("JONAS", "", "1 OAK AVE", "")]
+        matrix = ncvr_encoder.encode_dataset(records * 5)
+        assert matrix.n_bits == 120
+        for row, record in zip(matrix.words, records * 5):
+            assert row_int(row) == self.concatenated(ncvr_encoder, record)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import CVectorEncoder, HASH_PRIME, UniversalHash
+from repro.baselines.minhash import bigram_matrix
+from repro.core.cvector import CVectorEncoder, HASH_PRIME, UniversalHash, value_bits
 from repro.core.qgram import QGramScheme
+from repro.text.alphabet import Alphabet
+from tests.bits import distance, row_int, set_bits
 
 
 class TestUniversalHash:
@@ -49,29 +52,31 @@ class TestUniversalHash:
 
 class TestCVectorEncoder:
     def test_width(self):
-        assert CVectorEncoder(15, seed=0).encode("JONES").n_bits == 15
+        assert CVectorEncoder(15, seed=0).encode_all(["JONES"]).n_bits == 15
 
     def test_deterministic_per_encoder(self):
         enc = CVectorEncoder(15, seed=1)
-        assert enc.encode("JONES") == enc.encode("JONES")
+        assert enc.encode_all(["JONES"]) == enc.encode_all(["JONES"])
 
     def test_same_seed_same_embedding(self):
         e1, e2 = CVectorEncoder(15, seed=5), CVectorEncoder(15, seed=5)
-        assert e1.encode("SMITH") == e2.encode("SMITH")
+        assert e1.encode_all(["SMITH"]) == e2.encode_all(["SMITH"])
 
     def test_compact_indices_are_hashed_u_s(self):
         enc = CVectorEncoder(15, seed=2)
         u_s = enc.scheme.index_set("JOHN")
-        assert enc.compact_indices("JOHN") == frozenset(enc.hash_fn(x) for x in u_s)
+        assert set_bits(enc.encode_all(["JOHN"]), 0) == sorted({enc.hash_fn(x) for x in u_s})
 
     def test_collisions_accounting(self):
+        """``|U_s| - |g(U_s)|`` q-grams share a bit with another one."""
         enc = CVectorEncoder(15, seed=3)
         value = "CONSTANTINOPLE"
         u_s = enc.scheme.index_set(value)
-        assert enc.collisions(value) == len(u_s) - enc.encode(value).count()
+        ones = row_int(enc.encode_all([value]).words[0]).bit_count()
+        assert len(u_s) - ones == len(u_s) - len({enc.hash_fn(x) for x in u_s}) > 0
 
     def test_empty_string_gives_zero_vector(self):
-        assert CVectorEncoder(15, seed=4).encode("").count() == 0
+        assert not CVectorEncoder(15, seed=4).encode_all([""]).words.any()
 
     def test_hash_modulus_must_match_m(self):
         g = UniversalHash(a=3, b=5, m=10)
@@ -83,7 +88,7 @@ class TestCVectorEncoder:
         values = ["JONES", "SMITH", "", "JONES", "WASHINGTON"]
         matrix = enc.encode_all(values)
         for i, value in enumerate(values):
-            assert matrix.row(i) == enc.encode(value)
+            assert row_int(matrix.words[i]) == value_bits(enc, 0, value)
 
     def test_encode_all_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -95,8 +100,8 @@ class TestCVectorEncoder:
         """Collisions only shrink distances: d in H-hat <= d in H."""
         enc = CVectorEncoder(15, seed=seed)
         perturbed = s[:-1] + ("X" if s[-1] != "X" else "Y")
-        full = enc.scheme.vector(s).hamming(enc.scheme.vector(perturbed))
-        compact = enc.encode(s).hamming(enc.encode(perturbed))
+        full = distance(bigram_matrix([(s,), (perturbed,)], enc.scheme))
+        compact = distance(enc.encode_all([s, perturbed]))
         assert compact <= full
 
 
@@ -110,6 +115,12 @@ class TestCalibration:
     def test_measured_b_stored(self):
         enc = CVectorEncoder.calibrated(["ABCD", "EFGHEF"], rho=1, r=1 / 3)
         assert enc.b == pytest.approx(4.0)  # (3 + 5) / 2
+
+    def test_empty_value_has_no_padded_qgram(self):
+        """Padding leaves ``''`` empty: ``b`` is the sample's mean q-gram count."""
+        scheme = QGramScheme(alphabet=Alphabet.uppercase_padded(), padded=True)
+        enc = CVectorEncoder.calibrated(["", "AB"], scheme=scheme)
+        assert enc.b == 1.5 == (scheme.count("") + scheme.count("AB")) / 2
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -134,5 +145,6 @@ class TestCollisionStatistics:
             "".join(letters[i] for i in rng.integers(0, 26, size=6)) for __ in range(500)
         ]
         enc = CVectorEncoder.calibrated(values, rho=1, r=1 / 3, seed=12)
-        observed = np.mean([enc.collisions(v) for v in values])
+        ones = [row_int(row).bit_count() for row in enc.encode_all(values).words]
+        observed = np.mean([len(enc.scheme.index_set(v)) - n for v, n in zip(values, ones)])
         assert observed <= 1.25  # rho = 1 with sampling slack

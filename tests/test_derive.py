@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.minhash import bigram_matrix
 from repro.core.qgram import QGramScheme
 from repro.data.perturb import ALL_OPERATIONS, Operation, apply_operation
 from repro.rules.ast import And
@@ -13,6 +14,7 @@ from repro.rules.derive import (
     operation_bit_cost,
 )
 from repro.text.alphabet import TEXT_ALPHABET
+from tests import bits
 
 import numpy as np
 
@@ -97,5 +99,5 @@ class TestBudgetSoundness:
         for __ in range(n_errors):
             op = ALL_OPERATIONS[int(rng.integers(0, 3))]
             perturbed = apply_operation(perturbed, op, TEXT_ALPHABET, rng)
-        distance = scheme.vector(value).hamming(scheme.vector(perturbed))
+        distance = bits.distance(bigram_matrix([(value,), (perturbed,)], scheme))
         assert distance <= error_budget(n_errors)

@@ -5,36 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.distance import (
-    hamming,
-    hamming_int,
     hamming_packed,
     jaccard_distance_sets,
     masked_hamming_rows,
-    normalized_hamming,
     verify_pairs,
 )
-
-
-class TestScalarDistances:
-    def test_hamming_int(self):
-        assert hamming_int(0b1010, 0b0110) == 2
-
-    def test_hamming_int_rejects_negative(self):
-        with pytest.raises(ValueError):
-            hamming_int(-1, 0)
-
-    def test_hamming_wraps_bitvector(self):
-        v1 = BitVector.from_indices(8, [0])
-        v2 = BitVector.from_indices(8, [1])
-        assert hamming(v1, v2) == 2
-
-    def test_normalized(self):
-        v1 = BitVector.from_indices(10, [0, 1])
-        v2 = BitVector(10)
-        assert normalized_hamming(v1, v2) == pytest.approx(0.2)
+from tests.bits import row_int
 
 
 class TestHammingPacked:
@@ -112,12 +89,11 @@ class TestMaskedHammingRows:
         rng = np.random.default_rng(seed)
         words_a = rng.integers(0, 2**63, size=(n_rows, 3), dtype=np.int64).astype(np.uint64)
         words_b = rng.integers(0, 2**63, size=(n_rows, 3), dtype=np.int64).astype(np.uint64)
-        ma = BitMatrix(words_a, n_bits)
-        mb = BitMatrix(words_b, n_bits)
         rows = np.arange(n_rows)
         got = masked_hamming_rows(words_a, rows, words_b, rows, start, stop)
+        mask = (1 << stop) - (1 << start)
         for i in range(n_rows):
-            expected = ma.row(i).slice(start, stop).hamming(mb.row(i).slice(start, stop))
+            expected = ((row_int(words_a[i]) ^ row_int(words_b[i])) & mask).bit_count()
             assert got[i] == expected
 
     def test_word_aligned_range(self):

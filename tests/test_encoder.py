@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, embed_values
+from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, value_bits
 from repro.core.encoder import RecordEncoder
 from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
 from repro.text.alphabet import TEXT_ALPHABET, Alphabet, AlphabetError
+from tests.bits import reference_words, row_int
 
 RECORDS = [
     ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
@@ -51,26 +52,29 @@ class TestLayout:
 
 class TestEncode:
     def test_record_vector_is_concatenation(self, ncvr_encoder):
+        """Each attribute's c-vector (its own column embed) sits at its offset."""
         record = RECORDS[0]
-        vector = ncvr_encoder.encode(record)
-        assert vector.n_bits == 120
+        matrix = ncvr_encoder.encode_dataset([record])
+        assert matrix.n_bits == 120
+        vector = row_int(matrix.words[0])
         for layout, enc, value in zip(
             ncvr_encoder.layouts, ncvr_encoder.encoders, record
         ):
-            assert vector.slice(layout.offset, layout.stop) == enc.encode(value)
+            attribute = vector >> layout.offset & (1 << layout.width) - 1
+            assert attribute == row_int(enc.encode_all([value]).words[0])
 
     def test_arity_check(self, ncvr_encoder):
         with pytest.raises(ValueError, match="values"):
-            ncvr_encoder.encode(("A", "B"))
+            ncvr_encoder.encode_dataset([("A", "B")])
 
     def test_dataset_matrix_matches_per_record(self, ncvr_encoder):
-        matrix = ncvr_encoder.encode_dataset(RECORDS)
-        for i, record in enumerate(RECORDS):
-            assert matrix.row(i) == ncvr_encoder.encode(record)
+        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", 0):  # the batched embed
+            matrix = ncvr_encoder.encode_dataset(RECORDS)
+        assert np.array_equal(matrix.words, reference_words(ncvr_encoder, RECORDS))
 
     def test_dataset_words_match_per_record_on_degenerate_values(self, ncvr_encoder):
         """The identity that makes batched ingest legal: the batch encoder
-        and the per-record encoder agree bit for bit, also on empty and
+        and the value-by-value reference agree bit for bit, also on empty and
         missing (blanked) values, values shorter than a q-gram and
         repeated rows (interned once by the batch encoder)."""
         rows = [
@@ -81,9 +85,9 @@ class TestEncode:
             ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
             ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
         ]
-        words = ncvr_encoder.encode_dataset(rows).words
-        for i, row in enumerate(rows):
-            assert np.array_equal(words[i], ncvr_encoder.encode(row).to_packed())
+        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", 0):  # the batched embed
+            words = ncvr_encoder.encode_dataset(rows).words
+        assert np.array_equal(words, reference_words(ncvr_encoder, rows))
 
     def test_arity_error_names_the_first_offender(self, ncvr_encoder):
         rows = [RECORDS[0], ("A", "B", "C"), ("A",)]
@@ -93,15 +97,15 @@ class TestEncode:
     def test_non_alphabet_values_rejected_by_both_encoders(self, ncvr_encoder):
         bad = ("JOS\u00c9", "SMITH", "12 MAIN ST", "BOONE")
         with pytest.raises(AlphabetError):
-            ncvr_encoder.encode(bad)
+            ncvr_encoder.encode_dataset([bad])
         with pytest.raises(AlphabetError):
-            ncvr_encoder.encode_dataset([RECORDS[0], bad])
+            ncvr_encoder.encode_dataset([RECORDS[0], bad] * SMALL_BATCH_ROWS)
 
     def test_encode_attribute_column(self, ncvr_encoder):
         matrix = ncvr_encoder.encode_attribute(RECORDS, "f2")
         enc = ncvr_encoder.attribute_encoder("f2")
         for i, record in enumerate(RECORDS):
-            assert matrix.row(i) == enc.encode(record[1])
+            assert row_int(matrix.words[i]) == value_bits(enc, 0, record[1])
 
     def test_empty_dataset_is_zero_rows(self, ncvr_encoder):
         stats = {}
@@ -130,7 +134,7 @@ class TestValueGranularEmbedding:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(_VALUE, _VALUE, _VALUE), min_size=1, max_size=12))
     def test_dataset_words_equal_stacked_per_record_vectors(self, rows):
-        expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
+        expected = reference_words(WIDE_ENCODER, rows)
         stats: dict[str, float] = {}
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows, stats=stats).words, expected)
         n_unique = sum(len({row[att] for row in rows}) for att in range(3))
@@ -145,7 +149,7 @@ class TestValueGranularEmbedding:
         """Columns larger and smaller than a block, so scatters are shared and split."""
         monkeypatch.setattr("repro.core.cvector.VALUE_BLOCK", block)
         rows = [(f"A{i % 7}", "" if i % 3 else "SMITH", f"{i} MAIN ST") for i in range(11)]
-        expected = np.stack([WIDE_ENCODER.encode(row).to_packed() for row in rows])
+        expected = reference_words(WIDE_ENCODER, rows)
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows).words, expected)
 
 
@@ -189,14 +193,11 @@ class TestSmallBatchSelection:
         if which == "wide":  # no É in TEXT_ALPHABET: keep to its values
             rows = [[value.replace("É", "E") for value in row] for row in rows]
         rows = [tuple(row[: encoder.n_attributes]) for row in rows]
-        expected = np.stack([encoder.encode(row).to_packed() for row in rows])
+        expected = reference_words(encoder, rows)  # embed_values, value by value
         columns = [[row[att] for row in rows] for att in range(encoder.n_attributes)]
         offsets = [layout.offset for layout in encoder.layouts]
         batched = embed_columns(encoder.encoders, offsets, columns, encoder.total_bits)[0]
-        memos: list[dict[str, int]] = [{} for __ in encoder.encoders]
-        by_value = embed_values(encoder.encoders, offsets, rows, encoder.total_bits, memos)
         assert np.array_equal(batched.words, expected)
-        assert np.array_equal(by_value.words, expected)
         with mock.patch("repro.core.encoder.embed_columns", wraps=embed_columns) as spy:
             assert np.array_equal(encoder.encode_dataset(rows).words, expected)
         assert spy.call_count == (0 if len(rows) <= SMALL_BATCH_ROWS else 1)
@@ -271,7 +272,7 @@ class TestValueRowStore:
             assert np.array_equal(warm.encode_dataset(rows).words, expected)
             assert np.array_equal(in_small_batches(warm, head), expected[: len(head)])
         if n_rows == 1:
-            assert np.array_equal(expected[0], WIDE_ENCODER.encode(rows[0]).to_packed())
+            assert np.array_equal(expected, reference_words(WIDE_ENCODER, rows))
 
     def test_full_store_starts_over_and_oversized_column_bypasses(self, monkeypatch):
         monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 4)
@@ -373,13 +374,10 @@ class TestAttributeDistances:
         rows_b = np.asarray([1, 2, 2])
         distances = ncvr_encoder.attribute_distances(matrix, rows_a, matrix, rows_b)
         for layout in ncvr_encoder.layouts:
+            mask = (1 << layout.stop) - (1 << layout.offset)
             for idx, (a, b) in enumerate(zip(rows_a, rows_b)):
-                expected = (
-                    matrix.row(int(a))
-                    .slice(layout.offset, layout.stop)
-                    .hamming(matrix.row(int(b)).slice(layout.offset, layout.stop))
-                )
-                assert distances[layout.name][idx] == expected
+                xor = row_int(matrix.words[a]) ^ row_int(matrix.words[b])
+                assert distances[layout.name][idx] == (xor & mask).bit_count()
 
     def test_identical_records_zero_everywhere(self, ncvr_encoder):
         matrix = ncvr_encoder.encode_dataset(RECORDS)
@@ -417,7 +415,7 @@ class TestCalibration:
 
         e1 = RecordEncoder.calibrated(sample, scheme=EXPERIMENT_SCHEME, seed=9)
         e2 = RecordEncoder.calibrated(sample, scheme=EXPERIMENT_SCHEME, seed=9)
-        assert e1.encode(sample[0]) == e2.encode(sample[0])
+        assert e1.encode_dataset(sample[:1]) == e2.encode_dataset(sample[:1])
 
     def test_attribute_hashes_differ(self):
         sample = [("ABCDE", "ABCDE")] * 5

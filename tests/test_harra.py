@@ -9,13 +9,14 @@ from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.evaluation.metrics import evaluate_linkage
 from repro.hamming.distance import jaccard_distance_sets
 from repro.text.alphabet import TEXT_ALPHABET
+from tests.bits import set_bits
 
 SCHEME = QGramScheme(alphabet=TEXT_ALPHABET)
 
 
 def bigram_set(row, scheme=SCHEME):
     """The bits of ``row``'s record-level bigram vector."""
-    return set(bigram_matrix([row], scheme).row(0).indices())
+    return set(set_bits(bigram_matrix([row], scheme), 0))
 
 
 class TestRecordBigramSet:

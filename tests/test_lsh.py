@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.hamming.bitmatrix import BitMatrix, scatter_bits
-from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import (
     GATHER_KEY_ROWS,
     BlockingGroup,
     CompositeHash,
     HammingLSH,
 )
+from tests.bits import from_index_sets, row_int
 
 
 def random_matrix(seed, n_rows, n_bits, density=0.3):
@@ -37,7 +37,7 @@ def per_table_candidates(lsh, matrix_a, query):
     found = []
     for composite in lsh.composites:
         key = composite.key_for(query)
-        found += [i for i in range(matrix_a.n_rows) if composite.key_for(matrix_a.row(i)) == key]
+        found += [i for i, row in enumerate(matrix_a.words) if composite.key_for(row) == key]
     return list(dict.fromkeys(found))
 
 
@@ -50,21 +50,21 @@ class _PositionsOnly:
 
 class TestCompositeHash:
     def test_key_packs_sampled_bits(self):
-        v = BitVector.from_bits([1, 0, 1, 1])
+        row = np.asarray([0b1101], dtype=np.uint64)  # bits 0, 2 and 3 set
         h = CompositeHash(positions=(0, 1, 3))
-        assert h.key_for(v) == 0b101  # bits 1, 0, 1 packed low-endian
+        assert h.key_for(row) == 0b101  # bits 1, 0, 1 packed low-endian
 
     def test_keys_for_matches_scalar_path(self):
         matrix = random_matrix(0, 10, 50)
         h = CompositeHash(positions=(3, 17, 44, 44))
         keys = h.keys_for(matrix)
         for i in range(10):
-            assert keys[i] == h.key_for(matrix.row(i))
+            assert keys[i] == h.key_for(matrix.words[i])
 
     def test_repeated_positions_allowed(self):
         # Base hashes sample with replacement (uniformly at random).
-        v = BitVector.from_bits([1, 0])
-        assert CompositeHash(positions=(0, 0)).key_for(v) == 0b11
+        row = np.asarray([0b01], dtype=np.uint64)
+        assert CompositeHash(positions=(0, 0)).key_for(row) == 0b11
 
 
 class TestOnePassKeys:
@@ -77,20 +77,19 @@ class TestOnePassKeys:
         assert len(all_keys) == 4
         for group, keys in zip(lsh.groups, all_keys):
             assert np.array_equal(keys, group.composite.keys_for(matrix))
-            for i in range(matrix.n_rows):
-                row = matrix.row(i)
+            for i, row in enumerate(matrix.words):
                 if k <= 64:
                     assert keys.dtype == np.uint64
                     assert int(keys[i]) == group.composite.key_for(row)
                 else:  # void key: the sampled bits packed big-endian per byte
-                    sampled = [row[pos] for pos in group.composite.positions]
+                    sampled = [row_int(row) >> pos & 1 for pos in group.composite.positions]
                     assert keys[i].tobytes() == np.packbits(sampled).tobytes()
 
     def test_single_row_and_empty_matrix(self):
         lsh = HammingLSH(120, 30, n_tables=3, seed=1)
         one = random_matrix(2, 1, 120)
         for group, keys in zip(lsh.groups, lsh._keys(one)):
-            assert keys.tolist() == [group.composite.key_for(one.row(0))]
+            assert keys.tolist() == [group.composite.key_for(one.words[0])]
         assert np.asarray(lsh._keys(BitMatrix.zeros(0, 120))).shape == (3, 0)
 
     def test_row_blocks_do_not_change_the_keys(self, monkeypatch):
@@ -120,7 +119,7 @@ class TestOnePassKeys:
             assert keys.flags.c_contiguous
             for group, group_keys in zip(lsh.groups, keys):
                 positions = CompositeHash(tuple(group.composite.positions))
-                assert int(group_keys[-1]) == positions.key_for(matrix.row(n_rows - 1))
+                assert int(group_keys[-1]) == positions.key_for(matrix.words[n_rows - 1])
 
     def test_wide_keys_keep_the_packed_layout_on_both_sides(self):
         lsh = HammingLSH(120, 70, n_tables=2, seed=3)
@@ -150,7 +149,7 @@ class TestOnePassKeys:
 
 class TestBlockingGroup:
     def test_insert_matrix_groups_equal_keys(self):
-        matrix = BitMatrix.from_index_sets([[0], [0], [1]], 8)
+        matrix = from_index_sets([[0], [0], [1]], 8)
         group = BlockingGroup(CompositeHash(positions=(0,)))
         group.insert_matrix(matrix)
         assert buckets_of(group) == {0: [2], 1: [0, 1]}
@@ -167,7 +166,7 @@ class TestBlockingGroup:
             assert np.array_equal(got, want)
 
     def test_bucket_sizes(self):
-        matrix = BitMatrix.from_index_sets([[0], [0], [1]], 8)
+        matrix = from_index_sets([[0], [0], [1]], 8)
         group = BlockingGroup(CompositeHash(positions=(0,)))
         group.insert_matrix(matrix)
         assert sorted(group.bucket_sizes().tolist()) == [1, 2]
@@ -246,7 +245,7 @@ class TestHammingLSH:
         rows_a, rows_b, dists = lsh.match(matrix, matrix)
         assert (dists <= 5).all()
         for a, b, d in zip(rows_a, rows_b, dists):
-            assert matrix.row(int(a)).hamming(matrix.row(int(b))) == d
+            assert (row_int(matrix.words[a]) ^ row_int(matrix.words[b])).bit_count() == d
 
     def test_query_unique_ids(self):
         """A one-row probe's candidates are each id once, the per-table lookup's."""
@@ -257,7 +256,7 @@ class TestHammingLSH:
         assert not rows_b.any()
         assert len(ids) == len(set(ids.tolist()))
         assert 0 in ids
-        assert ids.tolist() == sorted(per_table_candidates(lsh, matrix, matrix.row(0)))
+        assert ids.tolist() == sorted(per_table_candidates(lsh, matrix, matrix.words[0]))
 
     def test_recall_guarantee_empirically(self):
         """Pairs within the threshold are found at rate >= 1 - delta."""

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.theory import (
     base_success_probability,
@@ -17,6 +15,7 @@ from repro.hamming.theory import (
     optimal_table_count,
     recall_lower_bound,
 )
+from tests.bits import from_bits
 
 
 class TestBaseSuccessProbability:
@@ -144,8 +143,7 @@ class TestEquation2Recall:
         b = a.copy()
         flipped = rng.choice(n_bits, threshold, replace=False)
         b[flipped] ^= 1
-        matrix_a = BitMatrix.from_vectors([BitVector.from_bits(a)])
-        matrix_b = BitMatrix.from_vectors([BitVector.from_bits(b)])
+        matrix_a, matrix_b = from_bits(a), from_bits(b)
         hits = 0
         for seed in range(self.N_SEEDS):
             lsh = HammingLSH(n_bits, k, threshold=threshold, delta=0.1, seed=seed)

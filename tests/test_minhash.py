@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.minhash import MinHasher, MinHashLSH, collision_probability
 from repro.hamming.bitmatrix import BitMatrix
+from tests.bits import from_index_sets
 
 SETS = st.sets(st.integers(0, 675), min_size=1, max_size=25).map(frozenset)
 
@@ -23,7 +24,7 @@ class TestMinHasher:
     def test_bulk_matches_single(self):
         hasher = MinHasher(8, seed=2)
         sets = [{1, 5, 9}, {2}, set(), {1, 5, 9}]
-        bulk = hasher.signatures(BitMatrix.from_index_sets(sets, 676))
+        bulk = hasher.signatures(from_index_sets(sets, 676))
         for i, s in enumerate(sets):
             assert (bulk[i] == hasher.signature(sorted(s))).all()
 
@@ -68,7 +69,7 @@ class TestMinHasher:
     def test_prefix_signatures_bulk_matches_single(self):
         hasher = MinHasher(8, seed=11, prefix_fraction=0.05)
         sets = [{1, 5, 9}, {2, 600}]
-        bulk = hasher.signatures(BitMatrix.from_index_sets(sets, 676))
+        bulk = hasher.signatures(from_index_sets(sets, 676))
         for i, s in enumerate(sets):
             assert (bulk[i] == hasher.signature(sorted(s))).all()
 
@@ -85,25 +86,25 @@ class TestMinHasher:
 class TestMinHashLSH:
     def test_band_keys_shape(self):
         lsh = MinHashLSH(k=5, n_tables=3, seed=0)
-        bands, keys = lsh.band_keys(BitMatrix.from_index_sets([{1}, {2}], 676))
+        bands, keys = lsh.band_keys(from_index_sets([{1}, {2}], 676))
         assert bands.shape == (3, 2, 5) and bands.dtype == np.int64
         assert keys.shape == (3, 2) and keys.dtype == np.uint64
 
     def test_identical_sets_collide_everywhere(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=1)
-        bands, keys = lsh.band_keys(BitMatrix.from_index_sets([{1, 2, 3}, {1, 2, 3}], 676))
+        bands, keys = lsh.band_keys(from_index_sets([{1, 2, 3}, {1, 2, 3}], 676))
         for band, key in zip(bands, keys):
             assert (band[0] == band[1]).all() and key[0] == key[1]
 
     def test_disjoint_sets_rarely_collide(self):
         lsh = MinHashLSH(k=5, n_tables=4, seed=2)
-        bands, __ = lsh.band_keys(BitMatrix.from_index_sets([range(50), range(100, 150)], 676))
+        bands, __ = lsh.band_keys(from_index_sets([range(50), range(100, 150)], 676))
         agreements = sum(bool((band[0] == band[1]).all()) for band in bands)
         assert agreements == 0
 
     def test_bands_are_signature_slices(self):
         lsh = MinHashLSH(k=3, n_tables=4, seed=5)
-        matrix = BitMatrix.from_index_sets([{1, 9}, {4}, set()], 676)
+        matrix = from_index_sets([{1, 9}, {4}, set()], 676)
         bands, __ = lsh.band_keys(matrix)
         signatures = lsh.hasher.signatures(matrix)
         for band in range(4):

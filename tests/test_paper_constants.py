@@ -6,13 +6,15 @@ change breaks any quantity the paper reports, this file fails first.
 
 import pytest
 
+from repro.baselines.minhash import bigram_matrix
 from repro.baselines.pstable import euclidean_lsh_parameters
-from repro.core.qgram import QGramScheme, qgram_index
+from repro.core.qgram import QGramScheme, batch_qgram_indices, qgram_index
 from repro.core.sizing import optimal_cvector_size, record_size
 from repro.hamming.distance import jaccard_distance_sets
 from repro.hamming.theory import hamming_lsh_parameters
 from repro.rules.parser import parse_rule
 from repro.rules.probability import AttributeParams, rule_table_count
+from tests.bits import distance, set_bits
 
 
 class TestSection4Algorithm1:
@@ -22,6 +24,9 @@ class TestSection4Algorithm1:
         assert qgram_index("JO") == 248
         assert qgram_index("OH") == 371
         assert qgram_index("HN") == 195
+        flat, __ = batch_qgram_indices(["JOHN"])  # the batch path
+        assert flat.tolist() == [248, 371, 195]
+        assert set_bits(bigram_matrix([("JOHN",)], QGramScheme()), 0) == [195, 248, 371]
 
     def test_bigram_space_26_squared(self):
         assert QGramScheme().space_size == 676
@@ -32,17 +37,21 @@ class TestSection5_1Correspondence:
 
     scheme = QGramScheme()
 
+    def qgram_distance(self, s: str, t: str) -> int:
+        """``d_H`` of the full q-gram vectors, two rows of one batch embed."""
+        return distance(bigram_matrix([(s,), (t,)], self.scheme))
+
     def test_substitute_jones_jonas_distance_4(self):
-        assert self.scheme.vector("JONES").hamming(self.scheme.vector("JONAS")) == 4
+        assert self.qgram_distance("JONES", "JONAS") == 4
 
     def test_substitute_overlap_shannen_distance_3(self):
-        assert self.scheme.vector("SHANNEN").hamming(self.scheme.vector("SHENNEN")) == 3
+        assert self.qgram_distance("SHANNEN", "SHENNEN") == 3
 
     def test_delete_jones_jons_distance_3(self):
-        assert self.scheme.vector("JONES").hamming(self.scheme.vector("JONS")) == 3
+        assert self.qgram_distance("JONES", "JONS") == 3
 
     def test_insert_jones_joneas_distance_3(self):
-        assert self.scheme.vector("JONES").hamming(self.scheme.vector("JONEAS")) == 3
+        assert self.qgram_distance("JONES", "JONEAS") == 3
 
     def test_jaccard_jones_jonas_0667(self):
         u1 = self.scheme.index_set("JONES")
@@ -55,8 +64,8 @@ class TestSection5_1Correspondence:
         assert jaccard_distance_sets(u1, u2) == pytest.approx(0.364, abs=1e-2)
 
     def test_hamming_constant_4_for_both(self):
-        short = self.scheme.vector("JONES").hamming(self.scheme.vector("JONAS"))
-        long = self.scheme.vector("WASHINGTON").hamming(self.scheme.vector("WASHANGTON"))
+        short = self.qgram_distance("JONES", "JONAS")
+        long = self.qgram_distance("WASHINGTON", "WASHANGTON")
         assert short == long == 4
 
 
@@ -143,8 +152,7 @@ class TestSection6BaselineConfigurations:
         from repro.baselines.bloom import BloomFieldEncoder
 
         enc = BloomFieldEncoder()
-        distance = enc.encode("JOHN").hamming(enc.encode("JAHN"))
-        assert 40 <= distance <= 60
+        assert 40 <= distance(enc.encode_all(["JOHN", "JAHN"])) <= 60
 
     def test_bloom_scalability_distance_37(self):
         """And d('SCALABILITY', 'SCELABILITY') = 37: longer strings give a
@@ -152,6 +160,6 @@ class TestSection6BaselineConfigurations:
         from repro.baselines.bloom import BloomFieldEncoder
 
         enc = BloomFieldEncoder()
-        short = enc.encode("JOHN").hamming(enc.encode("JAHN"))
-        long = enc.encode("SCALABILITY").hamming(enc.encode("SCELABILITY"))
+        short = distance(enc.encode_all(["JOHN", "JAHN"]))
+        long = distance(enc.encode_all(["SCALABILITY", "SCELABILITY"]))
         assert long < short

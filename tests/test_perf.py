@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.cvector import CVectorEncoder, intern_column
+from repro.core.cvector import CVectorEncoder, intern_column, value_bits
 from repro.core.encoder import RecordEncoder
 from repro.core.linker import CompactHammingLinker, StreamingLinker
 from repro.core.qgram import (
@@ -31,11 +31,11 @@ from repro.data import (
 )
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.hamming import lsh as lsh_module
-from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import CompositeHash, HammingLSH
 from repro.perf import LogHistogram
 from repro.rules import blocking as blocking_module
 from repro.rules.parser import parse_rule
+from tests.bits import reference_words, row_int
 
 
 RECORDS = [
@@ -70,13 +70,12 @@ class TestInternedEncoding:
     def test_encode_all_matches_per_string_encode(self):
         enc = CVectorEncoder(64, seed=1)
         values = ["JOHN", "", "JOHN", "AB", "SMITH"]
-        expected = BitMatrix.from_vectors([enc.encode(v) for v in values])
-        assert enc.encode_all(values) == expected
+        words = enc.encode_all(values).words
+        assert [row_int(row) for row in words] == [value_bits(enc, 0, v) for v in values]
 
     def test_encode_dataset_matches_per_record_encode(self):
         enc = RecordEncoder.calibrated(RECORDS, seed=3)
-        expected = BitMatrix.from_vectors([enc.encode(r) for r in RECORDS])
-        assert enc.encode_dataset(RECORDS) == expected
+        assert np.array_equal(enc.encode_dataset(RECORDS).words, reference_words(enc, RECORDS))
 
     def test_encode_dataset_reports_intern_stats(self):
         enc = RecordEncoder.calibrated(RECORDS, seed=3)
@@ -111,7 +110,7 @@ class TestLinkageInvariance:
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
         encoder = linker.calibrate(a, b)
         matrix_a = encoder.encode_dataset(a.value_rows())
-        lsh = linker._build_blocker(encoder)
+        lsh = HammingLSH(n_bits=encoder.total_bits, k=30, threshold=4, seed=7)
         lsh.index(matrix_a)
         counters: dict[str, float] = {}
         want = lsh.match(matrix_a.words, encoder.encode_dataset(b.value_rows()), 4, counters)
@@ -414,14 +413,14 @@ class TestStreamingBatchedQuery:
         for values in rows[:80]:
             streaming.insert(values)
         composites = streaming.view.lsh.composites
-        stored = [streaming.vector(rid) for rid in range(len(streaming))]
-        stored_keys = [[c.key_for(vector) for c in composites] for vector in stored]
+        stored = streaming.view.words
+        stored_keys = [[c.key_for(row) for c in composites] for row in stored]
         for values in rows[40:]:
-            vector = encoder.encode(values)
+            vector = reference_words(encoder, [values])[0]
             keys = [c.key_for(vector) for c in composites]
             expected = []
             for rid, own in enumerate(stored_keys):
-                distance = stored[rid].hamming(vector)
+                distance = (row_int(stored[rid]) ^ row_int(vector)).bit_count()
                 if any(x == y for x, y in zip(own, keys)) and distance <= streaming.threshold:
                     expected.append((rid, distance))
             assert streaming.query(values) == expected
@@ -452,13 +451,11 @@ class TestStreamingBatchedQuery:
 
     def test_one_row_query_and_insert_run_the_kernel_once(self, stream, monkeypatch):
         """A 1-row query is one embed and one match kernel call, with no
-        per-record encode or per-table key; a 1-row insert is one insert
-        into the view's LSH."""
+        per-table key; a 1-row insert is one insert into the view's LSH."""
         streaming, queries = stream
         calls: dict[str, int] = {}
         for cls, name in (
             (RecordEncoder, "encode_dataset"),
-            (RecordEncoder, "encode"),
             (HammingLSH, "match"),
             (HammingLSH, "insert_rows"),
             (CompositeHash, "key_for"),
@@ -482,11 +479,8 @@ class TestStreamingBatchedQuery:
         streaming = StreamingLinker(encoder, threshold=4, k=30, seed=5)
         for values in rows:
             streaming.insert(values)
-        assert len(streaming) == len(rows)
-        for i, values in enumerate(rows):
-            assert streaming.vector(i) == encoder.encode(values)
-        with pytest.raises(IndexError):
-            streaming.vector(len(rows))
+        assert len(streaming) == len(rows) == streaming.view.words.shape[0]
+        assert np.array_equal(streaming.view.words, reference_words(encoder, rows))
 
 
 class TestLogHistogram:

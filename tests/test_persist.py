@@ -54,7 +54,7 @@ class TestEncoderRoundTrip:
     def test_dict_round_trip_bit_identical(self, encoder):
         loaded = encoder_from_dict(encoder_to_dict(encoder))
         record = ("JONES", "12 MAIN ST APT 4")
-        assert loaded.encode(record) == encoder.encode(record)
+        assert loaded.encode_dataset([record]) == encoder.encode_dataset([record])
         assert loaded.total_bits == encoder.total_bits
         assert [l.name for l in loaded.layouts] == ["FirstName", "Address"]
 
@@ -63,7 +63,7 @@ class TestEncoderRoundTrip:
         save_encoder(encoder, path)
         loaded = load_encoder(path)
         record = ("MARIA", "99 OAK AVE")
-        assert loaded.encode(record) == encoder.encode(record)
+        assert loaded.encode_dataset([record]) == encoder.encode_dataset([record])
 
     def test_file_is_plain_json(self, encoder, tmp_path):
         path = tmp_path / "encoder.json"

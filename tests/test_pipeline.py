@@ -16,6 +16,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.exhaustive import ExhaustiveLinker
 from repro.baselines.minhash import MinHashLinker
+from repro.hamming.distance import hamming_packed
 from repro.rules.parser import parse_rule
 
 
@@ -58,8 +59,7 @@ class TestExhaustiveLinker:
         matrix_b = encoder.encode_dataset(rows_b)
         expected = set()
         for i in range(len(rows_a)):
-            idx = np.full(len(rows_b), i, dtype=np.int64)
-            dist = matrix_a.hamming_rows(idx, matrix_b, np.arange(len(rows_b)))
+            dist = hamming_packed(matrix_a.words[i], matrix_b.words)
             expected |= {(i, int(j)) for j in np.flatnonzero(dist <= 4)}
         assert full.matches == expected
 

@@ -4,17 +4,22 @@ These tie the layers together: whatever strings and parameters hypothesis
 draws, the structural identities the paper's pipeline relies on must hold.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import CVectorEncoder
+from repro.baselines.minhash import bigram_matrix
+from repro.core.cvector import CVectorEncoder, value_bits
 from repro.core.encoder import RecordEncoder
-from repro.core.qgram import QGramScheme, qgram_vector, qgrams
+from repro.core.qgram import QGramScheme, qgrams
+from repro.hamming.distance import hamming_packed
 from repro.hamming.lsh import HammingLSH
 from repro.text.alphabet import Alphabet
 from repro.text.edit_distance import levenshtein
+from tests.bits import distance, reference_words, row_int
 
 WORD = st.text(alphabet="ABCDEFGHIJ", min_size=2, max_size=10)
 RECORD = st.tuples(WORD, WORD, WORD)
@@ -36,7 +41,7 @@ class TestEncoderIdentities:
         exactly into per-attribute distances."""
         encoder = _encoder()
         matrix = encoder.encode_dataset([rec_a, rec_b])
-        total = matrix.row(0).hamming(matrix.row(1))
+        total = hamming_packed(matrix.words[0], matrix.words[1])
         parts = encoder.attribute_distances(
             matrix, np.asarray([0]), matrix, np.asarray([1])
         )
@@ -46,14 +51,17 @@ class TestEncoderIdentities:
     @settings(max_examples=30)
     def test_dataset_encoding_equals_single_encoding(self, record):
         encoder = _encoder()
-        assert encoder.encode_dataset([record]).row(0) == encoder.encode(record)
+        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", 0):  # the batched embed
+            words = encoder.encode_dataset([record]).words
+        assert np.array_equal(words, reference_words(encoder, [record]))
 
     @given(WORD, st.integers(0, 50))
     @settings(max_examples=60)
     def test_cvector_popcount_bounded_by_qgrams(self, value, seed):
         """Hashing can only merge q-grams: |ones| <= |U_s|."""
         enc = CVectorEncoder(15, seed=seed)
-        assert enc.encode(value).count() <= len(enc.scheme.index_set(value))
+        ones = row_int(enc.encode_all([value]).words[0]).bit_count()
+        assert ones <= len(enc.scheme.index_set(value))
 
 
 class TestErrorDistanceBounds:
@@ -70,7 +78,7 @@ class TestErrorDistanceBounds:
         pos = data.draw(st.integers(0, len(s) - 1))
         replacement = "ABCDEFGHIJ"[letter_idx]
         perturbed = s[:pos] + replacement + s[pos + 1 :]
-        dist = scheme.vector(s).hamming(scheme.vector(perturbed))
+        dist = distance(bigram_matrix([(s,), (perturbed,)], scheme))
         assert dist <= 2 * 3  # alpha = 2q for substitutions
 
     @given(st.text(alphabet="ABCDEFGHIJ", min_size=4, max_size=12), st.data())
@@ -79,14 +87,14 @@ class TestErrorDistanceBounds:
         scheme = QGramScheme(q=3)
         pos = data.draw(st.integers(0, len(s) - 1))
         perturbed = s[:pos] + s[pos + 1 :]
-        dist = scheme.vector(s).hamming(scheme.vector(perturbed))
+        dist = distance(bigram_matrix([(s,), (perturbed,)], scheme))
         assert dist <= 2 * 3 - 1  # alpha = 2q - 1 for delete/insert
 
     @given(WORD, WORD)
     @settings(max_examples=60)
     def test_hamming_bounded_by_4_times_edit_distance(self, s1, s2):
         """u_H <= alpha * u_E with alpha <= 4 for bigrams (Equation 3)."""
-        dist_h = qgram_vector(s1).hamming(qgram_vector(s2))
+        dist_h = distance(bigram_matrix([(s1,), (s2,)], QGramScheme()))
         dist_e = levenshtein(s1, s2)
         assert dist_h <= 4 * dist_e
 
@@ -99,7 +107,7 @@ class TestErrorDistanceBounds:
 
 class TestPackedKernelParity:
     """The packed ``bitwise_count`` kernels agree with the per-pair
-    ``BitVector.hamming`` reference at word-boundary widths (1 / 63 / 64 /
+    integer XOR / popcount reference at word-boundary widths (1 / 63 / 64 /
     65 bits — below, at, and just past one ``uint64`` word)."""
 
     WIDTHS = (1, 63, 64, 65)
@@ -124,7 +132,7 @@ class TestPackedKernelParity:
         matrix_a, matrix_b = self._pair(seed, n_bits)
         got = hamming_packed(matrix_a.words, matrix_b.words)
         want = [
-            matrix_a.row(i).hamming(matrix_b.row(i)) for i in range(self.N_ROWS)
+            (row_int(a) ^ row_int(b)).bit_count() for a, b in zip(matrix_a.words, matrix_b.words)
         ]
         assert got.tolist() == want
 
@@ -136,9 +144,7 @@ class TestPackedKernelParity:
 
         matrix_a, matrix_b = self._pair(seed, n_bits)
         got = hamming_packed(matrix_a.words[0], matrix_b.words)
-        want = [
-            matrix_a.row(0).hamming(matrix_b.row(j)) for j in range(self.N_ROWS)
-        ]
+        want = [(row_int(matrix_a.words[0]) ^ row_int(b)).bit_count() for b in matrix_b.words]
         assert got.tolist() == want
 
     @given(st.integers(0, 10_000), st.sampled_from(WIDTHS), st.data())
@@ -154,11 +160,8 @@ class TestPackedKernelParity:
             matrix_a.words, rows, matrix_b.words, rows, start, stop
         )
         want = [
-            sum(
-                matrix_a.get_bit(i, bit) != matrix_b.get_bit(i, bit)
-                for bit in range(start, stop)
-            )
-            for i in range(self.N_ROWS)
+            sum((row_int(a) ^ row_int(b)) >> bit & 1 for bit in range(start, stop))
+            for a, b in zip(matrix_a.words, matrix_b.words)
         ]
         assert got.tolist() == want
 
@@ -186,23 +189,20 @@ class TestBlockKernels:
     def test_tabulated_hash_equals_apply_and_call(self, values, seed, m):
         """Distinct values with at least ``3^2`` bigrams between them are hashed
         through the table of ``g`` over the whole q-gram space, fewer through
-        ``UniversalHash.apply``; the per-string ``encode`` calls ``g`` itself."""
-        from repro.hamming.bitmatrix import BitMatrix
-
+        ``UniversalHash.apply``; the value-by-value ``value_bits`` calls ``g`` itself."""
         enc = CVectorEncoder(m, scheme=QGramScheme(alphabet=Alphabet("ABC")), seed=seed)
         space = np.arange(enc.scheme.space_size)
         assert enc.hash_fn.apply(space).tolist() == [enc.hash_fn(int(x)) for x in space]
-        assert enc.encode_all(values) == BitMatrix.from_vectors([enc.encode(v) for v in values])
+        words = enc.encode_all(values).words
+        assert [row_int(row) for row in words] == [value_bits(enc, 0, v) for v in values]
 
     @given(st.lists(st.tuples(COLUMN.map("".join), WORD, st.sampled_from(["", "AB", "BA"])),
                     min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_dataset_rows_equal_per_string_encode(self, records):
-        from repro.hamming.bitmatrix import BitMatrix
-
         encoder = _encoder()
-        expected = BitMatrix.from_vectors([encoder.encode(record) for record in records])
-        assert encoder.encode_dataset(records) == expected
+        expected = reference_words(encoder, records)
+        assert np.array_equal(encoder.encode_dataset(records).words, expected)
 
     @pytest.mark.parametrize("n_words", [1, 5])
     @pytest.mark.parametrize("n_pairs", [0, 1, 1 << 15, (1 << 15) + 1])

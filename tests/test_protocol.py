@@ -34,7 +34,7 @@ class TestAgreement:
         e1 = agreement.build_encoder()
         e2 = agreement.build_encoder()
         values = ("JONES", "SMITH", "12 MAIN ST", "BOONE")
-        assert e1.encode(values) == e2.encode(values)
+        assert e1.encode_dataset([values]) == e2.encode_dataset([values])
 
     def test_schema_mismatch_rejected(self, problem):
         from repro.data import DBLPGenerator

@@ -1,6 +1,7 @@
 """The public API surface: imports, __all__ hygiene and the README example."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -86,20 +87,21 @@ class TestReadmeExample:
 
 class TestDoctests:
     def test_module_doctests(self):
-        """Run the doctest examples embedded in key modules."""
+        """Run the doctest examples of every ``repro`` module that has one."""
         import doctest
 
-        failures = 0
-        for name in (
-            "repro.core.qgram",
-            "repro.core.sizing",
-            "repro.hamming.theory",
-            "repro.rules.parser",
-            "repro.rules.probability",
-            "repro.text.edit_distance",
-            "repro.text.normalize",  # importlib: 'normalize' the function
-        ):  # shadows the module attribute on the package, so resolve by name
+        root = Path(repro.__file__).parent
+        names = []
+        for path in sorted(root.rglob("*.py")):
+            if ">>>" in path.read_text(encoding="utf-8"):
+                parts = path.relative_to(root.parent).with_suffix("").parts
+                names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        assert {"repro", "repro.core.qgram", "repro.evaluation.reporting"} <= set(names)
+        failed = []
+        for name in names:
+            # importlib: a package attribute (``repro.text.normalize`` the
+            # function) can shadow the module of the same name.
             module = importlib.import_module(name)
-            result = doctest.testmod(module, optionflags=doctest.ELLIPSIS)
-            failures += result.failed
-        assert failures == 0
+            if doctest.testmod(module, optionflags=doctest.ELLIPSIS).failed:
+                failed.append(name)
+        assert failed == []

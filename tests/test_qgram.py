@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.minhash import bigram_matrix
 from repro.core.qgram import (
     QGramScheme,
     batch_qgram_indices,
     qgram_from_index,
     qgram_index,
     qgram_index_set,
-    qgram_vector,
     qgrams,
-    record_qgram_vector,
 )
 from repro.text.alphabet import Alphabet, AlphabetError
+from tests.bits import distance, set_bits
 
 UPPER = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=0, max_size=15)
 
@@ -162,51 +162,51 @@ class TestScheme:
         assert plain.count("JONES") == 4
         assert padded.count("JONES") == 6
 
+    @given(st.text(alphabet="AB_", max_size=6), st.sampled_from([1, 2, 3]), st.booleans())
+    @example("", 2, True)  # padding leaves an empty value empty: no q-gram
+    @settings(max_examples=200, deadline=None)
+    def test_count_equals_batch_tokeniser(self, value, q, padded):
+        scheme = QGramScheme(q=q, alphabet=Alphabet("AB_"), padded=padded)
+        __, counts = batch_qgram_indices([value], q, scheme.alphabet, padded, scheme.pad_char)
+        assert scheme.count(value) == counts[0]
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             QGramScheme(q=0)
 
 
+def qgram_distance(s: str, t: str, scheme: QGramScheme = QGramScheme()) -> int:
+    """``d_H`` of the full q-gram vectors of ``s`` and ``t`` (two packed rows)."""
+    return distance(bigram_matrix([(s,), (t,)], scheme))
+
+
 class TestVectors:
     def test_vector_width_is_space_size(self):
-        assert qgram_vector("JOHN").n_bits == 676
+        assert bigram_matrix([("JOHN",)], QGramScheme()).n_bits == 676
 
     def test_vector_sets_exactly_index_set(self):
-        v = qgram_vector("JOHN")
-        assert set(v.indices()) == set(qgram_index_set("JOHN"))
+        matrix = bigram_matrix([("JOHN",)], QGramScheme())
+        assert set(set_bits(matrix, 0)) == qgram_index_set("JOHN")
 
     def test_repeated_grams_collapse(self):
         # 'AAA' yields bigram 'AA' twice but one set position.
-        assert qgram_vector("AAA").count() == 1
-
-    def test_record_vector_concatenates(self):
-        v = record_qgram_vector(["AB", "CD"])
-        assert v.n_bits == 2 * 676
-        assert v.count() == 2
-
-    def test_record_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            record_qgram_vector([])
+        assert set_bits(bigram_matrix([("AAA",)], QGramScheme()), 0) == [0]
 
 
 class TestPaperDistanceCorrespondence:
     """Section 5.1: types of errors in E map to bounded distances in H."""
 
     def test_substitution_jones_jonas(self):
-        v1, v2 = qgram_vector("JONES"), qgram_vector("JONAS")
-        assert v1.hamming(v2) == 4
+        assert qgram_distance("JONES", "JONAS") == 4
 
     def test_substitution_with_overlap_shannen(self):
-        v1, v2 = qgram_vector("SHANNEN"), qgram_vector("SHENNEN")
-        assert v1.hamming(v2) == 3
+        assert qgram_distance("SHANNEN", "SHENNEN") == 3
 
     def test_delete_jones_jons(self):
-        v1, v2 = qgram_vector("JONES"), qgram_vector("JONS")
-        assert v1.hamming(v2) == 3
+        assert qgram_distance("JONES", "JONS") == 3
 
     def test_insert_jones_joneas(self):
-        v1, v2 = qgram_vector("JONES"), qgram_vector("JONEAS")
-        assert v1.hamming(v2) == 3
+        assert qgram_distance("JONES", "JONEAS") == 3
 
     @given(UPPER.filter(lambda s: len(s) >= 3), st.integers(0, 25), st.data())
     @settings(max_examples=100)
@@ -215,7 +215,7 @@ class TestPaperDistanceCorrespondence:
         pos = data.draw(st.integers(0, len(s) - 1))
         new_char = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[letter]
         perturbed = s[:pos] + new_char + s[pos + 1 :]
-        assert qgram_vector(s).hamming(qgram_vector(perturbed)) <= 4
+        assert qgram_distance(s, perturbed) <= 4
 
     @given(UPPER.filter(lambda s: len(s) >= 3), st.data())
     @settings(max_examples=100)
@@ -223,11 +223,11 @@ class TestPaperDistanceCorrespondence:
         """One deletion moves Hamming distance by at most 3 (q=2)."""
         pos = data.draw(st.integers(0, len(s) - 1))
         perturbed = s[:pos] + s[pos + 1 :]
-        assert qgram_vector(s).hamming(qgram_vector(perturbed)) <= 3
+        assert qgram_distance(s, perturbed) <= 3
 
     def test_length_independence(self):
         """Unlike Jaccard, the Hamming distance of one substitution does not
         depend on string length (paper's WASHINGTON example)."""
-        short = qgram_vector("JONES").hamming(qgram_vector("JONAS"))
-        long = qgram_vector("WASHINGTON").hamming(qgram_vector("WASHANGTON"))
+        short = qgram_distance("JONES", "JONAS")
+        long = qgram_distance("WASHINGTON", "WASHANGTON")
         assert short == long == 4

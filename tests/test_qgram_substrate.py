@@ -31,9 +31,9 @@ from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
 from repro.data import NCVRGenerator
 from repro.data.generators import EXPERIMENT_SCHEME
-from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.distance import jaccard_distance_rows, jaccard_distance_sets
 from repro.text.alphabet import TEXT_ALPHABET, AlphabetError
+from tests.bits import from_index_sets, set_bits
 
 PADDED = QGramScheme(alphabet=TEXT_ALPHABET, padded=True)
 SCHEMES = [EXPERIMENT_SCHEME, PADDED]
@@ -71,7 +71,7 @@ class TestBloomRows:
     @pytest.mark.parametrize("values", [FEW, MANY], ids=["few", "many"])
     def test_field_row_is_or_of_bloom_positions(self, scheme, values):
         encoder = BloomFieldEncoder(n_bits=500, n_hashes=15, scheme=scheme)
-        expected = BitMatrix.from_index_sets(
+        expected = from_index_sets(
             [bloom_reference(value, scheme, 500, 15) for value in values], 500
         )
         assert encoder.encode_all(values) == expected
@@ -88,7 +88,7 @@ class TestBloomRows:
             }
             for row in rows
         ]
-        assert encoder.encode_dataset(rows) == BitMatrix.from_index_sets(expected, 520)
+        assert encoder.encode_dataset(rows) == from_index_sets(expected, 520)
 
     def test_no_records(self):
         assert BloomRecordEncoder(3).encode_dataset([]).words.shape == (0, 24)
@@ -108,7 +108,7 @@ class TestBigramRows:
     )
     def test_row_is_union_of_index_sets(self, scheme, rows):
         expected = [bigram_reference(row, scheme) for row in rows]
-        assert bigram_matrix(rows, scheme) == BitMatrix.from_index_sets(
+        assert bigram_matrix(rows, scheme) == from_index_sets(
             expected, scheme.space_size
         )
 
@@ -125,7 +125,7 @@ class TestSignatures:
         signatures = hasher.signatures(matrix)
         assert signatures.shape == (matrix.n_rows, 24)
         for i in range(matrix.n_rows):
-            bits = matrix.row(i).indices()
+            bits = set_bits(matrix, i)
             assert (signatures[i] == hasher.signature(sorted(bits))).all()
 
 
@@ -140,8 +140,8 @@ class TestJaccardKernel:
 
     def test_equals_sets_on_random_pairs(self):
         sets_a, sets_b = self.sets(1, 60), self.sets(2, 40)
-        words_a = BitMatrix.from_index_sets(sets_a, 300).words
-        words_b = BitMatrix.from_index_sets(sets_b, 300).words
+        words_a = from_index_sets(sets_a, 300).words
+        words_b = from_index_sets(sets_b, 300).words
         rng = np.random.default_rng(3)
         rows_a, rows_b = rng.integers(0, 60, size=500), rng.integers(0, 40, size=500)
         got = jaccard_distance_rows(words_a, rows_a, words_b, rows_b)
@@ -150,7 +150,7 @@ class TestJaccardKernel:
 
     def test_one_row_against_many(self):
         sets = self.sets(4, 30)
-        words = BitMatrix.from_index_sets(sets, 300).words
+        words = from_index_sets(sets, 300).words
         others = np.arange(30)
         want = [jaccard_distance_sets(sets[7], other) for other in sets]
         assert jaccard_distance_rows(words, 7, words, others).tolist() == want
@@ -159,14 +159,14 @@ class TestJaccardKernel:
     def test_empty_rows(self):
         """Two empty rows are at distance 0, an empty and a non-empty one at 1."""
         sets = [set(), set(), {1, 2}]
-        words = BitMatrix.from_index_sets(sets, 300).words
+        words = from_index_sets(sets, 300).words
         rows_a, rows_b = [0, 0, 2], [1, 2, 1]
         want = [jaccard_distance_sets(sets[a], sets[b]) for a, b in zip(rows_a, rows_b)]
         assert jaccard_distance_rows(words, rows_a, words, rows_b).tolist() == want
         assert want == [0.0, 1.0, 1.0]
 
     def test_no_pairs(self):
-        words = BitMatrix.from_index_sets([{1}], 300).words
+        words = from_index_sets([{1}], 300).words
         assert jaccard_distance_rows(words, [], words, []).shape == (0,)
 
 
@@ -188,7 +188,7 @@ class TestBloomTabulation:
         assert 0 < len(calls) <= EXPERIMENT_SCHEME.space_size < len(rows)
         first = len(calls)
         encoder.encode_dataset(rows[:100])
-        encoder.field_encoder.encode("JONES")
+        encoder.field_encoder.encode_all(["JONES"])
         assert len(calls) == first
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.cvector import CVectorEncoder
 from repro.core.encoder import RecordEncoder
-from repro.hamming.bitmatrix import BitMatrix
-from repro.hamming.bitvector import BitVector
 from repro.rules.ast import And, Comparison, Not, Or, RuleError
 from repro.rules.blocking import RuleAwareBlocker
 from repro.rules.parser import parse_rule
@@ -21,6 +19,7 @@ from repro.rules.probability import (
     rule_collision_probability,
     rule_table_count,
 )
+from tests.bits import from_bits
 
 NCVR = {
     "f1": AttributeParams(15, 5),
@@ -100,8 +99,7 @@ class TestDefinition4Recall:
         for name, threshold in thresholds.items():
             layout = encoder.layout(name)
             b[layout.offset + rng.choice(layout.width, threshold, replace=False)] ^= 1
-        matrix_a = BitMatrix.from_vectors([BitVector.from_bits(a)])
-        matrix_b = BitMatrix.from_vectors([BitVector.from_bits(b)])
+        matrix_a, matrix_b = from_bits(a), from_bits(b)
         k = {name: attribute.k for name, attribute in params.items()}
         hits = 0
         for seed in range(self.N_SEEDS):

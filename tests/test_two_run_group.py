@@ -120,7 +120,7 @@ def test_any_interleaving_equals_all_bulk(seed, k, steps):
         assert group.n_rows == n_rows
         assert group.n_buckets == ref_group.n_buckets
         assert np.array_equal(group.bucket_sizes(), ref_group.bucket_sizes())
-        key_of = [group.composite.key_for(matrix_a.row(i)) for i in range(n_rows)]
+        key_of = [group.composite.key_for(row) for row in matrix_a.words]
         keys, ids, bounds = group.export_arrays()
         for lo, hi in zip(bounds, np.r_[bounds[1:], keys.size]):
             bucket = ids[lo:hi].tolist()
