@@ -14,9 +14,10 @@ import time
 
 import numpy as np
 
-from repro import NCVRGenerator, RecordEncoder, StreamingLinker, scheme_pl
+from repro import NCVRGenerator, RecordEncoder, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.data.schema import Schema
+from repro.serve import QueryEngine
 
 
 def main() -> None:
@@ -35,9 +36,8 @@ def main() -> None:
     )
     print(f"encoder: {encoder} — a patient fits in {encoder.total_bits} bits")
 
-    linker = StreamingLinker(encoder, threshold=4, k=30, seed=7)
     start = time.perf_counter()
-    linker.insert_dataset(registry)
+    engine = QueryEngine.build(registry.value_rows(), encoder, threshold=4, k=30, seed=7)
     print(f"indexed in {time.perf_counter() - start:.2f} s")
 
     # The pharmacy stream: purchases referencing registry patients, with
@@ -52,7 +52,7 @@ def main() -> None:
             registry[patient_row], schema, rng, new_id=f"P{event}"
         )
         start = time.perf_counter()
-        hits = linker.query(record.values)
+        hits = engine.query_batch([record.values]).matches()[0]
         latencies.append(time.perf_counter() - start)
         if any(rid == patient_row for rid, __ in hits):
             found += 1

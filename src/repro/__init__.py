@@ -24,7 +24,6 @@ from repro.core import (
     LinkageResult,
     QGramScheme,
     RecordEncoder,
-    StreamingLinker,
     optimal_cvector_size,
     qgram_index,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Rule",
     "RuleAwareBlocker",
     "Schema",
-    "StreamingLinker",
     "build_linkage_problem",
     "evaluate_linkage",
     "optimal_cvector_size",

@@ -1,7 +1,6 @@
 """The paper's primary contribution: compact Hamming embeddings + cBV-HB."""
 
 from repro.core.config import (
-    BlockingConfig,
     CalibrationConfig,
     DBLP_ATTRIBUTE_K,
     DEFAULT_DELTA,
@@ -11,11 +10,10 @@ from repro.core.config import (
     NCVR_ATTRIBUTE_K,
     PH_ATTRIBUTE_THRESHOLDS,
     PL_RECORD_THRESHOLD,
-    RuleBlockingConfig,
 )
 from repro.core.cvector import CVectorEncoder, HASH_PRIME, UniversalHash
 from repro.core.encoder import AttributeLayout, RecordEncoder
-from repro.core.linker import CompactHammingLinker, LinkageResult, StreamingLinker
+from repro.core.linker import CompactHammingLinker, LinkageResult
 from repro.core.qgram import (
     QGramScheme,
     qgram_from_index,
@@ -41,7 +39,6 @@ from repro.core.sizing import (
 
 __all__ = [
     "AttributeLayout",
-    "BlockingConfig",
     "CVectorEncoder",
     "CalibrationConfig",
     "CompactHammingLinker",
@@ -59,9 +56,7 @@ __all__ = [
     "PL_RECORD_THRESHOLD",
     "QGramScheme",
     "RecordEncoder",
-    "RuleBlockingConfig",
     "SizingReport",
-    "StreamingLinker",
     "UniversalHash",
     "choose_k",
     "measure_k",

@@ -6,7 +6,7 @@ to the same published parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Equation (2) miss probability used throughout the paper's experiments.
 DEFAULT_DELTA = 0.1
@@ -40,24 +40,4 @@ class CalibrationConfig:
     rho: float = DEFAULT_RHO
     r: float = DEFAULT_R
     sample_size: int = 1000
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class BlockingConfig:
-    """Record-level HB parameters (Section 4.2)."""
-
-    k: int = DEFAULT_K
-    threshold: int = PL_RECORD_THRESHOLD
-    delta: float = DEFAULT_DELTA
-    n_tables: int | None = None
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class RuleBlockingConfig:
-    """Attribute-level, rule-aware blocking parameters (Section 5.4)."""
-
-    k_per_attribute: dict[str, int] = field(default_factory=dict)
-    delta: float = DEFAULT_DELTA
     seed: int | None = None

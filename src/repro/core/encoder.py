@@ -135,9 +135,6 @@ class RecordEncoder(RecordLayout):
         """Empty the value memos (the next small batch starts cold)."""
         self._memos = [{} for __ in self.encoders]
 
-    def attribute_encoder(self, attribute: str) -> CVectorEncoder:
-        return self.encoders[self._by_name[attribute]]
-
     # -- dataset API --------------------------------------------------------------
 
     def encode_dataset(
@@ -175,11 +172,6 @@ class RecordEncoder(RecordLayout):
             stats["intern_unique"] = float(n_unique)
             stats["intern_hit_rate"] = 1.0 - n_unique / n_values if n_values else 0.0
         return matrix
-
-    def encode_attribute(self, records: Sequence[Sequence[str]], attribute: str) -> BitMatrix:
-        """Attribute-level matrix for one named attribute."""
-        idx = self._by_name[attribute]
-        return self.encoders[idx].encode_all([record[idx] for record in records])
 
     # -- calibration ----------------------------------------------------------------
 

@@ -11,18 +11,14 @@ The method is Charlie's job from Section 3:
    a Hamming threshold or the rule AST over per-attribute distances.
 
 :class:`CompactHammingLinker` runs steps 1-4 for dataset-vs-dataset
-linkage, one call each; :class:`StreamingLinker` exposes an insert/query
-API for the near-real-time setting motivating the paper's introduction:
-a thin facade over the one in-memory index a served bundle is queried
-through (:class:`repro.hamming.query.IndexView`), whose one-record query
-is a one-row batch of the one match kernel (plus a batch
-:meth:`StreamingLinker.link`).
+linkage, one call each.  The near-real-time setting motivating the
+paper's introduction (insert records as they arrive, match each incoming
+one at once) is :class:`repro.serve.QueryEngine`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +32,6 @@ from repro.core.encoder import RecordEncoder
 from repro.core.qgram import QGramScheme
 from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
-from repro.hamming.query import IndexView, batch_query, group_matches
 from repro.pipeline.result import LinkageResult as LinkageResult, timed
 from repro.protocol import DatasetLike, value_rows
 from repro.rules.ast import Rule
@@ -277,152 +272,3 @@ class CompactHammingLinker:
                 results[(i, j)] = self.link(datasets[i], datasets[j])
         return results
 
-
-class StreamingLinker:
-    """Incremental insert/query over the HB index (real-time setting, Section 1).
-
-    Records of the reference dataset are inserted as they arrive; each query
-    record is blocked and matched immediately — the health-surveillance
-    scenario where streams are integrated "in real-time".  A thin facade:
-    the encoder, the threshold and one :class:`~repro.hamming.query.IndexView`
-    (``view``: the LSH over a copy-on-grow word store, the object a served
-    bundle is queried through too).  Every query runs the one match kernel
-    (:func:`~repro.hamming.query.batch_query`); :meth:`link` runs the same
-    insert-then-match flow as one batch.
-    """
-
-    def __init__(
-        self,
-        encoder: RecordEncoder,
-        threshold: int,
-        k: int = DEFAULT_K,
-        delta: float = DEFAULT_DELTA,
-        seed: int | None = None,
-    ):
-        self.encoder = encoder
-        self.threshold = threshold
-        lsh = HammingLSH(n_bits=encoder.total_bits, k=k, threshold=threshold, delta=delta, seed=seed)
-        self.view = IndexView(lsh, np.empty((0, (encoder.total_bits + 63) // 64), dtype=np.uint64))
-
-    def __len__(self) -> int:
-        return self.view.count
-
-    def insert(self, values: Sequence[str]) -> int:
-        """Insert one record (the 1-row :meth:`insert_rows`); returns its internal id."""
-        return self.insert_rows([values])[0]
-
-    def insert_rows(self, rows: Sequence[Sequence[str]]) -> list[int]:
-        """Insert a batch of records — one interned encode, one append to the
-        view (one merge into the index's delta run); returns their ids."""
-        if not rows:
-            return []
-        return self.view.append(self.encoder.encode_dataset(rows).words).tolist()
-
-    def query(
-        self, values: Sequence[str], top_k: int | None = None
-    ) -> list[tuple[int, int]]:
-        """Matching ``(id, distance)`` pairs for one incoming record.
-
-        The one-row :meth:`query_batch`: ordered by record id, or with
-        ``top_k`` the ``top_k`` closest matches under the threshold ordered
-        by ``(distance, id)`` (ties at the cut-off go to the smaller id).
-        """
-        return self.query_batch([values], top_k)[0]
-
-    def query_batch(
-        self, rows: Sequence[Sequence[str]], top_k: int | None = None
-    ) -> list[list[tuple[int, int]]]:
-        """Matches for a whole block of incoming records at once.
-
-        Runs the shared batch kernel (:func:`repro.hamming.query.batch_query`):
-        the block is embedded in one interned pass, blocked with the
-        sort-merge join and verified in one packed Hamming sweep.  Each
-        query's list is ordered by record id, or by ``(distance, id)`` with
-        ``top_k`` — the same list :meth:`query` gives for that record alone.
-        """
-        if not rows:
-            return []
-        matrix_b = self.encoder.encode_dataset(rows)
-        queries, ids, distances = batch_query(
-            self.view.lsh, self.view.words, matrix_b, threshold=self.threshold, top_k=top_k
-        )
-        return group_matches(queries, ids, distances, len(rows))
-
-    # -- persistence -----------------------------------------------------------
-
-    def save_snapshot(self, path: str | Path) -> Path:
-        """Persist the index as a snapshot bundle (see docs/serving.md).
-
-        The packed embedding store and every blocking group's bucket
-        arrays are written via
-        :func:`repro.core.persist.save_index_snapshot`; streaming
-        inserts are compacted into the sorted bulk representation at
-        save time, so loading is pure ``mmap``.
-        """
-        from repro.core.persist import save_index_snapshot
-
-        matrix = BitMatrix(self.view.words, self.encoder.total_bits)
-        return save_index_snapshot(
-            path, self.encoder, matrix, self.view.lsh, threshold=self.threshold
-        )
-
-    @classmethod
-    def load_snapshot(
-        cls,
-        path: str | Path,
-        mmap_mode: str | None = "r",
-    ) -> "StreamingLinker":
-        """Rebuild a streaming linker from a snapshot bundle, zero-copy.
-
-        The packed store and bucket arrays stay memory-mapped (with the
-        default ``mmap_mode``); further :meth:`insert` calls copy-on-grow
-        into process memory, leaving the bundle untouched.  A sharded
-        bundle (``repro.core.shards``) loads through the merged
-        global-order view — byte-identical to the single-bundle index
-        over the same records, write-ahead overlay included.
-        """
-        from repro.core.shards import ShardedIndex
-
-        with ShardedIndex.open(path, mmap_mode=mmap_mode) as index:
-            snapshot = index.merged()
-        linker = cls.__new__(cls)
-        linker.encoder = snapshot.encoder
-        linker.threshold = index.threshold
-        linker.view = IndexView(snapshot.lsh, snapshot.matrix.words)
-        return linker
-
-    def insert_dataset(self, dataset: DatasetLike) -> None:
-        """Bulk insert of a dataset (convenience for warm-up), as one batch."""
-        self.insert_rows(value_rows(dataset))
-
-    def link(self, dataset_a: DatasetLike, dataset_b: DatasetLike) -> LinkageResult:
-        """Batch insert-then-query.
-
-        Inserts every A record into the streaming store as one batch (the
-        index keeps them afterwards — call on a fresh linker for standalone
-        runs; the result's A-row indices are the store's internal record
-        ids), embeds B and runs the one match kernel
-        (:meth:`HammingLSH.match`) over it: matches in ``a * n_B + b``
-        order.  Timings: ``"index"`` (inserts + B's embedding) and
-        ``"match"``.
-        """
-        rows_a, rows_b = value_rows(dataset_a), value_rows(dataset_b)
-        timings: dict[str, float] = {}
-        counters: dict[str, float] = {}
-        with timed(timings, "index"):
-            self.insert_rows(rows_a)
-            matrix_b = self.encoder.encode_dataset(rows_b)
-        counters["n_tables"] = float(self.view.lsh.n_tables)
-        with timed(timings, "match"):
-            out_a, out_b, distances = self.view.lsh.match(
-                self.view.words, matrix_b, self.threshold, counters=counters
-            )
-        return LinkageResult(
-            rows_a=out_a,
-            rows_b=out_b,
-            n_candidates=int(counters["pairs_unique"]),
-            comparison_space=len(rows_a) * len(rows_b),
-            timings=timings,
-            record_distances=distances,
-            counters=counters,
-        )

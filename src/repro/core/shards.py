@@ -393,9 +393,8 @@ class ShardedIndex:
         """Serve one snapshot as a plain index: one read-only shard.
 
         The snapshot is the query view, so nothing is copied or mapped
-        beyond the snapshot itself; :meth:`merged` hands it back as is,
-        :meth:`save` writes the single-bundle layout, and
-        :meth:`append_batch` / :meth:`compact` raise
+        beyond the snapshot itself; :meth:`save` writes the single-bundle
+        layout, and :meth:`append_batch` / :meth:`compact` raise
         :class:`PlainBundleError`.
         """
         if snapshot.threshold is None:
@@ -615,30 +614,6 @@ class ShardedIndex:
             self.counters.get("records_appended", 0.0) + len(rows)
         )
         return gids.tolist()
-
-    # -- merged view -------------------------------------------------------------
-
-    def merged(self) -> IndexSnapshot:
-        """The query view as one :class:`IndexSnapshot`, zero-copy.
-
-        Words in global-id order and an LSH holding every record under
-        its global id — byte-identical to a single index built over the
-        same rows (its export is the stable ``(key, id)`` sort either
-        way).  Used by ``StreamingLinker.load_snapshot`` so offline
-        linkage runs unchanged against sharded bundles.  The snapshot shares this
-        index's arrays, so it is for an index that serves nothing else
-        afterwards.  A plain index returns the snapshot it serves.
-        """
-        if self._plain is not None:
-            return self._plain
-        return IndexSnapshot(
-            encoder=self.encoder,
-            matrix=BitMatrix(self.words, self.n_bits),
-            lsh=self.lsh,
-            threshold=self.threshold,
-            path=self.path,
-            manifest=self.manifest,
-        )
 
     # -- internals ---------------------------------------------------------------
 

@@ -30,13 +30,12 @@ Per block: one probe, one join into one raw-pair buffer of encoded ids
 the ``UniqueCollection``), then the blocked decode / XOR / popcount /
 filter of :func:`repro.hamming.distance.verify_pairs`.  B blocks partition
 the pairs, so the blocks' matches merged by code are exactly the matches
-of one pass, in ``a * n_B + b`` order.  The record-level link,
-``StreamingLinker.link``, serving's ``batch_query`` (and with it
-``StreamingLinker.query``, a one-row batch), K tuning and the three-party
-protocol all call it; the rule-aware blocker runs its plan over the same
-blocks.  :meth:`HammingLSH.candidate_pairs` is the join and de-dup of all
-of B at once, without the verify (for linkers that classify candidates
-otherwise).
+of one pass, in ``a * n_B + b`` order.  The record-level link, serving's
+``batch_query`` (a one-record query is a one-row batch), K tuning and the
+three-party protocol all call it; the rule-aware blocker runs its plan
+over the same blocks.  :meth:`HammingLSH.candidate_pairs` is the join and
+de-dup of all of B at once, without the verify (for linkers that classify
+candidates otherwise).
 
 The join runs on ``(L, n)`` ``uint64`` key arrays: :class:`TableRuns`
 feeds it its matrices' keys, and :func:`join_keys` the keys the LSH

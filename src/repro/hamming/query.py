@@ -8,11 +8,11 @@ the sort-merge candidate join, in-place de-dup, blocked ``bitwise_count``
 verify) and is grouped back per query with one sort — no per-query Python
 loop anywhere.
 
-Both front doors query one :class:`IndexView` (an LSH over a growable
-word store) through it: :class:`repro.serve.QueryEngine` (snapshot serving,
-through :class:`repro.core.shards.ShardedIndex`) and
-:class:`repro.core.linker.StreamingLinker`, whose one-record ``query`` is a
-one-row batch.
+The one online object, :class:`repro.serve.QueryEngine`, queries one
+:class:`IndexView` (an LSH over a growable word store, held by
+:class:`repro.core.shards.ShardedIndex`) through it, whether the index
+was loaded from a bundle or is growing in memory; a one-record query is
+a one-row batch.
 
 Top-k selection is one stable sort by ``(query, distance)`` of the
 kernel's id-ordered matches, so ties at the cut-off are broken
@@ -49,10 +49,9 @@ def batch_query(
     The pipeline is Algorithm 2 dataset-at-a-time: the match kernel
     (:meth:`HammingLSH.match`), then one grouping sort.  A batch of one row
     is the one-record query, so every batch size gives each query the same
-    list.
+    list.  The caller has checked ``threshold >= 0`` and ``top_k >= 1``
+    (:meth:`repro.serve.QueryEngine.query_batch`, for every batch size).
     """
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     ids, queries, distances = lsh.match(words_a, matrix_b, threshold)
     if ids.size == 0:
         return _EMPTY, _EMPTY, _EMPTY

@@ -33,7 +33,7 @@ def _load_specs() -> dict[str, LinkerSpec]:
     from repro.baselines.minhash import MinHashLinker
     from repro.baselines.smeb import SMEBLinker
     from repro.baselines.sorted_neighborhood import SortedNeighborhoodLinker
-    from repro.core.linker import CompactHammingLinker, StreamingLinker
+    from repro.core.linker import CompactHammingLinker
     from repro.pipeline.exhaustive import ExhaustiveLinker
 
     specs = [
@@ -46,11 +46,6 @@ def _load_specs() -> dict[str, LinkerSpec]:
             "cbv-rule",
             "cBV-HB, rule-aware attribute-level blocking (Section 5.4)",
             CompactHammingLinker.rule_aware,
-        ),
-        LinkerSpec(
-            "streaming",
-            "incremental insert/query cBV-HB (real-time setting, Section 1)",
-            StreamingLinker,
         ),
         LinkerSpec(
             "exhaustive",

@@ -84,6 +84,11 @@ class QueryEngine:
     On a plain bundle both raise
     :class:`~repro.core.shards.PlainBundleError`.
 
+    The real-time setting of the paper's Section 1 (insert records as
+    they arrive, match each incoming one at once) is an unsaved engine:
+    ``build([], encoder, threshold, n_shards=1)``, then :meth:`ingest`,
+    which writes no WAL until :meth:`save`, and :meth:`query_batch`.
+
     Examples
     --------
     >>> from repro.core.encoder import RecordEncoder
@@ -211,9 +216,14 @@ class QueryEngine:
         ``threshold`` defaults to the one recorded in the bundle;
         ``top_k`` keeps at most that many closest matches per query,
         ties broken deterministically by the smaller record id.  Ids in
-        the result are **global** record ids.
+        the result are **global** record ids.  A negative ``threshold`` or a
+        ``top_k`` below 1 raises ``ValueError`` whatever the batch size.
         """
         effective = self.threshold if threshold is None else threshold
+        if effective < 0:
+            raise ValueError(f"threshold must be >= 0, got {effective}")
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         work = [tuple(row) for row in rows]
         if not work:
             return QueryResult(_EMPTY, _EMPTY, _EMPTY, 0)

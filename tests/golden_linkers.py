@@ -13,7 +13,7 @@ Regenerate (only when a change is *supposed* to alter linkage output)::
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.baselines import (
@@ -25,12 +25,15 @@ from repro.baselines import (
     SortedNeighborhoodLinker,
 )
 from repro.core.config import NCVR_ATTRIBUTE_K
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.encoder import RecordEncoder
+from repro.core.linker import CompactHammingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.pairs import LinkageProblem
 from repro.pipeline.exhaustive import ExhaustiveLinker
 from repro.pipeline.result import LinkageResult
 from repro.rules.parser import parse_rule
+from repro.serve import QueryEngine
+from repro.serve.engine import fold_counters
 
 PROBLEM_N = 200
 PROBLEM_SEED = 7
@@ -48,6 +51,29 @@ def make_problem() -> LinkageProblem:
     return build_linkage_problem(
         NCVRGenerator(), PROBLEM_N, scheme_pl(), seed=PROBLEM_SEED
     )
+
+
+def incremental_engine(
+    encoder: RecordEncoder,
+    rows: Sequence[Sequence[str]],
+    threshold: int = THRESHOLD,
+    k: int = K,
+    seed: int = PROBLEM_SEED,
+) -> QueryEngine:
+    """The real-time setting: an in-memory one-shard engine that ingested
+    ``rows`` one record at a time, so every record went through the delta
+    run and none through the bulk build (no WAL: it was never saved)."""
+    engine = QueryEngine.build([], encoder, threshold, k=k, seed=seed, n_shards=1)
+    for values in rows:
+        engine.ingest([values])
+    return engine
+
+
+def query_each(
+    engine: QueryEngine, rows: Sequence[Sequence[str]], top_k: int | None = None
+) -> list[list[tuple[int, int]]]:
+    """Each record's matches from its own one-row batch."""
+    return [engine.query_batch([values], top_k=top_k).matches()[0] for values in rows]
 
 
 def _outcome(result: LinkageResult) -> RunOutcome:
@@ -73,27 +99,24 @@ def _run_cbv_rule(problem: LinkageProblem) -> RunOutcome:
 
 
 def _run_streaming(problem: LinkageProblem) -> RunOutcome:
+    """Record-by-record inserts, then record-by-record queries; the counters
+    are the per-record match kernel's, summed, and nothing is timed."""
     calibrator = CompactHammingLinker.record_level(
         threshold=THRESHOLD, k=K, seed=PROBLEM_SEED
     )
     encoder = calibrator.calibrate(problem.dataset_a, problem.dataset_b)
-    streaming = StreamingLinker(encoder, threshold=THRESHOLD, k=K, seed=PROBLEM_SEED)
-    for values in problem.dataset_a.value_rows():
-        streaming.insert(values)
+    engine = incremental_engine(encoder, problem.dataset_a.value_rows())
+    index = engine.index
     matches: set[tuple[int, int]] = set()
-    n_candidates = 0
-    view = streaming.view
+    counters: dict[str, float] = {}
     for j, values in enumerate(problem.dataset_b.value_rows()):
         # A record's candidates are what the one match kernel counts as unique.
-        counters: dict[str, float] = {}
-        view.lsh.match(view.words, streaming.encoder.encode_dataset([values]), THRESHOLD, counters)
-        n_candidates += int(counters["pairs_unique"])
-        for record_id, __ in streaming.query(values):
+        record: dict[str, float] = {}
+        index.lsh.match(index.words, encoder.encode_dataset([values]), THRESHOLD, record)
+        fold_counters(counters, record)
+        for record_id, __ in engine.query_batch([values]).matches()[0]:
             matches.add((record_id, j))
-    # The keys come from one batch link() on a fresh linker.
-    fresh = StreamingLinker(encoder, threshold=THRESHOLD, k=K, seed=PROBLEM_SEED)
-    __, __, timings, counters = _outcome(fresh.link(problem.dataset_a, problem.dataset_b))
-    return matches, n_candidates, timings, counters
+    return matches, int(counters["pairs_unique"]), [], sorted(counters)
 
 
 def _run_bfh(problem: LinkageProblem) -> RunOutcome:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns, value_bits
+from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns
 from repro.core.encoder import RecordEncoder
 from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
@@ -100,12 +100,6 @@ class TestEncode:
             ncvr_encoder.encode_dataset([bad])
         with pytest.raises(AlphabetError):
             ncvr_encoder.encode_dataset([RECORDS[0], bad] * SMALL_BATCH_ROWS)
-
-    def test_encode_attribute_column(self, ncvr_encoder):
-        matrix = ncvr_encoder.encode_attribute(RECORDS, "f2")
-        enc = ncvr_encoder.attribute_encoder("f2")
-        for i, record in enumerate(RECORDS):
-            assert row_int(matrix.words[i]) == value_bits(enc, 0, record[1])
 
     def test_empty_dataset_is_zero_rows(self, ncvr_encoder):
         stats = {}

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import (
-    BlockingConfig,
     CalibrationConfig,
     DBLP_ATTRIBUTE_K,
+    DEFAULT_DELTA,
+    DEFAULT_K,
     NCVR_ATTRIBUTE_K,
     PH_ATTRIBUTE_THRESHOLDS,
     PL_RECORD_THRESHOLD,
-    RuleBlockingConfig,
 )
 from repro.core.linker import LinkageResult
 
@@ -62,8 +62,5 @@ class TestPaperConfigConstants:
         calibration = CalibrationConfig()
         assert calibration.rho == 1.0
         assert calibration.r == pytest.approx(1 / 3)
-        blocking = BlockingConfig()
-        assert blocking.k == 30
-        assert blocking.delta == 0.1
-        rule_blocking = RuleBlockingConfig()
-        assert rule_blocking.k_per_attribute == {}
+        assert DEFAULT_K == 30
+        assert DEFAULT_DELTA == 0.1

@@ -1,15 +1,16 @@
-"""Tests for repro.core.linker — the cBV-HB pipeline and streaming API."""
+"""Tests for repro.core.linker (the cBV-HB pipeline) and the streaming setting."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import CalibrationConfig
 from repro.core.encoder import RecordEncoder
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.linker import CompactHammingLinker
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.evaluation.metrics import evaluate_linkage
 from repro.rules.parser import parse_rule
+from tests.golden_linkers import incremental_engine, query_each
 
 NCVR_NAMES = ["FirstName", "LastName", "Address", "Town"]
 NCVR_K = {"FirstName": 5, "LastName": 5, "Address": 10}
@@ -123,31 +124,37 @@ class TestMultiParty:
 
 
 class TestStreamingLinker:
+    """Section 1's real-time linker: an in-memory engine that ingests records
+    as they arrive and matches each incoming one at once."""
+
     @pytest.fixture
     def encoder(self):
         sample = NCVRGenerator().generate(200, seed=10).value_rows()
         return RecordEncoder.calibrated(sample, scheme=EXPERIMENT_SCHEME, seed=10)
 
     def test_insert_then_query(self, encoder):
-        streaming = StreamingLinker(encoder, threshold=4, k=20, seed=11)
-        rid = streaming.insert(("JONES", "SMITH", "12 MAIN ST", "BOONE"))
-        hits = streaming.query(("JONAS", "SMITH", "12 MAIN ST", "BOONE"))
+        streaming = incremental_engine(encoder, [], threshold=4, k=20, seed=11)
+        [rid] = streaming.ingest([("JONES", "SMITH", "12 MAIN ST", "BOONE")])
+        [hits] = query_each(streaming, [("JONAS", "SMITH", "12 MAIN ST", "BOONE")])
         assert any(h[0] == rid for h in hits)
 
     def test_query_respects_threshold(self, encoder):
-        streaming = StreamingLinker(encoder, threshold=4, k=20, seed=12)
-        streaming.insert(("JONES", "SMITH", "12 MAIN ST", "BOONE"))
-        hits = streaming.query(("XAVIER", "QUIRK", "99 ZED BLVD", "ERewhon".upper()))
-        assert hits == []
+        streaming = incremental_engine(
+            encoder, [("JONES", "SMITH", "12 MAIN ST", "BOONE")], threshold=4, k=20, seed=12
+        )
+        hits = query_each(streaming, [("XAVIER", "QUIRK", "99 ZED BLVD", "ERewhon".upper())])
+        assert hits == [[]]
 
     def test_incremental_growth(self, encoder, small_pl_problem):
-        streaming = StreamingLinker(encoder, threshold=4, k=25, seed=13)
-        streaming.insert_dataset(small_pl_problem.dataset_a)
-        assert len(streaming) == len(small_pl_problem.dataset_a)
+        streaming = incremental_engine(
+            encoder, small_pl_problem.dataset_a.value_rows(), threshold=4, k=25, seed=13
+        )
+        assert streaming.n_indexed == len(small_pl_problem.dataset_a)
         found = 0
         truth = small_pl_problem.true_matches
-        for row_b, values in enumerate(small_pl_problem.dataset_b.value_rows()):
-            for rid, __ in streaming.query(values):
+        answers = query_each(streaming, small_pl_problem.dataset_b.value_rows())
+        for row_b, hits in enumerate(answers):
+            for rid, __ in hits:
                 if (rid, row_b) in truth:
                     found += 1
         assert found / len(truth) >= 0.9

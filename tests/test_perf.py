@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.cvector import CVectorEncoder, intern_column, value_bits
 from repro.core.encoder import RecordEncoder
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.linker import CompactHammingLinker
 from repro.core.qgram import (
     QGramScheme,
     clear_index_set_cache,
@@ -36,6 +36,7 @@ from repro.perf import LogHistogram
 from repro.rules import blocking as blocking_module
 from repro.rules.parser import parse_rule
 from tests.bits import reference_words, row_int
+from tests.golden_linkers import incremental_engine, query_each
 
 
 RECORDS = [
@@ -97,13 +98,6 @@ class TestLinkageInvariance:
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
         return linker.link(problem.dataset_a, problem.dataset_b)
 
-    def _assert_identical(self, result, reference):
-        assert np.array_equal(result.rows_a, reference.rows_a)
-        assert np.array_equal(result.rows_b, reference.rows_b)
-        assert np.array_equal(result.record_distances, reference.record_distances)
-        assert result.n_candidates == reference.n_candidates
-        assert result.matches == reference.matches
-
     def test_link_equals_match_kernel(self, problem, reference):
         """The record-level link is one ``HammingLSH.match`` call, byte for byte."""
         a, b = problem.dataset_a, problem.dataset_b
@@ -121,20 +115,11 @@ class TestLinkageInvariance:
         assert {key: reference.counters[key] for key in counters} == counters
         assert counters["pairs_duplicates"] == counters["pairs_generated"] - counters["pairs_unique"]
 
-    def test_streaming_link_equals_match_kernel(self, problem, reference):
-        """``StreamingLinker.link`` runs the same kernel: same matches, order, counts."""
-        a, b = problem.dataset_a, problem.dataset_b
-        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
-        self._assert_identical(StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b),
-                               reference)
-
     def test_link_runs_each_layer_once(self, problem, monkeypatch):
         """``link()`` adds no work: it embeds each side once,
         indexes A once and runs the match kernel once (the count form of the
-        suite's ``pipeline.overhead_s``).  The streaming link's index layer
-        is its one batch ``insert_rows``."""
+        suite's ``pipeline.overhead_s``)."""
         a, b = problem.dataset_a, problem.dataset_b
-        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
         calls: dict[str, int] = {}
         for cls, name in (
             (RecordEncoder, "encode_dataset"),
@@ -150,9 +135,6 @@ class TestLinkageInvariance:
 
         CompactHammingLinker.record_level(threshold=4, k=30, seed=7).link(a, b)
         assert calls == {"encode_dataset": 2, "index": 1, "match": 1}
-        calls.clear()
-        StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b)
-        assert calls == {"encode_dataset": 2, "insert_rows": 1, "match": 1}
 
     def test_counters_populated(self, problem):
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=7)
@@ -193,7 +175,7 @@ def force_block_rows(monkeypatch, rows):
 class TestBlockSizeInvariance:
     """B blocks partition the pairs, so the block size changes no output:
     with the budget forced to one-row, seven-row and one-block blocks, the
-    record-level, streaming and rule-aware links return the same matches,
+    record-level and rule-aware links return the same matches,
     distances, candidate count and counters as at the default budget —
     except ``max_bucket_product``, the largest product within one block."""
 
@@ -220,7 +202,6 @@ class TestBlockSizeInvariance:
     def _links(self, problem, encoder):
         a, b = problem.dataset_a, problem.dataset_b
         yield "record", CompactHammingLinker.record_level(threshold=4, k=30, seed=7).link(a, b)
-        yield "streaming", StreamingLinker(encoder, threshold=4, k=30, seed=7).link(a, b)
         for text in self.RULES:
             linker = CompactHammingLinker.rule_aware(
                 parse_rule(text), k=self.K, attribute_names=self.NAMES, seed=7
@@ -253,11 +234,11 @@ class TestBlockSizeInvariance:
         if rows is None:
             assert set(seen) == {300}
         else:
-            assert max(seen) <= rows and sum(seen) == 300 * (2 + len(self.RULES))
+            assert max(seen) <= rows and sum(seen) == 300 * (1 + len(self.RULES))
         for name, (arrays, (n_candidates, counters)) in reference.items():
             assert n_candidates > 0, name
             assert len(arrays["rows_a"][1]) > 0, name
-            if name not in ("record", "streaming"):
+            if name != "record":
                 assert 0 < counters["classify_distance_rows"], name
 
 
@@ -403,17 +384,18 @@ class TestMemoryGate:
 
 
 class TestStreamingBatchedQuery:
+    """The real-time setting: an in-memory engine grown by one-record ingests
+    and asked one record at a time."""
+
     def test_query_matches_per_id_reference(self):
         """Against a per-table reference kept here: every stored record that
         shares a table's :meth:`CompositeHash.key_for` key with the query,
         verified one by one, in id order."""
         rows = NCVRGenerator().generate(120, seed=11).value_rows()
         encoder = RecordEncoder.calibrated(rows, scheme=EXPERIMENT_SCHEME, seed=11)
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=11)
-        for values in rows[:80]:
-            streaming.insert(values)
-        composites = streaming.view.lsh.composites
-        stored = streaming.view.words
+        streaming = incremental_engine(encoder, rows[:80], threshold=4, k=30, seed=11)
+        composites = streaming.index.lsh.composites
+        stored = streaming.index.words
         stored_keys = [[c.key_for(row) for c in composites] for row in stored]
         for values in rows[40:]:
             vector = reference_words(encoder, [values])[0]
@@ -423,7 +405,7 @@ class TestStreamingBatchedQuery:
                 distance = (row_int(stored[rid]) ^ row_int(vector)).bit_count()
                 if any(x == y for x, y in zip(own, keys)) and distance <= streaming.threshold:
                     expected.append((rid, distance))
-            assert streaming.query(values) == expected
+            assert query_each(streaming, [values]) == [expected]
 
     @pytest.fixture(scope="class")
     def stream(self):
@@ -431,27 +413,24 @@ class TestStreamingBatchedQuery:
         problem = build_linkage_problem(NCVRGenerator(), 100, scheme_pl(), seed=7)
         a, b = problem.dataset_a, problem.dataset_b
         encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=7).calibrate(a, b)
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=7)
-        for values in a.value_rows():
-            streaming.insert(values)
-        return streaming, b.value_rows()
+        return incremental_engine(encoder, a.value_rows(), threshold=4, k=30, seed=7), b.value_rows()
 
     @pytest.mark.parametrize("top_k", [None, 2])
     def test_query_equals_one_row_batch(self, stream, top_k):
-        """One record is a one-row batch: the same list, in id order (or
-        ``(distance, id)`` order with ``top_k``), never first-seen order."""
+        """One record is a one-row batch: the same list as in a whole batch,
+        in id order (or ``(distance, id)`` order with ``top_k``), never
+        first-seen order."""
         streaming, queries = stream
-        answers = [streaming.query(values, top_k) for values in queries]
+        answers = query_each(streaming, queries, top_k)
         assert sum(map(len, answers)) > len(queries) // 2
-        for values, got in zip(queries, answers):
-            assert got == streaming.query_batch([values], top_k)[0]
-        assert answers == streaming.query_batch(queries, top_k)
+        assert answers == streaming.query_batch(queries, top_k=top_k).matches()
         if top_k is None:
             assert all(got == sorted(got) for got in answers)
 
     def test_one_row_query_and_insert_run_the_kernel_once(self, stream, monkeypatch):
         """A 1-row query is one embed and one match kernel call, with no
-        per-table key; a 1-row insert is one insert into the view's LSH."""
+        per-table key; a 1-row ingest is one embed and one insert into the
+        view's LSH."""
         streaming, queries = stream
         calls: dict[str, int] = {}
         for cls, name in (
@@ -467,20 +446,18 @@ class TestStreamingBatchedQuery:
             monkeypatch.setattr(cls, name, counted)
         for top_k in (None, 2):
             calls.clear()
-            streaming.query(queries[0], top_k)
+            streaming.query_batch([queries[0]], top_k=top_k)
             assert calls == {"encode_dataset": 1, "match": 1}
         calls.clear()
-        streaming.insert(queries[0])
+        streaming.ingest([queries[0]])
         assert calls == {"encode_dataset": 1, "insert_rows": 1}
 
     def test_growable_store_roundtrips_vectors(self):
         rows = NCVRGenerator().generate(40, seed=5).value_rows()
         encoder = RecordEncoder.calibrated(rows, scheme=EXPERIMENT_SCHEME, seed=5)
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=5)
-        for values in rows:
-            streaming.insert(values)
-        assert len(streaming) == len(rows) == streaming.view.words.shape[0]
-        assert np.array_equal(streaming.view.words, reference_words(encoder, rows))
+        streaming = incremental_engine(encoder, rows, threshold=4, k=30, seed=5)
+        assert streaming.n_indexed == len(rows) == streaming.index.words.shape[0]
+        assert np.array_equal(streaming.index.words, reference_words(encoder, rows))
 
 
 class TestLogHistogram:

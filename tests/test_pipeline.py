@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import NCVR_ATTRIBUTE_K
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.linker import CompactHammingLinker
 from repro.data import Dataset, NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.pipeline import (
     available_linkers,
@@ -18,6 +18,7 @@ from repro.pipeline.exhaustive import ExhaustiveLinker
 from repro.baselines.minhash import MinHashLinker
 from repro.hamming.distance import hamming_packed
 from repro.rules.parser import parse_rule
+from tests.golden_linkers import incremental_engine
 
 
 @pytest.fixture(scope="module")
@@ -27,15 +28,19 @@ def problem():
 
 class TestStreamingLink:
     def test_link_matches_batch_linker(self, problem):
+        """A streamed A (one-record ingests) queried with all of B finds the
+        batch link's matches; the streaming setting is not a registered linker."""
         batch = CompactHammingLinker.record_level(threshold=4, k=30, seed=3)
         encoder = batch.calibrate(problem.dataset_a, problem.dataset_b)
         batch_result = batch.link(problem.dataset_a, problem.dataset_b)
 
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=3)
-        result = streaming.link(problem.dataset_a, problem.dataset_b)
-        assert result.matches == batch_result.matches
-        assert set(result.timings) == {"index", "match"}
-        assert len(streaming) == len(problem.dataset_a)
+        streaming = incremental_engine(
+            encoder, problem.dataset_a.value_rows(), threshold=4, k=30, seed=3
+        )
+        result = streaming.query_batch(problem.dataset_b.value_rows())
+        assert set(zip(result.ids.tolist(), result.queries.tolist())) == batch_result.matches
+        assert streaming.n_indexed == len(problem.dataset_a)
+        assert "streaming" not in linker_names()
 
 
 class TestExhaustiveLinker:
@@ -122,7 +127,6 @@ class TestRegistry:
         assert linker_names() == (
             "cbv-record",
             "cbv-rule",
-            "streaming",
             "exhaustive",
             "bfh",
             "canopy",
@@ -152,7 +156,6 @@ class TestRegistry:
         kwargs = {
             "cbv-record": {"threshold": 4},
             "cbv-rule": {"rule": parse_rule("(f1<=4)"), "k": {"f1": 5}},
-            "streaming": None,  # needs a calibrated encoder; covered above
             "exhaustive": {"threshold": 4},
             "bfh": {"attribute_thresholds": {"f1": 45}, "n_attributes": 2},
             "canopy": {"threshold": 4},
@@ -162,24 +165,17 @@ class TestRegistry:
             "sorted-neighborhood": {"threshold": 4},
         }
         for spec in available_linkers():
-            init = kwargs[spec.name]
-            if init is None:
-                continue
-            linker = spec.factory(**init)
+            linker = spec.factory(**kwargs[spec.name])
             assert hasattr(linker, "link")
 
 
 class TestEmptyInput:
     """A side with no records is a link with no matches, for every linker."""
 
-    def _linkers(self, problem):
-        encoder = CompactHammingLinker.record_level(threshold=4, k=30, seed=3).calibrate(
-            problem.dataset_a, problem.dataset_b
-        )
+    def _linkers(self):
         kwargs = {
             "cbv-record": {"threshold": 4},
             "cbv-rule": {"rule": parse_rule("(f1<=4) & (f2<=4) & (f3<=8)"), "k": NCVR_ATTRIBUTE_K},
-            "streaming": {"encoder": encoder, "threshold": 4},
             "exhaustive": {"threshold": 4},
             "bfh": {"attribute_thresholds": {"f1": 45, "f2": 45, "f3": 90}, "n_attributes": 4},
             "canopy": {"threshold": 4},
@@ -194,7 +190,7 @@ class TestEmptyInput:
     def test_empty_b_links_to_an_empty_result(self, problem):
         a, b = problem.dataset_a, problem.dataset_b
         empty_b = Dataset(b.schema, [])
-        for name, make in self._linkers(problem):
+        for name, make in self._linkers():
             want = make().link(a, b)
             got = make().link(a, empty_b)
             assert got.n_matches == got.n_candidates == got.comparison_space == 0, name
@@ -205,7 +201,7 @@ class TestEmptyInput:
     def test_empty_a_links_to_an_empty_result(self, problem):
         a, b = problem.dataset_a, problem.dataset_b
         empty_a = Dataset(a.schema, [])
-        for name, make in self._linkers(problem):
+        for name, make in self._linkers():
             want = make().link(a, b)
             got = make().link(empty_a, b)
             assert got.n_matches == got.n_candidates == got.comparison_space == 0, name

@@ -9,19 +9,19 @@ Three layers of the serving story:
   with silently wrong candidates;
 * :class:`repro.serve.QueryEngine` answers batched threshold / top-k
   queries byte-identically for every bundle layout, shard count and
-  batch size — the per-record :class:`StreamingLinker` is the reference —
-  including the golden-parity fixture.
+  batch size — an engine grown and queried record by record is the
+  reference — including the golden-parity fixture.
 """
 
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.linker import CompactHammingLinker
 from repro.core.persist import (
+    IndexSnapshot,
     SnapshotError,
     encoder_fingerprint,
     load_index_snapshot,
@@ -31,6 +31,7 @@ from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.core.encoder import RecordEncoder
 from repro.data.generators import EXPERIMENT_SCHEME
 from repro.core.shards import PlainBundleError, ShardedIndex
+from repro.hamming.bitmatrix import BitMatrix
 from repro.hamming.lsh import HammingLSH
 from repro.hamming.query import group_matches
 from repro.serve import QueryEngine
@@ -40,7 +41,9 @@ from tests.golden_linkers import (
     K,
     PROBLEM_SEED,
     THRESHOLD,
+    incremental_engine,
     make_problem,
+    query_each,
 )
 
 SEED = 11
@@ -121,26 +124,16 @@ class TestSnapshotRoundTrip:
         assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
 
     def test_streaming_overlay_compacted_at_save(self, tmp_path, encoder, rows_a, rows_b):
-        """Dict-overlay inserts are merged into the sorted bulk arrays."""
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a:
-            streaming.insert(values)
-        bundle = streaming.save_snapshot(tmp_path / "idx")
-        loaded = StreamingLinker.load_snapshot(bundle)
-        assert len(loaded) == len(rows_a)
-        assert loaded.query_batch(rows_b) == streaming.query_batch(rows_b)
-
-    def test_insert_after_load_copies_on_grow(self, tmp_path, encoder, rows_a, rows_b):
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a[:-1]:
-            streaming.insert(values)
-        bundle = streaming.save_snapshot(tmp_path / "idx")
-        loaded = StreamingLinker.load_snapshot(bundle)
-        loaded.insert(rows_a[-1])
-        streaming.insert(rows_a[-1])
-        assert loaded.query_batch(rows_b) == streaming.query_batch(rows_b)
-        # the bundle on disk is untouched by the post-load insert
-        assert load_index_snapshot(bundle).n_rows == len(rows_a) - 1
+        """Records ingested one by one (an unsaved engine, no WAL) are written
+        into the shard bundle at save; the reloaded bundle answers alike."""
+        streaming = incremental_engine(encoder, rows_a, threshold=4, k=30, seed=SEED)
+        assert streaming.index.overlay_rows == len(rows_a)
+        bundle = streaming.save(tmp_path / "idx")
+        assert streaming.index.overlay_rows == 0
+        loaded = QueryEngine.from_bundle(bundle)
+        assert loaded.n_indexed == len(rows_a)
+        assert loaded.index.counters.get("wal_replayed_records", 0.0) == 0.0
+        _assert_identical(loaded.query_batch(rows_b), streaming.query_batch(rows_b))
 
 
 class TestSnapshotErrors:
@@ -207,19 +200,16 @@ class TestQueryEngine:
     def engine(self, encoder, rows_a):
         return QueryEngine.build(rows_a, encoder, threshold=4, k=30, seed=SEED)
 
-    def test_matches_streaming_reference(self, engine, encoder, rows_a, rows_b):
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a:
-            streaming.insert(values)
-        assert engine.query_batch(rows_b).matches() == streaming.query_batch(rows_b)
+    @pytest.fixture(scope="class")
+    def streaming(self, encoder, rows_a):
+        return incremental_engine(encoder, rows_a, threshold=4, k=30, seed=SEED)
 
-    def test_top_k_matches_streaming_reference(self, engine, encoder, rows_a, rows_b):
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a:
-            streaming.insert(values)
+    def test_matches_streaming_reference(self, engine, streaming, rows_b):
+        assert engine.query_batch(rows_b).matches() == query_each(streaming, rows_b)
+
+    def test_top_k_matches_streaming_reference(self, engine, streaming, rows_b):
         got = engine.query_batch(rows_b, top_k=2).matches()
-        want = [streaming.query(values, top_k=2) for values in rows_b]
-        assert got == want
+        assert got == query_each(streaming, rows_b, top_k=2)
 
     def test_save_load_identical(self, tmp_path, engine, rows_b):
         reference = engine.query_batch(rows_b)
@@ -279,13 +269,30 @@ class TestQueryEngine:
         assert loose.n_matches >= engine.query_batch(rows_b).n_matches >= strict.n_matches
 
     def test_rejects_thresholdless_snapshot(self, engine):
-        snapshot = replace(engine.index.merged(), threshold=None)
+        index = engine.index
+        snapshot = IndexSnapshot(
+            encoder=index.encoder,
+            matrix=BitMatrix(index.words, index.n_bits),
+            lsh=index.lsh,
+            threshold=None,
+        )
         with pytest.raises(ValueError, match="threshold"):
             QueryEngine(ShardedIndex.single(snapshot))
 
     def test_rejects_bad_top_k(self, engine, rows_b):
         with pytest.raises(ValueError, match="top_k"):
             engine.query_batch(rows_b, top_k=0)
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [({"top_k": 0}, "top_k"), ({"top_k": -1}, "top_k"), ({"threshold": -1}, "threshold")],
+        ids=["top_k-0", "top_k-negative", "threshold-negative"],
+    )
+    def test_arguments_checked_for_every_batch_size(self, engine, rows_b, batch, arguments, message):
+        """An empty batch is refused what a one-row batch is refused."""
+        with pytest.raises(ValueError, match=message):
+            engine.query_batch(rows_b[:batch], **arguments)
 
 
 #: Every way the one engine can hold the same 150 records.
@@ -331,9 +338,9 @@ class TestGroupMatches:
 
 
 class TestOneEngineParity:
-    """Layout x mode x batch size: the per-record StreamingLinker is the
-    reference, and every layout returns the same arrays as the plain
-    in-memory engine."""
+    """Layout x mode x batch size: an engine grown and queried record by
+    record is the reference, and every layout returns the same arrays as
+    the plain in-memory engine."""
 
     @pytest.fixture(scope="class")
     def stream(self, rows_b):
@@ -341,13 +348,11 @@ class TestOneEngineParity:
 
     @pytest.fixture(scope="class")
     def reference(self, encoder, rows_a, stream):
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a:
-            streaming.insert(values)
+        streaming = incremental_engine(encoder, rows_a, threshold=4, k=30, seed=SEED)
         # Threshold mode is ordered by record id; the per-record query is not.
-        answers = {None: [sorted(streaming.query(values)) for values in stream]}
+        answers = {None: [sorted(answer) for answer in query_each(streaming, stream)]}
         for top_k in (1, 5):
-            answers[top_k] = [streaming.query(values, top_k=top_k) for values in stream]
+            answers[top_k] = query_each(streaming, stream, top_k=top_k)
         return answers
 
     @pytest.fixture(scope="class")
@@ -420,10 +425,8 @@ class TestGoldenParity:
             threshold=THRESHOLD, k=K, seed=PROBLEM_SEED
         )
         enc = calibrator.calibrate(prob.dataset_a, prob.dataset_b)
-        streaming = StreamingLinker(enc, threshold=THRESHOLD, k=K, seed=PROBLEM_SEED)
-        for values in prob.dataset_a.value_rows():
-            streaming.insert(values)
-        bundle = streaming.save_snapshot(tmp_path / "idx")
+        streaming = incremental_engine(enc, prob.dataset_a.value_rows())
+        bundle = streaming.save(tmp_path / "idx")
         engine = QueryEngine.from_snapshot(bundle)
         result = engine.query_batch(
             [tuple(r) for r in prob.dataset_b.value_rows()]

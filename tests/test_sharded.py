@@ -5,7 +5,7 @@ Five contracts:
 * **Parity** — the engine over ``n_shards`` shards returns byte-identical
   threshold and top-k results to the plain one-shard index, in memory
   and from a persisted bundle (the full layout x mode x batch-size grid
-  is ``test_serving.TestOneEngineParity``); the merged global view
+  is ``test_serving.TestOneEngineParity``); the one global query view
   serves the committed golden matches.
 * **One scan** — a query batch locates its buckets once per run (bulk,
   delta) whatever the shard count, and the shard bundles it writes are
@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import repro.hamming.lsh as lsh_module
 from repro.core.encoder import RecordEncoder
-from repro.core.linker import CompactHammingLinker, StreamingLinker
+from repro.core.linker import CompactHammingLinker
 from repro.core.persist import (
     SnapshotError,
     load_index_snapshot,
@@ -63,7 +63,9 @@ from tests.golden_linkers import (
     K,
     PROBLEM_SEED,
     THRESHOLD,
+    incremental_engine,
     make_problem,
+    query_each,
 )
 
 SEED = 11
@@ -252,7 +254,7 @@ class TestBundleBytes:
         ``save_index_snapshot`` over the route of an index that streamed
         its inserts — ``index(base)``, then ``insert_rows(overlay, local
         ids)``, re-attached from its bundle at each compaction — and the
-        merged view exports what one index over every row does."""
+        query view exports what one index over every row does."""
         bits = encoder.total_bits
         words = encoder.encode_dataset(rows_a).words
         owner = shards_of_ids(np.arange(len(rows_a)), n_shards)
@@ -302,10 +304,10 @@ class TestBundleBytes:
                         members[shard] += new
             whole = fresh()
             whole.index(BitMatrix(words[:n], bits))
-            got, want = index.merged().lsh.export(), whole.export()
+            got, want = index.lsh.export(), whole.export()
             assert got.offsets == want.offsets
             assert np.array_equal(got.keys, want.keys) and np.array_equal(got.ids, want.ids)
-            assert np.array_equal(index.merged().matrix.words, words[:n])
+            assert np.array_equal(index.words, words[:n])
             index.close()
 
 
@@ -555,7 +557,6 @@ class TestCrashRecovery:
         assert index.n_rows == index.next_id == base + prefix
         assert index.counters["wal_replayed_records"] == float(prefix)
         assert index.counters["wal_skipped_records"] == float(len(durable) - prefix)
-        assert index.merged().n_rows == base + prefix
         assert len(replay_segment(bundle / wal_name(0)).records) == prefix
         added = reopened.ingest(rows_b[:4])
         assert added == list(range(base + prefix, base + prefix + 4))
@@ -650,7 +651,7 @@ class TestStaleManifests:
         with ShardedIndex.open(single_bundle) as plain:
             assert plain.n_shards == 1 and plain.shards[0].row_ids is None
             assert plain.n_rows == len(rows_a) and plain.overlay_rows == 0
-            assert plain.merged().path == single_bundle
+            assert plain.path == single_bundle
             _assert_identical(
                 single.query_batch(rows_b), QueryEngine(plain).query_batch(rows_b)
             )
@@ -691,6 +692,8 @@ class TestStaleManifests:
 
 
 class TestMergedView:
+    """Every shard, overlay included, is served as one global-id view."""
+
     def test_query_batch_equals_full_linker(self, tmp_path, problem, encoder, rows_a, rows_b):
         linker = CompactHammingLinker.record_level(threshold=4, k=30, seed=SEED)
         linker.encoder = encoder
@@ -715,13 +718,13 @@ class TestMergedView:
             rows_a[:-2], encoder, n_shards=3, threshold=4, k=30, seed=SEED
         )
         bundle = engine.save(tmp_path / "idx")
-        engine.ingest(rows_a[-2:])  # the merged view must fold the overlay
+        engine.ingest(rows_a[-2:])  # the reopened view must replay the overlay
         engine.close()
-        loaded = StreamingLinker.load_snapshot(bundle)
-        streaming = StreamingLinker(encoder, threshold=4, k=30, seed=SEED)
-        for values in rows_a:
-            streaming.insert(values)
-        assert loaded.query_batch(rows_b) == streaming.query_batch(rows_b)
+        loaded = QueryEngine.from_bundle(bundle)
+        assert loaded.index.counters["wal_replayed_records"] == 2.0
+        streaming = incremental_engine(encoder, rows_a, threshold=4, k=30, seed=SEED)
+        assert loaded.query_batch(rows_b).matches() == query_each(streaming, rows_b)
+        loaded.close()
 
 
 class TestServingStats:
