@@ -50,7 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.baselines import BfHLinker, HarraLinker, SMEBLinker  # noqa: E402
 from repro.baselines.bloom import BloomRecordEncoder  # noqa: E402
 from repro.baselines.canopy import CanopyLinker  # noqa: E402
-from repro.baselines.minhash import bigram_matrix  # noqa: E402
+from repro.baselines.minhash import MinHashLinker, bigram_matrix  # noqa: E402
 from repro.baselines.sorted_neighborhood import SortedNeighborhoodLinker  # noqa: E402
 from repro.baselines.stringmap import StringMapEmbedder  # noqa: E402
 from repro.core import cvector  # noqa: E402
@@ -578,13 +578,15 @@ def _run_ablation_dedup(cell: Cell) -> Result:
 
 
 def _run_ablation_harra(cell: Cell) -> Result:
-    """HARRA's truncated permutations and its early pruning, one at a time."""
-    linker = HarraLinker(
-        threshold=0.35,
-        n_tables=30,
-        permutation_prefix=cell.param("prefix"),
-        early_pruning=bool(cell.param("pruning")),
-        seed=LINK_SEED,
+    """HARRA's truncated permutations and its early pruning, one at a time.
+
+    Without early pruning, h-CC is MinHash LSH over the same permutations.
+    """
+    prefix = cell.param("prefix")
+    linker: object = (
+        HarraLinker(threshold=0.35, n_tables=30, permutation_prefix=prefix, seed=LINK_SEED)
+        if cell.param("pruning")
+        else MinHashLinker(threshold=0.35, n_tables=30, prefix_fraction=prefix, seed=LINK_SEED)
     )
     return _link(linker, _problem(cell))
 

@@ -25,7 +25,7 @@ NAMES = ["FirstName", "LastName", "Title", "Year"]
 def main() -> None:
     problem = build_linkage_problem(DBLPGenerator(), 4000, scheme_pl(), seed=9)
     print("example record:")
-    first, last, title, year = problem.dataset_a[0].values
+    __, (first, last, title, year) = problem.dataset_a[0]
     print(f"  {first} {last}: {title!r} ({year})")
     print(f"\n{problem.n_true_matches} true matches hidden in "
           f"{len(problem.dataset_a)} x {len(problem.dataset_b)} pairs\n")

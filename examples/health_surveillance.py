@@ -30,7 +30,7 @@ def main() -> None:
     # Calibrate the compact encoder on a registry sample (Theorem 1), then
     # index every patient into the Hamming LSH blocking groups.
     encoder = RecordEncoder.calibrated(
-        [record.values for record in registry.sample(1000, rng)],
+        [values for __, values in registry.sample(1000, rng)],
         scheme=EXPERIMENT_SCHEME,
         seed=7,
     )
@@ -48,11 +48,9 @@ def main() -> None:
     latencies = []
     for event in range(n_events):
         patient_row = int(rng.integers(0, len(registry)))
-        record, __ = scheme.perturb(
-            registry[patient_row], schema, rng, new_id=f"P{event}"
-        )
+        values, __ = scheme.perturb(registry[patient_row][1], schema, rng)
         start = time.perf_counter()
-        hits = engine.query_batch([record.values]).matches()[0]
+        hits = engine.query_batch([values]).matches()[0]
         latencies.append(time.perf_counter() - start)
         if any(rid == patient_row for rid, __ in hits):
             found += 1

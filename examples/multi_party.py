@@ -16,20 +16,16 @@ from repro import (
     NCVRGenerator,
     scheme_pl,
 )
-from repro.data.schema import Dataset, Schema
+from repro.data.schema import Schema, dataset_from_rows
 
 
 def perturbed_view(population, fraction, rng, scheme, prefix):
     """A custodian's view: a random subset of the population, with typos."""
     schema = Schema(population.schema.attributes)
     picks = np.flatnonzero(rng.random(len(population)) < fraction)
-    records = []
-    for i, row in enumerate(picks):
-        record, __ = scheme.perturb(
-            population[int(row)], schema, rng, new_id=f"{prefix}{i}"
-        )
-        records.append(record)
-    view = Dataset(schema, records, name=prefix)
+    rows = population.value_rows()
+    typod = [scheme.perturb(rows[int(row)], schema, rng)[0] for row in picks]
+    view = dataset_from_rows(schema, typod, prefix, name=prefix)
     return view, {i: int(row) for i, row in enumerate(picks)}
 
 

@@ -26,7 +26,8 @@ def main() -> None:
     print(f"dataset A: {len(problem.dataset_a)} records")
     print(f"dataset B: {len(problem.dataset_b)} records "
           f"({problem.n_true_matches} true matches)")
-    print(f"example record: {problem.dataset_a[0].values}")
+    __, values = problem.dataset_a[0]
+    print(f"example record: {values}")
 
     # 2. The cBV-HB linker: one edit operation moves the compact Hamming
     #    distance by at most 4 bits (Section 5.1), so threshold 4 covers

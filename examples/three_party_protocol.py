@@ -44,7 +44,7 @@ def main() -> None:
     matched = charlie.link(encoded_a, encoded_b)
 
     truth = {
-        (problem.dataset_a[a].record_id, problem.dataset_b[b].record_id)
+        (problem.dataset_a.ids[a], problem.dataset_b.ids[b])
         for a, b in problem.true_matches
     }
     found = set(matched) & truth

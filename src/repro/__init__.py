@@ -33,7 +33,6 @@ from repro.data import (
     LinkageProblem,
     NCVRGenerator,
     Operation,
-    Record,
     Schema,
     build_linkage_problem,
     scheme_ph,
@@ -60,7 +59,6 @@ __all__ = [
     "NCVRGenerator",
     "Operation",
     "QGramScheme",
-    "Record",
     "RecordEncoder",
     "Rule",
     "RuleAwareBlocker",

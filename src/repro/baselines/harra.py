@@ -16,8 +16,9 @@ still active (:func:`repro.hamming.lsh.join_keys`, the join every LSH
 blocker shares), minus the pairs compared in earlier bands, and one
 Jaccard call over the rest.  Only the pruning itself — which B record
 takes which A record — is resolved record by record, over the B records
-with a close pair.  The non-iterative counterpart is
-:class:`repro.baselines.minhash.MinHashLinker`.
+with a close pair.  Without the pruning, h-CC finds exactly what
+:class:`repro.baselines.minhash.MinHashLinker` finds with
+``prefix_fraction=permutation_prefix``, its non-iterative counterpart.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class HarraLinker:
     n_tables:
         Number of blocking groups; HARRA picks these empirically (paper:
         L = 30 for PL, L = 90 for PH — already doubled for better PC).
-    early_pruning:
-        Remove matched records from later iterations (HARRA's behaviour).
-        Disable for the ablation that isolates the cost of pruning.
     permutation_prefix:
         Fraction of each permutation HARRA's implementation examines when
         looking for "the index of the minimum nonzero element" (Section
@@ -94,7 +92,6 @@ class HarraLinker:
         k: int = 5,
         n_tables: int = 30,
         scheme: QGramScheme | None = None,
-        early_pruning: bool = True,
         permutation_prefix: float | None = 0.02,
         seed: int | None = None,
     ) -> None:
@@ -104,7 +101,6 @@ class HarraLinker:
         self.k = k
         self.n_tables = n_tables
         self.scheme = scheme or QGramScheme(alphabet=TEXT_ALPHABET)
-        self.early_pruning = early_pruning
         self.permutation_prefix = permutation_prefix
         self.seed = seed
 
@@ -120,7 +116,7 @@ class HarraLinker:
 
         Per band: one join over the rows still active when it starts, minus
         the pairs compared in earlier bands, and one Jaccard call over the
-        rest.  With early pruning the band is then resolved in ``(b, a)``
+        rest.  Early pruning then resolves the band in ``(b, a)``
         order: a B row takes its first close A row that no earlier B row of
         the band took, and both leave the process; a pair counts as compared
         unless it follows that hit or its A row was taken earlier in the
@@ -150,13 +146,10 @@ class HarraLinker:
             close_a, close_b = pairs_a.compress(close), pairs_b.compress(close)
             walk = close_b.argsort(kind="stable")  # (b, a): the order h-CC walks a band in
             close_a, close_b = close_a.take(walk), close_b.take(walk)
-            if self.early_pruning:
-                close_a, close_b, counted = _prune(
-                    pairs_a, pairs_b, close_a, close_b, active_a, active_b
-                )
-                n_compared += int(np.count_nonzero(counted))
-            else:
-                n_compared += pairs_a.size
+            close_a, close_b, counted = _prune(
+                pairs_a, pairs_b, close_a, close_b, active_a, active_b
+            )
+            n_compared += int(np.count_nonzero(counted))
             matched.append((close_a, close_b))
             alive = active_a.take(pairs_a) & active_b.take(pairs_b)
             compared = np.insert(compared, at.compress(alive), codes.compress(alive))

@@ -75,7 +75,7 @@ class EuclideanLSH:
     """Blocking groups over R^dim with the p-stable hash family.
 
     Mirrors :class:`repro.hamming.lsh.HammingLSH`'s API: ``index`` dataset
-    A, then ``candidate_pairs`` / ``match`` against dataset B.
+    A, then ``candidate_pairs`` against dataset B.
     """
 
     def __init__(
@@ -105,7 +105,6 @@ class EuclideanLSH:
         # One (dim, K) projection matrix and one (K,) offset per table.
         self._projections = [rng.standard_normal((dim, k)) for __ in range(n_tables)]
         self._offsets = [rng.uniform(0.0, w, size=k) for __ in range(n_tables)]
-        self._indexed: np.ndarray | None = None
         self._keys_a: tuple[np.ndarray, np.ndarray] | None = None
 
     def _keys(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +119,10 @@ class EuclideanLSH:
         return floors, hash_keys(floors)
 
     def index(self, points: np.ndarray) -> None:
-        """Store dataset A's vectors (row index = record id) and their keys."""
+        """Store the keys of dataset A's vectors (row index = record id)."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {points.shape}")
-        self._indexed = points
         self._keys_a = self._keys(points)
 
     def candidate_pairs(self, points_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +134,3 @@ class EuclideanLSH:
         (floors_a, keys_a), (floors_b, keys_b) = self._keys_a, self._keys(points_b)
         pairs = sorted_unique(join_keys(keys_a, keys_b, floors_a, floors_b))
         return decode_pairs(pairs, points_b.shape[0])
-
-    def match(
-        self, points_b: np.ndarray, threshold: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates filtered by Euclidean distance <= threshold."""
-        if threshold is None:
-            threshold = self.threshold
-        if threshold is None:
-            raise ValueError("no matching threshold available")
-        rows_a, rows_b = self.candidate_pairs(points_b)
-        if rows_a.size == 0:
-            return rows_a, rows_b, np.empty(0, dtype=np.float64)
-        assert self._indexed is not None
-        deltas = self._indexed[rows_a] - np.asarray(points_b, dtype=np.float64)[rows_b]
-        distances = np.sqrt((deltas * deltas).sum(axis=1))
-        keep = distances <= threshold
-        return rows_a[keep], rows_b[keep], distances[keep]

@@ -33,7 +33,7 @@ from repro.pipeline.registry import available_linkers
 from repro.data.generators import DBLPGenerator, NCVRGenerator, average_qgram_counts
 from repro.data.io import read_dataset, write_dataset, write_matches
 from repro.data.perturb import scheme_ph, scheme_pl
-from repro.data.schema import Dataset
+from repro.data.schema import Dataset, dataset_from_rows
 from repro.core.sizing import size_attribute
 from repro.evaluation.metrics import evaluate_linkage
 from repro.evaluation.reporting import emit, format_table
@@ -223,8 +223,6 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.data.schema import Record
-
     source = _read_dataset(args.input)
     scheme = scheme_pl() if args.scheme == "pl" else scheme_ph()
     rng = np.random.default_rng(args.seed)
@@ -233,27 +231,21 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     # record: the first half becomes A, the second half feeds the filler.
     order = rng.permutation(len(source))
     half = len(source) // 2
-    a_rows = order[:half]
+    rows = source.value_rows()
+    rows_a = [rows[int(row)] for row in order[:half]]
     filler_rows = list(order[half:])
+    dataset_a = dataset_from_rows(source.schema, rows_a, "A", name="A")
 
-    records_a = [
-        Record(f"A{i}", source[int(row)].values) for i, row in enumerate(a_rows)
-    ]
-    dataset_a = Dataset(source.schema, records_a, name="A")
-
-    records_b: list[Record] = []
+    rows_b: list[tuple[str, ...]] = []
     truth: list[tuple[str, str]] = []
-    for row_a, record in enumerate(records_a):
+    for row_a, values in enumerate(rows_a):
         if rng.random() < args.match_prob:
-            perturbed, __ = scheme.perturb(
-                record, source.schema, rng, new_id=f"B{len(records_b)}"
-            )
-            records_b.append(perturbed)
-            truth.append((record.record_id, perturbed.record_id))
-    while len(records_b) < len(records_a) and filler_rows:
-        row = filler_rows.pop()
-        records_b.append(Record(f"B{len(records_b)}", source[int(row)].values))
-    dataset_b = Dataset(source.schema, records_b, name="B")
+            perturbed, __ = scheme.perturb(values, source.schema, rng)
+            truth.append((f"A{row_a}", f"B{len(rows_b)}"))
+            rows_b.append(perturbed)
+    while len(rows_b) < len(rows_a) and filler_rows:
+        rows_b.append(rows[int(filler_rows.pop())])
+    dataset_b = dataset_from_rows(source.schema, rows_b, "B", name="B")
 
     write_dataset(dataset_a, args.output_a)
     write_dataset(dataset_b, args.output_b)
@@ -428,7 +420,7 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
         writer = csv.writer(handle)
         writer.writerow(["id_query", "row_index", "distance"])
         for query, rid, dist in zip(result.queries, result.ids, result.distances):
-            writer.writerow([dataset[int(query)].record_id, int(rid), int(dist)])
+            writer.writerow([dataset.ids[int(query)], int(rid), int(dist)])
     emit(
         f"matched {len(dataset)} queries against {engine.n_indexed} indexed "
         f"records; {result.n_matches} matches -> {args.output}"

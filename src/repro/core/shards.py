@@ -579,10 +579,6 @@ class ShardedIndex:
 
     # -- ingest ------------------------------------------------------------------
 
-    def append(self, values: tuple[str, ...]) -> int:
-        """Durably ingest one record; returns its global id."""
-        return self.append_batch([values])[0]
-
     def append_batch(self, rows: list[tuple[str, ...]]) -> list[int]:
         """Durably ingest a batch; global ids are assigned sequentially.
 

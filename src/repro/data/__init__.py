@@ -31,7 +31,6 @@ from repro.data.perturb import (
 from repro.data.schema import (
     AttributeSpec,
     Dataset,
-    Record,
     Schema,
     dataset_from_rows,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "NCVR_SCHEMA",
     "Operation",
     "PerturbationScheme",
-    "Record",
     "Schema",
     "apply_operation",
     "average_qgram_counts",

@@ -159,7 +159,7 @@ class NCVRGenerator:
         return address
 
     def generate_rows(self, n: int, seed: int | None = None) -> list[tuple[str, ...]]:
-        """The value rows of ``generate(n, seed)``, without records or ids."""
+        """The value rows of ``generate(n, seed)``, without ids."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
@@ -234,7 +234,7 @@ class DBLPGenerator:
         return " ".join(words)
 
     def generate_rows(self, n: int, seed: int | None = None) -> list[tuple[str, ...]]:
-        """The value rows of ``generate(n, seed)``, without records or ids."""
+        """The value rows of ``generate(n, seed)``, without ids."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)

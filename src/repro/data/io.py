@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.core.qgram import QGramScheme
-from repro.data.schema import AttributeSpec, Dataset, Record, Schema
+from repro.data.schema import AttributeSpec, Dataset, Schema
 from repro.text.alphabet import TEXT_ALPHABET
 
 
@@ -76,7 +76,8 @@ def read_dataset(
         schema = Schema(specs)
         columns = [header.index(col) for col in attributes]
         id_index = header.index(id_column) if id_column else None
-        records = []
+        ids: list[str] = []
+        rows: list[tuple[str, ...]] = []
         for row in reader:
             if not row:
                 continue  # a blank line is no record
@@ -87,13 +88,14 @@ def read_dataset(
                 )
             raw = [row[i] for i in columns]
             values = [spec.clean(v) for spec, v in zip(specs, raw)] if normalize_values else raw
-            record_id = row[id_index] if id_index is not None else f"R{len(records)}"
+            record_id = row[id_index] if id_index is not None else f"R{len(ids)}"
             if not record_id:
                 raise ValueError(f"{path}, line {reader.line_num}: empty {id_column!r} cell")
-            records.append(Record(record_id, tuple(values)))
-    if not records:
+            ids.append(record_id)
+            rows.append(tuple(values))
+    if not ids:
         raise ValueError(f"{path} contains no data rows")
-    return Dataset(schema, records, name=name or path.stem)
+    return Dataset.of(schema, ids, rows, name=name or path.stem)
 
 
 def write_dataset(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
@@ -102,8 +104,8 @@ def write_dataset(dataset: Dataset, path: str | Path, delimiter: str = ",") -> N
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(["id", *dataset.schema.names])
-        for record in dataset:
-            writer.writerow([record.record_id, *record.values])
+        for record_id, values in dataset:
+            writer.writerow([record_id, *values])
 
 
 def write_matches(
@@ -120,6 +122,6 @@ def write_matches(
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(["id_a", "id_b"])
         for row_a, row_b in sorted(matches):
-            writer.writerow([dataset_a[row_a].record_id, dataset_b[row_b].record_id])
+            writer.writerow([dataset_a.ids[row_a], dataset_b.ids[row_b]])
             count += 1
     return count

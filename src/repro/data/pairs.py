@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.draws import RawDraws
 from repro.data.perturb import AppliedOperation, PerturbationScheme
-from repro.data.schema import Dataset, Record, numbered_records
+from repro.data.schema import Dataset, dataset_from_rows
 
 
 class DatasetGenerator(Protocol):
@@ -78,7 +78,7 @@ def build_linkage_problem(
         Number of records in A (and in B).
     scheme:
         The perturbation scheme (PL or PH), or any object whose
-        ``perturb(record, schema, rng, new_id)`` draws only through
+        ``perturb(values, schema, rng)`` draws only through
         ``rng.random()`` and ``rng.integers(low, high)``.
     match_probability:
         Probability that a record of A gets a perturbed twin in B
@@ -94,25 +94,24 @@ def build_linkage_problem(
 
     dataset_a = generator.generate(n, seed=seed_a, id_prefix="A")
     schema = dataset_a.schema
-    records_a = dataset_a.records
+    rows_a = dataset_a.value_rows()
 
     rng = np.random.default_rng(seed_sel)
     chosen = np.flatnonzero(rng.random(n) < match_probability).tolist()
 
-    records_b: list[Record] = []
+    rows_b: list[tuple[str, ...]] = []
     operation_log: dict[tuple[int, int], tuple[AppliedOperation, ...]] = {}
     with RawDraws(rng) as draws:
         for row_b, row_a in enumerate(chosen):
-            perturbed, log = scheme.perturb(records_a[row_a], schema, draws, f"B{row_b}")
-            records_b.append(perturbed)
+            perturbed, log = scheme.perturb(rows_a[row_a], schema, draws)
+            rows_b.append(perturbed)
             operation_log[row_a, row_b] = log
 
-    n_fill = n - len(records_b)
+    n_fill = n - len(rows_b)
     if n_fill > 0:
-        filler = generator.generate_rows(n_fill, seed=seed_fill)
-        records_b += numbered_records(filler, "B", start=len(records_b))
+        rows_b += generator.generate_rows(n_fill, seed=seed_fill)
 
-    dataset_b = Dataset(schema, records_b, name=f"{dataset_a.name}-B")
+    dataset_b = dataset_from_rows(schema, rows_b, "B", name=f"{dataset_a.name}-B")
     return LinkageProblem(
         dataset_a=dataset_a,
         dataset_b=dataset_b,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Protocol
 
-from repro.data.schema import Record, Schema
+from repro.data.schema import Schema
 from repro.text.alphabet import Alphabet
 
 
@@ -125,9 +125,9 @@ class PerturbationScheme:
         return sum(self.ops_per_attribute.values())
 
     def perturb(
-        self, record: Record, schema: Schema, rng: Draws, new_id: str
-    ) -> tuple[Record, tuple[AppliedOperation, ...]]:
-        """Perturbed copy of ``record`` plus the log of applied operations.
+        self, values: tuple[str, ...], schema: Schema, rng: Draws
+    ) -> tuple[tuple[str, ...], tuple[AppliedOperation, ...]]:
+        """Perturbed copy of a record's ``values`` plus the log of applied operations.
 
         ``rng`` is anything with ``random()`` and ``integers(low, high)``
         drawing what a numpy Generator's scalar calls draw.
@@ -142,18 +142,16 @@ class PerturbationScheme:
                     f"scheme targets attribute index {plan[-1][0]}, schema has "
                     f"{len(attributes)} attributes"
                 )
-        values = list(record.values)
+        out = list(values)
         log: list[AppliedOperation] = []
         operations = self.operations
         for index, count in plan:
             spec = attributes[index]
             for __ in range(count):
                 operation = operations[rng.integers(0, len(operations))]
-                values[index] = apply_operation(
-                    values[index], operation, spec.scheme.alphabet, rng
-                )
+                out[index] = apply_operation(out[index], operation, spec.scheme.alphabet, rng)
                 log.append(_applied(spec.name, operation))
-        return Record(new_id, tuple(values)), tuple(log)
+        return tuple(out), tuple(log)
 
 
 def scheme_pl(operations: Sequence[Operation] = ALL_OPERATIONS) -> PerturbationScheme:

@@ -11,7 +11,7 @@ supplies the corruption machinery for that experiment:
 * :class:`CompositeScheme` — chains any schemes (e.g. PL typos *plus*
   missing values), so corrupted pairs stay realistic.
 
-All schemes expose the same ``perturb(record, schema, rng, new_id)``
+All schemes expose the same ``perturb(values, schema, rng)``
 interface as :class:`repro.data.perturb.PerturbationScheme`, so they plug
 straight into :func:`repro.data.pairs.build_linkage_problem`.
 """
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.data.perturb import AppliedOperation, Draws, Operation
-from repro.data.schema import Dataset, Record, Schema
+from repro.data.schema import Dataset, Schema
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,23 @@ class MissingValueScheme:
             raise ValueError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
 
     def perturb(
-        self, record: Record, schema: Schema, rng: Draws, new_id: str
-    ) -> tuple[Record, tuple[AppliedOperation, ...]]:
-        values = list(record.values)
+        self, values: tuple[str, ...], schema: Schema, rng: Draws
+    ) -> tuple[tuple[str, ...], tuple[AppliedOperation, ...]]:
+        out = list(values)
         log: list[AppliedOperation] = []
         blanked = []
         for index in range(schema.n_attributes):
             if index in self.protect:
                 continue
             if rng.random() < self.missing_rate:
-                values[index] = ""
+                out[index] = ""
                 blanked.append(index)
                 log.append(AppliedOperation(schema[index].name, Operation.DELETE))
-        if blanked and not any(values):
+        if blanked and not any(out):
             # Never erase the whole record: restore one field.
-            values[blanked[0]] = record.values[blanked[0]]
+            out[blanked[0]] = values[blanked[0]]
             log.pop(0)
-        return Record(new_id, tuple(values)), tuple(log)
+        return tuple(out), tuple(log)
 
 
 @dataclass(frozen=True)
@@ -82,23 +82,23 @@ class WordScrambleScheme:
             )
 
     def perturb(
-        self, record: Record, schema: Schema, rng: Draws, new_id: str
-    ) -> tuple[Record, tuple[AppliedOperation, ...]]:
-        values = list(record.values)
+        self, values: tuple[str, ...], schema: Schema, rng: Draws
+    ) -> tuple[tuple[str, ...], tuple[AppliedOperation, ...]]:
+        out = list(values)
         log: list[AppliedOperation] = []
         for index, value in enumerate(values):
             words = value.split(" ")
             if len(words) < 2 or rng.random() >= self.scramble_rate:
                 continue
             shift = int(rng.integers(1, len(words)))
-            values[index] = " ".join(words[shift:] + words[:shift])
+            out[index] = " ".join(words[shift:] + words[:shift])
             log.append(AppliedOperation(schema[index].name, Operation.SUBSTITUTE))
-        return Record(new_id, tuple(values)), tuple(log)
+        return tuple(out), tuple(log)
 
 
 @dataclass(frozen=True)
 class CompositeScheme:
-    """Apply several corruption schemes in sequence to the same record."""
+    """Apply several corruption schemes in sequence to the same values."""
 
     schemes: tuple
     name: str = field(default="")
@@ -112,14 +112,13 @@ class CompositeScheme:
             )
 
     def perturb(
-        self, record: Record, schema: Schema, rng: Draws, new_id: str
-    ) -> tuple[Record, tuple[AppliedOperation, ...]]:
+        self, values: tuple[str, ...], schema: Schema, rng: Draws
+    ) -> tuple[tuple[str, ...], tuple[AppliedOperation, ...]]:
         log: list[AppliedOperation] = []
-        current = record
         for scheme in self.schemes:
-            current, applied = scheme.perturb(current, schema, rng, new_id)
+            values, applied = scheme.perturb(values, schema, rng)
             log.extend(applied)
-        return Record(new_id, current.values), tuple(log)
+        return values, tuple(log)
 
 
 def missingness_summary(

@@ -1,16 +1,17 @@
-"""Records, attributes and datasets.
+"""Attributes and datasets.
 
 Two data custodians (Alice and Bob in the paper's Section 3) each own a
 database of records sharing ``n_f`` common string attributes plus an ``Id``.
-:class:`Dataset` is the in-memory representation handed to Charlie: an
-ordered list of :class:`Record` values with a shared :class:`Schema`.
+:class:`Dataset` is the in-memory representation handed to Charlie: the
+record ids and, in the same order, one value tuple per record under a
+shared :class:`Schema`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.qgram import QGramScheme
@@ -65,11 +66,15 @@ class Schema:
     def __getitem__(self, index: int) -> AttributeSpec:
         return self.attributes[index]
 
+    def index(self, name: str) -> int:
+        """Position of the named attribute."""
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"unknown attribute {name!r}; have {self.names}") from None
+
     def attribute(self, name: str) -> AttributeSpec:
-        for spec in self.attributes:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"unknown attribute {name!r}; have {self.names}")
+        return self.attributes[self.index(name)]
 
     @classmethod
     def of(cls, *names: str, scheme: QGramScheme | None = None) -> "Schema":
@@ -78,98 +83,98 @@ class Schema:
         return cls(tuple(AttributeSpec(name, scheme) for name in names))
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
-    """A record: an identifier plus one string value per schema attribute."""
-
-    record_id: str
-    values: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.record_id:
-            raise ValueError("record_id must be non-empty")
-
-    def value(self, index: int) -> str:
-        return self.values[index]
-
-    def replace_value(self, index: int, new_value: str) -> "Record":
-        """A copy with one attribute value replaced (perturbation helper)."""
-        values = list(self.values)
-        values[index] = new_value
-        return Record(self.record_id, tuple(values))
-
-
-_values = attrgetter("values")
-_record_id = attrgetter("record_id")
-
-
 class Dataset:
     """An ordered collection of records under a shared schema.
 
-    Construction checks every record's arity and that the ids are
-    unique; the id -> row index behind :meth:`index_of` is built on its
-    first call (most datasets are only ever read by row).
+    A record is an ``(id, values)`` pair; the dataset keeps them as two
+    parallel lists, ``ids`` and the value tuples of :meth:`value_rows`.
+    Iteration and indexing yield the pairs.  Construction checks every
+    row's arity and that the ids are non-empty and unique; the id -> row
+    index behind :meth:`index_of` is built on its first call (most
+    datasets are only ever read by row).
     """
 
-    def __init__(self, schema: Schema, records: Iterable[Record], name: str = "") -> None:
-        self.schema = schema
-        self.records: list[Record] = list(records)
-        self.name = name
+    def __init__(
+        self, schema: Schema, records: Iterable[tuple[str, Sequence[str]]], name: str = ""
+    ) -> None:
+        pairs = list(records)
+        self._init(schema, [pair[0] for pair in pairs], [tuple(pair[1]) for pair in pairs], name)
+
+    @classmethod
+    def of(
+        cls, schema: Schema, ids: Iterable[str], rows: Iterable[Sequence[str]], name: str = ""
+    ) -> "Dataset":
+        """The dataset whose ``i``-th record is ``(ids[i], tuple(rows[i]))``."""
+        dataset = cls.__new__(cls)
+        dataset._init(schema, list(ids), list(map(tuple, rows)), name)
+        return dataset
+
+    def _init(
+        self, schema: Schema, ids: list[str], rows: list[tuple[str, ...]], name: str
+    ) -> None:
+        if len(ids) != len(rows):
+            raise ValueError(f"{len(ids)} ids for {len(rows)} value rows")
         n_attributes = schema.n_attributes
-        if set(map(len, map(_values, self.records))) - {n_attributes}:
-            bad = next(r for r in self.records if len(r.values) != n_attributes)
+        if set(map(len, rows)) - {n_attributes}:
+            at = next(i for i, row in enumerate(rows) if len(row) != n_attributes)
             raise ValueError(
-                f"record {bad.record_id!r} has {len(bad.values)} values, "
+                f"record {ids[at]!r} has {len(rows[at])} values, "
                 f"schema expects {n_attributes}"
             )
-        if len(set(map(_record_id, self.records))) != len(self.records):
-            raise ValueError("record ids must be unique within a dataset")
+        if not all(ids):
+            at = next(i for i, record_id in enumerate(ids) if not record_id)
+            raise ValueError(f"record_id must be non-empty; the record at row {at} has none")
+        if len(set(ids)) != len(ids):
+            repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
+            raise ValueError(f"record ids must be unique within a dataset; {repeated!r} repeats")
+        self.schema = schema
+        self.ids = ids
+        self._rows = rows
+        self.name = name
         self._by_id: dict[str, int] | None = None
 
+    @property
+    def records(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The ``(id, values)`` pairs, in record order."""
+        return list(zip(self.ids, self._rows))
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+    def __iter__(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        return zip(self.ids, self._rows)
 
-    def __getitem__(self, index: int) -> Record:
-        return self.records[index]
+    def __getitem__(self, index: int) -> tuple[str, tuple[str, ...]]:
+        return self.ids[index], self._rows[index]
 
     def index_of(self, record_id: str) -> int:
         if self._by_id is None:
-            self._by_id = {record.record_id: i for i, record in enumerate(self.records)}
+            self._by_id = {record_id: i for i, record_id in enumerate(self.ids)}
         return self._by_id[record_id]
 
     def column(self, attribute: str) -> list[str]:
         """All values of a named attribute, in record order."""
-        idx = self.schema.names.index(attribute)
-        return [record.values[idx] for record in self.records]
+        idx = self.schema.index(attribute)
+        return [row[idx] for row in self._rows]
 
     def value_rows(self) -> list[tuple[str, ...]]:
         """Attribute-value tuples in record order (encoder input)."""
-        return [record.values for record in self.records]
+        return list(self._rows)
 
-    def sample(self, n: int, rng: "np.random.Generator") -> list[Record]:
-        """Uniform sample without replacement (calibration input)."""
-        if n >= len(self.records):
-            return list(self.records)
-        indices = rng.choice(len(self.records), size=n, replace=False)
-        return [self.records[int(i)] for i in indices]
+    def sample(self, n: int, rng: "np.random.Generator") -> list[tuple[str, tuple[str, ...]]]:
+        """Uniform sample of ``(id, values)`` pairs without replacement."""
+        if n >= len(self):
+            return self.records
+        indices = rng.choice(len(self), size=n, replace=False)
+        return [self[int(i)] for i in indices]
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return f"Dataset({label} n={len(self.records)}, attributes={self.schema.names})"
-
-
-def numbered_records(
-    rows: Iterable[Sequence[str]], id_prefix: str, start: int = 0
-) -> list[Record]:
-    """``Record(f"{id_prefix}{start + i}", tuple(row))`` for each ``i``-th row."""
-    return [Record(f"{id_prefix}{i}", tuple(row)) for i, row in enumerate(rows, start)]
+        return f"Dataset({label} n={len(self)}, attributes={self.schema.names})"
 
 
 def dataset_from_rows(
     schema: Schema, rows: Sequence[Sequence[str]], id_prefix: str = "R", name: str = ""
 ) -> Dataset:
-    """Build a dataset from plain value rows, generating sequential ids."""
-    return Dataset(schema, numbered_records(rows, id_prefix), name=name)
+    """Build a dataset from plain value rows with ids ``f"{id_prefix}{i}"``."""
+    return Dataset.of(schema, [f"{id_prefix}{i}" for i in range(len(rows))], rows, name)

@@ -156,8 +156,8 @@ class EncodingAgreement:
         totals = np.zeros(len(names))
         count = 0
         for dataset in datasets:
-            for record in dataset:
-                for i, value in enumerate(record.values):
+            for __, values in dataset:
+                for i, value in enumerate(values):
                     totals[i] += scheme.count(value)
             count += len(dataset)
         return cls(
@@ -200,8 +200,8 @@ class DataCustodian:
     def average_qgram_counts(self, scheme: QGramScheme) -> list[float]:
         """Aggregate statistics shared during negotiation."""
         totals = [0.0] * self.dataset.schema.n_attributes
-        for record in self.dataset:
-            for i, value in enumerate(record.values):
+        for __, values in self.dataset:
+            for i, value in enumerate(values):
                 totals[i] += scheme.count(value)
         return [t / len(self.dataset) for t in totals]
 
@@ -216,7 +216,7 @@ class DataCustodian:
         matrix = encoder.encode_dataset(self.dataset.value_rows())
         return EncodedDataset(
             custodian=self.name,
-            record_ids=tuple(r.record_id for r in self.dataset),
+            record_ids=tuple(self.dataset.ids),
             matrix=matrix,
         )
 

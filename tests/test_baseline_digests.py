@@ -55,8 +55,9 @@ LINKERS: dict[str, Callable[[str], object]] = {
     "harra": lambda cell: HarraLinker(
         JACCARD_THRESHOLD[cell], n_tables=HARRA_TABLES[cell], seed=SEED
     ),
-    "harra-no-pruning": lambda cell: HarraLinker(
-        JACCARD_THRESHOLD[cell], n_tables=HARRA_TABLES[cell], early_pruning=False, seed=SEED
+    # h-CC without early pruning is MinHash LSH over HARRA's truncated permutations
+    "harra-no-pruning": lambda cell: MinHashLinker(
+        JACCARD_THRESHOLD[cell], n_tables=HARRA_TABLES[cell], prefix_fraction=0.02, seed=SEED
     ),
     "minhash": lambda cell: MinHashLinker(
         JACCARD_THRESHOLD[cell], n_tables=HARRA_TABLES[cell], seed=SEED

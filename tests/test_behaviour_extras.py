@@ -24,7 +24,7 @@ class TestGeneratorRealismKnobs:
     def test_household_rate_produces_shared_households(self):
         dataset = NCVRGenerator(household_rate=0.4).generate(300, seed=1)
         households = {
-            (r.values[1], r.values[2], r.values[3]) for r in dataset
+            (values[1], values[2], values[3]) for __, values in dataset
         }
         # ~40% of records join an existing household.
         assert len(households) <= 0.75 * len(dataset)
@@ -32,10 +32,8 @@ class TestGeneratorRealismKnobs:
     def test_household_members_differ_in_first_name_distribution(self):
         dataset = NCVRGenerator(household_rate=0.5).generate(400, seed=2)
         by_household: dict[tuple, list[str]] = {}
-        for record in dataset:
-            by_household.setdefault(tuple(record.values[1:]), []).append(
-                record.values[0]
-            )
+        for __, values in dataset:
+            by_household.setdefault(tuple(values[1:]), []).append(values[0])
         multi = [names for names in by_household.values() if len(names) > 1]
         assert multi  # households exist
         # Most multi-member households have at least two distinct first names.
@@ -101,10 +99,10 @@ class TestProtocolStatistics:
 
 class TestDatasetEdgeCases:
     def test_single_record_dataset(self):
-        from repro.data.schema import Record, Schema
+        from repro.data.schema import Schema
 
         schema = Schema.of("a")
-        dataset = Dataset(schema, [Record("r0", ("X",))])
+        dataset = Dataset(schema, [("r0", ("X",))])
         assert len(dataset) == 1
         assert dataset.column("a") == ["X"]
 
@@ -112,7 +110,7 @@ class TestDatasetEdgeCases:
         dataset = NCVRGenerator().generate(50, seed=7)
         rng = np.random.default_rng(0)
         sample = dataset.sample(30, rng)
-        ids = [record.record_id for record in sample]
+        ids = [record_id for record_id, __ in sample]
         assert len(set(ids)) == 30
 
 

@@ -61,8 +61,7 @@ class TestCorrupt:
         with truth.open() as handle:
             rows = list(csv.DictReader(handle))
         assert rows
-        ids_a = {r.record_id for r in dataset_a}
-        ids_b = {r.record_id for r in dataset_b}
+        ids_a, ids_b = set(dataset_a.ids), set(dataset_b.ids)
         for row in rows:
             assert row["id_a"] in ids_a
             assert row["id_b"] in ids_b
@@ -72,8 +71,8 @@ class TestCorrupt:
         rows_a = set(map(tuple, read_dataset(a).value_rows()))
         with truth.open() as handle:
             matched_b = {row["id_b"] for row in csv.DictReader(handle)}
-        for record in read_dataset(b):
-            if record.record_id not in matched_b:
+        for record_id in read_dataset(b).ids:
+            if record_id not in matched_b:
                 # Filler records come from the other half of the pool —
                 # they are not byte-identical to any A record unless the
                 # generator itself created household duplicates.

@@ -28,7 +28,7 @@ from repro.data.schema import Dataset
 
 
 def _dataset_rows(dataset: Dataset) -> list:
-    return [[record.record_id, list(record.values)] for record in dataset]
+    return [[record_id, list(values)] for record_id, values in dataset]
 
 
 def _digest(payload: object) -> str:

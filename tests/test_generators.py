@@ -72,8 +72,8 @@ class TestNCVRGenerator:
 
     def test_values_in_experiment_alphabet(self):
         ds = NCVRGenerator().generate(100, seed=3)
-        for record in ds:
-            for value in record.values:
+        for __, values in ds:
+            for value in values:
                 assert all(ch in TEXT_ALPHABET for ch in value)
 
     def test_invalid_n(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.harra import HarraLinker
-from repro.baselines.minhash import bigram_matrix
+from repro.baselines.minhash import MinHashLinker, bigram_matrix
 from repro.core.qgram import QGramScheme
 from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.evaluation.metrics import evaluate_linkage
@@ -49,8 +49,8 @@ class TestHarraLinker:
         assert quality.reduction_ratio >= 0.9
 
     def test_early_pruning_never_beats_exhaustive(self, problem):
-        pruned = HarraLinker(threshold=0.35, n_tables=30, early_pruning=True, seed=2)
-        full = HarraLinker(threshold=0.35, n_tables=30, early_pruning=False, seed=2)
+        pruned = HarraLinker(threshold=0.35, n_tables=30, seed=2)
+        full = MinHashLinker(threshold=0.35, n_tables=30, prefix_fraction=0.02, seed=2)
         res_pruned = pruned.link(problem.dataset_a, problem.dataset_b)
         res_full = full.link(problem.dataset_a, problem.dataset_b)
         found_pruned = len(res_pruned.matches & problem.true_matches)

@@ -17,7 +17,7 @@ class TestRoundTrip:
         write_dataset(dataset, path)
         loaded = read_dataset(path)
         assert loaded.schema.names == dataset.schema.names
-        assert [r.record_id for r in loaded] == [r.record_id for r in dataset]
+        assert loaded.ids == dataset.ids
         assert loaded.value_rows() == dataset.value_rows()
 
     def test_id_column_autodetected(self, dataset, tmp_path):
@@ -31,7 +31,8 @@ class TestRoundTrip:
         write_dataset(dataset, path)
         loaded = read_dataset(path, attributes=["LastName", "Town"])
         assert loaded.schema.names == ("LastName", "Town")
-        assert loaded[0].values == (dataset[0].values[1], dataset[0].values[3])
+        __, values = dataset[0]
+        assert loaded[0] == (dataset.ids[0], (values[1], values[3]))
 
 
 class TestReadValidation:
@@ -92,7 +93,7 @@ class TestReadValidation:
         path = tmp_path / "gaps.csv"
         path.write_text("first,last\nANN,KIM\n\nBOB,LEE\n")
         loaded = read_dataset(path)
-        assert [r.record_id for r in loaded] == ["R0", "R1"]
+        assert loaded.ids == ["R0", "R1"]
         assert loaded.value_rows() == [("ANN", "KIM"), ("BOB", "LEE")]
 
 
@@ -101,19 +102,19 @@ class TestNormalisation:
         path = tmp_path / "messy.csv"
         path.write_text("id,Name\nr1,\" o'brien, jr. \"\n")
         loaded = read_dataset(path)
-        assert loaded[0].values == ("OBRIEN JR",)
+        assert loaded[0] == ("r1", ("OBRIEN JR",))
 
     def test_raw_mode(self, tmp_path):
         path = tmp_path / "messy.csv"
         path.write_text("id,Name\nr1,miXed\n")
         loaded = read_dataset(path, normalize_values=False)
-        assert loaded[0].values == ("miXed",)
+        assert loaded[0] == ("r1", ("miXed",))
 
     def test_missing_cell_becomes_empty(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("id,A,B\nr1,X,\n")
         loaded = read_dataset(path)
-        assert loaded[0].values == ("X", "")
+        assert loaded[0] == ("r1", ("X", ""))
 
 
 class TestWriteMatches:
@@ -123,4 +124,4 @@ class TestWriteMatches:
         assert count == 2
         lines = path.read_text().splitlines()
         assert lines[0] == "id_a,id_b"
-        assert f"{dataset[0].record_id},{dataset[1].record_id}" in lines
+        assert f"{dataset.ids[0]},{dataset.ids[1]}" in lines

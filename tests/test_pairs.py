@@ -33,11 +33,9 @@ class TestConstruction:
     def test_matched_pairs_differ_by_one_edit_total(self, problem):
         """PL applies exactly one edit across the whole record."""
         for row_a, row_b in problem.true_matches:
-            rec_a = problem.dataset_a[row_a]
-            rec_b = problem.dataset_b[row_b]
-            total = sum(
-                levenshtein(va, vb) for va, vb in zip(rec_a.values, rec_b.values)
-            )
+            __, values_a = problem.dataset_a[row_a]
+            __, values_b = problem.dataset_b[row_b]
+            total = sum(levenshtein(va, vb) for va, vb in zip(values_a, values_b))
             assert total == 1
 
     def test_operation_log_covers_all_matches(self, problem):
@@ -85,8 +83,8 @@ class TestPerOperationBreakdown:
     def test_ph_total_edits(self):
         p = build_linkage_problem(NCVRGenerator(), 60, scheme_ph(), seed=14)
         for row_a, row_b in p.true_matches:
-            rec_a, rec_b = p.dataset_a[row_a], p.dataset_b[row_b]
-            assert levenshtein(rec_a.values[0], rec_b.values[0]) <= 1
-            assert levenshtein(rec_a.values[1], rec_b.values[1]) <= 1
-            assert 1 <= levenshtein(rec_a.values[2], rec_b.values[2]) <= 2
-            assert rec_a.values[3] == rec_b.values[3]
+            (__, values_a), (__, values_b) = p.dataset_a[row_a], p.dataset_b[row_b]
+            assert levenshtein(values_a[0], values_b[0]) <= 1
+            assert levenshtein(values_a[1], values_b[1]) <= 1
+            assert 1 <= levenshtein(values_a[2], values_b[2]) <= 2
+            assert values_a[3] == values_b[3]

@@ -13,7 +13,7 @@ from repro.data.perturb import (
     scheme_ph,
     scheme_pl,
 )
-from repro.data.schema import Record, Schema
+from repro.data.schema import Schema
 from repro.text.alphabet import TEXT_ALPHABET
 from repro.text.edit_distance import levenshtein
 
@@ -62,49 +62,49 @@ class TestSchemes:
         return Schema.of("f1", "f2", "f3", "f4")
 
     @pytest.fixture
-    def record(self):
-        return Record("A0", ("JONES", "SMITH", "12 MAIN ST APT 4", "BOONE"))
+    def values(self):
+        return ("JONES", "SMITH", "12 MAIN ST APT 4", "BOONE")
 
-    def test_pl_perturbs_exactly_one_attribute(self, schema, record):
+    def test_pl_perturbs_exactly_one_attribute(self, schema, values):
         rng = np.random.default_rng(1)
-        perturbed, log = scheme_pl().perturb(record, schema, rng, "B0")
+        perturbed, log = scheme_pl().perturb(values, schema, rng)
         assert len(log) == 1
         changed = [
-            i for i in range(4) if perturbed.values[i] != record.values[i]
+            i for i in range(4) if perturbed[i] != values[i]
         ]
         assert len(changed) == 1
         assert schema[changed[0]].name == log[0].attribute
 
-    def test_pl_attribute_choice_varies(self, schema, record):
+    def test_pl_attribute_choice_varies(self, schema, values):
         rng = np.random.default_rng(2)
         attrs = {
-            scheme_pl().perturb(record, schema, rng, f"B{i}")[1][0].attribute
+            scheme_pl().perturb(values, schema, rng)[1][0].attribute
             for i in range(60)
         }
         assert len(attrs) == 4  # all attributes eventually chosen
 
-    def test_ph_distribution(self, schema, record):
+    def test_ph_distribution(self, schema, values):
         rng = np.random.default_rng(3)
-        perturbed, log = scheme_ph().perturb(record, schema, rng, "B0")
+        perturbed, log = scheme_ph().perturb(values, schema, rng)
         by_attr = {}
         for entry in log:
             by_attr[entry.attribute] = by_attr.get(entry.attribute, 0) + 1
         assert by_attr == {"f1": 1, "f2": 1, "f3": 2}
-        assert perturbed.values[3] == record.values[3]  # f4 untouched
+        assert perturbed[3] == values[3]  # f4 untouched
 
-    def test_ph_edit_distances_within_rule_thresholds(self, schema, record):
+    def test_ph_edit_distances_within_rule_thresholds(self, schema, values):
         """PH produces <= 1 edit on f1/f2 and <= 2 on f3 (rule C1's basis)."""
         rng = np.random.default_rng(4)
         for i in range(30):
-            perturbed, __ = scheme_ph().perturb(record, schema, rng, f"B{i}")
-            assert levenshtein(record.values[0], perturbed.values[0]) <= 1
-            assert levenshtein(record.values[1], perturbed.values[1]) <= 1
-            assert levenshtein(record.values[2], perturbed.values[2]) <= 2
+            perturbed, __ = scheme_ph().perturb(values, schema, rng)
+            assert levenshtein(values[0], perturbed[0]) <= 1
+            assert levenshtein(values[1], perturbed[1]) <= 1
+            assert levenshtein(values[2], perturbed[2]) <= 2
 
-    def test_restricted_operations(self, schema, record):
+    def test_restricted_operations(self, schema, values):
         rng = np.random.default_rng(5)
         scheme = scheme_pl(operations=[Operation.DELETE])
-        __, log = scheme.perturb(record, schema, rng, "B0")
+        __, log = scheme.perturb(values, schema, rng)
         assert log[0].operation is Operation.DELETE
 
     def test_scheme_validation(self):
@@ -115,18 +115,18 @@ class TestSchemes:
         with pytest.raises(ValueError):
             PerturbationScheme(name="bad", ops_per_attribute={0: 0})
 
-    def test_out_of_range_attribute(self, record):
+    def test_out_of_range_attribute(self):
         schema2 = Schema.of("f1", "f2")
         rng = np.random.default_rng(6)
         scheme = PerturbationScheme(name="x", ops_per_attribute={5: 1})
         with pytest.raises(ValueError, match="attribute index"):
-            scheme.perturb(Record("A0", ("A", "B")), schema2, rng, "B0")
+            scheme.perturb(("A", "B"), schema2, rng)
 
     def test_total_operations(self):
         assert scheme_pl().total_operations(4) == 1
         assert scheme_ph().total_operations(4) == 4
 
-    def test_new_id_applied(self, schema, record):
+    def test_returns_a_values_tuple(self, schema, values):
         rng = np.random.default_rng(7)
-        perturbed, __ = scheme_pl().perturb(record, schema, rng, "B42")
-        assert perturbed.record_id == "B42"
+        perturbed, __ = scheme_pl().perturb(values, schema, rng)
+        assert type(perturbed) is tuple and len(perturbed) == len(values)

@@ -81,7 +81,7 @@ class TestLinkageUnit:
         charlie = LinkageUnit(agreement, threshold=4, k=30, seed=61)
         matched = charlie.link(alice.encode(agreement), bob.encode(agreement))
         truth_ids = {
-            (problem.dataset_a[a].record_id, problem.dataset_b[b].record_id)
+            (problem.dataset_a.ids[a], problem.dataset_b.ids[b])
             for a, b in problem.true_matches
         }
         found = set(matched) & truth_ids
@@ -110,7 +110,7 @@ class TestLinkageUnit:
         # alice and carol hold identical data: every record self-matches
         # (possibly alongside household duplicates).
         identical = set(results[("alice", "carol")])
-        sample = problem.dataset_a[0].record_id
+        sample = problem.dataset_a.ids[0]
         assert (sample, sample) in identical
 
     def test_mode_validation(self, agreement):

@@ -63,21 +63,13 @@ class TestEuclideanLSH:
         for i in range(100):
             assert (i, i) in pairs
 
-    def test_match_filters_distance(self, points):
-        lsh = EuclideanLSH(dim=8, k=4, n_tables=6, w=8.0, seed=3)
-        lsh.index(points)
-        noisy = points + np.random.default_rng(4).standard_normal(points.shape) * 0.1
-        rows_a, rows_b, dists = lsh.match(noisy, threshold=2.0)
-        assert (dists <= 2.0).all()
-        for a, b, d in zip(rows_a, rows_b, dists):
-            assert np.linalg.norm(points[a] - noisy[b]) == pytest.approx(d)
-
     def test_nearby_points_found(self, points):
         lsh = EuclideanLSH(dim=8, k=4, threshold=1.0, delta=0.1, w=8.0, seed=5)
         lsh.index(points)
         noisy = points + np.random.default_rng(6).standard_normal(points.shape) * 0.05
-        rows_a, rows_b, __ = lsh.match(noisy, threshold=1.0)
-        found = set(zip(rows_a.tolist(), rows_b.tolist()))
+        rows_a, rows_b = lsh.candidate_pairs(noisy)
+        close = np.linalg.norm(points[rows_a] - noisy[rows_b], axis=1) <= 1.0
+        found = set(zip(rows_a[close].tolist(), rows_b[close].tolist()))
         recall = sum((i, i) in found for i in range(100)) / 100
         assert recall >= 0.9
 

@@ -10,40 +10,40 @@ from repro.data.quality import (
     WordScrambleScheme,
     missingness_summary,
 )
-from repro.data.schema import Record, Schema
+from repro.data.schema import Schema
 
 SCHEMA = Schema.of("f1", "f2", "f3")
-RECORD = Record("A0", ("JONES", "12 MAIN ST", "BOONE"))
+VALUES = ("JONES", "12 MAIN ST", "BOONE")
 
 
 class TestMissingValueScheme:
     def test_blanks_with_probability_one(self):
         rng = np.random.default_rng(0)
         scheme = MissingValueScheme(missing_rate=1.0, protect=(0,))
-        perturbed, log = scheme.perturb(RECORD, SCHEMA, rng, "B0")
-        assert perturbed.values == ("JONES", "", "")
+        perturbed, log = scheme.perturb(VALUES, SCHEMA, rng)
+        assert perturbed == ("JONES", "", "")
         assert len(log) == 2
 
     def test_never_blanks_everything(self):
         rng = np.random.default_rng(1)
         scheme = MissingValueScheme(missing_rate=1.0)
-        perturbed, __ = scheme.perturb(RECORD, SCHEMA, rng, "B0")
-        assert any(perturbed.values)
+        perturbed, __ = scheme.perturb(VALUES, SCHEMA, rng)
+        assert any(perturbed)
 
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(2)
         scheme = MissingValueScheme(missing_rate=0.0)
-        perturbed, log = scheme.perturb(RECORD, SCHEMA, rng, "B0")
-        assert perturbed.values == RECORD.values
+        perturbed, log = scheme.perturb(VALUES, SCHEMA, rng)
+        assert perturbed == VALUES
         assert log == ()
 
     def test_protected_attributes_survive(self):
         rng = np.random.default_rng(3)
         scheme = MissingValueScheme(missing_rate=1.0, protect=(0, 2))
         for i in range(5):
-            perturbed, __ = scheme.perturb(RECORD, SCHEMA, rng, f"B{i}")
-            assert perturbed.values[0] == "JONES"
-            assert perturbed.values[2] == "BOONE"
+            perturbed, __ = scheme.perturb(VALUES, SCHEMA, rng)
+            assert perturbed[0] == "JONES"
+            assert perturbed[2] == "BOONE"
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
@@ -54,20 +54,20 @@ class TestWordScrambleScheme:
     def test_rotates_multiword_values(self):
         rng = np.random.default_rng(4)
         scheme = WordScrambleScheme(scramble_rate=1.0)
-        perturbed, log = scheme.perturb(RECORD, SCHEMA, rng, "B0")
+        perturbed, log = scheme.perturb(VALUES, SCHEMA, rng)
         # Only f2 has multiple words.
-        assert perturbed.values[0] == "JONES"
-        assert perturbed.values[2] == "BOONE"
-        assert sorted(perturbed.values[1].split()) == sorted("12 MAIN ST".split())
-        assert perturbed.values[1] != "12 MAIN ST"
+        assert perturbed[0] == "JONES"
+        assert perturbed[2] == "BOONE"
+        assert sorted(perturbed[1].split()) == sorted("12 MAIN ST".split())
+        assert perturbed[1] != "12 MAIN ST"
         assert len(log) == 1
 
     def test_single_word_untouched(self):
         rng = np.random.default_rng(5)
         scheme = WordScrambleScheme(scramble_rate=1.0)
-        record = Record("A1", ("ONEWORD", "TWO WORDS", "X"))
-        perturbed, __ = scheme.perturb(record, SCHEMA, rng, "B0")
-        assert perturbed.values[0] == "ONEWORD"
+        values = ("ONEWORD", "TWO WORDS", "X")
+        perturbed, __ = scheme.perturb(values, SCHEMA, rng)
+        assert perturbed[0] == "ONEWORD"
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
@@ -80,9 +80,9 @@ class TestCompositeScheme:
         composite = CompositeScheme(
             (WordScrambleScheme(1.0), MissingValueScheme(1.0, protect=(1,)))
         )
-        perturbed, log = composite.perturb(RECORD, SCHEMA, rng, "B0")
-        assert perturbed.values[0] == ""  # blanked by the second stage
-        assert perturbed.values[1]  # protected, scrambled
+        perturbed, log = composite.perturb(VALUES, SCHEMA, rng)
+        assert perturbed[0] == ""  # blanked by the second stage
+        assert perturbed[1]  # protected, scrambled
         assert len(log) >= 2
 
     def test_name_derived(self):
@@ -111,7 +111,7 @@ class TestMissingnessSummary:
 
         dataset = Dataset(
             schema,
-            [Record("r0", ("X", "")), Record("r1", ("", "")), Record("r2", ("Z", "W"))],
+            [("r0", ("X", "")), ("r1", ("", "")), ("r2", ("Z", "W"))],
         )
         summary = missingness_summary(dataset)
         assert summary["a"] == pytest.approx(1 / 3)

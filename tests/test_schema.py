@@ -6,11 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.data import NCVRGenerator, build_linkage_problem, scheme_pl
 from repro.data.perturb import AppliedOperation, Operation
 from repro.data.schema import (
     AttributeSpec,
     Dataset,
-    Record,
     Schema,
     dataset_from_rows,
 )
@@ -26,9 +26,9 @@ def dataset(schema):
     return Dataset(
         schema,
         [
-            Record("R0", ("JONES", "SMITH")),
-            Record("R1", ("MARIA", "GARCIA")),
-            Record("R2", ("PETER", "WALKER")),
+            ("R0", ("JONES", "SMITH")),
+            ("R1", ("MARIA", "GARCIA")),
+            ("R2", ("PETER", "WALKER")),
         ],
     )
 
@@ -51,6 +51,11 @@ class TestSchema:
         with pytest.raises(KeyError):
             schema.attribute("Town")
 
+    def test_index_lookup(self, schema):
+        assert schema.index("LastName") == 1
+        with pytest.raises(KeyError, match="'Town'"):
+            schema.index("Town")
+
     def test_iteration_and_indexing(self, schema):
         assert [a.name for a in schema] == list(schema.names)
         assert schema[0].name == "FirstName"
@@ -61,34 +66,27 @@ class TestSchema:
 
 
 class TestRecord:
-    def test_value_access(self):
-        record = Record("R1", ("A", "B"))
-        assert record.value(1) == "B"
+    """A record is an ``(id, values)`` pair held by its dataset."""
 
-    def test_replace_value_copies(self):
-        record = Record("R1", ("A", "B"))
-        replaced = record.replace_value(0, "X")
-        assert replaced.values == ("X", "B")
-        assert record.values == ("A", "B")
+    def test_value_access(self, dataset):
+        record_id, values = dataset[1]
+        assert record_id == "R1"
+        assert values[1] == "GARCIA"
 
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            Record("", ("A",))
+    def test_empty_id_rejected(self, schema):
+        with pytest.raises(ValueError, match="record_id must be non-empty.*row 1"):
+            Dataset(schema, [("R0", ("A", "B")), ("", ("C", "D"))])
 
 
 class TestSlottedRecords:
-    """``Record`` and ``AppliedOperation`` carry no per-instance ``__dict__``.
+    """``AppliedOperation`` log records carry no per-instance ``__dict__``.
 
-    A linkage problem holds one of each per record and per perturbation;
-    slots keep them small.  Equality and hashing must survive every way a
-    value is copied: pickling (process pools, saved problems), ``copy``
-    and ``deepcopy``.
+    A linkage problem holds one per perturbation; slots keep them small.
+    Equality and hashing must survive every way a value is copied:
+    pickling (process pools, saved problems), ``copy`` and ``deepcopy``.
     """
 
-    VALUES = [
-        Record("R1", ("JONES", "1218 HICKORY RD APT 31")),
-        AppliedOperation("Address", Operation.INSERT),
-    ]
+    VALUES = [AppliedOperation("Address", Operation.INSERT)]
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_no_instance_dict(self, value):
@@ -113,34 +111,40 @@ class TestSlottedRecords:
         assert {value: 1}[twin] == 1
 
     def test_still_frozen(self):
-        record = Record("R1", ("A",))
+        applied = AppliedOperation("Address", Operation.INSERT)
         with pytest.raises(AttributeError):
-            record.record_id = "R2"  # type: ignore[misc]
+            applied.attribute = "Town"  # type: ignore[misc]
 
 
 class TestDataset:
     def test_len_iter_getitem(self, dataset):
         assert len(dataset) == 3
-        assert dataset[1].record_id == "R1"
-        assert [r.record_id for r in dataset] == ["R0", "R1", "R2"]
+        assert dataset[1] == ("R1", ("MARIA", "GARCIA"))
+        assert [record_id for record_id, __ in dataset] == ["R0", "R1", "R2"]
+        assert dataset.ids == ["R0", "R1", "R2"]
+        assert dataset.records == list(dataset)
 
     def test_arity_validated(self, schema):
         with pytest.raises(ValueError):
-            Dataset(schema, [Record("R0", ("only-one",))])
+            Dataset(schema, [("R0", ("only-one",))])
 
     def test_arity_error_names_first_bad_record(self, schema):
         records = [
-            Record("R0", ("A", "B")),
-            Record("R1", ("only-one",)),
-            Record("R2", ("x", "y", "z")),
+            ("R0", ("A", "B")),
+            ("R1", ("only-one",)),
+            ("R2", ("x", "y", "z")),
         ]
         with pytest.raises(ValueError) as excinfo:
             Dataset(schema, records)
         assert str(excinfo.value) == "record 'R1' has 1 values, schema expects 2"
 
     def test_duplicate_ids_rejected(self, schema):
-        with pytest.raises(ValueError, match="unique"):
-            Dataset(schema, [Record("R0", ("A", "B")), Record("R0", ("C", "D"))])
+        with pytest.raises(ValueError, match="unique.*'R0' repeats"):
+            Dataset(schema, [("R0", ("A", "B")), ("R0", ("C", "D"))])
+
+    def test_ids_and_rows_must_pair_up(self, schema):
+        with pytest.raises(ValueError, match="2 ids for 1 value rows"):
+            Dataset.of(schema, ["R0", "R1"], [("A", "B")])
 
     def test_index_of(self, dataset):
         assert dataset.index_of("R2") == 2
@@ -153,15 +157,43 @@ class TestDataset:
 
     def test_duplicate_ids_rejected_without_index_lookup(self, schema):
         """Uniqueness is checked when the dataset is built, not on first lookup."""
-        records = [Record(f"R{i}", ("A", "B")) for i in range(5)] + [Record("R3", ("C", "D"))]
+        records = [(f"R{i}", ("A", "B")) for i in range(5)] + [("R3", ("C", "D"))]
         with pytest.raises(ValueError, match="unique"):
             Dataset(schema, records)
 
     def test_column(self, dataset):
         assert dataset.column("LastName") == ["SMITH", "GARCIA", "WALKER"]
 
+    def test_column_of_unknown_attribute_names_it(self, dataset):
+        with pytest.raises(KeyError, match="'nope'"):
+            dataset.column("nope")
+
     def test_value_rows(self, dataset):
         assert dataset.value_rows()[0] == ("JONES", "SMITH")
+
+    def test_value_rows_is_a_copy(self, dataset):
+        dataset.value_rows().clear()
+        assert len(dataset.value_rows()) == 3
+
+    def test_value_rows_share_the_tuples(self, dataset):
+        """No per-record copies: every view hands out the stored tuples."""
+        rows = dataset.value_rows()
+        assert all(rows[i] is dataset[i][1] for i in range(len(dataset)))
+        assert all(a is b for a, (__, b) in zip(rows, dataset.records))
+
+    def test_of_round_trips(self, dataset):
+        again = Dataset.of(dataset.schema, dataset.ids, dataset.value_rows(), name="again")
+        assert again.records == dataset.records and again.name == "again"
+
+    def test_prefix_of_records_is_a_small_job(self):
+        """``Dataset(schema, records[:m])`` (the suite's small-job build)
+        holds exactly the first ``m`` ids and value rows."""
+        problem = build_linkage_problem(NCVRGenerator(), 300, scheme_pl(), seed=4)
+        for full in (problem.dataset_a, problem.dataset_b):
+            small = Dataset(full.schema, full.records[:40])
+            assert small.ids == full.ids[:40]
+            assert small.value_rows() == full.value_rows()[:40]
+            assert small.schema is full.schema
 
     def test_sample_bounds(self, dataset):
         rng = np.random.default_rng(0)
@@ -170,5 +202,6 @@ class TestDataset:
 
     def test_from_rows(self, schema):
         ds = dataset_from_rows(schema, [("A", "B"), ("C", "D")], id_prefix="X")
-        assert ds[0].record_id == "X0"
+        assert ds.ids == ["X0", "X1"]
+        assert ds[1] == ("X1", ("C", "D"))
         assert len(ds) == 2
