@@ -35,15 +35,31 @@ HASH_PRIME = 2**31 - 1
 VALUE_MEMO_SIZE = 4096
 
 #: Batches of at most this many rows are embedded value by value
-#: (:func:`embed_values`), larger ones by :func:`embed_columns`, whose ~30
-#: numpy calls cost about the same for 1 row as for 16.  Value by value
-#: against batched, p50 on an NCVR query stream (2 vCPUs, numpy 2.4, paths
-#: alternated call by call): 0.17-0.19x at 1 row, 0.37-0.42x at 4, 0.66-0.73x
-#: at 8, 0.83-1.00x at 12, 1.08-1.18x at 16; with the memos emptied before
-#: every call (no value seen before) 0.32x at 1, 0.78x at 4, 1.37x at 8.
-SMALL_BATCH_ROWS = 8
+#: (:func:`embed_values`), larger ones by :func:`embed_columns`.  Value by
+#: value against the one pass, p50 on an NCVR query stream (2 vCPUs, numpy
+#: 2.4, paths alternated call by call): 0.42-0.53x at 1 row, 0.53-0.69x at
+#: 2, 0.75-0.96x at 4, 1.4-1.7x at 8, 2.5-2.6x at 16 with the memos warm
+#: (four rounds); emptied before every call, so no value was seen before
+#: (three rounds), 0.62-0.66x at 1, 1.01-1.08x at 2, 1.67-1.80x at 4.  Two
+#: keeps the memo path where it wins or ties on either stream.
+SMALL_BATCH_ROWS = 2
 
 _MEMO_FILL = threading.Lock()
+
+#: q-gram spaces of at most this many ids are tabulated once per
+#: :class:`CVectorEncoder` (``g`` of every id, 8 bytes each): 1 444 for
+#: bigrams over the 38-letter text alphabet, 676 over the upper-case one.
+#: Trigrams over the text alphabet (54 872 ids) keep applying ``g``.
+GRAM_TABLE_IDS = 1 << 12
+
+#: Batches of at most this many values (rows x attributes) are embedded by
+#: :func:`embed_columns` in one pass with no value numbering; larger ones
+#: number each column's distinct values first.  One pass against numbered,
+#: p50 per call (2 vCPUs, numpy 2.4, alternated call by call): NCVR 0.45x at
+#: 64 rows (256 values), 0.70-0.72x at 512, 0.82x at 768, 0.92x at 1 024;
+#: DBLP 0.51x at 64, 0.81-0.93x at 500, 0.96x at 512, 1.03-1.04x at 640 and
+#: 1 024.  The largest power of two that wins on both.
+ONE_PASS_VALUES = 1 << 11
 
 #: Distinct values tokenised, hashed and packed per pass of
 #: :func:`embed_columns`.  Sized to keep every temporary under 1 MB (2 048
@@ -190,12 +206,22 @@ class CVectorEncoder:
         elif hash_fn.m != m:
             raise ValueError(f"hash modulus {hash_fn.m} differs from m={m}")
         self.hash_fn = hash_fn
+        self._table: np.ndarray | None = None
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_table": None}  # derived from hash_fn: rebuilt on use
 
     # -- dataset API --------------------------------------------------------------
 
     def gram_bits(self, ids: np.ndarray) -> np.ndarray:
-        """``g(x)`` of every q-gram id, one column: the c-vector's gram -> bit table."""
-        return self.hash_fn.apply(ids)[:, None]
+        """``g(x)`` of every q-gram id, one column: the c-vector's gram -> bit
+        table, read from ``g`` tabulated over the q-gram space on first use
+        when that space has at most ``GRAM_TABLE_IDS`` ids."""
+        if self.scheme.space_size > GRAM_TABLE_IDS:
+            return self.hash_fn.apply(ids)[:, None]
+        if self._table is None:
+            self._table = self.hash_fn.apply(np.arange(self.scheme.space_size))[:, None]
+        return self._table.take(ids, 0)
 
     def encode_all(self, values: Sequence[str]) -> BitMatrix:
         """Encode a whole attribute column into one packed :class:`BitMatrix`."""
@@ -331,22 +357,61 @@ class record_errors:
                     ) from None
 
 
+#: One scheme's columns for :func:`embed_columns`'s one pass: their indices
+#: and their ``gram_bits`` tables over the q-gram space, offsets folded in,
+#: stacked (column ``columns[j]``'s q-gram ``x`` is row ``j * |S|^q + x``).
+GramStack = tuple[QGramScheme, list[int], np.ndarray]
+
+
+def _gram_stacks(encoders: Sequence[ColumnEncoder], offsets: Sequence[int]) -> list[GramStack]:
+    """The columns' gram -> bit tables, one stack per scheme and ``w``."""
+    groups: dict[tuple[QGramScheme, int], tuple[list[int], list[np.ndarray]]] = {}
+    for i, (enc, offset) in enumerate(zip(encoders, offsets)):
+        table = enc.gram_bits(np.arange(enc.scheme.space_size)) + offset
+        members, tables = groups.setdefault((enc.scheme, table.shape[1]), ([], []))
+        members.append(i)
+        tables.append(table)
+    return [
+        (scheme, members, np.concatenate(tables))
+        for (scheme, __), (members, tables) in groups.items()
+    ]
+
+
 def embed_columns(
     encoders: Sequence[ColumnEncoder],
     offsets: Sequence[int],
     columns: Sequence[Sequence[str]],
     n_bits: int,
-) -> tuple[BitMatrix, int]:
+    stacks: list[GramStack] | None = None,
+) -> tuple[BitMatrix, int | None]:
     """Embed parallel attribute columns into one ``n_bits``-wide matrix.
 
-    Value-granular: every *distinct* value of every column is tokenised,
-    mapped to the ``w`` bits per q-gram of its encoder's ``gram_bits``
-    (tabulated over the q-gram space once a block is as large as that
-    space) and packed once into a matrix-wide word row with its bits
-    shifted by the column's bit offset, ``VALUE_BLOCK`` values at a time;
-    each record then ORs together the rows of its values — one blocked row
-    gather per column.  Returns the matrix and the number of distinct values.
+    A batch of at most ``ONE_PASS_VALUES`` values whose q-gram spaces
+    have at most ``GRAM_TABLE_IDS`` ids each is embedded in one pass
+    (:func:`_embed_one_pass`): one tokenise per scheme, one gather
+    through the columns' :func:`_gram_stacks` and one scatter for all its
+    columns, and its values are not numbered, so the count returned is
+    ``None``.  ``stacks``, when given, is the caller's cache of the
+    stacks: empty until the first one-pass call fills it.
+
+    Larger batches are value-granular: every *distinct* value of every
+    column is tokenised, mapped to the ``w`` bits per q-gram of its
+    encoder's ``gram_bits`` (tabulated over the q-gram space once a block
+    is as large as that space) and packed once into a matrix-wide word
+    row with its bits shifted by the column's bit offset, ``VALUE_BLOCK``
+    values at a time; each record then ORs together the rows of its
+    values — one blocked row gather per column.  Returns the matrix and
+    the number of distinct values.
     """
+    if len(columns) * len(columns[0]) <= ONE_PASS_VALUES and all(
+        enc.scheme.space_size <= GRAM_TABLE_IDS for enc in encoders
+    ):
+        if not stacks:
+            built = _gram_stacks(encoders, offsets)
+            if stacks is not None:
+                stacks[:] = built  # one assignment: a concurrent reader sees all or none
+            stacks = built
+        return _embed_one_pass(stacks, columns, n_bits), None
     numbered = [_number_values(values) for values in columns]
     distinct = [unique for unique, __ in numbered]
     blocks = [
@@ -386,3 +451,22 @@ def embed_columns(
             hi = lo + DEFAULT_BLOCK_ROWS
             words[lo:hi] |= table.take(inverse[lo:hi], 0)
     return BitMatrix(words, n_bits), sum(map(len, distinct))
+
+
+def _embed_one_pass(
+    stacks: list[GramStack], columns: Sequence[Sequence[str]], n_bits: int
+) -> BitMatrix:
+    """The small batches of :func:`embed_columns`: per stack, its columns'
+    values tokenised end to end in one call (column-major) and their q-gram
+    ids mapped to bits by one ``take``; every (record, bit) goes to one
+    :func:`scatter_bits`."""
+    n_rows = len(columns[0])
+    rows: list[np.ndarray] = []
+    bits: list[np.ndarray] = []
+    for scheme, members, table in stacks:
+        flat, counts = _tokenise([value for i in members for value in columns[i]], scheme)
+        value = np.arange(counts.size)  # column j's row r is value j * n_rows + r
+        flat += np.repeat(value // n_rows * scheme.space_size, counts)
+        rows.append(np.repeat(value % n_rows, counts * table.shape[1]))
+        bits.append(table.take(flat, 0).ravel())
+    return scatter_bits(n_rows, n_bits, np.concatenate(rows), np.concatenate(bits))

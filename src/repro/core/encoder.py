@@ -19,6 +19,7 @@ from repro.core.cvector import (
     SMALL_BATCH_ROWS,
     ColumnEncoder,
     CVectorEncoder,
+    GramStack,
     embed_columns,
     embed_values,
     record_errors,
@@ -71,6 +72,10 @@ class RecordLayout:
             offset += width
         self._by_name = {layout.name: i for i, layout in enumerate(self.layouts)}
         self._offsets = [layout.offset for layout in self.layouts]
+        self._stacks: list[GramStack] = []  # embed_columns' cache of gram -> bit tables
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_stacks": []}  # derived from the encoders: rebuilt on use
 
     @property
     def n_attributes(self) -> int:
@@ -88,11 +93,13 @@ class RecordLayout:
         except KeyError:
             raise KeyError(f"unknown attribute {attribute!r}; have {self.names}") from None
 
-    def _embed_columns(self, records: Sequence[Sequence[str]]) -> tuple[BitMatrix, int]:
-        """``(matrix, distinct values)`` of the records, column by column."""
+    def _embed_columns(self, records: Sequence[Sequence[str]]) -> tuple[BitMatrix, int | None]:
+        """``(matrix, distinct values or None)`` of the records: :func:`embed_columns`."""
         with record_errors(records, self.names, self.encoders):
             columns = [[record[att] for record in records] for att in range(self.n_attributes)]
-            return embed_columns(self.encoders, self._offsets, columns, self.total_bits)
+            return embed_columns(
+                self.encoders, self._offsets, columns, self.total_bits, self._stacks
+            )
 
     def attribute_distances(
         self, matrix_a: BitMatrix, rows_a: np.ndarray, matrix_b: BitMatrix, rows_b: np.ndarray
@@ -129,7 +136,7 @@ class RecordEncoder(RecordLayout):
         self._memos: list[dict[str, int]] = [{} for __ in self.encoders]
 
     def __getstate__(self) -> dict[str, object]:
-        return {**self.__dict__, "_memos": [{} for __ in self.encoders]}  # arrives cold
+        return {**super().__getstate__(), "_memos": [{} for __ in self.encoders]}  # arrives cold
 
     def clear_value_rows(self) -> None:
         """Empty the value memos (the next small batch starts cold)."""
@@ -144,17 +151,23 @@ class RecordEncoder(RecordLayout):
     ) -> BitMatrix:
         """Encode many records into one packed record-level matrix.
 
-        Each attribute column is *interned*: every unique value is
-        tokenised, hashed and packed once into a record-width word row
-        with its bits shifted by the attribute's offset, and every
-        record ORs in its value's row
-        (see :func:`repro.core.cvector.embed_columns`).  A batch of at most
-        ``SMALL_BATCH_ROWS`` records is embedded value by value instead
-        (:func:`repro.core.cvector.embed_values`), through the encoder's
-        bounded per-attribute memos of value bits.
+        Three embeds, chosen by the batch's size alone, give the same bits:
 
+        * at most ``SMALL_BATCH_ROWS`` records: value by value
+          (:func:`repro.core.cvector.embed_values`), through the encoder's
+          bounded per-attribute memos of value bits;
+        * at most ``ONE_PASS_VALUES`` values (records x attributes): one
+          pass over all attributes — one tokenise, one gather through the
+          attributes' gram -> bit tables (kept on the encoder, never
+          pickled) and one scatter, values not numbered;
+        * larger batches: each attribute column is *interned* — every
+          distinct value is tokenised, hashed and packed once into a
+          record-width word row, and every record ORs in its value's row.
+
+        The last two are :func:`repro.core.cvector.embed_columns`.
         ``stats``, when given, receives interning counters
-        (``intern_values``, ``intern_unique``, ``intern_hit_rate``).  No
+        (``intern_values``, ``intern_unique`` — each column's distinct
+        values, counted on every path — and ``intern_hit_rate``).  No
         records encode to a ``(0, total_bits)`` matrix.  Errors follow
         :func:`repro.core.cvector.record_errors`.
         """
@@ -163,10 +176,14 @@ class RecordEncoder(RecordLayout):
                 matrix = embed_values(
                     self.encoders, self._offsets, records, self.total_bits, self._memos
                 )
-            n_unique = 0 if stats is None else sum(len(set(col)) for col in zip(*records))
+            n_unique = None
         else:
             matrix, n_unique = self._embed_columns(records)
         if stats is not None:
+            if n_unique is None:  # the values were not numbered: count them here
+                n_unique = sum(
+                    len({record[att] for record in records}) for att in range(self.n_attributes)
+                )
             n_values = len(records) * self.n_attributes
             stats["intern_values"] = float(n_values)
             stats["intern_unique"] = float(n_unique)

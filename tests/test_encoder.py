@@ -10,12 +10,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cvector import SMALL_BATCH_ROWS, CVectorEncoder, embed_columns
+from repro.baselines.bloom import BloomRecordEncoder, bloom_positions
+from repro.baselines.minhash import bigram_matrix
+from repro.core import cvector
+from repro.core.cvector import (
+    ONE_PASS_VALUES,
+    SMALL_BATCH_ROWS,
+    CVectorEncoder,
+    embed_columns,
+    record_errors,
+)
 from repro.core.encoder import RecordEncoder
 from repro.core.persist import encoder_fingerprint, encoder_to_dict
 from repro.core.qgram import QGramScheme
 from repro.text.alphabet import TEXT_ALPHABET, Alphabet, AlphabetError
-from tests.bits import reference_words, row_int
+from tests.bits import from_index_sets, reference_words, row_int
 
 RECORDS = [
     ("JONES", "SMITH", "12 MAIN ST", "BOONE"),
@@ -142,6 +151,7 @@ class TestValueGranularEmbedding:
     def test_distinct_values_straddling_value_blocks(self, monkeypatch, block):
         """Columns larger and smaller than a block, so scatters are shared and split."""
         monkeypatch.setattr("repro.core.cvector.VALUE_BLOCK", block)
+        monkeypatch.setattr("repro.core.cvector.ONE_PASS_VALUES", 0)  # the numbered embed
         rows = [(f"A{i % 7}", "" if i % 3 else "SMITH", f"{i} MAIN ST") for i in range(11)]
         expected = reference_words(WIDE_ENCODER, rows)
         assert np.array_equal(WIDE_ENCODER.encode_dataset(rows).words, expected)
@@ -156,73 +166,222 @@ ACCENTED_ENCODER = RecordEncoder(
         CVectorEncoder(70, scheme=QGramScheme(q=3, alphabet=_ACCENTED), seed=6),
     ]
 )
-_ACCENTED_VALUE = st.sampled_from(["", " ", "É", "A", "AB", "JOSÉ", "ÉÉ", "JONES", "A B"])
 
 
-def _both_paths(encoder: RecordEncoder, rows: list) -> list[tuple[np.ndarray, dict]]:
-    """``encode_dataset``'s words and stats with every batch value by value, then batched."""
-    out = []
-    for limit in (len(rows), 0):
+#: NCVR's Table 3 widths over the text alphabet (the ``ncvr_encoder`` fixture's
+#: layout, at module level for Hypothesis).
+NCVR_ENCODER = RecordEncoder(
+    [
+        CVectorEncoder(m, scheme=QGramScheme(alphabet=TEXT_ALPHABET), seed=10 + i)
+        for i, m in enumerate((15, 15, 68, 22))
+    ]
+)
+ENCODERS = {"wide": WIDE_ENCODER, "accented": ACCENTED_ENCODER, "ncvr": NCVR_ENCODER}
+#: Per encoder, nine values of its alphabets: empty, blank, shorter than a
+#: q-gram (unpadded) and ordinary.  Rows draw indices into them.
+VALUES = {
+    "wide": ["", " ", "A", "Z", "AB", "JONES", "JONAS", "12 MAIN ST", "A A"],
+    "accented": ["", " ", "É", "A", "AB", "JOSÉ", "ÉÉ", "JONES", "A B"],
+}
+VALUES["ncvr"] = VALUES["wide"]
+#: Values outside every test alphabet: one with q-grams in every scheme, one
+#: with q-grams only when padded (too short otherwise, so no error).
+FOREIGN = ["smith", "s"]
+#: Every embed of ``encode_dataset``, forced by ``(SMALL_BATCH_ROWS, ONE_PASS_VALUES)``.
+PATHS = {
+    "value by value": (sys.maxsize, ONE_PASS_VALUES),
+    "one pass": (0, sys.maxsize),
+    "numbered": (0, 0),
+    "chosen": (SMALL_BATCH_ROWS, ONE_PASS_VALUES),
+}
+
+
+def _reference(encoder: RecordEncoder, rows: list) -> np.ndarray | str:
+    """The per-value reference words, or the message of the error they raise."""
+    try:
+        with record_errors(rows, encoder.names, encoder.encoders):
+            return reference_words(encoder, rows)
+    except AlphabetError as error:
+        return str(error)
+
+
+def _every_path(encoder: RecordEncoder, rows: list) -> dict[str, tuple[np.ndarray | str, dict]]:
+    """``encode_dataset``'s words (or error message) and stats on every path."""
+    out = {}
+    for path, (small, one_pass) in PATHS.items():
         stats: dict[str, float] = {}
-        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", limit):
-            out.append((cold(encoder).encode_dataset(rows, stats=stats).words, stats))
+        with mock.patch("repro.core.encoder.SMALL_BATCH_ROWS", small), mock.patch(
+            "repro.core.cvector.ONE_PASS_VALUES", one_pass
+        ):
+            try:
+                out[path] = (cold(encoder).encode_dataset(rows, stats=stats).words, stats)
+            except AlphabetError as error:
+                out[path] = (str(error), stats)
     return out
 
 
-class TestSmallBatchSelection:
-    """Both embeds of ``encode_dataset``, chosen by row count alone, give
-    the same words, stats and errors; a small batch never runs the batched
-    embed (the count form of "a one-row query pays per value")."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(["wide", "accented"]),
-        st.lists(st.lists(_ACCENTED_VALUE, min_size=3, max_size=3), min_size=1,
-                 max_size=SMALL_BATCH_ROWS + 1),
-    )
-    @example("wide", [["JONES", "SMITH", "12 MAIN ST"]] * SMALL_BATCH_ROWS)
-    @example("wide", [["JONES", "SMITH", "12 MAIN ST"]] * (SMALL_BATCH_ROWS + 1))
-    def test_every_size_equals_per_record_and_batched_words(self, which, rows):
-        encoder = WIDE_ENCODER if which == "wide" else ACCENTED_ENCODER
-        if which == "wide":  # no É in TEXT_ALPHABET: keep to its values
-            rows = [[value.replace("É", "E") for value in row] for row in rows]
-        rows = [tuple(row[: encoder.n_attributes]) for row in rows]
-        expected = reference_words(encoder, rows)  # embed_values, value by value
-        columns = [[row[att] for row in rows] for att in range(encoder.n_attributes)]
-        offsets = [layout.offset for layout in encoder.layouts]
-        batched = embed_columns(encoder.encoders, offsets, columns, encoder.total_bits)[0]
-        assert np.array_equal(batched.words, expected)
-        with mock.patch("repro.core.encoder.embed_columns", wraps=embed_columns) as spy:
-            assert np.array_equal(encoder.encode_dataset(rows).words, expected)
-        assert spy.call_count == (0 if len(rows) <= SMALL_BATCH_ROWS else 1)
-        (small, small_stats), (large, large_stats) = _both_paths(encoder, rows)
-        assert np.array_equal(small, expected) and np.array_equal(large, expected)
-        n_unique = sum(len(set(column)) for column in columns)
-        assert small_stats == large_stats == {
-            "intern_values": float(encoder.n_attributes * len(rows)),
-            "intern_unique": float(n_unique),
-            "intern_hit_rate": 1.0 - n_unique / (encoder.n_attributes * len(rows)),
+def _gram_references(rows: list, scheme: QGramScheme, bloom: BloomRecordEncoder):
+    """BfH's record filters (a field's bits at ``att * n_bits``) and HARRA's
+    bigram rows of ``rows``, gram by gram."""
+    field = bloom.field_encoder
+    filters = [
+        {
+            att * field.n_bits + bit
+            for att, value in enumerate(row)
+            for gram in scheme.grams(value)
+            for bit in bloom_positions(gram, field.n_bits, field.n_hashes)
         }
+        for row in rows
+    ]
+    bigrams = [set().union(*map(scheme.index_set, row)) for row in rows]
+    return (
+        from_index_sets(filters, bloom.total_bits).words,
+        from_index_sets(bigrams, scheme.space_size).words,
+    )
 
-    @pytest.mark.parametrize("n_rows", [1, SMALL_BATCH_ROWS, SMALL_BATCH_ROWS + 1])
+
+#: BfH layouts (w = 3) over each test encoder's first scheme.
+BLOOMS = {
+    which: BloomRecordEncoder(
+        encoder.n_attributes, n_bits=40, n_hashes=3, scheme=encoder.encoders[0].scheme
+    )
+    for which, encoder in ENCODERS.items()
+}
+
+
+class TestSmallBatchSelection:
+    """Every embed of ``encode_dataset`` — value by value, one pass,
+    numbered — gives the per-value reference's words, stats and errors at
+    and on each side of both cutovers (``SMALL_BATCH_ROWS`` rows,
+    ``ONE_PASS_VALUES`` values); a batch of at most ``SMALL_BATCH_ROWS`` rows
+    never runs ``embed_columns``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(ENCODERS)),
+        st.lists(st.lists(st.integers(0, 8), min_size=4, max_size=4), min_size=1,
+                 max_size=SMALL_BATCH_ROWS + 3),
+        st.sampled_from([None, 0, 1]),
+        st.one_of(st.none(), st.tuples(st.integers(0, 10**4), st.integers(0, 3),
+                                       st.sampled_from(FOREIGN))),
+    )
+    @example("wide", [[7, 5, 5, 5]] * SMALL_BATCH_ROWS, None, None)
+    @example("wide", [[7, 5, 5, 5]] * (SMALL_BATCH_ROWS + 1), None, None)
+    @example("ncvr", [[5, 0, 7, 1], [2, 4, 3, 0]], 0, None)
+    @example("ncvr", [[5, 0, 7, 1], [2, 4, 3, 0]], 1, (600, 2, "smith"))
+    @example("accented", [[5, 1, 2, 0]], 1, (3, 0, "s"))
+    def test_every_size_equals_per_record_and_batched_words(self, which, pool, cut, bad):
+        encoder = ENCODERS[which]
+        arity = encoder.n_attributes
+        # The pool as drawn (1 to SMALL_BATCH_ROWS + 3 rows), or repeated to
+        # the last row count of the one pass (cut 0) or the first past it (1).
+        n_rows = len(pool) if cut is None else ONE_PASS_VALUES // arity + cut
+        rows = [
+            tuple(VALUES[which][i] for i in pool[r % len(pool)][:arity]) for r in range(n_rows)
+        ]
+        if bad is not None:
+            row, att, value = bad
+            rows[row % n_rows] = rows[row % n_rows][: att % arity] + (value,) + rows[
+                row % n_rows
+            ][att % arity + 1 :]
+        expected = _reference(encoder, rows)
+        columns = list(zip(*rows))
+        n_unique = sum(len(set(column)) for column in columns)
+        for path, (words, stats) in _every_path(encoder, rows).items():
+            if isinstance(expected, str):
+                assert words == expected, path
+                continue
+            assert isinstance(words, np.ndarray) and np.array_equal(words, expected), path
+            assert stats == {
+                "intern_values": float(arity * n_rows),
+                "intern_unique": float(n_unique),
+                "intern_hit_rate": 1.0 - n_unique / (arity * n_rows),
+            }, path
+        with mock.patch("repro.core.encoder.embed_columns", wraps=embed_columns) as spy:
+            if isinstance(expected, str):
+                with pytest.raises(AlphabetError):
+                    encoder.encode_dataset(rows)
+            else:
+                assert np.array_equal(encoder.encode_dataset(rows).words, expected)
+        assert spy.call_count == (0 if n_rows <= SMALL_BATCH_ROWS else 1)
+        if cut is None and bad is None:  # BfH's w = 3 tables, HARRA's offset-0 ones
+            scheme = encoder.encoders[0].scheme
+            filters, bigrams = _gram_references(rows, scheme, BLOOMS[which])
+            for one_pass in (sys.maxsize, 0):
+                with mock.patch("repro.core.cvector.ONE_PASS_VALUES", one_pass):
+                    assert np.array_equal(BLOOMS[which].encode_dataset(rows).words, filters)
+                    assert np.array_equal(bigram_matrix(rows, scheme).words, bigrams)
+
+    #: Row counts of a three-attribute batch: value by value, one pass, numbered.
+    @pytest.mark.parametrize(
+        "n_rows",
+        sorted({1, SMALL_BATCH_ROWS, SMALL_BATCH_ROWS + 1, 8, 9,
+                ONE_PASS_VALUES // 3, ONE_PASS_VALUES // 3 + 1}),
+    )
     def test_non_alphabet_value_is_named_on_both_paths(self, n_rows):
         rows = [("JONES", "SMITH", "12 MAIN ST")] * (n_rows - 1) + [("JOSÉ", "", "")]
         with pytest.raises(AlphabetError, match="'É'.*'JOSÉ'"):
             cold(WIDE_ENCODER).encode_dataset(rows)
 
     def test_both_paths_name_the_same_row_and_attribute(self):
-        """A bad value at row 5 reads the same from a batch of 8 (value by
-        value) and of 40 (interned columns, where it is unique value 1)."""
+        """A bad value in the last row of a value-by-value batch reads the
+        same from a one-pass batch of 40 and a numbered batch past
+        ``ONE_PASS_VALUES`` (where it is unique value 1)."""
         messages = []
-        for n_rows in (SMALL_BATCH_ROWS, 40):
+        bad_row = SMALL_BATCH_ROWS - 1
+        for n_rows in (SMALL_BATCH_ROWS, 40, ONE_PASS_VALUES // 3 + 1):
             rows = [("JONES", "SMITH", "12 MAIN ST")] * n_rows
-            rows[5] = ("JONES", "smith", "12 MAIN ST")
+            rows[bad_row] = ("JONES", "smith", "12 MAIN ST")
             with pytest.raises(AlphabetError) as error:
                 cold(WIDE_ENCODER).encode_dataset(rows)
             messages.append(str(error.value))
-        assert messages[0] == messages[1]
-        assert f"row 5, attribute {WIDE_ENCODER.names[1]!r}" in messages[0]
+        assert messages[0] == messages[1] == messages[2]
+        assert f"row {bad_row}, attribute {WIDE_ENCODER.names[1]!r}" in messages[0]
         assert "'smith'" in messages[0]
+
+
+class TestOnePass:
+    """A batch of at most ``ONE_PASS_VALUES`` values tokenises once per
+    q-gram scheme and scatters once, whatever its number of attributes
+    (the numbered embed tokenises every column)."""
+
+    ROWS = [("JONES", "SMITH", "12 MAIN ST", "BOONE")] * 40 + [("", "A", "", "JONAS")] * 24
+
+    @pytest.mark.parametrize(
+        "embed, n_schemes",
+        [
+            (lambda rows: cold(NCVR_ENCODER).encode_dataset(rows), 1),
+            (lambda rows: cold(WIDE_ENCODER).encode_dataset([row[:3] for row in rows]), 1),
+            (lambda rows: cold(ACCENTED_ENCODER).encode_dataset(
+                [(row[0][:2], "JOSÉ") for row in rows]), 2),
+            (lambda rows: BLOOMS["ncvr"].encode_dataset(rows), 1),
+            (lambda rows: bigram_matrix(rows, NCVR_ENCODER.encoders[0].scheme), 1),
+            (lambda rows: NCVR_ENCODER.encoders[2].encode_all([row[2] for row in rows]), 1),
+        ],
+        ids=["ncvr", "wide", "accented", "bloom", "bigram", "one-column"],
+    )
+    def test_one_tokenise_per_scheme_and_one_scatter(self, embed, n_schemes):
+        with mock.patch.object(
+            cvector, "batch_qgram_indices", wraps=cvector.batch_qgram_indices
+        ) as tokenise, mock.patch.object(cvector, "scatter_bits", wraps=cvector.scatter_bits) as scatter:
+            words = embed(self.ROWS).words
+        assert (tokenise.call_count, scatter.call_count) == (n_schemes, 1)
+        with mock.patch("repro.core.cvector.ONE_PASS_VALUES", 0):
+            assert np.array_equal(embed(self.ROWS).words, words)
+
+    def test_pickled_encoder_carries_no_tables(self):
+        """The gram -> bit tables (each ``CVectorEncoder``'s, the layout's
+        stacks) are working state: a pickle after an embed holds neither and
+        its reload embeds the same words."""
+        encoder = cold(NCVR_ENCODER)
+        before = pickle.dumps(encoder)
+        words = encoder.encode_dataset(self.ROWS).words
+        assert encoder._stacks and all(enc._table is not None for enc in encoder.encoders)
+        after = pickle.dumps(encoder)
+        assert after == before
+        shipped = pickle.loads(after)
+        assert shipped._stacks == [] and all(enc._table is None for enc in shipped.encoders)
+        assert np.array_equal(shipped.encode_dataset(self.ROWS).words, words)
 
 
 def cold(encoder: RecordEncoder) -> RecordEncoder:
@@ -272,7 +431,8 @@ class TestValueRowStore:
         monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 4)
         encoder = cold(WIDE_ENCODER)
         batches = [
-            [(f"A{i}", "SMITH", f"{i} ELM RD") for i in range(lo, lo + 3)] for lo in range(9)
+            [(f"A{i}", "SMITH", f"{i} ELM RD") for i in range(lo, lo + SMALL_BATCH_ROWS)]
+            for lo in range(9)
         ]
         sizes = []
         for rows in batches + batches[:2]:  # evicted values come back
@@ -331,14 +491,21 @@ class TestValueRowStore:
     def test_concurrent_fills_of_a_small_store(self, monkeypatch):
         """More threads than cores, a switch interval of microseconds and a
         memo that starts over every few values: a lost update or a value
-        read while being replaced would show as a wrong word."""
-        monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 8)
-        encoder = cold(WIDE_ENCODER)
+        read while being replaced would show as a wrong word.  Half the
+        threads embed one-pass batches, which build a fresh encoder's gram
+        -> bit tables and stacks under the same contention."""
+        monkeypatch.setattr("repro.core.cvector.VALUE_MEMO_SIZE", 4)
+        encoder = RecordEncoder(
+            [CVectorEncoder(enc.m, enc.scheme, enc.hash_fn) for enc in WIDE_ENCODER.encoders]
+        )
         batches = [
-            [(f"N{(t + i) % 13}", f"S{i % 5}", f"{(t * i) % 17} PINE LN") for i in range(6)]
+            [
+                (f"N{(t + i) % 13}", f"S{(t + i) % 5}", f"{(t * i) % 17} PINE LN")
+                for i in range(SMALL_BATCH_ROWS if t % 2 else SMALL_BATCH_ROWS + 1 + t)
+            ]
             for t in range(8)
         ]
-        expected = [cold(WIDE_ENCODER).encode_dataset(rows).words for rows in batches]
+        expected = [reference_words(WIDE_ENCODER, rows) for rows in batches]
         wrong: list[int] = []
 
         def worker(t: int) -> None:
@@ -358,7 +525,7 @@ class TestValueRowStore:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert all(size <= 8 for size in held(encoder))
+        assert all(size <= 4 for size in held(encoder))
 
 
 class TestAttributeDistances:
